@@ -8,21 +8,21 @@
 //
 // Every request is traced and measured: an X-Request-ID is echoed (or
 // minted), one structured access-log line is emitted per request, and
-// per-method latency/size histograms, store-operation timings, and
-// lock/limiter gauges accumulate in a metrics registry. Workload
-// analytics ride along: heavy-hitter top-K tables over resource paths
-// and (method, Depth) pairs, latency SLO burn-rate accounting (-slo),
-// and a periodic runtime self-sampler (-sample-interval). Continuous
+// per-method latency/size histograms, store-operation timings, and lock
+// gauges accumulate in a metrics registry. Workload analytics ride
+// along: heavy-hitter top-K tables over resource paths and (method,
+// Depth) pairs, latency SLO burn-rate accounting (-slo), and a
+// periodic runtime self-sampler (-sample-interval). Continuous
 // profiling keeps a bounded ring of recent pprof snapshots
 // (-prof-interval, -prof-ring), and an incident capturer assembles
 // downloadable evidence bundles on SLO-degraded transitions, slow
 // trips, panics, or a manual POST /debug/incident (-incident-auto,
 // -incident-max). The optional -admin listener serves all of it at
-// /metrics (Prometheus text format), /debug/vars (expvar),
-// /debug/status (the unified operational console, HTML or
-// ?format=json), /debug/traces, /debug/profiles, /debug/incidents,
-// /debug/logs, and the net/http/pprof profiling surface — on a
-// separate port so operators never expose it with the DAV tree.
+// /metrics (Prometheus text format), /debug/status (the unified
+// operational console, HTML or ?format=json), /debug/traces,
+// /debug/profiles, /debug/incidents, /debug/logs, and the
+// net/http/pprof profiling surface — on a separate port so operators
+// never expose it with the DAV tree.
 //
 // Usage:
 //
@@ -32,7 +32,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -69,8 +68,6 @@ func main() {
 		prefix   = flag.String("prefix", "", "URL path prefix to serve under (e.g. /dav)")
 		maxProp  = flag.Int("max-prop-bytes", davserver.DefaultMaxPropBytes,
 			"per-property size limit in bytes (the paper's production setting is 10 MB); -1 = unlimited")
-		connsPerMin = flag.Int("max-conn-per-min", 100,
-			"accepted connections per minute (the paper's Apache setting); 0 = unlimited")
 		reqTimeout = flag.Duration("request-timeout", 0,
 			"per-request handling timeout; 0 disables (leave off when serving very large documents)")
 		storeOpTimeout = flag.Duration("store-op-timeout", 0,
@@ -80,7 +77,7 @@ func main() {
 		grace = flag.Duration("shutdown-grace", 15*time.Second,
 			"how long to drain in-flight requests on SIGINT/SIGTERM before forcing exit")
 		adminAddr = flag.String("admin", "",
-			"admin listener address serving /metrics, /debug/vars, /debug/pprof and /debug/traces; empty disables")
+			"admin listener address serving /metrics, /debug/status, /debug/pprof and /debug/traces; empty disables")
 		noHealth    = flag.Bool("no-health", false, "disable the /healthz and /readyz probe endpoints")
 		noAccessLog = flag.Bool("no-access-log", false, "suppress per-request access log lines")
 		quiet       = flag.Bool("quiet", false, "suppress request error logging")
@@ -165,7 +162,7 @@ func main() {
 	}()
 
 	// Telemetry: one registry feeds the DAV middleware, the store
-	// wrapper, the lock/limiter gauges, and the admin endpoints. The
+	// wrapper, the lock gauges, and the admin endpoints. The
 	// tracer's flight recorder shares the slow threshold with the
 	// middleware's WARN log, so every warned request has a trace.
 	metrics := davserver.NewMetrics(obs.NewRegistry())
@@ -386,7 +383,6 @@ func main() {
 		},
 		Links: []ops.Link{
 			{Name: "metrics", Href: "/metrics"},
-			{Name: "expvar", Href: "/debug/vars"},
 			{Name: "traces", Href: "/debug/traces"},
 			{Name: "profiles", Href: "/debug/profiles"},
 			{Name: "incidents", Href: "/debug/incidents"},
@@ -412,23 +408,19 @@ func main() {
 	mux.Handle("/", handler)
 
 	// The paper's server accepted persistent connections with "15
-	// seconds between requests" and "100 connections per minute".
+	// seconds between requests".
 	srv := &http.Server{Handler: mux, IdleTimeout: davserver.KeepAliveTimeout}
 	listener, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatalf("davd: listen: %v", err)
 	}
-	limited := davserver.LimitConnections(listener, *connsPerMin)
-	metrics.TrackLimiter(limited)
 
-	// Admin surface on its own port: Prometheus exposition, expvar,
-	// and pprof. Never mounted on the DAV listener.
+	// Admin surface on its own port: Prometheus exposition and pprof.
+	// Never mounted on the DAV listener.
 	var adminSrv *http.Server
 	if *adminAddr != "" {
-		metrics.Registry.PublishExpvar("dav")
 		amux := http.NewServeMux()
 		amux.Handle("/metrics", metrics.Registry.Handler())
-		amux.Handle("/debug/vars", expvar.Handler())
 		amux.HandleFunc("/debug/pprof/", pprof.Index)
 		amux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		amux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -454,7 +446,7 @@ func main() {
 		}()
 		logger.Info("admin endpoints enabled",
 			"addr", adminListener.Addr().String(),
-			"paths", "/metrics /debug/vars /debug/pprof/ /debug/traces /debug/status /debug/profiles /debug/incidents /debug/logs")
+			"paths", "/metrics /debug/pprof/ /debug/traces /debug/status /debug/profiles /debug/incidents /debug/logs")
 	}
 
 	// Graceful shutdown: on the first signal, flip readiness so load
@@ -486,8 +478,8 @@ func main() {
 		}
 	}()
 
-	fmt.Printf("davd: serving %s (%s properties) on http://%s%s\n", fs.Root(), fl, limited.Addr(), *prefix)
-	if err := srv.Serve(limited); err != nil && err != http.ErrServerClosed {
+	fmt.Printf("davd: serving %s (%s properties) on http://%s%s\n", fs.Root(), fl, listener.Addr(), *prefix)
+	if err := srv.Serve(listener); err != nil && err != http.ErrServerClosed {
 		fatalf("davd: %v", err)
 	}
 	<-done

@@ -44,24 +44,10 @@ func main() {
 		calcs       = flag.Int("calcs", 64, "disk: calculations to migrate (paper: 259)")
 		withMetrics = flag.Bool("metrics", false,
 			"instrument servers/clients and print a Prometheus metrics snapshot after each experiment")
-		benchOut = flag.String("out", "BENCH_PR3.json",
-			"bench-pr3: output file for the traced benchmark result")
-		benchOps  = flag.Int("ops", 40, "bench-pr3: measured operations per experiment")
-		bench4Out = flag.String("out4", "BENCH_PR4.json",
-			"bench-pr4: output file for the concurrency benchmark result")
-		bench4Ops = flag.Int("ops4", 30, "bench-pr4: measured iterations per worker")
-		bench6Out = flag.String("out6", "BENCH_PR6.json",
-			"crash-recovery: output file for the crash-recovery benchmark result")
-		bench6Docs = flag.Int("docs6", 60, "crash-recovery: PUTs in the journal-overhead measurement")
-		bench7Out  = flag.String("out7", "BENCH_PR7.json",
-			"bench-pr7: output file for the workload-analytics benchmark result")
-		bench7Reqs = flag.Int("reqs7", 600, "bench-pr7: requests in the Zipf phase")
-		bench8Out  = flag.String("out8", "BENCH_PR8.json",
-			"bench-pr8: output file for the continuous-profiling benchmark result")
-		bench9Out = flag.String("out9", "BENCH_PR9.json",
-			"bench-pr9: output file for the cancellation benchmark result")
-		bench10Out = flag.String("out10", "BENCH_PR10.json",
-			"bench-pr10: output file for the overload benchmark result")
+		benchOut = flag.String("out", "",
+			"bench-pr*, crash-recovery: output file for the JSON result (default BENCH_PR<n>.json, n taken from the command; crash-recovery is 6)")
+		benchN = flag.Int("n", 0,
+			"bench-pr3: operations per experiment; bench-pr4: iterations per worker; crash-recovery: PUTs in the journal-overhead measurement; bench-pr7: requests in the Zipf phase; 0 = that benchmark's default")
 		adminURL = flag.String("admin-url", "",
 			"opssmoke: base URL of a live davd admin listener (e.g. http://127.0.0.1:8081)")
 		davURL = flag.String("dav-url", "",
@@ -73,6 +59,12 @@ func main() {
 		os.Exit(2)
 	}
 	which := flag.Arg(0)
+	outFor := func(pr int) string {
+		if *benchOut != "" {
+			return *benchOut
+		}
+		return fmt.Sprintf("BENCH_PR%d.json", pr)
+	}
 	if *withMetrics {
 		experiments.EnableMetrics()
 	}
@@ -183,7 +175,7 @@ func main() {
 	// the CI trace smoke. Excluded from "all" (it re-enables tracing
 	// globally, which would perturb the plain table runs).
 	if which == "bench-pr3" {
-		if err := runBenchPR3(*benchOut, *benchOps); err != nil {
+		if err := runBenchPR3(outFor(3), *benchN); err != nil {
 			log.Fatalf("eccebench bench-pr3: %v", err)
 		}
 	}
@@ -194,7 +186,7 @@ func main() {
 	// concurrency smoke. Excluded from "all" (it boots eight servers
 	// and its numbers are only meaningful on a quiet machine).
 	if which == "bench-pr4" {
-		if err := runBenchPR4(*bench4Out, *bench4Ops); err != nil {
+		if err := runBenchPR4(outFor(4), *benchN); err != nil {
 			log.Fatalf("eccebench bench-pr4: %v", err)
 		}
 	}
@@ -204,7 +196,7 @@ func main() {
 	// loss; the JSON result is the CI crash smoke. Excluded from "all"
 	// (it reopens hundreds of scratch stores).
 	if which == "crash-recovery" {
-		if err := runCrashRecovery(*bench6Out, *bench6Docs); err != nil {
+		if err := runCrashRecovery(outFor(6), *benchN); err != nil {
 			log.Fatalf("eccebench crash-recovery: %v", err)
 		}
 	}
@@ -215,7 +207,7 @@ func main() {
 	// ops smoke. Excluded from "all" (its latency-injection phase
 	// deliberately sleeps on the serving path).
 	if which == "bench-pr7" {
-		if err := runBenchPR7(*bench7Out, *bench7Reqs); err != nil {
+		if err := runBenchPR7(outFor(7), *benchN); err != nil {
 			log.Fatalf("eccebench bench-pr7: %v", err)
 		}
 	}
@@ -226,7 +218,7 @@ func main() {
 	// result, and re-validates the written file. Excluded from "all"
 	// (its chaos phase deliberately sleeps on the serving path).
 	if which == "bench-pr8" {
-		if err := runBenchPR8(*bench8Out); err != nil {
+		if err := runBenchPR8(outFor(8)); err != nil {
 			log.Fatalf("eccebench bench-pr8: %v", err)
 		}
 	}
@@ -238,7 +230,7 @@ func main() {
 	// Excluded from "all" (its stall injection deliberately sleeps
 	// inside the path lock).
 	if which == "bench-pr9" {
-		if err := runBenchPR9(*bench9Out); err != nil {
+		if err := runBenchPR9(outFor(9)); err != nil {
 			log.Fatalf("eccebench bench-pr9: %v", err)
 		}
 	}
@@ -250,7 +242,7 @@ func main() {
 	// from "all" (its throttled store deliberately sleeps on the
 	// serving path and its shed clients honor multi-second Retry-After).
 	if which == "bench-pr10" {
-		if err := runBenchPR10(*bench10Out); err != nil {
+		if err := runBenchPR10(outFor(10)); err != nil {
 			log.Fatalf("eccebench bench-pr10: %v", err)
 		}
 	}

@@ -278,6 +278,25 @@ func TestFaultyStoreTriggers(t *testing.T) {
 	}
 	rc.Close()
 
+	// The batched, atomic and rename operations fault like the rest.
+	for _, tc := range []struct {
+		op   string
+		call func() error
+	}{
+		{OpStatWithProps, func() error { _, _, err := fs.StatWithProps(context.Background(), "/a"); return err }},
+		{OpListWithProps, func() error { _, err := fs.ListWithProps(context.Background(), "/"); return err }},
+		{OpCopyTree, func() error { return fs.CopyTreeAtomic(context.Background(), "/a", "/b", store.CopyOptions{}) }},
+		{OpRename, func() error { return fs.Rename(context.Background(), "/b", "/c") }},
+	} {
+		fs.FailNth(tc.op, 1)
+		if err := tc.call(); !errors.Is(err, ErrInjected) {
+			t.Fatalf("armed %s = %v, want ErrInjected", tc.op, err)
+		}
+		if err := tc.call(); err != nil {
+			t.Fatalf("%s after its fault: %v", tc.op, err)
+		}
+	}
+
 	// Rate: seeded coin flips, deterministic count.
 	fs.FailRate(OpList, 0.5, 7)
 	fails := 0

@@ -2,9 +2,7 @@ package chaos
 
 import (
 	"context"
-	"encoding/xml"
 	"errors"
-	"io"
 	"math/rand"
 	"sync"
 
@@ -14,19 +12,24 @@ import (
 // ErrInjected is the storage failure surfaced by FaultyStore.
 var ErrInjected = errors.New("chaos: injected storage failure")
 
-// Store operation names accepted by FaultyStore arming calls.
+// Store operation names accepted by FaultyStore arming calls: the
+// store package's own, one per Store method.
 const (
-	OpStat       = "Stat"
-	OpList       = "List"
-	OpMkcol      = "Mkcol"
-	OpPut        = "Put"
-	OpGet        = "Get"
-	OpDelete     = "Delete"
-	OpPropPut    = "PropPut"
-	OpPropGet    = "PropGet"
-	OpPropDelete = "PropDelete"
-	OpPropNames  = "PropNames"
-	OpPropAll    = "PropAll"
+	OpStat          = store.OpStat
+	OpList          = store.OpList
+	OpMkcol         = store.OpMkcol
+	OpPut           = store.OpPut
+	OpGet           = store.OpGet
+	OpDelete        = store.OpDelete
+	OpPropPut       = store.OpPropPut
+	OpPropGet       = store.OpPropGet
+	OpPropDelete    = store.OpPropDelete
+	OpPropNames     = store.OpPropNames
+	OpPropAll       = store.OpPropAll
+	OpStatWithProps = store.OpStatWithProps
+	OpListWithProps = store.OpListWithProps
+	OpCopyTree      = store.OpCopyTree
+	OpRename        = store.OpRename
 )
 
 // trigger is one armed fault on a store operation.
@@ -54,6 +57,8 @@ func (tr *trigger) fires() bool {
 // the ad-hoc test doubles the server's rollback tests began with. The
 // zero set of triggers passes everything through.
 type FaultyStore struct {
+	// Store is the wrapped store behind the fault interceptor; every
+	// Store method, batched and atomic ones included, passes through it.
 	store.Store
 
 	mu       sync.Mutex
@@ -63,7 +68,14 @@ type FaultyStore struct {
 
 // NewFaultyStore wraps s with no faults armed.
 func NewFaultyStore(s store.Store) *FaultyStore {
-	return &FaultyStore{Store: s, triggers: map[string]*trigger{}}
+	f := &FaultyStore{triggers: map[string]*trigger{}}
+	f.Store = store.Intercept(s, func(ctx context.Context, op store.Op, next func(context.Context) error) error {
+		if f.fail(op.Name) {
+			return ErrInjected
+		}
+		return next(ctx)
+	})
+	return f
 }
 
 // FailNth arms op to fail on its nth call from now (1-based).
@@ -111,92 +123,4 @@ func (f *FaultyStore) fail(op string) bool {
 	}
 	f.faults++
 	return true
-}
-
-// Stat implements store.Store.
-func (f *FaultyStore) Stat(ctx context.Context, p string) (store.ResourceInfo, error) {
-	if f.fail(OpStat) {
-		return store.ResourceInfo{}, ErrInjected
-	}
-	return f.Store.Stat(ctx, p)
-}
-
-// List implements store.Store.
-func (f *FaultyStore) List(ctx context.Context, p string) ([]store.ResourceInfo, error) {
-	if f.fail(OpList) {
-		return nil, ErrInjected
-	}
-	return f.Store.List(ctx, p)
-}
-
-// Mkcol implements store.Store.
-func (f *FaultyStore) Mkcol(ctx context.Context, p string) error {
-	if f.fail(OpMkcol) {
-		return ErrInjected
-	}
-	return f.Store.Mkcol(ctx, p)
-}
-
-// Put implements store.Store.
-func (f *FaultyStore) Put(ctx context.Context, p string, r io.Reader, contentType string) (bool, error) {
-	if f.fail(OpPut) {
-		return false, ErrInjected
-	}
-	return f.Store.Put(ctx, p, r, contentType)
-}
-
-// Get implements store.Store.
-func (f *FaultyStore) Get(ctx context.Context, p string) (io.ReadCloser, store.ResourceInfo, error) {
-	if f.fail(OpGet) {
-		return nil, store.ResourceInfo{}, ErrInjected
-	}
-	return f.Store.Get(ctx, p)
-}
-
-// Delete implements store.Store.
-func (f *FaultyStore) Delete(ctx context.Context, p string) error {
-	if f.fail(OpDelete) {
-		return ErrInjected
-	}
-	return f.Store.Delete(ctx, p)
-}
-
-// PropPut implements store.Store.
-func (f *FaultyStore) PropPut(ctx context.Context, p string, name xml.Name, value []byte) error {
-	if f.fail(OpPropPut) {
-		return ErrInjected
-	}
-	return f.Store.PropPut(ctx, p, name, value)
-}
-
-// PropGet implements store.Store.
-func (f *FaultyStore) PropGet(ctx context.Context, p string, name xml.Name) ([]byte, bool, error) {
-	if f.fail(OpPropGet) {
-		return nil, false, ErrInjected
-	}
-	return f.Store.PropGet(ctx, p, name)
-}
-
-// PropDelete implements store.Store.
-func (f *FaultyStore) PropDelete(ctx context.Context, p string, name xml.Name) error {
-	if f.fail(OpPropDelete) {
-		return ErrInjected
-	}
-	return f.Store.PropDelete(ctx, p, name)
-}
-
-// PropNames implements store.Store.
-func (f *FaultyStore) PropNames(ctx context.Context, p string) ([]xml.Name, error) {
-	if f.fail(OpPropNames) {
-		return nil, ErrInjected
-	}
-	return f.Store.PropNames(ctx, p)
-}
-
-// PropAll implements store.Store.
-func (f *FaultyStore) PropAll(ctx context.Context, p string) (map[xml.Name][]byte, error) {
-	if f.fail(OpPropAll) {
-		return nil, ErrInjected
-	}
-	return f.Store.PropAll(ctx, p)
 }

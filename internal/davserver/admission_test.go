@@ -4,7 +4,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/davserver/admit"
 )
@@ -92,32 +91,4 @@ func TestBrownoutCapsDeepPropfind(t *testing.T) {
 		b.Tick()
 	}
 	wantStatus(t, do(t, "PROPFIND", srv.URL+"/", map[string]string{"Depth": "infinity"}, ""), 207)
-}
-
-func TestRejectDelayBounds(t *testing.T) {
-	fc := &fakeClock{t: time.Unix(1000, 0)}
-	rl := LimitConnections(nil, 2)
-	rl.SetClock(fc.now)
-
-	// Empty window: the delay falls back to the max backoff.
-	if got := rl.rejectDelay(); got != maxRejectBackoff {
-		t.Fatalf("empty-window delay = %s, want %s", got, maxRejectBackoff)
-	}
-	// Fill the window; the oldest stamp expires a full minute out, far
-	// past the cap.
-	if !rl.admit() || !rl.admit() {
-		t.Fatal("admits within limit failed")
-	}
-	if rl.admit() {
-		t.Fatal("third admit should be rejected")
-	}
-	if got := rl.rejectDelay(); got != maxRejectBackoff {
-		t.Fatalf("full-window delay = %s, want cap %s", got, maxRejectBackoff)
-	}
-	// Just before the oldest stamp slides out, the remaining wait is
-	// under the cap but still at least the floor.
-	fc.advance(time.Minute - time.Millisecond)
-	if got := rl.rejectDelay(); got != minRejectBackoff {
-		t.Fatalf("near-expiry delay = %s, want floor %s", got, minRejectBackoff)
-	}
 }

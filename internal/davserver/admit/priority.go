@@ -5,12 +5,11 @@
 // PROPFIND, background sampling) before the limiter sheds *requests*.
 //
 // The paper's data server leaned on Apache's static knobs — "100
-// connections per minute, 15 seconds between requests" — which this
-// repository reproduces as a listener that silently closes excess TCP
-// connections. That is the wrong failure mode at scale: the server
-// accepts work it cannot finish, latency collapses for every client,
-// and the rejected ones see a connection reset with no guidance. This
-// package replaces that with application-level admission: requests past
+// connections per minute, 15 seconds between requests" — and a cap on
+// connections is the wrong failure mode at scale: the server accepts
+// work it cannot finish, latency collapses for every client, and the
+// rejected ones see a connection reset with no guidance. This package
+// is application-level admission instead: requests past
 // the adaptive limit wait briefly in a bounded queue (cancellation
 // aware, like every queue in the storage stack), the expensive tail is
 // shed first, and every shed response is an honest 429 with a

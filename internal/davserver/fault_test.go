@@ -3,11 +3,15 @@ package davserver
 import (
 	"context"
 	"encoding/xml"
+	"io"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/chaos"
 	"repro/internal/davproto"
+	"repro/internal/dbm"
 	"repro/internal/store"
 )
 
@@ -148,4 +152,92 @@ func TestFaultInjectionHelperSanity(t *testing.T) {
 	if got := len(davproto.PropsByName(ms.Responses[0].Propstats)); got != 2 {
 		t.Fatalf("props = %d, want 2", got)
 	}
+}
+
+// TestChaosWrappedStoreTakesProductionPaths: a handler over a
+// chaos-wrapped FSStore reaches the store through the same batched,
+// atomic and rename operations davd's does — one each per request — and
+// those operations can be faulted like any other.
+func TestChaosWrappedStoreTakesProductionPaths(t *testing.T) {
+	fs, err := store.NewFSStore(t.TempDir(), dbm.GDBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	var mu sync.Mutex
+	ops := map[string]int{} // what reaches the FSStore underneath the chaos wrapper
+	faulty := chaos.NewFaultyStore(store.Intercept(fs,
+		func(ctx context.Context, op store.Op, next func(context.Context) error) error {
+			mu.Lock()
+			ops[op.Name]++
+			mu.Unlock()
+			return next(ctx)
+		}))
+	srv := httptest.NewServer(NewHandler(faulty, nil))
+	defer srv.Close()
+	// request runs one request and returns the store operations it cost.
+	request := func(method, path, dest string, status int) (map[string]int, string) {
+		t.Helper()
+		mu.Lock()
+		clear(ops)
+		mu.Unlock()
+		headers := map[string]string{"Depth": "infinity", "Destination": dest}
+		if method == "PROPFIND" {
+			headers = map[string]string{"Depth": "1"}
+		}
+		resp := do(t, method, srv.URL+path, headers, "")
+		wantStatus(t, resp, status)
+		body, _ := io.ReadAll(resp.Body)
+		mu.Lock()
+		defer mu.Unlock()
+		cost := map[string]int{}
+		for op, n := range ops {
+			cost[op] = n
+		}
+		return cost, string(body)
+	}
+
+	wantStatus(t, do(t, "MKCOL", srv.URL+"/proj", nil, ""), 201)
+	wantStatus(t, do(t, "PUT", srv.URL+"/proj/a", nil, "a"), 201)
+	wantStatus(t, do(t, "PUT", srv.URL+"/proj/b", nil, "b"), 201)
+
+	for _, tc := range []struct {
+		op, method, path, dest string
+		status                 int
+		never                  []string // the per-resource ops a hidden capability would degrade to
+	}{
+		{chaos.OpListWithProps, "PROPFIND", "/proj", "", 207, []string{store.OpList, store.OpPropAll}},
+		{chaos.OpCopyTree, "COPY", "/proj", "/copy", 201, []string{store.OpMkcol, store.OpPut, store.OpGet}},
+		{chaos.OpRename, "MOVE", "/copy", "/moved", 201, []string{store.OpCopyTree, store.OpDelete}},
+	} {
+		cost, _ := request(tc.method, tc.path, tc.dest, tc.status)
+		if cost[tc.op] != 1 {
+			t.Errorf("%s cost %d %s operations, want 1 (all: %v)", tc.method, cost[tc.op], tc.op, cost)
+		}
+		for _, op := range tc.never {
+			if cost[op] != 0 {
+				t.Errorf("%s degraded to %d %s operations (all: %v)", tc.method, cost[op], op, cost)
+			}
+		}
+	}
+
+	// Armed, a batched read's or an atomic copy's failure is the
+	// request's failure...
+	faulty.FailNth(chaos.OpListWithProps, 1)
+	if _, body := request("PROPFIND", "/proj", "", 500); !strings.Contains(body, chaos.ErrInjected.Error()) {
+		t.Errorf("PROPFIND over a failing list_with_props answered %q", body)
+	}
+	faulty.FailNth(chaos.OpCopyTree, 1)
+	if _, body := request("COPY", "/proj", "/copy2", 500); !strings.Contains(body, chaos.ErrInjected.Error()) {
+		t.Errorf("COPY over a failing copy_tree answered %q", body)
+	}
+	// ...and a rename that fails for no reason of the request's own
+	// degrades to copy+delete, as a cross-device rename would.
+	faulty.FailNth(chaos.OpRename, 1)
+	cost, _ := request("MOVE", "/moved", "/moved2", 201)
+	if faulty.Faults() != 3 || cost[store.OpRename] != 0 || cost[store.OpCopyTree] != 1 || cost[store.OpDelete] != 1 {
+		t.Errorf("MOVE over a failing rename: %d faults, cost %v; want 3 faults, one copy_tree and one delete",
+			faulty.Faults(), cost)
+	}
+	wantStatus(t, do(t, "GET", srv.URL+"/moved2/a", nil, ""), 200)
 }

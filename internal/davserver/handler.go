@@ -37,8 +37,7 @@ type Options struct {
 	// Prefix is stripped from request URL paths before they are
 	// interpreted as resource paths (e.g. "/dav").
 	Prefix string
-	// Logger receives request errors; nil discards them. Call sites
-	// still holding a *log.Logger can adapt it with obs.Slogify.
+	// Logger receives request errors; nil discards them.
 	Logger *slog.Logger
 	// Brownout, when set, lets the handler shed expensive behaviors
 	// under load: auto-versioning snapshots are skipped and Depth:
@@ -263,15 +262,32 @@ func (h *Handler) checkWrite(r *http.Request, p string) error {
 	return fmt.Errorf("%w: %s", ErrLocked, p)
 }
 
+// handleGet serves GET from one store.Get call: the headers, the
+// If-None-Match answer and the body all come from the generation that
+// call opened, so a PUT racing the read cannot make them disagree.
+// HEAD opens nothing and describes the resource from Stat.
 func (h *Handler) handleGet(w http.ResponseWriter, r *http.Request, p string) {
-	ri, err := h.store.Stat(r.Context(), p)
+	head := r.Method == http.MethodHead
+	var (
+		rc  io.ReadCloser
+		ri  store.ResourceInfo
+		err error
+	)
+	if head {
+		ri, err = h.store.Stat(r.Context(), p)
+	} else {
+		rc, ri, err = h.store.Get(r.Context(), p)
+	}
+	if ri.IsCollection || errors.Is(err, store.ErrIsCollection) {
+		h.serveCollectionIndex(w, r, p)
+		return
+	}
 	if err != nil {
 		h.fail(w, r, err)
 		return
 	}
-	if ri.IsCollection {
-		h.serveCollectionIndex(w, r, p)
-		return
+	if !head {
+		defer rc.Close()
 	}
 	if match := r.Header.Get("If-None-Match"); match != "" && match == ri.ETag {
 		w.WriteHeader(http.StatusNotModified)
@@ -281,16 +297,10 @@ func (h *Handler) handleGet(w http.ResponseWriter, r *http.Request, p string) {
 	w.Header().Set("Content-Length", strconv.FormatInt(ri.Size, 10))
 	w.Header().Set("ETag", ri.ETag)
 	w.Header().Set("Last-Modified", ri.ModTime.UTC().Format(http.TimeFormat))
-	if r.Method == http.MethodHead {
+	if head {
 		w.WriteHeader(http.StatusOK)
 		return
 	}
-	rc, _, err := h.store.Get(r.Context(), p)
-	if err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	defer rc.Close()
 	if _, err := io.Copy(w, rc); err != nil {
 		h.logf("dav: GET %s: %v", p, err)
 	}
@@ -552,7 +562,7 @@ func (h *Handler) handleCopyMove(w http.ResponseWriter, r *http.Request, src str
 	}
 
 	if r.Method == "COPY" {
-		err = store.CopyTree(r.Context(), h.store, src, dst, store.CopyOptions{Recurse: depth == davproto.DepthInfinity})
+		err = h.store.CopyTreeAtomic(r.Context(), src, dst, store.CopyOptions{Recurse: depth == davproto.DepthInfinity})
 	} else {
 		err = store.MoveTree(r.Context(), h.store, src, dst)
 	}
@@ -673,7 +683,7 @@ func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p strin
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ri, props, err := store.StatWithProps(r.Context(), h.store, p)
+	ri, props, err := h.store.StatWithProps(r.Context(), p)
 	if err != nil {
 		h.fail(w, r, err)
 		return
@@ -687,7 +697,7 @@ func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p strin
 	case davproto.Depth1:
 		targets = []store.MemberProps{self}
 		if ri.IsCollection {
-			members, err := store.ListWithProps(r.Context(), h.store, p)
+			members, err := h.store.ListWithProps(r.Context(), p)
 			if err != nil {
 				h.fail(w, r, err)
 				return

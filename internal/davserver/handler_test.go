@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/auth"
@@ -690,4 +692,75 @@ func TestLargeDocumentRoundTrip(t *testing.T) {
 func TestUnsupportedMethod(t *testing.T) {
 	srv, _ := newTestServer(t, nil)
 	wantStatus(t, do(t, "PATCH", srv.URL+"/x", nil, ""), 405)
+}
+
+// TestGetDescribesTheBodyItSends: under concurrent overwrites a GET's
+// headers and body must come from one generation of the document. Two
+// writers alternate bodies of different lengths; every read must carry
+// a Content-Length equal to the bytes received, and no ETag may ever
+// arrive with two different bodies. Run under -race.
+func TestGetDescribesTheBodyItSends(t *testing.T) {
+	srv, _ := newTestServer(t, nil)
+	bodies := []string{strings.Repeat("a", 100), strings.Repeat("b", 7000)}
+	wantStatus(t, do(t, "PUT", srv.URL+"/doc", nil, bodies[0]), 201)
+
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < 150; i++ {
+				req, _ := http.NewRequest("PUT", srv.URL+"/doc", strings.NewReader(bodies[(i+w)%2]))
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Errorf("PUT: %v", err)
+					return
+				}
+				resp.Body.Close()
+			}
+		}(w)
+	}
+	var mu sync.Mutex
+	bodyOf := map[string]string{} // ETag → the body it arrived with
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				resp, err := http.Get(srv.URL + "/doc")
+				if err != nil {
+					t.Errorf("GET: %v", err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Errorf("GET body (Content-Length %s): %v", resp.Header.Get("Content-Length"), err)
+					return
+				}
+				if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+					t.Errorf("Content-Length %s on a body of %d bytes", cl, len(body))
+					return
+				}
+				etag := resp.Header.Get("ETag")
+				mu.Lock()
+				prev, seen := bodyOf[etag]
+				bodyOf[etag] = string(body)
+				mu.Unlock()
+				if seen && prev != string(body) {
+					t.Errorf("ETag %s arrived with bodies of %d and %d bytes", etag, len(prev), len(body))
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
 }

@@ -34,7 +34,6 @@ const (
 	helpStoreOps  = "Store operation latency in seconds, by operation."
 	helpStoreErrs = "Store operations that returned an error, by operation."
 	helpLocks     = "Active entries in the in-memory lock table."
-	helpDropped   = "Connections dropped by the per-minute rate limiter (cumulative)."
 	helpInflight  = "DAV requests currently being handled."
 	helpPanics    = "Handler panics recovered by the hardening middleware."
 )
@@ -137,17 +136,6 @@ func (m *Metrics) TrackGate(h *Handler) {
 	m.Registry.GaugeFunc("dav_gate_cancelled_total",
 		"Write-gate waits abandoned because the waiter's context ended (cumulative).", nil,
 		func() float64 { return float64(h.GateStats().Cancelled) })
-}
-
-// TrackLimiter exposes the listener's cumulative drop count as the
-// dav_limiter_dropped_total gauge, so rejected connections are visible
-// on every scrape instead of only to code that polls Dropped().
-func (m *Metrics) TrackLimiter(rl *RateLimitedListener) {
-	m.Registry.GaugeFunc("dav_limiter_dropped_total", helpDropped, nil,
-		func() float64 { return float64(rl.Dropped()) })
-	m.Registry.GaugeFunc("dav_limiter_limit_per_minute",
-		"Configured connections-per-minute cap (0 = unlimited).", nil,
-		func() float64 { return float64(rl.Limit()) })
 }
 
 // TrackAdmit exposes the admission controller's state — the adaptive

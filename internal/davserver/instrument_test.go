@@ -210,23 +210,6 @@ func TestRecovererLogsRequestID(t *testing.T) {
 	}
 }
 
-func TestTrackLimiter(t *testing.T) {
-	m := NewMetrics(nil)
-	// Dropped()/Limit() never touch the wrapped listener.
-	rl := LimitConnections(nil, 42)
-	m.TrackLimiter(rl)
-	var sb strings.Builder
-	m.Registry.WritePrometheus(&sb)
-	for _, want := range []string{
-		"dav_limiter_dropped_total 0",
-		"dav_limiter_limit_per_minute 42",
-	} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("exposition missing %q:\n%s", want, sb.String())
-		}
-	}
-}
-
 // TestTrackStoreExposesRecoveryMetrics pins the PR 6 telemetry: an
 // FSStore tracked by Metrics must surface the crash-recovery, fsck,
 // and fsync-error series in the Prometheus exposition.

@@ -16,6 +16,24 @@ import (
 // so there are no sleeps and the tests are exact; go test -race
 // validates the synchronization.
 
+// fakeClock is a settable time source.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (fc *fakeClock) now() time.Time {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	return fc.t
+}
+
+func (fc *fakeClock) advance(d time.Duration) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	fc.t = fc.t.Add(d)
+}
+
 func TestLockExpiryBoundaryExact(t *testing.T) {
 	fc := &fakeClock{t: time.Unix(5000, 0)}
 	lm := NewLockManager()

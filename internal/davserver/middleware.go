@@ -21,6 +21,10 @@ import (
 // robustness story stops at surviving large inputs; a production PSE
 // also has to survive failures.
 
+// KeepAliveTimeout is the paper's "15 seconds between requests" window
+// on persistent connections, for use as http.Server.IdleTimeout.
+const KeepAliveTimeout = 15 * time.Second
+
 // HardenOptions configures Harden.
 type HardenOptions struct {
 	// RequestTimeout bounds each request's total handling time; zero
@@ -32,8 +36,7 @@ type HardenOptions struct {
 	// MaxBodyBytes caps request body sizes; zero means unlimited (the
 	// paper PUTs 200 MB documents, so there is no default cap).
 	MaxBodyBytes int64
-	// Logger receives recovered panics; nil discards them. Call sites
-	// still holding a *log.Logger can adapt it with obs.Slogify.
+	// Logger receives recovered panics; nil discards them.
 	Logger *slog.Logger
 	// Metrics, when set, counts recovered panics (dav_panics_total).
 	Metrics *Metrics

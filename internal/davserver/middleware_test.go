@@ -3,7 +3,7 @@ package davserver
 import (
 	"encoding/json"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,10 +17,8 @@ import (
 )
 
 func TestRecovererTurnsPanicInto500(t *testing.T) {
-	// The std logger goes through the obs.Slogify compatibility shim —
-	// the migration path for pre-slog call sites.
 	var logged strings.Builder
-	logger := obs.Slogify(log.New(&logged, "", 0))
+	logger := obs.NewLogger(&logged, slog.LevelInfo)
 	h := Recoverer(logger, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")
 	}))

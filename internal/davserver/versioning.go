@@ -96,7 +96,7 @@ func (h *Handler) snapshotVersion(ctx context.Context, p string, n int) error {
 			return err
 		}
 	}
-	if err := store.CopyTree(ctx, h.store, p, dst, store.CopyOptions{}); err != nil {
+	if err := h.store.CopyTreeAtomic(ctx, p, dst, store.CopyOptions{}); err != nil {
 		return err
 	}
 	// The snapshot's own bookkeeping props would be misleading; drop

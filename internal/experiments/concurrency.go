@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"encoding/xml"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -28,93 +27,55 @@ const BenchPR4Schema = "bench_pr4/v1"
 
 // serializedStore reimposes the PR 3 concurrency architecture on a
 // store: every operation holds one store-wide RWMutex (writes
-// exclusively), and the BatchReader fast path is hidden, so PROPFIND
-// degrades to the one-lookup-per-member pattern. Rename is kept — the
-// PR 3 store had it.
+// exclusively), and the batched reads are taken apart again, so
+// PROPFIND degrades to the one-lookup-per-member pattern.
 type serializedStore struct {
-	mu sync.RWMutex
-	s  store.Store
+	store.Store // the wrapped store behind the RWMutex interceptor
 }
 
 // serialize wraps s in the PR 3 concurrency architecture.
-func serialize(s store.Store) store.Store { return &serializedStore{s: s} }
-
-var _ store.Store = (*serializedStore)(nil)
-var _ store.Renamer = (*serializedStore)(nil)
-
-func (ss *serializedStore) read(fn func() error) error {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	return fn()
+func serialize(s store.Store) store.Store {
+	var mu sync.RWMutex
+	return &serializedStore{store.Intercept(s, func(ctx context.Context, op store.Op, next func(context.Context) error) error {
+		switch op.Name {
+		case store.OpStat, store.OpList, store.OpGet, store.OpPropGet, store.OpPropNames, store.OpPropAll:
+			mu.RLock()
+			defer mu.RUnlock()
+		default:
+			mu.Lock()
+			defer mu.Unlock()
+		}
+		return next(ctx)
+	})}
 }
 
-func (ss *serializedStore) write(fn func() error) error {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return fn()
-}
-
-func (ss *serializedStore) Stat(ctx context.Context, p string) (ri store.ResourceInfo, err error) {
-	err = ss.read(func() (e error) { ri, e = ss.s.Stat(ctx, p); return })
-	return
-}
-
-func (ss *serializedStore) List(ctx context.Context, p string) (infos []store.ResourceInfo, err error) {
-	err = ss.read(func() (e error) { infos, e = ss.s.List(ctx, p); return })
-	return
-}
-
-func (ss *serializedStore) Mkcol(ctx context.Context, p string) error {
-	return ss.write(func() error { return ss.s.Mkcol(ctx, p) })
-}
-
-func (ss *serializedStore) Put(ctx context.Context, p string, r io.Reader, contentType string) (created bool, err error) {
-	err = ss.write(func() (e error) { created, e = ss.s.Put(ctx, p, r, contentType); return })
-	return
-}
-
-func (ss *serializedStore) Get(ctx context.Context, p string) (rc io.ReadCloser, ri store.ResourceInfo, err error) {
-	err = ss.read(func() (e error) { rc, ri, e = ss.s.Get(ctx, p); return })
-	return
-}
-
-func (ss *serializedStore) Delete(ctx context.Context, p string) error {
-	return ss.write(func() error { return ss.s.Delete(ctx, p) })
-}
-
-func (ss *serializedStore) Rename(ctx context.Context, src, dst string) error {
-	r, ok := ss.s.(store.Renamer)
-	if !ok {
-		return store.ErrRenameUnsupported
+// StatWithProps is the PR 3 read pattern, kept on purpose: Stat, then
+// PropAll, each its own trip through the store-wide lock.
+func (ss *serializedStore) StatWithProps(ctx context.Context, p string) (store.ResourceInfo, map[xml.Name][]byte, error) {
+	ri, err := ss.Stat(ctx, p)
+	if err != nil {
+		return store.ResourceInfo{}, nil, err
 	}
-	return ss.write(func() error { return r.Rename(ctx, src, dst) })
+	props, err := ss.PropAll(ctx, p)
+	return ri, props, err
 }
 
-func (ss *serializedStore) PropPut(ctx context.Context, p string, name xml.Name, value []byte) error {
-	return ss.write(func() error { return ss.s.PropPut(ctx, p, name, value) })
-}
-
-func (ss *serializedStore) PropGet(ctx context.Context, p string, name xml.Name) (v []byte, ok bool, err error) {
-	err = ss.read(func() (e error) { v, ok, e = ss.s.PropGet(ctx, p, name); return })
-	return
-}
-
-func (ss *serializedStore) PropDelete(ctx context.Context, p string, name xml.Name) error {
-	return ss.write(func() error { return ss.s.PropDelete(ctx, p, name) })
-}
-
-func (ss *serializedStore) PropNames(ctx context.Context, p string) (names []xml.Name, err error) {
-	err = ss.read(func() (e error) { names, e = ss.s.PropNames(ctx, p); return })
-	return
-}
-
-func (ss *serializedStore) PropAll(ctx context.Context, p string) (props map[xml.Name][]byte, err error) {
-	err = ss.read(func() (e error) { props, e = ss.s.PropAll(ctx, p); return })
-	return
-}
-
-func (ss *serializedStore) Close() error {
-	return ss.write(func() error { return ss.s.Close() })
+// ListWithProps is the PR 3 N+1 pattern: List, then one PropAll per
+// member.
+func (ss *serializedStore) ListWithProps(ctx context.Context, p string) ([]store.MemberProps, error) {
+	members, err := ss.List(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]store.MemberProps, 0, len(members))
+	for _, m := range members {
+		props, err := ss.PropAll(ctx, m.Path)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, store.MemberProps{Info: m, Props: props})
+	}
+	return out, nil
 }
 
 // BenchPR4Cell is one (architecture, parallelism) measurement.

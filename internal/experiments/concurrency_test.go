@@ -1,28 +1,27 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"repro/internal/davserver"
 	"repro/internal/store"
 )
 
 // TestSerializedStoreParity checks the benchmark baseline behaves like
-// a plain store: same data, same properties, rename supported, batched
-// reads hidden.
+// a plain store — same data, same properties — while reading the PR 3
+// way: a Depth-1 PROPFIND costs one PropAll per member plus one for the
+// collection, never a batched read.
 func TestSerializedStoreParity(t *testing.T) {
 	env, err := StartDAVEnv(DAVEnvOptions{Serialized: true, HandleCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.Close()
-
-	if _, ok := env.Store.(store.BatchReader); ok {
-		t.Fatal("serialized baseline must not expose the batched-read fast path")
-	}
-	if _, ok := env.Store.(store.Renamer); !ok {
-		t.Fatal("serialized baseline lost Rename")
-	}
 
 	if created, err := env.Client.PutBytes("/a.txt", []byte("hello"), "text/plain"); err != nil || !created {
 		t.Fatalf("put: created=%v err=%v", created, err)
@@ -34,6 +33,32 @@ func TestSerializedStoreParity(t *testing.T) {
 	ms, err := env.Client.PropFindAll("/", 1)
 	if err != nil || len(ms.Responses) != 2 {
 		t.Fatalf("propfind: %d responses, %v", len(ms.Responses), err)
+	}
+
+	// Count what reaches the store underneath the serializing wrapper.
+	ops := map[string]int{}
+	mem := store.NewMemStore()
+	h := davserver.NewHandler(serialize(store.Intercept(mem,
+		func(ctx context.Context, op store.Op, next func(context.Context) error) error {
+			ops[op.Name]++
+			return next(ctx)
+		})), nil)
+	const members = 3
+	for i := 0; i < members; i++ {
+		if _, err := mem.Put(context.Background(), fmt.Sprintf("/m%d", i), strings.NewReader("x"), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := httptest.NewRequest("PROPFIND", "/", nil)
+	req.Header.Set("Depth", "1")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != 207 {
+		t.Fatalf("propfind status %d", rec.Code)
+	}
+	if ops[store.OpPropAll] != members+1 || ops[store.OpListWithProps] != 0 || ops[store.OpStatWithProps] != 0 {
+		t.Fatalf("store ops under a Depth-1 PROPFIND of %d members = %v, want %d prop_all and no batched reads",
+			members, ops, members+1)
 	}
 }
 

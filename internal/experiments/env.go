@@ -119,8 +119,8 @@ type DAVEnvOptions struct {
 	// multi-step operation boundary. Benchmarks use it to stall inside
 	// the path lock, simulating slow storage under contention.
 	StepHook func(point string)
-	// Serialized wraps the store in one global RWMutex and hides the
-	// batched-read fast path — the PR 3 storage architecture, kept as
+	// Serialized wraps the store in one global RWMutex and takes the
+	// batched reads apart — the PR 3 storage architecture, kept as
 	// the concurrency benchmark's baseline. Combine with
 	// HandleCacheSize < 0 for a faithful open-per-operation baseline.
 	Serialized bool

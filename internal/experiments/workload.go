@@ -32,10 +32,8 @@ const BenchPR7Schema = "bench_pr7/v1"
 const BenchPR7MaxOverhead = 0.02
 
 // latencyStore injects a fixed delay into document reads once armed —
-// the storage-side stand-in for a degraded disk or remote volume. It
-// deliberately hides the store's optional fast-path interfaces: a DAV
-// handler on top falls back to the generic path, which is fine for a
-// benchmark that only needs the latency to reach the request clock.
+// the storage-side stand-in for a degraded disk or remote volume.
+// Every other operation passes straight to the embedded store.
 type latencyStore struct {
 	store.Store
 	delayNanos atomic.Int64

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/chem"
@@ -38,7 +39,14 @@ func GenerateInputDeck(calc *Calculation, mol *chem.Molecule, basis *chem.BasisS
 
 	if basis != nil {
 		sb.WriteString("basis\n")
-		for sym := range mol.ElementCounts() {
+		// Sorted, so one calculation always renders the same deck.
+		counts := mol.ElementCounts()
+		syms := make([]string, 0, len(counts))
+		for sym := range counts {
+			syms = append(syms, sym)
+		}
+		sort.Strings(syms)
+		for _, sym := range syms {
 			eb, _ := basis.ForElement(sym)
 			for _, sh := range eb.Shells {
 				fmt.Fprintf(&sb, "  %s library %s ! %s shell, %d primitives\n",

@@ -283,3 +283,25 @@ func TestQuickPropertyAtNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGenerateInputDeckDeterministic: the paper's UO2·15H2O system has
+// three elements, enough for map iteration to reorder the basis block;
+// the deck is stored as a document, so the same inputs must render the
+// same bytes every time.
+func TestGenerateInputDeckDeterministic(t *testing.T) {
+	mol := chem.MakeUO2nH2O(15)
+	calc := &Calculation{Name: "uranyl", Theory: "DFT"}
+	first, err := GenerateInputDeck(calc, mol, chem.STO3G(), &Task{Kind: TaskEnergy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 50; i++ {
+		deck, err := GenerateInputDeck(calc, mol, chem.STO3G(), &Task{Kind: TaskEnergy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deck != first {
+			t.Fatalf("generation %d differs from the first:\n%s\n--- vs ---\n%s", i, deck, first)
+		}
+	}
+}

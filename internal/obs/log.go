@@ -1,94 +1,12 @@
 package obs
 
 import (
-	"context"
-	"fmt"
 	"io"
-	"log"
 	"log/slog"
-	"strings"
 )
 
 // NewLogger builds a text-format slog.Logger writing to w at the given
 // minimum level — the daemon's standard logger shape.
 func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
-}
-
-// Slogify adapts a legacy *log.Logger into a *slog.Logger — the
-// compatibility shim for call sites that still construct std loggers.
-// Records render as "LEVEL msg key=value ...", one Print per record,
-// so existing prefixes and flags keep applying. A nil input yields nil
-// (callers treat a nil logger as "discard").
-func Slogify(l *log.Logger) *slog.Logger {
-	if l == nil {
-		return nil
-	}
-	return slog.New(&stdHandler{l: l})
-}
-
-// stdHandler formats slog records onto a *log.Logger.
-type stdHandler struct {
-	l      *log.Logger
-	attrs  string // preformatted WithAttrs pairs
-	prefix string // dotted WithGroup prefix
-}
-
-// Enabled reports whether the level is logged (everything at or above
-// Debug; the std logger has no level concept to defer to).
-func (h *stdHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= slog.LevelDebug
-}
-
-// Handle renders one record.
-func (h *stdHandler) Handle(_ context.Context, rec slog.Record) error {
-	var b strings.Builder
-	b.WriteString(rec.Level.String())
-	b.WriteByte(' ')
-	b.WriteString(rec.Message)
-	b.WriteString(h.attrs)
-	rec.Attrs(func(a slog.Attr) bool {
-		appendAttr(&b, h.prefix, a)
-		return true
-	})
-	h.l.Print(b.String())
-	return nil
-}
-
-// WithAttrs returns a handler with the attrs preformatted.
-func (h *stdHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	var b strings.Builder
-	b.WriteString(h.attrs)
-	for _, a := range attrs {
-		appendAttr(&b, h.prefix, a)
-	}
-	return &stdHandler{l: h.l, attrs: b.String(), prefix: h.prefix}
-}
-
-// WithGroup returns a handler qualifying subsequent keys with name.
-func (h *stdHandler) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	return &stdHandler{l: h.l, attrs: h.attrs, prefix: h.prefix + name + "."}
-}
-
-// appendAttr renders one attribute as " key=value", quoting values
-// containing spaces.
-func appendAttr(b *strings.Builder, prefix string, a slog.Attr) {
-	if a.Equal(slog.Attr{}) {
-		return
-	}
-	v := a.Value.Resolve()
-	if v.Kind() == slog.KindGroup {
-		for _, ga := range v.Group() {
-			appendAttr(b, prefix+a.Key+".", ga)
-		}
-		return
-	}
-	s := v.String()
-	if strings.ContainsAny(s, " \t\n\"") {
-		s = fmt.Sprintf("%q", s)
-	}
-	fmt.Fprintf(b, " %s%s=%s", prefix, a.Key, s)
 }

@@ -1,8 +1,7 @@
 // Package obs is the observability layer for the reproduced
 // architecture: a dependency-free metrics registry (counters, gauges,
 // fixed-bucket histograms) with a Prometheus text-format exposition
-// writer and an expvar bridge, request-scoped request-ID propagation,
-// and log/slog helpers.
+// writer, request-scoped request-ID propagation, and log/slog helpers.
 //
 // The paper's central claims are quantitative — DAV is
 // "performance-competitive" with the OODBMS and robust under
@@ -14,7 +13,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -429,19 +427,9 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// PublishExpvar exposes the registry as one expvar variable (visible
-// at /debug/vars), evaluated per request. Publishing the same name
-// twice is a no-op, so daemons can call it unconditionally.
-func (r *Registry) PublishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-}
-
 // Snapshot returns the registry's current values as a plain map:
 // "name{labels}" -> number for counters and gauges, or a
-// {count, sum, buckets} map for histograms. It backs the expvar bridge
+// {count, sum, buckets} map for histograms. It backs the status console
 // and structured dumps.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.Lock()

@@ -32,7 +32,7 @@ type StatusConfig struct {
 	// Service names the process ("davd").
 	Service string
 	// Registry supplies the gauge section (path locks, DBM cache,
-	// limiter, recovery, journal — whatever matches GaugePrefixes).
+	// recovery, journal — whatever matches GaugePrefixes).
 	Registry *obs.Registry
 	// GaugePrefixes filters Registry families into the gauges section.
 	// Empty uses DefaultGaugePrefixes.
@@ -54,7 +54,7 @@ type StatusConfig struct {
 // DefaultGaugePrefixes selects the storage-stack and lifecycle gauge
 // families the console shows by default.
 var DefaultGaugePrefixes = []string{
-	"dav_pathlock_", "dav_dbm_cache_", "dav_limiter_", "dav_locks_",
+	"dav_pathlock_", "dav_dbm_cache_", "dav_locks_",
 	"dav_recovery_", "dav_recovering", "dav_journal_", "dav_fsck_",
 	"dav_fsync_", "dav_inflight_", "dav_panics_", "dav_metric_label_overflow",
 	"dav_admit_", "dav_brownout_",

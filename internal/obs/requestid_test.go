@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"context"
-	"log"
-	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -97,27 +94,5 @@ func TestCleanRequestIDPolicy(t *testing.T) {
 		if got := CleanRequestID(in); got != want {
 			t.Errorf("CleanRequestID(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestSlogifyShim(t *testing.T) {
-	var buf strings.Builder
-	std := log.New(&buf, "davd: ", 0)
-	logger := Slogify(std)
-	logger.With(slog.String("id", "abc")).WithGroup("req").
-		Error("panic recovered", slog.String("method", "PUT"), slog.Int("status", 500))
-	got := buf.String()
-	for _, want := range []string{"davd: ", "ERROR", "panic recovered", "id=abc", "req.method=PUT", "req.status=500"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("log line %q missing %q", got, want)
-		}
-	}
-	if Slogify(nil) != nil {
-		t.Error("Slogify(nil) should be nil")
-	}
-	// The shim must satisfy slog's contract end to end.
-	logger.Log(context.Background(), slog.LevelInfo, "plain")
-	if !strings.Contains(buf.String(), "INFO plain") {
-		t.Errorf("plain record missing: %q", buf.String())
 	}
 }

@@ -39,7 +39,7 @@ func TestBatchReadsMatchNarrowReads(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
 		seedTree(t, s)
 		for _, p := range []string{"/", "/proj", "/proj/calc", "/proj/calc/input.dat"} {
-			ri, props, err := StatWithProps(context.Background(), s, p)
+			ri, props, err := s.StatWithProps(context.Background(), p)
 			if err != nil {
 				t.Fatalf("StatWithProps %s: %v", p, err)
 			}
@@ -64,7 +64,7 @@ func TestBatchReadsMatchNarrowReads(t *testing.T) {
 			}
 		}
 		for _, p := range []string{"/", "/proj", "/proj/calc"} {
-			members, err := ListWithProps(context.Background(), s, p)
+			members, err := s.ListWithProps(context.Background(), p)
 			if err != nil {
 				t.Fatalf("ListWithProps %s: %v", p, err)
 			}
@@ -88,10 +88,10 @@ func TestBatchReadsMatchNarrowReads(t *testing.T) {
 				}
 			}
 		}
-		if _, err := ListWithProps(context.Background(), s, "/proj/readme.txt"); !errors.Is(err, ErrNotCollection) {
+		if _, err := s.ListWithProps(context.Background(), "/proj/readme.txt"); !errors.Is(err, ErrNotCollection) {
 			t.Fatalf("ListWithProps on a document: err = %v, want ErrNotCollection", err)
 		}
-		if _, _, err := StatWithProps(context.Background(), s, "/nope"); !errors.Is(err, ErrNotFound) {
+		if _, _, err := s.StatWithProps(context.Background(), "/nope"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("StatWithProps on missing: err = %v, want ErrNotFound", err)
 		}
 	})
@@ -182,7 +182,7 @@ func TestFSStoreListWithPropsOpensEachDBOnce(t *testing.T) {
 	s.HandleCache().Close()
 	base := s.CacheStats()
 
-	if _, err := ListWithProps(context.Background(), s, "/d"); err != nil {
+	if _, err := s.ListWithProps(context.Background(), "/d"); err != nil {
 		t.Fatal(err)
 	}
 	after := s.CacheStats()
@@ -190,7 +190,7 @@ func TestFSStoreListWithPropsOpensEachDBOnce(t *testing.T) {
 		t.Fatalf("first listing opened %d databases, want %d (one per member)", opens, n)
 	}
 
-	if _, err := ListWithProps(context.Background(), s, "/d"); err != nil {
+	if _, err := s.ListWithProps(context.Background(), "/d"); err != nil {
 		t.Fatal(err)
 	}
 	final := s.CacheStats()
@@ -248,8 +248,8 @@ func (f *failingRenamer) Rename(ctx context.Context, src, dst string) error {
 	return f.err
 }
 
-// TestMoveTreePropagatesPreconditionErrors locks in the Renamer
-// fallback contract: precondition errors surface immediately, other
+// TestMoveTreePropagatesPreconditionErrors locks in MoveTree's
+// contract: precondition errors surface immediately, other rename
 // failures degrade to copy+delete.
 func TestMoveTreePropagatesPreconditionErrors(t *testing.T) {
 	for _, sentinel := range []error{ErrNotFound, ErrBadPath} {
@@ -279,10 +279,10 @@ func TestMoveTreePropagatesPreconditionErrors(t *testing.T) {
 	}
 }
 
-// TestCopyTreeAtomicSnapshot checks that a Depth:infinity COPY through
-// the TreeCopier fast path is a consistent snapshot: a Put racing with
-// the copy must wait for the copy's subtree-shared lock, so the
-// destination always reflects the pre-copy contents. The assertion
+// TestCopyTreeAtomicSnapshot checks that a Depth:infinity COPY is a
+// consistent snapshot: a Put racing with the copy must wait for the
+// copy's subtree-shared lock, so the destination always reflects the
+// pre-copy contents. The assertion
 // holds in every legal interleaving (the writer either runs strictly
 // before or strictly after the copy); only a per-resource-locking
 // regression can make the new value leak into the destination.
@@ -291,9 +291,6 @@ func TestCopyTreeAtomicSnapshot(t *testing.T) {
 		ls, ok := s.(interface{ LockStats() pathlock.Stats })
 		if !ok {
 			t.Fatalf("%T does not expose LockStats", s)
-		}
-		if _, ok := s.(TreeCopier); !ok {
-			t.Fatalf("%T does not implement TreeCopier", s)
 		}
 		mustMkcol(t, s, "/src")
 		mustMkcol(t, s, "/src/sub")
@@ -310,7 +307,7 @@ func TestCopyTreeAtomicSnapshot(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() {
-			done <- CopyTree(context.Background(), s, "/src", "/dst", CopyOptions{Recurse: true})
+			done <- s.CopyTreeAtomic(context.Background(), "/src", "/dst", CopyOptions{Recurse: true})
 		}()
 		// Wait until the copy holds its guard (or has already finished)
 		// so the racing write overlaps the copy as often as possible.
@@ -378,7 +375,7 @@ func TestMixedOperationStress(t *testing.T) {
 					// Cross-tree reads: list a sibling worker's subtree
 					// and the shared root while it is being mutated.
 					other := fmt.Sprintf("/w%d/deep", (w+1)%workers)
-					if _, err := ListWithProps(context.Background(), s, other); err != nil && !errors.Is(err, ErrNotFound) {
+					if _, err := s.ListWithProps(context.Background(), other); err != nil && !errors.Is(err, ErrNotFound) {
 						t.Errorf("ListWithProps %s: %v", other, err)
 						return
 					}
@@ -418,7 +415,7 @@ func TestMixedOperationStress(t *testing.T) {
 		// Structural sanity after the storm.
 		for w := 0; w < workers; w++ {
 			deep := fmt.Sprintf("/w%d/deep", w)
-			members, err := ListWithProps(context.Background(), s, deep)
+			members, err := s.ListWithProps(context.Background(), deep)
 			if err != nil {
 				t.Fatalf("post-stress ListWithProps %s: %v", deep, err)
 			}

@@ -176,9 +176,6 @@ var fsyncErrors atomic.Int64
 func FsyncErrors() int64 { return fsyncErrors.Load() }
 
 var _ Store = (*FSStore)(nil)
-var _ Renamer = (*FSStore)(nil)
-var _ BatchReader = (*FSStore)(nil)
-var _ TreeCopier = (*FSStore)(nil)
 
 // NewFSStore opens (creating if needed) a store rooted at dir, using
 // the given DBM flavour for property databases and default options.
@@ -1031,7 +1028,7 @@ func (s *FSStore) Delete(ctx context.Context, p string) error {
 	return nil
 }
 
-// Rename implements the MOVE fast path: an atomic filesystem rename
+// Rename implements Renamer: an atomic filesystem rename
 // plus relocation of the member property database. Source and
 // destination subtrees are locked exclusively in one ordered
 // acquisition, so the move is atomic with respect to every other store
@@ -1231,7 +1228,7 @@ func (s *FSStore) copyTreeLocked(ctx context.Context, csrc, cdst string, recurse
 }
 
 // copyResourceLocked copies one resource (body + properties) under the
-// already-held subtree locks, mirroring the generic copyResource.
+// already-held subtree locks.
 func (s *FSStore) copyResourceLocked(ctx context.Context, src ResourceInfo, cdst string) error {
 	s.step("copy.resource")
 	if src.IsCollection {

@@ -2,8 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/xml"
-	"io"
 	"time"
 
 	"repro/internal/obs/trace"
@@ -28,191 +26,24 @@ var NopObserver OpObserver = func(string, time.Duration, error) {}
 // the latency histogram can never disagree about one operation.
 //
 // Get timings cover opening the document, not streaming its body (the
-// HTTP layer's response-size histograms cover transfer). The wrapper
-// preserves the Renamer fast path when the underlying store has one.
-// A nil observer returns s unchanged.
+// HTTP layer's response-size histograms cover transfer). Close has no
+// request context and therefore never a span; the observer still sees
+// it. A nil observer returns s unchanged.
 func Instrument(s Store, obs OpObserver) Store {
 	if obs == nil {
 		return s
 	}
-	return &instrumentedStore{s: s, obs: obs}
-}
-
-type instrumentedStore struct {
-	s   Store
-	obs OpObserver
-}
-
-// begin opens the "store.<op>" span on ctx and returns the context to
-// run the operation under — the span's context, so deeper layers nest
-// under it — plus the finish function reporting one shared duration to
-// span and observer alike.
-func (is *instrumentedStore) begin(ctx context.Context, op string, attrs ...trace.Attr) (context.Context, func(err error)) {
-	ctx, end := trace.Region(ctx, "store."+op, attrs...)
-	return ctx, func(err error) { is.obs(op, end(err), err) }
-}
-
-func (is *instrumentedStore) Stat(ctx context.Context, p string) (ResourceInfo, error) {
-	ctx, done := is.begin(ctx, "stat", trace.Str("path", p))
-	ri, err := is.s.Stat(ctx, p)
-	done(err)
-	return ri, err
-}
-
-func (is *instrumentedStore) List(ctx context.Context, p string) ([]ResourceInfo, error) {
-	ctx, done := is.begin(ctx, "list", trace.Str("path", p))
-	members, err := is.s.List(ctx, p)
-	done(err)
-	return members, err
-}
-
-func (is *instrumentedStore) Mkcol(ctx context.Context, p string) error {
-	ctx, done := is.begin(ctx, "mkcol", trace.Str("path", p))
-	err := is.s.Mkcol(ctx, p)
-	done(err)
-	return err
-}
-
-func (is *instrumentedStore) Put(ctx context.Context, p string, r io.Reader, contentType string) (bool, error) {
-	ctx, done := is.begin(ctx, "put", trace.Str("path", p))
-	created, err := is.s.Put(ctx, p, r, contentType)
-	done(err)
-	return created, err
-}
-
-func (is *instrumentedStore) Get(ctx context.Context, p string) (io.ReadCloser, ResourceInfo, error) {
-	ctx, done := is.begin(ctx, "get", trace.Str("path", p))
-	rc, ri, err := is.s.Get(ctx, p)
-	done(err)
-	return rc, ri, err
-}
-
-func (is *instrumentedStore) Delete(ctx context.Context, p string) error {
-	ctx, done := is.begin(ctx, "delete", trace.Str("path", p))
-	err := is.s.Delete(ctx, p)
-	done(err)
-	return err
-}
-
-func (is *instrumentedStore) PropPut(ctx context.Context, p string, name xml.Name, value []byte) error {
-	ctx, done := is.begin(ctx, "prop_put", trace.Str("path", p), trace.Int("bytes", int64(len(value))))
-	err := is.s.PropPut(ctx, p, name, value)
-	done(err)
-	return err
-}
-
-func (is *instrumentedStore) PropGet(ctx context.Context, p string, name xml.Name) ([]byte, bool, error) {
-	ctx, done := is.begin(ctx, "prop_get", trace.Str("path", p))
-	v, ok, err := is.s.PropGet(ctx, p, name)
-	done(err)
-	return v, ok, err
-}
-
-func (is *instrumentedStore) PropDelete(ctx context.Context, p string, name xml.Name) error {
-	ctx, done := is.begin(ctx, "prop_delete", trace.Str("path", p))
-	err := is.s.PropDelete(ctx, p, name)
-	done(err)
-	return err
-}
-
-func (is *instrumentedStore) PropNames(ctx context.Context, p string) ([]xml.Name, error) {
-	ctx, done := is.begin(ctx, "prop_names", trace.Str("path", p))
-	names, err := is.s.PropNames(ctx, p)
-	done(err)
-	return names, err
-}
-
-func (is *instrumentedStore) PropAll(ctx context.Context, p string) (map[xml.Name][]byte, error) {
-	ctx, done := is.begin(ctx, "prop_all", trace.Str("path", p))
-	props, err := is.s.PropAll(ctx, p)
-	done(err)
-	return props, err
-}
-
-// StatWithProps implements BatchReader, delegating to the wrapped
-// store's batched path when it has one and composing Stat+PropAll under
-// one span otherwise (so the timing covers the same work either way).
-func (is *instrumentedStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, map[xml.Name][]byte, error) {
-	ctx, done := is.begin(ctx, "stat_with_props", trace.Str("path", p))
-	var ri ResourceInfo
-	var props map[xml.Name][]byte
-	var err error
-	if br, ok := is.s.(BatchReader); ok {
-		ri, props, err = br.StatWithProps(ctx, p)
-	} else {
-		ri, err = is.s.Stat(ctx, p)
-		if err == nil {
-			props, err = is.s.PropAll(ctx, p)
+	return Intercept(s, func(ctx context.Context, op Op, next func(context.Context) error) error {
+		attrs := []trace.Attr{trace.Str("path", op.Path)}
+		switch {
+		case op.Dst != "":
+			attrs = []trace.Attr{trace.Str("src", op.Path), trace.Str("dst", op.Dst)}
+		case op.Name == OpPropPut:
+			attrs = append(attrs, trace.Int("bytes", int64(op.Bytes)))
 		}
-	}
-	done(err)
-	if err != nil {
-		return ResourceInfo{}, nil, err
-	}
-	return ri, props, nil
+		ctx, end := trace.Region(ctx, "store."+op.Name, attrs...)
+		err := next(ctx)
+		obs(op.Name, end(err), err)
+		return err
+	})
 }
-
-// ListWithProps implements BatchReader; see StatWithProps.
-func (is *instrumentedStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, error) {
-	ctx, done := is.begin(ctx, "list_with_props", trace.Str("path", p))
-	var out []MemberProps
-	var err error
-	if br, ok := is.s.(BatchReader); ok {
-		out, err = br.ListWithProps(ctx, p)
-	} else {
-		var members []ResourceInfo
-		members, err = is.s.List(ctx, p)
-		for _, m := range members {
-			if err != nil {
-				break
-			}
-			var props map[xml.Name][]byte
-			props, err = is.s.PropAll(ctx, m.Path)
-			out = append(out, MemberProps{Info: m, Props: props})
-		}
-	}
-	done(err)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (is *instrumentedStore) Close() error {
-	start := time.Now()
-	err := is.s.Close()
-	is.obs("close", time.Since(start), err)
-	return err
-}
-
-// CopyTreeAtomic implements the TreeCopier fast path by delegating to
-// the wrapped store when it supports one; otherwise
-// ErrAtomicCopyUnsupported tells CopyTree to take the generic
-// per-resource walk.
-func (is *instrumentedStore) CopyTreeAtomic(ctx context.Context, src, dst string, opts CopyOptions) error {
-	tc, ok := is.s.(TreeCopier)
-	if !ok {
-		return ErrAtomicCopyUnsupported
-	}
-	ctx, done := is.begin(ctx, "copy_tree", trace.Str("src", src), trace.Str("dst", dst))
-	err := tc.CopyTreeAtomic(ctx, src, dst, opts)
-	done(err)
-	return err
-}
-
-// Rename implements the Renamer fast path by delegating to the wrapped
-// store when it supports one; otherwise ErrRenameUnsupported tells
-// MoveTree to take the generic copy+delete path.
-func (is *instrumentedStore) Rename(ctx context.Context, src, dst string) error {
-	r, ok := is.s.(Renamer)
-	if !ok {
-		return ErrRenameUnsupported
-	}
-	ctx, done := is.begin(ctx, "rename", trace.Str("src", src), trace.Str("dst", dst))
-	err := r.Rename(ctx, src, dst)
-	done(err)
-	return err
-}
-
-// Unwrap exposes the wrapped store (tests, tooling).
-func (is *instrumentedStore) Unwrap() Store { return is.s }

@@ -85,27 +85,8 @@ func TestInstrumentNilObserverIsPassThrough(t *testing.T) {
 	}
 }
 
-func TestInstrumentRenameFallback(t *testing.T) {
-	// MemStore has no Renamer; MoveTree through the wrapper must fall
-	// back to copy+delete rather than fail.
-	rec := newOpRecorder()
-	s := Instrument(NewMemStore(), rec.observe)
-	if _, err := s.Put(context.Background(), "/src", strings.NewReader("body"), ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := MoveTree(context.Background(), s, "/src", "/dst"); err != nil {
-		t.Fatalf("MoveTree through instrumented store: %v", err)
-	}
-	if _, err := s.Stat(context.Background(), "/dst"); err != nil {
-		t.Fatalf("dst missing after move: %v", err)
-	}
-	if _, err := s.Stat(context.Background(), "/src"); err == nil {
-		t.Fatal("src still exists after move")
-	}
-}
-
 func TestInstrumentRenameDelegates(t *testing.T) {
-	// FSStore supports Rename; the wrapper must use and observe it.
+	// A MOVE through the wrapper is one observed rename.
 	fs, err := NewFSStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)

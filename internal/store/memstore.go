@@ -48,8 +48,6 @@ type memResource struct {
 }
 
 var _ Store = (*MemStore)(nil)
-var _ BatchReader = (*MemStore)(nil)
-var _ TreeCopier = (*MemStore)(nil)
 
 // NewMemStore returns an empty store containing only the root
 // collection.
@@ -402,9 +400,57 @@ func (s *MemStore) CopyTreeAtomic(ctx context.Context, src, dst string, opts Cop
 	return nil
 }
 
-// copyResLocked clones one resource to cdst, mirroring the generic
-// copyResource (Mkcol/Put plus property sets). Caller holds the path
-// locks and state.mu.
+// Rename implements Renamer with FSStore.Rename's preconditions: both
+// subtrees are locked exclusively and every resource moves as it is, so
+// bodies, properties, timestamps and ETags survive.
+func (s *MemStore) Rename(ctx context.Context, src, dst string) error {
+	csrc, err := CleanPath(src)
+	if err != nil {
+		return err
+	}
+	cdst, err := CleanPath(dst)
+	if err != nil {
+		return err
+	}
+	if csrc == "/" || cdst == "/" || csrc == cdst ||
+		IsAncestor(csrc, cdst) || IsAncestor(cdst, csrc) {
+		return fmt.Errorf("%w: rename %q -> %q", ErrBadPath, src, dst)
+	}
+	g, err := s.state.locks.Acquire(ctx,
+		pathlock.Req{Path: csrc, Mode: pathlock.Exclusive},
+		pathlock.Req{Path: cdst, Mode: pathlock.Exclusive})
+	if err != nil {
+		return err
+	}
+	defer g.Release()
+	s.state.mu.Lock()
+	defer s.state.mu.Unlock()
+	r, ok := s.state.res[csrc]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, csrc)
+	}
+	if _, ok := s.state.res[cdst]; ok {
+		return fmt.Errorf("%w: %s", ErrExists, cdst)
+	}
+	if !s.parentOK(cdst) {
+		return fmt.Errorf("%w: %s", ErrConflict, ParentPath(cdst))
+	}
+	delete(s.state.res, csrc)
+	s.state.res[cdst] = r
+	if r.isCollection {
+		prefix := csrc + "/"
+		for q, qr := range s.state.res {
+			if strings.HasPrefix(q, prefix) {
+				delete(s.state.res, q)
+				s.state.res[cdst+q[len(csrc):]] = qr
+			}
+		}
+	}
+	return nil
+}
+
+// copyResLocked clones one resource to cdst (Mkcol/Put plus property
+// sets). Caller holds the path locks and state.mu.
 func (s *MemStore) copyResLocked(r *memResource, cdst string, now time.Time) error {
 	if !s.parentOK(cdst) {
 		return fmt.Errorf("%w: %s", ErrConflict, ParentPath(cdst))

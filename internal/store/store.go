@@ -101,6 +101,14 @@ type Store interface {
 	// PropAll returns every dead property on the resource.
 	PropAll(ctx context.Context, p string) (map[xml.Name][]byte, error)
 
+	// The batched reads, the atomic subtree copy and the rename are part
+	// of the contract, not optional extras: both stores implement them
+	// and the DAV handlers call them directly. The three names remain as
+	// method groups.
+	BatchReader
+	TreeCopier
+	Renamer
+
 	// Close releases resources held by the store. Close is not
 	// request-scoped and must run to completion; it takes no context.
 	Close() error
@@ -216,7 +224,7 @@ func Walk(ctx context.Context, s Store, p string, fn func(ResourceInfo) error) e
 	return nil
 }
 
-// CopyOptions controls CopyTree.
+// CopyOptions controls CopyTreeAtomic.
 type CopyOptions struct {
 	// Recurse copies collection members (Depth: infinity). When false
 	// only the collection resource itself (and its properties) is
@@ -224,100 +232,50 @@ type CopyOptions struct {
 	Recurse bool
 }
 
-// TreeCopier is an optional Store capability: perform CopyTree as one
-// atomic operation — a single multi-path lock acquisition (shared on
-// the source subtree, exclusive on the destination) held for the whole
-// copy, so concurrent writers cannot mutate the source mid-copy and no
-// reader observes a partially built destination. Both built-in stores
-// implement it; CopyTree falls back to the non-atomic per-resource walk
-// for stores that do not.
+// TreeCopier is the COPY part of Store.
 type TreeCopier interface {
+	// CopyTreeAtomic copies the resource at src to dst, including dead
+	// properties, creating dst's resource type to match src. The
+	// destination must not already exist (the server resolves Overwrite
+	// by deleting first) and must not be src or inside it (ErrBadPath).
+	// The whole copy is one operation: a single multi-path lock
+	// acquisition (shared on the source subtree, exclusive on the
+	// destination) held throughout, so concurrent writers cannot mutate
+	// the source mid-copy and no reader observes a partially built
+	// destination. Descendant failures abort the copy.
 	CopyTreeAtomic(ctx context.Context, src, dst string, opts CopyOptions) error
 }
 
-// ErrAtomicCopyUnsupported is returned by TreeCopier implementations
-// (wrappers in particular) whose underlying store lacks the capability;
-// CopyTree treats it as "use the generic path".
-var ErrAtomicCopyUnsupported = errors.New("store: atomic copy not supported")
-
-// CopyTree copies the resource at src to dst within one store,
-// including dead properties, creating dst's resource type to match
-// src. The destination must not already exist (the server resolves
-// Overwrite by deleting first). Descendant failures abort the copy.
-//
-// Stores implementing TreeCopier make the copy atomic under one subtree
-// lock. The generic fallback locks per store call, so on third-party
-// stores a concurrent writer can interleave with the walk.
-func CopyTree(ctx context.Context, s Store, src, dst string, opts CopyOptions) error {
-	if src == dst || IsAncestor(src, dst) {
-		return fmt.Errorf("%w: cannot copy %q into itself", ErrBadPath, src)
-	}
-	if tc, ok := s.(TreeCopier); ok {
-		err := tc.CopyTreeAtomic(ctx, src, dst, opts)
-		if !errors.Is(err, ErrAtomicCopyUnsupported) {
-			return err
-		}
-	}
-	return copyTreeGeneric(ctx, s, src, dst, opts)
+// Renamer is the MOVE part of Store.
+type Renamer interface {
+	// Rename moves src (and, for a collection, its subtree) to dst with
+	// bodies, properties and ETags intact. Neither path may be the root,
+	// and neither may equal or contain the other (ErrBadPath); src must
+	// exist (ErrNotFound), dst must not (ErrExists), and dst's parent
+	// must be a collection (ErrConflict).
+	Rename(ctx context.Context, src, dst string) error
 }
 
-// copyTreeGeneric is the per-resource fallback walk behind CopyTree.
-// It checkpoints ctx before each resource so an abandoned COPY stops
-// between resources instead of building the rest of the destination.
-func copyTreeGeneric(ctx context.Context, s Store, src, dst string, opts CopyOptions) error {
-	if err := ctx.Err(); err != nil {
+// MoveTree moves src to dst by Rename. A rename that fails with a store
+// precondition error (ErrNotFound, ErrBadPath) or because ctx is done
+// propagates: copy+delete would fail the same way, or would be exactly
+// the wasted work cancellation exists to avoid. Any other failure
+// (cross-device rename, permissions, ...) is logged via slog and
+// retried as the RFC 2518 recursive copy followed by a recursive
+// delete, so a degraded MOVE is visible in the logs instead of silently
+// slow.
+func MoveTree(ctx context.Context, s Store, src, dst string) error {
+	err := s.Rename(ctx, src, dst)
+	if err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrBadPath) ||
+		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
-	ri, err := s.Stat(ctx, src)
-	if err != nil {
+	slog.Warn("store: rename failed; falling back to copy+delete",
+		"src", src, "dst", dst, "err", err)
+	if err := s.CopyTreeAtomic(ctx, src, dst, CopyOptions{Recurse: true}); err != nil {
 		return err
 	}
-	if err := copyResource(ctx, s, ri, dst); err != nil {
-		return err
-	}
-	if !ri.IsCollection || !opts.Recurse {
-		return nil
-	}
-	members, err := s.List(ctx, src)
-	if err != nil {
-		return err
-	}
-	for _, m := range members {
-		rel := strings.TrimPrefix(m.Path, src)
-		if err := copyTreeGeneric(ctx, s, m.Path, dst+rel, opts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// copyResource copies a single resource (body + properties).
-func copyResource(ctx context.Context, s Store, src ResourceInfo, dst string) error {
-	if src.IsCollection {
-		if err := s.Mkcol(ctx, dst); err != nil {
-			return err
-		}
-	} else {
-		rc, _, err := s.Get(ctx, src.Path)
-		if err != nil {
-			return err
-		}
-		_, err = s.Put(ctx, dst, rc, src.ContentType)
-		rc.Close()
-		if err != nil {
-			return err
-		}
-	}
-	props, err := s.PropAll(ctx, src.Path)
-	if err != nil {
-		return err
-	}
-	for _, n := range sortedPropNames(props) {
-		if err := s.PropPut(ctx, dst, n, props[n]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.Delete(ctx, src)
 }
 
 // sortedPropNames returns props' keys ordered by namespace then local
@@ -336,51 +294,6 @@ func sortedPropNames(props map[xml.Name][]byte) []xml.Name {
 	return names
 }
 
-// ErrRenameUnsupported is returned by Renamer implementations (wrappers
-// in particular) whose underlying store has no native rename; MoveTree
-// treats it as "use the generic path" without logging.
-var ErrRenameUnsupported = errors.New("store: rename not supported")
-
-// MoveTree moves src to dst: a recursive copy followed by a recursive
-// delete, which is the generic RFC 2518 semantics. Stores that can
-// rename natively may implement the Renamer fast path.
-//
-// A native rename that fails with a store precondition error
-// (ErrNotFound, ErrBadPath) propagates immediately — the copy+delete
-// path would fail the same way, and retrying it would only bury the
-// real error. Context errors also propagate: the caller abandoned the
-// request, so falling back to an expensive copy+delete would be exactly
-// the wasted work cancellation exists to avoid. Any other failure
-// (cross-device rename, permissions, ...) is logged via slog and falls
-// back to copy+delete, so a degraded MOVE is visible in the logs
-// instead of silently slow.
-func MoveTree(ctx context.Context, s Store, src, dst string) error {
-	if r, ok := s.(Renamer); ok {
-		err := r.Rename(ctx, src, dst)
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, ErrNotFound), errors.Is(err, ErrBadPath),
-			errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			return err
-		case errors.Is(err, ErrRenameUnsupported):
-			// No native rename behind the wrapper; nothing noteworthy.
-		default:
-			slog.Warn("store: native rename failed; falling back to copy+delete",
-				"src", src, "dst", dst, "err", err)
-		}
-	}
-	if err := CopyTree(ctx, s, src, dst, CopyOptions{Recurse: true}); err != nil {
-		return err
-	}
-	return s.Delete(ctx, src)
-}
-
-// Renamer is an optional Store fast path for MOVE.
-type Renamer interface {
-	Rename(ctx context.Context, src, dst string) error
-}
-
 // MemberProps couples one resource's metadata with its dead properties,
 // as returned by the batched read path.
 type MemberProps struct {
@@ -390,13 +303,11 @@ type MemberProps struct {
 	Props map[xml.Name][]byte
 }
 
-// BatchReader is an optional Store fast path: resolve a resource (or a
-// collection's members) together with all dead properties in one locked
-// pass. The PROPFIND handler uses it so a Depth:1 listing over N
+// BatchReader is the batched-read part of Store: resolve a resource (or
+// a collection's members) together with all dead properties in one
+// locked pass. The PROPFIND handler uses it so a Depth:1 listing over N
 // members costs one traversal through cached database handles instead
-// of N+1 independent lookups, each reopening its database. Both
-// built-in stores implement it; StatWithProps/ListWithProps fall back
-// to the narrow interface for stores that do not.
+// of N+1 independent lookups, each reopening its database.
 type BatchReader interface {
 	// StatWithProps is Stat plus PropAll under one resource lock.
 	StatWithProps(ctx context.Context, p string) (ResourceInfo, map[xml.Name][]byte, error)
@@ -405,52 +316,13 @@ type BatchReader interface {
 	ListWithProps(ctx context.Context, p string) ([]MemberProps, error)
 }
 
-// StatWithProps resolves p's metadata and dead properties, using the
-// store's batched path when it has one.
-func StatWithProps(ctx context.Context, s Store, p string) (ResourceInfo, map[xml.Name][]byte, error) {
-	if br, ok := s.(BatchReader); ok {
-		return br.StatWithProps(ctx, p)
-	}
-	ri, err := s.Stat(ctx, p)
-	if err != nil {
-		return ResourceInfo{}, nil, err
-	}
-	props, err := s.PropAll(ctx, p)
-	if err != nil {
-		return ResourceInfo{}, nil, err
-	}
-	return ri, props, nil
-}
-
-// ListWithProps resolves the members of the collection at p together
-// with their dead properties, using the store's batched path when it
-// has one.
-func ListWithProps(ctx context.Context, s Store, p string) ([]MemberProps, error) {
-	if br, ok := s.(BatchReader); ok {
-		return br.ListWithProps(ctx, p)
-	}
-	members, err := s.List(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MemberProps, 0, len(members))
-	for _, m := range members {
-		props, err := s.PropAll(ctx, m.Path)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, MemberProps{Info: m, Props: props})
-	}
-	return out, nil
-}
-
 // WalkWithProps visits p and, if it is a collection, every descendant,
 // pre-order, handing each visit the resource's dead properties as well.
 // Collections are resolved through the batched list path, so a deep
 // walk costs one pass per collection rather than one per resource. The
 // walk checkpoints ctx between collections.
 func WalkWithProps(ctx context.Context, s Store, p string, fn func(MemberProps) error) error {
-	ri, props, err := StatWithProps(ctx, s, p)
+	ri, props, err := s.StatWithProps(ctx, p)
 	if err != nil {
 		return err
 	}
@@ -467,7 +339,7 @@ func walkWithProps(ctx context.Context, s Store, mp MemberProps, fn func(MemberP
 	if !mp.Info.IsCollection {
 		return nil
 	}
-	members, err := ListWithProps(ctx, s, mp.Info.Path)
+	members, err := s.ListWithProps(ctx, mp.Info.Path)
 	if err != nil {
 		return err
 	}

@@ -350,7 +350,7 @@ func TestCopyTreeDocumentWithProps(t *testing.T) {
 		mustPut(t, s, "/src.txt", "body")
 		name := xml.Name{Space: "e:", Local: "k"}
 		s.PropPut(context.Background(), "/src.txt", name, []byte("v"))
-		if err := CopyTree(context.Background(), s, "/src.txt", "/dst.txt", CopyOptions{}); err != nil {
+		if err := s.CopyTreeAtomic(context.Background(), "/src.txt", "/dst.txt", CopyOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if got := readBody(t, s, "/dst.txt"); got != "body" {
@@ -375,7 +375,7 @@ func TestCopyTreeRecursive(t *testing.T) {
 		mustPut(t, s, "/a/sub/deep", "x")
 		s.PropPut(context.Background(), "/a", xml.Name{Space: "e:", Local: "p"}, []byte("cv"))
 
-		if err := CopyTree(context.Background(), s, "/a", "/b", CopyOptions{Recurse: true}); err != nil {
+		if err := s.CopyTreeAtomic(context.Background(), "/a", "/b", CopyOptions{Recurse: true}); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []string{"/b", "/b/sub", "/b/doc", "/b/sub/deep"} {
@@ -388,7 +388,7 @@ func TestCopyTreeRecursive(t *testing.T) {
 			t.Fatal("collection property not copied")
 		}
 		// Depth 0: only the collection itself.
-		if err := CopyTree(context.Background(), s, "/a", "/shallow", CopyOptions{}); err != nil {
+		if err := s.CopyTreeAtomic(context.Background(), "/a", "/shallow", CopyOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Stat(context.Background(), "/shallow/doc"); !errors.Is(err, ErrNotFound) {
@@ -400,10 +400,10 @@ func TestCopyTreeRecursive(t *testing.T) {
 func TestCopyIntoSelfRejected(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
 		mustMkcol(t, s, "/a")
-		if err := CopyTree(context.Background(), s, "/a", "/a/inside", CopyOptions{Recurse: true}); !errors.Is(err, ErrBadPath) {
+		if err := s.CopyTreeAtomic(context.Background(), "/a", "/a/inside", CopyOptions{Recurse: true}); !errors.Is(err, ErrBadPath) {
 			t.Fatalf("copy into self = %v, want ErrBadPath", err)
 		}
-		if err := CopyTree(context.Background(), s, "/a", "/a", CopyOptions{}); !errors.Is(err, ErrBadPath) {
+		if err := s.CopyTreeAtomic(context.Background(), "/a", "/a", CopyOptions{}); !errors.Is(err, ErrBadPath) {
 			t.Fatalf("copy onto self = %v, want ErrBadPath", err)
 		}
 	})
@@ -431,21 +431,27 @@ func TestMoveTree(t *testing.T) {
 }
 
 func TestMoveDocumentRenameKeepsProps(t *testing.T) {
-	// Exercises FSStore's Rename fast path for a single document.
-	s, err := NewFSStore(t.TempDir(), dbm.GDBM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	mustPut(t, s, "/one.txt", "1")
-	s.PropPut(context.Background(), "/one.txt", xml.Name{Space: "e:", Local: "k"}, []byte("v"))
-	if err := MoveTree(context.Background(), s, "/one.txt", "/two.txt"); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := s.PropGet(context.Background(), "/two.txt", xml.Name{Space: "e:", Local: "k"})
-	if err != nil || !ok || string(v) != "v" {
-		t.Fatalf("prop after rename = (%q, %v, %v)", v, ok, err)
-	}
+	// A renamed document arrives with its properties and its ETag.
+	eachStore(t, func(t *testing.T, s Store) {
+		mustPut(t, s, "/one.txt", "1")
+		mustPut(t, s, "/one.txt", "2") // an overwrite generation for the ETag to carry
+		s.PropPut(context.Background(), "/one.txt", xml.Name{Space: "e:", Local: "k"}, []byte("v"))
+		before, err := s.Stat(context.Background(), "/one.txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := MoveTree(context.Background(), s, "/one.txt", "/two.txt"); err != nil {
+			t.Fatal(err)
+		}
+		v, ok, err := s.PropGet(context.Background(), "/two.txt", xml.Name{Space: "e:", Local: "k"})
+		if err != nil || !ok || string(v) != "v" {
+			t.Fatalf("prop after rename = (%q, %v, %v)", v, ok, err)
+		}
+		after, err := s.Stat(context.Background(), "/two.txt")
+		if err != nil || after.ETag != before.ETag {
+			t.Fatalf("ETag after rename = (%q, %v), want %q", after.ETag, err, before.ETag)
+		}
+	})
 }
 
 func TestWalkPreOrder(t *testing.T) {
@@ -667,7 +673,7 @@ func TestQuickCopyPreservesTree(t *testing.T) {
 			s.PropPut(context.Background(), child, xml.Name{Space: "e:", Local: "id"}, []byte(fmt.Sprintf("<id>%d</id>", i)))
 			paths = append(paths, child)
 		}
-		if err := CopyTree(context.Background(), s, "/src", "/dst", CopyOptions{Recurse: true}); err != nil {
+		if err := s.CopyTreeAtomic(context.Background(), "/src", "/dst", CopyOptions{Recurse: true}); err != nil {
 			t.Logf("copy: %v", err)
 			return false
 		}
@@ -704,7 +710,7 @@ func TestContentTypeSurvivesCopy(t *testing.T) {
 		if _, err := s.Put(context.Background(), "/m.dat", strings.NewReader("geom"), "chemical/x-xyz"); err != nil {
 			t.Fatal(err)
 		}
-		if err := CopyTree(context.Background(), s, "/m.dat", "/copy.dat", CopyOptions{}); err != nil {
+		if err := s.CopyTreeAtomic(context.Background(), "/m.dat", "/copy.dat", CopyOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		ri, err := s.Stat(context.Background(), "/copy.dat")
@@ -714,56 +720,30 @@ func TestContentTypeSurvivesCopy(t *testing.T) {
 	})
 }
 
-// nonRenamer hides the FSStore Renamer fast path, forcing MoveTree's
-// generic copy+delete fallback.
-type nonRenamer struct{ Store }
-
-func TestMoveTreeWithoutRenamer(t *testing.T) {
-	fs, err := NewFSStore(t.TempDir(), dbm.GDBM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	s := nonRenamer{fs}
-	mustMkcol(t, s, "/m")
-	mustPut(t, s, "/m/doc", "payload")
-	s.PropPut(context.Background(), "/m/doc", xml.Name{Space: "e:", Local: "k"}, []byte("v"))
-	if err := MoveTree(context.Background(), s, "/m", "/moved"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Stat(context.Background(), "/m"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("source survived generic move")
-	}
-	if got := readBody(t, s, "/moved/doc"); got != "payload" {
-		t.Fatalf("moved body = %q", got)
-	}
-	v, ok, _ := s.PropGet(context.Background(), "/moved/doc", xml.Name{Space: "e:", Local: "k"})
-	if !ok || string(v) != "v" {
-		t.Fatal("moved property lost in fallback path")
-	}
-}
-
 func TestRenameFastPathErrors(t *testing.T) {
-	fs, err := NewFSStore(t.TempDir(), dbm.GDBM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	mustPut(t, fs, "/a", "1")
-	mustPut(t, fs, "/b", "2")
-	// Rename onto an existing target must refuse (never clobber).
-	if err := fs.Rename(context.Background(), "/a", "/b"); !errors.Is(err, ErrExists) {
-		t.Fatalf("rename onto existing = %v", err)
-	}
-	if err := fs.Rename(context.Background(), "/missing", "/c"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("rename of missing = %v", err)
-	}
-	if err := fs.Rename(context.Background(), "/a", "/no/parent/x"); !errors.Is(err, ErrConflict) {
-		t.Fatalf("rename without parent = %v", err)
-	}
-	if err := fs.Rename(context.Background(), "/a", "/a"); !errors.Is(err, ErrBadPath) {
-		t.Fatalf("rename onto self = %v", err)
-	}
+	eachStore(t, func(t *testing.T, s Store) {
+		mustPut(t, s, "/a", "1")
+		mustPut(t, s, "/b", "2")
+		mustMkcol(t, s, "/d")
+		for _, tc := range []struct {
+			name, src, dst string
+			want           error
+		}{
+			{"onto existing (never clobber)", "/a", "/b", ErrExists},
+			{"missing source", "/missing", "/c", ErrNotFound},
+			{"destination without parent", "/a", "/no/parent/x", ErrConflict},
+			{"onto self", "/a", "/a", ErrBadPath},
+			{"into own subtree", "/d", "/d/inside", ErrBadPath},
+			{"onto own ancestor", "/d", "/", ErrBadPath},
+		} {
+			if err := s.Rename(context.Background(), tc.src, tc.dst); !errors.Is(err, tc.want) {
+				t.Errorf("rename %s = %v, want %v", tc.name, err, tc.want)
+			}
+		}
+		if got := readBody(t, s, "/a"); got != "1" {
+			t.Fatalf("a refused rename changed the source: %q", got)
+		}
+	})
 }
 
 // TestQuickCleanPathIdempotent: CleanPath is idempotent and always

@@ -2,8 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/xml"
-	"io"
 	"time"
 )
 
@@ -22,155 +20,19 @@ import (
 // context.DeadlineExceeded, which the DAV layer maps to 503 with a
 // Retry-After.
 //
+// Get's deadline covers opening the document, not streaming it: neither
+// store's reader consults the context after Get returns, so a slow
+// client streaming a large body is not cut off at the op deadline.
+//
 // A d of zero (or negative) disables the wrapper: OpTimeout returns s
 // unchanged.
 func OpTimeout(s Store, d time.Duration) Store {
 	if d <= 0 {
 		return s
 	}
-	return &timeoutStore{s: s, d: d}
-}
-
-type timeoutStore struct {
-	s Store
-	d time.Duration
-}
-
-// Unwrap exposes the underlying store so health probes and stats
-// collectors can walk the wrapper chain.
-func (t *timeoutStore) Unwrap() Store { return t.s }
-
-// op returns ctx bounded by the per-op deadline and its cancel.
-func (t *timeoutStore) op(ctx context.Context) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(ctx, t.d)
-}
-
-func (t *timeoutStore) Stat(ctx context.Context, p string) (ResourceInfo, error) {
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	return t.s.Stat(ctx, p)
-}
-
-func (t *timeoutStore) List(ctx context.Context, p string) ([]ResourceInfo, error) {
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	return t.s.List(ctx, p)
-}
-
-func (t *timeoutStore) Mkcol(ctx context.Context, p string) error {
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	return t.s.Mkcol(ctx, p)
-}
-
-func (t *timeoutStore) Put(ctx context.Context, p string, r io.Reader, contentType string) (bool, error) {
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	return t.s.Put(ctx, p, r, contentType)
-}
-
-// Get does not bound the returned reader's lifetime — the deadline
-// covers opening the document, and the cancel is deliberately tied to
-// the reader's Close so a slow client streaming a large body is not cut
-// off at the op deadline.
-func (t *timeoutStore) Get(ctx context.Context, p string) (io.ReadCloser, ResourceInfo, error) {
-	ctx, cancel := t.op(ctx)
-	rc, ri, err := t.s.Get(ctx, p)
-	if err != nil {
-		cancel()
-		return nil, ri, err
-	}
-	return &cancelReadCloser{ReadCloser: rc, cancel: cancel}, ri, nil
-}
-
-type cancelReadCloser struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (c *cancelReadCloser) Close() error {
-	err := c.ReadCloser.Close()
-	c.cancel()
-	return err
-}
-
-func (t *timeoutStore) Delete(ctx context.Context, p string) error {
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	return t.s.Delete(ctx, p)
-}
-
-func (t *timeoutStore) PropPut(ctx context.Context, p string, name xml.Name, value []byte) error {
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	return t.s.PropPut(ctx, p, name, value)
-}
-
-func (t *timeoutStore) PropGet(ctx context.Context, p string, name xml.Name) ([]byte, bool, error) {
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	return t.s.PropGet(ctx, p, name)
-}
-
-func (t *timeoutStore) PropDelete(ctx context.Context, p string, name xml.Name) error {
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	return t.s.PropDelete(ctx, p, name)
-}
-
-func (t *timeoutStore) PropNames(ctx context.Context, p string) ([]xml.Name, error) {
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	return t.s.PropNames(ctx, p)
-}
-
-func (t *timeoutStore) PropAll(ctx context.Context, p string) (map[xml.Name][]byte, error) {
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	return t.s.PropAll(ctx, p)
-}
-
-func (t *timeoutStore) Close() error { return t.s.Close() }
-
-// CopyTreeAtomic forwards the capability, bounding the whole atomic
-// copy with one deadline (it is one store operation).
-func (t *timeoutStore) CopyTreeAtomic(ctx context.Context, src, dst string, opts CopyOptions) error {
-	tc, ok := t.s.(TreeCopier)
-	if !ok {
-		return ErrAtomicCopyUnsupported
-	}
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	return tc.CopyTreeAtomic(ctx, src, dst, opts)
-}
-
-// Rename forwards the capability under the per-op deadline.
-func (t *timeoutStore) Rename(ctx context.Context, src, dst string) error {
-	r, ok := t.s.(Renamer)
-	if !ok {
-		return ErrRenameUnsupported
-	}
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	return r.Rename(ctx, src, dst)
-}
-
-// StatWithProps forwards the batched read under the per-op deadline.
-func (t *timeoutStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, map[xml.Name][]byte, error) {
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	if br, ok := t.s.(BatchReader); ok {
-		return br.StatWithProps(ctx, p)
-	}
-	return StatWithProps(ctx, t.s, p)
-}
-
-// ListWithProps forwards the batched read under the per-op deadline.
-func (t *timeoutStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, error) {
-	ctx, cancel := t.op(ctx)
-	defer cancel()
-	if br, ok := t.s.(BatchReader); ok {
-		return br.ListWithProps(ctx, p)
-	}
-	return ListWithProps(ctx, t.s, p)
+	return Intercept(s, func(ctx context.Context, _ Op, next func(context.Context) error) error {
+		ctx, cancel := context.WithTimeout(ctx, d)
+		defer cancel()
+		return next(ctx)
+	})
 }
