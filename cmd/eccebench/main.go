@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	eccebench [flags] <table1|table2|table3|robust|disk|chaos|ablation|smoke|bench-pr3|bench-pr4|crash-recovery|bench-pr7|bench-pr8|bench-pr9|bench-pr10|opssmoke|all>
+//	eccebench [flags] <table1|table2|table3|robust|disk|chaos|ablation|smoke|bench-pr3|crash-recovery|bench-pr7|bench-pr8|bench-pr9|bench-pr10|opssmoke|all>
 //
 // By default the paper's full workload sizes are used for table1 and
 // table3; table2, robust and disk default to scaled sizes unless -full
@@ -47,7 +47,7 @@ func main() {
 		benchOut = flag.String("out", "",
 			"bench-pr*, crash-recovery: output file for the JSON result (default BENCH_PR<n>.json, n taken from the command; crash-recovery is 6)")
 		benchN = flag.Int("n", 0,
-			"bench-pr3: operations per experiment; bench-pr4: iterations per worker; crash-recovery: PUTs in the journal-overhead measurement; bench-pr7: requests in the Zipf phase; 0 = that benchmark's default")
+			"bench-pr3: operations per experiment; crash-recovery: PUTs in the journal-overhead measurement; bench-pr7: requests in the Zipf phase; 0 = that benchmark's default")
 		adminURL = flag.String("admin-url", "",
 			"opssmoke: base URL of a live davd admin listener (e.g. http://127.0.0.1:8081)")
 		davURL = flag.String("dav-url", "",
@@ -55,7 +55,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: eccebench [flags] <table1|table2|table3|robust|disk|chaos|ablation|smoke|bench-pr3|bench-pr4|crash-recovery|bench-pr7|bench-pr8|bench-pr9|bench-pr10|opssmoke|all>")
+		fmt.Fprintln(os.Stderr, "usage: eccebench [flags] <table1|table2|table3|robust|disk|chaos|ablation|smoke|bench-pr3|crash-recovery|bench-pr7|bench-pr8|bench-pr9|bench-pr10|opssmoke|all>")
 		os.Exit(2)
 	}
 	which := flag.Arg(0)
@@ -180,17 +180,6 @@ func main() {
 		}
 	}
 
-	// bench-pr4 measures parallel-mix throughput of the concurrent
-	// storage stack against the serialized PR 3 baseline, writes the
-	// JSON result, and re-validates the written file — the CI
-	// concurrency smoke. Excluded from "all" (it boots eight servers
-	// and its numbers are only meaningful on a quiet machine).
-	if which == "bench-pr4" {
-		if err := runBenchPR4(outFor(4), *benchN); err != nil {
-			log.Fatalf("eccebench bench-pr4: %v", err)
-		}
-	}
-
 	// crash-recovery crashes every journaled store operation at every
 	// step boundary, times the recovery pass, and asserts zero data
 	// loss; the JSON result is the CI crash smoke. Excluded from "all"
@@ -259,7 +248,7 @@ func main() {
 	}
 
 	switch which {
-	case "table1", "table2", "table3", "robust", "disk", "chaos", "ablation", "smoke", "bench-pr3", "bench-pr4", "crash-recovery", "bench-pr7", "bench-pr8", "bench-pr9", "bench-pr10", "opssmoke", "all":
+	case "table1", "table2", "table3", "robust", "disk", "chaos", "ablation", "smoke", "bench-pr3", "crash-recovery", "bench-pr7", "bench-pr8", "bench-pr9", "bench-pr10", "opssmoke", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "eccebench: unknown experiment %q\n", which)
 		os.Exit(2)
@@ -331,45 +320,6 @@ func runBenchPR3(outPath string, ops int) error {
 			e.Breakdown.HandlerMs, e.Breakdown.StoreMs, e.Breakdown.DBMMs, e.Breakdown.Traces)
 	}
 	fmt.Printf("bench-pr3: %d traces sampled; result written to %s\n", res.SampledTraces, outPath)
-	return nil
-}
-
-// runBenchPR4 runs the concurrency benchmark (parallel
-// PROPFIND/PUT/PROPPATCH mix, serialized baseline vs concurrent
-// stack), writes the result as JSON, and validates what was actually
-// written — asserting the parallel runs beat the serialized baseline.
-func runBenchPR4(outPath string, opsPerWorker int) error {
-	res, err := experiments.RunBenchPR4(experiments.BenchPR4Options{
-		OpsPerWorker: opsPerWorker,
-	})
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	written, err := os.ReadFile(outPath)
-	if err != nil {
-		return err
-	}
-	if err := experiments.ValidateBenchPR4(written); err != nil {
-		return fmt.Errorf("written %s failed validation: %w", outPath, err)
-	}
-	for _, a := range res.Archs {
-		for _, c := range a.Cells {
-			fmt.Printf("bench-pr4: %-10s workers=%d  %6d ops in %8.1fms  %8.1f ops/s\n",
-				a.Name, c.Workers, c.Ops, c.WallMs, c.OpsPerSec)
-		}
-	}
-	fmt.Printf("bench-pr4: parallel speedup %.2fx; cache hit rate %.1f%%; "+
-		"lock waits %d/%d; result written to %s\n",
-		res.SpeedupParallel, 100*res.Concurrency.CacheHitRate,
-		res.Concurrency.LockContended, res.Concurrency.LockAcquisitions, outPath)
 	return nil
 }
 

@@ -289,7 +289,8 @@ func (h *Handler) handleGet(w http.ResponseWriter, r *http.Request, p string) {
 	if !head {
 		defer rc.Close()
 	}
-	if match := r.Header.Get("If-None-Match"); match != "" && match == ri.ETag {
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagListMatches(inm, ri.ETag) {
+		w.Header().Set("ETag", ri.ETag)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -344,8 +345,9 @@ func (h *Handler) serveCollectionIndex(w http.ResponseWriter, r *http.Request, p
 
 // etagListMatches reports whether an If-Match/If-None-Match header
 // value matches etag. "*" matches any existing representation; weak
-// validators compare by their opaque part (weak comparison is
-// sufficient for both headers' use on state-changing methods here).
+// validators compare by their opaque part (weak comparison is what
+// RFC 7232 asks of If-None-Match, and sufficient for If-Match's use on
+// state-changing methods here).
 func etagListMatches(header, etag string) bool {
 	if strings.TrimSpace(header) == "*" {
 		return true

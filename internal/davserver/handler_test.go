@@ -123,13 +123,38 @@ func TestHeadMatchesGet(t *testing.T) {
 	}
 }
 
+// TestIfNoneMatch: GET and HEAD parse If-None-Match the way PUT and
+// DELETE do — lists, "*" and weak validators — and a 304 carries the
+// ETag it matched.
 func TestIfNoneMatch(t *testing.T) {
 	srv, _ := newTestServer(t, nil)
-	do(t, "PUT", srv.URL+"/e.txt", nil, "etag me")
-	resp := do(t, "GET", srv.URL+"/e.txt", nil, "")
-	etag := resp.Header.Get("ETag")
-	resp = do(t, "GET", srv.URL+"/e.txt", map[string]string{"If-None-Match": etag}, "")
-	wantStatus(t, resp, 304)
+	url := srv.URL + "/e.txt"
+	do(t, "PUT", url, nil, "etag me")
+	etag := etagOf(t, url)
+	cases := []struct {
+		name, header string
+		want         int
+	}{
+		{"single", etag, 304},
+		{"list", `"a", ` + etag + `, "b"`, 304},
+		{"star", "*", 304},
+		{"weak", "W/" + etag, 304},
+		{"mismatch", `"nope"`, 200},
+		{"mismatched list", `"a", W/"b"`, 200},
+	}
+	for _, method := range []string{"GET", "HEAD"} {
+		for _, tc := range cases {
+			resp := do(t, method, url, map[string]string{"If-None-Match": tc.header}, "")
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s If-None-Match %s (%s): status %d, want %d",
+					method, tc.name, tc.header, resp.StatusCode, tc.want)
+			}
+			if got := resp.Header.Get("ETag"); got != etag {
+				t.Errorf("%s If-None-Match %s: ETag %q on the %d, want %q",
+					method, tc.name, got, resp.StatusCode, etag)
+			}
+		}
+	}
 }
 
 func TestPutConflictWithoutParent(t *testing.T) {

@@ -384,22 +384,13 @@ type InstrumentOptions struct {
 	OnSlow func(method, path string, d time.Duration)
 }
 
-// Instrument wraps next with the telemetry middleware: it resolves the
-// request's trace ID (inbound X-Request-ID or generated) and echoes it
-// on the response, records per-method latency/status/size metrics into
-// m, and emits one structured access-log line per request to accessLog
-// with method, path, Depth, status, bytes, duration and the request ID.
-// Either m or accessLog may be nil to disable that half.
-//
-// It is shorthand for InstrumentWith without tracing; see
+// InstrumentWith wraps next with the full telemetry middleware: it
+// resolves the request's trace ID (inbound X-Request-ID or generated)
+// and echoes it on the response, optionally opens the server span,
+// records per-method latency/status/size metrics, emits one structured
+// access-log line per request with method, path, Depth, status, bytes,
+// duration and the request ID, and warns about slow requests. See
 // InstrumentOptions for the full surface.
-func Instrument(next http.Handler, m *Metrics, accessLog *slog.Logger) http.Handler {
-	return InstrumentWith(next, InstrumentOptions{Metrics: m, AccessLog: accessLog})
-}
-
-// InstrumentWith wraps next with the full telemetry middleware:
-// request-ID resolution and echo, optional distributed tracing,
-// metrics, access logging, and slow-request warnings.
 //
 // Place it outside Harden so the recorded status includes timeouts and
 // recovered panics, and outside auth so rejected credentials still

@@ -45,7 +45,7 @@ func newInstrumentedServer(t *testing.T) (*httptest.Server, *Metrics, *syncWrite
 	h := NewHandler(s, nil)
 	m.TrackLocks(h.Locks())
 	logw := &syncWriter{}
-	srv := httptest.NewServer(Instrument(h, m, obs.NewLogger(logw, slog.LevelInfo)))
+	srv := httptest.NewServer(InstrumentWith(h, InstrumentOptions{Metrics: m, AccessLog: obs.NewLogger(logw, slog.LevelInfo)}))
 	t.Cleanup(srv.Close)
 	return srv, m, logw
 }
@@ -179,7 +179,7 @@ func TestRecovererLogsRequestID(t *testing.T) {
 	logger := obs.NewLogger(logw, slog.LevelInfo)
 	m := NewMetrics(nil)
 	inner := http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("kaboom") })
-	h := Instrument(Harden(inner, HardenOptions{Logger: logger, Metrics: m}), m, nil)
+	h := InstrumentWith(Harden(inner, HardenOptions{Logger: logger, Metrics: m}), InstrumentOptions{Metrics: m})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 

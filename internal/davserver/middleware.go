@@ -59,16 +59,10 @@ func Harden(next http.Handler, opts HardenOptions) http.Handler {
 	return recoverer(opts.Logger, opts.Metrics, opts.OnPanic, h)
 }
 
-// Recoverer converts handler panics into 500 responses instead of
-// letting net/http kill the connection, and logs the request ID and
-// stack at ERROR so the fault is diagnosable and traceable. The daemon
-// keeps serving other requests.
-func Recoverer(logger *slog.Logger, next http.Handler) http.Handler {
-	return recoverer(logger, nil, nil, next)
-}
-
-// recoverer is Recoverer plus an optional panic counter and trigger
-// hook.
+// recoverer converts handler panics into 500 responses instead of
+// letting net/http kill the connection, counts them, fires the trigger
+// hook, and logs the request ID and stack at ERROR so the fault is
+// diagnosable and traceable. The daemon keeps serving other requests.
 func recoverer(logger *slog.Logger, m *Metrics, onPanic func(method, path string, value any), next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -124,14 +118,17 @@ func BodyLimit(n int64, next http.Handler) http.Handler {
 // with per-check detail (see ReadyStatus).
 type Health struct {
 	store    store.Store
+	recovery *store.FSStore // nil when the base store has no crash recovery
 	draining atomic.Bool
 	// degraded, when set, reports SLO degradation (see SetDegraded).
 	degraded atomic.Value // of func() bool
 }
 
-// NewHealth builds probes over s.
-func NewHealth(s store.Store) *Health {
-	return &Health{store: s}
+// NewHealth builds probes over s: readiness Stats it, through whatever
+// wrappers the requests go through. base, when non-nil, is the store
+// beneath them, whose crash-recovery state readiness reports.
+func NewHealth(s store.Store, base *store.FSStore) *Health {
+	return &Health{store: s, recovery: base}
 }
 
 // SetDraining flips readiness to 503 (true) or restores it (false).
@@ -195,15 +192,14 @@ func (h *Health) Ready() (ReadyStatus, bool) {
 	}
 	st.Checks["store"] = probe
 
-	if storeRecovering(h.store) {
+	if h.recovery != nil && h.recovery.Recovering() {
 		// Crash recovery is still resolving journal intents: reads
 		// work but every mutation gets 503, so keep the instance out
 		// of rotation until the store is consistent again.
 		st.Recovering = true
 		st.Status = "recovering"
-		if b, ok := storeBacklog(h.store); ok {
-			st.Recovery = &b
-		}
+		b := h.recovery.RecoveryBacklog()
+		st.Recovery = &b
 	}
 	if h.draining.Load() {
 		st.Draining = true
@@ -213,38 +209,6 @@ func (h *Health) Ready() (ReadyStatus, bool) {
 		st.Degraded = true
 	}
 	return st, st.Status == "ready"
-}
-
-// storeRecovering walks the wrapper chain looking for a store that
-// reports crash-recovery state (FSStore does; wrappers expose Unwrap).
-func storeRecovering(s store.Store) bool {
-	for s != nil {
-		if r, ok := s.(interface{ Recovering() bool }); ok {
-			return r.Recovering()
-		}
-		u, ok := s.(interface{ Unwrap() store.Store })
-		if !ok {
-			return false
-		}
-		s = u.Unwrap()
-	}
-	return false
-}
-
-// storeBacklog finds the live recovery backlog through the wrapper
-// chain, mirroring storeRecovering.
-func storeBacklog(s store.Store) (store.RecoveryBacklog, bool) {
-	for s != nil {
-		if b, ok := s.(interface{ RecoveryBacklog() store.RecoveryBacklog }); ok {
-			return b.RecoveryBacklog(), true
-		}
-		u, ok := s.(interface{ Unwrap() store.Store })
-		if !ok {
-			break
-		}
-		s = u.Unwrap()
-	}
-	return store.RecoveryBacklog{}, false
 }
 
 // ServeReady is the /readyz readiness probe: 200 with a JSON body when

@@ -19,9 +19,9 @@ import (
 func TestRecovererTurnsPanicInto500(t *testing.T) {
 	var logged strings.Builder
 	logger := obs.NewLogger(&logged, slog.LevelInfo)
-	h := Recoverer(logger, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h := Harden(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")
-	}))
+	}), HardenOptions{Logger: logger})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -125,7 +125,7 @@ func TestRequestTimeout(t *testing.T) {
 
 func TestHealthProbes(t *testing.T) {
 	fs := chaos.NewFaultyStore(store.NewMemStore())
-	health := NewHealth(fs)
+	health := NewHealth(fs, nil)
 	mux := http.NewServeMux()
 	health.Register(mux)
 	srv := httptest.NewServer(mux)
@@ -175,7 +175,7 @@ func TestHealthProbes(t *testing.T) {
 // TestReadyzJSONShape pins the per-check JSON detail of /readyz,
 // including the draining flag during graceful drain.
 func TestReadyzJSONShape(t *testing.T) {
-	health := NewHealth(store.NewMemStore())
+	health := NewHealth(store.NewMemStore(), nil)
 	mux := http.NewServeMux()
 	health.Register(mux)
 	srv := httptest.NewServer(mux)
@@ -264,7 +264,7 @@ func TestRecoveringStoreGatesWrites(t *testing.T) {
 	}
 	defer fs.Close()
 
-	health := NewHealth(fs)
+	health := NewHealth(fs, fs)
 	mux := http.NewServeMux()
 	health.Register(mux)
 	mux.Handle("/", NewHandler(fs, nil))

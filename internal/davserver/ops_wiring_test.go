@@ -85,7 +85,7 @@ func TestInstrumentFeedsOpsTracker(t *testing.T) {
 // pulling a degraded-but-working instance out of rotation makes an
 // overload worse.
 func TestReadyzDegradedBit(t *testing.T) {
-	health := NewHealth(store.NewMemStore())
+	health := NewHealth(store.NewMemStore(), nil)
 	degraded := false
 	health.SetDegraded(func() bool { return degraded })
 	mux := http.NewServeMux()
@@ -135,7 +135,7 @@ func TestReadyzRecoveryBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	health := NewHealth(fs)
+	health := NewHealth(fs, fs)
 	mux := http.NewServeMux()
 	health.Register(mux)
 	srv := httptest.NewServer(mux)

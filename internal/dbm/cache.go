@@ -29,10 +29,6 @@ import (
 //     renamed (the store's Delete and Rename paths do this). Compact
 //     needs no invalidation: DB.Compact swaps the file under the same
 //     *DB, so cached handles stay valid.
-//
-// A capacity <= 0 disables caching: Acquire opens a fresh DB and the
-// Handle's Close closes it — the PR 3 behaviour, kept for the
-// benchmark baseline and as an operational escape hatch.
 
 // CacheStats is a point-in-time snapshot of a cache's counters.
 type CacheStats struct {
@@ -73,8 +69,7 @@ type cacheEntry struct {
 }
 
 // NewCache returns a cache of open databases of one flavour, holding at
-// most capacity handles open (capacity <= 0 disables caching; see the
-// file comment).
+// most capacity (at least 1) handles open.
 func NewCache(capacity int, flavour Flavour) *Cache {
 	return &Cache{
 		capacity: capacity,
@@ -84,8 +79,7 @@ func NewCache(capacity int, flavour Flavour) *Cache {
 	}
 }
 
-// Capacity returns the configured capacity (<= 0 when caching is
-// disabled).
+// Capacity returns the configured capacity.
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Handle is a pinned reference to an open database. Operations on the
@@ -94,8 +88,8 @@ func (c *Cache) Capacity() int { return c.capacity }
 type Handle struct {
 	db    *DB
 	ctx   context.Context
-	cache *Cache      // nil for uncached (capacity<=0) handles
-	entry *cacheEntry // nil for uncached handles
+	cache *Cache
+	entry *cacheEntry
 }
 
 // Acquire returns a pinned handle on the database at path, opening it
@@ -103,17 +97,6 @@ type Handle struct {
 // single open (single-flight); all callers see the same result. The
 // open, when it happens, is recorded as a "dbm.open" span on ctx.
 func (c *Cache) Acquire(ctx context.Context, path string) (*Handle, error) {
-	if c.capacity <= 0 {
-		c.misses.Add(1)
-		db, err := OpenContext(ctx, path, c.flavour)
-		if err != nil {
-			return nil, err
-		}
-		// OpenContext binds ctx to the DB for per-op spans; an uncached
-		// handle is single-owner, so the binding is exact.
-		return &Handle{db: db, ctx: ctx}, nil
-	}
-
 	c.mu.Lock()
 	if e, ok := c.entries[path]; ok {
 		e.pinLocked(c)
@@ -320,12 +303,8 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// Close releases the handle's pin. For uncached handles it closes the
-// database itself.
+// Close releases the handle's pin.
 func (h *Handle) Close() error {
-	if h.cache == nil {
-		return h.db.Close()
-	}
 	h.cache.release(h.entry)
 	return nil
 }
@@ -339,11 +318,6 @@ func (h *Handle) DB() *DB { return h.db }
 // request), so the handle supplies the attribution the plain DB methods
 // would otherwise take from OpenContext's binding.
 func (h *Handle) span(op string) func(*error) {
-	if h.cache == nil {
-		// Uncached handles were opened via OpenContext: the DB's own
-		// opSpan fires inside each method; avoid double spans.
-		return func(*error) {}
-	}
 	_, end := trace.Region(h.ctx, op, trace.Str("file", filepath.Base(h.db.path)))
 	return func(errp *error) { end(*errp) }
 }

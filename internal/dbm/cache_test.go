@@ -235,38 +235,6 @@ func TestCacheOpenErrorNotCached(t *testing.T) {
 	}
 }
 
-func TestCacheDisabledOpensPerAcquire(t *testing.T) {
-	c := NewCache(0, GDBM)
-	ctx := context.Background()
-	p := cachePath(t, "a.props")
-	h1, err := c.Acquire(ctx, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h1.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	db1 := h1.DB()
-	if err := h1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Uncached Close really closes the DB.
-	if _, _, err := db1.Get([]byte("k")); err != ErrClosed {
-		t.Fatalf("uncached handle not closed: err = %v", err)
-	}
-	h2, err := c.Acquire(ctx, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h2.Close()
-	if _, ok, err := h2.Get([]byte("k")); err != nil || !ok {
-		t.Fatalf("reopen lost data: ok=%v err=%v", ok, err)
-	}
-	if s := c.Stats(); s.Hits != 0 || s.Misses != 2 {
-		t.Fatalf("disabled cache stats = %+v, want 0 hits 2 misses", s)
-	}
-}
-
 func TestCacheCloseClosesIdleAndDoomsPinned(t *testing.T) {
 	c := NewCache(8, GDBM)
 	ctx := context.Background()

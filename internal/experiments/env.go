@@ -6,8 +6,9 @@
 // the repository-root benchmarks wrap the same code in testing.B.
 //
 // Servers run in-process but are reached over real loopback TCP
-// sockets, so the full client/HTTP/XML/store path is exercised; only
-// the 150 Mbit/s LAN of the paper's testbed is absent (see
+// sockets, and are assembled by davserver.Build — the chain davd ships
+// — so the full client/HTTP/middleware/XML/store path is exercised;
+// only the 150 Mbit/s LAN of the paper's testbed is absent (see
 // EXPERIMENTS.md for the calibration discussion).
 package experiments
 
@@ -88,14 +89,16 @@ func enabledTracer() *trace.Tracer {
 
 // DAVEnv is a running DAV server plus a connected client.
 type DAVEnv struct {
+	// Store is the base store (FSStore or MemStore), beneath WrapStore
+	// and the server's own wrappers.
 	Store   store.Store
 	Handler *davserver.Handler
 	Client  *davclient.Client
 	URL     string
 
-	listener net.Listener
-	server   *http.Server
-	dir      string // temp dir to remove, if owned
+	built  *davserver.Server
+	server *http.Server
+	dir    string // temp dir to remove, if owned
 }
 
 // DAVEnvOptions configures StartDAVEnv.
@@ -113,22 +116,18 @@ type DAVEnvOptions struct {
 	// negative = unlimited).
 	MaxPropBytes int
 	// HandleCacheSize forwards to store.FSOptions: the bound on cached
-	// DBM handles (0 = store default, negative disables caching).
+	// DBM handles (0 or negative = store default).
 	HandleCacheSize int
 	// StepHook forwards to store.FSOptions: a hook invoked at each
 	// multi-step operation boundary. Benchmarks use it to stall inside
 	// the path lock, simulating slow storage under contention.
 	StepHook func(point string)
-	// Serialized wraps the store in one global RWMutex and takes the
-	// batched reads apart — the PR 3 storage architecture, kept as
-	// the concurrency benchmark's baseline. Combine with
-	// HandleCacheSize < 0 for a faithful open-per-operation baseline.
-	Serialized bool
-	// Ops feeds the server's requests into a workload tracker (hot-path
-	// top-K and SLO burn accounting) even when metrics are off.
+	// Ops replaces the server's workload tracker (hot-path top-K and SLO
+	// burn accounting) with one the caller can read.
 	Ops *ops.Tracker
-	// WrapStore, when set, wraps the store before instrumentation —
-	// the hook chaos/latency injectors use to sit on the serving path.
+	// WrapStore, when set, wraps the store beneath the server's own
+	// wrappers — the hook chaos/latency injectors use to sit on the
+	// serving path.
 	WrapStore func(store.Store) store.Store
 	// WrapHandler, when set, wraps the fully assembled HTTP handler —
 	// the hook for request-level middleware such as the cancellation
@@ -137,7 +136,12 @@ type DAVEnvOptions struct {
 }
 
 // StartDAVEnv boots a DAV server on a loopback socket and connects a
-// client.
+// client. The server is davd's: DefaultConfig through davserver.Build,
+// varied only by what the options inject. The two background samplers
+// are off (davd -sample-interval 0 -prof-interval 0): they are the
+// treatment arm bench-pr7/8 measure, and a CPU profile at every start
+// would sit inside every microbenchmark. No request passes through
+// them.
 func StartDAVEnv(opts DAVEnvOptions) (*DAVEnv, error) {
 	env := &DAVEnv{}
 	if opts.InMemory {
@@ -155,40 +159,31 @@ func StartDAVEnv(opts DAVEnvOptions) (*DAVEnv, error) {
 		fs, err := store.NewFSStoreWith(dir, opts.Flavour,
 			store.FSOptions{HandleCacheSize: opts.HandleCacheSize, StepHook: opts.StepHook})
 		if err != nil {
+			env.cleanup()
 			return nil, err
 		}
 		env.Store = fs
 	}
-	if opts.Serialized {
-		env.Store = serialize(env.Store)
-	}
+	cfg := davserver.DefaultConfig()
+	cfg.SampleInterval, cfg.ProfInterval = 0, 0
+	cfg.Store = env.Store
 	if opts.WrapStore != nil {
-		env.Store = opts.WrapStore(env.Store)
+		cfg.Store = opts.WrapStore(env.Store)
 	}
-	m := enabledMetrics()
-	tr := enabledTracer()
-	switch {
-	case m != nil:
-		env.Store = store.Instrument(env.Store, m.StoreObserver())
-	case tr != nil:
-		// Tracing without metrics still needs the wrapper: it is what
-		// opens the store.<op> spans.
-		env.Store = store.Instrument(env.Store, store.NopObserver)
+	if opts.MaxPropBytes != 0 {
+		cfg.MaxPropBytes = opts.MaxPropBytes
 	}
-	env.Handler = davserver.NewHandler(env.Store, &davserver.Options{MaxPropBytes: opts.MaxPropBytes})
-	serverHandler := http.Handler(env.Handler)
-	var clientReg *obs.Registry
-	if m != nil {
-		m.TrackLocks(env.Handler.Locks())
-		m.TrackGate(env.Handler)
-		clientReg = m.Registry
+	cfg.Metrics = enabledMetrics()
+	cfg.Tracer = enabledTracer()
+	cfg.Ops = opts.Ops
+	built, err := davserver.Build(cfg)
+	if err != nil {
+		env.Store.Close()
+		env.cleanup()
+		return nil, err
 	}
-	if m != nil || tr != nil || opts.Ops != nil {
-		serverHandler = davserver.InstrumentWith(serverHandler, davserver.InstrumentOptions{
-			Metrics: m, Tracer: tr, Ops: opts.Ops,
-		})
-	}
-
+	env.built, env.Handler = built, built.DAV
+	serverHandler := built.Handler
 	if opts.WrapHandler != nil {
 		serverHandler = opts.WrapHandler(serverHandler)
 	}
@@ -198,21 +193,13 @@ func StartDAVEnv(opts DAVEnvOptions) (*DAVEnv, error) {
 		env.cleanup()
 		return nil, err
 	}
-	env.listener = l
 	env.URL = fmt.Sprintf("http://%s", l.Addr())
 	env.server = &http.Server{Handler: serverHandler}
 	go env.server.Serve(l)
 
-	env.Client, err = davclient.New(davclient.Config{
-		BaseURL:    env.URL,
-		Persistent: opts.Persistent,
-		Parser:     opts.Parser,
-		Timeout:    10 * time.Minute,
-		Metrics:    clientReg,
-		Tracer:     tr,
-	})
+	env.Client, err = env.NewClient(opts.Persistent, opts.Parser)
 	if err != nil {
-		env.cleanup()
+		env.Close()
 		return nil, err
 	}
 	return env, nil
@@ -234,12 +221,12 @@ func (e *DAVEnv) NewClient(persistent bool, parser davclient.ParserKind) (*davcl
 	})
 }
 
+// cleanup releases what the environment owns besides the client and
+// the listener: the assembled server (and through it the store) and
+// the temp dir.
 func (e *DAVEnv) cleanup() {
-	if e.listener != nil {
-		e.listener.Close()
-	}
-	if e.Store != nil {
-		e.Store.Close()
+	if e.built != nil {
+		e.built.Close()
 	}
 	if e.dir != "" {
 		os.RemoveAll(e.dir)

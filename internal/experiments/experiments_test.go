@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 
 	"repro/internal/davclient"
+	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // The experiment smoke tests run scaled-down configurations; the
@@ -178,6 +183,52 @@ func TestDAVEnvLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	env2.Close()
+}
+
+// panicStore panics on a Get of /boom.
+type panicStore struct{ store.Store }
+
+func (p panicStore) Get(ctx context.Context, path string) (io.ReadCloser, store.ResourceInfo, error) {
+	if path == "/boom" {
+		panic("panicStore: boom")
+	}
+	return p.Store.Get(ctx, path)
+}
+
+// TestDAVEnvServesTheShippedChain: the environment's server is
+// davserver.Build's, not a private assembly — with no telemetry enabled
+// it still echoes X-Request-ID (the telemetry layer), answers /readyz
+// (the probe mux) and turns a handler panic into a 500 (Harden), none
+// of which the bare DAV handler does.
+func TestDAVEnvServesTheShippedChain(t *testing.T) {
+	env, err := StartDAVEnv(DAVEnvOptions{
+		InMemory:  true,
+		WrapStore: func(s store.Store) store.Store { return panicStore{s} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	if _, err := env.Client.PutBytes("/boom", []byte("x"), ""); err != nil {
+		t.Fatal(err)
+	}
+	get := func(path, id string) *http.Response {
+		req, _ := http.NewRequest(http.MethodGet, env.URL+path, nil)
+		req.Header.Set(obs.RequestIDHeader, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	if resp := get("/boom", "abc"); resp.StatusCode != 500 || resp.Header.Get(obs.RequestIDHeader) != "abc" {
+		t.Fatalf("GET /boom = %d with X-Request-ID %q, want a recovered 500 echoing abc",
+			resp.StatusCode, resp.Header.Get(obs.RequestIDHeader))
+	}
+	if resp := get("/readyz", "abc"); resp.StatusCode != 200 {
+		t.Fatalf("GET /readyz = %d, want 200 from the probe mux", resp.StatusCode)
+	}
 }
 
 func renderToString(t *testing.T, fn func(*strings.Builder)) string {

@@ -266,39 +266,16 @@ func burnRate(slo *ops.SLO, window int) float64 {
 // one bad scheduling decision on a loaded CI machine.
 func runBenchPR7Sampler(res *BenchPR7Result) error {
 	const interval = 50 * time.Millisecond
-	cellOpts := BenchPR4Options{OpsPerWorker: 12, SharedMembers: 8}
-
-	measure := func() (float64, error) {
-		cell, _, err := runBenchPR4Cell("concurrent", 4, cellOpts)
-		if err != nil {
-			return 0, err
-		}
-		return cell.OpsPerSec, nil
-	}
-	bestOf := func(n int) (float64, error) {
-		best := 0.0
-		for i := 0; i < n; i++ {
-			v, err := measure()
-			if err != nil {
-				return 0, err
-			}
-			if v > best {
-				best = v
-			}
-		}
-		return best, nil
-	}
-
 	sm := &res.Sampler
 	sm.IntervalMS = ms(interval)
 	for attempt := 0; attempt < 3; attempt++ {
-		base, err := bestOf(3)
+		base, err := bestParallelMix(3)
 		if err != nil {
 			return err
 		}
 		sampler := ops.NewSampler(ops.SamplerConfig{Interval: interval})
 		sampler.Start()
-		sampled, err := bestOf(3)
+		sampled, err := bestParallelMix(3)
 		sampler.Stop()
 		if err != nil {
 			return err

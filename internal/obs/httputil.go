@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"net/http"
-	"runtime"
-	"time"
-)
+import "net/http"
 
 // ResponseRecorder wraps an http.ResponseWriter and records the status
 // code and body byte count for access logging and metrics.
@@ -75,21 +71,4 @@ func StatusClass(code int) string {
 	default:
 		return "1xx"
 	}
-}
-
-// RegisterRuntime adds process-level gauges (goroutines, heap bytes,
-// uptime) to the registry — the minimum a dashboard needs next to the
-// request metrics.
-func RegisterRuntime(r *Registry) {
-	start := time.Now()
-	r.GaugeFunc("process_uptime_seconds", "Seconds since the process registered its metrics.", nil,
-		func() float64 { return time.Since(start).Seconds() })
-	r.GaugeFunc("go_goroutines", "Number of live goroutines.", nil,
-		func() float64 { return float64(runtime.NumGoroutine()) })
-	r.GaugeFunc("go_heap_alloc_bytes", "Bytes of allocated heap objects.", nil,
-		func() float64 {
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
-			return float64(m.HeapAlloc)
-		})
 }

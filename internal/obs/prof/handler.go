@@ -36,16 +36,22 @@ func (s *Sampler) Handler() http.Handler {
 			w.Write(a.Data)
 		case req.URL.Query().Get("format") == "json":
 			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(struct {
-				Stats     Stats      `json:"stats"`
-				Artifacts []Artifact `json:"artifacts"`
-			}{s.Stats(), s.Artifacts()})
+			s.WriteIndex(w)
 		default:
 			s.serveIndex(w)
 		}
 	})
+}
+
+// WriteIndex writes the ring index plus sampler stats as indented JSON:
+// the ?format=json body, and profile-ring.json in the shutdown flush.
+func (s *Sampler) WriteIndex(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(struct {
+		Stats     Stats      `json:"stats"`
+		Artifacts []Artifact `json:"artifacts"`
+	}{s.Stats(), s.Artifacts()})
 }
 
 // serveIndex renders the profile-ring table, newest first.

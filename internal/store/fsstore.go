@@ -83,10 +83,7 @@ const DefaultHandleCacheSize = 256
 // FSOptions tunes NewFSStoreWith.
 type FSOptions struct {
 	// HandleCacheSize bounds the shared cache of open property-database
-	// handles. Zero means DefaultHandleCacheSize; negative disables
-	// caching entirely (every property touch opens and closes its
-	// database, the historical mod_dav behaviour — kept as the
-	// benchmark baseline and an operational escape hatch).
+	// handles. Zero or negative means DefaultHandleCacheSize.
 	HandleCacheSize int
 	// DisableJournal turns off the write-ahead intent journal. Without
 	// it, a crash mid-operation can leave a torn content/props/
@@ -199,7 +196,7 @@ func NewFSStoreWith(dir string, flavour dbm.Flavour, o FSOptions) (*FSStore, err
 		return nil, err
 	}
 	size := o.HandleCacheSize
-	if size == 0 {
+	if size <= 0 {
 		size = DefaultHandleCacheSize
 	}
 	s := &FSStore{

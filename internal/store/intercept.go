@@ -57,10 +57,6 @@ type intercepted struct {
 	ic Interceptor
 }
 
-// Unwrap exposes the wrapped store so health probes and stats
-// collectors can walk the wrapper chain.
-func (w *intercepted) Unwrap() Store { return w.s }
-
 func (w *intercepted) Stat(ctx context.Context, p string) (ri ResourceInfo, err error) {
 	err = w.ic(ctx, Op{Name: OpStat, Path: p}, func(ctx context.Context) (e error) {
 		ri, e = w.s.Stat(ctx, p)
