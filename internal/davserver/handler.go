@@ -636,159 +636,6 @@ func (h *Handler) liveProp(ri store.ResourceInfo, name xml.Name) (davproto.Prope
 	}
 }
 
-// decodeDeadProps decodes a resource's raw property map, sorted by
-// name. Undecodable values are logged and skipped.
-func (h *Handler) decodeDeadProps(p string, raw map[xml.Name][]byte) []davproto.Property {
-	names := make([]xml.Name, 0, len(raw))
-	for n := range raw {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if names[i].Space != names[j].Space {
-			return names[i].Space < names[j].Space
-		}
-		return names[i].Local < names[j].Local
-	})
-	props := make([]davproto.Property, 0, len(names))
-	for _, n := range names {
-		prop, err := davproto.DecodeProperty(raw[n])
-		if err != nil {
-			h.logf("dav: undecodable stored property %v on %s: %v", n, p, err)
-			continue
-		}
-		props = append(props, prop)
-	}
-	return props
-}
-
-// handlePropfind resolves the target set through the store's batched
-// read path (see store.BatchReader): each resource arrives with its
-// dead properties already loaded, so a Depth:1 listing costs one locked
-// pass through cached property databases instead of one independent
-// lookup per member per property request.
-func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p string) {
-	depth, err := davproto.ParseDepth(r.Header.Get("Depth"), davproto.DepthInfinity)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Under brownout an unbounded walk is the most expensive read the
-	// protocol offers; refuse it the RFC 4918 §9.1 way so compliant
-	// clients fall back to iterative Depth: 1 listings.
-	if depth == davproto.DepthInfinity && h.opts.Brownout.CapDeepPropfind() {
-		h.opts.Brownout.CountDeepCapped()
-		h.writeFiniteDepthRequired(w)
-		return
-	}
-	pf, err := davproto.ParsePropfind(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ri, props, err := h.store.StatWithProps(r.Context(), p)
-	if err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	self := store.MemberProps{Info: ri, Props: props}
-
-	var targets []store.MemberProps
-	switch depth {
-	case davproto.Depth0:
-		targets = []store.MemberProps{self}
-	case davproto.Depth1:
-		targets = []store.MemberProps{self}
-		if ri.IsCollection {
-			members, err := h.store.ListWithProps(r.Context(), p)
-			if err != nil {
-				h.fail(w, r, err)
-				return
-			}
-			for _, m := range members {
-				if visible(m.Info.Path) {
-					targets = append(targets, m)
-				}
-			}
-		}
-	default:
-		err = store.WalkWithProps(r.Context(), h.store, p, func(m store.MemberProps) error {
-			if visible(m.Info.Path) || !visible(p) {
-				targets = append(targets, m)
-			}
-			return nil
-		})
-		if err != nil {
-			h.fail(w, r, err)
-			return
-		}
-	}
-
-	var ms davproto.Multistatus
-	for _, t := range targets {
-		ms.Responses = append(ms.Responses, h.propfindResponse(t, pf))
-	}
-	h.writeMultistatus(w, ms)
-}
-
-// propfindResponse builds one resource's multistatus entry from its
-// pre-resolved info and properties.
-func (h *Handler) propfindResponse(mp store.MemberProps, pf davproto.Propfind) davproto.Response {
-	ri := mp.Info
-	resp := davproto.Response{Href: h.opts.Prefix + ri.Path}
-	switch pf.Kind {
-	case davproto.PropfindAllProp, davproto.PropfindPropName:
-		var found []davproto.Property
-		for _, name := range davproto.LiveProps {
-			if prop, ok := h.liveProp(ri, name); ok {
-				found = append(found, prop)
-			}
-		}
-		found = append(found, h.decodeDeadProps(ri.Path, mp.Props)...)
-		if pf.Kind == davproto.PropfindPropName {
-			for i, prop := range found {
-				found[i] = davproto.Property{
-					XML: xmldom.NewElement(prop.Name().Space, prop.Name().Local),
-				}
-			}
-		}
-		resp.Propstats = []davproto.Propstat{{Props: found, Status: http.StatusOK}}
-	case davproto.PropfindProps:
-		var found, missing []davproto.Property
-		for _, name := range pf.Props {
-			if davproto.IsLiveProp(name) {
-				if prop, ok := h.liveProp(ri, name); ok {
-					found = append(found, prop)
-					continue
-				}
-				missing = append(missing, davproto.Property{XML: xmldom.NewElement(name.Space, name.Local)})
-				continue
-			}
-			raw, ok := mp.Props[name]
-			if !ok {
-				missing = append(missing, davproto.Property{XML: xmldom.NewElement(name.Space, name.Local)})
-				continue
-			}
-			prop, err := davproto.DecodeProperty(raw)
-			if err != nil {
-				h.logf("dav: undecodable stored property %v on %s: %v", name, ri.Path, err)
-				missing = append(missing, davproto.Property{XML: xmldom.NewElement(name.Space, name.Local)})
-				continue
-			}
-			found = append(found, prop)
-		}
-		if len(found) > 0 {
-			resp.Propstats = append(resp.Propstats, davproto.Propstat{Props: found, Status: http.StatusOK})
-		}
-		if len(missing) > 0 {
-			resp.Propstats = append(resp.Propstats, davproto.Propstat{Props: missing, Status: http.StatusNotFound})
-		}
-		if len(resp.Propstats) == 0 {
-			resp.Propstats = []davproto.Propstat{{Status: http.StatusOK}}
-		}
-	}
-	return resp
-}
-
 func (h *Handler) handleProppatch(w http.ResponseWriter, r *http.Request, p string) {
 	if err := h.checkWrite(r, p); err != nil {
 		h.fail(w, r, err)
@@ -1024,7 +871,9 @@ func (h *Handler) writeFiniteDepthRequired(w http.ResponseWriter) {
 	w.Write(body)
 }
 
-// writeMultistatus renders a 207 response.
+// writeMultistatus renders one of the small 207 responses (PROPPATCH
+// results, COPY/MOVE errors, SEARCH, version trees) from a DOM. PROPFIND,
+// whose body is the large one, writes its own (propfind.go).
 func (h *Handler) writeMultistatus(w http.ResponseWriter, ms davproto.Multistatus) {
 	body := ms.Marshal()
 	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)

@@ -1,0 +1,247 @@
+package davserver
+
+import (
+	"bytes"
+	"encoding/xml"
+	"net/http"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+
+	"repro/internal/davproto"
+	"repro/internal/store"
+	"repro/internal/xmldom"
+)
+
+// PROPFIND is the one response this server builds without a DOM. Every
+// dead property is stored as the self-contained fragment
+// davproto.Property.Encode wrote at PROPPATCH time, so answering a read
+// needs no parse: each stored value is checked (xmldom.WellFormedFragment,
+// one pass, no allocation) and copied into the body as it is. The
+// envelope is fixed strings; live properties, a handful per resource,
+// still go through liveProp and xmldom.MarshalTo.
+//
+// The body is assembled in one pooled buffer and sent with
+// Content-Length in a single Write. Chunked streaming would bound the
+// memory of a Depth: infinity listing, but the body is buffered again by
+// http.TimeoutHandler whenever -request-timeout is set, and the
+// benchmark's isolated-call metrics capture a 207 only when its length
+// is declared; see DESIGN §9 and ROADMAP item 3(c).
+
+const (
+	multistatusOpen  = xml.Header + `<D:multistatus xmlns:D="DAV:">`
+	multistatusClose = `</D:multistatus>`
+	propstatOpen     = `<D:propstat><D:prop>`
+)
+
+var (
+	propstatOK       = `</D:prop><D:status>` + davproto.StatusLine(http.StatusOK) + `</D:status></D:propstat>`
+	propstatNotFound = `</D:prop><D:status>` + davproto.StatusLine(http.StatusNotFound) + `</D:status></D:propstat>`
+)
+
+// propfindBufs recycles response bodies between requests.
+var propfindBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledPropfindBuf keeps one huge Depth: infinity listing from
+// pinning its buffer in the pool forever.
+const maxPooledPropfindBuf = 4 << 20
+
+// handlePropfind resolves the target set through the store's batched
+// read path: each resource arrives with its dead properties already
+// loaded, so a Depth:1 listing costs one locked pass through cached
+// property databases, and each resource is written into the response
+// as it arrives.
+func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p string) {
+	depth, err := davproto.ParseDepth(r.Header.Get("Depth"), davproto.DepthInfinity)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	// Under brownout an unbounded walk is the most expensive read the
+	// protocol offers; refuse it the RFC 4918 §9.1 way so compliant
+	// clients fall back to iterative Depth: 1 listings.
+	if depth == davproto.DepthInfinity && h.opts.Brownout.CapDeepPropfind() {
+		h.opts.Brownout.CountDeepCapped()
+		h.writeFiniteDepthRequired(w)
+		return
+	}
+	pf, err := davproto.ParsePropfind(r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	ri, props, err := h.store.StatWithProps(r.Context(), p)
+	if err != nil {
+		h.fail(w, r, err)
+		return
+	}
+
+	buf := propfindBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledPropfindBuf {
+			buf.Reset()
+			propfindBufs.Put(buf)
+		}
+	}()
+	pw := propfindWriter{h: h, pf: pf, buf: buf}
+	buf.WriteString(multistatusOpen)
+	switch depth {
+	case davproto.Depth0:
+		pw.response(store.MemberProps{Info: ri, Props: props})
+	case davproto.Depth1:
+		pw.response(store.MemberProps{Info: ri, Props: props})
+		if ri.IsCollection {
+			members, err := h.store.ListWithProps(r.Context(), p)
+			if err != nil {
+				h.fail(w, r, err)
+				return
+			}
+			for _, m := range members {
+				if visible(m.Info.Path) {
+					pw.response(m)
+				}
+			}
+		}
+	default:
+		err = store.WalkWithProps(r.Context(), h.store, p, func(m store.MemberProps) error {
+			if visible(m.Info.Path) || !visible(p) {
+				pw.response(m)
+			}
+			return nil
+		})
+		if err != nil {
+			h.fail(w, r, err)
+			return
+		}
+	}
+	buf.WriteString(multistatusClose)
+
+	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(http.StatusMultiStatus)
+	w.Write(buf.Bytes())
+}
+
+// propfindWriter writes DAV:response elements for one request. names
+// and missing are scratch space reused from resource to resource.
+type propfindWriter struct {
+	h       *Handler
+	pf      davproto.Propfind
+	buf     *bytes.Buffer
+	names   []xml.Name
+	missing []xml.Name
+}
+
+// response writes one resource's entry from its pre-resolved info and
+// stored properties.
+func (pw *propfindWriter) response(mp store.MemberProps) {
+	buf := pw.buf
+	buf.WriteString(`<D:response><D:href>`)
+	xml.EscapeText(buf, []byte(pw.h.opts.Prefix+mp.Info.Path))
+	buf.WriteString(`</D:href>`)
+	if pw.pf.Kind == davproto.PropfindProps {
+		pw.named(mp)
+	} else {
+		pw.all(mp, pw.pf.Kind == davproto.PropfindPropName)
+	}
+	buf.WriteString(`</D:response>`)
+}
+
+// all answers allprop and propname: every applicable live property,
+// then every dead one sorted by namespace and local name, in one 200
+// propstat. A stored value that is not a well-formed fragment is logged
+// and left out; the versioning bookkeeping is never listed.
+func (pw *propfindWriter) all(mp store.MemberProps, namesOnly bool) {
+	buf := pw.buf
+	buf.WriteString(propstatOpen)
+	for _, name := range davproto.LiveProps {
+		if prop, ok := pw.h.liveProp(mp.Info, name); ok {
+			if namesOnly {
+				writeEmptyProp(buf, name)
+			} else {
+				xmldom.MarshalTo(buf, prop.XML)
+			}
+		}
+	}
+	pw.names = pw.names[:0]
+	for name := range mp.Props {
+		if name.Space != vcNS {
+			pw.names = append(pw.names, name)
+		}
+	}
+	slices.SortFunc(pw.names, func(a, b xml.Name) int {
+		if c := strings.Compare(a.Space, b.Space); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Local, b.Local)
+	})
+	for _, name := range pw.names {
+		raw := mp.Props[name]
+		switch {
+		case !xmldom.WellFormedFragment(raw):
+			pw.h.logf("dav: undecodable stored property %v on %s", name, mp.Info.Path)
+		case namesOnly:
+			writeEmptyProp(buf, name)
+		default:
+			buf.Write(raw)
+		}
+	}
+	buf.WriteString(propstatOK)
+}
+
+// named answers a <prop> request: the properties found, in request
+// order, in a 200 propstat, then the others in a 404 propstat. A dead
+// property whose stored value is not a well-formed fragment is logged
+// and reported 404; the versioning bookkeeping is 404 without a word.
+func (pw *propfindWriter) named(mp store.MemberProps) {
+	buf := pw.buf
+	pw.missing = pw.missing[:0]
+	found := 0
+	for _, name := range pw.pf.Props {
+		var live davproto.Property
+		var raw []byte
+		ok := false
+		if davproto.IsLiveProp(name) {
+			live, ok = pw.h.liveProp(mp.Info, name)
+		} else if name.Space != vcNS {
+			if raw, ok = mp.Props[name]; ok && !xmldom.WellFormedFragment(raw) {
+				pw.h.logf("dav: undecodable stored property %v on %s", name, mp.Info.Path)
+				ok = false
+			}
+		}
+		if !ok {
+			pw.missing = append(pw.missing, name)
+			continue
+		}
+		if found == 0 {
+			buf.WriteString(propstatOpen)
+		}
+		found++
+		if live.XML != nil {
+			xmldom.MarshalTo(buf, live.XML)
+		} else {
+			buf.Write(raw)
+		}
+	}
+	if found > 0 {
+		buf.WriteString(propstatOK)
+	}
+	if len(pw.missing) > 0 {
+		buf.WriteString(propstatOpen)
+		for _, name := range pw.missing {
+			writeEmptyProp(buf, name)
+		}
+		buf.WriteString(propstatNotFound)
+	}
+	if found == 0 && len(pw.missing) == 0 {
+		buf.WriteString(propstatOpen)
+		buf.WriteString(propstatOK)
+	}
+}
+
+// writeEmptyProp writes a property element that carries only its name,
+// as propname listings and 404 propstats do.
+func writeEmptyProp(buf *bytes.Buffer, name xml.Name) {
+	xmldom.MarshalTo(buf, xmldom.NewElement(name.Space, name.Local))
+}

@@ -1,0 +1,351 @@
+package davserver
+
+import (
+	"bytes"
+	"context"
+	"encoding/xml"
+	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/davclient"
+	"repro/internal/davproto"
+	"repro/internal/dbm"
+	"repro/internal/store"
+	"repro/internal/xmldom"
+)
+
+// newLoggedFSServer is newTestServer over an FSStore whose root the
+// test can reach, with the handler's error log captured.
+func newLoggedFSServer(t *testing.T, flavour dbm.Flavour, prefix string) (srv *httptest.Server, h *Handler, root string, log *bytes.Buffer) {
+	t.Helper()
+	root = t.TempDir()
+	s, err := store.NewFSStore(root, flavour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log = &bytes.Buffer{}
+	h = NewHandler(s, &Options{Prefix: prefix, Logger: slog.New(slog.NewTextHandler(log, nil))})
+	srv = httptest.NewServer(h)
+	t.Cleanup(func() {
+		srv.Close()
+		s.Close()
+	})
+	return srv, h, root, log
+}
+
+// richProps are dead properties whose stored fragments exercise what
+// the splice must carry through untouched: attributes (one in a second
+// namespace), nested elements, three namespaces in one value, non-ASCII
+// names, and text that Marshal writes as character references.
+func richProps() []davproto.Property {
+	nested := xmldom.NewElement("urn:ecce", "basis")
+	nested.SetAttr("", "kind", `"contracted" & <split>`)
+	nested.SetAttr("urn:units", "unit", "Å")
+	shell := nested.Add("urn:ecce", "shell")
+	shell.AddText("urn:chem", "exponent", "1.5e-3")
+	shell.AddText("", "plain", "no namespace")
+	nested.Text = "mixed "
+	return []davproto.Property{
+		davproto.NewTextProperty("urn:ecce", "formula", "UO2(H2O)15"),
+		davproto.NewTextProperty("urn:ecce", "notes", "a<b && \"q\" 'r'\ttab\nnewline\rreturn ]]> é"),
+		davproto.NewTextProperty("urn:ecce", "größe", "zwölf"),
+		davproto.NewTextProperty("urn:日本", "名前", "水"),
+		davproto.NewTextProperty("", "bare", "in no namespace"),
+		davproto.NewTextProperty("urn:ecce", "empty", ""),
+		{XML: nested},
+	}
+}
+
+func canonical(ms davproto.Multistatus) string {
+	var sb strings.Builder
+	for _, r := range ms.Responses {
+		fmt.Fprintf(&sb, "response %s status=%d\n", r.Href, r.Status)
+		for _, ps := range r.Propstats {
+			fmt.Fprintf(&sb, "  propstat %d\n", ps.Status)
+			for _, p := range ps.Props {
+				fmt.Fprintf(&sb, "    %s\n", xmldom.Marshal(p.XML))
+			}
+		}
+	}
+	return sb.String()
+}
+
+// TestPropfindMatchesReference holds the spliced 207 to the DOM-built
+// one it replaced (propfind_ref_test.go): over every request form,
+// depth and prefix setting, both davclient parsers must read the same
+// hrefs, propstat grouping, statuses, property order and property trees
+// from the two bodies.
+func TestPropfindMatchesReference(t *testing.T) {
+	ecce := func(local string) xml.Name { return xml.Name{Space: "urn:ecce", Local: local} }
+	requests := []struct {
+		name string
+		pf   davproto.Propfind
+	}{
+		{"allprop", davproto.Propfind{Kind: davproto.PropfindAllProp}},
+		{"propname", davproto.Propfind{Kind: davproto.PropfindPropName}},
+		{"named found", davproto.Propfind{Kind: davproto.PropfindProps,
+			Props: []xml.Name{ecce("notes"), ecce("basis"), {Space: "urn:日本", Local: "名前"}, {Local: "bare"}}}},
+		{"named missing", davproto.Propfind{Kind: davproto.PropfindProps,
+			Props: []xml.Name{ecce("absent"), {Space: "urn:other", Local: "größe"}}}},
+		{"named live", davproto.Propfind{Kind: davproto.PropfindProps,
+			Props: []xml.Name{davproto.PropGetContentLength, davproto.PropResourceType, davproto.PropGetETag,
+				davproto.PropSupportedLock, davproto.PropLockDiscovery, davproto.PropDisplayName}}},
+		{"named mixed", davproto.Propfind{Kind: davproto.PropfindProps,
+			Props: []xml.Name{ecce("absent"), ecce("formula"), davproto.PropGetContentType, ecce("größe"),
+				davproto.PropCreationDate, ecce("empty"), {Local: "nowhere"}}}},
+		{"named nothing", davproto.Propfind{Kind: davproto.PropfindProps}},
+	}
+	for _, prefix := range []string{"", "/dav"} {
+		srv, h, _, log := newLoggedFSServer(t, dbm.GDBM, prefix)
+		ref := httptest.NewServer(http.HandlerFunc(h.refHandlePropfind))
+		t.Cleanup(ref.Close)
+
+		setup, err := davclient.New(davclient.Config{BaseURL: srv.URL + prefix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, col := range []string{"/col", "/col/sub", "/col/sub/deeper"} {
+			if err := setup.Mkcol(col); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, doc := range []string{"/col/a.txt", "/col/b & c.txt", "/col/sub/c.txt", "/col/sub/deeper/d.txt"} {
+			if _, err := setup.Put(doc, strings.NewReader("body of "+doc), "text/plain"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range []string{"/col", "/col/a.txt", "/col/sub/c.txt"} {
+			if err := setup.SetProps(p, richProps()...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := setup.Lock("/col/a.txt", davproto.LockExclusive, davproto.Depth0, "tester", 0); err != nil {
+			t.Fatal(err)
+		}
+
+		for _, parser := range []davclient.ParserKind{davclient.ParserDOM, davclient.ParserSAX} {
+			got, err := davclient.New(davclient.Config{BaseURL: srv.URL + prefix, Parser: parser})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := davclient.New(davclient.Config{BaseURL: ref.URL + prefix, Parser: parser})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, target := range []string{"/col", "/col/a.txt", "/col/b & c.txt"} {
+				for _, depth := range []davproto.Depth{davproto.Depth0, davproto.Depth1, davproto.DepthInfinity} {
+					for _, rq := range requests {
+						name := fmt.Sprintf("prefix=%q parser=%d %s depth=%s %s", prefix, parser, target, depth, rq.name)
+						gotMS, err := got.PropFind(target, depth, rq.pf)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						wantMS, err := want.PropFind(target, depth, rq.pf)
+						if err != nil {
+							t.Fatalf("%s: reference: %v", name, err)
+						}
+						if g, w := canonical(gotMS), canonical(wantMS); g != w {
+							t.Errorf("%s:\n--- spliced\n%s--- reference\n%s", name, g, w)
+						}
+						if len(wantMS.Responses) == 0 {
+							t.Fatalf("%s: reference listed nothing", name)
+						}
+					}
+				}
+			}
+		}
+		if log.Len() != 0 {
+			t.Errorf("prefix=%q: error log not empty:\n%s", prefix, log)
+		}
+	}
+}
+
+// propsFileOf returns the one property database under root whose base
+// name is name.
+func propsFileOf(t *testing.T, root, name string) string {
+	t.Helper()
+	var found []string
+	filepath.WalkDir(root, func(p string, _ os.DirEntry, _ error) error {
+		if filepath.Base(p) == name+store.PropsExt {
+			found = append(found, p)
+		}
+		return nil
+	})
+	if len(found) != 1 {
+		t.Fatalf("property databases named %s under %s: %v", name, root, found)
+	}
+	return found[0]
+}
+
+func logLines(log *bytes.Buffer) int { return bytes.Count(log.Bytes(), []byte("\n")) }
+
+// One flipped byte inside one stored value must cost exactly that
+// property: it alone turns 404 (named) or disappears (allprop), with one
+// log line each time, while the body stays well-formed, declares its
+// true length, and carries every other stored value byte for byte.
+func TestPropfindSurvivesDamagedStoredValue(t *testing.T) {
+	srv, h, root, log := newLoggedFSServer(t, dbm.GDBM, "")
+	do(t, "PUT", srv.URL+"/doc", nil, "x")
+	wantStatus(t, do(t, "PROPPATCH", srv.URL+"/doc", nil, proppatchBodyPairs(
+		[2]string{"alpha", "first value"}, [2]string{"bravo", "second-value-to-damage"}, [2]string{"charlie", "third & last"})), 207)
+	stored := map[string][]byte{}
+	for _, n := range []string{"alpha", "charlie"} {
+		v, ok, err := h.store.PropGet(context.Background(), "/doc", xml.Name{Space: "ecce:", Local: n})
+		if err != nil || !ok {
+			t.Fatalf("PropGet %s: %v %v", n, ok, err)
+		}
+		stored[n] = v
+	}
+
+	// Turn one text byte of bravo's value into a '<': the record is
+	// intact, the fragment inside it no longer is.
+	file := propsFileOf(t, root, "doc")
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte("second-value-to-damage"))
+	if at < 0 {
+		t.Fatal("stored value not found in the database file")
+	}
+	f, err := os.OpenFile(file, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("<"), int64(at+6)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	for _, tc := range []struct {
+		name, body string
+		bravo      int // propstat status bravo is reported under; 0 = not listed
+	}{
+		{"named", propfindBody("alpha", "bravo", "charlie"), 404},
+		{"allprop", "", 0},
+	} {
+		log.Reset()
+		resp := do(t, "PROPFIND", srv.URL+"/doc", map[string]string{"Depth": "0"}, tc.body)
+		wantStatus(t, resp, 207)
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("%s: reading body: %v", tc.name, err)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, transfer encoding %v, body %d bytes",
+				tc.name, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		ms, err := davproto.ParseMultistatus(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: body no longer parses: %v\n%s", tc.name, err, body)
+		}
+		status := map[string]int{}
+		for _, ps := range ms.Responses[0].Propstats {
+			for _, p := range ps.Props {
+				status[p.Name().Local] = ps.Status
+			}
+		}
+		if status["alpha"] != 200 || status["charlie"] != 200 || status["bravo"] != tc.bravo {
+			t.Errorf("%s: statuses %v, want alpha and charlie 200, bravo %d", tc.name, status, tc.bravo)
+		}
+		for n, v := range stored {
+			if !bytes.Contains(body, v) {
+				t.Errorf("%s: stored value of %s is not in the body verbatim: %s", tc.name, n, v)
+			}
+		}
+		if n := logLines(log); n != 1 || !strings.Contains(log.String(), "bravo") {
+			t.Errorf("%s: want one log line naming bravo, got %d:\n%s", tc.name, n, log)
+		}
+	}
+}
+
+// A property database that cannot be read must fail the PROPFIND, not
+// answer 207 with the dead properties quietly missing: the store used
+// to drop the scan's error on this path while PropAll reported it.
+func TestPropfindFailsOnUnreadablePropertyDatabase(t *testing.T) {
+	for _, flavour := range []dbm.Flavour{dbm.GDBM, dbm.SDBM} {
+		t.Run(flavour.String(), func(t *testing.T) {
+			srv, h, root, log := newLoggedFSServer(t, flavour, "")
+			do(t, "MKCOL", srv.URL+"/col", nil, "")
+			do(t, "PUT", srv.URL+"/col/doc", nil, "x")
+			wantStatus(t, do(t, "PROPPATCH", srv.URL+"/col/doc", nil,
+				proppatchBody(map[string]string{"k": "v"})), 207)
+			wantStatus(t, do(t, "PROPFIND", srv.URL+"/col", map[string]string{"Depth": "1"}, ""), 207)
+
+			// Cut the file inside its only dead-property record.
+			file := propsFileOf(t, root, "doc")
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(file, int64(bytes.Index(data, []byte("<ns0:k"))+3)); err != nil {
+				t.Fatal(err)
+			}
+
+			if _, err := h.store.PropAll(context.Background(), "/col/doc"); err == nil {
+				t.Fatal("PropAll reads the truncated database without error; the test damages nothing")
+			}
+			for _, rq := range []struct{ path, depth string }{
+				{"/col/doc", "0"}, {"/col", "1"}, {"/col", "infinity"},
+			} {
+				resp := do(t, "PROPFIND", srv.URL+rq.path, map[string]string{"Depth": rq.depth}, "")
+				if resp.StatusCode < 500 {
+					b, _ := io.ReadAll(resp.Body)
+					t.Errorf("PROPFIND %s Depth %s = %d, want 5xx\n%s", rq.path, rq.depth, resp.StatusCode, b)
+				}
+			}
+			if !strings.Contains(log.String(), "corrupt") {
+				t.Errorf("error log does not say why:\n%s", log)
+			}
+		})
+	}
+}
+
+// The versioning bookkeeping lives in dead properties whose stored
+// bytes are not XML ("1"). It is private: never listed, 404 when asked
+// for by name, and never a reason to write to the error log.
+func TestPropfindHidesVersioningBookkeeping(t *testing.T) {
+	srv, h, _, log := newLoggedFSServer(t, dbm.GDBM, "")
+	do(t, "PUT", srv.URL+"/doc", nil, "v1")
+	wantStatus(t, do(t, "PROPPATCH", srv.URL+"/doc", nil, proppatchBody(map[string]string{"k": "v"})), 207)
+	wantStatus(t, do(t, "VERSION-CONTROL", srv.URL+"/doc", nil, ""), 200)
+
+	named := string(davproto.MarshalPropfind(davproto.Propfind{Kind: davproto.PropfindProps,
+		Props: []xml.Name{propVCControlled, propVCCount, {Space: "ecce:", Local: "k"}}}))
+	propname := string(davproto.MarshalPropfind(davproto.Propfind{Kind: davproto.PropfindPropName}))
+	for _, body := range []string{"", propname, named} {
+		resp := do(t, "PROPFIND", srv.URL+"/doc", map[string]string{"Depth": "0"}, body)
+		wantStatus(t, resp, 207)
+		raw, _ := io.ReadAll(resp.Body)
+		ms, err := davproto.ParseMultistatus(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ps := range ms.Responses[0].Propstats {
+			for _, p := range ps.Props {
+				if p.Name().Space == vcNS && (body != named || ps.Status != 404) {
+					t.Errorf("request %q: %v reported under status %d", body, p.Name(), ps.Status)
+				}
+			}
+		}
+		if body != named && bytes.Contains(raw, []byte(vcNS)) {
+			t.Errorf("request %q: body mentions %s:\n%s", body, vcNS, raw)
+		}
+		if props := davproto.PropsByName(ms.Responses[0].Propstats); props[xml.Name{Space: "ecce:", Local: "k"}].XML == nil {
+			t.Errorf("request %q: the ordinary dead property is missing", body)
+		}
+	}
+	if log.Len() != 0 {
+		t.Errorf("error log not empty:\n%s", log)
+	}
+	if v, ok, err := h.store.PropGet(context.Background(), "/doc", propVCCount); err != nil || !ok || string(v) != "1" {
+		t.Errorf("stored version-count = %q, %v, %v; want the bare bytes 1", v, ok, err)
+	}
+}

@@ -29,6 +29,21 @@
 // Lookups hash the key to a bucket and walk the chain newest-first, so
 // an overwritten value is shadowed by its replacement. Put appends a
 // record and repoints the bucket head; Delete tombstones in place.
+//
+// Reader invariant: records are append-only and a record's prev was the
+// bucket head when it was appended, so along every chain the offsets
+// strictly decrease. Every reader — the point lookup (readRecord) and
+// the bulk decoder (walkChains, behind Open, ForEach, Compact and
+// Verify) — refuses a record whose prev is not below its own offset or
+// which lies outside the record area, with an error wrapping ErrCorrupt.
+// That bounds every walk by the file size: a damaged pointer cannot spin
+// a reader under the database mutex. Only Verify goes further and also
+// requires every key to hash to the bucket whose chain holds it.
+//
+// Bulk readers fetch the whole record area with one ReadAt and decode
+// from that buffer, so the key and value slices ForEach hands to its
+// callback alias it: they are read-only, and they stay valid (and keep
+// the buffer alive) for as long as the caller holds them.
 package dbm
 
 import (
@@ -170,7 +185,7 @@ func Open(path string, flavour Flavour) (*DB, error) {
 		}
 		return db, nil
 	}
-	if err := db.load(); err != nil {
+	if err := db.load(fi.Size()); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -198,61 +213,81 @@ func (db *DB) initialize() error {
 	return db.f.Sync()
 }
 
-// load reads the header and bucket table and computes the append
-// offset by scanning the record area.
-func (db *DB) load() error {
-	hdr := make([]byte, headerSize)
-	if _, err := db.f.ReadAt(hdr, 0); err != nil {
-		return fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
+// load checks the header against the flavour the database was opened
+// as and recovers the append offset and key count by walking every
+// chain in the file's image.
+func (db *DB) load(size int64) error {
+	hdr, area, err := readImage(db.f, size)
+	if err != nil {
+		return err
 	}
-	if string(hdr[:len(magic)]) != magic {
-		return fmt.Errorf("%w: bad magic", ErrCorrupt)
+	if hdr.flavour != db.flavour {
+		return fmt.Errorf("dbm: %s opened as %s but created as %s", db.path, db.flavour, hdr.flavour)
 	}
-	if Flavour(hdr[len(magic)]) != db.flavour {
-		return fmt.Errorf("dbm: %s opened as %s but created as %s",
-			db.path, db.flavour, Flavour(hdr[len(magic)]))
-	}
-	off := len(magic) + 4
-	nb := binary.LittleEndian.Uint32(hdr[off:])
-	db.live = int64(binary.LittleEndian.Uint64(hdr[off+4:]))
-	db.dead = int64(binary.LittleEndian.Uint64(hdr[off+12:]))
-	if nb == 0 || nb > 1<<20 {
-		return fmt.Errorf("%w: implausible bucket count %d", ErrCorrupt, nb)
-	}
-	db.buckets = make([]int64, nb)
-	tbl := make([]byte, int64(nb)*8)
-	if _, err := db.f.ReadAt(tbl, headerSize); err != nil {
-		return fmt.Errorf("%w: short bucket table: %v", ErrCorrupt, err)
-	}
-	for i := range db.buckets {
-		db.buckets[i] = int64(binary.LittleEndian.Uint64(tbl[i*8:]))
-	}
-	// Recover the append offset and key count by walking every chain.
-	db.end = headerSize + int64(nb)*8
+	db.buckets, db.live, db.dead = hdr.buckets, hdr.live, hdr.dead
+	base := areaStart(db.buckets)
+	db.end = base
 	db.nkeys = 0
-	for _, head := range db.buckets {
-		seen := map[string]bool{}
-		for at := head; at != 0; {
-			rec, err := db.readRecord(at)
-			if err != nil {
-				return err
-			}
-			if rend := at + recHdrSize + int64(len(rec.key)) + int64(rec.valLen); rend > db.end {
-				db.end = rend
-			}
-			// Only the newest record per key determines liveness;
-			// older shadowed versions are dead space.
-			if !seen[string(rec.key)] {
-				seen[string(rec.key)] = true
-				if rec.flags&flagDeleted == 0 {
-					db.nkeys++
-				}
-			}
-			at = rec.prev
+	return walkChains(context.Background(), db.buckets, area, base, func(_ int, at int64, rec record, newest bool) error {
+		if rend := at + rec.size(); rend > db.end {
+			db.end = rend
 		}
-	}
-	return nil
+		// Only the newest record per key determines liveness; older
+		// shadowed versions are dead space.
+		if newest && rec.flags&flagDeleted == 0 {
+			db.nkeys++
+		}
+		return nil
+	})
 }
+
+// header is the decoded fixed part of a database image.
+type header struct {
+	flavour    Flavour
+	live, dead int64
+	buckets    []int64
+}
+
+// readImage reads a database file's bytes from r: the fixed header
+// first, so a file that is not a database is refused before anything of
+// its size is allocated, then the bucket table and the record area
+// (everything after the table) with one ReadAt.
+func readImage(r io.ReaderAt, size int64) (header, []byte, error) {
+	if size < headerSize {
+		return header{}, nil, fmt.Errorf("%w: file shorter than header", ErrCorrupt)
+	}
+	fixed := make([]byte, headerSize)
+	if _, err := r.ReadAt(fixed, 0); err != nil {
+		return header{}, nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
+	}
+	if string(fixed[:len(magic)]) != magic {
+		return header{}, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	h := header{flavour: Flavour(fixed[len(magic)])}
+	off := len(magic) + 4
+	nb := binary.LittleEndian.Uint32(fixed[off:])
+	h.live = int64(binary.LittleEndian.Uint64(fixed[off+4:]))
+	h.dead = int64(binary.LittleEndian.Uint64(fixed[off+12:]))
+	if nb == 0 || nb > 1<<20 {
+		return header{}, nil, fmt.Errorf("%w: implausible bucket count %d", ErrCorrupt, nb)
+	}
+	if size < headerSize+int64(nb)*8 {
+		return header{}, nil, fmt.Errorf("%w: file shorter than bucket table", ErrCorrupt)
+	}
+	rest := make([]byte, size-headerSize)
+	if _, err := r.ReadAt(rest, headerSize); err != nil {
+		return header{}, nil, fmt.Errorf("%w: reading %d bytes: %v", ErrCorrupt, size, err)
+	}
+	h.buckets = make([]int64, nb)
+	for i := range h.buckets {
+		h.buckets[i] = int64(binary.LittleEndian.Uint64(rest[i*8:]))
+	}
+	return h, rest[int64(nb)*8:], nil
+}
+
+// areaStart is the offset of the record area: the first byte after a
+// table of that many buckets.
+func areaStart(buckets []int64) int64 { return headerSize + int64(len(buckets))*8 }
 
 func (db *DB) writeHeader() error {
 	hdr := make([]byte, headerSize)
@@ -266,8 +301,10 @@ func (db *DB) writeHeader() error {
 	return err
 }
 
-// fnv1a hashes a key to a bucket index.
-func (db *DB) bucketOf(key []byte) int {
+// bucketOf hashes a key (FNV-1a) to a bucket index.
+func (db *DB) bucketOf(key []byte) int { return bucketIndex(key, len(db.buckets)) }
+
+func bucketIndex(key []byte, buckets int) int {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -277,35 +314,134 @@ func (db *DB) bucketOf(key []byte) int {
 		h ^= uint64(b)
 		h *= prime64
 	}
-	return int(h % uint64(len(db.buckets)))
+	return int(h % uint64(buckets))
 }
 
+// record is one decoded record. The point lookup leaves the value on
+// disk (val is nil); the bulk decoder fills key and val with slices of
+// its buffer.
 type record struct {
 	prev   int64
 	flags  byte
 	valLen uint32
 	key    []byte
+	val    []byte
+}
+
+// size is the record's length on disk.
+func (r record) size() int64 { return recHdrSize + int64(len(r.key)) + int64(r.valLen) }
+
+// decodeRecHdr decodes the fixed part of the record at offset at and
+// enforces the chain-order invariant: prev must be strictly below at.
+func decodeRecHdr(hdr []byte, at int64) (r record, keyLen uint32, err error) {
+	r.prev = int64(binary.LittleEndian.Uint64(hdr))
+	r.flags = hdr[8]
+	keyLen = binary.LittleEndian.Uint32(hdr[9:])
+	r.valLen = binary.LittleEndian.Uint32(hdr[13:])
+	if keyLen > 1<<24 || r.valLen > 1<<31 {
+		return record{}, 0, fmt.Errorf("%w: implausible lengths at %d", ErrCorrupt, at)
+	}
+	if r.prev < 0 || r.prev >= at {
+		return record{}, 0, fmt.Errorf("%w: chain at %d points forward to %d (cycle)", ErrCorrupt, at, uint64(r.prev))
+	}
+	return r, keyLen, nil
 }
 
 // readRecord reads the header and key (not the value) at offset at.
+// Point lookups use it; db.end is known by then, so a record that
+// claims to run past it is refused before anything is allocated.
 func (db *DB) readRecord(at int64) (record, error) {
+	if at < areaStart(db.buckets) || at+recHdrSize > db.end {
+		return record{}, fmt.Errorf("%w: record offset %d outside the record area", ErrCorrupt, at)
+	}
 	hdr := make([]byte, recHdrSize)
 	if _, err := db.f.ReadAt(hdr, at); err != nil {
 		return record{}, fmt.Errorf("%w: record header at %d: %v", ErrCorrupt, at, err)
 	}
-	var r record
-	r.prev = int64(binary.LittleEndian.Uint64(hdr))
-	r.flags = hdr[8]
-	keyLen := binary.LittleEndian.Uint32(hdr[9:])
-	r.valLen = binary.LittleEndian.Uint32(hdr[13:])
-	if keyLen > 1<<24 || r.valLen > 1<<31 {
-		return record{}, fmt.Errorf("%w: implausible lengths at %d", ErrCorrupt, at)
+	r, keyLen, err := decodeRecHdr(hdr, at)
+	if err != nil {
+		return record{}, err
+	}
+	if at+recHdrSize+int64(keyLen)+int64(r.valLen) > db.end {
+		return record{}, fmt.Errorf("%w: record at %d runs past the record area", ErrCorrupt, at)
 	}
 	r.key = make([]byte, keyLen)
 	if _, err := db.f.ReadAt(r.key, at+recHdrSize); err != nil {
 		return record{}, fmt.Errorf("%w: record key at %d: %v", ErrCorrupt, at, err)
 	}
 	return r, nil
+}
+
+// decodeRecord decodes the record at file offset at from area, the
+// file's bytes from offset base on. Key and value alias area.
+func decodeRecord(area []byte, base, at int64) (record, error) {
+	off := at - base
+	if off < 0 || off+recHdrSize > int64(len(area)) {
+		return record{}, fmt.Errorf("%w: record offset %d outside the record area", ErrCorrupt, at)
+	}
+	r, keyLen, err := decodeRecHdr(area[off:off+recHdrSize], at)
+	if err != nil {
+		return record{}, err
+	}
+	kstart := off + recHdrSize
+	vstart := kstart + int64(keyLen)
+	end := vstart + int64(r.valLen)
+	if end > int64(len(area)) {
+		return record{}, fmt.Errorf("%w: record at %d runs past the record area", ErrCorrupt, at)
+	}
+	// Full slice expressions: an append by a caller must not reach into
+	// the neighbouring record.
+	r.key = area[kstart:vstart:vstart]
+	r.val = area[vstart:end:end]
+	return r, nil
+}
+
+// ctxCheckInterval is how many records a long scan processes between
+// context checks — frequent enough that a cancelled walk of even a
+// huge chain stops within microseconds, rare enough that ctx.Err()'s
+// atomic load never shows up in a profile.
+const ctxCheckInterval = 64
+
+// walkChains is the bulk decoder: it walks every bucket chain
+// newest-first inside area (the file's bytes from offset base on) and
+// calls fn with the bucket, each record's offset, the record, and
+// whether it is the newest one for its key. Each hop is bounds-checked
+// and must point strictly backwards (decodeRecord).
+func walkChains(ctx context.Context, buckets []int64, area []byte, base int64,
+	fn func(b int, at int64, rec record, newest bool) error) error {
+	n := 0
+	for b, head := range buckets {
+		// A chain of one record needs no shadowing bookkeeping; the map
+		// is built when a second record shows up.
+		var headKey []byte
+		var seen map[string]bool
+		for at := head; at != 0; {
+			if n++; n%ctxCheckInterval == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			rec, err := decodeRecord(area, base, at)
+			if err != nil {
+				return fmt.Errorf("bucket %d: %w", b, err)
+			}
+			newest := true
+			if at == head {
+				headKey = rec.key
+			} else {
+				if seen == nil {
+					seen = map[string]bool{string(headKey): true}
+				}
+				newest = !seen[string(rec.key)]
+				seen[string(rec.key)] = true
+			}
+			if err := fn(b, at, rec, newest); err != nil {
+				return err
+			}
+			at = rec.prev
+		}
+	}
+	return nil
 }
 
 // findLocked returns the offset and record of the newest live record
@@ -398,7 +534,7 @@ func (db *DB) Put(key, value []byte) (err error) {
 	}
 	db.live += int64(len(rec))
 	if oldAt != 0 {
-		sz := recHdrSize + int64(len(oldRec.key)) + int64(oldRec.valLen)
+		sz := oldRec.size()
 		db.live -= sz
 		db.dead += sz
 	} else {
@@ -432,7 +568,7 @@ func (db *DB) Delete(key []byte) (found bool, err error) {
 	if _, err := db.f.WriteAt([]byte{rec.flags | flagDeleted}, at+8); err != nil {
 		return false, err
 	}
-	sz := recHdrSize + int64(len(rec.key)) + int64(rec.valLen)
+	sz := rec.size()
 	db.live -= sz
 	db.dead += sz
 	db.nkeys--
@@ -442,6 +578,13 @@ func (db *DB) Delete(key []byte) (found bool, err error) {
 // ForEach calls fn for every live key/value pair. Iteration order is
 // unspecified. If fn returns a non-nil error, iteration stops and the
 // error is returned. fn must not call back into the database.
+//
+// The scan reads the record area with one ReadAt and decodes from that
+// buffer. key and value are slices of it: fn may keep them but must not
+// modify them, and whatever it keeps pins the whole buffer. A scan's
+// transient memory is therefore the file's record area, dead records
+// included, not just the live values — dead space is what Compact
+// exists to bound.
 func (db *DB) ForEach(fn func(key, value []byte) error) error {
 	return db.ForEachContext(context.Background(), fn)
 }
@@ -461,42 +604,18 @@ func (db *DB) ForEachContext(ctx context.Context, fn func(key, value []byte) err
 	return db.forEachLocked(ctx, fn)
 }
 
-// ctxCheckInterval is how many records a long scan processes between
-// context checks — frequent enough that a cancelled walk of even a
-// huge chain stops within microseconds, rare enough that ctx.Err()'s
-// atomic load never shows up in a profile.
-const ctxCheckInterval = 64
-
 func (db *DB) forEachLocked(ctx context.Context, fn func(key, value []byte) error) error {
-	n := 0
-	for _, head := range db.buckets {
-		seen := map[string]bool{}
-		for at := head; at != 0; {
-			if n++; n%ctxCheckInterval == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			rec, err := db.readRecord(at)
-			if err != nil {
-				return err
-			}
-			if !seen[string(rec.key)] {
-				seen[string(rec.key)] = true
-				if rec.flags&flagDeleted == 0 {
-					val := make([]byte, rec.valLen)
-					if _, err := db.f.ReadAt(val, at+recHdrSize+int64(len(rec.key))); err != nil {
-						return fmt.Errorf("%w: record value: %v", ErrCorrupt, err)
-					}
-					if err := fn(append([]byte(nil), rec.key...), val); err != nil {
-						return err
-					}
-				}
-			}
-			at = rec.prev
-		}
+	base := areaStart(db.buckets)
+	area := make([]byte, db.end-base)
+	if _, err := db.f.ReadAt(area, base); err != nil {
+		return fmt.Errorf("%w: record area: %v", ErrCorrupt, err)
 	}
-	return nil
+	return walkChains(ctx, db.buckets, area, base, func(_ int, _ int64, rec record, newest bool) error {
+		if !newest || rec.flags&flagDeleted != 0 {
+			return nil
+		}
+		return fn(rec.key, rec.val)
+	})
 }
 
 // Keys returns every live key. The order is unspecified.

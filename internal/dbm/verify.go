@@ -2,19 +2,20 @@ package dbm
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 )
 
 // Verify checks the structural integrity of the database file at path
 // without opening it for use: header magic and flavour byte, a
-// plausible bucket table, and every bucket chain — each record must
-// lie inside the file, carry plausible lengths, and point strictly
-// backwards (records are append-only, so a chain that points forward
-// or at itself is corrupt and would loop a reader forever). Returns
-// nil for a structurally sound file and an error wrapping ErrCorrupt
-// otherwise.
+// plausible bucket table, and every bucket chain under the same decoder
+// Open and ForEach use (walkChains) — each record must lie inside the
+// file, carry plausible lengths and point strictly backwards. On top of
+// what those readers require, every key must hash to the bucket whose
+// chain holds it: a misplaced record is yielded by a scan yet invisible
+// to Get. Returns nil for a structurally sound file and an error
+// wrapping ErrCorrupt otherwise.
 //
 // Verify is read-only and safe to run on a database another process
 // has open, though a concurrent writer can yield spurious findings;
@@ -23,8 +24,8 @@ func Verify(path string) error {
 	return VerifyContext(context.Background(), path)
 }
 
-// VerifyContext is Verify with a cancellation checkpoint between bucket
-// chains, so an fsck pass over thousands of sidecar databases can be
+// VerifyContext is Verify with a cancellation checkpoint between
+// records, so an fsck pass over thousands of sidecar databases can be
 // abandoned promptly. Verification is read-only; stopping early leaves
 // nothing behind.
 func VerifyContext(ctx context.Context, path string) error {
@@ -37,72 +38,25 @@ func VerifyContext(ctx context.Context, path string) error {
 	if err != nil {
 		return err
 	}
-	size := fi.Size()
-	if size < headerSize {
-		return fmt.Errorf("%w: %s: file shorter than header", ErrCorrupt, path)
-	}
-	hdr := make([]byte, headerSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return fmt.Errorf("%w: %s: short header: %v", ErrCorrupt, path, err)
-	}
-	if string(hdr[:len(magic)]) != magic {
-		return fmt.Errorf("%w: %s: bad magic", ErrCorrupt, path)
-	}
-	switch Flavour(hdr[len(magic)]) {
-	case GDBM, SDBM:
-	default:
-		return fmt.Errorf("%w: %s: unknown flavour byte %d", ErrCorrupt, path, hdr[len(magic)])
-	}
-	off := len(magic) + 4
-	nb := binary.LittleEndian.Uint32(hdr[off:])
-	if nb == 0 || nb > 1<<20 {
-		return fmt.Errorf("%w: %s: implausible bucket count %d", ErrCorrupt, path, nb)
-	}
-	tableEnd := headerSize + int64(nb)*8
-	if size < tableEnd {
-		return fmt.Errorf("%w: %s: file shorter than bucket table", ErrCorrupt, path)
-	}
-	tbl := make([]byte, int64(nb)*8)
-	if _, err := f.ReadAt(tbl, headerSize); err != nil {
-		return fmt.Errorf("%w: %s: short bucket table: %v", ErrCorrupt, path, err)
-	}
-	rec := make([]byte, recHdrSize)
-	for b := uint32(0); b < nb; b++ {
-		if b%256 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		at := int64(binary.LittleEndian.Uint64(tbl[b*8:]))
-		// Chains run newest-to-oldest and records are append-only, so
-		// each hop must strictly decrease; the chain length is bounded
-		// by that alone, no visited-set needed.
-		for at != 0 {
-			if at < tableEnd || at+recHdrSize > size {
-				return fmt.Errorf("%w: %s: bucket %d: record offset %d outside file",
-					ErrCorrupt, path, b, at)
-			}
-			if _, err := f.ReadAt(rec, at); err != nil {
-				return fmt.Errorf("%w: %s: bucket %d: record header at %d: %v",
-					ErrCorrupt, path, b, at, err)
-			}
-			prev := int64(binary.LittleEndian.Uint64(rec))
-			keyLen := binary.LittleEndian.Uint32(rec[9:])
-			valLen := binary.LittleEndian.Uint32(rec[13:])
-			if keyLen > 1<<24 || valLen > 1<<31 {
-				return fmt.Errorf("%w: %s: bucket %d: implausible lengths at %d",
-					ErrCorrupt, path, b, at)
-			}
-			if end := at + recHdrSize + int64(keyLen) + int64(valLen); end > size {
-				return fmt.Errorf("%w: %s: bucket %d: record at %d runs past end of file",
-					ErrCorrupt, path, b, at)
-			}
-			if prev != 0 && prev >= at {
-				return fmt.Errorf("%w: %s: bucket %d: chain at %d points forward to %d (cycle)",
-					ErrCorrupt, path, b, at, prev)
-			}
-			at = prev
-		}
+	if err := verifyImage(ctx, f, fi.Size()); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
+}
+
+// verifyImage is Verify over any reader of a database file's bytes.
+func verifyImage(ctx context.Context, r io.ReaderAt, size int64) error {
+	hdr, area, err := readImage(r, size)
+	if err != nil {
+		return err
+	}
+	if hdr.flavour != GDBM && hdr.flavour != SDBM {
+		return fmt.Errorf("%w: unknown flavour byte %d", ErrCorrupt, byte(hdr.flavour))
+	}
+	return walkChains(ctx, hdr.buckets, area, areaStart(hdr.buckets), func(b int, at int64, rec record, _ bool) error {
+		if bucketIndex(rec.key, len(hdr.buckets)) != b {
+			return fmt.Errorf("bucket %d: %w: key at %d hashes to another bucket", b, ErrCorrupt, at)
+		}
+		return nil
+	})
 }

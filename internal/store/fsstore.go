@@ -543,7 +543,9 @@ func (s *FSStore) list(ctx context.Context, cp string, withProps bool) ([]Resour
 		child := path.Join(cp, e.Name())
 		var me memberEntry
 		if withProps {
-			me.info, me.prop = s.resolveWithProps(ctx, child, efi)
+			if me.info, me.prop, err = s.resolveWithProps(ctx, child, efi); err != nil {
+				return nil, nil, err
+			}
 		} else {
 			me.info = s.infoFor(ctx, child, efi)
 		}
@@ -562,7 +564,10 @@ func (s *FSStore) list(ctx context.Context, cp string, withProps bool) ([]Resour
 // resolveWithProps builds one resource's info and property map in a
 // single pass over its property database: dead properties and internal
 // metadata come out of the same iteration through one cached handle.
-func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInfo) (ResourceInfo, map[xml.Name][]byte) {
+// A database that cannot be opened or scanned to the end is an error,
+// as it is for PropAll: a listing with the properties silently missing
+// would read as "this resource has none".
+func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInfo) (ResourceInfo, map[xml.Name][]byte, error) {
 	ri := ResourceInfo{
 		Path:         cp,
 		IsCollection: fi.IsDir(),
@@ -572,7 +577,7 @@ func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInf
 	props := map[xml.Name][]byte{}
 	var ctype string
 	var gen int64
-	s.withProps(ctx, cp, false, func(h *dbm.Handle) error {
+	err := s.withProps(ctx, cp, false, func(h *dbm.Handle) error {
 		return h.ForEach(func(k, v []byte) error {
 			if name, ok := parsePropKey(k); ok {
 				props[name] = v
@@ -587,10 +592,13 @@ func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInf
 			return nil
 		})
 	})
+	if err != nil {
+		return ResourceInfo{}, nil, fmt.Errorf("properties of %s: %w", cp, err)
+	}
 	if !fi.IsDir() {
 		s.fillDocInfo(&ri, fi, ctype, gen)
 	}
-	return ri, props
+	return ri, props, nil
 }
 
 // StatWithProps implements BatchReader.
@@ -612,8 +620,7 @@ func (s *FSStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, ma
 	if err != nil {
 		return ResourceInfo{}, nil, mapFSErr(err, cp)
 	}
-	ri, props := s.resolveWithProps(ctx, cp, fi)
-	return ri, props, nil
+	return s.resolveWithProps(ctx, cp, fi)
 }
 
 // ListWithProps implements BatchReader: one shared lock on the

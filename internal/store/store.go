@@ -70,6 +70,12 @@ func (ri ResourceInfo) Name() string {
 // ctx carries the request scope: trace attribution, cancellation, and
 // deadlines. Implementations abort early — without leaving partial
 // state visible — when ctx is done; the error then wraps ctx.Err().
+//
+// Property values returned by PropAll, StatWithProps and ListWithProps
+// are read-only. An FSStore's are slices of the buffer its one-ReadAt
+// scan of the property database filled (see dbm.ForEach): a caller may
+// keep them, which keeps that buffer alive, but must copy before it
+// modifies one.
 type Store interface {
 	// Stat describes the resource at p.
 	Stat(ctx context.Context, p string) (ResourceInfo, error)
@@ -309,7 +315,8 @@ type MemberProps struct {
 // members costs one traversal through cached database handles instead
 // of N+1 independent lookups, each reopening its database.
 type BatchReader interface {
-	// StatWithProps is Stat plus PropAll under one resource lock.
+	// StatWithProps is Stat plus PropAll under one resource lock; a
+	// property database that cannot be read is an error here as there.
 	StatWithProps(ctx context.Context, p string) (ResourceInfo, map[xml.Name][]byte, error)
 	// ListWithProps is List plus each member's PropAll under one
 	// collection lock, sorted by path.

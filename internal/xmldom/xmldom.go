@@ -264,6 +264,12 @@ func MarshalDocument(n *Node) []byte {
 // MarshalTo writes the serialized subtree to w.
 func MarshalTo(w io.Writer, n *Node) {
 	prefixes := assignPrefixes(n)
+	// A caller already assembling into a buffer gets the bytes there
+	// directly, not through a private one that is then copied.
+	if buf, ok := w.(*bytes.Buffer); ok {
+		writeNode(buf, n, prefixes, true)
+		return
+	}
 	var buf bytes.Buffer
 	writeNode(&buf, n, prefixes, true)
 	w.Write(buf.Bytes())
