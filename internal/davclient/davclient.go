@@ -504,12 +504,36 @@ func (c *Client) PropFind(p string, depth davproto.Depth, pf davproto.Propfind) 
 	if err != nil {
 		return davproto.Multistatus{}, err
 	}
-	defer resp.Body.Close()
-	if c.cfg.Parser == ParserSAX {
-		return parseMultistatusSAX(resp.Body)
-	}
-	return davproto.ParseMultistatus(resp.Body)
+	return c.parseMultistatus(resp)
 }
+
+// parseMultistatus reads a 207 with the configured parser and closes
+// it. Both parsers take the body whole; a response that states its
+// length is read into one buffer of that size.
+func (c *Client) parseMultistatus(resp *http.Response) (davproto.Multistatus, error) {
+	defer resp.Body.Close()
+	var body io.Reader = resp.Body
+	if n := resp.ContentLength; n > 0 && n <= maxPresizedBody {
+		body = sizedBody{resp.Body, int(n)}
+	}
+	if c.cfg.Parser == ParserSAX {
+		return parseMultistatusSAX(body)
+	}
+	return davproto.ParseMultistatus(body)
+}
+
+// maxPresizedBody is the largest buffer a Content-Length header alone
+// makes the client allocate; a longer body grows as it arrives.
+const maxPresizedBody = 64 << 20
+
+// sizedBody is a response body that knows its length, which is what
+// xmldom looks for to read it in one piece.
+type sizedBody struct {
+	io.Reader
+	n int
+}
+
+func (b sizedBody) Len() int { return b.n }
 
 // PropFindAll fetches all properties (allprop).
 func (c *Client) PropFindAll(p string, depth davproto.Depth) (davproto.Multistatus, error) {
@@ -536,11 +560,7 @@ func (c *Client) Search(bs davproto.BasicSearch) (davproto.Multistatus, error) {
 	if err != nil {
 		return davproto.Multistatus{}, err
 	}
-	defer resp.Body.Close()
-	if c.cfg.Parser == ParserSAX {
-		return parseMultistatusSAX(resp.Body)
-	}
-	return davproto.ParseMultistatus(resp.Body)
+	return c.parseMultistatus(resp)
 }
 
 // SupportsSearch probes the server's OPTIONS response for the DASL
@@ -611,11 +631,7 @@ func (c *Client) PropPatch(p string, ops []davproto.PatchOp) (davproto.Multistat
 	if err != nil {
 		return davproto.Multistatus{}, err
 	}
-	defer resp.Body.Close()
-	if c.cfg.Parser == ParserSAX {
-		return parseMultistatusSAX(resp.Body)
-	}
-	return davproto.ParseMultistatus(resp.Body)
+	return c.parseMultistatus(resp)
 }
 
 // SetProps sets properties and fails if any instruction is rejected.

@@ -5,7 +5,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/davproto"
 	"repro/internal/xmldom"
@@ -30,8 +29,9 @@ func parseMultistatusSAX(r io.Reader) (davproto.Multistatus, error) {
 		propRoot *xmldom.Node
 		propCur  *xmldom.Node
 
-		text bytes.Buffer
-		path []xml.Name
+		// text is the character data since the last tag, outside
+		// property values: an href or a status line.
+		text []byte
 	)
 	isDAV := func(n xml.Name, local string) bool {
 		return n.Space == davproto.NS && n.Local == local
@@ -39,13 +39,7 @@ func parseMultistatusSAX(r io.Reader) (davproto.Multistatus, error) {
 
 	h := xmldom.SAXHandler{
 		StartElement: func(name xml.Name, attrs []xml.Attr) error {
-			path = append(path, name)
-			// Flush text accumulated before a child element so mixed
-			// content inside property values is preserved.
-			if propRoot != nil {
-				propCur.Text += text.String()
-			}
-			text.Reset()
+			text = text[:0]
 			switch {
 			case propRoot != nil:
 				// Inside a property value subtree.
@@ -68,48 +62,42 @@ func parseMultistatusSAX(r io.Reader) (davproto.Multistatus, error) {
 			return nil
 		},
 		EndElement: func(name xml.Name) error {
-			defer func() {
-				path = path[:len(path)-1]
-				text.Reset()
-			}()
+			var err error
 			switch {
 			case propRoot != nil:
-				propCur.Text += text.String()
 				if propCur == propRoot {
 					// Property complete.
 					ps.Props = append(ps.Props, davproto.Property{XML: propRoot})
-					propRoot, propCur = nil, nil
-					return nil
+					propRoot = nil
 				}
 				propCur = propCur.Parent
 			case inProp && isDAV(name, "prop"):
 				inProp = false
 			case inPropstat && isDAV(name, "status"):
-				code, err := davproto.ParseStatusLine(text.String())
-				if err != nil {
-					return err
-				}
-				ps.Status = code
+				ps.Status, err = davproto.ParseStatusLine(string(text))
 			case inPropstat && isDAV(name, "propstat"):
 				inPropstat = false
 				resp.Propstats = append(resp.Propstats, ps)
 			case inResponse && isDAV(name, "href"):
-				resp.Href = strings.TrimSpace(text.String())
+				resp.Href = string(bytes.TrimSpace(text))
 			case inResponse && isDAV(name, "status"):
 				// Response-level status (no propstats).
-				code, err := davproto.ParseStatusLine(text.String())
-				if err != nil {
-					return err
-				}
-				resp.Status = code
+				resp.Status, err = davproto.ParseStatusLine(string(text))
 			case isDAV(name, "response"):
 				inResponse = false
 				ms.Responses = append(ms.Responses, resp)
 			}
-			return nil
+			text = text[:0]
+			return err
 		},
+		// A property value's text, mixed content included, goes to the
+		// element it stands in, in one copy out of the response body.
 		CharData: func(data []byte) error {
-			text.Write(data)
+			if propRoot != nil {
+				propCur.Text += string(data)
+			} else {
+				text = append(text, data...)
+			}
 			return nil
 		},
 	}

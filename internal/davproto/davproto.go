@@ -142,9 +142,38 @@ func ParsePropfind(r io.Reader) (Propfind, error) {
 	}
 	pf := Propfind{Kind: PropfindProps}
 	for _, c := range prop.Children {
+		if !writableName(c.Name) {
+			return Propfind{}, fmt.Errorf("davproto: property name %q cannot be written as namespaced XML", c.Name.Local)
+		}
 		pf.Props = append(pf.Props, c.Name)
 	}
 	return pf, nil
+}
+
+// writableName reports whether Marshal can write the name so that it
+// reads back. encoding/xml takes a colon at either end of a name as
+// part of the local name, so <a: xmlns="u"/> is {u}a: - which could
+// only be written prefix:a:, and that is not a name.
+func writableName(n xml.Name) bool {
+	return n.Space == "" || !strings.Contains(n.Local, ":")
+}
+
+// unwritableName returns the first element or attribute name under n
+// that Marshal cannot write: a property holding one would be stored as
+// bytes no PROPFIND can serve.
+func unwritableName(n *xmldom.Node) (bad *xml.Name) {
+	n.Walk(func(c *xmldom.Node) bool {
+		if bad == nil && !writableName(c.Name) {
+			bad = &c.Name
+		}
+		for i := range c.Attrs {
+			if bad == nil && !writableName(c.Attrs[i].Name) {
+				bad = &c.Attrs[i].Name
+			}
+		}
+		return bad == nil
+	})
+	return bad
 }
 
 // MarshalPropfind builds a PROPFIND request body for the client side.
@@ -196,8 +225,11 @@ func ParseProppatch(r io.Reader) ([]PatchOp, error) {
 			return nil, fmt.Errorf("davproto: %s without prop", action.Name.Local)
 		}
 		for _, p := range prop.Children {
-			cp := p.Clone()
-			ops = append(ops, PatchOp{Remove: remove, Prop: Property{XML: cp}})
+			if bad := unwritableName(p); bad != nil {
+				return nil, fmt.Errorf("davproto: name %q in property %s cannot be written as namespaced XML", bad.Local, p.Name.Local)
+			}
+			p.Parent = nil // detached, not copied: nobody keeps the request document
+			ops = append(ops, PatchOp{Remove: remove, Prop: Property{XML: p}})
 		}
 	}
 	if len(ops) == 0 {
@@ -319,7 +351,8 @@ func multistatusFromDOM(root *xmldom.Node) (Multistatus, error) {
 			}
 			if prop := pse.Find(NS, "prop"); prop != nil {
 				for _, p := range prop.Children {
-					ps.Props = append(ps.Props, Property{XML: p.Clone()})
+					p.Parent = nil // detached, not copied: root is dropped on return
+					ps.Props = append(ps.Props, Property{XML: p})
 				}
 			}
 			resp.Propstats = append(resp.Propstats, ps)

@@ -3,6 +3,7 @@ package davproto
 import (
 	"bytes"
 	"encoding/xml"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"reflect"
@@ -362,5 +363,43 @@ func TestQuickMultistatusRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// table1Multistatus is the 207 the paper's Table 1 row moves, as davd
+// writes it: 51 responses x 5 properties x 1 KiB, each property with
+// its own namespace declaration.
+func table1Multistatus() []byte {
+	var buf bytes.Buffer
+	buf.WriteString(`<?xml version="1.0" encoding="UTF-8"?>` + "\n" + `<D:multistatus xmlns:D="DAV:">`)
+	for i := 0; i < 51; i++ {
+		fmt.Fprintf(&buf, `<D:response><D:href>/sweep/doc%02d</D:href><D:propstat><D:prop>`, i)
+		for j := 0; j < 5; j++ {
+			fmt.Fprintf(&buf, `<ns0:prop%02d xmlns:ns0="urn:ecce">%s</ns0:prop%02d>`, j, strings.Repeat("v", 1024), j)
+		}
+		buf.WriteString(`</D:prop><D:status>HTTP/1.1 200 OK</D:status></D:propstat></D:response>`)
+	}
+	buf.WriteString(`</D:multistatus>`)
+	return buf.Bytes()
+}
+
+// TestParseMultistatusAllocations keeps the DOM path from growing back
+// the copies it shed: one node, one name-independent text string and
+// the odd slice per element, no second tree. Measured 1,838 when
+// written (6,582 per whole PROPFIND before the tokenizer).
+func TestParseMultistatusAllocations(t *testing.T) {
+	body := table1Multistatus()
+	ms, err := ParseMultistatus(bytes.NewReader(body))
+	if err != nil || len(ms.Responses) != 51 || len(ms.Responses[50].Propstats[0].Props) != 5 {
+		t.Fatalf("parse: %v, %d responses", err, len(ms.Responses))
+	}
+	if p := ms.Responses[0].Propstats[0].Props[0].XML; p.Parent != nil || len(p.Text) != 1024 {
+		t.Fatalf("property not detached or not whole: parent %v, %d bytes", p.Parent, len(p.Text))
+	}
+	const ceiling = 2200
+	if n := testing.AllocsPerRun(10, func() { ParseMultistatus(bytes.NewReader(body)) }); n > ceiling {
+		t.Errorf("%v allocations per Table 1 body, ceiling %d", n, ceiling)
+	} else {
+		t.Logf("%v allocations per Table 1 body", n)
 	}
 }

@@ -270,3 +270,41 @@ func TestBuildRejectsBeforeOpening(t *testing.T) {
 		}
 	}
 }
+
+// TestDeeplyNestedBodyIs400: the parser bounds element nesting, so a
+// body of nothing but start tags is an ordinary bad request. Before it
+// did, ParseProppatch recursed over such a tree until the goroutine
+// stack ran out, which is fatal to the process, not a panic Harden
+// could recover.
+func TestDeeplyNestedBodyIs400(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Store = store.NewMemStore()
+	dav, _, _ := builtServer(t, cfg)
+	wantStatus(t, do(t, "PUT", dav.URL+"/doc", nil, "a document"), 201)
+
+	nest := func(n int) string { return strings.Repeat("<a>", n) + strings.Repeat("</a>", n) }
+	proppatch := func(value string) string {
+		return `<D:propertyupdate xmlns:D="DAV:"><D:set><D:prop><p xmlns="urn:t">` + value + `</p></D:prop></D:set></D:propertyupdate>`
+	}
+	propfind := func(value string) string {
+		return `<D:propfind xmlns:D="DAV:"><D:prop>` + value + `</D:prop></D:propfind>`
+	}
+	for _, tc := range []struct {
+		method, body string
+		want         int
+	}{
+		{"PROPPATCH", proppatch(nest(500)), 207}, // 504 deep: inside the limit
+		{"PROPPATCH", proppatch(nest(600)), 400},
+		{"PROPPATCH", strings.Repeat("<a>", 1<<20), 400},
+		{"PROPFIND", propfind(nest(500)), 207},
+		{"PROPFIND", propfind(nest(600)), 400},
+		{"PROPFIND", strings.Repeat("<a>", 1<<20), 400},
+	} {
+		wantStatus(t, do(t, tc.method, dav.URL+"/doc", map[string]string{"Depth": "0"}, tc.body), tc.want)
+		resp := do(t, "GET", dav.URL+"/doc", nil, "")
+		wantStatus(t, resp, 200)
+		if b, _ := io.ReadAll(resp.Body); string(b) != "a document" {
+			t.Fatalf("after the %s, GET /doc = %q", tc.method, b)
+		}
+	}
+}

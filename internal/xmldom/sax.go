@@ -21,44 +21,15 @@ type SAXHandler struct {
 	CharData     func(data []byte) error
 }
 
-// ScanSAX streams the XML document from r through the handler.
+// ScanSAX reads the XML document from r whole and reports it to the
+// handler. Unlike Parse it takes any number of top-level elements, none
+// included, and reports the character data around them.
 func ScanSAX(r io.Reader, h SAXHandler) error {
-	dec := xml.NewDecoder(r)
-	depth := 0
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			if depth != 0 {
-				return fmt.Errorf("xmldom: unexpected EOF at depth %d", depth)
-			}
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("xmldom: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			depth++
-			if h.StartElement != nil {
-				if err := h.StartElement(t.Name, stripNamespaceAttrs(t.Attr)); err != nil {
-					return err
-				}
-			}
-		case xml.EndElement:
-			depth--
-			if h.EndElement != nil {
-				if err := h.EndElement(t.Name); err != nil {
-					return err
-				}
-			}
-		case xml.CharData:
-			if h.CharData != nil {
-				if err := h.CharData(t); err != nil {
-					return err
-				}
-			}
-		}
+	b, err := readAll(r)
+	if err != nil {
+		return fmt.Errorf("xmldom: %w", err)
 	}
+	return scan(b, h)
 }
 
 // PathCollector is a SAXHandler helper that tracks the current element

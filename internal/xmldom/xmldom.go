@@ -1,5 +1,7 @@
 // Package xmldom provides a small XML document object model (DOM) and
-// a streaming SAX-style scanner, both built on encoding/xml.
+// a SAX-style scanner over one tokenizer of its own, which takes the
+// document as a byte slice and decides and reports exactly what
+// encoding/xml's Decoder would, ten times as fast (DESIGN §16).
 //
 // The HPDC 2001 Ecce paper used the Xerces 1.3 DOM parser on the client
 // and attributed most of the client-side cost of bulk PROPFIND
@@ -16,6 +18,7 @@ package xmldom
 import (
 	"bytes"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -166,73 +169,55 @@ func (n *Node) CountNodes() int {
 	return total
 }
 
-// Parse reads an XML document and returns its root element.
+// Parse reads an XML document whole and returns its root element.
 func Parse(r io.Reader) (*Node, error) {
-	dec := xml.NewDecoder(r)
-	var root *Node
-	var cur *Node
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmldom: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := &Node{Name: t.Name, Attrs: stripNamespaceAttrs(t.Attr)}
-			if cur == nil {
-				if root != nil {
-					return nil, fmt.Errorf("xmldom: multiple root elements")
-				}
-				root = n
-			} else {
-				cur.AppendChild(n)
-			}
-			cur = n
-		case xml.EndElement:
-			if cur == nil {
-				return nil, fmt.Errorf("xmldom: unbalanced end element %s", t.Name.Local)
-			}
-			cur = cur.Parent
-		case xml.CharData:
-			if cur != nil {
-				cur.Text += string(t)
-			}
-		// Comments, directives and processing instructions are dropped.
-		case xml.Comment, xml.Directive, xml.ProcInst:
-		}
+	b, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xmldom: %w", err)
 	}
-	if root == nil {
-		return nil, fmt.Errorf("xmldom: empty document")
-	}
-	if cur != nil {
-		return nil, fmt.Errorf("xmldom: unexpected EOF inside <%s>", cur.Name.Local)
-	}
-	return root, nil
+	return ParseBytes(b)
 }
 
 // ParseString parses an XML document held in a string.
-func ParseString(s string) (*Node, error) { return Parse(strings.NewReader(s)) }
+func ParseString(s string) (*Node, error) { return ParseBytes([]byte(s)) }
 
-// ParseBytes parses an XML document held in a byte slice.
-func ParseBytes(b []byte) (*Node, error) { return Parse(bytes.NewReader(b)) }
-
-// stripNamespaceAttrs removes xmlns declarations, which the decoder
-// has already consumed to resolve names.
-func stripNamespaceAttrs(attrs []xml.Attr) []xml.Attr {
-	out := attrs[:0]
-	for _, a := range attrs {
-		if a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns") {
-			continue
-		}
-		out = append(out, a)
+// ParseBytes parses an XML document held in a byte slice, which it
+// only reads.
+func ParseBytes(b []byte) (*Node, error) {
+	var root, cur *Node
+	err := scan(b, SAXHandler{
+		StartElement: func(name xml.Name, attrs []xml.Attr) error {
+			n := &Node{Name: name, Attrs: attrs}
+			switch {
+			case cur != nil:
+				cur.AppendChild(n)
+			case root != nil:
+				return errors.New("xmldom: multiple root elements")
+			default:
+				root = n
+			}
+			cur = n
+			return nil
+		},
+		EndElement: func(xml.Name) error {
+			cur = cur.Parent
+			return nil
+		},
+		// Character data outside the root element is checked, then dropped.
+		CharData: func(data []byte) error {
+			if cur != nil {
+				cur.Text += string(data)
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(out) == 0 {
-		return nil
+	if root == nil {
+		return nil, errors.New("xmldom: empty document")
 	}
-	return append([]xml.Attr(nil), out...)
+	return root, nil
 }
 
 // wellKnownPrefixes maps namespaces to conventional prefixes used when
