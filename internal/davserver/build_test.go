@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -306,5 +307,74 @@ func TestDeeplyNestedBodyIs400(t *testing.T) {
 		if b, _ := io.ReadAll(resp.Body); string(b) != "a document" {
 			t.Fatalf("after the %s, GET /doc = %q", tc.method, b)
 		}
+	}
+}
+
+// TestBuiltGetStreamsAndCounts: a GET through the whole chain hands the
+// document to net/http by ReadFrom (obs.ResponseRecorder forwards it),
+// and the recorder still sees every byte: body, Content-Length, the
+// access log's status and bytes, and dav_response_body_bytes agree for a
+// document larger than any copy buffer, a small one and an empty one.
+func TestBuiltGetStreamsAndCounts(t *testing.T) {
+	fs, err := store.NewFSStore(t.TempDir(), dbm.GDBM) // files, so that there is something to sendfile
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Store = fs
+	dav, admin, logw := builtServer(t, cfg)
+	total := 0
+	for _, size := range []int{300 << 10, 10, 0} {
+		body := strings.Repeat("0123456789", size/10)
+		url := dav.URL + "/doc" + strconv.Itoa(size)
+		wantStatus(t, do(t, "PUT", url, nil, body), 201)
+		resp := do(t, "GET", url, nil, "")
+		wantStatus(t, resp, 200)
+		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(size) {
+			t.Errorf("GET of %d bytes: Content-Length %q", size, cl)
+		}
+		if b, _ := io.ReadAll(resp.Body); string(b) != body {
+			t.Errorf("GET of %d bytes returned %d, or other, bytes", size, len(b))
+		}
+		if want := "method=GET path=/doc" + strconv.Itoa(size) + " depth=\"\" status=200 bytes=" + strconv.Itoa(size) + " "; !strings.Contains(logw.String(), want) {
+			t.Errorf("access log lacks %q:\n%s", want, logw.String())
+		}
+		total += size
+	}
+	exposition := scrape(t, admin)
+	for _, want := range []string{
+		`dav_response_body_bytes_count{method="GET"} 3`,
+		`dav_response_body_bytes_sum{method="GET"} ` + strconv.Itoa(total),
+	} {
+		if !strings.Contains(exposition, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestStatusShowsHandleCacheBytes: what the cached handles' resident
+// images hold is a row of /debug/status's gauges, beside the handle
+// count, and it is not zero once a property database is open.
+func TestStatusShowsHandleCacheBytes(t *testing.T) {
+	fs, err := store.NewFSStore(t.TempDir(), dbm.GDBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Store = fs
+	dav, admin, _ := builtServer(t, cfg)
+	wantStatus(t, do(t, "PUT", dav.URL+"/doc", nil, "a document"), 201)
+	wantStatus(t, do(t, "PROPPATCH", dav.URL+"/doc", nil,
+		`<D:propertyupdate xmlns:D="DAV:"><D:set><D:prop><k xmlns="ns:">`+strings.Repeat("v", 1000)+`</k></D:prop></D:set></D:propertyupdate>`), 207)
+	resp := do(t, "GET", admin.URL+"/debug/status?format=json", nil, "")
+	wantStatus(t, resp, 200)
+	var doc struct {
+		Gauges map[string]float64 `json:"gauges"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if open, bytes := doc.Gauges["dav_dbm_cache_open"], doc.Gauges["dav_dbm_cache_bytes"]; open != 1 || bytes < 1000 || bytes > 64<<20 {
+		t.Errorf("gauges: dav_dbm_cache_open = %v, dav_dbm_cache_bytes = %v; want 1 handle holding at least the 1000-byte value", open, bytes)
 	}
 }

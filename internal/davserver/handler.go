@@ -302,7 +302,10 @@ func (h *Handler) handleGet(w http.ResponseWriter, r *http.Request, p string) {
 		w.WriteHeader(http.StatusOK)
 		return
 	}
-	if _, err := io.Copy(w, rc); err != nil {
+	// CopyN, not Copy: the *io.LimitedReader it wraps the document in is
+	// the shape net's sendfile path recognises, where Go 1.24's
+	// os.File.WriteTo (which io.Copy prefers) hands it one it does not.
+	if _, err := io.CopyN(w, rc, ri.Size); err != nil {
 		h.logf("dav: GET %s: %v", p, err)
 	}
 }

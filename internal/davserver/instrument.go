@@ -275,7 +275,7 @@ func (m *Metrics) TrackStore(s store.Store) {
 			"DBM handle-cache misses, i.e. database opens (cumulative).", nil,
 			func() float64 { return float64(cs.CacheStats().Misses) })
 		m.Registry.GaugeFunc("dav_dbm_cache_evictions_total",
-			"DBM handles closed by LRU pressure (cumulative).", nil,
+			"DBM handles closed by LRU or byte-budget pressure (cumulative).", nil,
 			func() float64 { return float64(cs.CacheStats().Evictions) })
 		m.Registry.GaugeFunc("dav_dbm_cache_invalidations_total",
 			"DBM handles closed by delete/rename invalidation (cumulative).", nil,
@@ -283,6 +283,9 @@ func (m *Metrics) TrackStore(s store.Store) {
 		m.Registry.GaugeFunc("dav_dbm_cache_open",
 			"DBM handles currently cached.", nil,
 			func() float64 { return float64(cs.CacheStats().Open) })
+		m.Registry.GaugeFunc("dav_dbm_cache_bytes",
+			"Bytes the cached DBM handles' resident record images hold (budget: 64 MiB).", nil,
+			func() float64 { return float64(cs.CacheStats().Bytes) })
 	}
 	if rs, ok := s.(recoveryStatser); ok {
 		m.Registry.GaugeFunc("dav_recovery_runs_total",

@@ -241,6 +241,7 @@ func TestTrackStoreExposesConcurrencyGauges(t *testing.T) {
 		"dav_pathlock_held 0",
 		"dav_dbm_cache_misses_total",
 		"dav_dbm_cache_open",
+		"dav_dbm_cache_bytes",
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Fatalf("metrics exposition missing %q:\n%s", want, scrape)

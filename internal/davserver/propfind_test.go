@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -184,6 +185,15 @@ func propsFileOf(t *testing.T, root, name string) string {
 	return found[0]
 }
 
+// dropCachedHandle makes the store open file again on its next use. A
+// cached handle serves the image it validated when it was opened, so
+// damage planted in the file behind it shows at the next open — which
+// is an eviction, an invalidation or a restart away.
+func dropCachedHandle(t *testing.T, h *Handler, file string) {
+	t.Helper()
+	h.store.(*store.FSStore).HandleCache().Invalidate(file)
+}
+
 func logLines(log *bytes.Buffer) int { return bytes.Count(log.Bytes(), []byte("\n")) }
 
 // One flipped byte inside one stored value must cost exactly that
@@ -223,6 +233,7 @@ func TestPropfindSurvivesDamagedStoredValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+	dropCachedHandle(t, h, file)
 
 	for _, tc := range []struct {
 		name, body string
@@ -288,6 +299,10 @@ func TestPropfindFailsOnUnreadablePropertyDatabase(t *testing.T) {
 			if err := os.Truncate(file, int64(bytes.Index(data, []byte("<ns0:k"))+3)); err != nil {
 				t.Fatal(err)
 			}
+			if err := dbm.Verify(file); !errors.Is(err, dbm.ErrCorrupt) {
+				t.Errorf("Verify of the truncated file = %v, want ErrCorrupt with the handle still cached", err)
+			}
+			dropCachedHandle(t, h, file)
 
 			if _, err := h.store.PropAll(context.Background(), "/col/doc"); err == nil {
 				t.Fatal("PropAll reads the truncated database without error; the test damages nothing")

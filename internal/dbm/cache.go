@@ -3,6 +3,8 @@ package dbm
 import (
 	"container/list"
 	"context"
+	"errors"
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -23,32 +25,44 @@ import (
 //
 //   - Acquire returns a Handle pinning the entry; the DB is never
 //     closed while pinned. Handles are cheap and per-request.
-//   - Eviction (LRU, beyond the capacity) and Invalidate close the DB
-//     once the last pin is released.
+//   - Eviction and Invalidate close the DB once the last pin is
+//     released. Eviction is LRU over the idle entries, against two
+//     bounds at once: the handle count (the capacity) and the bytes the
+//     open databases' resident images hold (cacheBudgetBytes). A
+//     database bigger than the whole byte budget lives only while
+//     pinned — as does every other entry, the cache being over budget
+//     for that long — and is dropped on its last release.
 //   - Invalidate must be called when the backing file is deleted or
 //     renamed (the store's Delete and Rename paths do this). Compact
 //     needs no invalidation: DB.Compact swaps the file under the same
 //     *DB, so cached handles stay valid.
 
+// cacheBudgetBytes bounds the memory the cached databases' resident
+// images may hold; the same figure as davclient.DefaultCacheBytes.
+const cacheBudgetBytes = 64 << 20
+
 // CacheStats is a point-in-time snapshot of a cache's counters.
 type CacheStats struct {
 	Hits          int64 // Acquire calls served by an open handle
 	Misses        int64 // Acquire calls that had to open the database
-	Evictions     int64 // entries closed by LRU pressure
+	Evictions     int64 // entries closed by LRU or byte-budget pressure
 	Invalidations int64 // entries closed by Invalidate/InvalidatePrefix
 	Open          int   // entries currently in the cache
 	Pinned        int   // entries with at least one outstanding Handle
+	Bytes         int64 // resident image bytes, as of each entry's last release
 }
 
 // Cache is a bounded, refcounted LRU of open databases. Safe for
 // concurrent use.
 type Cache struct {
 	capacity int
+	budget   int64 // cacheBudgetBytes; a field so tests can shrink it
 	flavour  Flavour
 
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 	idle    *list.List // refs==0 entries, most recently used at front
+	bytes   int64      // sum of entries' size
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -62,6 +76,7 @@ type cacheEntry struct {
 	err   error
 	ready chan struct{} // closed once the single-flight open finishes
 	refs  int
+	size  int64 // db's resident bytes when last measured (open, release)
 	// doomed entries have been evicted or invalidated while pinned;
 	// the last release closes them.
 	doomed bool
@@ -73,6 +88,7 @@ type cacheEntry struct {
 func NewCache(capacity int, flavour Flavour) *Cache {
 	return &Cache{
 		capacity: capacity,
+		budget:   cacheBudgetBytes,
 		flavour:  flavour,
 		entries:  map[string]*cacheEntry{},
 		idle:     list.New(),
@@ -96,15 +112,24 @@ type Handle struct {
 // if no cached handle exists. Concurrent Acquires of one path share a
 // single open (single-flight); all callers see the same result. The
 // open, when it happens, is recorded as a "dbm.open" span on ctx.
-func (c *Cache) Acquire(ctx context.Context, path string) (*Handle, error) {
+//
+// With create false a database that does not exist is not created. The
+// error then satisfies errors.Is(err, fs.ErrNotExist), and the call is
+// neither a hit nor a miss nor a failed span: "no database" is an
+// answer, and there was nothing to cache.
+func (c *Cache) Acquire(ctx context.Context, path string, create bool) (*Handle, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[path]; ok {
 		e.pinLocked(c)
 		c.mu.Unlock()
 		<-e.ready
 		if e.err != nil {
-			// The single-flight open failed; unpin and report it.
+			// The single-flight open failed; unpin and report it — unless
+			// it was somebody's non-creating open and this caller creates.
 			c.release(e)
+			if create && errors.Is(e.err, fs.ErrNotExist) {
+				return c.Acquire(ctx, path, create)
+			}
 			return nil, e.err
 		}
 		c.hits.Add(1)
@@ -117,11 +142,19 @@ func (c *Cache) Acquire(ctx context.Context, path string) (*Handle, error) {
 	c.entries[path] = e
 	c.mu.Unlock()
 
-	c.misses.Add(1)
 	_, end := trace.Region(ctx, "dbm.open",
 		trace.Str("file", filepath.Base(path)), trace.Str("flavour", c.flavour.String()))
-	db, err := Open(path, c.flavour)
-	end(err)
+	db, err := open(path, c.flavour, create)
+	var size int64
+	if errors.Is(err, fs.ErrNotExist) {
+		end(nil)
+	} else {
+		end(err)
+		c.misses.Add(1)
+	}
+	if err == nil {
+		size = db.residentBytes()
+	}
 
 	c.mu.Lock()
 	e.db, e.err = db, err
@@ -138,11 +171,13 @@ func (c *Cache) Acquire(ctx context.Context, path string) (*Handle, error) {
 		c.mu.Unlock()
 		return nil, err
 	}
+	if !e.doomed { // not invalidated while it was being opened
+		e.size = size
+		c.bytes += size
+	}
 	toClose := c.trimLocked()
 	c.mu.Unlock()
-	for _, evicted := range toClose {
-		evicted.Close()
-	}
+	closeAll(toClose)
 	return &Handle{db: db, ctx: ctx, cache: c, entry: e}, nil
 }
 
@@ -156,45 +191,87 @@ func (e *cacheEntry) pinLocked(c *Cache) {
 	}
 }
 
-// release drops one reference and disposes of the entry if it became
-// doomed while pinned.
+// release drops one reference. A live entry's size is brought up to
+// date (its holder may have written to it) and the cache trimmed; an
+// entry doomed while pinned is closed by its last release.
 func (c *Cache) release(e *cacheEntry) {
+	var size int64
+	if e.db != nil {
+		size = e.db.residentBytes()
+	}
 	c.mu.Lock()
 	var toClose []*DB
 	e.refs--
-	if e.refs == 0 {
-		if e.doomed {
+	if e.doomed {
+		if e.refs == 0 {
 			toClose = append(toClose, e.db)
-		} else {
-			e.elem = c.idle.PushFront(e)
-			toClose = c.trimLocked()
 		}
+	} else {
+		c.bytes += size - e.size
+		e.size = size
+		switch {
+		case e.refs > 0:
+		case size > c.budget:
+			// It can never fit: drop it now instead of letting it push
+			// every other idle entry out first.
+			c.evictions.Add(1)
+			toClose = append(toClose, c.unlinkLocked(e))
+		default:
+			e.elem = c.idle.PushFront(e)
+		}
+		toClose = append(toClose, c.trimLocked()...)
 	}
 	c.mu.Unlock()
-	for _, db := range toClose {
-		db.Close()
-	}
+	closeAll(toClose)
 }
 
-// trimLocked unlinks idle entries beyond the capacity, oldest first,
-// and returns their databases for the caller to close after dropping
-// c.mu — a slow Close must never stall unrelated Acquires. Pinned
-// entries are not evictable, so the cache may transiently exceed its
-// capacity under heavy pinning. Caller holds c.mu.
+// unlinkLocked takes e out of the cache. It returns e's database if
+// nothing pins it, for the caller to close after dropping c.mu (a slow
+// Close must never stall unrelated Acquires); a pinned entry is doomed
+// instead and its last release closes it. Caller holds c.mu.
+func (c *Cache) unlinkLocked(e *cacheEntry) *DB {
+	delete(c.entries, e.path)
+	c.bytes -= e.size
+	e.doomed = true
+	if e.elem != nil {
+		c.idle.Remove(e.elem)
+		e.elem = nil
+	}
+	if e.refs > 0 {
+		return nil
+	}
+	return e.db
+}
+
+// closeAll closes what unlinkLocked returned (nil: nothing to close,
+// the entry was pinned or its open had failed) and reports the first
+// failure.
+func closeAll(dbs []*DB) error {
+	var first error
+	for _, db := range dbs {
+		if db == nil {
+			continue
+		}
+		if err := db.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// trimLocked evicts idle entries, oldest first, while the cache is over
+// its handle capacity or its byte budget, and returns their databases
+// for closeAll. Pinned entries are not evictable, so the cache may
+// transiently exceed either bound under heavy pinning. Caller holds c.mu.
 func (c *Cache) trimLocked() []*DB {
 	var toClose []*DB
-	for len(c.entries) > c.capacity {
+	for len(c.entries) > c.capacity || c.bytes > c.budget {
 		back := c.idle.Back()
 		if back == nil {
-			break // everything over capacity is pinned
+			break // everything over the bounds is pinned
 		}
-		e := back.Value.(*cacheEntry)
-		c.idle.Remove(back)
-		e.elem = nil
-		delete(c.entries, e.path)
 		c.evictions.Add(1)
-		// refs==0 (it was idle): safe to close once the lock is gone.
-		toClose = append(toClose, e.db)
+		toClose = append(toClose, c.unlinkLocked(back.Value.(*cacheEntry)))
 	}
 	return toClose
 }
@@ -204,24 +281,13 @@ func (c *Cache) trimLocked() []*DB {
 // backing file. Invalidating an uncached path is a no-op.
 func (c *Cache) Invalidate(path string) {
 	c.mu.Lock()
-	e, ok := c.entries[path]
 	var toClose *DB
-	if ok {
-		delete(c.entries, path)
+	if e, ok := c.entries[path]; ok {
 		c.invalidations.Add(1)
-		e.doomed = true
-		if e.elem != nil {
-			c.idle.Remove(e.elem)
-			e.elem = nil
-		}
-		if e.refs == 0 {
-			toClose = e.db
-		}
+		toClose = c.unlinkLocked(e)
 	}
 	c.mu.Unlock()
-	if toClose != nil {
-		toClose.Close()
-	}
+	closeAll([]*DB{toClose})
 }
 
 // InvalidatePrefix invalidates every cached path under dir (inclusive).
@@ -238,21 +304,11 @@ func (c *Cache) InvalidatePrefix(dir string) {
 		if p != dir && !strings.HasPrefix(p, prefix) {
 			continue
 		}
-		delete(c.entries, p)
 		c.invalidations.Add(1)
-		e.doomed = true
-		if e.elem != nil {
-			c.idle.Remove(e.elem)
-			e.elem = nil
-		}
-		if e.refs == 0 {
-			toClose = append(toClose, e.db)
-		}
+		toClose = append(toClose, c.unlinkLocked(e))
 	}
 	c.mu.Unlock()
-	for _, db := range toClose {
-		db.Close()
-	}
+	closeAll(toClose)
 }
 
 // Close closes every unpinned database and dooms the pinned ones (their
@@ -261,31 +317,17 @@ func (c *Cache) InvalidatePrefix(dir string) {
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	var toClose []*DB
-	for p, e := range c.entries {
-		delete(c.entries, p)
-		e.doomed = true
-		if e.elem != nil {
-			c.idle.Remove(e.elem)
-			e.elem = nil
-		}
-		if e.refs == 0 {
-			toClose = append(toClose, e.db)
-		}
+	for _, e := range c.entries {
+		toClose = append(toClose, c.unlinkLocked(e))
 	}
 	c.mu.Unlock()
-	var first error
-	for _, db := range toClose {
-		if err := db.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return closeAll(toClose)
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	open := len(c.entries)
+	open, bytes := len(c.entries), c.bytes
 	pinned := 0
 	for _, e := range c.entries {
 		if e.refs > 0 {
@@ -300,6 +342,7 @@ func (c *Cache) Stats() CacheStats {
 		Invalidations: c.invalidations.Load(),
 		Open:          open,
 		Pinned:        pinned,
+		Bytes:         bytes,
 	}
 }
 

@@ -2,7 +2,9 @@ package dbm
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,7 +21,7 @@ func TestCacheHitMiss(t *testing.T) {
 	p := cachePath(t, "a.props")
 	ctx := context.Background()
 
-	h1, err := c.Acquire(ctx, p)
+	h1, err := c.Acquire(ctx, p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +30,7 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 	h1.Close()
 
-	h2, err := c.Acquire(ctx, p)
+	h2, err := c.Acquire(ctx, p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +52,12 @@ func TestCacheSharedHandleSameDB(t *testing.T) {
 	c := NewCache(4, GDBM)
 	p := cachePath(t, "a.props")
 	ctx := context.Background()
-	h1, err := c.Acquire(ctx, p)
+	h1, err := c.Acquire(ctx, p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h1.Close()
-	h2, err := c.Acquire(ctx, p)
+	h2, err := c.Acquire(ctx, p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	paths := make([]string, 3)
 	for i := range paths {
 		paths[i] = cachePath(t, fmt.Sprintf("db%d.props", i))
-		h, err := c.Acquire(ctx, paths[i])
+		h, err := c.Acquire(ctx, paths[i], true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +88,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// The oldest (paths[0]) was evicted; re-acquiring it is a miss.
 	before := c.Stats().Misses
-	h, err := c.Acquire(ctx, paths[0])
+	h, err := c.Acquire(ctx, paths[0], true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestCachePinnedEntrySurvivesEviction(t *testing.T) {
 	c := NewCache(1, GDBM)
 	ctx := context.Background()
 	p0 := cachePath(t, "pinned.props")
-	h, err := c.Acquire(ctx, p0)
+	h, err := c.Acquire(ctx, p0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestCachePinnedEntrySurvivesEviction(t *testing.T) {
 	}
 	// Overflow the capacity while p0 is pinned.
 	for i := 0; i < 3; i++ {
-		h2, err := c.Acquire(ctx, cachePath(t, fmt.Sprintf("o%d.props", i)))
+		h2, err := c.Acquire(ctx, cachePath(t, fmt.Sprintf("o%d.props", i)), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +128,7 @@ func TestCacheInvalidateClosesAfterLastPin(t *testing.T) {
 	c := NewCache(4, GDBM)
 	ctx := context.Background()
 	p := cachePath(t, "a.props")
-	h, err := c.Acquire(ctx, p)
+	h, err := c.Acquire(ctx, p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestCacheInvalidateClosesAfterLastPin(t *testing.T) {
 		t.Fatalf("after last pin released, Get err = %v, want ErrClosed", err)
 	}
 	// Re-acquiring opens a fresh DB seeing the persisted data.
-	h2, err := c.Acquire(ctx, p)
+	h2, err := c.Acquire(ctx, p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestCacheInvalidatePrefix(t *testing.T) {
 	nested := filepath.Join(deeper, "b.props")
 	outside := filepath.Join(dir, "subx.props") // shares the string prefix, not the directory
 	for _, p := range []string{inside, nested, outside} {
-		h, err := c.Acquire(ctx, p)
+		h, err := c.Acquire(ctx, p, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +197,7 @@ func TestCacheSingleFlightOpen(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			h, err := c.Acquire(ctx, p)
+			h, err := c.Acquire(ctx, p, true)
 			if err != nil {
 				t.Error(err)
 				return
@@ -220,14 +222,14 @@ func TestCacheOpenErrorNotCached(t *testing.T) {
 	ctx := context.Background()
 	// A directory path cannot be opened as a database file.
 	dir := t.TempDir()
-	if _, err := c.Acquire(ctx, dir); err == nil {
+	if _, err := c.Acquire(ctx, dir, true); err == nil {
 		t.Fatal("Acquire of a directory succeeded")
 	}
 	if s := c.Stats(); s.Open != 0 {
 		t.Fatalf("failed open left %d entries cached", s.Open)
 	}
 	// The failure is retried, not replayed from cache.
-	if _, err := c.Acquire(ctx, dir); err == nil {
+	if _, err := c.Acquire(ctx, dir, true); err == nil {
 		t.Fatal("second Acquire of a directory succeeded")
 	}
 	if s := c.Stats(); s.Misses != 2 {
@@ -238,13 +240,13 @@ func TestCacheOpenErrorNotCached(t *testing.T) {
 func TestCacheCloseClosesIdleAndDoomsPinned(t *testing.T) {
 	c := NewCache(8, GDBM)
 	ctx := context.Background()
-	idle, err := c.Acquire(ctx, cachePath(t, "idle.props"))
+	idle, err := c.Acquire(ctx, cachePath(t, "idle.props"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	idleDB := idle.DB()
 	idle.Close()
-	pinned, err := c.Acquire(ctx, cachePath(t, "pinned.props"))
+	pinned, err := c.Acquire(ctx, cachePath(t, "pinned.props"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +282,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				p := paths[(w+i)%len(paths)]
-				h, err := c.Acquire(ctx, p)
+				h, err := c.Acquire(ctx, p, true)
 				if err != nil {
 					t.Error(err)
 					return
@@ -302,5 +304,130 @@ func TestCacheConcurrentStress(t *testing.T) {
 	wg.Wait()
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// grow makes the database at path hold one value of n bytes through the
+// cache, so the entry's resident size is at least n from that release on.
+func grow(t *testing.T, c *Cache, path string, n int) {
+	t.Helper()
+	h, err := c.Acquire(context.Background(), path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if err := h.Put([]byte("k"), make([]byte, n)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The byte budget evicts like the handle capacity does: idle entries,
+// oldest first, until the resident images fit.
+func TestCacheByteBudgetEvictsOldestIdle(t *testing.T) {
+	c := NewCache(16, GDBM)
+	c.budget = 8 << 10
+	defer c.Close()
+	paths := make([]string, 3)
+	for i := range paths {
+		paths[i] = cachePath(t, fmt.Sprintf("db%d.props", i))
+		grow(t, c, paths[i], 3000)
+	}
+	s := c.Stats()
+	if s.Open != 2 || s.Evictions != 1 || s.Bytes < 6000 || s.Bytes > c.budget {
+		t.Fatalf("three 3000-byte databases under an 8 KiB budget: %+v; want 2 open, 1 eviction, 6000 <= bytes <= budget", s)
+	}
+	for i, wantMiss := range []bool{false, false, true} { // newest first; db0 went
+		before := c.Stats().Misses
+		h, err := c.Acquire(context.Background(), paths[2-i], false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Close()
+		if miss := c.Stats().Misses > before; miss != wantMiss {
+			t.Errorf("re-acquiring %s: miss = %v, want %v", filepath.Base(paths[2-i]), miss, wantMiss)
+		}
+	}
+}
+
+// Pinned entries are not evictable whatever the budget says, and a
+// database that outgrows the whole budget is dropped by its last
+// release — itself, not the entries that still fit.
+func TestCacheByteBudgetPinnedAndOversized(t *testing.T) {
+	c := NewCache(16, GDBM)
+	c.budget = 8 << 10
+	defer c.Close()
+	ctx := context.Background()
+	small, pinned, big := cachePath(t, "small.props"), cachePath(t, "pinned.props"), cachePath(t, "big.props")
+	grow(t, c, small, 1000)
+	grow(t, c, pinned, 3000)
+	hp, err := c.Acquire(ctx, pinned, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := c.Acquire(ctx, big, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hb.Put([]byte("k"), make([]byte, 20<<10)); err != nil {
+		t.Fatal(err)
+	}
+	bigDB := hb.DB()
+	hb.Close()
+	if _, _, err := bigDB.Get([]byte("k")); !errors.Is(err, ErrClosed) {
+		t.Errorf("Get on the over-budget database after its release: %v, want ErrClosed", err)
+	}
+	if _, _, err := hp.Get([]byte("k")); err != nil {
+		t.Errorf("Get through the pinned handle: %v", err)
+	}
+	hp.Close()
+	s := c.Stats()
+	if s.Open != 2 || s.Evictions != 1 || s.Bytes > c.budget {
+		t.Fatalf("after dropping the 20 KiB database: %+v; want small and pinned still open, 1 eviction", s)
+	}
+	// Served again while pinned — the cache is over budget for that long,
+	// so the idle entries go — and again gone afterwards.
+	hb, err = c.Acquire(ctx, big, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := hb.Get([]byte("k")); err != nil || !ok || len(v) != 20<<10 {
+		t.Errorf("over-budget database, pinned: Get = %d bytes, %v, %v", len(v), ok, err)
+	}
+	bigDB = hb.DB()
+	hb.Close()
+	if _, _, err := bigDB.Get([]byte("k")); !errors.Is(err, ErrClosed) {
+		t.Errorf("Get on the over-budget database after its second release: %v, want ErrClosed", err)
+	}
+	if s := c.Stats(); s.Open != 0 || s.Bytes != 0 {
+		t.Errorf("after the second release: %+v, want nothing open", s)
+	}
+}
+
+// A non-creating Acquire of a database that does not exist creates
+// nothing and is neither a hit nor a miss; a creating Acquire behind it
+// is an ordinary miss.
+func TestCacheAcquireWithoutCreate(t *testing.T) {
+	c := NewCache(4, GDBM)
+	defer c.Close()
+	ctx := context.Background()
+	p := cachePath(t, "absent.props")
+	for i := 0; i < 2; i++ {
+		if _, err := c.Acquire(ctx, p, false); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("Acquire(create=false) of an absent database = %v, want fs.ErrNotExist", err)
+		}
+	}
+	if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the non-creating Acquire left a file behind: %v", err)
+	}
+	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 || s.Open != 0 {
+		t.Fatalf("stats after two absent lookups = %+v, want no hit, no miss, nothing open", s)
+	}
+	h, err := c.Acquire(ctx, p, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Close()
+	if s := c.Stats(); s.Misses != 1 || s.Open != 1 {
+		t.Fatalf("stats after the creating Acquire = %+v, want 1 miss, 1 open", s)
 	}
 }

@@ -66,8 +66,10 @@ func setPrev(t *testing.T, path string, at, prev int64) {
 }
 
 // A record whose prev does not point strictly backwards must fail every
-// reader with ErrCorrupt. Open walks every chain, so the damage is
-// planted under an already-open database to reach ForEach and Get too.
+// reader with ErrCorrupt. A handle that is already open serves its
+// resident image, so damage planted in the file under it is for Verify
+// and the next Open to find; ForEach and Get are shown the same damage
+// in the image, where a reader that trusted prev would spin under db.mu.
 func TestCorruptChainFailsReaders(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -88,8 +90,27 @@ func TestCorruptChainFailsReaders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			setPrev(t, path, at, tc.prev(at, fi.Size()))
+			bad := tc.prev(at, fi.Size())
+			setPrev(t, path, at, bad)
 
+			if err := Verify(path); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("Verify = %v, want ErrCorrupt", err)
+			}
+			if v, ok, err := db.Get([]byte("old")); err != nil || !ok || string(v) != "value of old" {
+				t.Errorf("Get through the handle opened before the damage = %q, %v, %v; want the validated image's value", v, ok, err)
+			}
+			err = within(t, "Open", func() error {
+				db2, err := Open(path, SDBM)
+				if err == nil {
+					db2.Close()
+				}
+				return err
+			})
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("Open = %v, want ErrCorrupt", err)
+			}
+
+			binary.LittleEndian.PutUint64(db.image[at-areaStart(db.buckets):], uint64(bad))
 			err = within(t, "ForEach", func() error {
 				return db.ForEach(func(_, _ []byte) error { return nil })
 			})
@@ -104,16 +125,6 @@ func TestCorruptChainFailsReaders(t *testing.T) {
 			})
 			if !errors.Is(err, ErrCorrupt) {
 				t.Errorf("Get = %v, want ErrCorrupt", err)
-			}
-			err = within(t, "Open", func() error {
-				db2, err := Open(path, SDBM)
-				if err == nil {
-					db2.Close()
-				}
-				return err
-			})
-			if !errors.Is(err, ErrCorrupt) {
-				t.Errorf("Open = %v, want ErrCorrupt", err)
 			}
 		})
 	}

@@ -32,21 +32,41 @@
 //
 // Reader invariant: records are append-only and a record's prev was the
 // bucket head when it was appended, so along every chain the offsets
-// strictly decrease. Every reader — the point lookup (readRecord) and
-// the bulk decoder (walkChains, behind Open, ForEach, Compact and
-// Verify) — refuses a record whose prev is not below its own offset or
-// which lies outside the record area, with an error wrapping ErrCorrupt.
-// That bounds every walk by the file size: a damaged pointer cannot spin
-// a reader under the database mutex. Only Verify goes further and also
-// requires every key to hash to the bucket whose chain holds it.
+// strictly decrease. Every reader decodes with the one bounds-checked
+// decodeRecord — the point lookup (findLocked) and the bulk walker
+// (walkChains, behind Open, ForEach, Compact and Verify) — and refuses a
+// record whose prev is not below its own offset or which lies outside
+// the record area, with an error wrapping ErrCorrupt. That bounds every
+// walk by the image size: a damaged pointer cannot spin a reader under
+// the database mutex. Only Verify goes further and also requires every
+// key to hash to the bucket whose chain holds it.
 //
-// Bulk readers fetch the whole record area with one ReadAt and decode
-// from that buffer, so the key and value slices ForEach hands to its
-// callback alias it: they are read-only, and they stay valid (and keep
-// the buffer alive) for as long as the caller holds them.
+// Resident image: an open DB keeps its record area [areaStart, end) in
+// memory beside the bucket table. Open reads the file once, validates
+// every chain and keeps that buffer; Put builds the record at the
+// image's tail, writes it to the file from there and keeps it only if
+// that write succeeded; Delete sets the tombstone bit in the file, then
+// in the image; Compact swaps in the rebuilt database's image. Get, Has,
+// ForEach and Compact's scan decode from the image and never read the
+// file. Every write and fsync goes to the file as before, under the
+// database mutex, so no reader ever sees a byte the file was not given.
+//
+// The key and value slices ForEach hands to its callback alias the
+// image: they are read-only and capacity-capped, and they stay valid for
+// as long as the caller holds them — an append writes past every
+// handed-out byte (or moves to a new array and leaves the old one to its
+// holders), a tombstone touches a record header, never a key or value,
+// and Compact builds a new slice.
+//
+// What that costs: a file damaged on disk while a DB has it open is
+// noticed by the next Open (after Close, a cache eviction or
+// Invalidate, a restart) and by Verify/fsck, which read the file — not
+// by the next read through the open handle, which serves the image that
+// passed validation at Open plus the handle's own writes.
 package dbm
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -152,11 +172,12 @@ type DB struct {
 	ctx     context.Context // trace binding from OpenContext; nil = untraced
 
 	buckets []int64 // in-memory copy of the bucket table
+	image   []byte  // the record area [areaStart, end), see the package doc
 	nkeys   int
 	live    int64
 	dead    int64
-	end     int64 // append offset
 	closed  bool
+	dirty   bool // written to since the last header write + fsync
 
 	maxValue    int
 	initialSize int64
@@ -166,7 +187,18 @@ type DB struct {
 // Opening an existing database with a different flavour than it was
 // created with is an error.
 func Open(path string, flavour Flavour) (*DB, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	return open(path, flavour, true)
+}
+
+// open is Open with creation in the caller's hands: with create false a
+// missing file is the OpenFile error (fs.ErrNotExist) and nothing is
+// created.
+func open(path string, flavour Flavour, create bool) (*DB, error) {
+	flag := os.O_RDWR
+	if create {
+		flag |= os.O_CREATE
+	}
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +229,7 @@ func Open(path string, flavour Flavour) (*DB, error) {
 func (db *DB) initialize() error {
 	_, _, nb := db.flavour.params()
 	db.buckets = make([]int64, nb)
-	db.end = headerSize + int64(nb)*8
+	db.dirty = true
 	if err := db.writeHeader(); err != nil {
 		return err
 	}
@@ -205,7 +237,7 @@ func (db *DB) initialize() error {
 	if _, err := db.f.WriteAt(zero, headerSize); err != nil {
 		return err
 	}
-	if db.end < db.initialSize {
+	if db.end() < db.initialSize {
 		if err := db.f.Truncate(db.initialSize); err != nil {
 			return err
 		}
@@ -214,8 +246,8 @@ func (db *DB) initialize() error {
 }
 
 // load checks the header against the flavour the database was opened
-// as and recovers the append offset and key count by walking every
-// chain in the file's image.
+// as, recovers the append offset and key count by walking every chain
+// in the file's bytes, and keeps those bytes as the resident image.
 func (db *DB) load(size int64) error {
 	hdr, area, err := readImage(db.f, size)
 	if err != nil {
@@ -226,11 +258,11 @@ func (db *DB) load(size int64) error {
 	}
 	db.buckets, db.live, db.dead = hdr.buckets, hdr.live, hdr.dead
 	base := areaStart(db.buckets)
-	db.end = base
+	end := base
 	db.nkeys = 0
-	return walkChains(context.Background(), db.buckets, area, base, func(_ int, at int64, rec record, newest bool) error {
-		if rend := at + rec.size(); rend > db.end {
-			db.end = rend
+	err = walkChains(context.Background(), db.buckets, area, base, func(_ int, at int64, rec record, newest bool) error {
+		if rend := at + rec.size(); rend > end {
+			end = rend
 		}
 		// Only the newest record per key determines liveness; older
 		// shadowed versions are dead space.
@@ -239,7 +271,21 @@ func (db *DB) load(size int64) error {
 		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	// The image is the buffer just validated, up to the append offset. A
+	// file still at its preallocated size is mostly zeros past that; it
+	// gets a right-sized copy rather than pinning the whole read.
+	db.image = area[:end-base]
+	if len(db.image) < len(area) {
+		db.image = bytes.Clone(db.image)
+	}
+	return nil
 }
+
+// end is the append offset: the first byte after the newest record.
+func (db *DB) end() int64 { return areaStart(db.buckets) + int64(len(db.image)) }
 
 // header is the decoded fixed part of a database image.
 type header struct {
@@ -317,9 +363,8 @@ func bucketIndex(key []byte, buckets int) int {
 	return int(h % uint64(buckets))
 }
 
-// record is one decoded record. The point lookup leaves the value on
-// disk (val is nil); the bulk decoder fills key and val with slices of
-// its buffer.
+// record is one decoded record; key and val are slices of the buffer
+// it was decoded from.
 type record struct {
 	prev   int64
 	flags  byte
@@ -345,31 +390,6 @@ func decodeRecHdr(hdr []byte, at int64) (r record, keyLen uint32, err error) {
 		return record{}, 0, fmt.Errorf("%w: chain at %d points forward to %d (cycle)", ErrCorrupt, at, uint64(r.prev))
 	}
 	return r, keyLen, nil
-}
-
-// readRecord reads the header and key (not the value) at offset at.
-// Point lookups use it; db.end is known by then, so a record that
-// claims to run past it is refused before anything is allocated.
-func (db *DB) readRecord(at int64) (record, error) {
-	if at < areaStart(db.buckets) || at+recHdrSize > db.end {
-		return record{}, fmt.Errorf("%w: record offset %d outside the record area", ErrCorrupt, at)
-	}
-	hdr := make([]byte, recHdrSize)
-	if _, err := db.f.ReadAt(hdr, at); err != nil {
-		return record{}, fmt.Errorf("%w: record header at %d: %v", ErrCorrupt, at, err)
-	}
-	r, keyLen, err := decodeRecHdr(hdr, at)
-	if err != nil {
-		return record{}, err
-	}
-	if at+recHdrSize+int64(keyLen)+int64(r.valLen) > db.end {
-		return record{}, fmt.Errorf("%w: record at %d runs past the record area", ErrCorrupt, at)
-	}
-	r.key = make([]byte, keyLen)
-	if _, err := db.f.ReadAt(r.key, at+recHdrSize); err != nil {
-		return record{}, fmt.Errorf("%w: record key at %d: %v", ErrCorrupt, at, err)
-	}
-	return r, nil
 }
 
 // decodeRecord decodes the record at file offset at from area, the
@@ -447,8 +467,9 @@ func walkChains(ctx context.Context, buckets []int64, area []byte, base int64,
 // findLocked returns the offset and record of the newest live record
 // for key, or 0 if absent. Caller holds db.mu.
 func (db *DB) findLocked(key []byte) (int64, record, error) {
+	base := areaStart(db.buckets)
 	for at := db.buckets[db.bucketOf(key)]; at != 0; {
-		rec, err := db.readRecord(at)
+		rec, err := decodeRecord(db.image, base, at)
 		if err != nil {
 			return 0, record{}, err
 		}
@@ -476,11 +497,7 @@ func (db *DB) Get(key []byte) (val []byte, found bool, err error) {
 	if err != nil || at == 0 {
 		return nil, false, err
 	}
-	val = make([]byte, rec.valLen)
-	if _, err := db.f.ReadAt(val, at+recHdrSize+int64(len(rec.key))); err != nil {
-		return nil, false, fmt.Errorf("%w: record value: %v", ErrCorrupt, err)
-	}
-	return val, true, nil
+	return bytes.Clone(rec.val), true, nil
 }
 
 // Has reports whether key is present.
@@ -516,30 +533,41 @@ func (db *DB) Put(key, value []byte) (err error) {
 	if err != nil {
 		return err
 	}
-	b := db.bucketOf(key)
-	rec := make([]byte, recHdrSize+len(key)+len(value))
-	binary.LittleEndian.PutUint64(rec, uint64(db.buckets[b]))
-	rec[8] = 0
-	binary.LittleEndian.PutUint32(rec[9:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(rec[13:], uint32(len(value)))
-	copy(rec[recHdrSize:], key)
-	copy(rec[recHdrSize+len(key):], value)
-	at := db.end
-	if _, err := db.f.WriteAt(rec, at); err != nil {
+	if err := db.appendRecord(key, value); err != nil {
 		return err
 	}
-	db.end = at + int64(len(rec))
-	if err := db.setBucketHead(b, at); err != nil {
-		return err
-	}
-	db.live += int64(len(rec))
 	if oldAt != 0 {
 		sz := oldRec.size()
 		db.live -= sz
 		db.dead += sz
-	} else {
-		db.nkeys++
+		db.nkeys--
 	}
+	return nil
+}
+
+// appendRecord writes a live record for key at the append offset, makes
+// it the head of its bucket's chain and counts it as a new live key. The
+// record is built in the image's tail and stays there only once the
+// file has it. Caller holds db.mu, or owns a database nobody else can
+// see (Compact's replacement).
+func (db *DB) appendRecord(key, value []byte) error {
+	b := db.bucketOf(key)
+	at, n := db.end(), len(db.image)
+	var hdr [recHdrSize]byte
+	binary.LittleEndian.PutUint64(hdr[:], uint64(db.buckets[b]))
+	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(hdr[13:], uint32(len(value)))
+	db.image = append(append(append(db.image, hdr[:]...), key...), value...)
+	db.dirty = true
+	if _, err := db.f.WriteAt(db.image[n:], at); err != nil {
+		db.image = db.image[:n]
+		return err
+	}
+	if err := db.setBucketHead(b, at); err != nil {
+		return err
+	}
+	db.live += int64(len(db.image) - n)
+	db.nkeys++
 	return nil
 }
 
@@ -565,9 +593,11 @@ func (db *DB) Delete(key []byte) (found bool, err error) {
 	if err != nil || at == 0 {
 		return false, err
 	}
+	db.dirty = true
 	if _, err := db.f.WriteAt([]byte{rec.flags | flagDeleted}, at+8); err != nil {
 		return false, err
 	}
+	db.image[at-areaStart(db.buckets)+8] |= flagDeleted
 	sz := rec.size()
 	db.live -= sz
 	db.dead += sz
@@ -579,12 +609,10 @@ func (db *DB) Delete(key []byte) (found bool, err error) {
 // unspecified. If fn returns a non-nil error, iteration stops and the
 // error is returned. fn must not call back into the database.
 //
-// The scan reads the record area with one ReadAt and decodes from that
-// buffer. key and value are slices of it: fn may keep them but must not
-// modify them, and whatever it keeps pins the whole buffer. A scan's
-// transient memory is therefore the file's record area, dead records
-// included, not just the live values — dead space is what Compact
-// exists to bound.
+// The scan decodes from the resident image and reads nothing from the
+// file. key and value are slices of the image: fn may keep them but must
+// not modify them (see the package doc for why later writes through
+// this DB leave them alone).
 func (db *DB) ForEach(fn func(key, value []byte) error) error {
 	return db.ForEachContext(context.Background(), fn)
 }
@@ -605,12 +633,7 @@ func (db *DB) ForEachContext(ctx context.Context, fn func(key, value []byte) err
 }
 
 func (db *DB) forEachLocked(ctx context.Context, fn func(key, value []byte) error) error {
-	base := areaStart(db.buckets)
-	area := make([]byte, db.end-base)
-	if _, err := db.f.ReadAt(area, base); err != nil {
-		return fmt.Errorf("%w: record area: %v", ErrCorrupt, err)
-	}
-	return walkChains(ctx, db.buckets, area, base, func(_ int, _ int64, rec record, newest bool) error {
+	return walkChains(ctx, db.buckets, db.image, areaStart(db.buckets), func(_ int, _ int64, rec record, newest bool) error {
 		if !newest || rec.flags&flagDeleted != 0 {
 			return nil
 		}
@@ -684,7 +707,7 @@ func (db *DB) CompactContext(ctx context.Context) (err error) {
 		return err
 	}
 	err = db.forEachLocked(ctx, func(k, v []byte) error {
-		return ndb.putUnlocked(k, v)
+		return ndb.appendRecord(k, v)
 	})
 	if err != nil {
 		tmp.Close()
@@ -721,34 +744,11 @@ func (db *DB) CompactContext(ctx context.Context) (err error) {
 	}
 	old.Close()
 	db.f = f
-	db.buckets = ndb.buckets
+	db.buckets, db.image = ndb.buckets, ndb.image
 	db.nkeys = ndb.nkeys
 	db.live = ndb.live
 	db.dead = 0
-	db.end = ndb.end
-	return nil
-}
-
-// putUnlocked is Put without locking, for use while building a fresh
-// database that no other goroutine can see.
-func (db *DB) putUnlocked(key, value []byte) error {
-	b := db.bucketOf(key)
-	rec := make([]byte, recHdrSize+len(key)+len(value))
-	binary.LittleEndian.PutUint64(rec, uint64(db.buckets[b]))
-	binary.LittleEndian.PutUint32(rec[9:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(rec[13:], uint32(len(value)))
-	copy(rec[recHdrSize:], key)
-	copy(rec[recHdrSize+len(key):], value)
-	at := db.end
-	if _, err := db.f.WriteAt(rec, at); err != nil {
-		return err
-	}
-	db.end = at + int64(len(rec))
-	if err := db.setBucketHead(b, at); err != nil {
-		return err
-	}
-	db.live += int64(len(rec))
-	db.nkeys++
+	db.dirty = true
 	return nil
 }
 
@@ -760,14 +760,25 @@ func (db *DB) Sync() error {
 	if db.closed {
 		return ErrClosed
 	}
+	return db.syncLocked()
+}
+
+// syncLocked writes the header accounting and fsyncs, after which the
+// file holds everything this DB knows.
+func (db *DB) syncLocked() error {
 	if err := db.writeHeader(); err != nil {
 		return err
 	}
-	return db.f.Sync()
+	if err := db.f.Sync(); err != nil {
+		return err
+	}
+	db.dirty = false
+	return nil
 }
 
-// Close syncs and closes the database. Further operations return
-// ErrClosed.
+// Close closes the database, first syncing it if it has been written to
+// since the last sync: a handle that only read leaves the file's bytes
+// and mtime alone. Further operations return ErrClosed.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -775,16 +786,21 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	err1 := db.writeHeader()
-	err2 := db.f.Sync()
-	err3 := db.f.Close()
-	if err1 != nil {
-		return err1
+	var err error
+	if db.dirty {
+		err = db.syncLocked()
 	}
-	if err2 != nil {
-		return err2
+	if cerr := db.f.Close(); err == nil {
+		err = cerr
 	}
-	return err3
+	return err
+}
+
+// residentBytes is what the image holds in memory.
+func (db *DB) residentBytes() int64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return int64(cap(db.image))
 }
 
 // Path returns the backing file path.

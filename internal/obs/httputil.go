@@ -1,6 +1,9 @@
 package obs
 
-import "net/http"
+import (
+	"io"
+	"net/http"
+)
 
 // ResponseRecorder wraps an http.ResponseWriter and records the status
 // code and body byte count for access logging and metrics.
@@ -31,6 +34,24 @@ func (rr *ResponseRecorder) Write(p []byte) (int, error) {
 	}
 	n, err := rr.ResponseWriter.Write(p)
 	rr.bytes += int64(n)
+	return n, err
+}
+
+// ReadFrom hands src to the wrapped writer's own ReadFrom and counts what
+// it moved. Without it the recorder hides that method, and io.Copy from a
+// document falls back to a fresh 32 KB buffer per response where
+// net/http would use a pooled one or sendfile(2).
+func (rr *ResponseRecorder) ReadFrom(src io.Reader) (int64, error) {
+	rf, ok := rr.ResponseWriter.(io.ReaderFrom)
+	if !ok {
+		// struct{ io.Writer } has no ReadFrom, so this cannot come back here.
+		return io.Copy(struct{ io.Writer }{rr}, src)
+	}
+	if rr.status == 0 {
+		rr.status = http.StatusOK
+	}
+	n, err := rf.ReadFrom(src)
+	rr.bytes += n
 	return n, err
 }
 

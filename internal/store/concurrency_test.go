@@ -159,6 +159,70 @@ func TestGenerationLazyMaterialization(t *testing.T) {
 	}
 }
 
+// Every read of a resource that has no property database finds that out
+// with a non-creating open: nothing is created, not even the
+// collection's metadata directory, and the lookups count as neither
+// hits nor opens of the handle cache.
+func TestReadsOfBareResourcesCreateNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewFSStore(dir, dbm.GDBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mustMkcol(t, s, "/bare")
+	mustPut(t, s, "/bare/doc.txt", "v1")
+	ctx := context.Background()
+	name := xml.Name{Space: "ns:", Local: "k"}
+	base := s.CacheStats()
+	for _, p := range []string{"/bare", "/bare/doc.txt"} {
+		if _, err := s.Stat(ctx, p); err != nil {
+			t.Errorf("Stat %s: %v", p, err)
+		}
+		if _, props, err := s.StatWithProps(ctx, p); err != nil || props == nil || len(props) != 0 {
+			t.Errorf("StatWithProps %s = %v, %v; want an empty map", p, props, err)
+		}
+		if _, ok, err := s.PropGet(ctx, p, name); err != nil || ok {
+			t.Errorf("PropGet %s = %v, %v", p, ok, err)
+		}
+		if props, err := s.PropAll(ctx, p); err != nil || len(props) != 0 {
+			t.Errorf("PropAll %s = %v, %v", p, props, err)
+		}
+		if err := s.PropDelete(ctx, p, name); err != nil {
+			t.Errorf("PropDelete %s: %v", p, err)
+		}
+	}
+	if members, err := s.ListWithProps(ctx, "/bare"); err != nil || len(members) != 1 || members[0].Props == nil {
+		t.Errorf("ListWithProps /bare = %v, %v", members, err)
+	}
+	if got := readBody(t, s, "/bare/doc.txt"); got != "v1" {
+		t.Errorf("Get = %q", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "bare", propDirName)); !os.IsNotExist(err) {
+		t.Errorf("reads created the collection's metadata directory (err=%v)", err)
+	}
+	if after := s.CacheStats(); after.Hits != base.Hits || after.Misses != base.Misses || after.Open != base.Open {
+		t.Errorf("lookups of absent databases moved the handle cache: %+v -> %+v", base, after)
+	}
+	// The same calls on a missing resource still say so.
+	if _, err := s.PropAll(ctx, "/bare/none"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("PropAll of a missing resource = %v, want ErrNotFound", err)
+	}
+	if err := s.PropPut(ctx, "/bare/none", name, []byte("v")); !errors.Is(err, ErrNotFound) {
+		t.Errorf("PropPut on a missing resource = %v, want ErrNotFound", err)
+	}
+	// And the first write creates directory and database in one go.
+	if err := s.PropPut(ctx, "/bare/doc.txt", name, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := s.PropGet(ctx, "/bare/doc.txt", name); err != nil || !ok || string(v) != "v" {
+		t.Errorf("PropGet after PropPut = %q, %v, %v", v, ok, err)
+	}
+	if after := s.CacheStats(); after.Misses != base.Misses+1 {
+		t.Errorf("creating the first database of a collection cost %d opens, want 1", after.Misses-base.Misses)
+	}
+}
+
 // TestFSStoreListWithPropsOpensEachDBOnce is the acceptance check for
 // the handle cache: resolving a Depth:1 listing must cost at most one
 // database open per distinct property database, and a second resolution

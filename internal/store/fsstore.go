@@ -5,6 +5,7 @@ import (
 	"crypto/sha1"
 	"encoding/hex"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -331,28 +332,18 @@ func (s *FSStore) diskPath(p string) (string, error) {
 	return filepath.Join(s.root, filepath.FromSlash(cp)), nil
 }
 
-// propsPath returns the property database path for resource p.
-func (s *FSStore) propsPath(p string) (string, error) {
-	cp, err := CleanPath(p)
-	if err != nil {
-		return "", err
+// propsPath returns the property database path of the resource cp at
+// disk path dp: a collection's lives in its own metadata directory, a
+// document's in its parent's.
+func (s *FSStore) propsPath(dp, cp string, isDir bool) string {
+	if isDir {
+		return filepath.Join(dp, propDirName, collectionPropsFile+propsExt)
 	}
-	dp, err := s.diskPath(cp)
-	if err != nil {
-		return "", err
-	}
-	fi, err := os.Stat(dp)
-	if err != nil {
-		return "", mapFSErr(err, cp)
-	}
-	if fi.IsDir() {
-		return filepath.Join(dp, propDirName, collectionPropsFile+propsExt), nil
-	}
-	return filepath.Join(filepath.Dir(dp), propDirName, path.Base(cp)+propsExt), nil
+	return s.memberPropsPath(dp, cp)
 }
 
-// memberPropsPath is propsPath for a known document, without the
-// resource stat (used after the document has been removed).
+// memberPropsPath is propsPath for a known document (also used after
+// the document has been removed).
 func (s *FSStore) memberPropsPath(dp, cp string) string {
 	return filepath.Join(filepath.Dir(dp), propDirName, path.Base(cp)+propsExt)
 }
@@ -370,27 +361,30 @@ func mapFSErr(err error, p string) error {
 	}
 }
 
-// withProps opens the resource's property database through the handle
-// cache, creating it if create is true. When create is false and the
-// database does not exist, fn is not called and the result is nil
-// (empty database semantics). Caller holds the resource's path lock.
-func (s *FSStore) withProps(ctx context.Context, cp string, create bool, fn func(*dbm.Handle) error) error {
-	pp, err := s.propsPath(cp)
+// withProps opens the property database of resource cp — a collection
+// if isDir, which every caller knows from the stat it has already done —
+// through the handle cache, creating it if create is true. When create
+// is false and the database does not exist, nothing is created, fn is
+// not called and the result is nil (empty database semantics). Caller
+// holds the resource's path lock.
+func (s *FSStore) withProps(ctx context.Context, cp string, isDir, create bool, fn func(*dbm.Handle) error) error {
+	dp, err := s.diskPath(cp)
 	if err != nil {
 		return err
 	}
-	if _, err := os.Stat(pp); err != nil {
-		if !os.IsNotExist(err) {
-			return err
-		}
+	pp := s.propsPath(dp, cp, isDir)
+	h, err := s.cache.Acquire(ctx, pp, create)
+	if errors.Is(err, fs.ErrNotExist) {
 		if !create {
 			return nil
 		}
+		// The first database in this collection: its metadata directory
+		// does not exist yet.
 		if err := os.MkdirAll(filepath.Dir(pp), 0o755); err != nil {
 			return err
 		}
+		h, err = s.cache.Acquire(ctx, pp, true)
 	}
-	h, err := s.cache.Acquire(ctx, pp)
 	if err != nil {
 		return err
 	}
@@ -398,11 +392,25 @@ func (s *FSStore) withProps(ctx context.Context, cp string, create bool, fn func
 	return fn(h)
 }
 
-// internalMeta reads the internal bookkeeping keys (content type,
-// generation) in one handle acquisition. Missing database or keys yield
-// zero values. Caller holds the resource's path lock.
+// statKind is the existence check of the property operations: one stat
+// of the resource, answering whether it is a collection.
+func (s *FSStore) statKind(cp string) (isDir bool, err error) {
+	dp, err := s.diskPath(cp)
+	if err != nil {
+		return false, err
+	}
+	fi, err := os.Stat(dp)
+	if err != nil {
+		return false, mapFSErr(err, cp)
+	}
+	return fi.IsDir(), nil
+}
+
+// internalMeta reads a document's internal bookkeeping keys (content
+// type, generation) in one handle acquisition. Missing database or keys
+// yield zero values. Caller holds the resource's path lock.
 func (s *FSStore) internalMeta(ctx context.Context, cp string) (ctype string, gen int64) {
-	s.withProps(ctx, cp, false, func(h *dbm.Handle) error {
+	s.withProps(ctx, cp, false, false, func(h *dbm.Handle) error {
 		if v, ok, _ := h.Get(internalKey(ikeyContentType)); ok {
 			ctype = string(v)
 		}
@@ -574,10 +582,11 @@ func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInf
 		ModTime:      fi.ModTime(),
 		CreateTime:   fi.ModTime(),
 	}
-	props := map[xml.Name][]byte{}
+	var props map[xml.Name][]byte
 	var ctype string
 	var gen int64
-	err := s.withProps(ctx, cp, false, func(h *dbm.Handle) error {
+	err := s.withProps(ctx, cp, fi.IsDir(), false, func(h *dbm.Handle) error {
+		props = make(map[xml.Name][]byte, h.DB().Len())
 		return h.ForEach(func(k, v []byte) error {
 			if name, ok := parsePropKey(k); ok {
 				props[name] = v
@@ -594,6 +603,9 @@ func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInf
 	})
 	if err != nil {
 		return ResourceInfo{}, nil, fmt.Errorf("properties of %s: %w", cp, err)
+	}
+	if props == nil {
+		props = map[xml.Name][]byte{} // no database
 	}
 	if !fi.IsDir() {
 		s.fillDocInfo(&ri, fi, ctype, gen)
@@ -862,7 +874,7 @@ func (s *FSStore) putLocked(ctx context.Context, cp, dp string, r io.Reader, con
 	// regardless of cancellation (context.Background keeps a done ctx
 	// from failing the handle acquisition mid-metadata).
 	if persistCType != "" {
-		if err := s.withProps(context.Background(), cp, true, func(h *dbm.Handle) error {
+		if err := s.withProps(context.Background(), cp, false, true, func(h *dbm.Handle) error {
 			return h.Put(internalKey(ikeyContentType), []byte(persistCType))
 		}); err != nil {
 			return created, err
@@ -879,10 +891,10 @@ func (s *FSStore) putLocked(ctx context.Context, cp, dp string, r io.Reader, con
 	return created, nil
 }
 
-// bumpGeneration increments the resource's overwrite counter. Caller
+// bumpGeneration increments the document's overwrite counter. Caller
 // holds the exclusive path lock, which makes read-increment-write safe.
 func (s *FSStore) bumpGeneration(ctx context.Context, cp string) error {
-	return s.withProps(ctx, cp, true, func(h *dbm.Handle) error {
+	return s.withProps(ctx, cp, false, true, func(h *dbm.Handle) error {
 		var gen int64
 		if v, ok, err := h.Get(internalKey(ikeyGeneration)); err != nil {
 			return err
@@ -1259,7 +1271,7 @@ func (s *FSStore) copyResourceLocked(ctx context.Context, src ResourceInfo, cdst
 			return err
 		}
 	}
-	props, err := s.propAllLocked(ctx, src.Path)
+	props, err := s.propAllLocked(ctx, src.Path, src.IsCollection)
 	if err != nil {
 		return err
 	}
@@ -1267,7 +1279,7 @@ func (s *FSStore) copyResourceLocked(ctx context.Context, src ResourceInfo, cdst
 		return nil
 	}
 	names := sortedPropNames(props)
-	return s.withProps(ctx, cdst, true, func(h *dbm.Handle) error {
+	return s.withProps(ctx, cdst, src.IsCollection, true, func(h *dbm.Handle) error {
 		for _, n := range names {
 			if err := h.Put(propKey(n), props[n]); err != nil {
 				return err
@@ -1291,10 +1303,11 @@ func (s *FSStore) PropPut(ctx context.Context, p string, name xml.Name, value []
 		return err
 	}
 	defer g.Release()
-	if _, err := s.stat(ctx, cp); err != nil {
+	isDir, err := s.statKind(cp)
+	if err != nil {
 		return err
 	}
-	return s.withProps(ctx, cp, true, func(h *dbm.Handle) error {
+	return s.withProps(ctx, cp, isDir, true, func(h *dbm.Handle) error {
 		return h.Put(propKey(name), value)
 	})
 }
@@ -1310,12 +1323,13 @@ func (s *FSStore) PropGet(ctx context.Context, p string, name xml.Name) ([]byte,
 		return nil, false, err
 	}
 	defer g.Release()
-	if _, err := s.stat(ctx, cp); err != nil {
+	isDir, err := s.statKind(cp)
+	if err != nil {
 		return nil, false, err
 	}
 	var val []byte
 	var ok bool
-	err = s.withProps(ctx, cp, false, func(h *dbm.Handle) error {
+	err = s.withProps(ctx, cp, isDir, false, func(h *dbm.Handle) error {
 		var e error
 		val, ok, e = h.Get(propKey(name))
 		return e
@@ -1337,10 +1351,11 @@ func (s *FSStore) PropDelete(ctx context.Context, p string, name xml.Name) error
 		return err
 	}
 	defer g.Release()
-	if _, err := s.stat(ctx, cp); err != nil {
+	isDir, err := s.statKind(cp)
+	if err != nil {
 		return err
 	}
-	return s.withProps(ctx, cp, false, func(h *dbm.Handle) error {
+	return s.withProps(ctx, cp, isDir, false, func(h *dbm.Handle) error {
 		_, err := h.Delete(propKey(name))
 		return err
 	})
@@ -1366,17 +1381,18 @@ func (s *FSStore) PropAll(ctx context.Context, p string) (map[xml.Name][]byte, e
 		return nil, err
 	}
 	defer g.Release()
-	if _, err := s.stat(ctx, cp); err != nil {
+	isDir, err := s.statKind(cp)
+	if err != nil {
 		return nil, err
 	}
-	return s.propAllLocked(ctx, cp)
+	return s.propAllLocked(ctx, cp, isDir)
 }
 
 // propAllLocked reads every dead property under an already-held lock
 // covering cp.
-func (s *FSStore) propAllLocked(ctx context.Context, cp string) (map[xml.Name][]byte, error) {
+func (s *FSStore) propAllLocked(ctx context.Context, cp string, isDir bool) (map[xml.Name][]byte, error) {
 	out := map[xml.Name][]byte{}
-	err := s.withProps(ctx, cp, false, func(h *dbm.Handle) error {
+	err := s.withProps(ctx, cp, isDir, false, func(h *dbm.Handle) error {
 		return h.ForEach(func(k, v []byte) error {
 			if name, ok := parsePropKey(k); ok {
 				out[name] = v
