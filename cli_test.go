@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -248,5 +249,26 @@ func TestEccemigrateBinary(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("migrate output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestEccebenchBinary: an unknown command is refused before anything
+// runs, with or without -metrics, and the telemetry smoke passes.
+func TestEccebenchBinary(t *testing.T) {
+	bins := buildBinaries(t, "eccebench")
+	const commands = "<table1|table2|table3|robust|disk|chaos|ablation|smoke|all>"
+	for _, args := range [][]string{{"bogus"}, {"-metrics", "bogus"}} {
+		out, err := runCLI(t, bins["eccebench"], args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("eccebench %v: %v, want exit status 2", args, err)
+		}
+		if want := "eccebench: unknown experiment \"bogus\"\nusage: eccebench [flags] " + commands + "\n"; out != want {
+			t.Errorf("eccebench %v printed %q, want only %q", args, out, want)
+		}
+	}
+	out, err := runCLI(t, bins["eccebench"], "smoke")
+	if err != nil || !strings.Contains(out, "smoke: metrics exposition OK") {
+		t.Errorf("eccebench smoke: %v\n%s", err, out)
 	}
 }

@@ -46,12 +46,18 @@ func (p *probeStore) Get(ctx context.Context, path string) (io.ReadCloser, store
 	return p.Store.Get(ctx, path)
 }
 
-// builtServer serves Build(cfg) and its admin surface over live HTTP.
+// builtServer is serveBuilt with the two background samplers off.
 func builtServer(t *testing.T, cfg Config) (dav, admin *httptest.Server, logw *syncWriter) {
+	t.Helper()
+	cfg.SampleInterval, cfg.ProfInterval = 0, 0
+	return serveBuilt(t, cfg)
+}
+
+// serveBuilt serves Build(cfg) and its admin surface over live HTTP.
+func serveBuilt(t *testing.T, cfg Config) (dav, admin *httptest.Server, logw *syncWriter) {
 	t.Helper()
 	logw = &syncWriter{}
 	cfg.Logger = obs.NewLogger(logw, slog.LevelInfo)
-	cfg.SampleInterval, cfg.ProfInterval = 0, 0
 	srv, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)

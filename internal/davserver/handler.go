@@ -75,9 +75,6 @@ func (h *Handler) Locks() *LockManager { return h.locks }
 // waiters abandoned the queue on cancellation.
 func (h *Handler) GateStats() GateStats { return h.gate.stats() }
 
-// Store exposes the underlying store (tooling).
-func (h *Handler) Store() store.Store { return h.store }
-
 func (h *Handler) logf(format string, args ...any) {
 	if h.opts.Logger != nil {
 		h.opts.Logger.Error(fmt.Sprintf(format, args...))

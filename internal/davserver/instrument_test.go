@@ -211,7 +211,7 @@ func TestRecovererLogsRequestID(t *testing.T) {
 }
 
 // TestTrackStoreExposesRecoveryMetrics pins the PR 6 telemetry: an
-// FSStore tracked by Metrics must surface the crash-recovery, fsck,
+// FSStore tracked by Metrics must surface the crash recovery, fsck,
 // and fsync-error series in the Prometheus exposition.
 func TestTrackStoreExposesRecoveryMetrics(t *testing.T) {
 	fs, err := store.NewFSStore(t.TempDir(), dbm.GDBM)

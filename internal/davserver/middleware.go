@@ -126,16 +126,13 @@ type Health struct {
 
 // NewHealth builds probes over s: readiness Stats it, through whatever
 // wrappers the requests go through. base, when non-nil, is the store
-// beneath them, whose crash-recovery state readiness reports.
+// beneath them, whose recovery state readiness reports.
 func NewHealth(s store.Store, base *store.FSStore) *Health {
 	return &Health{store: s, recovery: base}
 }
 
 // SetDraining flips readiness to 503 (true) or restores it (false).
 func (h *Health) SetDraining(on bool) { h.draining.Store(on) }
-
-// Draining reports whether the instance is draining.
-func (h *Health) Draining() bool { return h.draining.Load() }
 
 // SetDegraded installs the SLO degraded probe (typically
 // (*ops.SLO).Degraded). A degraded instance stays in rotation — the

@@ -252,7 +252,7 @@ func TestHardenedStackServesDAV(t *testing.T) {
 	}
 }
 
-// TestRecoveringStoreGatesWrites pins the crash-recovery serving
+// TestRecoveringStoreGatesWrites pins the crash recovery serving
 // contract: while a store opened with deferred recovery has not
 // finished its pass, mutations get 503 with a Retry-After header,
 // reads keep working, and /readyz reports "recovering"; once Recover

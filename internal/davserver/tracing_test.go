@@ -21,7 +21,7 @@ func newTracedServer(t *testing.T, slow time.Duration) (*httptest.Server, *trace
 	t.Helper()
 	rec := trace.NewRecorder(trace.RecorderConfig{SampleRate: 1, SlowThreshold: -1})
 	tr := trace.New(trace.Config{Recorder: rec})
-	s := store.Instrument(store.NewMemStore(), store.NopObserver)
+	s := store.Instrument(store.NewMemStore(), func(string, time.Duration, error) {})
 	h := NewHandler(s, nil)
 	logw := &syncWriter{}
 	srv := httptest.NewServer(InstrumentWith(h, InstrumentOptions{

@@ -95,9 +95,6 @@ func NewCache(capacity int, flavour Flavour) *Cache {
 	}
 }
 
-// Capacity returns the configured capacity.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Handle is a pinned reference to an open database. Operations on the
 // handle are attributed to the Acquire context's trace (the "dbm.*"
 // spans). Close releases the pin; it must be called exactly once.

@@ -24,8 +24,6 @@ import (
 	"repro/internal/davserver"
 	"repro/internal/dbm"
 	"repro/internal/obs"
-	"repro/internal/obs/ops"
-	"repro/internal/obs/trace"
 	"repro/internal/store"
 )
 
@@ -57,44 +55,13 @@ func enabledMetrics() *davserver.Metrics {
 	return metrics
 }
 
-// Shared tracer for every environment started after EnableTracing.
-// Client and server deliberately share one tracer: an in-process
-// benchmark then records the whole client → server → store → dbm span
-// tree in a single flight recorder.
-var (
-	tracingMu sync.Mutex
-	tracer    *trace.Tracer
-	recorder  *trace.Recorder
-)
-
-// EnableTracing switches on span tracing for all subsequently started
-// DAV environments and returns the shared tracer and its flight
-// recorder. The first call's cfg wins; later calls are idempotent and
-// ignore cfg.
-func EnableTracing(cfg trace.RecorderConfig) (*trace.Tracer, *trace.Recorder) {
-	tracingMu.Lock()
-	defer tracingMu.Unlock()
-	if tracer == nil {
-		recorder = trace.NewRecorder(cfg)
-		tracer = trace.New(trace.Config{Recorder: recorder})
-	}
-	return tracer, recorder
-}
-
-func enabledTracer() *trace.Tracer {
-	tracingMu.Lock()
-	defer tracingMu.Unlock()
-	return tracer
-}
-
 // DAVEnv is a running DAV server plus a connected client.
 type DAVEnv struct {
 	// Store is the base store (FSStore or MemStore), beneath WrapStore
 	// and the server's own wrappers.
-	Store   store.Store
-	Handler *davserver.Handler
-	Client  *davclient.Client
-	URL     string
+	Store  store.Store
+	Client *davclient.Client
+	URL    string
 
 	built  *davserver.Server
 	server *http.Server
@@ -115,33 +82,18 @@ type DAVEnvOptions struct {
 	// MaxPropBytes forwards to the server (0 = default 10 MB,
 	// negative = unlimited).
 	MaxPropBytes int
-	// HandleCacheSize forwards to store.FSOptions: the bound on cached
-	// DBM handles (0 or negative = store default).
-	HandleCacheSize int
-	// StepHook forwards to store.FSOptions: a hook invoked at each
-	// multi-step operation boundary. Benchmarks use it to stall inside
-	// the path lock, simulating slow storage under contention.
-	StepHook func(point string)
-	// Ops replaces the server's workload tracker (hot-path top-K and SLO
-	// burn accounting) with one the caller can read.
-	Ops *ops.Tracker
 	// WrapStore, when set, wraps the store beneath the server's own
 	// wrappers — the hook chaos/latency injectors use to sit on the
 	// serving path.
 	WrapStore func(store.Store) store.Store
-	// WrapHandler, when set, wraps the fully assembled HTTP handler —
-	// the hook for request-level middleware such as the cancellation
-	// benchmark's context detacher.
-	WrapHandler func(http.Handler) http.Handler
 }
 
 // StartDAVEnv boots a DAV server on a loopback socket and connects a
 // client. The server is davd's: DefaultConfig through davserver.Build,
 // varied only by what the options inject. The two background samplers
-// are off (davd -sample-interval 0 -prof-interval 0): they are the
-// treatment arm bench-pr7/8 measure, and a CPU profile at every start
-// would sit inside every microbenchmark. No request passes through
-// them.
+// are off (davd -sample-interval 0 -prof-interval 0): no request passes
+// through them, and a CPU profile at every start would sit inside every
+// microbenchmark.
 func StartDAVEnv(opts DAVEnvOptions) (*DAVEnv, error) {
 	env := &DAVEnv{}
 	if opts.InMemory {
@@ -156,8 +108,7 @@ func StartDAVEnv(opts DAVEnvOptions) (*DAVEnv, error) {
 			}
 			env.dir = dir
 		}
-		fs, err := store.NewFSStoreWith(dir, opts.Flavour,
-			store.FSOptions{HandleCacheSize: opts.HandleCacheSize, StepHook: opts.StepHook})
+		fs, err := store.NewFSStore(dir, opts.Flavour)
 		if err != nil {
 			env.cleanup()
 			return nil, err
@@ -174,19 +125,13 @@ func StartDAVEnv(opts DAVEnvOptions) (*DAVEnv, error) {
 		cfg.MaxPropBytes = opts.MaxPropBytes
 	}
 	cfg.Metrics = enabledMetrics()
-	cfg.Tracer = enabledTracer()
-	cfg.Ops = opts.Ops
 	built, err := davserver.Build(cfg)
 	if err != nil {
 		env.Store.Close()
 		env.cleanup()
 		return nil, err
 	}
-	env.built, env.Handler = built, built.DAV
-	serverHandler := built.Handler
-	if opts.WrapHandler != nil {
-		serverHandler = opts.WrapHandler(serverHandler)
-	}
+	env.built = built
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -194,7 +139,7 @@ func StartDAVEnv(opts DAVEnvOptions) (*DAVEnv, error) {
 		return nil, err
 	}
 	env.URL = fmt.Sprintf("http://%s", l.Addr())
-	env.server = &http.Server{Handler: serverHandler}
+	env.server = &http.Server{Handler: built.Handler}
 	go env.server.Serve(l)
 
 	env.Client, err = env.NewClient(opts.Persistent, opts.Parser)
@@ -217,7 +162,6 @@ func (e *DAVEnv) NewClient(persistent bool, parser davclient.ParserKind) (*davcl
 		Parser:     parser,
 		Timeout:    10 * time.Minute,
 		Metrics:    clientReg,
-		Tracer:     enabledTracer(),
 	})
 }
 

@@ -12,7 +12,7 @@
 //   - no dangling journal intents (unfinished multi-step operations).
 //
 // Check reports violations without touching the store. Repair reuses
-// the store's own crash-recovery code for the journal and temp-file
+// the store's own crash recovery code for the journal and temp-file
 // findings, removes orphaned sidecars, quarantines corrupt or
 // wrong-flavour databases as "<name>.corrupt" (the bytes stay for the
 // operator; the invariant is restored), and deletes unparseable

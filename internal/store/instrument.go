@@ -13,10 +13,6 @@ import (
 // latency histograms and error counters.
 type OpObserver func(op string, d time.Duration, err error)
 
-// NopObserver discards observations. Pass it to Instrument when only
-// tracing (not metrics) is wanted: the wrapper still creates spans.
-var NopObserver OpObserver = func(string, time.Duration, error) {}
-
 // Instrument wraps s so every Store operation is timed and reported to
 // obs, and — when the operation's context carries an active trace span
 // — recorded as a child span named "store.<op>". The span's context is
@@ -28,11 +24,8 @@ var NopObserver OpObserver = func(string, time.Duration, error) {}
 // Get timings cover opening the document, not streaming its body (the
 // HTTP layer's response-size histograms cover transfer). Close has no
 // request context and therefore never a span; the observer still sees
-// it. A nil observer returns s unchanged.
+// it.
 func Instrument(s Store, obs OpObserver) Store {
-	if obs == nil {
-		return s
-	}
 	return Intercept(s, func(ctx context.Context, op Op, next func(context.Context) error) error {
 		attrs := []trace.Attr{trace.Str("path", op.Path)}
 		switch {

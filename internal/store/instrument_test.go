@@ -78,13 +78,6 @@ func TestInstrumentObservesOpsAndErrors(t *testing.T) {
 	}
 }
 
-func TestInstrumentNilObserverIsPassThrough(t *testing.T) {
-	ms := NewMemStore()
-	if got := Instrument(ms, nil); got != Store(ms) {
-		t.Fatal("nil observer should return the store unchanged")
-	}
-}
-
 func TestInstrumentRenameDelegates(t *testing.T) {
 	// A MOVE through the wrapper is one observed rename.
 	fs, err := NewFSStore(t.TempDir(), 0)
