@@ -52,13 +52,6 @@ func (c *CrashPoint) Arm(op string, k int) {
 	c.fired = nil
 }
 
-// Disarm stops the injector without clearing the fired record.
-func (c *CrashPoint) Disarm() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.k = 0
-}
-
 // Fired returns the crash raised since the last Arm, or nil.
 func (c *CrashPoint) Fired() *CrashPanic {
 	c.mu.Lock()

@@ -563,17 +563,6 @@ func (c *Client) Search(bs davproto.BasicSearch) (davproto.Multistatus, error) {
 	return c.parseMultistatus(resp)
 }
 
-// SupportsSearch probes the server's OPTIONS response for the DASL
-// basicsearch capability.
-func (c *Client) SupportsSearch(p string) (bool, error) {
-	resp, err := c.do(http.MethodOptions, p, nil, nil, http.StatusOK)
-	if err != nil {
-		return false, err
-	}
-	defer discard(resp)
-	return strings.Contains(resp.Header.Get("DASL"), "basicsearch"), nil
-}
-
 // VersionControl puts a document under version control (its current
 // state becomes version 1); subsequent Puts create new versions
 // automatically.

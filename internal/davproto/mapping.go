@@ -65,20 +65,6 @@ func (m *Mapping) Reverse(to xml.Name) (xml.Name, bool) {
 	return xml.Name{}, false
 }
 
-// MapNames translates a property-name list From→To; unmapped names
-// pass through unchanged.
-func (m *Mapping) MapNames(names []xml.Name) []xml.Name {
-	out := make([]xml.Name, len(names))
-	for i, n := range names {
-		if to, ok := m.Lookup(n); ok {
-			out[i] = to
-		} else {
-			out[i] = n
-		}
-	}
-	return out
-}
-
 // TranslateMultistatus rewrites property names To→From in a response,
 // so the caller sees its own schema. Property values and structure are
 // preserved; only the outermost element name changes.

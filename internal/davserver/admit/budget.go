@@ -76,16 +76,6 @@ func (b *RetryBudget) AllowRetry() bool {
 	return ok
 }
 
-// Tokens reports the current balance.
-func (b *RetryBudget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}
-
 // Allowed and Rejected report the cumulative retry decisions.
 func (b *RetryBudget) Allowed() uint64  { return b.allowed.Load() }
 func (b *RetryBudget) Rejected() uint64 { return b.rejected.Load() }

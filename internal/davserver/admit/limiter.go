@@ -31,16 +31,19 @@ type Config struct {
 	// moving baseline before the limit is cut (default 2.0 = cut when
 	// requests take twice as long as the uncongested floor).
 	Tolerance float64
-	// Backoff is the multiplicative decrease factor (default 0.85).
-	Backoff float64
-	// BaselineGain is the EWMA gain applied when the observed floor
-	// rises — baseline tracks the minimum latency per window, dropping
-	// instantly (a faster floor is always real) but climbing slowly so
-	// congestion cannot talk the baseline up (default 0.05).
-	BaselineGain float64
 	// Now substitutes a clock for tests; nil uses time.Now.
 	Now func() time.Time
 }
+
+const (
+	// backoff is the multiplicative decrease factor.
+	backoff = 0.85
+	// baselineGain is the EWMA gain applied when the observed floor
+	// rises — baseline tracks the minimum latency per window, dropping
+	// instantly (a faster floor is always real) but climbing slowly so
+	// congestion cannot talk the baseline up.
+	baselineGain = 0.05
+)
 
 // ShedError reports an admission rejection. RetryAfter is the server's
 // honest estimate of when capacity will free up, never zero: a shed
@@ -70,13 +73,11 @@ type waiter struct {
 // admission queue is the first queue a request joins, so it must be the
 // first to let an abandoned request go.
 type Limiter struct {
-	now          func() time.Time
-	min, max     float64
-	queueCap     [numPriorities]int
-	adjustEvery  int
-	tolerance    float64
-	backoff      float64
-	baselineGain float64
+	now         func() time.Time
+	min, max    float64
+	queueCap    [numPriorities]int
+	adjustEvery int
+	tolerance   float64
 
 	mu       sync.Mutex
 	limit    float64
@@ -128,12 +129,6 @@ func NewLimiter(cfg Config) *Limiter {
 	if cfg.Tolerance <= 1 {
 		cfg.Tolerance = 2.0
 	}
-	if cfg.Backoff <= 0 || cfg.Backoff >= 1 {
-		cfg.Backoff = 0.85
-	}
-	if cfg.BaselineGain <= 0 || cfg.BaselineGain > 1 {
-		cfg.BaselineGain = 0.05
-	}
 	if cfg.Queue < 0 {
 		cfg.Queue = 0
 	}
@@ -141,14 +136,12 @@ func NewLimiter(cfg Config) *Limiter {
 		cfg.Now = time.Now
 	}
 	l := &Limiter{
-		now:          cfg.Now,
-		min:          float64(cfg.Min),
-		max:          float64(cfg.Max),
-		adjustEvery:  cfg.AdjustEvery,
-		tolerance:    cfg.Tolerance,
-		backoff:      cfg.Backoff,
-		baselineGain: cfg.BaselineGain,
-		limit:        float64(cfg.Initial),
+		now:         cfg.Now,
+		min:         float64(cfg.Min),
+		max:         float64(cfg.Max),
+		adjustEvery: cfg.AdjustEvery,
+		tolerance:   cfg.Tolerance,
+		limit:       float64(cfg.Initial),
 	}
 	// Probe never queues (it never waits at all); the expensive tail
 	// gets the smallest share so it sheds first when the queue fills.
@@ -325,12 +318,12 @@ func (l *Limiter) adjustLocked() {
 		// windows: drifting the floor upward while running at the limit
 		// would slowly normalize congested latency and let the limit
 		// run away.
-		l.baseline += (l.winMin - l.baseline) * l.baselineGain
+		l.baseline += (l.winMin - l.baseline) * baselineGain
 	}
 	l.recent = recent
 	switch {
 	case l.baseline > 0 && recent > l.tolerance*l.baseline && l.limit > l.min:
-		l.limit = math.Max(l.min, l.limit*l.backoff)
+		l.limit = math.Max(l.min, l.limit*backoff)
 		l.decreases.Add(1)
 	case l.winSat && l.limit < l.max:
 		l.limit = math.Min(l.max, l.limit+1)
@@ -381,9 +374,6 @@ type Stats struct {
 	Limit float64
 	// Inflight and Queued are the current admitted and waiting counts.
 	Inflight, Queued int
-	// Baseline and Recent are the moving latency floor and the last
-	// window's mean service time.
-	Baseline, Recent time.Duration
 	// WaitTotal is cumulative time requests spent queued, including
 	// waits that ended in cancellation.
 	WaitTotal time.Duration
@@ -399,8 +389,6 @@ func (l *Limiter) Stats() Stats {
 		Limit:     l.limit,
 		Inflight:  l.inflight,
 		Queued:    l.queued,
-		Baseline:  time.Duration(l.baseline * float64(time.Second)),
-		Recent:    time.Duration(l.recent * float64(time.Second)),
 		WaitTotal: time.Duration(l.waitNs.Load()),
 		Increases: l.increases.Load(),
 		Decreases: l.decreases.Load(),

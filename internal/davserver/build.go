@@ -60,8 +60,8 @@ type Config struct {
 	Brownout                       bool
 	BrownoutInterval               time.Duration
 
-	// Injection points: what davd and the experiment environments supply
-	// differently. All may be nil.
+	// The three injection points: what davd and the experiment
+	// environments supply differently. All may be nil.
 
 	// Store replaces the FSStore Build would open at Root and recover in
 	// the background. Build takes ownership (Server.Close closes it);
@@ -74,12 +74,6 @@ type Config struct {
 	Logger *slog.Logger
 	// Metrics shares a registry across several servers; nil makes one.
 	Metrics *Metrics
-	// Tracer shares a tracer (which must carry a Recorder) with clients;
-	// nil makes one from SlowThreshold and TraceSample.
-	Tracer *trace.Tracer
-	// Ops shares a workload tracker, and with it the SLO engine; nil
-	// makes one from the SLO spec.
-	Ops *ops.Tracker
 }
 
 // DefaultConfig returns davd's flag defaults.
@@ -129,19 +123,14 @@ func Build(cfg Config) (*Server, error) {
 	if cfg.DBMCache < 1 {
 		return nil, fmt.Errorf("-dbm-cache %d: the property-database cache needs at least one handle", cfg.DBMCache)
 	}
-	tracker := cfg.Ops
-	if tracker == nil {
-		var slo *ops.SLO
-		if cfg.SLO != "" {
-			objectives, err := ops.ParseObjectives(cfg.SLO)
-			if err != nil {
-				return nil, fmt.Errorf("-slo: %w", err)
-			}
-			slo = ops.NewSLO(ops.SLOConfig{Objectives: objectives})
+	var slo *ops.SLO
+	if cfg.SLO != "" {
+		objectives, err := ops.ParseObjectives(cfg.SLO)
+		if err != nil {
+			return nil, fmt.Errorf("-slo: %w", err)
 		}
-		tracker = ops.NewTracker(ops.TrackerConfig{SLO: slo})
+		slo = ops.NewSLO(ops.SLOConfig{Objectives: objectives})
 	}
-	slo := tracker.SLO()
 	if cfg.Brownout && slo == nil {
 		return nil, errors.New("-brownout needs -slo objectives to derive the degraded signal")
 	}
@@ -217,19 +206,17 @@ func Build(cfg Config) (*Server, error) {
 	start := time.Now()
 	reg.GaugeFunc("process_uptime_seconds", "Seconds since the process registered its metrics.", nil,
 		func() float64 { return time.Since(start).Seconds() })
+	tracker := ops.NewTracker(ops.TrackerConfig{SLO: slo})
 	tracker.Register(reg)
-	tracer := cfg.Tracer
-	if tracer == nil {
-		slow := cfg.SlowThreshold
-		if slow == 0 {
-			slow = -1 // 0 disables slow retention; the recorder treats negatives as off
-		}
-		tracer = trace.New(trace.Config{Recorder: trace.NewRecorder(trace.RecorderConfig{
-			SlowThreshold: slow,
-			SampleRate:    cfg.TraceSample,
-		})})
+	slow := cfg.SlowThreshold
+	if slow == 0 {
+		slow = -1 // 0 disables slow retention; the recorder treats negatives as off
 	}
-	srv.recorder = tracer.Recorder()
+	srv.recorder = trace.NewRecorder(trace.RecorderConfig{
+		SlowThreshold: slow,
+		SampleRate:    cfg.TraceSample,
+	})
+	tracer := trace.New(trace.Config{Recorder: srv.recorder})
 
 	// Store wrappers: Instrument times the operation including its
 	// deadline context; OpTimeout outermost gives each DAV-layer store

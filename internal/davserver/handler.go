@@ -19,6 +19,7 @@ import (
 	"repro/internal/davproto"
 	"repro/internal/davserver/admit"
 	"repro/internal/store"
+	"repro/internal/store/pathlock"
 	"repro/internal/xmldom"
 )
 
@@ -51,13 +52,25 @@ type Options struct {
 type Handler struct {
 	store store.Store
 	locks *LockManager
-	gate  *writeGate
-	opts  Options
+	// gate serializes the check-then-act sequences of PUT and DELETE:
+	// they evaluate If-Match / If-None-Match against a Stat taken before
+	// the store mutation, and the store's own path locks make each call
+	// atomic but not the sequence, so without the gate two conditional
+	// writers could both validate the same ETag and both write — the lost
+	// update RFC 7232 preconditions exist to prevent. Every PUT and DELETE
+	// takes it (not just conditional ones) so an unconditional write cannot
+	// slip between another request's check and its write; COPY and MOVE
+	// accept no entity preconditions and rely on the store's locks. It is
+	// the first queue a write joins, so waiting on it is cancellable. It
+	// is hierarchical like the store's locks: a collection DELETE waits
+	// for the PUTs inside it.
+	gate *pathlock.Manager
+	opts Options
 }
 
 // NewHandler builds a Handler over s.
 func NewHandler(s store.Store, opts *Options) *Handler {
-	h := &Handler{store: s, locks: NewLockManager(), gate: newWriteGate()}
+	h := &Handler{store: s, locks: NewLockManager(), gate: pathlock.NewManager()}
 	if opts != nil {
 		h.opts = *opts
 	}
@@ -69,11 +82,6 @@ func NewHandler(s store.Store, opts *Options) *Handler {
 
 // Locks exposes the lock manager (tests, tooling).
 func (h *Handler) Locks() *LockManager { return h.locks }
-
-// GateStats snapshots the per-path write gate's counters: how often
-// check-then-act sequences queued behind one another and how many
-// waiters abandoned the queue on cancellation.
-func (h *Handler) GateStats() GateStats { return h.gate.stats() }
 
 func (h *Handler) logf(format string, args ...any) {
 	if h.opts.Logger != nil {
@@ -386,13 +394,13 @@ func (h *Handler) handlePut(w http.ResponseWriter, r *http.Request, p string) {
 		return
 	}
 	// The gate keeps the precondition check and the write atomic with
-	// respect to every other PUT/DELETE on this path (see writeGate).
-	unlock, err := h.gate.lock(r.Context(), p)
+	// respect to every other PUT/DELETE on this path (see Handler.gate).
+	g, err := h.gate.Lock(r.Context(), p)
 	if err != nil {
 		h.fail(w, r, err)
 		return
 	}
-	defer unlock()
+	defer g.Release()
 	ri, statErr := h.store.Stat(r.Context(), p)
 	exists := statErr == nil
 	if exists && ri.IsCollection {
@@ -436,13 +444,13 @@ func (h *Handler) handleDelete(w http.ResponseWriter, r *http.Request, p string)
 		return
 	}
 	// Atomic with concurrent PUT/DELETE precondition checks on this
-	// path (see writeGate).
-	unlock, err := h.gate.lock(r.Context(), p)
+	// path (see Handler.gate).
+	g, err := h.gate.Lock(r.Context(), p)
 	if err != nil {
 		h.fail(w, r, err)
 		return
 	}
-	defer unlock()
+	defer g.Release()
 	if r.Header.Get("If-Match") != "" || r.Header.Get("If-None-Match") != "" {
 		ri, statErr := h.store.Stat(r.Context(), p)
 		if !checkPreconditions(r, ri, statErr == nil) {

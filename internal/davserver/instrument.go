@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs/ops"
 	"repro/internal/obs/trace"
 	"repro/internal/store"
-	"repro/internal/store/fsck"
 	"repro/internal/store/journal"
 	"repro/internal/store/pathlock"
 )
@@ -29,10 +28,9 @@ import (
 const (
 	helpRequests  = "DAV requests served, by method and status class."
 	helpDuration  = "DAV request handling latency in seconds, by method."
-	helpReqBytes  = "Request body sizes in bytes, by method."
 	helpRespBytes = "Response body sizes in bytes, by method."
 	helpStoreOps  = "Store operation latency in seconds, by operation."
-	helpStoreErrs = "Store operations that returned an error, by operation."
+	helpStoreErrs = "Store operations that failed with a server error (HTTP 500), by operation."
 	helpLocks     = "Active entries in the in-memory lock table."
 	helpInflight  = "DAV requests currently being handled."
 	helpPanics    = "Handler panics recovered by the hardening middleware."
@@ -79,7 +77,7 @@ func methodLabel(m string) string {
 // observeRequest records one completed request. traceID (optional)
 // stamps the latency bucket with an exemplar so the exposition can
 // link a slow bucket to its recorded trace.
-func (m *Metrics) observeRequest(method string, status int, d time.Duration, reqBytes, respBytes int64, traceID string) {
+func (m *Metrics) observeRequest(method string, status int, d time.Duration, respBytes int64, traceID string) {
 	r := m.Registry
 	lm := methodLabel(method)
 	// Client aborts (499) get their own class: they are neither server
@@ -94,22 +92,21 @@ func (m *Metrics) observeRequest(method string, status int, d time.Duration, req
 		obs.Labels{"method": lm, "class": class}).Inc()
 	r.Histogram("dav_request_duration_seconds", helpDuration,
 		obs.Labels{"method": lm}, obs.DefBuckets).ObserveEx(d.Seconds(), traceID)
-	if reqBytes >= 0 {
-		r.Histogram("dav_request_body_bytes", helpReqBytes,
-			obs.Labels{"method": lm}, obs.SizeBuckets).Observe(float64(reqBytes))
-	}
 	r.Histogram("dav_response_body_bytes", helpRespBytes,
 		obs.Labels{"method": lm}, obs.SizeBuckets).Observe(float64(respBytes))
 }
 
 // StoreObserver returns a store.OpObserver that records each store
-// operation's latency (and errors) in the registry; pass it to
-// store.Instrument around the Store the Handler serves.
+// operation's latency, and its failures, in the registry; pass it to
+// store.Instrument around the Store the Handler serves. A failure is an
+// error the handler answers with 500: a missing resource, a GET of a
+// collection or a precondition is healthy traffic, and cancellations are
+// dav_store_cancelled_total's.
 func (m *Metrics) StoreObserver() store.OpObserver {
 	return func(op string, d time.Duration, err error) {
 		m.Registry.Histogram("dav_store_op_duration_seconds", helpStoreOps,
 			obs.Labels{"op": op}, obs.DefBuckets).Observe(d.Seconds())
-		if err != nil {
+		if statusForErr(err) == http.StatusInternalServerError {
 			m.Registry.Counter("dav_store_op_errors_total", helpStoreErrs,
 				obs.Labels{"op": op}).Inc()
 		}
@@ -129,19 +126,19 @@ func (m *Metrics) TrackLocks(lm *LockManager) {
 func (m *Metrics) TrackGate(h *Handler) {
 	m.Registry.GaugeFunc("dav_gate_contended_total",
 		"Write-gate acquisitions that had to wait (cumulative).", nil,
-		func() float64 { return float64(h.GateStats().Contended) })
+		func() float64 { return float64(h.gate.Stats().Contended) })
 	m.Registry.GaugeFunc("dav_gate_wait_seconds_total",
 		"Cumulative time spent blocked on the write gate.", nil,
-		func() float64 { return h.GateStats().WaitTotal.Seconds() })
+		func() float64 { return h.gate.Stats().WaitTotal.Seconds() })
 	m.Registry.GaugeFunc("dav_gate_cancelled_total",
 		"Write-gate waits abandoned because the waiter's context ended (cumulative).", nil,
-		func() float64 { return float64(h.GateStats().Cancelled) })
+		func() float64 { return float64(h.gate.Stats().Cancelled) })
 }
 
 // TrackAdmit exposes the admission controller's state — the adaptive
-// limit, queue depth, per-class admit/shed/cancel counters, the retry
-// budget, and the brownout ladder — as gauges read at scrape time,
-// following the TrackGate/TrackStore snapshot pattern.
+// limit, queue depth and wait, per-class shed counters, and the
+// brownout ladder — as gauges read at scrape time, following the
+// TrackGate/TrackStore snapshot pattern.
 func (m *Metrics) TrackAdmit(c *admit.Controller) {
 	if c == nil {
 		return
@@ -149,12 +146,6 @@ func (m *Metrics) TrackAdmit(c *admit.Controller) {
 	g := m.Registry.GaugeFunc
 	if c.Limiter != nil {
 		m.trackLimiterAdmit(c)
-	}
-	if c.Budget != nil {
-		b := c.Budget
-		g("dav_admit_retry_budget_tokens",
-			"Server-side retry-budget balance; empty means client retries are shed.", nil,
-			b.Tokens)
 	}
 	if c.Brownout != nil {
 		b := c.Brownout
@@ -185,27 +176,11 @@ func (m *Metrics) trackLimiterAdmit(c *admit.Controller) {
 		func() float64 { return float64(l.Stats().Inflight) })
 	g("dav_admit_queued", "Requests waiting in the admission queue.", nil,
 		func() float64 { return float64(l.Stats().Queued) })
-	g("dav_admit_latency_baseline_seconds",
-		"Moving uncongested-latency floor the AIMD gradient compares against.", nil,
-		func() float64 { return l.Stats().Baseline.Seconds() })
-	g("dav_admit_latency_recent_seconds",
-		"Mean service time of the last adjustment window.", nil,
-		func() float64 { return l.Stats().Recent.Seconds() })
 	g("dav_admit_wait_seconds_total",
 		"Cumulative time requests spent in the admission queue, including cancelled waits.", nil,
 		func() float64 { return l.Stats().WaitTotal.Seconds() })
-	g("dav_admit_limit_changes_total",
-		"Adaptive limit adjustments (cumulative).", obs.Labels{"direction": "up"},
-		func() float64 { return float64(l.Stats().Increases) })
-	g("dav_admit_limit_changes_total",
-		"Adaptive limit adjustments (cumulative).", obs.Labels{"direction": "down"},
-		func() float64 { return float64(l.Stats().Decreases) })
 	for _, pr := range admit.Priorities() {
 		pr := pr
-		g("dav_admit_admitted_total",
-			"Requests admitted, by priority class (cumulative).",
-			obs.Labels{"priority": pr.String()},
-			func() float64 { return float64(l.Admitted(pr)) })
 		g("dav_admit_shed_total",
 			"Requests shed with 429 + Retry-After, by priority class and reason (cumulative).",
 			obs.Labels{"priority": pr.String(), "reason": "queue-full"},
@@ -214,10 +189,6 @@ func (m *Metrics) trackLimiterAdmit(c *admit.Controller) {
 			"Requests shed with 429 + Retry-After, by priority class and reason (cumulative).",
 			obs.Labels{"priority": pr.String(), "reason": "retry-budget"},
 			func() float64 { return float64(c.BudgetShed(pr)) })
-		g("dav_admit_cancelled_total",
-			"Admission waits abandoned because the waiter's context ended, by priority class (cumulative).",
-			obs.Labels{"priority": pr.String()},
-			func() float64 { return float64(l.Cancelled(pr)) })
 	}
 }
 
@@ -330,15 +301,6 @@ func (m *Metrics) TrackStore(s store.Store) {
 		"Fsync failures demoted to best-effort after a successful rename (cumulative).",
 		obs.Labels{"layer": "dbm"},
 		func() float64 { return float64(dbm.FsyncErrors()) })
-	m.Registry.GaugeFunc("dav_fsck_runs_total",
-		"Store integrity checks run in-process (cumulative).", nil,
-		func() float64 { return float64(fsck.CumulativeStats().Runs) })
-	m.Registry.GaugeFunc("dav_fsck_findings_total",
-		"Invariant violations reported by in-process fsck (cumulative).", nil,
-		func() float64 { return float64(fsck.CumulativeStats().Findings) })
-	m.Registry.GaugeFunc("dav_fsck_repaired_total",
-		"Findings fixed by in-process fsck repair (cumulative).", nil,
-		func() float64 { return float64(fsck.CumulativeStats().Repaired) })
 	m.Registry.GaugeFunc("dav_store_cancelled_total",
 		"Store operations abandoned mid-request because the client disconnected (cumulative).",
 		obs.Labels{"reason": "client"},
@@ -445,7 +407,7 @@ func InstrumentWith(next http.Handler, o InstrumentOptions) http.Handler {
 			if span != nil {
 				traceID = span.TraceID().String()
 			}
-			m.observeRequest(req.Method, rr.Status(), d, req.ContentLength, rr.Bytes(), traceID)
+			m.observeRequest(req.Method, rr.Status(), d, rr.Bytes(), traceID)
 		}
 		if o.Ops != nil {
 			o.Ops.ObserveRequest(req.Method, req.URL.Path,

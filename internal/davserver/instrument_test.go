@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/davclient"
 	"repro/internal/davproto"
 	"repro/internal/dbm"
@@ -172,6 +173,34 @@ func TestInstrumentMetrics(t *testing.T) {
 	}
 }
 
+// TestStoreErrorsCountOnlyServerErrors: dav_store_op_errors_total counts
+// the store failures a client sees as a 500, through Build's chain. A
+// browser GET of a collection (store.Get says ErrIsCollection, the
+// handler serves the index) and a 404 are healthy traffic.
+func TestStoreErrorsCountOnlyServerErrors(t *testing.T) {
+	faulty := chaos.NewFaultyStore(store.NewMemStore())
+	cfg := DefaultConfig()
+	cfg.Store = faulty
+	dav, admin, _ := builtServer(t, cfg)
+	wantStatus(t, do(t, "MKCOL", dav.URL+"/dir", nil, ""), 201)
+	wantStatus(t, do(t, "PUT", dav.URL+"/dir/doc", nil, "x"), 201)
+	wantStatus(t, do(t, "GET", dav.URL+"/dir", nil, ""), 200)
+	wantStatus(t, do(t, "GET", dav.URL+"/missing", nil, ""), 404)
+	if n := gauge(scrape(t, admin), "dav_store_op_errors_total"); n != 0 {
+		t.Fatalf("dav_store_op_errors_total = %v after healthy traffic, want 0", n)
+	}
+
+	faulty.FailNth(chaos.OpGet, 1)
+	wantStatus(t, do(t, "GET", dav.URL+"/dir/doc", nil, ""), 500)
+	e := scrape(t, admin)
+	if n := gauge(e, "dav_store_op_errors_total"); n != 1 {
+		t.Fatalf("dav_store_op_errors_total = %v after one failed get, want 1", n)
+	}
+	if want := `dav_store_op_errors_total{op="` + store.OpGet + `"} 1`; !strings.Contains(e, want) {
+		t.Errorf("exposition lacks %s", want)
+	}
+}
+
 // TestRecovererLogsRequestID asserts panic recoveries carry the trace
 // ID at ERROR level when the panic happens under Instrument.
 func TestRecovererLogsRequestID(t *testing.T) {
@@ -211,8 +240,8 @@ func TestRecovererLogsRequestID(t *testing.T) {
 }
 
 // TestTrackStoreExposesRecoveryMetrics pins the PR 6 telemetry: an
-// FSStore tracked by Metrics must surface the crash recovery, fsck,
-// and fsync-error series in the Prometheus exposition.
+// FSStore tracked by Metrics must surface the crash recovery and
+// fsync-error series in the Prometheus exposition.
 func TestTrackStoreExposesRecoveryMetrics(t *testing.T) {
 	fs, err := store.NewFSStore(t.TempDir(), dbm.GDBM)
 	if err != nil {
@@ -236,9 +265,6 @@ func TestTrackStoreExposesRecoveryMetrics(t *testing.T) {
 		"dav_recovering",
 		`dav_fsync_errors_total{layer="store"}`,
 		`dav_fsync_errors_total{layer="dbm"}`,
-		"dav_fsck_runs_total",
-		"dav_fsck_findings_total",
-		"dav_fsck_repaired_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %s", want)

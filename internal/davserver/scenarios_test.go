@@ -132,6 +132,15 @@ func TestQueuedDeletesLeaveOnDisconnect(t *testing.T) {
 	if n := deletes.Load(); n != 1 {
 		t.Errorf("the store saw %d Deletes, want only the survivor's", n)
 	}
+	// The survivor holds the write gate while parked in the store, so
+	// every aborter waited there first.
+	e := scrape(t, admin)
+	if n := gauge(e, "dav_gate_contended_total"); n < aborters {
+		t.Errorf("dav_gate_contended_total = %v, want >= %d", n, aborters)
+	}
+	if s := gauge(e, "dav_gate_wait_seconds_total"); s <= 0 {
+		t.Errorf("dav_gate_wait_seconds_total = %v after %d queued waits, want > 0", s, aborters)
+	}
 
 	release()
 	if code := <-survivor; code != http.StatusNoContent {
@@ -146,7 +155,8 @@ func TestQueuedDeletesLeaveOnDisconnect(t *testing.T) {
 // admission limit against a store whose Get takes a few milliseconds.
 // Some requests are served; every other one is refused with a 429 that
 // says when to come back and why; nothing is a 5xx, and the liveness
-// probe answers throughout.
+// probe answers throughout. The admitted ones queued, and the time
+// they spent there is on /metrics.
 func TestOverloadShedsHonestly(t *testing.T) {
 	const limit, clients, rounds, docs = 2, 18, 12, 4
 	fs := fsStoreCheckedAfterClose(t)
@@ -163,7 +173,7 @@ func TestOverloadShedsHonestly(t *testing.T) {
 		}
 		return next(ctx)
 	})
-	dav, _, _ := builtServer(t, cfg)
+	dav, admin, _ := builtServer(t, cfg)
 
 	var served, shed atomic.Int64
 	var wg sync.WaitGroup
@@ -210,6 +220,9 @@ func TestOverloadShedsHonestly(t *testing.T) {
 	}
 	if served.Load() == 0 || shed.Load() == 0 {
 		t.Errorf("served %d, shed %d of %d requests; want some of each", served.Load(), shed.Load(), clients*rounds)
+	}
+	if s := gauge(scrape(t, admin), "dav_admit_wait_seconds_total"); s <= 0 {
+		t.Errorf("dav_admit_wait_seconds_total = %v after a saturated run, want > 0", s)
 	}
 }
 

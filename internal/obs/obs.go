@@ -156,9 +156,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the total of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// NumBuckets returns the number of buckets including +Inf.
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
 // series is one labelled instance within a family.
 type series struct {
 	labels  Labels
@@ -238,14 +235,6 @@ func (r *Registry) SetExemplars(on bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.exemplars = on
-}
-
-// SeriesLimit reports the configured per-family series cap (0 =
-// unbounded).
-func (r *Registry) SeriesLimit() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seriesLimit
 }
 
 // lookup finds or creates the series for name+labels, enforcing kind

@@ -74,9 +74,6 @@ func NewSampler(cfg SamplerConfig) *Sampler {
 	}
 }
 
-// Interval returns the configured sampling interval.
-func (s *Sampler) Interval() time.Duration { return s.interval }
-
 // Start takes an immediate sample and begins the periodic loop.
 // Starting an already-started sampler is a no-op.
 func (s *Sampler) Start() {
@@ -221,30 +218,18 @@ func (s *Sampler) Register(r *obs.Registry) {
 	r.GaugeFunc("dav_runtime_heap_sys_bytes",
 		"Heap bytes obtained from the OS at the last runtime sample.", nil,
 		latest(func(sm Sample) float64 { return float64(sm.HeapSysBytes) }))
-	r.GaugeFunc("dav_runtime_heap_objects",
-		"Live heap objects at the last runtime sample.", nil,
-		latest(func(sm Sample) float64 { return float64(sm.HeapObjects) }))
 	r.GaugeFunc("dav_runtime_gc_pause_seconds_total",
 		"Cumulative GC stop-the-world pause time.", nil,
 		latest(func(sm Sample) float64 { return sm.GCPauseTotalSeconds }))
 	r.GaugeFunc("dav_runtime_gc_cpu_fraction",
 		"Fraction of available CPU consumed by the GC since process start.", nil,
 		latest(func(sm Sample) float64 { return sm.GCCPUFraction }))
-	r.GaugeFunc("dav_runtime_gc_runs_total",
-		"Completed GC cycles.", nil,
-		latest(func(sm Sample) float64 { return float64(sm.GCRuns) }))
 	r.GaugeFunc("dav_runtime_open_fds",
 		"Open file descriptors (-1 when the platform offers no cheap count).", nil,
 		latest(func(sm Sample) float64 { return float64(sm.OpenFDs) }))
 	r.GaugeFunc("dav_runtime_sched_latency_seconds",
 		"Overshoot of a 1ms timer at the last sample — a scheduler-pressure proxy.", nil,
 		latest(func(sm Sample) float64 { return sm.SchedLatencySeconds }))
-	r.GaugeFunc("dav_runtime_samples_total",
-		"Runtime samples taken since process start.", nil,
-		func() float64 { return float64(s.Samples()) })
-	r.GaugeFunc("dav_runtime_sample_interval_seconds",
-		"Configured interval between runtime samples.", nil,
-		func() float64 { return s.interval.Seconds() })
 }
 
 // countOpenFDs counts entries in /proc/self/fd; -1 where that (or an

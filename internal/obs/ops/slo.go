@@ -138,27 +138,27 @@ type SLOConfig struct {
 	// (default 5m and 1h). The shortest window also sets the bucket
 	// granularity (window/30).
 	Windows []time.Duration
-	// DegradedBurn is the burn-rate both windows must reach before the
-	// engine reports degraded (default 2: the error budget is burning
-	// at twice the sustainable rate, and the short window confirms it
-	// is still happening now).
-	DegradedBurn float64
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
+
+// degradedBurn is the burn rate every window must reach before the
+// engine reports degraded: the error budget is burning at twice the
+// sustainable rate, and the short window confirms it is still
+// happening now.
+const degradedBurn = 2
 
 // SLO tracks rolling good/bad counts per objective and computes
 // multi-window burn rates: burn = (bad fraction) / (1 - target). Burn 1
 // means the error budget is being consumed exactly as fast as the
 // objective allows; sustained burn above 1 eventually violates it. The
 // degraded bit goes up only when every window burns past
-// DegradedBurn — the long window proving real budget loss, the short
+// degradedBurn — the long window proving real budget loss, the short
 // window proving it is still happening — which is the standard
 // multi-window burn-rate alert shape.
 type SLO struct {
 	states  []*objectiveState
 	windows []time.Duration
-	burn    float64
 	now     func() time.Time
 }
 
@@ -168,9 +168,6 @@ func NewSLO(cfg SLOConfig) *SLO {
 		cfg.Windows = []time.Duration{5 * time.Minute, time.Hour}
 	}
 	sort.Slice(cfg.Windows, func(i, j int) bool { return cfg.Windows[i] < cfg.Windows[j] })
-	if cfg.DegradedBurn <= 0 {
-		cfg.DegradedBurn = 2
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -180,7 +177,7 @@ func NewSLO(cfg SLOConfig) *SLO {
 	}
 	longest := cfg.Windows[len(cfg.Windows)-1]
 	n := int(longest/width) + 2 // +1 partial head bucket, +1 ring slack
-	e := &SLO{windows: cfg.Windows, burn: cfg.DegradedBurn, now: cfg.Now}
+	e := &SLO{windows: cfg.Windows, now: cfg.Now}
 	for _, o := range cfg.Objectives {
 		e.states = append(e.states, &objectiveState{
 			Objective: o,
@@ -251,7 +248,7 @@ func (e *SLO) Snapshot() []ObjectiveStatus {
 				ws.BadFraction = float64(bad) / float64(total)
 				ws.BurnRate = ws.BadFraction / (1 - st.Target)
 			}
-			if ws.BurnRate < e.burn {
+			if ws.BurnRate < degradedBurn {
 				os.Degraded = false
 			}
 			os.Windows = append(os.Windows, ws)
@@ -264,8 +261,8 @@ func (e *SLO) Snapshot() []ObjectiveStatus {
 	return out
 }
 
-// Degraded reports whether any objective's burn rate exceeds the
-// configured threshold in every window.
+// Degraded reports whether any objective's burn rate reaches
+// degradedBurn in every window.
 func (e *SLO) Degraded() bool {
 	if e == nil {
 		return false

@@ -32,11 +32,8 @@ type StatusConfig struct {
 	// Service names the process ("davd").
 	Service string
 	// Registry supplies the gauge section (path locks, DBM cache,
-	// recovery, journal — whatever matches GaugePrefixes).
+	// recovery, journal — whatever matches gaugePrefixes).
 	Registry *obs.Registry
-	// GaugePrefixes filters Registry families into the gauges section.
-	// Empty uses DefaultGaugePrefixes.
-	GaugePrefixes []string
 	// Sampler supplies the runtime section.
 	Sampler *Sampler
 	// Tracker supplies the hot-path, hot-op, and SLO sections.
@@ -47,18 +44,19 @@ type StatusConfig struct {
 	Ready func() any
 	// Links point into the other admin endpoints.
 	Links []Link
-	// TopN bounds the rendered heavy-hitter tables (default 10).
-	TopN int
 }
 
-// DefaultGaugePrefixes selects the storage-stack and lifecycle gauge
-// families the console shows by default.
-var DefaultGaugePrefixes = []string{
+// gaugePrefixes selects the storage-stack and lifecycle gauge families
+// the console shows.
+var gaugePrefixes = []string{
 	"dav_pathlock_", "dav_dbm_cache_", "dav_locks_",
-	"dav_recovery_", "dav_recovering", "dav_journal_", "dav_fsck_",
+	"dav_recovery_", "dav_recovering", "dav_journal_",
 	"dav_fsync_", "dav_inflight_", "dav_panics_", "dav_metric_label_overflow",
 	"dav_admit_", "dav_brownout_",
 }
+
+// topN bounds the rendered heavy-hitter tables.
+const topN = 10
 
 // StatusDoc is the JSON document served by /debug/status?format=json.
 type StatusDoc struct {
@@ -101,12 +99,6 @@ type Status struct {
 func NewStatus(cfg StatusConfig) *Status {
 	if cfg.Service == "" {
 		cfg.Service = "dav"
-	}
-	if cfg.TopN <= 0 {
-		cfg.TopN = 10
-	}
-	if len(cfg.GaugePrefixes) == 0 {
-		cfg.GaugePrefixes = DefaultGaugePrefixes
 	}
 	return &Status{cfg: cfg, start: time.Now(), build: buildInfo()}
 }
@@ -152,8 +144,8 @@ func (s *Status) Doc() StatusDoc {
 		doc.Runtime = rs
 	}
 	if tr := s.cfg.Tracker; tr != nil {
-		doc.HotPaths = tr.HotPaths(s.cfg.TopN)
-		doc.HotOps = tr.HotOps(s.cfg.TopN)
+		doc.HotPaths = tr.HotPaths(topN)
+		doc.HotOps = tr.HotOps(topN)
 		doc.Observations = tr.Observations()
 		if slo := tr.SLO(); slo != nil {
 			doc.SLO = slo.Snapshot()
@@ -161,7 +153,7 @@ func (s *Status) Doc() StatusDoc {
 		}
 	}
 	if r := s.cfg.Registry; r != nil {
-		doc.Gauges = filterGauges(r.Snapshot(), s.cfg.GaugePrefixes)
+		doc.Gauges = filterGauges(r.Snapshot(), gaugePrefixes)
 	}
 	if s.cfg.Ready != nil {
 		doc.Ready = s.cfg.Ready()

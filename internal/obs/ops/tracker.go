@@ -68,18 +68,17 @@ func (t *Tracker) HotOps(n int) []TopEntry { return t.ops.Top(n) }
 // Observations reports how many requests the tracker has seen.
 func (t *Tracker) Observations() int64 { return t.seen.Load() }
 
-// Register exposes the heavy-hitter tables as rank-labelled gauges:
+// Register exposes the hot-path table as rank-labelled gauges:
 // dav_hot_path_requests{rank="01"} is the hottest path's count, and so
 // on down the table. Ranks — not path labels — keep the exposition's
-// cardinality fixed at 2K series no matter how many distinct paths the
-// workload touches; the key names live on /debug/status, whose JSON
-// carries the full table. Also registers table-level distinct/seen
-// gauges, and the SLO gauges when an engine is attached.
+// cardinality fixed at K series no matter how many distinct paths the
+// workload touches; the key names, and the (method, depth) table, live
+// on /debug/status, whose JSON carries both tables. Also registers the
+// SLO gauges when an engine is attached.
 func (t *Tracker) Register(r *obs.Registry) {
-	rankGauges := r.GaugeFunc
 	for i := 0; i < t.paths.K(); i++ {
 		i := i
-		rankGauges("dav_hot_path_requests",
+		r.GaugeFunc("dav_hot_path_requests",
 			"Request count of the rank-th hottest resource path (Space-Saving upper bound).",
 			obs.Labels{"rank": fmt.Sprintf("%02d", i+1)},
 			func() float64 {
@@ -89,23 +88,7 @@ func (t *Tracker) Register(r *obs.Registry) {
 				}
 				return float64(top[i].Count)
 			})
-		rankGauges("dav_hot_op_requests",
-			"Request count of the rank-th hottest (method, depth) shape (Space-Saving upper bound).",
-			obs.Labels{"rank": fmt.Sprintf("%02d", i+1)},
-			func() float64 {
-				top := t.ops.Top(i + 1)
-				if i >= len(top) {
-					return 0
-				}
-				return float64(top[i].Count)
-			})
 	}
-	r.GaugeFunc("dav_hot_path_distinct",
-		"Distinct resource paths currently tracked (at most the table capacity).", nil,
-		func() float64 { return float64(t.paths.Len()) })
-	r.GaugeFunc("dav_hot_path_observations_total",
-		"Requests observed by the workload analytics tracker.", nil,
-		func() float64 { return float64(t.Observations()) })
 	if t.slo != nil {
 		t.slo.Register(r)
 	}

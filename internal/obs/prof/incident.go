@@ -116,7 +116,6 @@ type Capturer struct {
 	lastByReason map[string]time.Time
 	built        map[string]int64
 	suppressed   map[string]int64
-	lastBytes    int
 }
 
 // NewCapturer builds a capturer from cfg.
@@ -186,7 +185,6 @@ func (c *Capturer) Trigger(reason, detail string) (*Bundle, bool) {
 	c.mu.Lock()
 	c.capturing = false
 	c.built[label]++
-	c.lastBytes = b.Bytes
 	c.bundles = append(c.bundles, b)
 	if over := len(c.bundles) - c.cfg.MaxBundles; over > 0 {
 		c.bundles = append([]*Bundle(nil), c.bundles[over:]...)
@@ -370,8 +368,8 @@ func (c *Capturer) WriteBundles(dir string) (int, error) {
 }
 
 // Register exposes the capturer as dav_incident_* metrics, read at
-// scrape time: per-trigger built/suppressed counts, the retained ring
-// occupancy, and the freshest bundle's size and timestamp.
+// scrape time: per-trigger built/suppressed counts and the retained
+// ring occupancy.
 func (c *Capturer) Register(r *obs.Registry) {
 	for _, trig := range triggerKinds {
 		trig := trig
@@ -386,17 +384,4 @@ func (c *Capturer) Register(r *obs.Registry) {
 	r.GaugeFunc("dav_incident_retained",
 		"Incident bundles currently retained in the in-memory ring.", nil,
 		func() float64 { return float64(c.Len()) })
-	r.GaugeFunc("dav_incident_last_bytes",
-		"Compressed size of the most recently assembled bundle.", nil,
-		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.lastBytes) })
-	r.GaugeFunc("dav_incident_last_unixtime",
-		"Assembly time of the most recent bundle as a Unix timestamp (0 before the first).", nil,
-		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			if len(c.bundles) == 0 {
-				return 0
-			}
-			return float64(c.bundles[len(c.bundles)-1].Time.Unix())
-		})
 }

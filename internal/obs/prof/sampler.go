@@ -109,14 +109,14 @@ type SamplerConfig struct {
 	// CPUSlice is the timed CPU-profile length per tick (default 1s,
 	// capped at Interval/2; negative disables CPU capture).
 	CPUSlice time.Duration
-	// MutexFraction is passed to runtime.SetMutexProfileFraction on
-	// Start (default 5; negative leaves the process setting untouched).
-	MutexFraction int
-	// BlockRate is passed to runtime.SetBlockProfileRate on Start, in
-	// nanoseconds per sampled blocking event (default 100µs; negative
-	// leaves the process setting untouched).
-	BlockRate int
 }
+
+// The runtime's mutex and block profiles sample nothing until a rate is
+// set; Start sets these and Stop turns both off again.
+const (
+	mutexFraction = 5       // runtime.SetMutexProfileFraction
+	blockRate     = 100_000 // runtime.SetBlockProfileRate: events >= ~100µs
+)
 
 // Sampler periodically captures compressed pprof snapshots into a
 // bounded in-memory ring, so the moment an anomaly is noticed the
@@ -133,7 +133,6 @@ type Sampler struct {
 	seq       int64
 	captures  map[string]int64
 	errors    map[string]int64
-	lastBytes map[string]int
 	busy      time.Duration // cumulative non-slice capture work
 	started   time.Time     // overhead denominator epoch
 	prevAlloc uint64        // TotalAlloc at the previous heap capture
@@ -157,18 +156,11 @@ func NewSampler(cfg SamplerConfig) *Sampler {
 	if cfg.CPUSlice > cfg.Interval/2 {
 		cfg.CPUSlice = cfg.Interval / 2
 	}
-	if cfg.MutexFraction == 0 {
-		cfg.MutexFraction = 5
-	}
-	if cfg.BlockRate == 0 {
-		cfg.BlockRate = 100_000 // sample blocking events >= ~100µs
-	}
 	return &Sampler{
-		cfg:       cfg,
-		captures:  map[string]int64{},
-		errors:    map[string]int64{},
-		lastBytes: map[string]int{},
-		started:   time.Now(),
+		cfg:      cfg,
+		captures: map[string]int64{},
+		errors:   map[string]int64{},
+		started:  time.Now(),
 	}
 }
 
@@ -190,12 +182,8 @@ func (s *Sampler) Start() {
 	s.started = time.Now()
 	s.mu.Unlock()
 
-	if s.cfg.MutexFraction >= 0 {
-		runtime.SetMutexProfileFraction(s.cfg.MutexFraction)
-	}
-	if s.cfg.BlockRate >= 0 {
-		runtime.SetBlockProfileRate(s.cfg.BlockRate)
-	}
+	runtime.SetMutexProfileFraction(mutexFraction)
+	runtime.SetBlockProfileRate(blockRate)
 	go func() {
 		defer close(done)
 		s.capture(stop)
@@ -225,12 +213,8 @@ func (s *Sampler) Stop() {
 	}
 	close(stop)
 	<-done
-	if s.cfg.MutexFraction > 0 {
-		runtime.SetMutexProfileFraction(0)
-	}
-	if s.cfg.BlockRate > 0 {
-		runtime.SetBlockProfileRate(0)
-	}
+	runtime.SetMutexProfileFraction(0)
+	runtime.SetBlockProfileRate(0)
 }
 
 // CaptureNow takes one full capture tick synchronously and returns the
@@ -299,7 +283,6 @@ func (s *Sampler) finish(kind string, data []byte, d time.Duration, meta map[str
 		s.ring = append([]Artifact(nil), s.ring[len(s.ring)-max:]...)
 	}
 	s.captures[kind]++
-	s.lastBytes[kind] = len(data)
 	// The CPU slice is mostly waiting for the profiler's sampling
 	// interrupts, not sampler work; count only the non-slice remainder
 	// as busy time so the overhead ratio reflects actual cost.
@@ -394,8 +377,8 @@ func (s *Sampler) Stats() Stats {
 }
 
 // Register exposes the sampler as dav_prof_* metrics, read at scrape
-// time: per-kind capture/error counts and freshest artifact sizes, the
-// ring occupancy, and the measured overhead ratio.
+// time: per-kind capture/error counts, the ring occupancy, and the
+// measured overhead ratio.
 func (s *Sampler) Register(r *obs.Registry) {
 	for _, kind := range Kinds {
 		kind := kind
@@ -406,9 +389,6 @@ func (s *Sampler) Register(r *obs.Registry) {
 		r.GaugeFunc("dav_prof_capture_errors_total",
 			"Profile captures that failed or were skipped under contention, by kind (cumulative).", l,
 			func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.errors[kind]) })
-		r.GaugeFunc("dav_prof_last_bytes",
-			"Compressed size of the freshest captured profile, by kind.", l,
-			func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.lastBytes[kind]) })
 	}
 	r.GaugeFunc("dav_prof_ring_artifacts",
 		"Profiles currently retained in the in-memory ring.", nil,
@@ -419,7 +399,4 @@ func (s *Sampler) Register(r *obs.Registry) {
 	r.GaugeFunc("dav_prof_overhead_ratio",
 		"Measured continuous-profiling overhead: cumulative capture work over wall time.", nil,
 		func() float64 { return s.Stats().OverheadRatio })
-	r.GaugeFunc("dav_prof_interval_seconds",
-		"Configured interval between profile capture ticks.", nil,
-		func() float64 { return s.cfg.Interval.Seconds() })
 }

@@ -174,7 +174,6 @@ func TestSamplerRegister(t *testing.T) {
 		"dav_prof_ring_artifacts",
 		"dav_prof_ring_bytes",
 		"dav_prof_overhead_ratio",
-		"dav_prof_interval_seconds 1",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("exposition missing %q:\n%s", want, sb.String())

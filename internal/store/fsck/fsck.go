@@ -28,7 +28,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/dbm"
 	"repro/internal/obs/trace"
@@ -68,26 +67,6 @@ type Report struct {
 // Clean reports whether no violations remain.
 func (r *Report) Clean() bool { return len(r.Findings) == 0 }
 
-// Cumulative fsck telemetry, surfaced as dav_fsck_* on /metrics when a
-// server process runs fsck in-process.
-var (
-	runsTotal     atomic.Int64
-	findingsTotal atomic.Int64
-	repairedTotal atomic.Int64
-)
-
-// Stats is the cumulative fsck telemetry.
-type Stats struct{ Runs, Findings, Repaired int64 }
-
-// CumulativeStats snapshots the process-wide fsck counters.
-func CumulativeStats() Stats {
-	return Stats{
-		Runs:     runsTotal.Load(),
-		Findings: findingsTotal.Load(),
-		Repaired: repairedTotal.Load(),
-	}
-}
-
 // Check walks the store rooted at root and reports every invariant
 // violation. It never mutates the store — safe on a quiescent store
 // another process owns.
@@ -106,8 +85,6 @@ func CheckContext(ctx context.Context, root string, flavour dbm.Flavour) (rep *R
 	if err := checkJournal(root, rep); err != nil {
 		return nil, err
 	}
-	runsTotal.Add(1)
-	findingsTotal.Add(int64(len(rep.Findings)))
 	return rep, nil
 }
 
@@ -288,7 +265,6 @@ func RepairContext(ctx context.Context, root string, flavour dbm.Flavour) (rep *
 		repaired = 0
 	}
 	rep.Repaired = repaired
-	repairedTotal.Add(int64(repaired))
 	return rep, nil
 }
 

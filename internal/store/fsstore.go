@@ -249,9 +249,6 @@ func (s *FSStore) LockStats() pathlock.Stats { return s.locks.Stats() }
 // CacheStats snapshots the property-database handle-cache counters.
 func (s *FSStore) CacheStats() dbm.CacheStats { return s.cache.Stats() }
 
-// PathLocks exposes the lock manager (tests, metrics wiring).
-func (s *FSStore) PathLocks() *pathlock.Manager { return s.locks }
-
 // HandleCache exposes the DBM handle cache (tests, metrics wiring).
 func (s *FSStore) HandleCache() *dbm.Cache { return s.cache }
 

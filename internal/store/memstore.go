@@ -68,9 +68,6 @@ func (s *MemStore) SetClock(now func() time.Time) { s.state.now = now }
 // LockStats snapshots the hierarchical path-lock counters.
 func (s *MemStore) LockStats() pathlock.Stats { return s.state.locks.Stats() }
 
-// PathLocks exposes the lock manager (tests, metrics wiring).
-func (s *MemStore) PathLocks() *pathlock.Manager { return s.state.locks }
-
 // Close implements Store.
 func (s *MemStore) Close() error { return nil }
 

@@ -55,6 +55,23 @@ func TestCancelWhileWaiting(t *testing.T) {
 	}
 }
 
+// TestDoneContextNeverAcquires: a request that arrives with an
+// already-ended context is rejected at the door even when the lock is
+// free (select would pick randomly between a ready grant and a done
+// context), is counted as cancelled, and leaves no node behind.
+func TestDoneContextNeverAcquires(t *testing.T) {
+	m := NewManager()
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if g, err := m.Lock(done, "/doc"); err == nil {
+		g.Release()
+		t.Fatal("Lock with a done context succeeded")
+	}
+	if st := m.Stats(); st.Cancelled != 1 || st.Acquisitions != 0 || st.Nodes != 0 {
+		t.Fatalf("after a rejected Lock: %+v, want Cancelled=1 Acquisitions=0 Nodes=0", st)
+	}
+}
+
 // TestCancelledWaiterDoesNotGateCompatible: with a Shared holder, an
 // Exclusive waiter gates a later Shared waiter (FIFO). Cancelling the
 // Exclusive waiter must re-run the grant scan so the Shared waiter

@@ -161,14 +161,6 @@ func (n *Node) Clone() *Node {
 	return c
 }
 
-// CountNodes returns the number of elements in the subtree (n
-// included).
-func (n *Node) CountNodes() int {
-	total := 0
-	n.Walk(func(*Node) bool { total++; return true })
-	return total
-}
-
 // Parse reads an XML document whole and returns its root element.
 func Parse(r io.Reader) (*Node, error) {
 	b, err := readAll(r)
