@@ -13,7 +13,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/davclient"
 	"repro/internal/davproto"
@@ -321,6 +323,157 @@ func TestPropfindFailsOnUnreadablePropertyDatabase(t *testing.T) {
 			}
 		})
 	}
+}
+
+// PROPFIND reads each property database through a decoded view kept
+// until the database's next write. Under concurrent PROPPATCHes, PUTs and
+// Depth-1 PROPFINDs of one collection, over a server Build assembled, no
+// reader may see a stale view:
+//   - every value a reader sees was written by someone;
+//   - a writer's PROPFIND after its PROPPATCH returned sees every value it
+//     last wrote (each writer owns one property on every document);
+//   - a PUT overwrite changes that document's getetag in the next
+//     PROPFIND even when size and mtime stay the same: the generation
+//     lives in the view.
+func TestPropfindViewsFollowEveryWrite(t *testing.T) {
+	const writers, readers, docs, rounds = 3, 3, 4, 24
+	fs, err := store.NewFSStore(t.TempDir(), dbm.GDBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Store = fs
+	dav, _, _ := builtServer(t, cfg)
+	client := func() *davclient.Client {
+		c, err := davclient.New(davclient.Config{BaseURL: dav.URL, Persistent: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		return c
+	}
+	setup := client()
+	if err := setup.Mkcol("/c"); err != nil {
+		t.Fatal(err)
+	}
+	doc := func(j int) string { return fmt.Sprintf("/c/d%d", j) }
+	for j := 0; j < docs; j++ {
+		if _, err := setup.PutBytes(doc(j), []byte("body"), "text/plain"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := setup.PutBytes("/c/overwritten", []byte("same"), "text/plain"); err != nil {
+		t.Fatal(err)
+	}
+	owned := func(w int) xml.Name { return xml.Name{Space: "urn:w", Local: fmt.Sprintf("w%d", w)} }
+	var names []xml.Name
+	for w := 0; w < writers; w++ {
+		names = append(names, owned(w))
+	}
+	var written sync.Map // every value any writer has sent, stored before it is sent
+
+	// valuesOf lists /c at Depth 1 for the properties asked: href → name → text.
+	valuesOf := func(c *davclient.Client, ask ...xml.Name) (map[string]map[xml.Name]string, error) {
+		ms, err := c.PropFindSelected("/c", davproto.Depth1, ask...)
+		if err != nil {
+			return nil, err
+		}
+		out := map[string]map[xml.Name]string{}
+		for _, r := range ms.Responses {
+			out[r.Href] = map[xml.Name]string{}
+			for name, p := range davproto.PropsByName(r.Propstats) {
+				out[r.Href][name] = p.Text()
+			}
+		}
+		return out, nil
+	}
+
+	var writing, reading sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int, c *davclient.Client) {
+			defer writing.Done()
+			last := map[string]string{}
+			for i := 0; i < rounds; i++ {
+				href, v := doc(i%docs), fmt.Sprintf("w%d-%d", w, i)
+				written.Store(v, true)
+				if err := c.SetProps(href, davproto.NewTextProperty(owned(w).Space, owned(w).Local, v)); err != nil {
+					t.Error(err)
+					return
+				}
+				last[href] = v
+				got, err := valuesOf(c, owned(w))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for href, want := range last {
+					if got[href][owned(w)] != want {
+						t.Errorf("writer %d: after its PROPPATCH, PROPFIND shows %s = %q, want %q", w, href, got[href][owned(w)], want)
+						return
+					}
+				}
+			}
+		}(w, client())
+	}
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func(c *davclient.Client) {
+			defer reading.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				got, err := valuesOf(c, names...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for href, props := range got {
+					for name, v := range props {
+						if _, ok := written.Load(v); !ok {
+							t.Errorf("reader: %s %s = %q, which nobody wrote", href, name.Local, v)
+							return
+						}
+					}
+				}
+			}
+		}(client())
+	}
+	writing.Add(1)
+	go func(c *davclient.Client) {
+		defer writing.Done()
+		file := filepath.Join(fs.Root(), "c", "overwritten")
+		stamp := time.Unix(1_000_000_000, 0)
+		prev := ""
+		for i := 0; i < rounds; i++ {
+			if _, err := c.PutBytes("/c/overwritten", []byte("same"), "text/plain"); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := os.Chtimes(file, stamp, stamp); err != nil {
+				t.Error(err)
+				return
+			}
+			got, err := valuesOf(c, davproto.PropGetETag)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			etag := got["/c/overwritten"][davproto.PropGetETag]
+			if etag == "" || etag == prev {
+				t.Errorf("PUT overwrite %d: getetag %q, before it %q; want a new one", i, etag, prev)
+				return
+			}
+			prev = etag
+		}
+	}(client())
+	writing.Wait()
+	close(done)
+	reading.Wait()
 }
 
 // The versioning bookkeeping lives in dead properties whose stored

@@ -63,6 +63,22 @@
 // Invalidate, a restart) and by Verify/fsck, which read the file — not
 // by the next read through the open handle, which serves the image that
 // passed validation at Open plus the handle's own writes.
+//
+// Open reads the file into a pooled buffer and keeps a right-sized copy
+// of the records in it, so opening a database that is mostly
+// preallocation costs its records, not its file size.
+//
+// Memo slot: an open DB also keeps one value derived from its contents
+// (Memo) — the store keeps its decoded property view there, so a read of
+// an unchanged database decodes nothing. Every change to the image —
+// initialize, each appended record, each tombstone, Compact's swap —
+// empties the slot and bumps a write counter under the database mutex,
+// and a memo is kept only if the counter did not move while it was
+// built: one built while a write landed is handed to its caller but
+// never kept, so the slot never holds a value from before the last
+// write. The memo dies with the DB (Close, eviction, Invalidate), and
+// the bytes its builder reports count with the image's in residentBytes,
+// so the handle cache's byte budget and its Bytes statistic cover both.
 package dbm
 
 import (
@@ -177,10 +193,27 @@ type DB struct {
 	live    int64
 	dead    int64
 	closed  bool
-	dirty   bool // written to since the last header write + fsync
+	dirty   bool   // written to since the last header write + fsync
+	writes  uint64 // changes to the image so far (see changed)
+	memo    memo   // empty unless built since the last change
 
 	maxValue    int
 	initialSize int64
+}
+
+// memo is the DB's one slot for a value derived from its contents.
+type memo struct {
+	val   any   // nil: empty
+	bytes int64 // what val holds beyond the image, as its builder reported
+}
+
+// changed records a change to the image: the header needs writing and
+// the file an fsync before Close, and the memo is stale. Caller holds
+// db.mu, or owns a database nobody else can see.
+func (db *DB) changed() {
+	db.dirty = true
+	db.writes++
+	db.memo = memo{}
 }
 
 // Open opens or creates the database at path with the given flavour.
@@ -229,7 +262,7 @@ func open(path string, flavour Flavour, create bool) (*DB, error) {
 func (db *DB) initialize() error {
 	_, _, nb := db.flavour.params()
 	db.buckets = make([]int64, nb)
-	db.dirty = true
+	db.changed()
 	if err := db.writeHeader(); err != nil {
 		return err
 	}
@@ -245,11 +278,22 @@ func (db *DB) initialize() error {
 	return db.f.Sync()
 }
 
+// readBufs holds the buffers load reads files of up to maxPooledRead
+// bytes into; a larger file gets a buffer of its own, not pooled.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledRead = 256 << 10
+
 // load checks the header against the flavour the database was opened
 // as, recovers the append offset and key count by walking every chain
 // in the file's bytes, and keeps those bytes as the resident image.
 func (db *DB) load(size int64) error {
-	hdr, area, err := readImage(db.f, size)
+	var buf *[]byte
+	if size-headerSize <= maxPooledRead {
+		buf = readBufs.Get().(*[]byte)
+		defer readBufs.Put(buf)
+	}
+	hdr, area, err := readImage(db.f, size, buf)
 	if err != nil {
 		return err
 	}
@@ -274,11 +318,13 @@ func (db *DB) load(size int64) error {
 	if err != nil {
 		return err
 	}
-	// The image is the buffer just validated, up to the append offset. A
-	// file still at its preallocated size is mostly zeros past that; it
-	// gets a right-sized copy rather than pinning the whole read.
+	// The image is the bytes just validated, up to the append offset: a
+	// right-sized copy, so the pooled buffer goes back and a file still at
+	// its preallocated size pins none of its zeros. A file too big for the
+	// pool was read into a buffer of its own, which becomes the image when
+	// the records fill it.
 	db.image = area[:end-base]
-	if len(db.image) < len(area) {
+	if buf != nil || len(db.image) < len(area) {
 		db.image = bytes.Clone(db.image)
 	}
 	return nil
@@ -297,8 +343,9 @@ type header struct {
 // readImage reads a database file's bytes from r: the fixed header
 // first, so a file that is not a database is refused before anything of
 // its size is allocated, then the bucket table and the record area
-// (everything after the table) with one ReadAt.
-func readImage(r io.ReaderAt, size int64) (header, []byte, error) {
+// (everything after the table) with one ReadAt — into *buf, grown as
+// needed, or with buf nil into a buffer of its own.
+func readImage(r io.ReaderAt, size int64, buf *[]byte) (header, []byte, error) {
 	if size < headerSize {
 		return header{}, nil, fmt.Errorf("%w: file shorter than header", ErrCorrupt)
 	}
@@ -320,7 +367,14 @@ func readImage(r io.ReaderAt, size int64) (header, []byte, error) {
 	if size < headerSize+int64(nb)*8 {
 		return header{}, nil, fmt.Errorf("%w: file shorter than bucket table", ErrCorrupt)
 	}
-	rest := make([]byte, size-headerSize)
+	n := size - headerSize
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	rest := (*buf)[:n]
 	if _, err := r.ReadAt(rest, headerSize); err != nil {
 		return header{}, nil, fmt.Errorf("%w: reading %d bytes: %v", ErrCorrupt, size, err)
 	}
@@ -558,7 +612,7 @@ func (db *DB) appendRecord(key, value []byte) error {
 	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(key)))
 	binary.LittleEndian.PutUint32(hdr[13:], uint32(len(value)))
 	db.image = append(append(append(db.image, hdr[:]...), key...), value...)
-	db.dirty = true
+	db.changed()
 	if _, err := db.f.WriteAt(db.image[n:], at); err != nil {
 		db.image = db.image[:n]
 		return err
@@ -593,7 +647,7 @@ func (db *DB) Delete(key []byte) (found bool, err error) {
 	if err != nil || at == 0 {
 		return false, err
 	}
-	db.dirty = true
+	db.changed()
 	if _, err := db.f.WriteAt([]byte{rec.flags | flagDeleted}, at+8); err != nil {
 		return false, err
 	}
@@ -748,7 +802,7 @@ func (db *DB) CompactContext(ctx context.Context) (err error) {
 	db.nkeys = ndb.nkeys
 	db.live = ndb.live
 	db.dead = 0
-	db.dirty = true
+	db.changed()
 	return nil
 }
 
@@ -786,6 +840,7 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
+	db.memo = memo{}
 	var err error
 	if db.dirty {
 		err = db.syncLocked()
@@ -796,11 +851,45 @@ func (db *DB) Close() error {
 	return err
 }
 
-// residentBytes is what the image holds in memory.
+// Memo returns a value derived from the database's contents: the one
+// kept in the DB's memo slot if nothing has been written since it was
+// built, otherwise what build returns now. build reads the database
+// through this DB (ForEach) and reports the bytes its value holds beyond
+// the image, which then count in the handle cache's budget. It runs
+// without the database mutex, so a write may land while it reads; its
+// value is then handed to this caller, whose read it is, but not kept.
+// A build error is returned and nothing is kept.
+//
+// The value is shared by every caller until the next write: it must be
+// immutable once build returns it.
+func (db *DB) Memo(build func() (val any, bytes int64, err error)) (any, error) {
+	db.mu.Lock()
+	if db.closed {
+		db.mu.Unlock()
+		return nil, ErrClosed
+	}
+	at, m := db.writes, db.memo
+	db.mu.Unlock()
+	if m.val != nil {
+		return m.val, nil
+	}
+	val, n, err := build()
+	if err != nil {
+		return nil, err
+	}
+	db.mu.Lock()
+	if !db.closed && db.writes == at {
+		db.memo = memo{val: val, bytes: n}
+	}
+	db.mu.Unlock()
+	return val, nil
+}
+
+// residentBytes is what the image and the memo hold in memory.
 func (db *DB) residentBytes() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return int64(cap(db.image))
+	return int64(cap(db.image)) + db.memo.bytes
 }
 
 // Path returns the backing file path.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -56,6 +57,8 @@ func runOps(t *testing.T, path string, ops []byte) {
 	for n := 0; n < maxOps && len(ops) > 0; n++ {
 		op := next()
 		what := ""
+		before := memoSnapshot(t, db)
+		wrote := true
 		switch op % 10 {
 		case 0, 1, 2, 3, 4:
 			// Values run from empty to past SDBM's limit; their bytes
@@ -67,6 +70,8 @@ func runOps(t *testing.T, path string, ops []byte) {
 				t.Fatalf("op %d: %s = %v", n, what, err)
 			} else if !tooLarge {
 				model[string(k)] = v
+			} else {
+				wrote = false
 			}
 		case 5, 6:
 			k := opKeys[int(next())%len(opKeys)]
@@ -76,6 +81,7 @@ func runOps(t *testing.T, path string, ops []byte) {
 				t.Fatalf("op %d: %s = %v, %v; want %v", n, what, found, err, had)
 			}
 			delete(model, string(k))
+			wrote = had
 		case 7:
 			what = "Compact"
 			if err := db.Compact(); err != nil {
@@ -93,22 +99,47 @@ func runOps(t *testing.T, path string, ops []byte) {
 				t.Fatalf("op %d: reopen: %v", n, err)
 			}
 		}
-		checkImage(t, db, model, fmt.Sprintf("op %d, %s", n, what))
+		when := fmt.Sprintf("op %d, %s", n, what)
+		checkImage(t, db, model, when)
+		if after := memoSnapshot(t, db); wrote && after == before {
+			t.Fatalf("%s: Memo returns the value it built before the write", when)
+		}
 	}
+}
+
+// snapshot is the value runOps keeps in a database's memo slot: a copy
+// of every live pair as the build's ForEach saw them.
+type snapshot struct{ pairs map[string][]byte }
+
+// memoSnapshot returns db's memo, building a snapshot if it has to.
+func memoSnapshot(t *testing.T, db *DB) *snapshot {
+	t.Helper()
+	v, err := db.Memo(func() (any, int64, error) {
+		s := &snapshot{pairs: map[string][]byte{}}
+		err := db.ForEach(func(k, v []byte) error {
+			s.pairs[string(k)] = bytes.Clone(v)
+			return nil
+		})
+		return s, 0, err
+	})
+	if err != nil {
+		t.Fatalf("Memo: %v", err)
+	}
+	return v.(*snapshot)
 }
 
 // checkImage requires the open database, its file and the model to
 // agree: the resident image is the file's record area byte for byte with
 // nothing but preallocated zeros after it, the bucket tables are equal,
-// the file passes Verify, and Len, ForEach, Get and Has answer as the
-// model does.
+// the file passes Verify, and Len, ForEach, Get, Has and the memo answer
+// as the model does.
 func checkImage(t *testing.T, db *DB, model map[string][]byte, when string) {
 	t.Helper()
 	fi, err := db.f.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, area, err := readImage(db.f, fi.Size())
+	hdr, area, err := readImage(db.f, fi.Size(), nil)
 	if err != nil {
 		t.Fatalf("%s: reading the file back: %v", when, err)
 	}
@@ -137,6 +168,9 @@ func checkImage(t *testing.T, db *DB, model map[string][]byte, when string) {
 	})
 	if err != nil || seen != len(model) {
 		t.Fatalf("%s: ForEach saw %d of %d keys: %v", when, seen, len(model), err)
+	}
+	if memo := memoSnapshot(t, db); !maps.EqualFunc(memo.pairs, model, bytes.Equal) {
+		t.Fatalf("%s: the memo holds %d keys that differ from the model's %d", when, len(memo.pairs), len(model))
 	}
 	for _, k := range opKeys {
 		want, had := model[string(k)]
@@ -264,6 +298,24 @@ func TestImageReadersAlongsideWriter(t *testing.T) {
 				for i, k := range keys {
 					if len(bytes.Trim(vals[i], string(k[:1]))) != 0 {
 						t.Errorf("value kept for %q is not all %q", k, k[:1])
+						return
+					}
+				}
+				// The memo slot, built and read by every reader at once.
+				memo, err := db.Memo(func() (any, int64, error) {
+					s := &snapshot{pairs: map[string][]byte{}}
+					return s, 0, db.ForEach(func(k, v []byte) error {
+						s.pairs[string(k)] = v
+						return nil
+					})
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for k, v := range memo.(*snapshot).pairs {
+					if len(bytes.Trim(v, k[:1])) != 0 {
+						t.Errorf("memo value for %q is not all %q", k, k[:1])
 						return
 					}
 				}

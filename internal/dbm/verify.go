@@ -46,7 +46,7 @@ func VerifyContext(ctx context.Context, path string) error {
 
 // verifyImage is Verify over any reader of a database file's bytes.
 func verifyImage(ctx context.Context, r io.ReaderAt, size int64) error {
-	hdr, area, err := readImage(r, size)
+	hdr, area, err := readImage(r, size, nil)
 	if err != nil {
 		return err
 	}

@@ -566,12 +566,10 @@ func (s *FSStore) list(ctx context.Context, cp string, withProps bool) ([]Resour
 	return infos, props, nil
 }
 
-// resolveWithProps builds one resource's info and property map in a
-// single pass over its property database: dead properties and internal
-// metadata come out of the same iteration through one cached handle.
-// A database that cannot be opened or scanned to the end is an error,
-// as it is for PropAll: a listing with the properties silently missing
-// would read as "this resource has none".
+// resolveWithProps builds one resource's info and property map from its
+// property view (propView). A database that cannot be opened or scanned
+// to the end is an error, as it is for PropAll: a listing with the
+// properties silently missing would read as "this resource has none".
 func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInfo) (ResourceInfo, map[xml.Name][]byte, error) {
 	ri := ResourceInfo{
 		Path:         cp,
@@ -579,35 +577,64 @@ func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInf
 		ModTime:      fi.ModTime(),
 		CreateTime:   fi.ModTime(),
 	}
-	var props map[xml.Name][]byte
-	var ctype string
-	var gen int64
+	var view propView
 	err := s.withProps(ctx, cp, fi.IsDir(), false, func(h *dbm.Handle) error {
-		props = make(map[xml.Name][]byte, h.DB().Len())
-		return h.ForEach(func(k, v []byte) error {
-			if name, ok := parsePropKey(k); ok {
-				props[name] = v
-				return nil
-			}
-			switch string(k) {
-			case string(internalKey(ikeyContentType)):
-				ctype = string(v)
-			case string(internalKey(ikeyGeneration)):
-				gen, _ = strconv.ParseInt(string(v), 10, 64)
-			}
-			return nil
-		})
+		v, err := h.DB().Memo(func() (any, int64, error) { return buildPropView(h) })
+		if err == nil {
+			view = *v.(*propView)
+		}
+		return err
 	})
 	if err != nil {
 		return ResourceInfo{}, nil, fmt.Errorf("properties of %s: %w", cp, err)
 	}
+	props := view.props
 	if props == nil {
 		props = map[xml.Name][]byte{} // no database
 	}
 	if !fi.IsDir() {
-		s.fillDocInfo(&ri, fi, ctype, gen)
+		s.fillDocInfo(&ri, fi, view.ctype, view.gen)
 	}
 	return ri, props, nil
+}
+
+// propView is one property database decoded for the batched reads: the
+// dead properties by name, their values aliasing the database's resident
+// image, and the two internal keys. It lives in the database handle's
+// memo slot (dbm.DB.Memo), so it is decoded once per write rather than
+// once per request, and every StatWithProps and ListWithProps caller
+// until the next write shares the one map.
+type propView struct {
+	props map[xml.Name][]byte
+	ctype string
+	gen   int64
+}
+
+// propViewEntryBytes estimates what one view entry holds beside its
+// name's bytes: a map slot for an xml.Name key and a slice value, and
+// the string header of the name.
+const propViewEntryBytes = 96
+
+// buildPropView decodes the database behind h in one ForEach and reports
+// the view's size for the handle cache's budget.
+func buildPropView(h *dbm.Handle) (any, int64, error) {
+	v := &propView{props: make(map[xml.Name][]byte, h.DB().Len())}
+	size := int64(0)
+	err := h.ForEach(func(k, val []byte) error {
+		if name, ok := parsePropKey(k); ok {
+			v.props[name] = val
+			size += int64(len(k)) + propViewEntryBytes
+			return nil
+		}
+		switch string(k) {
+		case string(internalKey(ikeyContentType)):
+			v.ctype = string(val)
+		case string(internalKey(ikeyGeneration)):
+			v.gen, _ = strconv.ParseInt(string(val), 10, 64)
+		}
+		return nil
+	})
+	return v, size, err
 }
 
 // StatWithProps implements BatchReader.

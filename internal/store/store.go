@@ -72,10 +72,13 @@ func (ri ResourceInfo) Name() string {
 // state visible — when ctx is done; the error then wraps ctx.Err().
 //
 // Property values returned by PropAll, StatWithProps and ListWithProps
-// are read-only. An FSStore's are slices of the buffer its one-ReadAt
-// scan of the property database filled (see dbm.ForEach): a caller may
-// keep them, which keeps that buffer alive, but must copy before it
-// modifies one.
+// are read-only. An FSStore's alias the resident image of the property
+// database (see dbm.ForEach): a caller may keep them, which keeps that
+// image alive, but must copy before it modifies one. The maps
+// StatWithProps and ListWithProps return are read-only too: an
+// FSStore's is the database's shared property view, handed to every
+// caller until the resource's properties next change, and a caller must
+// not modify it. PropAll returns a map of the caller's own.
 type Store interface {
 	// Stat describes the resource at p.
 	Stat(ctx context.Context, p string) (ResourceInfo, error)

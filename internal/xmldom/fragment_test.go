@@ -52,6 +52,26 @@ var fragmentCases = []struct {
 	{`<a><p:b xmlns:p="u"/></a>`, false},       // declared, but not on the root
 	{`<p:x a=" xmlns:p="/>`, false},            // looks declared only to a substring search
 	{`<ns0:größe xmlns:ns0="u">ü</ns0:grösse>`, false},
+
+	// Word edges: scanText skips eight plain bytes at a time from where
+	// the text starts (after "<a>", or the opening quote), so these put
+	// what it must stop for on either side of the eighth byte.
+	{`<a>123456]]></a>`, false},
+	{`<a>1234567]]></a>`, false},
+	{`<a>12345678]]></a>`, false},
+	{`<a b="1234567]]>"/>`, true},
+	{`<a b="1234567<"/>`, false},
+	{`<a b="12345678&quot;9"/>`, true},
+	{`<a>1234567&amp;8</a>`, true},
+	{`<a>12345678&lt9</a>`, false},
+	{`<a>1234567"'8</a>`, true},
+	{"<a>123\t4567890\n12345678\r\n9</a>", true},
+	{"<a>1234567é89</a>", true},        // a two-byte character across the edge
+	{"<a>123456€89</a>", true},         // a three-byte one
+	{"<a>1234567\U0001d11e</a>", true}, // a four-byte one
+	{"<a>1234567\xc3</a>", false},
+	{"<a>12\x01345678</a>", false},
+	{"<a>1234567\x7f89</a>", true},
 	{"<\u00d7/>", false}, // U+00D7 is not a name character
 }
 

@@ -2,6 +2,7 @@ package xmldom
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -437,6 +438,9 @@ const (
 func scanText(b []byte, i int, kind textKind) (end int, rewrite, ok bool) {
 	start := i
 	for {
+		for i+8 <= len(b) && plainWord(binary.LittleEndian.Uint64(b[i:])) {
+			i += 8
+		}
 		for i < len(b) && plainText[b[i]] {
 			i++
 		}
@@ -474,6 +478,26 @@ func scanText(b []byte, i int, kind textKind) (end int, rewrite, ok bool) {
 		}
 	}
 }
+
+// plainWord reports whether all eight bytes of w are ASCII from 0x20 up
+// other than <>&"' — a strict subset of plainText, so that scanText may
+// skip such a word whole under every textKind. Each test sets the high
+// bit of some byte if w holds a byte of its kind, and of none otherwise.
+func plainWord(w uint64) bool {
+	bad := w                                     // a byte >= 0x80
+	bad |= zeroByte(w &^ (0x1F * ones))          // a byte < 0x20: no bit above 0x1F
+	bad |= zeroByte((w | 0x02*ones) ^ 0x3E*ones) // '<' or '>'
+	bad |= zeroByte((w | 0x01*ones) ^ 0x27*ones) // '&' or '\''
+	bad |= zeroByte(w ^ 0x22*ones)               // '"'
+	return bad&highs == 0
+}
+
+const ones, highs = 0x0101010101010101, 0x8080808080808080
+
+// zeroByte sets the high bit of some byte of x if x has a zero byte, and
+// of none otherwise (a borrow that sets a wrong bit only runs upward from
+// a zero byte); its other bits mean nothing.
+func zeroByte(x uint64) uint64 { return (x - ones) &^ x }
 
 // scanReference scans what follows an '&': one of the five predefined
 // entity names or a decimal/hex character reference to a legal
