@@ -19,6 +19,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -384,6 +385,12 @@ func (c *Client) Get(p string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// getBufSize is the step GetTo reads a body in for a writer without
+// its own ReadFrom, where io.Copy would take 32 KiB at a time.
+const getBufSize = 256 << 10
+
+var getBufs = sync.Pool{New: func() any { b := make([]byte, getBufSize); return &b }}
+
 // GetTo streams a document body into w and returns the byte count.
 func (c *Client) GetTo(p string, w io.Writer) (int64, error) {
 	resp, err := c.do(http.MethodGet, p, nil, nil, http.StatusOK)
@@ -391,7 +398,12 @@ func (c *Client) GetTo(p string, w io.Writer) (int64, error) {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	return io.Copy(w, resp.Body)
+	if _, ok := w.(io.ReaderFrom); ok {
+		return io.Copy(w, resp.Body)
+	}
+	buf := getBufs.Get().(*[]byte)
+	defer getBufs.Put(buf)
+	return io.CopyBuffer(w, resp.Body, *buf)
 }
 
 // Exists reports whether a resource exists.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/xml"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -87,6 +88,58 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 	}
 	if _, err := c.Get("/doc.txt"); !IsStatus(err, http.StatusNotFound) {
 		t.Fatalf("Get deleted = %v", err)
+	}
+}
+
+// fillBody is a response body of left bytes that fills every slice it
+// is given.
+type fillBody struct{ left int }
+
+func (b *fillBody) Read(p []byte) (int, error) {
+	if b.left == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), b.left)
+	b.left -= n
+	return n, nil
+}
+
+func (b *fillBody) Close() error { return nil }
+
+// fillTransport answers every request 200 with a fillBody of its size.
+type fillTransport int
+
+func (n fillTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: &fillBody{left: int(n)}, Request: req}, nil
+}
+
+// writeCounter counts Write calls; it has no ReadFrom.
+type writeCounter struct{ writes, bytes int }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// TestGetToReadsInLargeSteps: GetTo hands a writer without ReadFrom the
+// body in getBufSize steps (io.Copy's would be 32 KiB), and a writer
+// with one, as Get's buffer, still gets the whole body through it.
+func TestGetToReadsInLargeSteps(t *testing.T) {
+	const n = 8 << 20
+	c, err := New(Config{BaseURL: "http://stub.test", Transport: fillTransport(n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w writeCounter
+	if got, err := c.GetTo("/doc", &w); err != nil || got != n || w.bytes != n {
+		t.Fatalf("GetTo = (%d, %v), writer saw %d bytes, want %d", got, err, w.bytes, n)
+	}
+	if want := (n + getBufSize - 1) / getBufSize; w.writes != want {
+		t.Errorf("%d-byte GetTo made %d Writes, want %d", n, w.writes, want)
+	}
+	if body, err := c.Get("/doc"); err != nil || len(body) != n {
+		t.Fatalf("Get = (%d bytes, %v), want %d", len(body), err, n)
 	}
 }
 

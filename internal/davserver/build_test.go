@@ -342,8 +342,13 @@ func TestBuiltGetStreamsAndCounts(t *testing.T) {
 		if b, _ := io.ReadAll(resp.Body); string(b) != body {
 			t.Errorf("GET of %d bytes returned %d, or other, bytes", size, len(b))
 		}
-		if want := "method=GET path=/doc" + strconv.Itoa(size) + " depth=\"\" status=200 bytes=" + strconv.Itoa(size) + " "; !strings.Contains(logw.String(), want) {
-			t.Errorf("access log lacks %q:\n%s", want, logw.String())
+		// sendfile can deliver the whole body before the handler returns and
+		// writes its access-log line, so the line may lag the body.
+		want := "method=GET path=/doc" + strconv.Itoa(size) + " depth=\"\" status=200 bytes=" + strconv.Itoa(size) + " "
+		for deadline := time.Now().Add(5 * time.Second); !strings.Contains(logw.String(), want); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("access log lacks %q:\n%s", want, logw.String())
+			}
 		}
 		total += size
 	}

@@ -745,6 +745,32 @@ func (s *FSStore) mkcolLocked(cp string) error {
 	return nil
 }
 
+// stageBufSize is the step a Put body is copied to its temp file in,
+// and so the staging memory one in-flight Put holds. An 8 MiB PUT+GET
+// costs davd about 22 read + 25 write syscalls at 1 MiB, 41 + 44 at
+// 256 KiB and 265 + 267 with io.Copy's 32 KiB; 256 KiB and 1 MiB moved
+// the same number of operations per second.
+const stageBufSize = 1 << 20
+
+var stageBufs = sync.Pool{New: func() any { b := make([]byte, stageBufSize); return &b }}
+
+// stage copies a Put body into its temp file. A body from the network
+// goes through one pooled stageBufSize buffer: *os.File's ReadFrom would
+// take it, find nothing to splice from, and fall back to a 32 KiB copy,
+// so the wrapper hides ReadFrom. A body that is itself a file (COPY's
+// source) keeps ReadFrom, which moves it with copy_file_range and no
+// buffer at all.
+func stage(tmp *os.File, r io.Reader) error {
+	if _, ok := r.(*os.File); ok {
+		_, err := io.Copy(tmp, r)
+		return err
+	}
+	buf := stageBufs.Get().(*[]byte)
+	defer stageBufs.Put(buf)
+	_, err := io.CopyBuffer(struct{ io.Writer }{tmp}, r, *buf)
+	return err
+}
+
 // Put implements Store. The body is staged to a temporary file and
 // renamed into place so concurrent readers never observe a torn
 // document. The exclusive path lock serializes writers of one document;
@@ -835,7 +861,7 @@ func (s *FSStore) putLocked(ctx context.Context, cp, dp string, r io.Reader, con
 		return false, err
 	}
 	tmpName := tmp.Name()
-	if _, err := io.Copy(tmp, r); err != nil {
+	if err := stage(tmp, r); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return false, err
