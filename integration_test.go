@@ -2,12 +2,12 @@ package repro
 
 import (
 	"bytes"
+	"encoding/xml"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/agent"
 	"repro/internal/chem"
 	"repro/internal/core"
 	"repro/internal/davclient"
@@ -25,8 +25,8 @@ import (
 //  1. A legacy Ecce 1.5 repository is populated in the OODB.
 //  2. The repository is migrated to the DAV architecture and verified.
 //  3. The unchanged Ecce tools work on the migrated data.
-//  4. A third-party agent discovers and annotates molecules by
-//     metadata (DASL search under the hood).
+//  4. A third party discovers molecules by metadata and annotates them
+//     in its own namespace (DASL search under the hood).
 //  5. An old-schema OODB client is refused (the coupling DAV removes).
 //  6. Versioning tracks an input-deck edit.
 //  7. The caching client revalidates instead of refetching.
@@ -112,27 +112,33 @@ func TestGrandTour(t *testing.T) {
 		}
 	}
 
-	// --- 4. The agent annotates every molecule; Ecce data unaffected.
-	th := &agent.ThermoAgent{S: dav}
-	res, err := th.Sweep("/thesis")
+	// --- 4. A third party annotates every molecule under its own
+	// namespace; Ecce data unaffected.
+	enthalpy := xml.Name{Space: "urn:thermo-agent", Local: "enthalpy-kj-mol"}
+	mols, err := dav.FindByMetadata("/thesis", core.PropFormula, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Discovered != 6 || res.Annotated != 6 {
-		t.Fatalf("agent sweep = %+v", res)
+	if len(mols) != 6 {
+		t.Fatalf("discovered %d molecules, want 6", len(mols))
+	}
+	for i, p := range mols {
+		if err := dav.Annotate(p, enthalpy, fmt.Sprint(-500*(i+1))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := migrate.Verify(legacy, dav, "/"); err != nil {
 		t.Fatalf("Ecce data changed by annotation: %v", err)
 	}
 	// The annotations are queryable via DASL.
 	hits, err := dav.FindWhere("/thesis", davproto.CompareExpr{
-		Op: davproto.OpLt, Prop: agent.PropEnthalpy, Literal: "-1000",
-	}, agent.PropEnthalpy)
+		Op: davproto.OpLt, Prop: enthalpy, Literal: "-1000",
+	}, enthalpy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) == 0 {
-		t.Fatal("no strongly bound systems found via search")
+	if len(hits) != 4 {
+		t.Fatalf("search found %d strongly bound systems, want 4", len(hits))
 	}
 
 	// --- 5. Schema evolution breaks the OODB but not DAV: a client
@@ -142,7 +148,7 @@ func TestGrandTour(t *testing.T) {
 		t.Fatalf("evolved client against legacy OODB = %v, want schema mismatch", err)
 	}
 	// The DAV side shrugs: new metadata in a new namespace, no
-	// agreement needed (that's what the agent just did).
+	// agreement needed (that's what step 4 just did).
 
 	// --- 6. Versioning on the migrated input deck.
 	deckPath := "/thesis/run00/tasks/01-energy"

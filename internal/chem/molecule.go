@@ -80,20 +80,6 @@ func (m *Molecule) Translate(dx, dy, dz float64) {
 	}
 }
 
-// Centroid returns the unweighted geometric center.
-func (m *Molecule) Centroid() (x, y, z float64) {
-	if len(m.Atoms) == 0 {
-		return 0, 0, 0
-	}
-	for _, a := range m.Atoms {
-		x += a.X
-		y += a.Y
-		z += a.Z
-	}
-	n := float64(len(m.Atoms))
-	return x / n, y / n, z / n
-}
-
 // Distance returns the distance between atoms i and j in Ångström.
 func (m *Molecule) Distance(i, j int) float64 {
 	a, b := m.Atoms[i], m.Atoms[j]

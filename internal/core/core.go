@@ -85,10 +85,6 @@ var (
 	ErrNotFound = errors.New("core: object not found")
 	// ErrExists reports a name collision.
 	ErrExists = errors.New("core: object already exists")
-	// ErrUnsupported marks operations an architecture cannot express —
-	// returned by the OODB baseline for the open-data scenarios that
-	// motivated the DAV redesign.
-	ErrUnsupported = errors.New("core: operation not supported by this storage architecture")
 )
 
 // DataStorage is the Data Storage Interface of Figure 2: everything

@@ -13,6 +13,7 @@ package davproto
 
 import (
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -542,9 +543,14 @@ func FormatTimeout(d time.Duration) string {
 	return fmt.Sprintf("Second-%d", int(d.Seconds()))
 }
 
+// maxTimeoutSeconds is RFC 4918 §10.7's ceiling on "Second-n".
+const maxTimeoutSeconds = 1<<32 - 1
+
 // ParseTimeout parses a Timeout header value ("Second-n", "Infinite",
 // or a comma-separated preference list from which the first supported
-// entry is taken). An empty value yields 0 (infinite).
+// entry is taken). An empty value yields 0 (infinite). A "Second-n"
+// above 2³²−1 is clamped to that, so no value wraps time.Duration into
+// a negative (never-expiring) or tiny timeout.
 func ParseTimeout(h string) (time.Duration, error) {
 	h = strings.TrimSpace(h)
 	if h == "" {
@@ -556,11 +562,14 @@ func ParseTimeout(h string) (time.Duration, error) {
 			return 0, nil
 		}
 		if rest, ok := strings.CutPrefix(part, "Second-"); ok {
-			secs, err := strconv.Atoi(rest)
-			if err != nil || secs < 0 {
+			secs, err := strconv.ParseUint(rest, 10, 64)
+			if errors.Is(err, strconv.ErrRange) {
+				secs, err = maxTimeoutSeconds, nil
+			}
+			if err != nil {
 				return 0, fmt.Errorf("davproto: bad timeout %q", part)
 			}
-			return time.Duration(secs) * time.Second, nil
+			return time.Duration(min(secs, maxTimeoutSeconds)) * time.Second, nil
 		}
 	}
 	return 0, fmt.Errorf("davproto: bad Timeout header %q", h)

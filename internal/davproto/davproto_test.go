@@ -268,6 +268,13 @@ func TestTimeoutParsing(t *testing.T) {
 		{"Second-3600, Infinite", 3600 * time.Second, true},
 		{"Second-x", 0, false},
 		{"Minutes-5", 0, false},
+		{"Second--5", 0, false},
+		{"Second-+5", 0, false},
+		{"Second-4294967295", 4294967295 * time.Second, true},
+		{"Second-4294967296", 4294967295 * time.Second, true},
+		{"Second-9300000000", 4294967295 * time.Second, true},              // wrapped negative before the clamp
+		{"Second-18446744074", 4294967295 * time.Second, true},             // wrapped to ≈0.29 s before the clamp
+		{"Second-99999999999999999999999", 4294967295 * time.Second, true}, // past uint64
 	}
 	for _, c := range cases {
 		got, err := ParseTimeout(c.in)

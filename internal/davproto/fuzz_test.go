@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/xmldom"
 )
@@ -66,6 +67,28 @@ func FuzzParseProppatch(f *testing.F) {
 			if got := xmldom.Marshal(again[i].Prop.XML); again[i].Remove != op.Remove || !bytes.Equal(got, want) {
 				t.Fatalf("%q: operation %d is %s (remove=%v), after a round trip %s (remove=%v)", b, i, want, op.Remove, got, again[i].Remove)
 			}
+		}
+	})
+}
+
+// A Timeout header or lockinfo element must never parse to a duration
+// outside [0, 2³²−1 s]: a wrapped value would make LockManager grant a
+// never-expiring or sub-second lock.
+func FuzzParseTimeout(f *testing.F) {
+	for _, s := range []string{"Second-600", "Infinite", "", "Second-3600, Infinite",
+		"Second-4294967296", "Second-9300000000", "Second-18446744074", "Second-x"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		d, err := ParseTimeout(h)
+		if err != nil {
+			return
+		}
+		if d < 0 || d > maxTimeoutSeconds*time.Second {
+			t.Fatalf("ParseTimeout(%q) = %v, outside [0, %v]", h, d, maxTimeoutSeconds*time.Second)
+		}
+		if again, err := ParseTimeout(FormatTimeout(d)); err != nil || again != d {
+			t.Fatalf("ParseTimeout(%q) = %v, formats to %q, reparses to (%v, %v)", h, d, FormatTimeout(d), again, err)
 		}
 	})
 }

@@ -15,9 +15,11 @@ import (
 	"time"
 
 	"repro/internal/auth"
+	"repro/internal/davproto"
 	"repro/internal/dbm"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/xmldom"
 )
 
 // probeStore counts the operations that reach it, parks a Get of /hold
@@ -387,5 +389,50 @@ func TestStatusShowsHandleCacheBytes(t *testing.T) {
 	}
 	if open, bytes := doc.Gauges["dav_dbm_cache_open"], doc.Gauges["dav_dbm_cache_bytes"]; open != 1 || bytes < 1000 || bytes > 64<<20 {
 		t.Errorf("gauges: dav_dbm_cache_open = %v, dav_dbm_cache_bytes = %v; want 1 handle holding at least the 1000-byte value", open, bytes)
+	}
+}
+
+// TestHugeLockTimeoutIsClamped: a Timeout past 2³²−1 seconds, on a new
+// lock or a refresh, is granted as exactly 2³²−1 seconds — never
+// Infinite (a wrapped negative duration) and never a lock that is gone
+// within a second (a wrap to near zero).
+func TestHugeLockTimeoutIsClamped(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Store = store.NewMemStore()
+	dav, _, _ := builtServer(t, cfg)
+	const ceiling = (1<<32 - 1) * time.Second
+	granted := func(resp *http.Response) time.Duration {
+		t.Helper()
+		defer resp.Body.Close()
+		if resp.StatusCode != 200 && resp.StatusCode != 201 {
+			b, _ := io.ReadAll(resp.Body)
+			t.Fatalf("LOCK = %d: %s", resp.StatusCode, b)
+		}
+		doc, err := xmldom.Parse(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		al, err := davproto.ActiveLockFromXML(doc.Find(davproto.NS, "lockdiscovery").Find(davproto.NS, "activelock"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return al.Timeout
+	}
+	for i, h := range []string{"Second-4294967296", "Second-9300000000", "Second-18446744074", "Second-99999999999999999999999"} {
+		url := dav.URL + "/doc" + strconv.Itoa(i)
+		wantStatus(t, do(t, "PUT", url, nil, "v1"), 201)
+		resp := do(t, "LOCK", url, map[string]string{"Timeout": h}, lockBody("exclusive"))
+		tok := strings.Trim(resp.Header.Get("Lock-Token"), "<>")
+		if got := granted(resp); got != ceiling {
+			t.Errorf("LOCK with Timeout %s granted %v, want %v", h, got, ceiling)
+		}
+		refresh := do(t, "LOCK", url, map[string]string{"Timeout": h, "If": "(<" + tok + ">)"}, "")
+		if got := granted(refresh); got != ceiling {
+			t.Errorf("refresh with Timeout %s granted %v, want %v", h, got, ceiling)
+		}
+	}
+	time.Sleep(400 * time.Millisecond) // past the ≈0.29 s a wrapped Second-18446744074 used to give
+	for i := range 4 {
+		wantStatus(t, do(t, "PUT", dav.URL+"/doc"+strconv.Itoa(i), nil, "v2"), 423)
 	}
 }

@@ -1,10 +1,13 @@
 package davserver
 
 import (
+	"bytes"
 	"context"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -13,11 +16,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/chem"
+	"repro/internal/core"
 	"repro/internal/davclient"
 	"repro/internal/davproto"
 	"repro/internal/dbm"
+	"repro/internal/model"
 	"repro/internal/store"
+	"repro/internal/tools"
 )
 
 // The count ledger: for each of the benchmark's workload shapes, small
@@ -25,9 +33,6 @@ import (
 // machine's speed, pinned over a davd assembled by Build and driven by
 // davclient. A change that moves one of them edits its row here, in the
 // same diff, so the diff states the claim.
-//
-// calc_browse and author_mix each arrive with the change that works on
-// them.
 var ledger = []struct {
 	name     string
 	populate func(c *davclient.Client) error
@@ -74,6 +79,34 @@ var ledger = []struct {
 		// per operation). The ceiling leaves 15 %.
 		maxAllocs: 700,
 	},
+	{
+		name:     "calc_browse",
+		populate: populateBrowse,
+		op:       browseOp,
+		// CalcViewer.Load is LoadBundle's six sequential DataStorage
+		// calls; the counts are the benchmark's at 96 calculations.
+		requests:   11,
+		storeCalls: 13,
+		// Three calculations stored with one fixed timestamp, so the
+		// bytes are the same on every run.
+		responseBytes: 41_870,
+		// 3,717 measured on linux/amd64 with go1.24 (3,881 under -race).
+		// The ceiling leaves 13 %.
+		maxAllocs: 4_200,
+	},
+	{
+		name:     "author_mix",
+		populate: populateAuthor,
+		op:       authorOp,
+		// One authoring cycle, one request per step; the store calls are
+		// the benchmark's at one client.
+		requests:      10,
+		storeCalls:    27,
+		responseBytes: 8_423,
+		// 4,782 measured on linux/amd64 with go1.24 (5,003 under -race).
+		// The ceiling leaves 13 %.
+		maxAllocs: 5_400,
+	},
 }
 
 // The doc_transfer shape at the benchmark's -short size: a 1 MiB
@@ -116,6 +149,138 @@ func transferOp(c *davclient.Client) error {
 		return fmt.Errorf("GET: %d bytes crc %08x, want %d bytes crc %08x", n, h.Sum32(), transferSize, transferCRCs[k])
 	}
 	return nil
+}
+
+// The calc_browse shape (benchmark/workloads.go) over a few
+// calculations instead of 96: the Table 3 calculation (UO2·15H2O,
+// STO-3G, one energy task, one job, three output properties) stored
+// through core.DAVStorage, then CalcViewer.Load of one calculation after
+// another. Every object carries the same fixed timestamp, so the stored
+// bytes, and with them the response bytes, are the same on every run.
+const browseCalcs = 3
+
+var (
+	browseViewer    *tools.CalcViewer
+	browseSummaries []string
+	browseTurn      int
+	browseCreated   = time.Date(2001, 8, 7, 12, 0, 0, 0, time.UTC)
+)
+
+func browsePath(i int) string { return fmt.Sprintf("/aqueous/calc-%03d", i) }
+
+func populateBrowse(c *davclient.Client) error {
+	s := core.NewDAVStorage(c)
+	if err := s.CreateProject("/aqueous", model.Project{Name: "aqueous", Created: browseCreated}); err != nil {
+		return err
+	}
+	mol, basis := chem.MakeUO2nH2O(15), chem.STO3G()
+	props := model.SyntheticRunner{GridPoints: 16}.Run(mol, model.TaskEnergy)
+	browseViewer, browseSummaries = tools.NewCalcViewer(s), nil
+	for i := range browseCalcs {
+		p := browsePath(i)
+		calc := model.Calculation{Name: fmt.Sprintf("calc-%03d", i), Theory: "DFT",
+			State: model.StateReady, Created: browseCreated}
+		deck, err := model.GenerateInputDeck(&calc, mol, nil, &model.Task{Kind: model.TaskEnergy})
+		if err != nil {
+			return err
+		}
+		if err := errors.Join(
+			s.CreateCalculation(p, calc),
+			s.SaveMolecule(p, mol, chem.FormatXYZ),
+			s.SaveBasis(p, basis),
+			s.SaveTask(p, model.Task{Name: "energy", Kind: model.TaskEnergy, Sequence: 1, InputDeck: deck}),
+			s.SaveJob(p, model.Job{Host: "mpp2.emsl.pnl.gov", Queue: "large", BatchID: "88123",
+				NodeCount: 64, Status: model.JobDone, SubmitTime: browseCreated, StartTime: browseCreated, EndTime: browseCreated}),
+		); err != nil {
+			return err
+		}
+		for _, prop := range props {
+			if err := s.SaveProperty(p, prop); err != nil {
+				return err
+			}
+		}
+		sum, err := browseViewer.Load(p)
+		if err != nil {
+			return err
+		}
+		browseSummaries = append(browseSummaries, sum)
+	}
+	return nil
+}
+
+func browseOp(*davclient.Client) error {
+	browseTurn++
+	i := browseTurn % browseCalcs
+	sum, err := browseViewer.Load(browsePath(i))
+	if err != nil {
+		return err
+	}
+	if sum != browseSummaries[i] {
+		return fmt.Errorf("Load %s: summary %q, want %q", browsePath(i), sum, browseSummaries[i])
+	}
+	return nil
+}
+
+// The author_mix shape (benchmark/workloads.go) for one client: an
+// authoring cycle of ten requests — MKCOL, PUT deck, PROPPATCH, PUT
+// output, PROPPATCH, PROPFIND Depth 1, GET deck, COPY, DELETE, DELETE —
+// that leaves the tree as it found it. The deck (4 KiB), the output
+// (64 KiB) and the five collection properties (one a 1 KiB annotation)
+// are sized as in the benchmark.
+const authorNS = "bench:"
+
+var (
+	authorDeck, authorOutput []byte
+	authorNote               string // 1 KiB
+	authorTurn               int
+)
+
+func populateAuthor(c *davclient.Client) error {
+	rng := rand.New(rand.NewSource(1))
+	authorDeck, authorOutput = make([]byte, 4<<10), make([]byte, 64<<10)
+	rng.Read(authorDeck)
+	rng.Read(authorOutput)
+	authorNote = strings.Repeat("uranyl hydration shell, first solvation sphere; ", 22)[:1024]
+	return c.Mkcol("/author")
+}
+
+func authorOp(c *davclient.Client) error {
+	authorTurn++
+	dir := fmt.Sprintf("/author/w%06d", authorTurn)
+	put := func(p string, body []byte) error {
+		_, err := c.Put(p, bytes.NewReader(body), "text/plain")
+		return err
+	}
+	for _, step := range []func() error{
+		func() error { return c.Mkcol(dir) },
+		func() error { return put(dir+"/input.nw", authorDeck) },
+		func() error {
+			return c.SetProps(dir,
+				davproto.NewTextProperty(authorNS, "theory", "DFT"),
+				davproto.NewTextProperty(authorNS, "basis", "STO-3G"),
+				davproto.NewTextProperty(authorNS, "formula", "H30O17U"),
+				davproto.NewTextProperty(authorNS, "state", "created"),
+				davproto.NewTextProperty(authorNS, "annotation", authorNote))
+		},
+		func() error { return put(dir+"/output.out", authorOutput) },
+		func() error { return c.SetProps(dir, davproto.NewTextProperty(authorNS, "state", "complete")) },
+	} {
+		if err := step(); err != nil {
+			return err
+		}
+	}
+	ms, err := c.PropFindAll(dir, davproto.Depth1)
+	if err != nil {
+		return err
+	}
+	if len(ms.Responses) != 3 {
+		return fmt.Errorf("PROPFIND %s: %d responses, want 3", dir, len(ms.Responses))
+	}
+	h := crc32.NewIEEE()
+	if n, err := c.GetTo(dir+"/input.nw", h); err != nil || n != int64(len(authorDeck)) || h.Sum32() != crc32.ChecksumIEEE(authorDeck) {
+		return fmt.Errorf("GET %s/input.nw: %d bytes, %v", dir, n, err)
+	}
+	return errors.Join(c.Copy(dir, dir+"-copy", davproto.DepthInfinity, false), c.Delete(dir), c.Delete(dir+"-copy"))
 }
 
 // The propfind_sweep shape (benchmark/workloads.go): a Depth-1 PROPFIND
@@ -287,12 +452,21 @@ func TestCountLedger(t *testing.T) {
 				t.Errorf("a repeated operation was not handed the first one's %d property maps (got %d maps, not all the same)", len(first), len(again))
 			}
 
+			// AllocsPerRun counts every goroutine's allocations. An
+			// incident bundle an earlier test's server started (a panic or
+			// slow trip, a degraded SLO) outlives that server's Close and
+			// assembles ≈8,600 allocations after its 1 s CPU slice; under a
+			// loaded full-suite run it can land inside one window. The
+			// least of three rounds is the operation's own count.
 			var opErr error
-			allocs := testing.AllocsPerRun(20, func() {
-				if err := row.op(c); err != nil {
-					opErr = err
-				}
-			})
+			allocs := math.Inf(1)
+			for range 3 {
+				allocs = min(allocs, testing.AllocsPerRun(20, func() {
+					if err := row.op(c); err != nil {
+						opErr = err
+					}
+				}))
+			}
 			if opErr != nil {
 				t.Fatal(opErr)
 			}

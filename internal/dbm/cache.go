@@ -353,10 +353,9 @@ func (h *Handle) Close() error {
 // lifetime belongs to the cache.
 func (h *Handle) DB() *DB { return h.db }
 
-// span opens a per-operation span on the handle's context. Cached
-// databases carry no context of their own (they outlive any single
-// request), so the handle supplies the attribution the plain DB methods
-// would otherwise take from OpenContext's binding.
+// span opens a per-operation span on the handle's context. A database
+// carries no context of its own (a cached one outlives any single
+// request), so the handle supplies the attribution.
 func (h *Handle) span(op string) func(*error) {
 	_, end := trace.Region(h.ctx, op, trace.Str("file", filepath.Base(h.db.path)))
 	return func(errp *error) { end(*errp) }

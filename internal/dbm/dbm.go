@@ -185,7 +185,6 @@ type DB struct {
 	f       *os.File
 	path    string
 	flavour Flavour
-	ctx     context.Context // trace binding from OpenContext; nil = untraced
 
 	buckets []int64 // in-memory copy of the bucket table
 	image   []byte  // the record area [areaStart, end), see the package doc
@@ -541,7 +540,6 @@ func (db *DB) findLocked(key []byte) (int64, record, error) {
 // Get returns the value stored for key, and whether it was present.
 // The returned slice is a fresh copy owned by the caller.
 func (db *DB) Get(key []byte) (val []byte, found bool, err error) {
-	defer db.opSpan("dbm.get")(&err)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -568,7 +566,6 @@ func (db *DB) Has(key []byte) (bool, error) {
 // Put stores value under key, replacing any existing value. The old
 // record, if any, becomes dead space until Compact is called.
 func (db *DB) Put(key, value []byte) (err error) {
-	defer db.opSpan("dbm.put")(&err)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -637,7 +634,6 @@ func (db *DB) setBucketHead(b int, at int64) error {
 // Delete removes key, reporting whether it was present. The record is
 // tombstoned in place; its space is reclaimed only by Compact.
 func (db *DB) Delete(key []byte) (found bool, err error) {
-	defer db.opSpan("dbm.delete")(&err)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -677,7 +673,6 @@ func (db *DB) ForEach(fn func(key, value []byte) error) error {
 // of holding the database mutex for the full walk. Iteration is
 // read-only, so stopping early leaves nothing to undo.
 func (db *DB) ForEachContext(ctx context.Context, fn func(key, value []byte) error) (err error) {
-	defer db.opSpan("dbm.foreach")(&err)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -730,18 +725,7 @@ func (db *DB) Stats() (Stats, error) {
 // records — the manual garbage-collection step the paper describes for
 // SDBM/GDBM. The file shrinks to the live data (never below the
 // flavour's initial size).
-func (db *DB) Compact() error {
-	return db.CompactContext(context.Background())
-}
-
-// CompactContext is Compact with cancellation checkpoints while the
-// live records are being copied into the replacement file. Aborting
-// there is free — the half-built temporary is removed and the original
-// database is untouched. Once the copy is complete the swap itself runs
-// to completion regardless of ctx: rename-then-reopen is quick, and a
-// torn swap would be worse than a momentarily over-budget request.
-func (db *DB) CompactContext(ctx context.Context) (err error) {
-	defer db.opSpan("dbm.compact")(&err)
+func (db *DB) Compact() (err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -760,7 +744,7 @@ func (db *DB) CompactContext(ctx context.Context) (err error) {
 		tmp.Close()
 		return err
 	}
-	err = db.forEachLocked(ctx, func(k, v []byte) error {
+	err = db.forEachLocked(context.Background(), func(k, v []byte) error {
 		return ndb.appendRecord(k, v)
 	})
 	if err != nil {

@@ -2,7 +2,6 @@ package dbm
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -46,7 +45,7 @@ func FuzzDBMRead(f *testing.F) {
 	// on the way out: the budget goes to mutation, not to the disk.
 	path := filepath.Join(f.TempDir(), "f.props")
 	f.Fuzz(func(t *testing.T, img []byte) {
-		sound := verifyImage(context.Background(), bytes.NewReader(img), int64(len(img))) == nil
+		sound := verifyImage(bytes.NewReader(img), int64(len(img))) == nil
 		if len(img) == 0 {
 			return // Open would create a database, not read one
 		}

@@ -2,7 +2,6 @@ package dbm
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -152,7 +151,7 @@ func checkImage(t *testing.T, db *DB, model map[string][]byte, when string) {
 	if !slices.Equal(hdr.buckets, db.buckets) {
 		t.Fatalf("%s: bucket table in memory differs from the file's", when)
 	}
-	if err := verifyImage(context.Background(), db.f, fi.Size()); err != nil {
+	if err := verifyImage(db.f, fi.Size()); err != nil {
 		t.Fatalf("%s: Verify: %v", when, err)
 	}
 	if db.Len() != len(model) {

@@ -21,14 +21,6 @@ import (
 // has open, though a concurrent writer can yield spurious findings;
 // fsck runs it on quiescent stores.
 func Verify(path string) error {
-	return VerifyContext(context.Background(), path)
-}
-
-// VerifyContext is Verify with a cancellation checkpoint between
-// records, so an fsck pass over thousands of sidecar databases can be
-// abandoned promptly. Verification is read-only; stopping early leaves
-// nothing behind.
-func VerifyContext(ctx context.Context, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -38,14 +30,14 @@ func VerifyContext(ctx context.Context, path string) error {
 	if err != nil {
 		return err
 	}
-	if err := verifyImage(ctx, f, fi.Size()); err != nil {
+	if err := verifyImage(f, fi.Size()); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
 }
 
 // verifyImage is Verify over any reader of a database file's bytes.
-func verifyImage(ctx context.Context, r io.ReaderAt, size int64) error {
+func verifyImage(r io.ReaderAt, size int64) error {
 	hdr, area, err := readImage(r, size, nil)
 	if err != nil {
 		return err
@@ -53,7 +45,7 @@ func verifyImage(ctx context.Context, r io.ReaderAt, size int64) error {
 	if hdr.flavour != GDBM && hdr.flavour != SDBM {
 		return fmt.Errorf("%w: unknown flavour byte %d", ErrCorrupt, byte(hdr.flavour))
 	}
-	return walkChains(ctx, hdr.buckets, area, areaStart(hdr.buckets), func(b int, at int64, rec record, _ bool) error {
+	return walkChains(context.Background(), hdr.buckets, area, areaStart(hdr.buckets), func(b int, at int64, rec record, _ bool) error {
 		if bucketIndex(rec.key, len(hdr.buckets)) != b {
 			return fmt.Errorf("bucket %d: %w: key at %d hashes to another bucket", b, ErrCorrupt, at)
 		}

@@ -143,9 +143,6 @@ func NewCapturer(cfg CaptureConfig) *Capturer {
 	}
 }
 
-// Config returns the capturer's effective configuration.
-func (c *Capturer) Config() CaptureConfig { return c.cfg }
-
 // Trigger assembles one incident bundle for the given reason, blocking
 // for the on-demand CPU slice. It returns (nil, false) when the
 // trigger was suppressed — deduplicated inside the reason's window,

@@ -164,9 +164,6 @@ func NewSampler(cfg SamplerConfig) *Sampler {
 	}
 }
 
-// Config returns the sampler's effective configuration.
-func (s *Sampler) Config() SamplerConfig { return s.cfg }
-
 // Start enables the mutex/block runtime fractions, takes an immediate
 // capture, and begins the periodic loop. Starting an already-started
 // sampler is a no-op.

@@ -104,9 +104,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	}
 }
 
-// Config returns the recorder's effective configuration.
-func (r *Recorder) Config() RecorderConfig { return r.cfg }
-
 // rootStarted notes a local root opening so the decision waits until
 // every local root in the trace has finished (in-process benchmarks
 // run client and server on one tracer; the client root must win).

@@ -166,11 +166,6 @@ type Span struct {
 // spanKey carries the active span in a context.
 type spanKey struct{}
 
-// ContextWithSpan returns a context carrying sp.
-func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
-	return context.WithValue(ctx, spanKey{}, sp)
-}
-
 // SpanFromContext returns the active span in ctx (nil when absent).
 func SpanFromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanKey{}).(*Span)
@@ -207,7 +202,7 @@ func (t *Tracer) Start(ctx context.Context, name string, attrs ...Attr) (context
 	if t.rec != nil && sp.root {
 		t.rec.rootStarted(sp.traceID, sp.start)
 	}
-	return ContextWithSpan(ctx, sp), sp
+	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
 // Child begins a span under the span already carried by ctx, using

@@ -21,7 +21,6 @@
 package fsck
 
 import (
-	"context"
 	"fmt"
 	"io/fs"
 	"os"
@@ -30,7 +29,6 @@ import (
 	"strings"
 
 	"repro/internal/dbm"
-	"repro/internal/obs/trace"
 	"repro/internal/store"
 	"repro/internal/store/journal"
 )
@@ -70,16 +68,9 @@ func (r *Report) Clean() bool { return len(r.Findings) == 0 }
 // Check walks the store rooted at root and reports every invariant
 // violation. It never mutates the store — safe on a quiescent store
 // another process owns.
-func Check(root string, flavour dbm.Flavour) (rep *Report, err error) {
-	return CheckContext(context.Background(), root, flavour)
-}
-
-// CheckContext is Check bound to a trace context ("store.fsck" span).
-func CheckContext(ctx context.Context, root string, flavour dbm.Flavour) (rep *Report, err error) {
-	_, end := trace.Region(ctx, "store.fsck", trace.Str("root", root))
-	defer func() { end(err) }()
-	rep = &Report{}
-	if err := checkTree(ctx, root, flavour, rep); err != nil {
+func Check(root string, flavour dbm.Flavour) (*Report, error) {
+	rep := &Report{}
+	if err := checkTree(root, flavour, rep); err != nil {
 		return nil, err
 	}
 	if err := checkJournal(root, rep); err != nil {
@@ -89,21 +80,15 @@ func CheckContext(ctx context.Context, root string, flavour dbm.Flavour) (rep *R
 }
 
 // checkTree walks the resource tree, descending into each metadata
-// directory exactly once. The walk checks ctx between entries: a store
-// holding thousands of sidecar databases takes a while to verify, and
-// an abandoned check should stop burning I/O (checking is read-only,
-// so stopping leaves nothing behind).
-func checkTree(ctx context.Context, root string, flavour dbm.Flavour, rep *Report) error {
+// directory exactly once.
+func checkTree(root string, flavour dbm.Flavour, rep *Report) error {
 	return filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
 		if d.IsDir() {
 			if d.Name() == store.MetaDirName {
-				checkMetaDir(ctx, root, p, flavour, rep)
+				checkMetaDir(root, p, flavour, rep)
 				return filepath.SkipDir
 			}
 			rep.Resources++
@@ -120,7 +105,7 @@ func checkTree(ctx context.Context, root string, flavour dbm.Flavour, rep *Repor
 
 // checkMetaDir examines one ".DAV" directory: every member sidecar
 // must have a live owner, and every database must be sound.
-func checkMetaDir(ctx context.Context, root, metaDir string, flavour dbm.Flavour, rep *Report) {
+func checkMetaDir(root, metaDir string, flavour dbm.Flavour, rep *Report) {
 	resourceDir := filepath.Dir(metaDir)
 	ents, err := os.ReadDir(metaDir)
 	if err != nil {
@@ -149,13 +134,13 @@ func checkMetaDir(ctx context.Context, root, metaDir string, flavour dbm.Flavour
 				continue
 			}
 		}
-		checkDB(ctx, p, flavour, rep)
+		checkDB(p, flavour, rep)
 	}
 }
 
 // checkDB validates one property database: flavour, structure, and
 // the generation key when present.
-func checkDB(ctx context.Context, p string, flavour dbm.Flavour, rep *Report) {
+func checkDB(p string, flavour dbm.Flavour, rep *Report) {
 	rep.Databases++
 	got, err := dbm.FlavourOf(p)
 	if err != nil {
@@ -167,7 +152,7 @@ func checkDB(ctx context.Context, p string, flavour dbm.Flavour, rep *Report) {
 			fmt.Sprintf("database is %s, store is %s", got, flavour))
 		return
 	}
-	if err := dbm.VerifyContext(ctx, p); err != nil {
+	if err := dbm.Verify(p); err != nil {
 		rep.add(KindCorruptDBM, p, err.Error())
 		return
 	}
@@ -210,15 +195,7 @@ func (r *Report) add(kind, path, detail string) {
 // deleted. Returns the final report — its Findings are whatever could
 // not be fixed (empty on success), and Repaired counts the fixes.
 func Repair(root string, flavour dbm.Flavour) (*Report, error) {
-	return RepairContext(context.Background(), root, flavour)
-}
-
-// RepairContext is Repair bound to a trace context.
-func RepairContext(ctx context.Context, root string, flavour dbm.Flavour) (rep *Report, err error) {
-	_, end := trace.Region(ctx, "store.fsck.repair", trace.Str("root", root))
-	defer func() { end(err) }()
-
-	before, err := CheckContext(ctx, root, flavour)
+	before, err := Check(root, flavour)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +233,7 @@ func RepairContext(ctx context.Context, root string, flavour dbm.Flavour) (rep *
 	}
 
 	// Re-check: anything still found genuinely resisted repair.
-	rep, err = CheckContext(ctx, root, flavour)
+	rep, err := Check(root, flavour)
 	if err != nil {
 		return nil, err
 	}

@@ -240,9 +240,6 @@ func NewFSStoreWith(dir string, flavour dbm.Flavour, o FSOptions) (*FSStore, err
 // Root returns the store's root directory on disk.
 func (s *FSStore) Root() string { return s.root }
 
-// Flavour returns the DBM flavour used for property databases.
-func (s *FSStore) Flavour() dbm.Flavour { return s.flavour }
-
 // LockStats snapshots the hierarchical path-lock counters.
 func (s *FSStore) LockStats() pathlock.Stats { return s.locks.Stats() }
 

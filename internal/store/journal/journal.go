@@ -92,7 +92,6 @@ const rotateAfter = 512
 type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
-	path    string
 	lastSeq uint64
 	pending map[uint64]Record
 	order   []uint64 // pending seqs in append order
@@ -107,7 +106,7 @@ func Open(path string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{f: f, path: path, pending: map[uint64]Record{}}
+	j := &Journal{f: f, pending: map[uint64]Record{}}
 	if err := j.load(); err != nil {
 		f.Close()
 		return nil, err
@@ -293,9 +292,6 @@ func (j *Journal) Len() int {
 	defer j.mu.Unlock()
 	return len(j.pending)
 }
-
-// Path returns the backing file path.
-func (j *Journal) Path() string { return j.path }
 
 // Close syncs and closes the journal file.
 func (j *Journal) Close() error {

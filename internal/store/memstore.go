@@ -62,9 +62,6 @@ func NewMemStore() *MemStore {
 	return &MemStore{state: st}
 }
 
-// SetClock substitutes the time source (tests).
-func (s *MemStore) SetClock(now func() time.Time) { s.state.now = now }
-
 // LockStats snapshots the hierarchical path-lock counters.
 func (s *MemStore) LockStats() pathlock.Stats { return s.state.locks.Stats() }
 
