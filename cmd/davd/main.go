@@ -72,15 +72,13 @@ func bindFlags(fs *flag.FlagSet, cfg *davserver.Config) {
 	fs.DurationVar(&cfg.SlowThreshold, "slow-threshold", cfg.SlowThreshold,
 		"requests at or above this duration get a WARN log line and are always retained by the trace flight recorder; 0 disables the warning and slow-retention")
 	fs.StringVar(&cfg.TraceOut, "trace-out", cfg.TraceOut,
-		"file to write retained traces to as JSONL on shutdown (incident bundles and the profile-ring index land beside it); empty disables")
+		"file to write retained traces to as JSONL on shutdown (incident bundles land beside it); empty disables")
 	fs.Float64Var(&cfg.TraceSample, "trace-sample", cfg.TraceSample,
 		"fraction of fast, error-free traces retained at random in addition to slow/errored ones")
 	fs.StringVar(&cfg.SLO, "slo", cfg.SLO,
 		"latency objectives as METHODS:THRESHOLD:TARGET, semicolon-separated (\"*\" matches all methods); burn rates appear as dav_slo_* and on /debug/status; empty disables")
 	fs.DurationVar(&cfg.SampleInterval, "sample-interval", cfg.SampleInterval,
 		"runtime self-sampling period (heap, goroutines, GC, FDs, scheduler latency) feeding dav_runtime_* and the /debug/status trend; 0 disables")
-	fs.DurationVar(&cfg.ProfInterval, "prof-interval", cfg.ProfInterval,
-		"continuous-profiling capture period (CPU slice + heap/goroutine/mutex/block snapshots into an in-memory ring, served at /debug/profiles); 0 disables")
 	fs.IntVar(&cfg.AdmitLimit, "admit-limit", cfg.AdmitLimit,
 		"ceiling for the adaptive concurrency limit; requests past it wait briefly or are shed with 429 + Retry-After instead of collapsing latency for everyone; 0 disables admission control")
 	fs.IntVar(&cfg.AdmitQueue, "admit-queue", cfg.AdmitQueue,
@@ -140,7 +138,7 @@ func serve(cfg davserver.Config, srv *davserver.Server) error {
 		}()
 		logger.Info("admin endpoints enabled",
 			"addr", adminListener.Addr().String(),
-			"paths", "/metrics /debug/pprof/ /debug/traces /debug/status /debug/profiles /debug/incidents /debug/logs")
+			"paths", "/metrics /debug/pprof/ /debug/traces /debug/status /debug/incidents /debug/logs")
 	}
 
 	sig := make(chan os.Signal, 2)

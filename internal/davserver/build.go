@@ -11,7 +11,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/auth"
@@ -35,6 +37,14 @@ const (
 	metricSeriesLimit = 512 // labelled series per family before overflow collapse
 )
 
+// The runtime's mutex and block profiles record nothing until a rate is
+// set. Build sets both, process-wide, so /debug/pprof/mutex and /block
+// and every incident bundle hold the contention since start.
+const (
+	mutexProfileFraction = 5       // one contended unlock in five
+	blockProfileRate     = 100_000 // ns: one blocking event per 100 µs spent blocked
+)
+
 // Config describes one davd. The first block is one field per davd
 // flag (cmd/davd binds them; the flag's help text documents each) and
 // DefaultConfig holds the defaults. Build does not listen: Addr, Admin
@@ -55,7 +65,7 @@ type Config struct {
 	TraceOut                       string
 	TraceSample                    float64
 	SLO                            string
-	SampleInterval, ProfInterval   time.Duration
+	SampleInterval                 time.Duration
 	AdmitLimit, AdmitQueue         int
 	Brownout                       bool
 	BrownoutInterval               time.Duration
@@ -89,7 +99,6 @@ func DefaultConfig() Config {
 		TraceSample:      0.01,
 		SLO:              "GET,PROPFIND:50ms:0.99",
 		SampleInterval:   10 * time.Second,
-		ProfInterval:     time.Minute,
 		AdmitQueue:       64,
 		BrownoutInterval: 5 * time.Second,
 	}
@@ -109,7 +118,10 @@ type Server struct {
 	grace     time.Duration   // Config.ShutdownGrace: how long Close waits for that pass
 	recorder  *trace.Recorder
 	capturer  *prof.Capturer
-	profiles  *prof.Sampler
+
+	triggerMu  sync.Mutex
+	closing    bool           // set by Close: later triggers are dropped
+	assembling sync.WaitGroup // trigger goroutines still running
 }
 
 // Build validates cfg, opens the store and assembles the server.
@@ -224,19 +236,13 @@ func Build(cfg Config) (*Server, error) {
 	metrics.TrackStore(inner)
 	srv.store = store.OpTimeout(store.Instrument(inner, metrics.StoreObserver()), cfg.StoreOpTimeout)
 
-	// Background samplers: the dav_runtime_* ring and the pprof ring.
+	// The background sampler behind dav_runtime_* and the status trend.
 	var sampler *ops.Sampler
 	if cfg.SampleInterval > 0 {
 		sampler = ops.NewSampler(ops.SamplerConfig{Interval: cfg.SampleInterval})
 		sampler.Register(reg)
 		sampler.Start()
 		srv.stops = append(srv.stops, sampler.Stop)
-	}
-	if cfg.ProfInterval > 0 {
-		srv.profiles = prof.NewSampler(prof.SamplerConfig{Interval: cfg.ProfInterval})
-		srv.profiles.Register(reg)
-		srv.profiles.Start()
-		srv.stops = append(srv.stops, srv.profiles.Stop)
 	}
 
 	// Brownout: while the SLO burns, shed expensive behaviours before
@@ -252,9 +258,6 @@ func Build(cfg Config) (*Server, error) {
 		})
 		if sampler != nil {
 			brown.RegisterBackground(sampler.Stop, sampler.Start)
-		}
-		if srv.profiles != nil {
-			brown.RegisterBackground(srv.profiles.Stop, srv.profiles.Start)
 		}
 		brown.Start()
 		srv.stops = append(srv.stops, brown.Stop)
@@ -279,7 +282,6 @@ func Build(cfg Config) (*Server, error) {
 		Links: []ops.Link{
 			{Name: "metrics", Href: "/metrics"},
 			{Name: "traces", Href: "/debug/traces"},
-			{Name: "profiles", Href: "/debug/profiles"},
 			{Name: "incidents", Href: "/debug/incidents"},
 			{Name: "logs", Href: "/debug/logs"},
 			{Name: "pprof", Href: "/debug/pprof/"},
@@ -289,17 +291,19 @@ func Build(cfg Config) (*Server, error) {
 	// The incident capturer bundles evidence on a panic, a slow trip, POST
 	// /debug/incident, or the SLO's degraded rising edge (the engine
 	// exposes a bit, so a watcher polls for the edge).
+	runtime.SetMutexProfileFraction(mutexProfileFraction)
+	runtime.SetBlockProfileRate(blockProfileRate)
 	srv.capturer = prof.NewCapturer(prof.CaptureConfig{
-		Sampler:      srv.profiles,
 		WriteTraces:  srv.recorder.WriteJSONL,
 		WriteMetrics: reg.WritePrometheus,
 		StatusJSON:   func() ([]byte, error) { return json.Marshal(status.Doc()) },
 		LogTail:      logRing.Bytes,
 	})
 	srv.capturer.Register(reg)
+	srv.stops = append(srv.stops, srv.stopTriggers) // after the watcher stops
 	if slo != nil {
 		watcher := ops.WatchDegraded(slo.Degraded, time.Second, func() {
-			srv.capturer.TriggerAsync(prof.TriggerDegraded, "slo burn past threshold in every window")
+			srv.trigger(prof.TriggerDegraded, "slo burn past threshold in every window")
 		})
 		srv.stops = append(srv.stops, watcher.Stop)
 	}
@@ -325,7 +329,7 @@ func Build(cfg Config) (*Server, error) {
 		Logger:         errLog,
 		Metrics:        metrics,
 		OnPanic: func(method, path string, v any) {
-			srv.capturer.TriggerAsync(prof.TriggerPanic, fmt.Sprintf("%s %s: %v", method, path, v))
+			srv.trigger(prof.TriggerPanic, fmt.Sprintf("%s %s: %v", method, path, v))
 		},
 	})
 	ctl := &admit.Controller{Brownout: brown}
@@ -354,7 +358,7 @@ func Build(cfg Config) (*Server, error) {
 		SlowLog:       logger, // slow-request warnings survive -no-access-log
 		Ops:           tracker,
 		OnSlow: func(method, path string, d time.Duration) {
-			srv.capturer.TriggerAsync(prof.TriggerSlow,
+			srv.trigger(prof.TriggerSlow,
 				fmt.Sprintf("%s %s took %s (threshold %s)", method, path, d, cfg.SlowThreshold))
 		},
 	})
@@ -372,9 +376,6 @@ func Build(cfg Config) (*Server, error) {
 	amux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	amux.Handle("/debug/traces", srv.recorder.Handler())
 	amux.Handle("/debug/status", status)
-	if srv.profiles != nil {
-		amux.Handle("/debug/profiles", srv.profiles.Handler())
-	}
 	amux.Handle("/debug/incidents", srv.capturer.Handler())
 	amux.Handle("/debug/incident", srv.capturer.TriggerHandler())
 	amux.Handle("/debug/logs", logRing.Handler())
@@ -382,9 +383,11 @@ func Build(cfg Config) (*Server, error) {
 	return srv, nil
 }
 
-// Close stops the background machinery (newest first, so no incident
-// starts assembling after its sources stop), gives background recovery
-// up to ShutdownGrace to finish, and closes the store and its journal.
+// Close stops the background machinery newest first: the degraded
+// watcher, then every other trigger, waiting for a bundle already being
+// assembled so FlushEvidence writes it, then the sources that bundle
+// reads. It gives background recovery up to ShutdownGrace to finish,
+// and closes the store and its journal.
 // A pass cut short fails its remaining intents against the closed
 // journal; recovery is idempotent and the next start resumes it. Call
 // Close once, after the listeners have drained.
@@ -405,8 +408,8 @@ func (s *Server) Close() error {
 
 // FlushEvidence writes what the server holds only in memory next to
 // traceOut: the retained traces as JSONL to traceOut itself, every
-// incident bundle, and the profile ring's index. Call it after the
-// drain, so the export includes every request that completed.
+// incident bundle. Call it after the drain and Close, so the export
+// includes every request that completed and every bundle they tripped.
 func (s *Server) FlushEvidence(traceOut string) error {
 	if err := writeFile(traceOut, s.recorder.WriteJSONL); err != nil {
 		return fmt.Errorf("trace export: %w", err)
@@ -419,15 +422,32 @@ func (s *Server) FlushEvidence(traceOut string) error {
 	} else if n > 0 {
 		s.Logger.Info("incident bundles flushed", "dir", dir, "bundles", n)
 	}
-	if s.profiles != nil {
-		ring := filepath.Join(dir, "profile-ring.json")
-		if err := writeFile(ring, s.profiles.WriteIndex); err != nil {
-			s.Logger.Error("profile-ring index flush failed", "err", err)
-		} else {
-			s.Logger.Info("profile-ring index flushed", "file", ring)
-		}
-	}
 	return nil
+}
+
+// trigger assembles an incident bundle on a goroutine of its own, so the
+// request or watcher that noticed the incident never waits the CPU
+// slice. After Close has begun, a trigger is dropped.
+func (s *Server) trigger(reason, detail string) {
+	s.triggerMu.Lock()
+	defer s.triggerMu.Unlock()
+	if s.closing {
+		return
+	}
+	s.assembling.Add(1)
+	go func() {
+		defer s.assembling.Done()
+		s.capturer.Trigger(reason, detail)
+	}()
+}
+
+// stopTriggers drops every later trigger and waits for the bundle being
+// assembled: at most one, bounded by the CPU slice.
+func (s *Server) stopTriggers() {
+	s.triggerMu.Lock()
+	s.closing = true
+	s.triggerMu.Unlock()
+	s.assembling.Wait()
 }
 
 // writeFile writes what render produces to path, or nothing if render

@@ -1,6 +1,9 @@
 package davserver
 
 import (
+	"archive/tar"
+	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"io"
@@ -8,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -18,6 +22,7 @@ import (
 	"repro/internal/davproto"
 	"repro/internal/dbm"
 	"repro/internal/obs"
+	"repro/internal/obs/prof"
 	"repro/internal/store"
 	"repro/internal/xmldom"
 )
@@ -48,10 +53,10 @@ func (p *probeStore) Get(ctx context.Context, path string) (io.ReadCloser, store
 	return p.Store.Get(ctx, path)
 }
 
-// builtServer is serveBuilt with the two background samplers off.
+// builtServer is serveBuilt with the runtime sampler off.
 func builtServer(t *testing.T, cfg Config) (dav, admin *httptest.Server, logw *syncWriter) {
 	t.Helper()
-	cfg.SampleInterval, cfg.ProfInterval = 0, 0
+	cfg.SampleInterval = 0
 	return serveBuilt(t, cfg)
 }
 
@@ -228,7 +233,7 @@ func TestCloseBoundsTheRecoveryWait(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Root = t.TempDir()
 	cfg.Logger = obs.NewLogger(logw, slog.LevelInfo)
-	cfg.SampleInterval, cfg.ProfInterval = 0, 0
+	cfg.SampleInterval = 0
 	cfg.ShutdownGrace = 50 * time.Millisecond
 	srv, err := Build(cfg)
 	if err != nil {
@@ -256,6 +261,133 @@ func TestCloseBoundsTheRecoveryWait(t *testing.T) {
 	}
 }
 
+// bundleFiles expands an incident bundle into entry name → content,
+// with each gzipped profile decompressed.
+func bundleFiles(t *testing.T, data []byte) map[string][]byte {
+	t.Helper()
+	unzip := func(b []byte) []byte {
+		zr, err := gzip.NewReader(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	tr := tar.NewReader(bytes.NewReader(unzip(data)))
+	files := map[string][]byte{}
+	for {
+		hdr, err := tr.Next()
+		if err == io.EOF {
+			return files
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(tr)
+		if strings.HasSuffix(hdr.Name, ".gz") {
+			body = unzip(body)
+		}
+		files[hdr.Name] = body
+	}
+}
+
+// parkedUntilTheBundle is the frame TestBundleProfilesAreTakenAtTrigger
+// looks for in a bundle's goroutine profile.
+//
+//go:noinline
+func parkedUntilTheBundle(release <-chan struct{}) { <-release }
+
+// TestBundleProfilesAreTakenAtTrigger: a default davd's bundle profiles
+// the moment it was triggered — a goroutine that parked after Build is
+// in its goroutine profile — holds all five kinds with no source error,
+// and Build has turned the mutex and block profiles on.
+func TestBundleProfilesAreTakenAtTrigger(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Root = t.TempDir()
+	srv, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	if got := runtime.SetMutexProfileFraction(-1); got != mutexProfileFraction {
+		t.Errorf("mutex profile fraction after Build = %d, want %d", got, mutexProfileFraction)
+	}
+
+	// The goroutine parks well after start: past where a background
+	// profile ring's first 1 s tick would have ended, so a snapshot
+	// taken before the trigger cannot pass for one taken at it.
+	time.Sleep(1500 * time.Millisecond)
+	release := make(chan struct{})
+	defer close(release)
+	go parkedUntilTheBundle(release)
+	rec := httptest.NewRecorder()
+	srv.Admin.ServeHTTP(rec, httptest.NewRequest("POST", "/debug/incident", nil))
+	if rec.Code != 202 {
+		t.Fatalf("POST /debug/incident = %d: %s", rec.Code, rec.Body)
+	}
+
+	bundles := srv.capturer.Bundles()
+	if len(bundles) != 1 {
+		t.Fatalf("%d bundles, want the one just triggered", len(bundles))
+	}
+	files := bundleFiles(t, bundles[0].Data)
+	var man struct{ Errors map[string]string }
+	if err := json.Unmarshal(files["incident.json"], &man); err != nil || len(man.Errors) != 0 {
+		t.Errorf("manifest: %v, errors %v", err, man.Errors)
+	}
+	for _, kind := range prof.Kinds {
+		if len(files["profiles/"+kind+".pb.gz"]) == 0 {
+			t.Errorf("no %s profile", kind)
+		}
+	}
+	if !bytes.Contains(files["profiles/goroutine.pb.gz"], []byte("parkedUntilTheBundle")) {
+		t.Error("the goroutine profile predates the trigger: it lacks a goroutine parked before it")
+	}
+}
+
+// TestCloseFlushesTheInflightBundle: a slow request trips a bundle, and
+// Close right after it waits for the assembly, so the flush that
+// follows writes the bundle and no capturer goroutine outlives Close.
+func TestCloseFlushesTheInflightBundle(t *testing.T) {
+	mem := store.NewMemStore()
+	if _, err := mem.Put(context.Background(), "/doc", strings.NewReader("a document"), "text/plain"); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.SlowThreshold = 20 * time.Millisecond
+	cfg.Store = store.Intercept(mem, func(ctx context.Context, op store.Op, next func(context.Context) error) error {
+		if op.Name == store.OpGet {
+			time.Sleep(60 * time.Millisecond)
+		}
+		return next(ctx)
+	})
+	srv, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dav := httptest.NewServer(srv.Handler)
+	wantStatus(t, do(t, "GET", dav.URL+"/doc", nil, ""), 200)
+	dav.Close() // returns once the handler, and with it the slow trip, has run
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	stacks := make([]byte, 1<<20)
+	if n := runtime.Stack(stacks, true); bytes.Contains(stacks[:n], []byte("prof.(*Capturer)")) {
+		t.Errorf("a capturer goroutine outlived Close:\n%s", stacks[:n])
+	}
+	dir := t.TempDir()
+	if err := srv.FlushEvidence(filepath.Join(dir, "traces.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	if flushed, _ := filepath.Glob(filepath.Join(dir, "inc-*.tar.gz")); len(flushed) != 1 {
+		t.Fatalf("flushed %d bundles, want the slow request's one", len(flushed))
+	}
+}
+
 // TestBuildRejectsBeforeOpening: every invalid setting is refused
 // before the store is opened, so a failed start leaves no store behind.
 func TestBuildRejectsBeforeOpening(t *testing.T) {
@@ -263,6 +395,7 @@ func TestBuildRejectsBeforeOpening(t *testing.T) {
 		"flavour":      func(c *Config) { c.Flavour = "ndbm" },
 		"dbm-cache":    func(c *Config) { c.DBMCache = 0 },
 		"slo":          func(c *Config) { c.SLO = "GET:fast:0.99" },
+		"slo-nan":      func(c *Config) { c.SLO = "GET:50ms:NaN" },
 		"users":        func(c *Config) { c.Users = filepath.Join(c.Root, "no-such-file") },
 		"brownout":     func(c *Config) { c.Brownout, c.SLO = true, "" },
 		"admit-admins": func(c *Config) { c.AdmitAdmins = "alice" },

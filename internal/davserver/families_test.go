@@ -87,19 +87,13 @@ var familyReaders = map[string]string{
 	"dav_runtime_open_fds":               "TestSamplerGauges",
 	"dav_runtime_sched_latency_seconds":  "TestSamplerGauges",
 
-	"dav_prof_captures_total":       "TestSamplerRegister",
-	"dav_prof_capture_errors_total": "DESIGN §12: the skipped CPU slice",
-	"dav_prof_ring_artifacts":       "TestSamplerRegister",
-	"dav_prof_ring_bytes":           "TestSamplerRegister",
-	"dav_prof_overhead_ratio":       "README When davd degrades",
-
 	"dav_incident_bundles_total":    "TestIncidentRegister",
 	"dav_incident_suppressed_total": "TestIncidentRegister",
 	"dav_incident_retained":         "TestIncidentRegister",
 }
 
 // TestEveryFamilyHasAReader builds the fullest davd there is — the
-// default SLO, admission, brownout, both samplers — drives one PUT,
+// default SLO, admission, brownout, the runtime sampler — drives one PUT,
 // GET, PROPFIND and DELETE plus one store failure through it, and
 // requires the families on /metrics to be exactly familyReaders' rows.
 // A new family without a row fails here; so does a row whose family is

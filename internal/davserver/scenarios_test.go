@@ -233,7 +233,6 @@ func TestOverloadShedsHonestly(t *testing.T) {
 func TestOpsConsoleOverBuiltServer(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Store = fsStoreCheckedAfterClose(t)
-	cfg.ProfInterval = 0 // no CPU profile of the test binary
 	dav, admin, _ := serveBuilt(t, cfg)
 
 	wantStatus(t, do(t, "MKCOL", dav.URL+"/smoke", nil, ""), 201)

@@ -90,10 +90,8 @@ type DAVEnvOptions struct {
 
 // StartDAVEnv boots a DAV server on a loopback socket and connects a
 // client. The server is davd's: DefaultConfig through davserver.Build,
-// varied only by what the options inject. The two background samplers
-// are off (davd -sample-interval 0 -prof-interval 0): no request passes
-// through them, and a CPU profile at every start would sit inside every
-// microbenchmark.
+// varied only by what the options inject, and with the runtime sampler
+// off (davd -sample-interval 0): no request passes through it.
 func StartDAVEnv(opts DAVEnvOptions) (*DAVEnv, error) {
 	env := &DAVEnv{}
 	if opts.InMemory {
@@ -116,7 +114,7 @@ func StartDAVEnv(opts DAVEnvOptions) (*DAVEnv, error) {
 		env.Store = fs
 	}
 	cfg := davserver.DefaultConfig()
-	cfg.SampleInterval, cfg.ProfInterval = 0, 0
+	cfg.SampleInterval = 0
 	cfg.Store = env.Store
 	if opts.WrapStore != nil {
 		cfg.Store = opts.WrapStore(env.Store)

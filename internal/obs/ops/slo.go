@@ -63,8 +63,10 @@ func ParseObjectives(spec string) ([]Objective, error) {
 			return nil, fmt.Errorf("ops: objective %q: bad threshold %q", part, fields[1])
 		}
 		o.Threshold = d
+		// Written as the range itself, so NaN (which ParseFloat accepts
+		// and every comparison rejects) is refused too.
 		t, err := strconv.ParseFloat(strings.TrimSpace(fields[2]), 64)
-		if err != nil || t <= 0 || t >= 1 {
+		if err != nil || !(t > 0 && t < 1) {
 			return nil, fmt.Errorf("ops: objective %q: target %q not in (0, 1)", part, fields[2])
 		}
 		o.Target = t

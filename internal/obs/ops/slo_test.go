@@ -28,11 +28,46 @@ func TestParseObjectives(t *testing.T) {
 		t.Errorf("wildcard objective has method filter %v", objs[1].Methods)
 	}
 
-	for _, bad := range []string{"", "GET:50ms", "GET:xx:0.9", "GET:50ms:1.5", "GET:50ms:0", "GET:-1s:0.9"} {
+	for _, bad := range []string{"", "GET:50ms", "GET:xx:0.9", "GET:50ms:1.5", "GET:50ms:0", "GET:-1s:0.9",
+		"GET:50ms:NaN", "GET:50ms:nan", "GET:50ms:+Inf", "GET:50ms:-Inf", "GET:Inf:0.9", "GET:NaNms:0.9"} {
 		if _, err := ParseObjectives(bad); err == nil {
 			t.Errorf("ParseObjectives(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseObjectives: the -slo grammar never panics, every objective
+// it accepts has a positive threshold and a target in (0, 1), and an
+// SLO built from it that sees only good requests is never degraded.
+func FuzzParseObjectives(f *testing.F) {
+	for _, seed := range []string{"GET,PROPFIND:50ms:0.99", "*:1ns:0.99", "GET:50ms:0.99;PUT:250ms:0.95",
+		"GET:50ms:NaN", "GET:50ms:1e-300", ":1h:0.5", "get, ,put:1µs:.9;;", "GET:50ms:1.5"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		objs, err := ParseObjectives(spec)
+		if err != nil {
+			return
+		}
+		for _, o := range objs {
+			if o.Threshold <= 0 || !(o.Target > 0 && o.Target < 1) {
+				t.Fatalf("ParseObjectives(%q) accepted %+v", spec, o)
+			}
+		}
+		e := NewSLO(SLOConfig{Objectives: objs})
+		for _, o := range objs {
+			method := "GET"
+			for m := range o.Methods {
+				method = m
+			}
+			for range 100 {
+				e.Observe(method, 200, 0)
+			}
+		}
+		if e.Degraded() {
+			t.Fatalf("SLO from %q is degraded after only good requests: %+v", spec, e.Snapshot())
+		}
+	})
 }
 
 // fakeClock steps time manually for window arithmetic tests.

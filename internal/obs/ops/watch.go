@@ -27,7 +27,7 @@ type DegradedWatcher struct {
 // WatchDegraded starts a watcher goroutine. probe and onRise must be
 // non-nil; interval defaults to 1s when non-positive. onRise is called
 // synchronously from the watcher goroutine, so long-running reactions
-// should hand off (e.g. prof.Capturer.TriggerAsync already does).
+// should hand off to a goroutine of their own.
 func WatchDegraded(probe func() bool, interval time.Duration, onRise func()) *DegradedWatcher {
 	if interval <= 0 {
 		interval = time.Second

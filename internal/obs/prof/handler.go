@@ -6,80 +6,8 @@ import (
 	"html"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 )
-
-// Handler serves the profile ring on the admin listener (mount at
-// /debug/profiles):
-//
-//	GET /debug/profiles               HTML index of retained profiles
-//	GET /debug/profiles?seq=<n>       one artifact as raw .pb.gz
-//	GET /debug/profiles?format=json   the ring index plus sampler stats
-func (s *Sampler) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		switch {
-		case req.URL.Query().Get("seq") != "":
-			seq, err := strconv.ParseInt(req.URL.Query().Get("seq"), 10, 64)
-			if err != nil {
-				http.Error(w, "bad seq", http.StatusBadRequest)
-				return
-			}
-			a, ok := s.Find(seq)
-			if !ok {
-				http.Error(w, "profile not found (evicted or never captured)", http.StatusNotFound)
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Content-Disposition",
-				fmt.Sprintf("attachment; filename=%s-%03d.pb.gz", a.Kind, a.Seq))
-			w.Write(a.Data)
-		case req.URL.Query().Get("format") == "json":
-			w.Header().Set("Content-Type", "application/json")
-			s.WriteIndex(w)
-		default:
-			s.serveIndex(w)
-		}
-	})
-}
-
-// WriteIndex writes the ring index plus sampler stats as indented JSON:
-// the ?format=json body, and profile-ring.json in the shutdown flush.
-func (s *Sampler) WriteIndex(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Stats     Stats      `json:"stats"`
-		Artifacts []Artifact `json:"artifacts"`
-	}{s.Stats(), s.Artifacts()})
-}
-
-// serveIndex renders the profile-ring table, newest first.
-func (s *Sampler) serveIndex(w http.ResponseWriter) {
-	arts := s.Artifacts()
-	st := s.Stats()
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	var b strings.Builder
-	b.WriteString("<html><head><title>profiles</title></head><body>\n<h1>Continuous profiling</h1>\n")
-	fmt.Fprintf(&b, "<p>%d retained (%d bytes), overhead %.4f%%, cpu duty cycle %.2f%% "+
-		"(<a href=\"?format=json\">json</a>)</p>\n",
-		st.RingArtifacts, st.RingBytes, 100*st.OverheadRatio, 100*st.CPUDutyCycle)
-	b.WriteString("<table border=1 cellpadding=4>\n" +
-		"<tr><th>seq</th><th>kind</th><th>time</th><th>bytes</th><th>capture ms</th><th>meta</th></tr>\n")
-	for i := len(arts) - 1; i >= 0; i-- {
-		a := arts[i]
-		meta := ""
-		for k, v := range a.Meta {
-			meta += k + "=" + v + " "
-		}
-		fmt.Fprintf(&b, "<tr><td><a href=\"?seq=%d\">%d</a></td><td>%s</td>"+
-			"<td>%s</td><td>%d</td><td>%.2f</td><td>%s</td></tr>\n",
-			a.Seq, a.Seq, a.Kind, a.Time.UTC().Format("2006-01-02T15:04:05Z"),
-			a.Bytes, a.CaptureMS, html.EscapeString(strings.TrimSpace(meta)))
-	}
-	b.WriteString("</table></body></html>\n")
-	io.WriteString(w, b.String())
-}
 
 // Handler serves the incident-bundle ring (mount at /debug/incidents):
 //

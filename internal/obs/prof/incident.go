@@ -1,3 +1,11 @@
+// Package prof is the incident-capture subsystem. The ops layer can say
+// *that* the server degraded (SLO burn, runtime gauges); this package
+// captures *what the server was doing* at that moment: when a trigger
+// fires (SLO degraded transition, slow-request trip, recovered panic,
+// or a manual POST) a Capturer assembles one downloadable tar.gz bundle
+// — profiles taken at trigger time, trace tail, metrics snapshot,
+// status document, log tail. Everything is stdlib-only, in-memory, and
+// bounded.
 package prof
 
 import (
@@ -9,11 +17,17 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
+
+// Kinds lists the profiles every bundle holds, in capture order: a
+// timed CPU slice, then the runtime's named profiles. All are gzipped
+// protobuf (the pprof wire format).
+var Kinds = []string{"cpu", "heap", "goroutine", "mutex", "block"}
 
 // Trigger reasons the capturer understands. Anything else is counted
 // under TriggerManual so the metric label set stays bounded.
@@ -44,13 +58,8 @@ const BundleSchema = "dav_incident/v1"
 // output. Every source is optional; missing ones drop their bundle
 // entry.
 type CaptureConfig struct {
-	// Sampler supplies the freshest ring profiles; when nil (or when the
-	// ring lacks a kind) the point-in-time kinds are captured on demand
-	// at bundle time.
-	Sampler *Sampler
-	// CPUSlice is the on-demand CPU profile length recorded at bundle
-	// time (default 1s; negative disables, falling back to the ring's
-	// freshest CPU profile).
+	// CPUSlice is the CPU profile length recorded at bundle time
+	// (default 1s).
 	CPUSlice time.Duration
 	// WriteTraces streams the trace flight-recorder tail as JSONL
 	// (typically (*trace.Recorder).WriteJSONL).
@@ -76,9 +85,9 @@ type CaptureConfig struct {
 	Clock func() time.Time
 }
 
-// Bundle is one assembled incident: a tar.gz holding the freshest
-// profiles, the trace tail, a metrics snapshot, the status document,
-// and the log tail, plus an incident.json manifest.
+// Bundle is one assembled incident: a tar.gz holding the profiles taken
+// at trigger time, the trace tail, a metrics snapshot, the status
+// document, and the log tail, plus an incident.json manifest.
 type Bundle struct {
 	ID      string    `json:"id"`
 	Reason  string    `json:"reason"`
@@ -147,8 +156,8 @@ func NewCapturer(cfg CaptureConfig) *Capturer {
 // for the on-demand CPU slice. It returns (nil, false) when the
 // trigger was suppressed — deduplicated inside the reason's window,
 // rate-limited globally, or arriving while another bundle is being
-// assembled. Hot paths (panic recovery, the slow-trip hook) should use
-// TriggerAsync instead.
+// assembled. Hot paths (panic recovery, the slow-trip hook) call it on
+// a goroutine of their own so a request never waits the CPU slice.
 func (c *Capturer) Trigger(reason, detail string) (*Bundle, bool) {
 	now := c.cfg.Clock()
 	c.mu.Lock()
@@ -190,13 +199,6 @@ func (c *Capturer) Trigger(reason, detail string) (*Bundle, bool) {
 	return b, true
 }
 
-// TriggerAsync runs Trigger on its own goroutine and returns
-// immediately — the form the panic-recovery and slow-trip hooks use so
-// bundle assembly (a ~1s CPU profile) never blocks a request.
-func (c *Capturer) TriggerAsync(reason, detail string) {
-	go c.Trigger(reason, detail)
-}
-
 // assemble builds the tar.gz for one incident.
 func (c *Capturer) assemble(seq int64, reason, detail string, now time.Time) *Bundle {
 	id := fmt.Sprintf("inc-%03d-%s", seq, now.UTC().Format("20060102T150405Z"))
@@ -214,29 +216,22 @@ func (c *Capturer) assemble(seq int64, reason, detail string, now time.Time) *Bu
 		entries = append(entries, entry{name, data})
 	}
 
-	// Profiles: a fresh CPU slice recorded now (queueing behind the
-	// periodic sampler if needed), then the freshest ring snapshot of
-	// each point-in-time kind — captured on demand when the ring has
-	// none, so a bundle is complete even with the sampler disabled.
-	cpuDone := false
-	if c.cfg.CPUSlice > 0 {
-		data, err := captureCPU(c.cfg.CPUSlice, true, nil)
-		add("profiles/cpu.pb.gz", data, err)
-		cpuDone = err == nil
+	// Profiles, every one taken now. The runtime runs one CPU profile at
+	// a time and a capturer one assembly at a time, so the slice fails
+	// only while an operator holds /debug/pprof/profile, and the manifest
+	// says so. Heap, mutex and block are cumulative since process start;
+	// goroutine is the moment itself.
+	var cpu bytes.Buffer
+	err := pprof.StartCPUProfile(&cpu)
+	if err == nil {
+		time.Sleep(c.cfg.CPUSlice)
+		pprof.StopCPUProfile()
 	}
-	if !cpuDone {
-		if a, ok := c.latest(KindCPU); ok {
-			add("profiles/cpu.pb.gz", a.Data, nil)
-		}
-	}
-	for _, kind := range []string{KindHeap, KindGoroutine, KindMutex, KindBlock} {
-		name := "profiles/" + kind + ".pb.gz"
-		if a, ok := c.latest(kind); ok {
-			add(name, a.Data, nil)
-			continue
-		}
-		data, err := captureLookup(kind)
-		add(name, data, err)
+	add("profiles/cpu.pb.gz", cpu.Bytes(), err)
+	for _, kind := range Kinds[1:] {
+		var buf bytes.Buffer
+		err := pprof.Lookup(kind).WriteTo(&buf, 0)
+		add("profiles/"+kind+".pb.gz", buf.Bytes(), err)
 	}
 
 	if c.cfg.WriteTraces != nil {
@@ -288,14 +283,6 @@ func (c *Capturer) assemble(seq int64, reason, detail string, now time.Time) *Bu
 		ID: id, Reason: reason, Detail: detail, Time: now,
 		Entries: names, Bytes: out.Len(), Data: out.Bytes(),
 	}
-}
-
-// latest reads the sampler ring (nil-safe).
-func (c *Capturer) latest(kind string) (Artifact, bool) {
-	if c.cfg.Sampler == nil {
-		return Artifact{}, false
-	}
-	return c.cfg.Sampler.Latest(kind)
 }
 
 // Bundles returns the retained bundles, newest first.

@@ -72,6 +72,21 @@ func untar(t *testing.T, data []byte) map[string][]byte {
 	return out
 }
 
+// gunzipAll decompresses a gzipped pprof profile; every profile a
+// bundle holds must round-trip.
+func gunzipAll(t *testing.T, data []byte) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("gzip.NewReader: %v", err)
+	}
+	out, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("gunzip: %v", err)
+	}
+	return out
+}
+
 // TestTriggerMatrix drives each trigger source once (dedup windows
 // live, rate limit off) and asserts exactly one bundle per reason, then
 // a repeat of each reason suppressed by its dedup window.
@@ -142,9 +157,7 @@ func TestRateLimit(t *testing.T) {
 // present and parseable: manifest, gzipped profiles, JSONL traces,
 // CheckExposition-clean metrics, JSON status, non-empty log tail.
 func TestBundleContents(t *testing.T) {
-	s := quickSampler(2)
-	s.CaptureNow()
-	c := testCapturer(t, CaptureConfig{Sampler: s, MinInterval: -1, DedupWindow: -1})
+	c := testCapturer(t, CaptureConfig{MinInterval: -1, DedupWindow: -1})
 	b, ok := c.Trigger(TriggerDegraded, "burn past threshold")
 	if !ok {
 		t.Fatal("trigger suppressed")
@@ -198,10 +211,11 @@ func TestBundleContents(t *testing.T) {
 	}
 }
 
-// TestBundleWithoutSampler verifies a capturer with no sampler still
-// produces every profile kind by capturing on demand.
+// TestBundleWithoutSampler verifies the profiles need nothing but the
+// capturer: with every other evidence source unset, a bundle still
+// holds every profile kind, and nothing else.
 func TestBundleWithoutSampler(t *testing.T) {
-	c := testCapturer(t, CaptureConfig{MinInterval: -1, DedupWindow: -1})
+	c := NewCapturer(CaptureConfig{CPUSlice: 10 * time.Millisecond, MinInterval: -1, DedupWindow: -1})
 	b, ok := c.Trigger(TriggerManual, "")
 	if !ok {
 		t.Fatal("trigger suppressed")
@@ -209,8 +223,11 @@ func TestBundleWithoutSampler(t *testing.T) {
 	files := untar(t, b.Data)
 	for _, kind := range Kinds {
 		if _, ok := files["profiles/"+kind+".pb.gz"]; !ok {
-			t.Errorf("profiles/%s.pb.gz missing without a sampler", kind)
+			t.Errorf("profiles/%s.pb.gz missing", kind)
 		}
+	}
+	if len(files) != 1+len(Kinds) {
+		t.Errorf("bundle holds %d entries, want the manifest and %d profiles: %v", len(files), len(Kinds), b.Entries)
 	}
 }
 

@@ -47,6 +47,37 @@ func TestParseTraceParentRejectsMalformed(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceParent: a traceparent never panics the parser, and an
+// accepted one has two non-zero IDs, round-trips, and is formatted back
+// byte for byte except the flags, which become 01 or 00 by bit 0.
+func FuzzParseTraceParent(f *testing.F) {
+	valid := "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	for _, seed := range []string{valid, valid[:53] + "00", valid[:53] + "ff", valid[:53] + "fe",
+		strings.ToUpper(valid), "00-00000000000000000000000000000000-b7ad6b7169203331-01", "", "garbage"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		sc, err := ParseTraceParent(v)
+		if err != nil {
+			return
+		}
+		if sc.TraceID.IsZero() || sc.SpanID.IsZero() {
+			t.Fatalf("ParseTraceParent(%q) accepted a zero ID: %+v", v, sc)
+		}
+		formatted := FormatTraceParent(sc)
+		if again, err := ParseTraceParent(formatted); err != nil || again != sc {
+			t.Fatalf("%q → %+v → %q → %+v, %v", v, sc, formatted, again, err)
+		}
+		flags := "00"
+		if strings.IndexByte("13579bdf", v[54]) >= 0 {
+			flags = "01"
+		}
+		if want := v[:53] + flags; formatted != want {
+			t.Fatalf("ParseTraceParent(%q) formats back as %q, want %q", v, formatted, want)
+		}
+	})
+}
+
 func TestExtractDiscardsMalformedHeader(t *testing.T) {
 	r := httptest.NewRequest("GET", "/x", nil)
 	r.Header.Set(TraceParentHeader, "00-INVALID-HEADER-01")
