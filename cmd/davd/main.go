@@ -77,23 +77,21 @@ func bindFlags(fs *flag.FlagSet, cfg *davserver.Config) {
 		"fraction of fast, error-free traces retained at random in addition to slow/errored ones")
 	fs.StringVar(&cfg.SLO, "slo", cfg.SLO,
 		"latency objectives as METHODS:THRESHOLD:TARGET, semicolon-separated (\"*\" matches all methods); burn rates appear as dav_slo_* and on /debug/status; empty disables")
-	fs.DurationVar(&cfg.SampleInterval, "sample-interval", cfg.SampleInterval,
-		"runtime self-sampling period (heap, goroutines, GC, FDs, scheduler latency) feeding dav_runtime_* and the /debug/status trend; 0 disables")
 	fs.IntVar(&cfg.AdmitLimit, "admit-limit", cfg.AdmitLimit,
 		"ceiling for the adaptive concurrency limit; requests past it wait briefly or are shed with 429 + Retry-After instead of collapsing latency for everyone; 0 disables admission control")
 	fs.IntVar(&cfg.AdmitQueue, "admit-queue", cfg.AdmitQueue,
 		"total admission-queue capacity, split across priority classes (reads most, heavy subtree ops least); 0 sheds immediately at the limit")
 	fs.BoolVar(&cfg.Brownout, "brownout", cfg.Brownout,
-		"degrade before shedding while the SLO burns: skip auto-versioning snapshots, refuse Depth: infinity PROPFIND, pause background sampling — restored in reverse with hysteresis; needs -slo")
+		"degrade before shedding while the SLO burns: skip auto-versioning snapshots, refuse Depth: infinity PROPFIND — restored in reverse with hysteresis; needs -slo")
 	fs.DurationVar(&cfg.BrownoutInterval, "brownout-interval", cfg.BrownoutInterval,
-		"how often the brownout controller polls the SLO degraded bit; two consecutive degraded polls deepen one level, ten healthy polls restore one")
+		"how often the brownout controller polls the SLO degraded bit; two consecutive degraded polls deepen one level, ten healthy polls restore one; must be positive with -brownout")
 	fs.StringVar(&cfg.AdmitAdmins, "admit-admins", cfg.AdmitAdmins,
 		"comma-separated users allowed to override a request's priority class via the X-Admit-Priority header; needs -users")
 }
 
 // run is main without the exit: every failure after Build returns
 // through the one Close, so the store, its journal and the background
-// samplers are shut down whatever went wrong.
+// machinery are shut down whatever went wrong.
 func run(cfg davserver.Config) error {
 	srv, err := davserver.Build(cfg)
 	if err != nil {

@@ -23,12 +23,8 @@ const (
 	// with the RFC 4918 <DAV:propfind-finite-depth/> 403 precondition,
 	// steering clients to the bounded Depth: 1 walk.
 	LevelNoDeepPropfind
-	// LevelNoBackground additionally pauses registered background work
-	// (runtime and profile samplers in davd) so every remaining cycle
-	// serves requests.
-	LevelNoBackground
 
-	maxLevel = LevelNoBackground
+	maxLevel = LevelNoDeepPropfind
 )
 
 func (l Level) String() string {
@@ -39,8 +35,6 @@ func (l Level) String() string {
 		return "no-snapshots"
 	case LevelNoDeepPropfind:
 		return "no-deep-propfind"
-	case LevelNoBackground:
-		return "no-background"
 	}
 	return "unknown"
 }
@@ -74,7 +68,6 @@ type Brownout struct {
 	mu             sync.Mutex
 	degradedStreak int
 	healthyStreak  int
-	pause, resume  []func()
 	stop           chan struct{}
 	done           chan struct{}
 
@@ -96,20 +89,6 @@ func NewBrownout(cfg BrownoutConfig) *Brownout {
 		cfg.ExitAfter = 10
 	}
 	return &Brownout{cfg: cfg}
-}
-
-// RegisterBackground adds a pause/resume pair run when the ladder
-// crosses LevelNoBackground in either direction. Either func may be
-// nil. Register before Start.
-func (b *Brownout) RegisterBackground(pause, resume func()) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if pause != nil {
-		b.pause = append(b.pause, pause)
-	}
-	if resume != nil {
-		b.resume = append(b.resume, resume)
-	}
 }
 
 // Start launches the polling loop; no-op when Interval is negative or
@@ -167,6 +146,7 @@ func (b *Brownout) Tick() {
 		if b.degradedStreak >= b.cfg.EnterAfter && old < maxLevel {
 			next = old + 1
 			b.degradedStreak = 0
+			b.deepens.Add(1)
 		}
 	} else {
 		b.degradedStreak = 0
@@ -174,30 +154,13 @@ func (b *Brownout) Tick() {
 		if b.healthyStreak >= b.cfg.ExitAfter && old > LevelNone {
 			next = old - 1
 			b.healthyStreak = 0
-		}
-	}
-	var hooks []func()
-	if next != old {
-		b.level.Store(int32(next))
-		if next > old {
-			b.deepens.Add(1)
-			if old < LevelNoBackground && next >= LevelNoBackground {
-				hooks = append(hooks, b.pause...)
-			}
-		} else {
 			b.restores.Add(1)
-			if old >= LevelNoBackground && next < LevelNoBackground {
-				hooks = append(hooks, b.resume...)
-			}
 		}
 	}
+	b.level.Store(int32(next))
 	b.mu.Unlock()
 
-	// Hooks and the change callback run outside the mutex: pausing a
-	// sampler waits for its goroutine, and nothing here needs the lock.
-	for _, h := range hooks {
-		h()
-	}
+	// The change callback runs outside the mutex: it is caller code.
 	if next != old && b.cfg.OnChange != nil {
 		b.cfg.OnChange(old, next)
 	}
@@ -219,10 +182,6 @@ func (b *Brownout) SnapshotsDisabled() bool { return b.Level() >= LevelNoSnapsho
 // CapDeepPropfind reports whether Depth: infinity PROPFIND should be
 // refused with the finite-depth precondition.
 func (b *Brownout) CapDeepPropfind() bool { return b.Level() >= LevelNoDeepPropfind }
-
-// BackgroundPaused reports whether registered background work is
-// paused.
-func (b *Brownout) BackgroundPaused() bool { return b.Level() >= LevelNoBackground }
 
 // CountSnapshotSkipped and CountDeepCapped record one application of
 // the corresponding degradation; the handler calls them so operators

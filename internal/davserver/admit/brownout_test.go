@@ -42,18 +42,13 @@ func TestBrownoutHysteresis(t *testing.T) {
 	// Two more degraded polls deepen one more level.
 	b.Tick()
 	b.Tick()
-	if b.Level() != LevelNoDeepPropfind {
+	if b.Level() != LevelNoDeepPropfind || !b.CapDeepPropfind() {
 		t.Fatalf("level = %s, want no-deep-propfind", b.Level())
-	}
-	b.Tick()
-	b.Tick()
-	if b.Level() != LevelNoBackground {
-		t.Fatalf("level = %s, want no-background", b.Level())
 	}
 	// The ladder is bounded.
 	b.Tick()
 	b.Tick()
-	if b.Level() != LevelNoBackground {
+	if b.Level() != LevelNoDeepPropfind {
 		t.Fatalf("level climbed past max: %s", b.Level())
 	}
 
@@ -61,12 +56,12 @@ func TestBrownoutHysteresis(t *testing.T) {
 	*degraded = false
 	b.Tick()
 	b.Tick()
-	if b.Level() != LevelNoBackground {
+	if b.Level() != LevelNoDeepPropfind {
 		t.Fatalf("restored after 2 healthy polls (exitAfter=3)")
 	}
 	b.Tick()
-	if b.Level() != LevelNoDeepPropfind {
-		t.Fatalf("level = %s after 3 healthy polls, want no-deep-propfind", b.Level())
+	if b.Level() != LevelNoSnapshots {
+		t.Fatalf("level = %s after 3 healthy polls, want no-snapshots", b.Level())
 	}
 
 	// Flapping resets both streaks: alternating polls never transition.
@@ -74,41 +69,19 @@ func TestBrownoutHysteresis(t *testing.T) {
 		*degraded = i%2 == 0
 		b.Tick()
 	}
-	if b.Level() != LevelNoDeepPropfind {
+	if b.Level() != LevelNoSnapshots {
 		t.Fatalf("flapping moved the level to %s", b.Level())
 	}
 
 	s := b.Stats()
-	if s.Deepens != 3 || s.Restores != 1 {
-		t.Fatalf("deepens=%d restores=%d, want 3/1", s.Deepens, s.Restores)
-	}
-}
-
-func TestBrownoutBackgroundHooks(t *testing.T) {
-	b, degraded := manualBrownout(1, 1)
-	paused, resumed := 0, 0
-	b.RegisterBackground(func() { paused++ }, func() { resumed++ })
-
-	*degraded = true
-	b.Tick() // level 1
-	b.Tick() // level 2
-	if paused != 0 {
-		t.Fatal("paused before reaching no-background")
-	}
-	b.Tick() // level 3: crossing pauses
-	if paused != 1 || !b.BackgroundPaused() {
-		t.Fatalf("paused=%d BackgroundPaused=%v, want 1/true", paused, b.BackgroundPaused())
-	}
-	*degraded = false
-	b.Tick() // back to level 2: crossing resumes
-	if resumed != 1 || b.BackgroundPaused() {
-		t.Fatalf("resumed=%d BackgroundPaused=%v, want 1/false", resumed, b.BackgroundPaused())
+	if s.Deepens != 2 || s.Restores != 1 {
+		t.Fatalf("deepens=%d restores=%d, want 2/1", s.Deepens, s.Restores)
 	}
 }
 
 func TestBrownoutNilSafe(t *testing.T) {
 	var b *Brownout
-	if b.Level() != LevelNone || b.SnapshotsDisabled() || b.CapDeepPropfind() || b.BackgroundPaused() {
+	if b.Level() != LevelNone || b.SnapshotsDisabled() || b.CapDeepPropfind() {
 		t.Fatal("nil brownout must mean full service")
 	}
 	b.CountSnapshotSkipped()
@@ -133,11 +106,11 @@ func TestBrownoutPollingLoop(t *testing.T) {
 	b.Start()
 	defer b.Stop()
 	deadline := time.After(5 * time.Second)
-	for b.Level() < LevelNoBackground {
+	for b.Level() < LevelNoDeepPropfind {
 		select {
 		case <-changes:
 		case <-deadline:
-			t.Fatalf("never reached no-background (level %s)", b.Level())
+			t.Fatalf("never reached no-deep-propfind (level %s)", b.Level())
 		}
 	}
 	degraded.Store(false)

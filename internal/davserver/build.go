@@ -65,7 +65,6 @@ type Config struct {
 	TraceOut                       string
 	TraceSample                    float64
 	SLO                            string
-	SampleInterval                 time.Duration
 	AdmitLimit, AdmitQueue         int
 	Brownout                       bool
 	BrownoutInterval               time.Duration
@@ -98,7 +97,6 @@ func DefaultConfig() Config {
 		SlowThreshold:    500 * time.Millisecond,
 		TraceSample:      0.01,
 		SLO:              "GET,PROPFIND:50ms:0.99",
-		SampleInterval:   10 * time.Second,
 		AdmitQueue:       64,
 		BrownoutInterval: 5 * time.Second,
 	}
@@ -145,6 +143,9 @@ func Build(cfg Config) (*Server, error) {
 	}
 	if cfg.Brownout && slo == nil {
 		return nil, errors.New("-brownout needs -slo objectives to derive the degraded signal")
+	}
+	if cfg.Brownout && cfg.BrownoutInterval <= 0 {
+		return nil, fmt.Errorf("-brownout-interval %s: the brownout controller needs a positive polling period", cfg.BrownoutInterval)
 	}
 	var users *auth.Users
 	var err error
@@ -218,6 +219,7 @@ func Build(cfg Config) (*Server, error) {
 	start := time.Now()
 	reg.GaugeFunc("process_uptime_seconds", "Seconds since the process registered its metrics.", nil,
 		func() float64 { return time.Since(start).Seconds() })
+	ops.RegisterRuntime(reg)
 	tracker := ops.NewTracker(ops.TrackerConfig{SLO: slo})
 	tracker.Register(reg)
 	slow := cfg.SlowThreshold
@@ -236,15 +238,6 @@ func Build(cfg Config) (*Server, error) {
 	metrics.TrackStore(inner)
 	srv.store = store.OpTimeout(store.Instrument(inner, metrics.StoreObserver()), cfg.StoreOpTimeout)
 
-	// The background sampler behind dav_runtime_* and the status trend.
-	var sampler *ops.Sampler
-	if cfg.SampleInterval > 0 {
-		sampler = ops.NewSampler(ops.SamplerConfig{Interval: cfg.SampleInterval})
-		sampler.Register(reg)
-		sampler.Start()
-		srv.stops = append(srv.stops, sampler.Stop)
-	}
-
 	// Brownout: while the SLO burns, shed expensive behaviours before
 	// the limiter sheds requests, and restore them in reverse.
 	var brown *admit.Brownout
@@ -256,9 +249,6 @@ func Build(cfg Config) (*Server, error) {
 				logger.Warn("brownout transition", "from", old.String(), "to", next.String())
 			},
 		})
-		if sampler != nil {
-			brown.RegisterBackground(sampler.Stop, sampler.Start)
-		}
 		brown.Start()
 		srv.stops = append(srv.stops, brown.Stop)
 		logger.Info("brownout controller enabled")
@@ -273,7 +263,6 @@ func Build(cfg Config) (*Server, error) {
 	status := ops.NewStatus(ops.StatusConfig{
 		Service:  "davd",
 		Registry: reg,
-		Sampler:  sampler,
 		Tracker:  tracker,
 		Ready: func() any {
 			st, _ := srv.Health.Ready()

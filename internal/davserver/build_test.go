@@ -53,13 +53,6 @@ func (p *probeStore) Get(ctx context.Context, path string) (io.ReadCloser, store
 	return p.Store.Get(ctx, path)
 }
 
-// builtServer is serveBuilt with the runtime sampler off.
-func builtServer(t *testing.T, cfg Config) (dav, admin *httptest.Server, logw *syncWriter) {
-	t.Helper()
-	cfg.SampleInterval = 0
-	return serveBuilt(t, cfg)
-}
-
 // serveBuilt serves Build(cfg) and its admin surface over live HTTP.
 func serveBuilt(t *testing.T, cfg Config) (dav, admin *httptest.Server, logw *syncWriter) {
 	t.Helper()
@@ -114,7 +107,7 @@ func TestBuildChainOrder(t *testing.T) {
 	cfg.Prefix = "/dav"
 	cfg.AdmitLimit, cfg.AdmitQueue = 1, 0
 	cfg.RequestTimeout = 5 * time.Second
-	dav, admin, logw := builtServer(t, cfg)
+	dav, admin, logw := serveBuilt(t, cfg)
 
 	// Probes sit outside auth and outside the prefix: no credentials, and
 	// a DAV document of the same name stays reachable under the prefix.
@@ -203,7 +196,7 @@ func TestBuildReportsRecovery(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Store = fs
 	cfg.StoreOpTimeout = time.Second // a second wrapper between the probe and the FSStore
-	dav, _, _ := builtServer(t, cfg)
+	dav, _, _ := serveBuilt(t, cfg)
 
 	resp := do(t, "GET", dav.URL+"/readyz", nil, "")
 	wantStatus(t, resp, 503)
@@ -233,7 +226,6 @@ func TestCloseBoundsTheRecoveryWait(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Root = t.TempDir()
 	cfg.Logger = obs.NewLogger(logw, slog.LevelInfo)
-	cfg.SampleInterval = 0
 	cfg.ShutdownGrace = 50 * time.Millisecond
 	srv, err := Build(cfg)
 	if err != nil {
@@ -392,13 +384,14 @@ func TestCloseFlushesTheInflightBundle(t *testing.T) {
 // before the store is opened, so a failed start leaves no store behind.
 func TestBuildRejectsBeforeOpening(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
-		"flavour":      func(c *Config) { c.Flavour = "ndbm" },
-		"dbm-cache":    func(c *Config) { c.DBMCache = 0 },
-		"slo":          func(c *Config) { c.SLO = "GET:fast:0.99" },
-		"slo-nan":      func(c *Config) { c.SLO = "GET:50ms:NaN" },
-		"users":        func(c *Config) { c.Users = filepath.Join(c.Root, "no-such-file") },
-		"brownout":     func(c *Config) { c.Brownout, c.SLO = true, "" },
-		"admit-admins": func(c *Config) { c.AdmitAdmins = "alice" },
+		"flavour":           func(c *Config) { c.Flavour = "ndbm" },
+		"dbm-cache":         func(c *Config) { c.DBMCache = 0 },
+		"slo":               func(c *Config) { c.SLO = "GET:fast:0.99" },
+		"slo-nan":           func(c *Config) { c.SLO = "GET:50ms:NaN" },
+		"users":             func(c *Config) { c.Users = filepath.Join(c.Root, "no-such-file") },
+		"brownout":          func(c *Config) { c.Brownout, c.SLO = true, "" },
+		"brownout-interval": func(c *Config) { c.Brownout, c.BrownoutInterval = true, -time.Second },
+		"admit-admins":      func(c *Config) { c.AdmitAdmins = "alice" },
 	} {
 		cfg := DefaultConfig()
 		cfg.Root = filepath.Join(t.TempDir(), "root")
@@ -421,7 +414,7 @@ func TestBuildRejectsBeforeOpening(t *testing.T) {
 func TestDeeplyNestedBodyIs400(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Store = store.NewMemStore()
-	dav, _, _ := builtServer(t, cfg)
+	dav, _, _ := serveBuilt(t, cfg)
 	wantStatus(t, do(t, "PUT", dav.URL+"/doc", nil, "a document"), 201)
 
 	nest := func(n int) string { return strings.Repeat("<a>", n) + strings.Repeat("</a>", n) }
@@ -463,7 +456,7 @@ func TestBuiltGetStreamsAndCounts(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Store = fs
-	dav, admin, logw := builtServer(t, cfg)
+	dav, admin, logw := serveBuilt(t, cfg)
 	total := 0
 	for _, size := range []int{300 << 10, 10, 0} {
 		body := strings.Repeat("0123456789", size/10)
@@ -508,7 +501,7 @@ func TestStatusShowsHandleCacheBytes(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Store = fs
-	dav, admin, _ := builtServer(t, cfg)
+	dav, admin, _ := serveBuilt(t, cfg)
 	wantStatus(t, do(t, "PUT", dav.URL+"/doc", nil, "a document"), 201)
 	wantStatus(t, do(t, "PROPPATCH", dav.URL+"/doc", nil,
 		`<D:propertyupdate xmlns:D="DAV:"><D:set><D:prop><k xmlns="ns:">`+strings.Repeat("v", 1000)+`</k></D:prop></D:set></D:propertyupdate>`), 207)
@@ -532,7 +525,7 @@ func TestStatusShowsHandleCacheBytes(t *testing.T) {
 func TestHugeLockTimeoutIsClamped(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Store = store.NewMemStore()
-	dav, _, _ := builtServer(t, cfg)
+	dav, _, _ := serveBuilt(t, cfg)
 	const ceiling = (1<<32 - 1) * time.Second
 	granted := func(resp *http.Response) time.Duration {
 		t.Helper()

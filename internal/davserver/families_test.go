@@ -79,13 +79,11 @@ var familyReaders = map[string]string{
 	"dav_slo_degraded":          "README When davd degrades",
 	"dav_hot_path_requests":     "TestOpsConsoleOverBuiltServer; README Operating davd, /metrics",
 
-	"dav_runtime_goroutines":             "TestSamplerGauges, TestOpsConsoleOverBuiltServer",
-	"dav_runtime_heap_alloc_bytes":       "TestSamplerGauges",
-	"dav_runtime_heap_sys_bytes":         "TestSamplerGauges",
-	"dav_runtime_gc_pause_seconds_total": "TestSamplerGauges",
-	"dav_runtime_gc_cpu_fraction":        "TestSamplerGauges",
-	"dav_runtime_open_fds":               "TestSamplerGauges",
-	"dav_runtime_sched_latency_seconds":  "TestSamplerGauges",
+	"dav_runtime_goroutines":       "TestRuntimeGauges, TestRuntimeIsReadWhenAsked",
+	"dav_runtime_heap_alloc_bytes": "TestRuntimeGauges",
+	"dav_runtime_heap_sys_bytes":   "TestRuntimeGauges",
+	"dav_runtime_gc_cpu_fraction":  "TestRuntimeGauges",
+	"dav_runtime_open_fds":         "TestRuntimeGauges",
 
 	"dav_incident_bundles_total":    "TestIncidentRegister",
 	"dav_incident_suppressed_total": "TestIncidentRegister",
@@ -93,11 +91,11 @@ var familyReaders = map[string]string{
 }
 
 // TestEveryFamilyHasAReader builds the fullest davd there is — the
-// default SLO, admission, brownout, the runtime sampler — drives one PUT,
-// GET, PROPFIND and DELETE plus one store failure through it, and
-// requires the families on /metrics to be exactly familyReaders' rows.
-// A new family without a row fails here; so does a row whose family is
-// gone, and a statusGauges row the status console does not show.
+// default SLO, admission, brownout — drives one PUT, GET, PROPFIND and
+// DELETE plus one store failure through it, and requires the families
+// on /metrics to be exactly familyReaders' rows. A new family without a
+// row fails here; so does a row whose family is gone, and a
+// statusGauges row the status console does not show.
 func TestEveryFamilyHasAReader(t *testing.T) {
 	root := t.TempDir()
 	fs, err := store.NewFSStore(root, dbm.GDBM)

@@ -150,7 +150,7 @@ func (m *Metrics) TrackAdmit(c *admit.Controller) {
 	if c.Brownout != nil {
 		b := c.Brownout
 		g("dav_brownout_level",
-			"Current brownout depth: 0 full service, 1 no snapshots, 2 + no deep PROPFIND, 3 + background paused.", nil,
+			"Current brownout depth: 0 full service, 1 no snapshots, 2 + no deep PROPFIND.", nil,
 			func() float64 { return float64(b.Level()) })
 		g("dav_brownout_transitions_total",
 			"Brownout ladder transitions (cumulative).", obs.Labels{"direction": "deepen"},

@@ -181,7 +181,7 @@ func TestStoreErrorsCountOnlyServerErrors(t *testing.T) {
 	faulty := chaos.NewFaultyStore(store.NewMemStore())
 	cfg := DefaultConfig()
 	cfg.Store = faulty
-	dav, admin, _ := builtServer(t, cfg)
+	dav, admin, _ := serveBuilt(t, cfg)
 	wantStatus(t, do(t, "MKCOL", dav.URL+"/dir", nil, ""), 201)
 	wantStatus(t, do(t, "PUT", dav.URL+"/dir/doc", nil, "x"), 201)
 	wantStatus(t, do(t, "GET", dav.URL+"/dir", nil, ""), 200)

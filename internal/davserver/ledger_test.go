@@ -401,7 +401,6 @@ func TestCountLedger(t *testing.T) {
 			views := &viewRecorder{Store: fs}
 			var storeCalls, bodyBytes atomic.Int64
 			cfg := DefaultConfig()
-			cfg.SampleInterval = 0
 			cfg.NoAccessLog = true
 			cfg.Store = store.Intercept(views, func(ctx context.Context, _ store.Op, next func(context.Context) error) error {
 				storeCalls.Add(1)

@@ -343,7 +343,7 @@ func TestPropfindViewsFollowEveryWrite(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Store = fs
-	dav, _, _ := builtServer(t, cfg)
+	dav, _, _ := serveBuilt(t, cfg)
 	client := func() *davclient.Client {
 		c, err := davclient.New(davclient.Config{BaseURL: dav.URL, Persistent: true})
 		if err != nil {

@@ -39,7 +39,7 @@ func (s statsThrough) Journal() *journal.Journal { return s.fs.Journal() }
 
 // fsStoreCheckedAfterClose opens an FSStore in a temp dir and requires a
 // clean fsck of it once the test's server has closed it: the cleanup is
-// registered before the caller's builtServer, so it runs after.
+// registered before the caller's serveBuilt, so it runs after.
 func fsStoreCheckedAfterClose(t *testing.T) *store.FSStore {
 	t.Helper()
 	dir := t.TempDir()
@@ -91,7 +91,7 @@ func TestQueuedDeletesLeaveOnDisconnect(t *testing.T) {
 			}
 			return next(ctx)
 		})}
-	dav, admin, _ := builtServer(t, cfg)
+	dav, admin, _ := serveBuilt(t, cfg)
 	t.Cleanup(release) // runs before the server's: a failed test must not leave Close waiting on a parked request
 
 	survivor := make(chan int, 1)
@@ -173,7 +173,7 @@ func TestOverloadShedsHonestly(t *testing.T) {
 		}
 		return next(ctx)
 	})
-	dav, admin, _ := builtServer(t, cfg)
+	dav, admin, _ := serveBuilt(t, cfg)
 
 	var served, shed atomic.Int64
 	var wg sync.WaitGroup
@@ -227,9 +227,8 @@ func TestOverloadShedsHonestly(t *testing.T) {
 }
 
 // TestOpsConsoleOverBuiltServer: after a skewed workload, the admin
-// surface of a server with the runtime sampler on (builtServer turns it
-// off) carries the ops families in a well-formed exposition and ranks
-// the hot document first in the status JSON.
+// surface of a default server carries the ops families in a well-formed
+// exposition and ranks the hot document first in the status JSON.
 func TestOpsConsoleOverBuiltServer(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Store = fsStoreCheckedAfterClose(t)
@@ -271,5 +270,41 @@ func TestOpsConsoleOverBuiltServer(t *testing.T) {
 	}
 	if len(doc.SLO) == 0 {
 		t.Error("status has no SLO section")
+	}
+}
+
+// TestRuntimeIsReadWhenAsked: a default server reads the runtime when it
+// is asked, so goroutines parked after Build are counted by the very
+// next /metrics scrape and /debug/status document, with no wait.
+func TestRuntimeIsReadWhenAsked(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Store = store.NewMemStore() // no background recovery to exit between the reads
+	_, admin, _ := serveBuilt(t, cfg)
+	goroutines := func() (scraped, status int) {
+		resp := do(t, "GET", admin.URL+"/debug/status?format=json", nil, "")
+		wantStatus(t, resp, 200)
+		var doc ops.StatusDoc
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return int(gauge(scrape(t, admin), "dav_runtime_goroutines")), doc.Runtime.Goroutines
+	}
+	scraped0, status0 := goroutines()
+
+	const parked = 50
+	release := make(chan struct{})
+	defer close(release)
+	var started sync.WaitGroup
+	started.Add(parked)
+	for i := 0; i < parked; i++ {
+		go func() {
+			started.Done()
+			<-release
+		}()
+	}
+	started.Wait()
+	if scraped, status := goroutines(); scraped < scraped0+parked || status < status0+parked {
+		t.Errorf("goroutines: /metrics %d → %d, /debug/status %d → %d; want both up by the %d parked",
+			scraped0, scraped, status0, status, parked)
 	}
 }

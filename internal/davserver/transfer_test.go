@@ -32,7 +32,7 @@ func TestOversizedPutPastAStagingStepIs413(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Store = fs
 	cfg.MaxBodyBytes = stageStep + 7
-	dav, _, _ := builtServer(t, cfg)
+	dav, _, _ := serveBuilt(t, cfg)
 	wantStatus(t, do(t, "PUT", dav.URL+"/doc", nil, "the old body"), 201)
 
 	// Hiding strings.Reader's Len leaves the request without a
@@ -73,7 +73,7 @@ func TestPooledBuffersNeverAlias(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Store = fs
-	dav, _, _ := builtServer(t, cfg)
+	dav, _, _ := serveBuilt(t, cfg)
 	c, err := davclient.New(davclient.Config{BaseURL: dav.URL, Persistent: true})
 	if err != nil {
 		t.Fatal(err)

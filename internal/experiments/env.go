@@ -90,8 +90,7 @@ type DAVEnvOptions struct {
 
 // StartDAVEnv boots a DAV server on a loopback socket and connects a
 // client. The server is davd's: DefaultConfig through davserver.Build,
-// varied only by what the options inject, and with the runtime sampler
-// off (davd -sample-interval 0): no request passes through it.
+// varied only by what the options inject.
 func StartDAVEnv(opts DAVEnvOptions) (*DAVEnv, error) {
 	env := &DAVEnv{}
 	if opts.InMemory {
@@ -114,7 +113,6 @@ func StartDAVEnv(opts DAVEnvOptions) (*DAVEnv, error) {
 		env.Store = fs
 	}
 	cfg := davserver.DefaultConfig()
-	cfg.SampleInterval = 0
 	cfg.Store = env.Store
 	if opts.WrapStore != nil {
 		cfg.Store = opts.WrapStore(env.Store)

@@ -16,7 +16,7 @@ import (
 )
 
 // StatusSchema identifies the /debug/status?format=json document shape.
-const StatusSchema = "dav_status/v1"
+const StatusSchema = "dav_status/v2"
 
 // Link is one navigation entry on the console (deeper admin surfaces:
 // traces, pprof, metrics).
@@ -34,8 +34,6 @@ type StatusConfig struct {
 	// Registry supplies the gauge section (path locks, DBM cache,
 	// recovery, journal — whatever matches gaugePrefixes).
 	Registry *obs.Registry
-	// Sampler supplies the runtime section.
-	Sampler *Sampler
 	// Tracker supplies the hot-path, hot-op, and SLO sections.
 	Tracker *Tracker
 	// Ready, when set, embeds the /readyz document (any
@@ -67,7 +65,7 @@ type StatusDoc struct {
 	StartTime     time.Time          `json:"start_time"`
 	UptimeSeconds float64            `json:"uptime_seconds"`
 	Build         map[string]string  `json:"build,omitempty"`
-	Runtime       *RuntimeSection    `json:"runtime,omitempty"`
+	Runtime       Runtime            `json:"runtime"`
 	SLO           []ObjectiveStatus  `json:"slo,omitempty"`
 	Degraded      bool               `json:"degraded"`
 	HotPaths      []TopEntry         `json:"hot_paths,omitempty"`
@@ -76,13 +74,6 @@ type StatusDoc struct {
 	Gauges        map[string]float64 `json:"gauges,omitempty"`
 	Ready         any                `json:"ready,omitempty"`
 	Links         []Link             `json:"links,omitempty"`
-}
-
-// RuntimeSection is the sampler's contribution: the latest sample plus
-// the retained trend.
-type RuntimeSection struct {
-	Latest *Sample  `json:"latest,omitempty"`
-	Trend  []Sample `json:"trend,omitempty"`
 }
 
 // Status is the unified operational console. Mount it on the admin
@@ -135,13 +126,7 @@ func (s *Status) Doc() StatusDoc {
 		StartTime:     s.start,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Build:         s.build,
-	}
-	if sp := s.cfg.Sampler; sp != nil {
-		rs := &RuntimeSection{Trend: sp.Trend()}
-		if latest, ok := sp.Latest(); ok {
-			rs.Latest = &latest
-		}
-		doc.Runtime = rs
+		Runtime:       ReadRuntime(),
 	}
 	if tr := s.cfg.Tracker; tr != nil {
 		doc.HotPaths = tr.HotPaths(topN)
@@ -200,34 +185,6 @@ func (s *Status) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.renderHTML(w)
 }
 
-// sparkRunes draw a unicode sparkline for the trend columns.
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// spark renders vs as a sparkline scaled to its own min..max.
-func spark(vs []float64) string {
-	if len(vs) == 0 {
-		return ""
-	}
-	lo, hi := vs[0], vs[0]
-	for _, v := range vs {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range vs {
-		i := 0
-		if hi > lo {
-			i = int((v - lo) / (hi - lo) * float64(len(sparkRunes)-1))
-		}
-		b.WriteRune(sparkRunes[i])
-	}
-	return b.String()
-}
-
 // statusTmpl is the HTML console. Deliberately dependency-free and
 // render-only: every number comes from Doc, so the JSON and the page
 // can never disagree.
@@ -242,7 +199,6 @@ h1{font-size:1.3em} h2{font-size:1.05em;border-bottom:1px solid #ccc;margin-top:
 table{border-collapse:collapse} td,th{padding:2px 12px 2px 0;text-align:left}
 th{color:#666;font-weight:normal} .num{text-align:right}
 .bad{color:#b00;font-weight:bold} .ok{color:#070}
-.spark{color:#36c;letter-spacing:1px}
 </style></head><body>
 <h1>{{.Doc.Service}} — operational status
 {{if .Doc.Degraded}}<span class="bad">[SLO DEGRADED]</span>{{else}}<span class="ok">[healthy]</span>{{end}}</h1>
@@ -250,20 +206,14 @@ th{color:#666;font-weight:normal} .num{text-align:right}
 {{range $k, $v := .Doc.Build}} · {{$k}}={{$v}}{{end}}
 · <a href="?format=json">json</a></p>
 
-{{if .Doc.Runtime}}{{if .Doc.Runtime.Latest}}
 <h2>runtime</h2>
 <table>
-<tr><th>goroutines</th><td class="num">{{.Doc.Runtime.Latest.Goroutines}}</td>
-    <td class="spark">{{.GoroutineSpark}}</td></tr>
-<tr><th>heap alloc</th><td class="num">{{bytes .Doc.Runtime.Latest.HeapAllocBytes}}</td>
-    <td class="spark">{{.HeapSpark}}</td></tr>
-<tr><th>heap sys</th><td class="num">{{bytes .Doc.Runtime.Latest.HeapSysBytes}}</td></tr>
-<tr><th>gc cpu</th><td class="num">{{pct .Doc.Runtime.Latest.GCCPUFraction}}</td></tr>
-<tr><th>gc pause total</th><td class="num">{{f3 .Doc.Runtime.Latest.GCPauseTotalSeconds}}s</td></tr>
-<tr><th>open fds</th><td class="num">{{.Doc.Runtime.Latest.OpenFDs}}</td></tr>
-<tr><th>sched latency</th><td class="num">{{f3 .Doc.Runtime.Latest.SchedLatencySeconds}}s</td></tr>
+<tr><th>goroutines</th><td class="num">{{.Doc.Runtime.Goroutines}}</td></tr>
+<tr><th>heap alloc</th><td class="num">{{bytes .Doc.Runtime.HeapAllocBytes}}</td></tr>
+<tr><th>heap sys</th><td class="num">{{bytes .Doc.Runtime.HeapSysBytes}}</td></tr>
+<tr><th>gc cpu</th><td class="num">{{pct .Doc.Runtime.GCCPUFraction}}</td></tr>
+<tr><th>open fds</th><td class="num">{{.Doc.Runtime.OpenFDs}}</td></tr>
 </table>
-{{end}}{{end}}
 
 {{if .Doc.SLO}}
 <h2>slo</h2>
@@ -317,21 +267,10 @@ type gaugeRow struct {
 func (s *Status) renderHTML(w http.ResponseWriter) {
 	doc := s.Doc()
 	data := struct {
-		Doc            StatusDoc
-		GoroutineSpark string
-		HeapSpark      string
-		GaugeRows      []gaugeRow
-		ReadyJSON      string
+		Doc       StatusDoc
+		GaugeRows []gaugeRow
+		ReadyJSON string
 	}{Doc: doc}
-	if doc.Runtime != nil {
-		var gs, hs []float64
-		for _, sm := range doc.Runtime.Trend {
-			gs = append(gs, float64(sm.Goroutines))
-			hs = append(hs, float64(sm.HeapAllocBytes))
-		}
-		data.GoroutineSpark = spark(gs)
-		data.HeapSpark = spark(hs)
-	}
 	names := make([]string, 0, len(doc.Gauges))
 	for n := range doc.Gauges {
 		names = append(names, n)

@@ -32,14 +32,9 @@ func populatedStatus(t *testing.T) *Status {
 	}
 	tr.ObserveRequest("PROPFIND", "/calc", "1", 207, 2*time.Millisecond)
 
-	sp := NewSampler(SamplerConfig{Interval: time.Hour, Ring: 8})
-	sp.SampleNow()
-	sp.SampleNow()
-
 	return NewStatus(StatusConfig{
 		Service:  "davd-test",
 		Registry: reg,
-		Sampler:  sp,
 		Tracker:  tr,
 		Ready:    func() any { return map[string]any{"status": "ready"} },
 		Links:    []Link{{Name: "traces", Href: "/debug/traces"}},
@@ -49,10 +44,9 @@ func populatedStatus(t *testing.T) *Status {
 // goldenKeys pins the JSON document's key structure. Values are
 // dynamic; the shape is the contract scrapers depend on.
 var goldenKeys = map[string][]string{
-	"":        {"build", "degraded", "go", "gauges", "hot_ops", "hot_paths", "links", "observations", "pid", "ready", "runtime", "schema", "service", "slo", "start_time", "uptime_seconds"},
-	"runtime": {"latest", "trend"},
-	"runtime.latest": {"gc_cpu_fraction", "gc_pause_total_seconds", "gc_runs", "goroutines",
-		"heap_alloc_bytes", "heap_objects", "heap_sys_bytes", "open_fds", "sched_latency_seconds", "time"},
+	"": {"build", "degraded", "go", "gauges", "hot_ops", "hot_paths", "links", "observations", "pid", "ready", "runtime", "schema", "service", "slo", "start_time", "uptime_seconds"},
+	"runtime": {"gc_cpu_fraction", "gc_runs", "goroutines", "heap_alloc_bytes", "heap_objects",
+		"heap_sys_bytes", "open_fds"},
 	"slo[0]":            {"bad_total", "degraded", "good_total", "name", "target", "threshold_ms", "windows"},
 	"slo[0].windows[0]": {"bad", "bad_fraction", "burn_rate", "good", "window"},
 	"hot_paths[0]":      {"count", "err_bound", "key"},
@@ -178,19 +172,6 @@ func TestStatusServeHTTP(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("html missing %q", want)
 		}
-	}
-}
-
-func TestSpark(t *testing.T) {
-	if got := spark(nil); got != "" {
-		t.Errorf("spark(nil) = %q", got)
-	}
-	if got := spark([]float64{1, 1, 1}); got != "▁▁▁" {
-		t.Errorf("flat spark = %q", got)
-	}
-	got := spark([]float64{0, 5, 10})
-	if []rune(got)[0] != '▁' || []rune(got)[2] != '█' {
-		t.Errorf("ramp spark = %q", got)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package ops is the operational-intelligence layer over the raw
-// telemetry of internal/obs: a runtime sampler (process health trends),
-// Space-Saving top-K heavy-hitter tables (which resources are hot), an
-// SLO engine (are we meeting the latency objective, and how fast is the
-// error budget burning), and a unified /debug/status console that
-// renders all of it — plus the store's concurrency and recovery gauges
-// — as one HTML+JSON page on the admin listener.
+// telemetry of internal/obs: a runtime reader (process health, read
+// when asked), Space-Saving top-K heavy-hitter tables (which resources
+// are hot), an SLO engine (are we meeting the latency objective, and
+// how fast is the error budget burning), and a unified /debug/status
+// console that renders all of it — plus the store's concurrency and
+// recovery gauges — as one HTML+JSON page on the admin listener.
 //
 // The paper's server is shared infrastructure for many concurrent
 // scientists; raw counters answer "how many requests", but an operator
@@ -32,13 +32,11 @@ type TopEntry struct {
 // TopK maintains the k most frequent keys of a stream in O(k) memory
 // with the Space-Saving algorithm (Metwally, Agrawal, El Abbadi 2005):
 // a full table evicts its minimum-count entry and the newcomer inherits
-// that count as its error bound. The table is mergeable, so per-worker
-// tables can be combined into one report. Safe for concurrent use.
+// that count as its error bound. Safe for concurrent use.
 type TopK struct {
 	mu      sync.Mutex
 	k       int
 	entries map[string]*TopEntry
-	total   int64
 }
 
 // NewTopK returns a table tracking up to k keys (k < 1 is treated
@@ -53,33 +51,18 @@ func NewTopK(k int) *TopK {
 // K returns the table's capacity.
 func (t *TopK) K() int { return t.k }
 
-// Observe counts one occurrence of key.
-func (t *TopK) Observe(key string) { t.Add(key, 1) }
-
-// Add counts n occurrences of key (n < 1 is ignored).
-func (t *TopK) Add(key string, n int64) {
-	if n < 1 {
-		return
-	}
+// Observe counts one occurrence of key with the Space-Saving insert: an
+// existing key accumulates; a new key either fills a free slot or
+// replaces the minimum entry, inheriting its count as the error bound.
+func (t *TopK) Observe(key string) {
 	t.mu.Lock()
-	t.addLocked(key, n, 0)
-	t.total += n
-	t.mu.Unlock()
-}
-
-// addLocked is the Space-Saving insert: existing keys accumulate; a new
-// key either fills a free slot or replaces the minimum entry,
-// inheriting its count as the error bound.
-func (t *TopK) addLocked(key string, n, errBound int64) {
+	defer t.mu.Unlock()
 	if e, ok := t.entries[key]; ok {
-		e.Count += n
-		if errBound > e.ErrBound {
-			e.ErrBound = errBound
-		}
+		e.Count++
 		return
 	}
 	if len(t.entries) < t.k {
-		t.entries[key] = &TopEntry{Key: key, Count: n, ErrBound: errBound}
+		t.entries[key] = &TopEntry{Key: key, Count: 1}
 		return
 	}
 	var min *TopEntry
@@ -89,11 +72,7 @@ func (t *TopK) addLocked(key string, n, errBound int64) {
 		}
 	}
 	delete(t.entries, min.Key)
-	eb := min.Count
-	if errBound > eb {
-		eb = errBound
-	}
-	t.entries[key] = &TopEntry{Key: key, Count: min.Count + n, ErrBound: eb}
+	t.entries[key] = &TopEntry{Key: key, Count: min.Count + 1, ErrBound: min.Count}
 }
 
 // Top returns up to n entries sorted by descending count (ties broken
@@ -122,29 +101,4 @@ func (t *TopK) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.entries)
-}
-
-// Observations reports the total stream length seen by Add/Observe
-// (merges included).
-func (t *TopK) Observations() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Merge folds the other table's entries into t, preserving Space-Saving's
-// bound semantics: shared keys sum counts and error bounds; new keys go
-// through the usual replacement path carrying their source error bound.
-func (t *TopK) Merge(o *TopK) {
-	if o == nil || o == t {
-		return
-	}
-	entries := o.Top(0)
-	total := o.Observations()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.total += total
-	for _, e := range entries {
-		t.addLocked(e.Key, e.Count, e.ErrBound)
-	}
 }

@@ -2,7 +2,6 @@ package ops
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -16,8 +15,6 @@ type DegradedWatcher struct {
 	probe    func() bool
 	onRise   func()
 	interval time.Duration
-
-	fired atomic.Int64
 
 	mu   sync.Mutex
 	stop chan struct{}
@@ -55,20 +52,11 @@ func (w *DegradedWatcher) loop() {
 		case <-t.C:
 			cur := w.probe()
 			if cur && !prev {
-				w.fired.Add(1)
 				w.onRise()
 			}
 			prev = cur
 		}
 	}
-}
-
-// Fired reports how many rising edges have been observed.
-func (w *DegradedWatcher) Fired() int64 {
-	if w == nil {
-		return 0
-	}
-	return w.fired.Load()
 }
 
 // Stop halts the watcher and waits for the goroutine to exit. Safe to

@@ -38,9 +38,6 @@ func TestWatchDegradedRisingEdge(t *testing.T) {
 
 	degraded.Store(true)
 	waitFor(2)
-	if w.Fired() != 2 {
-		t.Errorf("Fired = %d, want 2", w.Fired())
-	}
 }
 
 // TestWatchDegradedAlreadyDegraded verifies a watcher started while the
@@ -75,7 +72,4 @@ func TestWatchDegradedStop(t *testing.T) {
 	w.Stop()
 	var nilW *DegradedWatcher
 	nilW.Stop()
-	if nilW.Fired() != 0 {
-		t.Errorf("nil watcher Fired != 0")
-	}
 }

@@ -37,7 +37,7 @@ func testCapturer(t *testing.T, cfg CaptureConfig) *Capturer {
 	}
 	if cfg.StatusJSON == nil {
 		cfg.StatusJSON = func() ([]byte, error) {
-			return json.Marshal(map[string]any{"schema": "dav_status/v1", "service": "test"})
+			return json.Marshal(map[string]any{"schema": "dav_status/v2", "service": "test"})
 		}
 	}
 	if cfg.LogTail == nil {
