@@ -78,15 +78,13 @@ func bindFlags(fs *flag.FlagSet, cfg *davserver.Config) {
 	fs.StringVar(&cfg.SLO, "slo", cfg.SLO,
 		"latency objectives as METHODS:THRESHOLD:TARGET, semicolon-separated (\"*\" matches all methods); burn rates appear as dav_slo_* and on /debug/status; empty disables")
 	fs.IntVar(&cfg.AdmitLimit, "admit-limit", cfg.AdmitLimit,
-		"ceiling for the adaptive concurrency limit; requests past it wait briefly or are shed with 429 + Retry-After instead of collapsing latency for everyone; 0 disables admission control")
+		"requests served at once; past it requests wait in the -admit-queue or are shed with 429 + Retry-After instead of collapsing latency for everyone; watch dav_admit_inflight against it; 0 disables admission control")
 	fs.IntVar(&cfg.AdmitQueue, "admit-queue", cfg.AdmitQueue,
-		"total admission-queue capacity, split across priority classes (reads most, heavy subtree ops least); 0 sheds immediately at the limit")
+		"requests that may wait for an admission slot, first come first served; past it they are shed with 429 + Retry-After; 0 sheds immediately at the limit")
 	fs.BoolVar(&cfg.Brownout, "brownout", cfg.Brownout,
 		"degrade before shedding while the SLO burns: skip auto-versioning snapshots, refuse Depth: infinity PROPFIND — restored in reverse with hysteresis; needs -slo")
 	fs.DurationVar(&cfg.BrownoutInterval, "brownout-interval", cfg.BrownoutInterval,
 		"how often the brownout controller polls the SLO degraded bit; two consecutive degraded polls deepen one level, ten healthy polls restore one; must be positive with -brownout")
-	fs.StringVar(&cfg.AdmitAdmins, "admit-admins", cfg.AdmitAdmins,
-		"comma-separated users allowed to override a request's priority class via the X-Admit-Priority header; needs -users")
 }
 
 // run is main without the exit: every failure after Build returns

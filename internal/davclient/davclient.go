@@ -244,7 +244,7 @@ func (c *Client) do(method, p string, headers map[string]string, body io.Reader,
 			attemptCtx, att = trace.Child(ctx, "dav.client.attempt",
 				trace.Int("attempt", int64(attempt)))
 		}
-		resp, err := c.once(attemptCtx, method, p, reqID, attempt, headers, body, want)
+		resp, err := c.once(attemptCtx, method, p, reqID, headers, body, want)
 		att.EndErr(err)
 		if err == nil {
 			root.SetAttr(trace.Int("attempts", int64(attempt)))
@@ -271,21 +271,13 @@ func (c *Client) do(method, p string, headers map[string]string, body io.Reader,
 	return nil, lastErr
 }
 
-// retryAttemptHeader matches admit.RetryAttemptHeader on the server:
-// retries announce themselves so the server-side retry budget can shed
-// a retry storm without touching fresh demand.
-const retryAttemptHeader = "X-Retry-Attempt"
-
 // once issues exactly one HTTP request.
-func (c *Client) once(ctx context.Context, method, p, reqID string, attempt int, headers map[string]string, body io.Reader, want []int) (*http.Response, error) {
+func (c *Client) once(ctx context.Context, method, p, reqID string, headers map[string]string, body io.Reader, want []int) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.urlFor(p), body)
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set(obs.RequestIDHeader, reqID)
-	if attempt > 1 {
-		req.Header.Set(retryAttemptHeader, strconv.Itoa(attempt))
-	}
 	trace.Inject(ctx, req.Header)
 	for k, v := range headers {
 		req.Header.Set(k, v)

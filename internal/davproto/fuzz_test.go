@@ -3,6 +3,7 @@ package davproto
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,6 +68,51 @@ func FuzzParseProppatch(f *testing.F) {
 			if got := xmldom.Marshal(again[i].Prop.XML); again[i].Remove != op.Remove || !bytes.Equal(got, want) {
 				t.Fatalf("%q: operation %d is %s (remove=%v), after a round trip %s (remove=%v)", b, i, want, op.Remove, got, again[i].Remove)
 			}
+		}
+	})
+}
+
+// Every token the If header yields is an opaquelocktoken URI cut at its
+// delimiter, and the tokens are disjoint pieces of the header, in the
+// order it carries them.
+func FuzzParseIfTokens(f *testing.F) {
+	for _, s := range []string{"", "(<opaquelocktoken:a-b>)",
+		"</doc> (<opaquelocktoken:1> [\"e\"]) (Not <opaquelocktoken:2>)",
+		"opaquelocktoken:opaquelocktoken:x", "<opaquelocktoken:\t>", "(<opaquelocktoken:y"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		rest := h
+		for _, tok := range ParseIfTokens(h) {
+			if !strings.HasPrefix(tok, "opaquelocktoken:") || strings.ContainsAny(tok, ">) \t") {
+				t.Fatalf("ParseIfTokens(%q) yields %q", h, tok)
+			}
+			i := strings.Index(rest, tok)
+			if i < 0 {
+				t.Fatalf("ParseIfTokens(%q) yields %q, which is not in what follows the tokens before it", h, tok)
+			}
+			rest = rest[i+len(tok):]
+		}
+	})
+}
+
+// A Depth header the parser accepts formats back to itself; one it
+// rejects leaves the caller's default.
+func FuzzParseDepth(f *testing.F) {
+	for _, s := range []string{"", "0", "1", "infinity", " Infinity ", "2", "-1", "infinit"} {
+		f.Add(s, uint8(DepthInfinity))
+	}
+	f.Fuzz(func(t *testing.T, h string, def uint8) {
+		dflt := Depth(def % 3)
+		d, err := ParseDepth(h, dflt)
+		if err != nil {
+			if d != dflt {
+				t.Fatalf("ParseDepth(%q, %v) rejects it with %v, not the default", h, dflt, d)
+			}
+			return
+		}
+		if again, err := ParseDepth(d.String(), dflt); err != nil || again != d {
+			t.Fatalf("ParseDepth(%q) = %v, formats to %q, reparses to (%v, %v)", h, d, d.String(), again, err)
 		}
 	})
 }

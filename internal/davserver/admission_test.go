@@ -1,12 +1,66 @@
 package davserver
 
 import (
+	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/davclient"
 	"repro/internal/davserver/admit"
 )
+
+// TestAdmissionHoldsItsLimit: two authors, each cycling under its own
+// collection, are nowhere near -admit-limit 8, so no request waits in
+// the admission queue and none is shed. A limit that cuts itself
+// whenever the cycle's PUT/PROPFIND/COPY latencies spread — as the
+// adaptive one this gate replaced did — queues them.
+func TestAdmissionHoldsItsLimit(t *testing.T) {
+	const authors, cycles = 2, 40
+	cfg := DefaultConfig()
+	cfg.Store = fsStoreCheckedAfterClose(t)
+	cfg.AdmitLimit = 8
+	dav, admin, _ := serveBuilt(t, cfg)
+	newClient := func() *davclient.Client {
+		c, err := davclient.New(davclient.Config{BaseURL: dav.URL, Persistent: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		return c
+	}
+	if err := populateAuthor(newClient()); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for a := 0; a < authors; a++ {
+		c, prefix := newClient(), fmt.Sprintf("/author/a%d", a)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := c.Mkcol(prefix); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < cycles; i++ {
+				if err := authorCycle(c, fmt.Sprintf("%s/w%03d", prefix, i)); err != nil {
+					t.Errorf("%s cycle %d: %v", prefix, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	e := scrape(t, admin)
+	for _, want := range []string{"dav_admit_wait_seconds_total 0\n", "dav_admit_shed_total 0\n"} {
+		if !strings.Contains(e, "\n"+want) {
+			t.Errorf("/metrics lacks %q: wait %v s, shed %v", want,
+				gauge(e, "dav_admit_wait_seconds_total"), gauge(e, "dav_admit_shed_total"))
+		}
+	}
+}
 
 // forcedBrownout builds a manual-tick controller pinned at the given
 // level.

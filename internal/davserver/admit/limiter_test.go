@@ -4,122 +4,74 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"net/http"
 	"sync"
 	"testing"
 	"time"
 )
 
-// fakeClock is a manually-advanced clock for deterministic AIMD tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func TestClassify(t *testing.T) {
-	cases := []struct {
-		method, depth string
-		want          Priority
-	}{
-		{"OPTIONS", "", Probe},
-		{"GET", "", Read},
-		{"HEAD", "", Read},
-		{"REPORT", "", Read},
-		{"PROPFIND", "0", Read},
-		{"PROPFIND", "1", Read},
-		{"PROPFIND", "infinity", Heavy},
-		{"PROPFIND", "", Heavy}, // RFC 4918: absent Depth means infinity
-		{"PUT", "", Write},
-		{"DELETE", "", Write},
-		{"MKCOL", "", Write},
-		{"PROPPATCH", "", Write},
-		{"LOCK", "", Write},
-		{"VERSION-CONTROL", "", Write},
-		{"COPY", "", Heavy},
-		{"MOVE", "", Heavy},
-		{"SEARCH", "", Heavy},
-		{"BREW", "", Read},
-	}
-	for _, tc := range cases {
-		r := newReq(t, tc.method, "/x")
-		if tc.depth != "" {
-			r.Header.Set("Depth", tc.depth)
-		}
-		if got := Classify(r); got != tc.want {
-			t.Errorf("Classify(%s depth=%q) = %s, want %s", tc.method, tc.depth, got, tc.want)
-		}
-	}
-}
-
-func TestLimiterQueueFullSheds(t *testing.T) {
-	// Limit 1, queue 6 → read share 6-2-1 = 3. One holder plus three
-	// queued readers fill the class; the fourth must shed with a
-	// positive Retry-After.
-	l := NewLimiter(Config{Initial: 1, Max: 1, Queue: 6})
-	release, err := l.Acquire(context.Background(), Read)
-	if err != nil {
-		t.Fatalf("holder: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
+// TestLimiterAdmitsExactlyItsLimit: limit 3, queue 2. Three requests are
+// admitted at once, the next two wait, the sixth is shed with a
+// Retry-After of at least a second, and a finished request's slot goes
+// to a waiter without ever exceeding the limit.
+func TestLimiterAdmitsExactlyItsLimit(t *testing.T) {
+	l := NewLimiter(3, 2)
+	var releases []func()
 	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rel, err := l.Acquire(ctx, Read)
-			if err == nil {
-				rel()
-			}
-		}()
+		rel, err := l.Acquire(context.Background())
+		if err != nil {
+			t.Fatalf("acquire %d of the limit: %v", i+1, err)
+		}
+		releases = append(releases, rel)
 	}
-	waitFor(t, func() bool { return l.Stats().Queued == 3 })
+	admitted := make(chan func(), 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			rel, err := l.Acquire(context.Background())
+			if err != nil {
+				t.Errorf("queued acquire: %v", err)
+				rel = func() {}
+			}
+			admitted <- rel
+		}()
+		waitFor(t, func() bool { return l.Stats().Queued == i+1 })
+	}
 
-	_, err = l.Acquire(context.Background(), Read)
+	_, err := l.Acquire(context.Background())
 	var se *ShedError
 	if !errors.As(err, &se) {
-		t.Fatalf("expected ShedError, got %v", err)
-	}
-	if se.Reason != "queue-full" || se.Priority != Read {
-		t.Fatalf("shed = %+v", se)
+		t.Fatalf("acquire past limit and queue: %v, want a ShedError", err)
 	}
 	if se.RetryAfter < time.Second {
 		t.Fatalf("Retry-After %s, want >= 1s", se.RetryAfter)
 	}
-	if got := l.Shed(Read); got != 1 {
+	if got := l.Shed(); got != 1 {
 		t.Fatalf("shed counter = %d, want 1", got)
 	}
-	release()
-	cancel()
-	wg.Wait()
+
+	releases[0]()
+	releases = append(releases[1:], <-admitted)
+	if s := l.Stats(); s.Inflight != 3 || s.Queued != 1 {
+		t.Fatalf("after one release: inflight=%d queued=%d, want 3/1", s.Inflight, s.Queued)
+	}
+	for _, rel := range releases {
+		rel()
+	}
+	(<-admitted)()
+	if s := l.Stats(); s.Inflight != 0 || s.Queued != 0 || s.WaitTotal <= 0 {
+		t.Fatalf("drained: %+v, want 0 inflight, 0 queued, some wait", s)
+	}
 }
 
 func TestLimiterCancelledWaiterLeaksNoToken(t *testing.T) {
-	l := NewLimiter(Config{Initial: 1, Max: 1, Queue: 12})
-	release, err := l.Acquire(context.Background(), Read)
+	l := NewLimiter(1, 12)
+	release, err := l.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("holder: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := l.Acquire(ctx, Read)
+		_, err := l.Acquire(ctx)
 		errc <- err
 	}()
 	waitFor(t, func() bool { return l.Stats().Queued == 1 })
@@ -127,7 +79,7 @@ func TestLimiterCancelledWaiterLeaksNoToken(t *testing.T) {
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter err = %v, want context.Canceled", err)
 	}
-	if got := l.Cancelled(Read); got != 1 {
+	if got := l.Cancelled(); got != 1 {
 		t.Fatalf("cancelled counter = %d, want 1", got)
 	}
 	release()
@@ -136,7 +88,7 @@ func TestLimiterCancelledWaiterLeaksNoToken(t *testing.T) {
 	// leaked token would leave inflight pinned at the limit forever.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel2()
-	rel2, err := l.Acquire(ctx2, Read)
+	rel2, err := l.Acquire(ctx2)
 	if err != nil {
 		t.Fatalf("post-cancel acquire: %v", err)
 	}
@@ -150,9 +102,7 @@ func TestLimiterCancelledWaiterLeaksNoToken(t *testing.T) {
 func TestLimiterCancelStress(t *testing.T) {
 	// Hammer acquire/cancel/release races under -race; afterwards the
 	// limiter must be fully drained with no stranded slot.
-	// Min pins the limit at 2: the stress's noisy latencies would
-	// otherwise let AIMD cut it and fail the full-capacity check below.
-	l := NewLimiter(Config{Initial: 2, Min: 2, Max: 2, Queue: 24})
+	l := NewLimiter(2, 24)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -166,7 +116,7 @@ func TestLimiterCancelStress(t *testing.T) {
 					// race cancellations.
 					go cancel()
 				}
-				rel, err := l.Acquire(ctx, Priority(1+rng.Intn(3)))
+				rel, err := l.Acquire(ctx)
 				if err == nil {
 					if rng.Intn(2) == 0 {
 						time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
@@ -185,144 +135,13 @@ func TestLimiterCancelStress(t *testing.T) {
 	// Full capacity must still be acquirable.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	r1, err1 := l.Acquire(ctx, Read)
-	r2, err2 := l.Acquire(ctx, Read)
+	r1, err1 := l.Acquire(ctx)
+	r2, err2 := l.Acquire(ctx)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("post-stress acquires: %v %v", err1, err2)
 	}
 	r1()
 	r2()
-}
-
-func TestLimiterPriorityOrderingUnderContention(t *testing.T) {
-	l := NewLimiter(Config{Initial: 1, Max: 1, Queue: 12})
-	release, err := l.Acquire(context.Background(), Read)
-	if err != nil {
-		t.Fatalf("holder: %v", err)
-	}
-	// Enqueue in worst-first order — heavy, then write, then read — and
-	// wait for each to be visibly queued so arrival order is fixed.
-	order := make(chan Priority, 3)
-	var wg sync.WaitGroup
-	for i, pr := range []Priority{Heavy, Write, Read} {
-		wg.Add(1)
-		go func(pr Priority) {
-			defer wg.Done()
-			rel, err := l.Acquire(context.Background(), pr)
-			if err != nil {
-				t.Errorf("%s waiter: %v", pr, err)
-				return
-			}
-			order <- pr
-			rel()
-		}(pr)
-		waitFor(t, func() bool { return l.Stats().Queued == i+1 })
-	}
-	release()
-	wg.Wait()
-	close(order)
-	var got []Priority
-	for pr := range order {
-		got = append(got, pr)
-	}
-	want := []Priority{Read, Write, Heavy}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("grant order %v, want %v", got, want)
-		}
-	}
-}
-
-func TestLimiterAIMDConvergence(t *testing.T) {
-	// A simulated backend with true parallelism K: latency is flat at
-	// base while concurrency stays within K and grows linearly past it.
-	// Starting below K, the limiter must climb to at least K and the
-	// latency gradient must stop it well short of Max.
-	const K = 4
-	base := 10 * time.Millisecond
-	fc := newFakeClock()
-	l := NewLimiter(Config{
-		Initial: 2, Min: 1, Max: 64, Queue: 0,
-		AdjustEvery: 8, Tolerance: 1.4, Now: fc.now,
-	})
-	for round := 0; round < 300; round++ {
-		n := int(l.Stats().Limit)
-		if n < 1 {
-			n = 1
-		}
-		rels := make([]func(), 0, n)
-		for i := 0; i < n; i++ {
-			rel, err := l.Acquire(context.Background(), Read)
-			if err != nil {
-				t.Fatalf("round %d acquire %d: %v", round, i, err)
-			}
-			rels = append(rels, rel)
-		}
-		lat := base
-		if n > K {
-			lat = time.Duration(float64(base) * float64(n) / K)
-		}
-		fc.advance(lat)
-		for _, rel := range rels {
-			rel()
-		}
-	}
-	s := l.Stats()
-	if s.Limit < K || s.Limit > 3*K {
-		t.Fatalf("limit converged to %.1f, want within [%d, %d]", s.Limit, K, 3*K)
-	}
-	if s.Decreases == 0 {
-		t.Fatalf("AIMD never decreased the limit (increases=%d)", s.Increases)
-	}
-	if s.Increases == 0 {
-		t.Fatalf("AIMD never increased the limit (decreases=%d)", s.Decreases)
-	}
-}
-
-func TestLimiterProbeBypasses(t *testing.T) {
-	l := NewLimiter(Config{Initial: 1, Max: 1, Queue: 0})
-	release, err := l.Acquire(context.Background(), Read)
-	if err != nil {
-		t.Fatalf("holder: %v", err)
-	}
-	defer release()
-	// The limiter is saturated with zero queue, yet probes are admitted.
-	rel, err := l.Acquire(context.Background(), Probe)
-	if err != nil {
-		t.Fatalf("probe at saturation: %v", err)
-	}
-	rel()
-	if got := l.Admitted(Probe); got != 1 {
-		t.Fatalf("probe admitted counter = %d, want 1", got)
-	}
-}
-
-func TestRetryBudget(t *testing.T) {
-	b := NewRetryBudget(0.5, 2)
-	// Starts full at burst.
-	if !b.AllowRetry() || !b.AllowRetry() {
-		t.Fatal("burst retries should be allowed")
-	}
-	if b.AllowRetry() {
-		t.Fatal("empty budget must reject retries")
-	}
-	// Two fresh requests deposit 2*0.5 = 1 token.
-	b.RecordFresh()
-	b.RecordFresh()
-	if !b.AllowRetry() {
-		t.Fatal("funded budget must allow a retry")
-	}
-	if b.AllowRetry() {
-		t.Fatal("budget overdrawn")
-	}
-	if b.Allowed() != 3 || b.Rejected() != 2 {
-		t.Fatalf("allowed=%d rejected=%d, want 3/2", b.Allowed(), b.Rejected())
-	}
-	// Nil budget allows everything.
-	var nb *RetryBudget
-	if !nb.AllowRetry() {
-		t.Fatal("nil budget must allow")
-	}
 }
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -334,13 +153,4 @@ func waitFor(t *testing.T, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-func newReq(t *testing.T, method, path string) *http.Request {
-	t.Helper()
-	r, err := http.NewRequest(method, path, nil)
-	if err != nil {
-		t.Fatalf("new request: %v", err)
-	}
-	return r
 }

@@ -5,82 +5,29 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs/trace"
 )
 
-// Header names spoken between the admission layer and clients.
-const (
-	// PriorityHeader overrides the derived admission class. Honored
-	// only when the Controller's AdminOK check accepts the request —
-	// otherwise any client could mark its bulk export "probe" and skip
-	// the queue entirely.
-	PriorityHeader = "X-Admit-Priority"
-	// RetryAttemptHeader carries the 1-based attempt number; davclient
-	// sets it on retries (attempt > 1) so the server-side retry budget
-	// can tell a retry storm from fresh demand.
-	RetryAttemptHeader = "X-Retry-Attempt"
-	// ShedReasonHeader tells a shed client why: "queue-full" or
-	// "retry-budget".
-	ShedReasonHeader = "X-Admit-Shed"
-)
+// ShedReasonHeader tells a shed client why: "queue-full", the only
+// reason there is.
+const ShedReasonHeader = "X-Admit-Shed"
 
 // statusClientClosedRequest mirrors davserver's 499: the waiter's
 // client went away while queued, which is neither a server nor a client
 // protocol error.
 const statusClientClosedRequest = 499
 
-// Controller bundles the admission pieces the middleware consults per
-// request. Limiter is required; Budget, Brownout, and AdminOK are
-// optional.
-type Controller struct {
-	Limiter  *Limiter
-	Budget   *RetryBudget
-	Brownout *Brownout
-	// AdminOK authorizes the PriorityHeader override (in davd: valid
-	// basic-auth credentials for a user on the -admit-admins list). Nil
-	// means the header is ignored.
-	AdminOK func(*http.Request) bool
-
-	budgetShed [numPriorities]atomic.Uint64
-}
-
-// BudgetShed reports how many requests of class pr were shed by the
-// retry budget (as opposed to the limiter's queue).
-func (c *Controller) BudgetShed(pr Priority) uint64 { return c.budgetShed[pr].Load() }
-
 // Middleware wraps next with admission control. Place it outside the
 // hardening and auth layers but inside instrumentation, so shed
 // responses still appear in metrics, the access log, and SLO
 // accounting — a shed is fast and non-5xx, so it does not burn the
 // latency SLO; its visibility lives in dav_admit_shed_total.
-func (c *Controller) Middleware(next http.Handler) http.Handler {
+func (l *Limiter) Middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		pr := Classify(r)
-		if v := r.Header.Get(PriorityHeader); v != "" && c.AdminOK != nil && c.AdminOK(r) {
-			if override, ok := ParsePriority(v); ok {
-				pr = override
-			}
-		}
-		if sp := trace.SpanFromContext(r.Context()); sp != nil {
-			sp.SetAttr(trace.Str("admit.priority", pr.String()))
-		}
-
-		retry := pr != Probe && r.Header.Get(RetryAttemptHeader) != ""
-		if retry && !c.Budget.AllowRetry() {
-			c.budgetShed[pr].Add(1)
-			writeShed(w, &ShedError{
-				Priority:   pr,
-				Reason:     "retry-budget",
-				RetryAfter: c.Limiter.EstimateRetryAfter(),
-			})
-			return
-		}
-
 		start := time.Now()
-		release, err := c.Limiter.Acquire(r.Context(), pr)
+		release, err := l.Acquire(r.Context())
 		if err != nil {
 			var se *ShedError
 			if errors.As(err, &se) {
@@ -93,12 +40,6 @@ func (c *Controller) Middleware(next http.Handler) http.Handler {
 			return
 		}
 		defer release()
-		// Fresh admitted work funds the retry budget. Deposits happen
-		// only past admission so shed traffic cannot pay for its own
-		// retries.
-		if !retry && pr != Probe {
-			c.Budget.RecordFresh()
-		}
 		if sp := trace.SpanFromContext(r.Context()); sp != nil {
 			if wait := time.Since(start); wait > time.Millisecond {
 				sp.SetAttr(trace.Int("admit.wait_ms", wait.Milliseconds()))
@@ -118,6 +59,6 @@ func writeShed(w http.ResponseWriter, se *ShedError) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	w.Header().Set(ShedReasonHeader, se.Reason)
-	http.Error(w, "server overloaded: "+se.Reason, http.StatusTooManyRequests)
+	w.Header().Set(ShedReasonHeader, "queue-full")
+	http.Error(w, "server overloaded: queue-full", http.StatusTooManyRequests)
 }

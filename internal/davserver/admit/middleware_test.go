@@ -9,12 +9,11 @@ import (
 	"testing"
 )
 
-// saturatedController builds a controller whose limiter is full (limit
-// 1, no queue) with the single slot held; calling the returned release
-// frees it.
-func saturatedController(t *testing.T, c *Controller) func() {
+// saturated holds the single slot of l (limit 1); calling the returned
+// release frees it.
+func saturated(t *testing.T, l *Limiter) func() {
 	t.Helper()
-	release, err := c.Limiter.Acquire(context.Background(), Read)
+	release, err := l.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("saturate: %v", err)
 	}
@@ -28,10 +27,10 @@ func okHandler() http.Handler {
 }
 
 func TestMiddlewareShedsWithRetryAfter(t *testing.T) {
-	c := &Controller{Limiter: NewLimiter(Config{Initial: 1, Max: 1, Queue: 0})}
-	release := saturatedController(t, c)
+	l := NewLimiter(1, 0)
+	release := saturated(t, l)
 	defer release()
-	h := c.Middleware(okHandler())
+	h := l.Middleware(okHandler())
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/doc", nil))
@@ -47,94 +46,10 @@ func TestMiddlewareShedsWithRetryAfter(t *testing.T) {
 	}
 }
 
-func TestMiddlewareProbeBypassesSaturation(t *testing.T) {
-	c := &Controller{Limiter: NewLimiter(Config{Initial: 1, Max: 1, Queue: 0})}
-	release := saturatedController(t, c)
-	defer release()
-	h := c.Middleware(okHandler())
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("OPTIONS", "/", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("OPTIONS at saturation = %d, want 200", rec.Code)
-	}
-}
-
-func TestMiddlewarePriorityOverrideGatedToAdmins(t *testing.T) {
-	newCtl := func(adminOK bool) http.Handler {
-		c := &Controller{
-			Limiter: NewLimiter(Config{Initial: 1, Max: 1, Queue: 0}),
-			AdminOK: func(*http.Request) bool { return adminOK },
-		}
-		saturatedController(t, c) // hold the slot for the test's life
-		return c.Middleware(okHandler())
-	}
-
-	// A non-admin claiming probe priority still sheds.
-	req := httptest.NewRequest("GET", "/doc", nil)
-	req.Header.Set(PriorityHeader, "probe")
-	rec := httptest.NewRecorder()
-	newCtl(false).ServeHTTP(rec, req)
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("non-admin override: status = %d, want 429", rec.Code)
-	}
-
-	// An authorized admin's override bypasses the full limiter.
-	rec = httptest.NewRecorder()
-	newCtl(true).ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("admin override: status = %d, want 200", rec.Code)
-	}
-}
-
-func TestMiddlewareRetryBudget(t *testing.T) {
-	c := &Controller{
-		Limiter: NewLimiter(Config{Initial: 4, Max: 4, Queue: 0}),
-		Budget:  NewRetryBudget(0.5, 1),
-	}
-	h := c.Middleware(okHandler())
-
-	send := func(attempt int) *httptest.ResponseRecorder {
-		req := httptest.NewRequest("GET", "/doc", nil)
-		if attempt > 1 {
-			req.Header.Set(RetryAttemptHeader, strconv.Itoa(attempt))
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec
-	}
-
-	// The burst token covers one retry; the next is shed before the
-	// limiter even though capacity is free.
-	if rec := send(2); rec.Code != http.StatusOK {
-		t.Fatalf("burst retry = %d, want 200", rec.Code)
-	}
-	rec := send(2)
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("unfunded retry = %d, want 429", rec.Code)
-	}
-	if got := rec.Header().Get(ShedReasonHeader); got != "retry-budget" {
-		t.Fatalf("%s = %q, want retry-budget", ShedReasonHeader, got)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("retry-budget shed must carry Retry-After")
-	}
-	if got := c.BudgetShed(Read); got != 1 {
-		t.Fatalf("BudgetShed(Read) = %d, want 1", got)
-	}
-
-	// Two fresh requests fund one more retry.
-	send(1)
-	send(1)
-	if rec := send(3); rec.Code != http.StatusOK {
-		t.Fatalf("funded retry = %d, want 200", rec.Code)
-	}
-}
-
 func TestMiddlewareQueuedThenAdmitted(t *testing.T) {
-	c := &Controller{Limiter: NewLimiter(Config{Initial: 1, Max: 1, Queue: 12})}
-	release := saturatedController(t, c)
-	h := c.Middleware(okHandler())
+	l := NewLimiter(1, 12)
+	release := saturated(t, l)
+	h := l.Middleware(okHandler())
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -146,7 +61,7 @@ func TestMiddlewareQueuedThenAdmitted(t *testing.T) {
 		code = rec.Code
 	}()
 	// Wait until the request is visibly queued, then free the slot.
-	waitFor(t, func() bool { return c.Limiter.Stats().Queued == 1 })
+	waitFor(t, func() bool { return l.Stats().Queued == 1 })
 	release()
 	wg.Wait()
 	if code != http.StatusOK {
@@ -155,10 +70,10 @@ func TestMiddlewareQueuedThenAdmitted(t *testing.T) {
 }
 
 func TestMiddlewareCancelledWaiterGets499(t *testing.T) {
-	c := &Controller{Limiter: NewLimiter(Config{Initial: 1, Max: 1, Queue: 12})}
-	release := saturatedController(t, c)
+	l := NewLimiter(1, 12)
+	release := saturated(t, l)
 	defer release()
-	h := c.Middleware(okHandler())
+	h := l.Middleware(okHandler())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest("GET", "/doc", nil).WithContext(ctx)
@@ -171,10 +86,36 @@ func TestMiddlewareCancelledWaiterGets499(t *testing.T) {
 		h.ServeHTTP(rec, req)
 		code = rec.Code
 	}()
-	waitFor(t, func() bool { return c.Limiter.Stats().Queued == 1 })
+	waitFor(t, func() bool { return l.Stats().Queued == 1 })
 	cancel()
 	wg.Wait()
 	if code != statusClientClosedRequest {
 		t.Fatalf("cancelled waiter finished %d, want %d", code, statusClientClosedRequest)
+	}
+}
+
+// TestMiddlewareGrantsInArrivalOrder: one queue, whatever the method. A
+// GET that queued behind a PUT is admitted after it.
+func TestMiddlewareGrantsInArrivalOrder(t *testing.T) {
+	l := NewLimiter(1, 12)
+	release := saturated(t, l)
+	order := make(chan string, 2)
+	h := l.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		order <- r.Method
+	}))
+
+	var wg sync.WaitGroup
+	for i, method := range []string{"PUT", "GET"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(method, "/doc", nil))
+		}()
+		waitFor(t, func() bool { return l.Stats().Queued == i+1 })
+	}
+	release()
+	wg.Wait()
+	if first, second := <-order, <-order; first != "PUT" || second != "GET" {
+		t.Fatalf("granted %s then %s, want PUT then GET", first, second)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,7 +53,7 @@ type Config struct {
 	Addr, Admin                    string
 	Root, Flavour                  string
 	DBMCache                       int
-	Users, AdmitAdmins             string
+	Users                          string
 	Prefix                         string
 	MaxPropBytes                   int
 	MaxBodyBytes                   int64
@@ -147,21 +146,15 @@ func Build(cfg Config) (*Server, error) {
 	if cfg.Brownout && cfg.BrownoutInterval <= 0 {
 		return nil, fmt.Errorf("-brownout-interval %s: the brownout controller needs a positive polling period", cfg.BrownoutInterval)
 	}
+	if cfg.AdmitLimit < 0 || cfg.AdmitQueue < 0 {
+		return nil, fmt.Errorf("-admit-limit %d, -admit-queue %d: admission slots and queue places cannot be negative (-admit-limit 0 turns admission off)", cfg.AdmitLimit, cfg.AdmitQueue)
+	}
 	var users *auth.Users
 	var err error
 	if cfg.Users != "" {
 		if users, err = auth.Load(cfg.Users); err != nil {
 			return nil, fmt.Errorf("load users: %w", err)
 		}
-	}
-	admins := map[string]bool{}
-	for _, name := range strings.Split(cfg.AdmitAdmins, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			admins[name] = true
-		}
-	}
-	if len(admins) > 0 && users == nil {
-		return nil, errors.New("-admit-admins needs -users so overrides can be authenticated")
 	}
 
 	base := cfg.Logger
@@ -321,20 +314,13 @@ func Build(cfg Config) (*Server, error) {
 			srv.trigger(prof.TriggerPanic, fmt.Sprintf("%s %s: %v", method, path, v))
 		},
 	})
-	ctl := &admit.Controller{Brownout: brown}
+	var gate *admit.Limiter
 	if cfg.AdmitLimit > 0 {
-		ctl.Limiter = admit.NewLimiter(admit.Config{Max: cfg.AdmitLimit, Queue: cfg.AdmitQueue})
-		ctl.Budget = admit.NewRetryBudget(0, 0)
-		if len(admins) > 0 {
-			ctl.AdminOK = func(r *http.Request) bool {
-				u, p, ok := r.BasicAuth()
-				return ok && admins[u] && users.Check(u, p)
-			}
-		}
-		h = ctl.Middleware(h)
+		gate = admit.NewLimiter(cfg.AdmitLimit, cfg.AdmitQueue)
+		h = gate.Middleware(h)
 		logger.Info("admission control enabled", "limit", cfg.AdmitLimit, "queue", cfg.AdmitQueue)
 	}
-	metrics.TrackAdmit(ctl) // without a limiter, still the brownout gauges
+	metrics.TrackAdmit(gate, brown)
 	var accessLog *slog.Logger
 	if !cfg.NoAccessLog {
 		accessLog = logger

@@ -166,7 +166,7 @@ func TestBuildChainOrder(t *testing.T) {
 		`dav_requests_total{class="4xx",method="GET"} 2`, // the 401 and the 429
 		`dav_requests_total{class="5xx",method="GET"} 1`,
 		`dav_panics_total 1`,
-		`dav_admit_shed_total{priority="read",reason="queue-full"} 1`,
+		`dav_admit_shed_total 1`,
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("exposition missing %q", want)
@@ -391,7 +391,8 @@ func TestBuildRejectsBeforeOpening(t *testing.T) {
 		"users":             func(c *Config) { c.Users = filepath.Join(c.Root, "no-such-file") },
 		"brownout":          func(c *Config) { c.Brownout, c.SLO = true, "" },
 		"brownout-interval": func(c *Config) { c.Brownout, c.BrownoutInterval = true, -time.Second },
-		"admit-admins":      func(c *Config) { c.AdmitAdmins = "alice" },
+		"admit-limit":       func(c *Config) { c.AdmitLimit = -1 },
+		"admit-queue":       func(c *Config) { c.AdmitLimit, c.AdmitQueue = 8, -3 },
 	} {
 		cfg := DefaultConfig()
 		cfg.Root = filepath.Join(t.TempDir(), "root")

@@ -60,7 +60,6 @@ var familyReaders = map[string]string{
 	"dav_fsync_errors_total":             "README Resilience: Durable writes",
 	"dav_metric_label_overflow_total":    "README Operating davd, /metrics",
 
-	"dav_admit_limit":              "README When davd is overloaded",
 	"dav_admit_inflight":           "README When davd is overloaded",
 	"dav_admit_queued":             statusGauges,
 	"dav_admit_wait_seconds_total": "TestOverloadShedsHonestly",

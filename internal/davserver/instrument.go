@@ -135,20 +135,25 @@ func (m *Metrics) TrackGate(h *Handler) {
 		func() float64 { return float64(h.gate.Stats().Cancelled) })
 }
 
-// TrackAdmit exposes the admission controller's state — the adaptive
-// limit, queue depth and wait, per-class shed counters, and the
-// brownout ladder — as gauges read at scrape time, following the
-// TrackGate/TrackStore snapshot pattern.
-func (m *Metrics) TrackAdmit(c *admit.Controller) {
-	if c == nil {
-		return
-	}
+// TrackAdmit exposes the admission gate's state — slots in use, queue
+// depth and wait, sheds — and the brownout ladder as gauges read at
+// scrape time, following the TrackGate/TrackStore snapshot pattern.
+// Either may be nil: admission and brownout are switched on apart.
+func (m *Metrics) TrackAdmit(l *admit.Limiter, b *admit.Brownout) {
 	g := m.Registry.GaugeFunc
-	if c.Limiter != nil {
-		m.trackLimiterAdmit(c)
+	if l != nil {
+		g("dav_admit_inflight", "Requests currently admitted past the limiter.", nil,
+			func() float64 { return float64(l.Stats().Inflight) })
+		g("dav_admit_queued", "Requests waiting in the admission queue.", nil,
+			func() float64 { return float64(l.Stats().Queued) })
+		g("dav_admit_wait_seconds_total",
+			"Cumulative time requests spent in the admission queue, including cancelled waits.", nil,
+			func() float64 { return l.Stats().WaitTotal.Seconds() })
+		g("dav_admit_shed_total",
+			"Requests shed with 429 + Retry-After because the admission queue was full (cumulative).", nil,
+			func() float64 { return float64(l.Shed()) })
 	}
-	if c.Brownout != nil {
-		b := c.Brownout
+	if b != nil {
 		g("dav_brownout_level",
 			"Current brownout depth: 0 full service, 1 no snapshots, 2 + no deep PROPFIND.", nil,
 			func() float64 { return float64(b.Level()) })
@@ -164,31 +169,6 @@ func (m *Metrics) TrackAdmit(c *admit.Controller) {
 		g("dav_brownout_deep_propfind_capped_total",
 			"Depth: infinity PROPFIND refused with the finite-depth precondition under brownout (cumulative).", nil,
 			func() float64 { return float64(b.Stats().DeepCapped) })
-	}
-}
-
-func (m *Metrics) trackLimiterAdmit(c *admit.Controller) {
-	l := c.Limiter
-	g := m.Registry.GaugeFunc
-	g("dav_admit_limit", "Current adaptive concurrency limit.", nil,
-		func() float64 { return l.Stats().Limit })
-	g("dav_admit_inflight", "Requests currently admitted past the limiter.", nil,
-		func() float64 { return float64(l.Stats().Inflight) })
-	g("dav_admit_queued", "Requests waiting in the admission queue.", nil,
-		func() float64 { return float64(l.Stats().Queued) })
-	g("dav_admit_wait_seconds_total",
-		"Cumulative time requests spent in the admission queue, including cancelled waits.", nil,
-		func() float64 { return l.Stats().WaitTotal.Seconds() })
-	for _, pr := range admit.Priorities() {
-		pr := pr
-		g("dav_admit_shed_total",
-			"Requests shed with 429 + Retry-After, by priority class and reason (cumulative).",
-			obs.Labels{"priority": pr.String(), "reason": "queue-full"},
-			func() float64 { return float64(l.Shed(pr)) })
-		g("dav_admit_shed_total",
-			"Requests shed with 429 + Retry-After, by priority class and reason (cumulative).",
-			obs.Labels{"priority": pr.String(), "reason": "retry-budget"},
-			func() float64 { return float64(c.BudgetShed(pr)) })
 	}
 }
 

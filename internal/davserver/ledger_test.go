@@ -246,7 +246,12 @@ func populateAuthor(c *davclient.Client) error {
 
 func authorOp(c *davclient.Client) error {
 	authorTurn++
-	dir := fmt.Sprintf("/author/w%06d", authorTurn)
+	return authorCycle(c, fmt.Sprintf("/author/w%06d", authorTurn))
+}
+
+// authorCycle runs one authoring cycle in dir, which must not exist;
+// populateAuthor has made the bodies.
+func authorCycle(c *davclient.Client, dir string) error {
 	put := func(p string, body []byte) error {
 		_, err := c.Put(p, bytes.NewReader(body), "text/plain")
 		return err

@@ -13,6 +13,42 @@ import (
 	"repro/internal/store"
 )
 
+// FuzzETagListMatches: "*" matches whatever the ETag; a header naming
+// the ETag matches, strong or weak; and whitespace around the header or
+// a W/ on the stored ETag never changes the answer. ETags are
+// entity-tags as RFC 7232 writes them, less the comma a list cannot
+// carry unambiguously — the stores make "hex-hex".
+func FuzzETagListMatches(f *testing.F) {
+	for _, seed := range [][2]string{
+		{`"5-1"`, `"5-1"`}, {`W/"5-1"`, `"5-1"`}, {`"a", "5-1"`, `W/"5-1"`},
+		{`*`, `"x"`}, {` , "x" ,`, `"x"`}, {`"5-2"`, `"5-1"`}, {``, `""`},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, header, etag string) {
+		strong := strings.TrimPrefix(etag, "W/")
+		if len(strong) < 2 || strong[0] != '"' || strong[len(strong)-1] != '"' ||
+			strings.ContainsFunc(strong[1:len(strong)-1], func(r rune) bool { return r <= ' ' || r == '"' || r == ',' || r == 0x7f }) {
+			return
+		}
+		if !etagListMatches("*", etag) {
+			t.Fatalf("* does not match %s", etag)
+		}
+		for _, h := range []string{etag, strong, "W/" + strong, " \t" + etag + " "} {
+			if !etagListMatches(h, etag) {
+				t.Fatalf("%q does not match %s", h, etag)
+			}
+		}
+		m := etagListMatches(header, etag)
+		if etagListMatches(" \t"+header+"\t ", etag) != m {
+			t.Fatalf("whitespace around %q changes its match with %s", header, etag)
+		}
+		if etagListMatches(header, "W/"+strong) != m || etagListMatches(header, strong) != m {
+			t.Fatalf("%q matches %s but not its other strength", header, etag)
+		}
+	})
+}
+
 func etagOf(t *testing.T, url string) string {
 	t.Helper()
 	resp := do(t, "HEAD", url, nil, "")
