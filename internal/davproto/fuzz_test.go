@@ -138,3 +138,39 @@ func FuzzParseTimeout(f *testing.F) {
 		}
 	})
 }
+
+// A blank LOCK body is a refresh; any other body is a lockinfo or an
+// error, never both and never neither, and what is accepted is what
+// the client's MarshalLockInfo would send for it.
+func FuzzParseLockInfo(f *testing.F) {
+	for _, s := range []string{"", " \r\n\t",
+		`<D:lockinfo xmlns:D="DAV:"><D:lockscope><D:exclusive/></D:lockscope><D:locktype><D:write/></D:locktype></D:lockinfo>`,
+		`<lockinfo xmlns="DAV:"><lockscope><shared/></lockscope><owner><href xmlns="DAV:">mailto:a@b</href> x </owner></lockinfo>`,
+		`<D:lockinfo xmlns:D="DAV:"><D:owner>a &amp; b&#13;&#x85;</D:owner></D:lockinfo>`,
+		`<D:lockinfo xmlns:D="DAV:"><D:lockscope/><D:owner/></D:lockinfo>`,
+		`<D:propfind xmlns:D="DAV:"/>`,
+		`<D:lockinfo xmlns:D="DAV:">`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		li, ok, err := ParseLockInfo(bytes.NewReader(b))
+		if len(strings.TrimSpace(string(b))) == 0 {
+			if li != (LockInfo{}) || ok || err != nil {
+				t.Fatalf("blank %q parses to %+v, %v, %v; want a refresh", b, li, ok, err)
+			}
+			return
+		}
+		if ok != (err == nil) {
+			t.Fatalf("%q parses to %+v, ok=%v, err=%v", b, li, ok, err)
+		}
+		if !ok {
+			return
+		}
+		body := MarshalLockInfo(li)
+		again, ok, err := ParseLockInfo(bytes.NewReader(body))
+		if !ok || err != nil || again != li {
+			t.Fatalf("%q parses to %+v, which marshals to %s and reparses to %+v, %v, %v", b, li, body, again, ok, err)
+		}
+	})
+}

@@ -59,10 +59,12 @@ var ledger = []struct {
 		// The 207 is byte-identical to the one built before the store kept
 		// decoded property views.
 		responseBytes: 277_770,
-		// 3,370 measured on linux/amd64 with go1.24 (3,431 under -race;
-		// 6,640 when each request decoded all 51 databases again). The
-		// ceiling leaves 12 % for net/http and runtime variation.
-		maxAllocs:   3_780,
+		// 2,910 measured on linux/amd64 with go1.24 (2,934 under -race;
+		// 3,370 when each member's disk and database paths were derived
+		// again from its resource path and its ETag formatted by fmt;
+		// 6,640 when each request decoded all 51 databases again).
+		// The ceiling leaves 12 % for net/http and runtime variation.
+		maxAllocs:   3_260,
 		viewsReused: true,
 	},
 	{

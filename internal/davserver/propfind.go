@@ -17,10 +17,15 @@ import (
 // PROPFIND is the one response this server builds without a DOM. Every
 // dead property is stored as the self-contained fragment
 // davproto.Property.Encode wrote at PROPPATCH time, so answering a read
-// needs no parse: each stored value is checked (xmldom.WellFormedFragment,
-// one pass, no allocation) and copied into the body as it is. The
-// envelope is fixed strings; live properties, a handful per resource,
-// still go through liveProp and xmldom.MarshalTo.
+// needs no parse: each stored value is known to be well-formed
+// (xmldom.WellFormedFragment) and copied into the body as it is. A
+// member from ListWithProps usually arrives vouched for: its
+// MemberProps.Checked says the store checked its values once, when it
+// built the view they come from. The values of any other resource — a
+// Depth-0 target, a member whose view holds a value that is not a
+// fragment, a version-controlled resource — are checked here, one pass
+// each, no allocation. The envelope is fixed strings; live properties, a handful
+// per resource, still go through liveProp and xmldom.MarshalTo.
 //
 // The body is assembled in one pooled buffer and sent with
 // Content-Length in a single Write. Chunked streaming would bound the
@@ -179,7 +184,7 @@ func (pw *propfindWriter) all(mp store.MemberProps, namesOnly bool) {
 	for _, name := range pw.names {
 		raw := mp.Props[name]
 		switch {
-		case !xmldom.WellFormedFragment(raw):
+		case !mp.Checked && !xmldom.WellFormedFragment(raw):
 			pw.h.logf("dav: undecodable stored property %v on %s", name, mp.Info.Path)
 		case namesOnly:
 			writeEmptyProp(buf, name)
@@ -205,7 +210,7 @@ func (pw *propfindWriter) named(mp store.MemberProps) {
 		if davproto.IsLiveProp(name) {
 			live, ok = pw.h.liveProp(mp.Info, name)
 		} else if name.Space != vcNS {
-			if raw, ok = mp.Props[name]; ok && !xmldom.WellFormedFragment(raw) {
+			if raw, ok = mp.Props[name]; ok && !mp.Checked && !xmldom.WellFormedFragment(raw) {
 				pw.h.logf("dav: undecodable stored property %v on %s", name, mp.Info.Path)
 				ok = false
 			}

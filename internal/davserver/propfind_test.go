@@ -279,6 +279,91 @@ func TestPropfindSurvivesDamagedStoredValue(t *testing.T) {
 	}
 }
 
+// The Depth-1 twin of TestPropfindSurvivesDamagedStoredValue: a member
+// comes from ListWithProps, whose view carries the store's verdict on
+// its values. A view holding a value that is not a fragment carries
+// none, so the damaged property is still caught, logged and left out on
+// every request, the first that builds the view and the ones that reuse
+// it, while its neighbours are spliced verbatim.
+func TestPropfindSurvivesDamagedMemberValue(t *testing.T) {
+	srv, h, root, log := newLoggedFSServer(t, dbm.GDBM, "")
+	do(t, "MKCOL", srv.URL+"/col", nil, "")
+	do(t, "PUT", srv.URL+"/col/doc", nil, "x")
+	wantStatus(t, do(t, "PROPPATCH", srv.URL+"/col/doc", nil, proppatchBodyPairs(
+		[2]string{"alpha", "first value"}, [2]string{"bravo", "second-value-to-damage"}, [2]string{"charlie", "third & last"})), 207)
+	stored := map[string][]byte{}
+	for _, n := range []string{"alpha", "charlie"} {
+		v, ok, err := h.store.PropGet(context.Background(), "/col/doc", xml.Name{Space: "ecce:", Local: n})
+		if err != nil || !ok {
+			t.Fatalf("PropGet %s: %v %v", n, ok, err)
+		}
+		stored[n] = v
+	}
+
+	file := propsFileOf(t, root, "doc")
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte("second-value-to-damage"))
+	if at < 0 {
+		t.Fatal("stored value not found in the database file")
+	}
+	f, err := os.OpenFile(file, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("<"), int64(at+6)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	dropCachedHandle(t, h, file)
+
+	for _, tc := range []struct {
+		name, body string
+		bravo      int // propstat status bravo is reported under; 0 = not listed
+	}{
+		{"named", propfindBody("alpha", "bravo", "charlie"), 404},
+		{"allprop", "", 0},
+		{"named again", propfindBody("alpha", "bravo", "charlie"), 404},
+		{"allprop again", "", 0},
+	} {
+		log.Reset()
+		resp := do(t, "PROPFIND", srv.URL+"/col", map[string]string{"Depth": "1"}, tc.body)
+		wantStatus(t, resp, 207)
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("%s: reading body: %v", tc.name, err)
+		}
+		ms, err := davproto.ParseMultistatus(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: body no longer parses: %v\n%s", tc.name, err, body)
+		}
+		status := map[string]int{}
+		for _, r := range ms.Responses {
+			if r.Href != "/col/doc" {
+				continue
+			}
+			for _, ps := range r.Propstats {
+				for _, p := range ps.Props {
+					status[p.Name().Local] = ps.Status
+				}
+			}
+		}
+		if status["alpha"] != 200 || status["charlie"] != 200 || status["bravo"] != tc.bravo {
+			t.Errorf("%s: statuses of /col/doc %v, want alpha and charlie 200, bravo %d", tc.name, status, tc.bravo)
+		}
+		for n, v := range stored {
+			if !bytes.Contains(body, v) {
+				t.Errorf("%s: stored value of %s is not in the body verbatim: %s", tc.name, n, v)
+			}
+		}
+		if n := logLines(log); n != 1 || !strings.Contains(log.String(), "bravo") {
+			t.Errorf("%s: want one log line naming bravo, got %d:\n%s", tc.name, n, log)
+		}
+	}
+}
+
 // A property database that cannot be read must fail the PROPFIND, not
 // answer 207 with the dead properties quietly missing: the store used
 // to drop the scan's error on this path while PropAll reported it.

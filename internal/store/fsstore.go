@@ -14,7 +14,6 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,6 +22,7 @@ import (
 	"repro/internal/dbm"
 	"repro/internal/store/journal"
 	"repro/internal/store/pathlock"
+	"repro/internal/xmldom"
 )
 
 // propDirName is the per-directory metadata directory, mirroring
@@ -366,7 +366,12 @@ func (s *FSStore) withProps(ctx context.Context, cp string, isDir, create bool, 
 	if err != nil {
 		return err
 	}
-	pp := s.propsPath(dp, cp, isDir)
+	return s.withPropsAt(ctx, s.propsPath(dp, cp, isDir), create, fn)
+}
+
+// withPropsAt is withProps for a caller that already holds the
+// database's path pp (propsPath's result).
+func (s *FSStore) withPropsAt(ctx context.Context, pp string, create bool, fn func(*dbm.Handle) error) error {
 	h, err := s.cache.Acquire(ctx, pp, create)
 	if errors.Is(err, fs.ErrNotExist) {
 		if !create {
@@ -401,10 +406,11 @@ func (s *FSStore) statKind(cp string) (isDir bool, err error) {
 }
 
 // internalMeta reads a document's internal bookkeeping keys (content
-// type, generation) in one handle acquisition. Missing database or keys
-// yield zero values. Caller holds the resource's path lock.
-func (s *FSStore) internalMeta(ctx context.Context, cp string) (ctype string, gen int64) {
-	s.withProps(ctx, cp, false, false, func(h *dbm.Handle) error {
+// type, generation) from its database at pp in one handle acquisition.
+// Missing database or keys yield zero values. Caller holds the
+// resource's path lock.
+func (s *FSStore) internalMeta(ctx context.Context, pp string) (ctype string, gen int64) {
+	s.withPropsAt(ctx, pp, false, func(h *dbm.Handle) error {
 		if v, ok, _ := h.Get(internalKey(ikeyContentType)); ok {
 			ctype = string(v)
 		}
@@ -440,12 +446,12 @@ func (s *FSStore) stat(ctx context.Context, cp string) (ResourceInfo, error) {
 	if err != nil {
 		return ResourceInfo{}, mapFSErr(err, cp)
 	}
-	return s.infoFor(ctx, cp, fi), nil
+	return s.infoFor(ctx, cp, s.propsPath(dp, cp, fi.IsDir()), fi), nil
 }
 
-// infoFor builds a ResourceInfo, reading the internal metadata keys for
-// documents. Caller holds a lock covering cp.
-func (s *FSStore) infoFor(ctx context.Context, cp string, fi fs.FileInfo) ResourceInfo {
+// infoFor builds a ResourceInfo, reading the internal metadata keys of
+// a document from its database at pp. Caller holds a lock covering cp.
+func (s *FSStore) infoFor(ctx context.Context, cp, pp string, fi fs.FileInfo) ResourceInfo {
 	ri := ResourceInfo{
 		Path:         cp,
 		IsCollection: fi.IsDir(),
@@ -453,7 +459,7 @@ func (s *FSStore) infoFor(ctx context.Context, cp string, fi fs.FileInfo) Resour
 		CreateTime:   fi.ModTime(),
 	}
 	if !fi.IsDir() {
-		ctype, gen := s.internalMeta(ctx, cp)
+		ctype, gen := s.internalMeta(ctx, pp)
 		s.fillDocInfo(&ri, fi, ctype, gen)
 	}
 	return ri
@@ -479,10 +485,17 @@ func (s *FSStore) fillDocInfo(ri *ResourceInfo, fi fs.FileInfo, ctype string, ge
 // overwrite on and makes same-size same-nanosecond rewrites
 // distinguishable.
 func etagFor(fi fs.FileInfo, gen int64) string {
+	b := make([]byte, 0, 52)
+	b = append(b, '"')
+	b = strconv.AppendInt(b, fi.Size(), 16)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, fi.ModTime().UnixNano(), 16)
 	if gen > 0 {
-		return fmt.Sprintf(`"%x-%x-%x"`, fi.Size(), fi.ModTime().UnixNano(), gen)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, gen, 16)
 	}
-	return fmt.Sprintf(`"%x-%x"`, fi.Size(), fi.ModTime().UnixNano())
+	b = append(b, '"')
+	return string(b)
 }
 
 // List implements Store.
@@ -496,86 +509,93 @@ func (s *FSStore) List(ctx context.Context, p string) ([]ResourceInfo, error) {
 		return nil, err
 	}
 	defer g.Release()
-	infos, _, err := s.list(ctx, cp, false)
-	return infos, err
+	members, err := s.list(ctx, cp, false)
+	if err != nil {
+		return nil, err
+	}
+	infos := make([]ResourceInfo, len(members))
+	for i, m := range members {
+		infos[i] = m.Info
+	}
+	return infos, nil
 }
 
-// list reads the members of cp under an already-held shared lock. When
-// withProps is true each member's full property map is loaded in the
-// same pass through its (cached) database handle.
-func (s *FSStore) list(ctx context.Context, cp string, withProps bool) ([]ResourceInfo, []map[xml.Name][]byte, error) {
+// list reads the members of cp, sorted by path, under an already-held
+// shared lock. When withProps is true each member's full property map is
+// loaded in the same pass through its (cached) database handle. Every
+// member's paths are built from the collection's own: its database is
+// dp/.DAV/<name>.props for a document, dp/<name>/.DAV/.dirprops.props
+// for a collection, as propsPath would derive them.
+func (s *FSStore) list(ctx context.Context, cp string, withProps bool) ([]MemberProps, error) {
 	dp, err := s.diskPath(cp)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fi, err := os.Stat(dp)
 	if err != nil {
-		return nil, nil, mapFSErr(err, cp)
+		return nil, mapFSErr(err, cp)
 	}
 	if !fi.IsDir() {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNotCollection, cp)
+		return nil, fmt.Errorf("%w: %s", ErrNotCollection, cp)
 	}
+	// os.ReadDir sorts by name, so the members come out sorted by path.
 	ents, err := os.ReadDir(dp)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	infos := make([]ResourceInfo, 0, len(ents))
-	var props []map[xml.Name][]byte
-	if withProps {
-		props = make([]map[xml.Name][]byte, 0, len(ents))
+	const sep = string(filepath.Separator)
+	dir := strings.TrimSuffix(dp, sep) + sep // dp is clean; only a root of "/" ends in sep
+	prefix := cp + "/"
+	if cp == "/" {
+		prefix = cp
 	}
-	type memberEntry struct {
-		info ResourceInfo
-		prop map[xml.Name][]byte
-	}
-	members := make([]memberEntry, 0, len(ents))
+	members := make([]MemberProps, 0, len(ents))
 	for _, e := range ents {
-		if e.Name() == propDirName {
+		name := e.Name()
+		if name == propDirName {
 			continue
 		}
 		// A wide collection listing touches one property database per
 		// member; stop resolving members once the request is abandoned.
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		efi, err := e.Info()
 		if err != nil {
 			continue // raced with deletion
 		}
-		child := path.Join(cp, e.Name())
-		var me memberEntry
-		if withProps {
-			if me.info, me.prop, err = s.resolveWithProps(ctx, child, efi); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			me.info = s.infoFor(ctx, child, efi)
+		child := prefix + name
+		pp := dir + propDirName + sep + name + propsExt
+		if efi.IsDir() {
+			pp = dir + name + sep + propDirName + sep + collectionPropsFile + propsExt
 		}
-		members = append(members, me)
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i].info.Path < members[j].info.Path })
-	for _, m := range members {
-		infos = append(infos, m.info)
-		if withProps {
-			props = append(props, m.prop)
+		if !withProps {
+			members = append(members, MemberProps{Info: s.infoFor(ctx, child, pp, efi)})
+			continue
 		}
+		mp, err := s.resolveWithProps(ctx, child, pp, efi)
+		if err != nil {
+			return nil, err
+		}
+		members = append(members, mp)
 	}
-	return infos, props, nil
+	return members, nil
 }
 
-// resolveWithProps builds one resource's info and property map from its
-// property view (propView). A database that cannot be opened or scanned
-// to the end is an error, as it is for PropAll: a listing with the
-// properties silently missing would read as "this resource has none".
-func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInfo) (ResourceInfo, map[xml.Name][]byte, error) {
+// resolveWithProps builds one resource's info and property map from the
+// property view (propView) of its database at pp. A database that cannot
+// be opened or scanned to the end is an error, as it is for PropAll: a
+// listing with the properties silently missing would read as "this
+// resource has none".
+func (s *FSStore) resolveWithProps(ctx context.Context, cp, pp string, fi fs.FileInfo) (MemberProps, error) {
 	ri := ResourceInfo{
 		Path:         cp,
 		IsCollection: fi.IsDir(),
 		ModTime:      fi.ModTime(),
 		CreateTime:   fi.ModTime(),
 	}
-	var view propView
-	err := s.withProps(ctx, cp, fi.IsDir(), false, func(h *dbm.Handle) error {
+	view := propView{checked: true} // no database: nothing to check
+	err := s.withPropsAt(ctx, pp, false, func(h *dbm.Handle) error {
 		v, err := h.DB().Memo(func() (any, int64, error) { return buildPropView(h) })
 		if err == nil {
 			view = *v.(*propView)
@@ -583,7 +603,7 @@ func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInf
 		return err
 	})
 	if err != nil {
-		return ResourceInfo{}, nil, fmt.Errorf("properties of %s: %w", cp, err)
+		return MemberProps{}, fmt.Errorf("properties of %s: %w", cp, err)
 	}
 	props := view.props
 	if props == nil {
@@ -592,19 +612,24 @@ func (s *FSStore) resolveWithProps(ctx context.Context, cp string, fi fs.FileInf
 	if !fi.IsDir() {
 		s.fillDocInfo(&ri, fi, view.ctype, view.gen)
 	}
-	return ri, props, nil
+	return MemberProps{Info: ri, Props: props, Checked: view.checked}, nil
 }
 
 // propView is one property database decoded for the batched reads: the
 // dead properties by name, their values aliasing the database's resident
-// image, and the two internal keys. It lives in the database handle's
-// memo slot (dbm.DB.Memo), so it is decoded once per write rather than
-// once per request, and every StatWithProps and ListWithProps caller
-// until the next write shares the one map.
+// image, the two internal keys, and whether every value is a well-formed
+// fragment. It lives in the database handle's memo slot (dbm.DB.Memo),
+// so it is decoded and checked once per write rather than once per
+// request, and every StatWithProps and ListWithProps caller until the
+// next write shares the one map. The verdict stays exact for as long as
+// the view lives: the values alias an image that never changes under
+// them (see the dbm package doc), and the write that would change what
+// the database holds empties the memo first.
 type propView struct {
-	props map[xml.Name][]byte
-	ctype string
-	gen   int64
+	props   map[xml.Name][]byte
+	ctype   string
+	gen     int64
+	checked bool
 }
 
 // propViewEntryBytes estimates what one view entry holds beside its
@@ -612,14 +637,16 @@ type propView struct {
 // the string header of the name.
 const propViewEntryBytes = 96
 
-// buildPropView decodes the database behind h in one ForEach and reports
-// the view's size for the handle cache's budget.
+// buildPropView decodes the database behind h in one ForEach, puts each
+// dead-property value to xmldom.WellFormedFragment until one fails, and
+// reports the view's size for the handle cache's budget.
 func buildPropView(h *dbm.Handle) (any, int64, error) {
-	v := &propView{props: make(map[xml.Name][]byte, h.DB().Len())}
+	v := &propView{props: make(map[xml.Name][]byte, h.DB().Len()), checked: true}
 	size := int64(0)
 	err := h.ForEach(func(k, val []byte) error {
 		if name, ok := parsePropKey(k); ok {
 			v.props[name] = val
+			v.checked = v.checked && xmldom.WellFormedFragment(val)
 			size += int64(len(k)) + propViewEntryBytes
 			return nil
 		}
@@ -653,7 +680,8 @@ func (s *FSStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, ma
 	if err != nil {
 		return ResourceInfo{}, nil, mapFSErr(err, cp)
 	}
-	return s.resolveWithProps(ctx, cp, fi)
+	mp, err := s.resolveWithProps(ctx, cp, s.propsPath(dp, cp, fi.IsDir()), fi)
+	return mp.Info, mp.Props, err
 }
 
 // ListWithProps implements BatchReader: one shared lock on the
@@ -668,15 +696,7 @@ func (s *FSStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, e
 		return nil, err
 	}
 	defer g.Release()
-	infos, props, err := s.list(ctx, cp, true)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MemberProps, len(infos))
-	for i := range infos {
-		out[i] = MemberProps{Info: infos[i], Props: props[i]}
-	}
-	return out, nil
+	return s.list(ctx, cp, true)
 }
 
 // Mkcol implements Store. The mkdir itself is atomic; it is journaled
@@ -839,7 +859,7 @@ func (s *FSStore) putLocked(ctx context.Context, cp, dp string, r io.Reader, con
 	}
 	var prevGen int64
 	if !created {
-		_, prevGen = s.internalMeta(ctx, cp)
+		_, prevGen = s.internalMeta(ctx, s.memberPropsPath(dp, cp))
 	}
 	// Only a content type that cannot be re-derived from the extension
 	// is persisted (mod_dav materializes property databases lazily; the
@@ -1277,13 +1297,13 @@ func (s *FSStore) copyTreeLocked(ctx context.Context, csrc, cdst string, recurse
 	if !ri.IsCollection || !recurse {
 		return nil
 	}
-	members, _, err := s.list(ctx, csrc, false)
+	members, err := s.list(ctx, csrc, false)
 	if err != nil {
 		return err
 	}
 	for _, m := range members {
-		rel := strings.TrimPrefix(m.Path, csrc)
-		if err := s.copyTreeLocked(ctx, m.Path, cdst+rel, recurse); err != nil {
+		rel := strings.TrimPrefix(m.Info.Path, csrc)
+		if err := s.copyTreeLocked(ctx, m.Info.Path, cdst+rel, recurse); err != nil {
 			return err
 		}
 	}

@@ -15,8 +15,11 @@
 //
 // where the CRC covers the JSON bytes. The file is append-only between
 // rotations. A torn tail — a partial last line from a crash mid-append
-// — fails its CRC and is discarded (and truncated away on the next
-// open); everything before it is trusted. Commit records are appended
+// — is discarded (and truncated away on the next open); everything
+// before it is trusted. A line is whole only with its '\n': one cut
+// just before the newline carries a valid CRC, but Begin never returned
+// for it, so it is torn like any other, and truncating it keeps the
+// next append from fusing onto it. Commit records are appended
 // without an fsync of their own: recovery is idempotent, so replaying
 // a completed-but-uncommitted intent converges to the same state, and
 // the next intent's fsync makes earlier commits durable anyway.
@@ -24,10 +27,12 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -120,51 +125,80 @@ func (j *Journal) load() error {
 	if _, err := j.f.Seek(0, 0); err != nil {
 		return err
 	}
-	var good int64 // offset past the last fully valid line
-	sc := bufio.NewScanner(j.f)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		rec, ok := parseLine(line)
-		if !ok {
-			// Torn or corrupt line: trust nothing at or past it. A
-			// tear can only be the in-flight append at crash time, so
-			// at most one record is lost — and an intent is only acted
-			// on once durable, so a lost record was never acted on.
-			break
-		}
-		good += int64(len(line)) + 1
-		j.appends++
-		switch rec.Kind {
-		case kindIntent:
-			if _, dup := j.pending[rec.Seq]; !dup {
-				j.pending[rec.Seq] = rec
-				j.order = append(j.order, rec.Seq)
-			}
-		case kindCommit:
-			if _, ok := j.pending[rec.Seq]; ok {
-				delete(j.pending, rec.Seq)
-				j.order = removeSeq(j.order, rec.Seq)
-			}
-		}
-		if rec.Seq > j.lastSeq {
-			j.lastSeq = rec.Seq
-		}
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
+	r, err := replay(j.f)
+	if err != nil {
 		return err
 	}
+	j.lastSeq, j.pending, j.order, j.appends = r.lastSeq, r.pending, r.order, r.records
 	fi, err := j.f.Stat()
 	if err != nil {
 		return err
 	}
-	if fi.Size() > good {
-		if err := j.f.Truncate(good); err != nil {
+	if fi.Size() > r.good {
+		if err := j.f.Truncate(r.good); err != nil {
 			return fmt.Errorf("%w: truncating torn tail: %v", ErrCorrupt, err)
 		}
 	}
 	_, err = j.f.Seek(0, 2)
 	return err
+}
+
+// replayed is what a journal's records add up to.
+type replayed struct {
+	lastSeq uint64
+	pending map[uint64]Record
+	order   []uint64 // pending seqs in append order
+	records int      // whole records read
+	good    int64    // offset past the last of them
+}
+
+// replay reads records from r up to the first line that is torn or
+// corrupt: one that fails parseLine, is longer than 4 MiB, or has no
+// '\n'. Nothing at or past that line is trusted. A tear can only be
+// the in-flight append at crash time, so at most one record is lost —
+// and an intent is only acted on once durable, so a lost record was
+// never acted on.
+func replay(r io.Reader) (replayed, error) {
+	out := replayed{pending: map[uint64]Record{}}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+	sc.Split(scanWholeLines)
+	for sc.Scan() {
+		line := sc.Bytes()
+		rec, ok := parseLine(line)
+		if !ok {
+			break
+		}
+		out.good += int64(len(line)) + 1
+		out.records++
+		switch rec.Kind {
+		case kindIntent:
+			if _, dup := out.pending[rec.Seq]; !dup {
+				out.pending[rec.Seq] = rec
+				out.order = append(out.order, rec.Seq)
+			}
+		case kindCommit:
+			if _, ok := out.pending[rec.Seq]; ok {
+				delete(out.pending, rec.Seq)
+				out.order = removeSeq(out.order, rec.Seq)
+			}
+		}
+		out.lastSeq = max(out.lastSeq, rec.Seq)
+	}
+	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
+		return replayed{}, err
+	}
+	return out, nil
+}
+
+// scanWholeLines is bufio.ScanLines without its leniencies: a token is
+// a line up to its '\n', exclusive, with a '\r' before it kept; bytes
+// after the last '\n' are no token at all.
+func scanWholeLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	return 0, nil, nil
 }
 
 func removeSeq(order []uint64, seq uint64) []uint64 {
@@ -178,20 +212,20 @@ func removeSeq(order []uint64, seq uint64) []uint64 {
 
 // parseLine decodes one "<crc8> <json>" line; ok=false marks a torn or
 // corrupt record.
-func parseLine(line string) (Record, bool) {
+func parseLine(line []byte) (Record, bool) {
 	if len(line) < 10 || line[8] != ' ' {
 		return Record{}, false
 	}
-	want, err := strconv.ParseUint(line[:8], 16, 32)
+	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
 	if err != nil {
 		return Record{}, false
 	}
 	payload := line[9:]
-	if crc32.ChecksumIEEE([]byte(payload)) != uint32(want) {
+	if crc32.ChecksumIEEE(payload) != uint32(want) {
 		return Record{}, false
 	}
 	var rec Record
-	if err := json.Unmarshal([]byte(payload), &rec); err != nil {
+	if err := json.Unmarshal(payload, &rec); err != nil {
 		return Record{}, false
 	}
 	if rec.Kind != kindIntent && rec.Kind != kindCommit {
@@ -323,34 +357,13 @@ func ReadPending(path string) ([]Record, error) {
 		return nil, err
 	}
 	defer f.Close()
-	pending := map[uint64]Record{}
-	var order []uint64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		rec, ok := parseLine(sc.Text())
-		if !ok {
-			break
-		}
-		switch rec.Kind {
-		case kindIntent:
-			if _, dup := pending[rec.Seq]; !dup {
-				pending[rec.Seq] = rec
-				order = append(order, rec.Seq)
-			}
-		case kindCommit:
-			if _, ok := pending[rec.Seq]; ok {
-				delete(pending, rec.Seq)
-				order = removeSeq(order, rec.Seq)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
+	r, err := replay(f)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]Record, 0, len(order))
-	for _, seq := range order {
-		out = append(out, pending[seq])
+	out := make([]Record, 0, len(r.order))
+	for _, seq := range r.order {
+		out = append(out, r.pending[seq])
 	}
 	return out, nil
 }

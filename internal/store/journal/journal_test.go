@@ -180,3 +180,46 @@ func TestRotationWaitsForPending(t *testing.T) {
 		t.Fatal("journal did not rotate once the held intent committed")
 	}
 }
+
+// A record cut just before its newline still carries a valid CRC, but
+// it is torn: Open must truncate it, or the next Begin fuses onto the
+// same line and the replay after that loses both records.
+func TestUnterminatedFinalRecordIsTorn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	j := openT(t, path)
+	if _, err := j.Begin(Record{Op: OpPut, Path: "/cut"}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j2 := openT(t, path)
+	if got := j2.Pending(); len(got) != 0 {
+		t.Fatalf("pending after an unterminated record = %+v, want none", got)
+	}
+	if _, err := j2.Begin(Record{Op: OpMkcol, Path: "/after"}); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+
+	j3 := openT(t, path)
+	if got := j3.Pending(); len(got) != 1 || got[0].Path != "/after" {
+		t.Fatalf("pending after the second reopen = %+v, want the intent begun after the first", got)
+	}
+	if rp, err := ReadPending(path); err != nil || len(rp) != 1 || rp[0].Path != "/after" {
+		t.Fatalf("ReadPending = %+v, %v, want the intent begun after the first reopen", rp, err)
+	}
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n"); len(lines) != 1 || !strings.HasSuffix(string(data), "\n") {
+		t.Fatalf("journal is not one line per record:\n%q", data)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/store/pathlock"
+	"repro/internal/xmldom"
 )
 
 // MemStore is an in-memory Store used by tests and micro-benchmarks
@@ -135,11 +136,23 @@ func (s *MemStore) list(cp string, withProps bool) ([]MemberProps, error) {
 		mp := MemberProps{Info: s.infoFor(q, qr)}
 		if withProps {
 			mp.Props = copyProps(qr.props)
+			mp.Checked = wellFormed(mp.Props)
 		}
 		out = append(out, mp)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Info.Path < out[j].Info.Path })
 	return out, nil
+}
+
+// wellFormed is MemberProps.Checked for a member's properties: MemStore
+// keeps no view to remember a verdict in, so it checks them per call.
+func wellFormed(props map[xml.Name][]byte) bool {
+	for _, v := range props {
+		if !xmldom.WellFormedFragment(v) {
+			return false
+		}
+	}
+	return true
 }
 
 func copyProps(props map[xml.Name][]byte) map[xml.Name][]byte {

@@ -308,15 +308,26 @@ func sortedPropNames(props map[xml.Name][]byte) []xml.Name {
 type MemberProps struct {
 	Info ResourceInfo
 	// Props maps property names to their stored encodings; empty (or
-	// nil) when the resource carries no dead properties.
+	// nil) when the resource carries no dead properties. It may be
+	// shared with other readers and must not be modified.
 	Props map[xml.Name][]byte
+	// Checked reports that every value in Props passed
+	// xmldom.WellFormedFragment, so a caller may splice them into a
+	// larger document without checking again. False says only that the
+	// store gives no verdict: some value is not a fragment, or nothing
+	// checked them (StatWithProps's and WalkWithProps's root carry none).
+	Checked bool
 }
 
 // BatchReader is the batched-read part of Store: resolve a resource (or
 // a collection's members) together with all dead properties in one
 // locked pass. The PROPFIND handler uses it so a Depth:1 listing over N
 // members costs one traversal through cached database handles instead
-// of N+1 independent lookups, each reopening its database.
+// of N+1 independent lookups, each reopening its database, and splices
+// the values ListWithProps vouches for (Checked) without looking at them
+// again. FSStore checks a database's values once per write, when it
+// builds the decoded view it keeps in the handle's memo slot; MemStore
+// checks them on every call.
 type BatchReader interface {
 	// StatWithProps is Stat plus PropAll under one resource lock; a
 	// property database that cannot be read is an error here as there.

@@ -767,3 +767,57 @@ func TestQuickCleanPathIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ListWithProps vouches for a member's values (Checked) exactly when
+// every one of them is a well-formed fragment: a resource with no
+// database has nothing to doubt, one bad value withdraws the verdict,
+// and the write that repairs it restores it — FSStore rebuilds the
+// view it keeps the verdict in, MemStore checks on every call.
+func TestPropViewVerdict(t *testing.T) {
+	eachStore(t, func(t *testing.T, s Store) {
+		ctx := context.Background()
+		mustMkcol(t, s, "/c")
+		mustMkcol(t, s, "/c/sub")
+		mustPut(t, s, "/c/bare", "no properties")
+		mustPut(t, s, "/c/doc", "geometry")
+		formula := xml.Name{Space: "ecce:", Local: "formula"}
+		charge := xml.Name{Space: "ecce:", Local: "charge"}
+		put := func(p string, name xml.Name, v string) {
+			t.Helper()
+			if err := s.PropPut(ctx, p, name, []byte(v)); err != nil {
+				t.Fatalf("PropPut %s %s: %v", p, name.Local, err)
+			}
+		}
+		want := func(step string, checked map[string]bool) {
+			t.Helper()
+			for range 2 { // the second read reuses FSStore's view
+				members, err := s.ListWithProps(ctx, "/c")
+				if err != nil {
+					t.Fatalf("%s: ListWithProps: %v", step, err)
+				}
+				if len(members) != len(checked) {
+					t.Fatalf("%s: %d members, want %d", step, len(members), len(checked))
+				}
+				for _, m := range members {
+					if m.Checked != checked[m.Info.Path] {
+						t.Errorf("%s: %s Checked = %v, want %v (props %q)", step, m.Info.Path, m.Checked, checked[m.Info.Path], m.Props)
+					}
+				}
+			}
+		}
+		put("/c/doc", formula, `<formula xmlns="ecce:">UO2H30O15</formula>`)
+		put("/c/doc", charge, `<e:charge xmlns:e="ecce:">2</e:charge>`)
+		put("/c/sub", formula, `<formula xmlns="ecce:">H2O</formula>`)
+		want("well-formed", map[string]bool{"/c/bare": true, "/c/doc": true, "/c/sub": true})
+
+		put("/c/doc", charge, `<e:charge xmlns:e="ecce:">2</e:charge`)
+		put("/c/sub", charge, `2`)
+		want("one bad value each", map[string]bool{"/c/bare": true, "/c/doc": false, "/c/sub": false})
+
+		put("/c/doc", charge, `<e:charge xmlns:e="ecce:">-1</e:charge>`)
+		if err := s.PropDelete(ctx, "/c/sub", charge); err != nil {
+			t.Fatal(err)
+		}
+		want("repaired", map[string]bool{"/c/bare": true, "/c/doc": true, "/c/sub": true})
+	})
+}
