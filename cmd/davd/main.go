@@ -82,9 +82,7 @@ func bindFlags(fs *flag.FlagSet, cfg *davserver.Config) {
 	fs.IntVar(&cfg.AdmitQueue, "admit-queue", cfg.AdmitQueue,
 		"requests that may wait for an admission slot, first come first served; past it they are shed with 429 + Retry-After; 0 sheds immediately at the limit")
 	fs.BoolVar(&cfg.Brownout, "brownout", cfg.Brownout,
-		"degrade before shedding while the SLO burns: skip auto-versioning snapshots, refuse Depth: infinity PROPFIND — restored in reverse with hysteresis; needs -slo")
-	fs.DurationVar(&cfg.BrownoutInterval, "brownout-interval", cfg.BrownoutInterval,
-		"how often the brownout controller polls the SLO degraded bit; two consecutive degraded polls deepen one level, ten healthy polls restore one; must be positive with -brownout")
+		"while -slo reports degraded (dav_slo_degraded 1), refuse Depth: infinity PROPFIND with 403 propfind-finite-depth; nothing else is shed; needs -slo")
 }
 
 // run is main without the exit: every failure after Build returns

@@ -11,7 +11,7 @@ import (
 
 // TestDefaultConfigMatchesFlags: DefaultConfig is the single source of
 // davd's defaults — every flag defaults to its Config field, parsing no
-// arguments changes nothing, and the flag set stays the 22 settings
+// arguments changes nothing, and the flag set stays the 21 settings
 // operators actually use.
 func TestDefaultConfigMatchesFlags(t *testing.T) {
 	def := davserver.DefaultConfig()
@@ -23,7 +23,7 @@ func TestDefaultConfigMatchesFlags(t *testing.T) {
 		"no-access-log": def.NoAccessLog, "quiet": def.Quiet, "slow-threshold": def.SlowThreshold,
 		"trace-out": def.TraceOut, "trace-sample": def.TraceSample, "slo": def.SLO,
 		"admit-limit": def.AdmitLimit, "admit-queue": def.AdmitQueue,
-		"brownout": def.Brownout, "brownout-interval": def.BrownoutInterval,
+		"brownout": def.Brownout,
 	}
 
 	cfg := davserver.DefaultConfig()
@@ -39,8 +39,8 @@ func TestDefaultConfigMatchesFlags(t *testing.T) {
 			t.Errorf("flag -%s defaults to %q, DefaultConfig says %q", f.Name, f.DefValue, fmt.Sprint(want))
 		}
 	})
-	if n != len(fields) || n > 22 {
-		t.Errorf("davd has %d flags, want the %d in the table (at most 22)", n, len(fields))
+	if n != len(fields) || n > 21 {
+		t.Errorf("davd has %d flags, want the %d in the table (at most 21)", n, len(fields))
 	}
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)

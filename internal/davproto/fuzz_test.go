@@ -174,3 +174,27 @@ func FuzzParseLockInfo(f *testing.F) {
 		}
 	})
 }
+
+// A SEARCH body the server accepts is one the client's MarshalSearch
+// would send for it: the where tree, select list, scope and depth all
+// survive the round trip.
+func FuzzParseSearch(f *testing.F) {
+	for _, s := range []string{
+		`<D:searchrequest xmlns:D="DAV:"><D:basicsearch><D:select><D:prop><e:formula xmlns:e="ecce:"/></D:prop></D:select><D:from><D:scope><D:href>/chem</D:href><D:depth>1</D:depth></D:scope></D:from></D:basicsearch></D:searchrequest>`,
+		`<D:searchrequest xmlns:D="DAV:" xmlns:e="ecce:"><D:basicsearch><D:select><D:prop><D:getetag/></D:prop></D:select><D:from><D:scope><D:href>/</D:href></D:scope></D:from><D:where><D:and><D:not><D:is-defined><D:prop><e:charge/></D:prop></D:is-defined></D:not><D:or><D:gte><D:prop><e:charge/></D:prop><D:literal>2</D:literal></D:gte><D:is-defined><D:prop><e:formula/></D:prop></D:is-defined></D:or></D:and></D:where></D:basicsearch></D:searchrequest>`,
+		`<searchrequest xmlns="DAV:"><basicsearch><select><prop/></select><from><scope><href> /calc runs </href><depth>infinity</depth></scope></from><where><like><prop><title xmlns="ecce:"/></prop><literal> water %  dimer% </literal></like></where></basicsearch></searchrequest>`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		bs, err := ParseSearch(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		body := MarshalSearch(bs)
+		again, err := ParseSearch(bytes.NewReader(body))
+		if err != nil || !reflect.DeepEqual(again, bs) {
+			t.Fatalf("%q parses to %+v, which marshals to %s and reparses to %+v, %v", b, bs, body, again, err)
+		}
+	})
+}

@@ -5,10 +5,10 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/davclient"
-	"repro/internal/davserver/admit"
 )
 
 // TestAdmissionHoldsItsLimit: two authors, each cycling under its own
@@ -62,56 +62,33 @@ func TestAdmissionHoldsItsLimit(t *testing.T) {
 	}
 }
 
-// forcedBrownout builds a manual-tick controller pinned at the given
-// level.
-func forcedBrownout(level admit.Level) *admit.Brownout {
-	degraded := true
-	b := admit.NewBrownout(admit.BrownoutConfig{
-		Probe:      func() bool { return degraded },
-		Interval:   -1,
-		EnterAfter: 1,
-		ExitAfter:  1,
-	})
-	for b.Level() < level {
-		b.Tick()
-	}
-	degraded = false
-	return b
-}
-
-func TestBrownoutSkipsVersionSnapshots(t *testing.T) {
-	b := forcedBrownout(admit.LevelNoSnapshots)
-	srv, _ := newTestServer(t, &Options{Brownout: b})
+// TestDegradedPutStillVersions: a degraded server keeps writing
+// history. An overwrite of a version-controlled document appends its
+// version while the brownout bit is up, exactly as at rest.
+func TestDegradedPutStillVersions(t *testing.T) {
+	srv, _ := newTestServer(t, &Options{Degraded: func() bool { return true }})
 	do(t, "PUT", srv.URL+"/doc.txt", nil, "v1")
 	wantStatus(t, do(t, "VERSION-CONTROL", srv.URL+"/doc.txt", nil, ""), 200)
 
-	// Browned out: the overwrite lands but no snapshot is appended.
 	wantStatus(t, do(t, "PUT", srv.URL+"/doc.txt", nil, "v2"), 204)
-	if got := versionHrefs(t, srv.URL, "/doc.txt"); len(got) != 1 {
-		t.Fatalf("versions under brownout = %v, want the initial one only", got)
-	}
-	if got := b.Stats().SnapshotsSkipped; got != 1 {
-		t.Fatalf("SnapshotsSkipped = %d, want 1", got)
+	if got := versionHrefs(t, srv.URL, "/doc.txt"); len(got) != 2 {
+		t.Fatalf("versions while degraded = %v, want 2", got)
 	}
 	resp := do(t, "GET", srv.URL+"/doc.txt", nil, "")
 	body, _ := io.ReadAll(resp.Body)
 	if string(body) != "v2" {
-		t.Fatalf("live body = %q: the write itself must not be shed", body)
-	}
-
-	// Restored: snapshots resume.
-	for b.Level() > admit.LevelNone {
-		b.Tick()
-	}
-	wantStatus(t, do(t, "PUT", srv.URL+"/doc.txt", nil, "v3"), 204)
-	if got := versionHrefs(t, srv.URL, "/doc.txt"); len(got) != 2 {
-		t.Fatalf("versions after restore = %v, want 2", got)
+		t.Fatalf("live body = %q, want v2", body)
 	}
 }
 
+// TestBrownoutCapsDeepPropfind: while degraded, Depth: infinity
+// PROPFIND is refused the RFC 4918 way and bounded walks still serve;
+// the first request after the bit falls is served in full, with no
+// hold-down of the handler's own.
 func TestBrownoutCapsDeepPropfind(t *testing.T) {
-	b := forcedBrownout(admit.LevelNoDeepPropfind)
-	srv, _ := newTestServer(t, &Options{Brownout: b})
+	var degraded atomic.Bool
+	degraded.Store(true)
+	srv, h := newTestServer(t, &Options{Degraded: degraded.Load})
 	wantStatus(t, do(t, "MKCOL", srv.URL+"/proj", nil, ""), 201)
 	do(t, "PUT", srv.URL+"/proj/a.txt", nil, "a")
 
@@ -132,17 +109,18 @@ func TestBrownoutCapsDeepPropfind(t *testing.T) {
 			t.Fatalf("Depth=%q refusal missing Retry-After", depth)
 		}
 	}
-	if got := b.Stats().DeepCapped; got != 2 {
-		t.Fatalf("DeepCapped = %d, want 2", got)
+	if got := h.deepCapped.Load(); got != 2 {
+		t.Fatalf("deep PROPFINDs capped = %d, want 2", got)
 	}
 
 	// Bounded walks still serve.
 	wantStatus(t, do(t, "PROPFIND", srv.URL+"/proj", map[string]string{"Depth": "1"}, ""), 207)
 	wantStatus(t, do(t, "PROPFIND", srv.URL+"/proj/a.txt", map[string]string{"Depth": "0"}, ""), 207)
 
-	// Restored: the deep walk works again.
-	for b.Level() > admit.LevelNone {
-		b.Tick()
-	}
+	// The bit falls: the very next deep walk works again.
+	degraded.Store(false)
 	wantStatus(t, do(t, "PROPFIND", srv.URL+"/", map[string]string{"Depth": "infinity"}, ""), 207)
+	if got := h.deepCapped.Load(); got != 2 {
+		t.Fatalf("deep PROPFINDs capped after the bit fell = %d, want 2", got)
+	}
 }

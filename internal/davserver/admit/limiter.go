@@ -1,7 +1,5 @@
 // Package admit is the server's overload-protection layer: a fixed
-// concurrency gate with one bounded FIFO queue, and a brownout
-// controller that sheds expensive *behaviors* (auto-versioning
-// snapshots, unbounded-depth PROPFIND) before the gate sheds *requests*.
+// concurrency gate with one bounded FIFO queue.
 //
 // The paper's data server leaned on Apache's static knobs — "100
 // connections per minute, 15 seconds between requests" — and a cap on

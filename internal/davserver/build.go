@@ -66,7 +66,6 @@ type Config struct {
 	SLO                            string
 	AdmitLimit, AdmitQueue         int
 	Brownout                       bool
-	BrownoutInterval               time.Duration
 
 	// The three injection points: what davd and the experiment
 	// environments supply differently. All may be nil.
@@ -87,17 +86,16 @@ type Config struct {
 // DefaultConfig returns davd's flag defaults.
 func DefaultConfig() Config {
 	return Config{
-		Addr:             "127.0.0.1:8080",
-		Root:             "./davroot",
-		Flavour:          "gdbm",
-		DBMCache:         store.DefaultHandleCacheSize,
-		MaxPropBytes:     DefaultMaxPropBytes,
-		ShutdownGrace:    15 * time.Second,
-		SlowThreshold:    500 * time.Millisecond,
-		TraceSample:      0.01,
-		SLO:              "GET,PROPFIND:50ms:0.99",
-		AdmitQueue:       64,
-		BrownoutInterval: 5 * time.Second,
+		Addr:          "127.0.0.1:8080",
+		Root:          "./davroot",
+		Flavour:       "gdbm",
+		DBMCache:      store.DefaultHandleCacheSize,
+		MaxPropBytes:  DefaultMaxPropBytes,
+		ShutdownGrace: 15 * time.Second,
+		SlowThreshold: 500 * time.Millisecond,
+		TraceSample:   0.01,
+		SLO:           "GET,PROPFIND:50ms:0.99",
+		AdmitQueue:    64,
 	}
 }
 
@@ -142,9 +140,6 @@ func Build(cfg Config) (*Server, error) {
 	}
 	if cfg.Brownout && slo == nil {
 		return nil, errors.New("-brownout needs -slo objectives to derive the degraded signal")
-	}
-	if cfg.Brownout && cfg.BrownoutInterval <= 0 {
-		return nil, fmt.Errorf("-brownout-interval %s: the brownout controller needs a positive polling period", cfg.BrownoutInterval)
 	}
 	if cfg.AdmitLimit < 0 || cfg.AdmitQueue < 0 {
 		return nil, fmt.Errorf("-admit-limit %d, -admit-queue %d: admission slots and queue places cannot be negative (-admit-limit 0 turns admission off)", cfg.AdmitLimit, cfg.AdmitQueue)
@@ -231,22 +226,6 @@ func Build(cfg Config) (*Server, error) {
 	metrics.TrackStore(inner)
 	srv.store = store.OpTimeout(store.Instrument(inner, metrics.StoreObserver()), cfg.StoreOpTimeout)
 
-	// Brownout: while the SLO burns, shed expensive behaviours before
-	// the limiter sheds requests, and restore them in reverse.
-	var brown *admit.Brownout
-	if cfg.Brownout {
-		brown = admit.NewBrownout(admit.BrownoutConfig{
-			Probe:    slo.Degraded,
-			Interval: cfg.BrownoutInterval,
-			OnChange: func(old, next admit.Level) {
-				logger.Warn("brownout transition", "from", old.String(), "to", next.String())
-			},
-		})
-		brown.Start()
-		srv.stops = append(srv.stops, brown.Stop)
-		logger.Info("brownout controller enabled")
-	}
-
 	// Probes read the wrapped store (so a wedged store fails /readyz
 	// inside the op timeout) and the base store's recovery state.
 	srv.Health = NewHealth(srv.store, fs)
@@ -295,8 +274,14 @@ func Build(cfg Config) (*Server, error) {
 	if !cfg.Quiet {
 		errLog = logger
 	}
+	// Brownout: while the SLO burns, refuse the unbounded PROPFIND walk.
+	var degraded func() bool
+	if cfg.Brownout {
+		degraded = slo.Degraded
+		logger.Info("brownout enabled")
+	}
 	srv.DAV = NewHandler(srv.store, &Options{
-		MaxPropBytes: cfg.MaxPropBytes, Prefix: cfg.Prefix, Brownout: brown, Logger: errLog,
+		MaxPropBytes: cfg.MaxPropBytes, Prefix: cfg.Prefix, Degraded: degraded, Logger: errLog,
 	})
 	metrics.TrackLocks(srv.DAV.Locks())
 	metrics.TrackGate(srv.DAV)
@@ -314,13 +299,12 @@ func Build(cfg Config) (*Server, error) {
 			srv.trigger(prof.TriggerPanic, fmt.Sprintf("%s %s: %v", method, path, v))
 		},
 	})
-	var gate *admit.Limiter
 	if cfg.AdmitLimit > 0 {
-		gate = admit.NewLimiter(cfg.AdmitLimit, cfg.AdmitQueue)
+		gate := admit.NewLimiter(cfg.AdmitLimit, cfg.AdmitQueue)
 		h = gate.Middleware(h)
+		metrics.TrackAdmit(gate)
 		logger.Info("admission control enabled", "limit", cfg.AdmitLimit, "queue", cfg.AdmitQueue)
 	}
-	metrics.TrackAdmit(gate, brown)
 	var accessLog *slog.Logger
 	if !cfg.NoAccessLog {
 		accessLog = logger

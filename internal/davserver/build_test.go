@@ -384,15 +384,14 @@ func TestCloseFlushesTheInflightBundle(t *testing.T) {
 // before the store is opened, so a failed start leaves no store behind.
 func TestBuildRejectsBeforeOpening(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
-		"flavour":           func(c *Config) { c.Flavour = "ndbm" },
-		"dbm-cache":         func(c *Config) { c.DBMCache = 0 },
-		"slo":               func(c *Config) { c.SLO = "GET:fast:0.99" },
-		"slo-nan":           func(c *Config) { c.SLO = "GET:50ms:NaN" },
-		"users":             func(c *Config) { c.Users = filepath.Join(c.Root, "no-such-file") },
-		"brownout":          func(c *Config) { c.Brownout, c.SLO = true, "" },
-		"brownout-interval": func(c *Config) { c.Brownout, c.BrownoutInterval = true, -time.Second },
-		"admit-limit":       func(c *Config) { c.AdmitLimit = -1 },
-		"admit-queue":       func(c *Config) { c.AdmitLimit, c.AdmitQueue = 8, -3 },
+		"flavour":     func(c *Config) { c.Flavour = "ndbm" },
+		"dbm-cache":   func(c *Config) { c.DBMCache = 0 },
+		"slo":         func(c *Config) { c.SLO = "GET:fast:0.99" },
+		"slo-nan":     func(c *Config) { c.SLO = "GET:50ms:NaN" },
+		"users":       func(c *Config) { c.Users = filepath.Join(c.Root, "no-such-file") },
+		"brownout":    func(c *Config) { c.Brownout, c.SLO = true, "" },
+		"admit-limit": func(c *Config) { c.AdmitLimit = -1 },
+		"admit-queue": func(c *Config) { c.AdmitLimit, c.AdmitQueue = 8, -3 },
 	} {
 		cfg := DefaultConfig()
 		cfg.Root = filepath.Join(t.TempDir(), "root")

@@ -65,9 +65,6 @@ var familyReaders = map[string]string{
 	"dav_admit_wait_seconds_total": "TestOverloadShedsHonestly",
 	"dav_admit_shed_total":         "TestBuildChainOrder; README When davd is overloaded",
 
-	"dav_brownout_level":                      "CI admission smoke; README When davd is overloaded",
-	"dav_brownout_transitions_total":          "README When davd is overloaded",
-	"dav_brownout_snapshots_skipped_total":    statusGauges,
 	"dav_brownout_deep_propfind_capped_total": statusGauges,
 
 	"dav_slo_target":            "TestSLOGauges",
@@ -75,7 +72,7 @@ var familyReaders = map[string]string{
 	"dav_slo_good_total":        "TestSLOGauges",
 	"dav_slo_bad_total":         "TestSLOGauges",
 	"dav_slo_burn_rate":         "README Operating davd, /metrics: the alerting surface",
-	"dav_slo_degraded":          "README When davd degrades",
+	"dav_slo_degraded":          "README When davd degrades; CI admission smoke",
 	"dav_hot_path_requests":     "TestOpsConsoleOverBuiltServer; README Operating davd, /metrics",
 
 	"dav_runtime_goroutines":       "TestRuntimeGauges, TestRuntimeIsReadWhenAsked",

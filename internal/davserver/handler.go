@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/davproto"
-	"repro/internal/davserver/admit"
 	"repro/internal/store"
 	"repro/internal/store/pathlock"
 	"repro/internal/xmldom"
@@ -40,12 +39,11 @@ type Options struct {
 	Prefix string
 	// Logger receives request errors; nil discards them.
 	Logger *slog.Logger
-	// Brownout, when set, lets the handler shed expensive behaviors
-	// under load: auto-versioning snapshots are skipped and Depth:
+	// Degraded, when set, reports whether the server is browned out
+	// (in davd, the SLO's burn-rate bit): while it returns true, Depth:
 	// infinity PROPFIND is refused with the RFC 4918 finite-depth
-	// precondition while the controller's ladder says so. Nil means
-	// full service always.
-	Brownout *admit.Brownout
+	// precondition. Nil means never degraded.
+	Degraded func() bool
 }
 
 // Handler serves the WebDAV protocol over a Store.
@@ -66,6 +64,8 @@ type Handler struct {
 	// for the PUTs inside it.
 	gate *pathlock.Manager
 	opts Options
+	// deepCapped counts Depth: infinity PROPFINDs refused while degraded.
+	deepCapped atomic.Uint64
 }
 
 // NewHandler builds a Handler over s.
@@ -417,13 +417,9 @@ func (h *Handler) handlePut(w http.ResponseWriter, r *http.Request, p string) {
 		return
 	}
 	// Auto-versioning: a write to a version-controlled document
-	// appends a new version snapshot. Under brownout the overwrite
-	// still lands but the snapshot is skipped — history granularity is
-	// the cheapest thing to give up when the SLO is burning.
+	// appends a new version snapshot, under load as at rest.
 	if !created {
-		if h.opts.Brownout.SnapshotsDisabled() {
-			h.opts.Brownout.CountSnapshotSkipped()
-		} else if err := h.autoVersionAfterPut(context.WithoutCancel(r.Context()), p); err != nil {
+		if err := h.autoVersionAfterPut(context.WithoutCancel(r.Context()), p); err != nil {
 			h.logf("dav: auto-version %s: %v", p, err)
 		}
 	}
@@ -861,8 +857,9 @@ func (h *Handler) handleUnlock(w http.ResponseWriter, r *http.Request, _ string)
 }
 
 // brownoutRetryAfter is the Retry-After attached to brownout refusals.
-// Brownouts exit on a sustained-healthy signal with hysteresis, so a
-// longer hint than the admission queue's drain estimate is honest.
+// The SLO's degraded bit clears only once a burst has left its 5-minute
+// window, so a longer hint than the admission queue's drain estimate is
+// honest.
 const brownoutRetryAfter = "10"
 
 // writeFiniteDepthRequired renders the RFC 4918 §9.1

@@ -122,7 +122,9 @@ func (m *Metrics) TrackLocks(lm *LockManager) {
 
 // TrackGate exposes the handler's per-path write-gate counters —
 // contention and cancellation-abandoned waits — as gauges read at
-// scrape time, mirroring the dav_pathlock_* family one layer up.
+// scrape time, mirroring the dav_pathlock_* family one layer up; and,
+// when the handler can be degraded, how many Depth: infinity PROPFINDs
+// it refused for it.
 func (m *Metrics) TrackGate(h *Handler) {
 	m.Registry.GaugeFunc("dav_gate_contended_total",
 		"Write-gate acquisitions that had to wait (cumulative).", nil,
@@ -133,43 +135,28 @@ func (m *Metrics) TrackGate(h *Handler) {
 	m.Registry.GaugeFunc("dav_gate_cancelled_total",
 		"Write-gate waits abandoned because the waiter's context ended (cumulative).", nil,
 		func() float64 { return float64(h.gate.Stats().Cancelled) })
+	if h.opts.Degraded != nil {
+		m.Registry.GaugeFunc("dav_brownout_deep_propfind_capped_total",
+			"Depth: infinity PROPFIND refused with the finite-depth precondition under brownout (cumulative).", nil,
+			func() float64 { return float64(h.deepCapped.Load()) })
+	}
 }
 
 // TrackAdmit exposes the admission gate's state — slots in use, queue
-// depth and wait, sheds — and the brownout ladder as gauges read at
-// scrape time, following the TrackGate/TrackStore snapshot pattern.
-// Either may be nil: admission and brownout are switched on apart.
-func (m *Metrics) TrackAdmit(l *admit.Limiter, b *admit.Brownout) {
+// depth and wait, sheds — as gauges read at scrape time, following the
+// TrackGate/TrackStore snapshot pattern.
+func (m *Metrics) TrackAdmit(l *admit.Limiter) {
 	g := m.Registry.GaugeFunc
-	if l != nil {
-		g("dav_admit_inflight", "Requests currently admitted past the limiter.", nil,
-			func() float64 { return float64(l.Stats().Inflight) })
-		g("dav_admit_queued", "Requests waiting in the admission queue.", nil,
-			func() float64 { return float64(l.Stats().Queued) })
-		g("dav_admit_wait_seconds_total",
-			"Cumulative time requests spent in the admission queue, including cancelled waits.", nil,
-			func() float64 { return l.Stats().WaitTotal.Seconds() })
-		g("dav_admit_shed_total",
-			"Requests shed with 429 + Retry-After because the admission queue was full (cumulative).", nil,
-			func() float64 { return float64(l.Shed()) })
-	}
-	if b != nil {
-		g("dav_brownout_level",
-			"Current brownout depth: 0 full service, 1 no snapshots, 2 + no deep PROPFIND.", nil,
-			func() float64 { return float64(b.Level()) })
-		g("dav_brownout_transitions_total",
-			"Brownout ladder transitions (cumulative).", obs.Labels{"direction": "deepen"},
-			func() float64 { return float64(b.Stats().Deepens) })
-		g("dav_brownout_transitions_total",
-			"Brownout ladder transitions (cumulative).", obs.Labels{"direction": "restore"},
-			func() float64 { return float64(b.Stats().Restores) })
-		g("dav_brownout_snapshots_skipped_total",
-			"Auto-versioning snapshots skipped under brownout (cumulative).", nil,
-			func() float64 { return float64(b.Stats().SnapshotsSkipped) })
-		g("dav_brownout_deep_propfind_capped_total",
-			"Depth: infinity PROPFIND refused with the finite-depth precondition under brownout (cumulative).", nil,
-			func() float64 { return float64(b.Stats().DeepCapped) })
-	}
+	g("dav_admit_inflight", "Requests currently admitted past the limiter.", nil,
+		func() float64 { return float64(l.Stats().Inflight) })
+	g("dav_admit_queued", "Requests waiting in the admission queue.", nil,
+		func() float64 { return float64(l.Stats().Queued) })
+	g("dav_admit_wait_seconds_total",
+		"Cumulative time requests spent in the admission queue, including cancelled waits.", nil,
+		func() float64 { return l.Stats().WaitTotal.Seconds() })
+	g("dav_admit_shed_total",
+		"Requests shed with 429 + Retry-After because the admission queue was full (cumulative).", nil,
+		func() float64 { return float64(l.Shed()) })
 }
 
 // lockStatser is implemented by stores built on the hierarchical

@@ -66,8 +66,8 @@ func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p strin
 	// Under brownout an unbounded walk is the most expensive read the
 	// protocol offers; refuse it the RFC 4918 §9.1 way so compliant
 	// clients fall back to iterative Depth: 1 listings.
-	if depth == davproto.DepthInfinity && h.opts.Brownout.CapDeepPropfind() {
-		h.opts.Brownout.CountDeepCapped()
+	if depth == davproto.DepthInfinity && h.opts.Degraded != nil && h.opts.Degraded() {
+		h.deepCapped.Add(1)
 		h.writeFiniteDepthRequired(w)
 		return
 	}

@@ -59,7 +59,7 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request, _ string)
 
 	var ms davproto.Multistatus
 	for _, t := range targets {
-		match, resolver, err := h.evalTarget(r.Context(), t, bs.Where)
+		match, err := h.evalTarget(r.Context(), t, bs.Where)
 		if err != nil {
 			h.fail(w, r, err)
 			return
@@ -70,7 +70,7 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request, _ string)
 		resp := davproto.Response{Href: h.opts.Prefix + t.Path}
 		var found, missing []davproto.Property
 		for _, name := range bs.Select {
-			prop, ok, err := h.selectProp(r.Context(), t, name, resolver)
+			prop, ok, err := h.selectProp(r.Context(), t, name)
 			if err != nil {
 				h.fail(w, r, err)
 				return
@@ -95,28 +95,39 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request, _ string)
 	h.writeMultistatus(w, ms)
 }
 
-// evalTarget evaluates the where clause for one resource, returning a
-// property resolver that can be reused for the select phase.
-// Properties are fetched and decoded lazily and memoized: a search
-// referencing two property names touches only those two, not the
-// resource's whole property set (which may be tens of kilobytes).
-func (h *Handler) evalTarget(ctx context.Context, ri store.ResourceInfo, where davproto.SearchExpr) (bool, func(xml.Name) (string, bool), error) {
+// evalTarget evaluates the where clause for one resource. Properties
+// are fetched and decoded lazily and memoized: a search referencing two
+// property names touches only those two, not the resource's whole
+// property set (which may be tens of kilobytes). A store failure is
+// the request's error, not a non-match: a search whose reads failed
+// must not answer as if the rows did not exist.
+func (h *Handler) evalTarget(ctx context.Context, ri store.ResourceInfo, where davproto.SearchExpr) (bool, error) {
+	if where == nil {
+		return true, nil
+	}
 	type memo struct {
 		value string
 		ok    bool
 	}
 	cache := map[xml.Name]memo{}
+	var firstErr error
 	resolver := func(name xml.Name) (string, bool) {
 		if m, seen := cache[name]; seen {
 			return m.value, m.ok
 		}
 		var m memo
-		if raw, ok, err := h.store.PropGet(ctx, ri.Path, name); err == nil && ok {
+		raw, ok, err := h.store.PropGet(ctx, ri.Path, name)
+		switch {
+		case err != nil:
+			if firstErr == nil {
+				firstErr = err
+			}
+		case ok:
 			// Undecodable properties stay invisible to search.
 			if prop, err := davproto.DecodeProperty(raw); err == nil {
 				m = memo{value: prop.Text(), ok: true}
 			}
-		} else if davproto.IsLiveProp(name) {
+		case davproto.IsLiveProp(name):
 			if prop, ok := h.liveProp(ri, name); ok {
 				m = memo{value: prop.Text(), ok: true}
 			}
@@ -124,14 +135,15 @@ func (h *Handler) evalTarget(ctx context.Context, ri store.ResourceInfo, where d
 		cache[name] = m
 		return m.value, m.ok
 	}
-	if where == nil {
-		return true, resolver, nil
+	match := where.Eval(resolver)
+	if firstErr != nil {
+		return false, firstErr
 	}
-	return where.Eval(resolver), resolver, nil
+	return match, nil
 }
 
 // selectProp materializes one selected property for the result set.
-func (h *Handler) selectProp(ctx context.Context, ri store.ResourceInfo, name xml.Name, _ func(xml.Name) (string, bool)) (davproto.Property, bool, error) {
+func (h *Handler) selectProp(ctx context.Context, ri store.ResourceInfo, name xml.Name) (davproto.Property, bool, error) {
 	if davproto.IsLiveProp(name) {
 		prop, ok := h.liveProp(ri, name)
 		return prop, ok, nil

@@ -136,16 +136,27 @@ func TestSLOBurnRateWindows(t *testing.T) {
 		t.Fatal("burn 5 in both windows should be degraded")
 	}
 
-	// Ten minutes later the bad burst left the 5m window but not the
+	// Four minutes later, with good requests still arriving, the burst
+	// is still inside the 5m window: the bit holds. This is the
+	// hold-down a brownout needs; nothing downstream adds another.
+	clk.advance(4 * time.Minute)
+	for i := 0; i < 5; i++ {
+		e.Observe("GET", 200, time.Millisecond)
+	}
+	if !e.Degraded() {
+		t.Fatalf("4m after the burst: 5m burn = %v, want still degraded", e.Snapshot()[0].Windows[0].BurnRate)
+	}
+
+	// Ten minutes after the burst it left the 5m window but not the
 	// 1h one: short burn recovers, degraded clears.
-	clk.advance(10 * time.Minute)
+	clk.advance(6 * time.Minute)
 	e.Observe("GET", 200, time.Millisecond)
 	s = e.Snapshot()[0]
 	if got := s.Windows[0].BurnRate; got != 0 {
 		t.Errorf("5m burn after recovery = %v, want 0", got)
 	}
-	if got := s.Windows[1].BurnRate; got < 4 {
-		t.Errorf("1h burn = %v, want still elevated", got)
+	if got := s.Windows[1].BurnRate; got < 3.1 || got > 3.15 {
+		t.Errorf("1h burn = %v, want still elevated at ~3.1 (5 bad in 16)", got)
 	}
 	if s.Degraded || e.Degraded() {
 		t.Error("recovered short window must clear the degraded bit")
@@ -157,8 +168,8 @@ func TestSLOBurnRateWindows(t *testing.T) {
 	if s.Windows[1].BurnRate != 0 {
 		t.Errorf("1h burn after 2h idle = %v, want 0", s.Windows[1].BurnRate)
 	}
-	if s.Good != 6 || s.Bad != 5 {
-		t.Errorf("cumulative good/bad = %d/%d, want 6/5 (totals never age out)", s.Good, s.Bad)
+	if s.Good != 11 || s.Bad != 5 {
+		t.Errorf("cumulative good/bad = %d/%d, want 11/5 (totals never age out)", s.Good, s.Bad)
 	}
 }
 

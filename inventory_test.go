@@ -30,7 +30,7 @@ var packageReaders = map[string]string{
 	"internal/davclient":       "every benchmark workload's client; eccebench; cmd/dav",
 	"internal/davproto":        "Table 1 request and 207 bodies; propfind_sweep",
 	"internal/davserver":       "davd itself (davserver.Build); every benchmark workload",
-	"internal/davserver/admit": "davd -admit-limit/-brownout; TestOverloadShedsHonestly",
+	"internal/davserver/admit": "davd -admit-limit/-admit-queue; TestOverloadShedsHonestly",
 	"internal/dbm":             "§3.2.4 disk claim (SDBM/GDBM flavours); propfind_sweep, calc_browse",
 	"internal/experiments":     "eccebench tables 1–3, robust, disk, chaos, ablation",
 	"internal/ftp":             "Table 2's FTP opponent (eccebench table2)",
