@@ -91,6 +91,48 @@ func TestFindWhere(t *testing.T) {
 	}
 }
 
+// TestFindByMetadataUnderPrefix: against a server mounted under a
+// prefix, the finders still search server-side. The SEARCH body names
+// its scope under the prefix, as the request URL does; a scope the
+// server cannot resolve would be a 400, which FindByMetadata takes for
+// "no SEARCH support" and silently walks instead.
+func TestFindByMetadataUnderPrefix(t *testing.T) {
+	srv := httptest.NewServer(davserver.NewHandler(store.NewMemStore(), &davserver.Options{Prefix: "/dav"}))
+	t.Cleanup(srv.Close)
+	c, err := davclient.New(davclient.Config{BaseURL: srv.URL + "/dav", Persistent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewDAVStorage(c)
+	t.Cleanup(func() { s.Close() })
+	s.CreateProject("/data", model.Project{Name: "data"})
+	for i := 0; i < 3; i++ {
+		s.CreateCalculation(fmt.Sprintf("/data/c%d", i), model.Calculation{Name: "c"})
+		s.Annotate(fmt.Sprintf("/data/c%d", i), PropCharge, fmt.Sprint(i))
+	}
+	s.Annotate("/data/c1", EcceName("tag"), "keep")
+
+	reqBefore := c.RequestCount()
+	hits, err := s.FindByMetadata("/data", EcceName("tag"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 1 || !strings.HasSuffix(hits[0], "/data/c1") {
+		t.Fatalf("hits = %v", hits)
+	}
+	if got := c.RequestCount() - reqBefore; got != 1 {
+		t.Fatalf("requests = %d, want 1 (server-side search)", got)
+	}
+	hits, err = s.FindWhere("/data", davproto.CompareExpr{
+		Op: davproto.OpGte, Prop: PropCharge, Literal: "1"}, PropCharge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 2 {
+		t.Fatalf("FindWhere hits = %v", hits)
+	}
+}
+
 // TestQuickSearchMatchesWalk: for random metadata assignments, the
 // SEARCH-based finder and a raw PROPFIND walk agree.
 func TestQuickSearchMatchesWalk(t *testing.T) {

@@ -188,12 +188,18 @@ func (c *Client) context() context.Context {
 
 // urlFor resolves a resource path against the base URL.
 func (c *Client) urlFor(p string) string {
+	u := *c.base
+	u.Path = c.hrefFor(p)
+	return u.String()
+}
+
+// hrefFor is a resource path as the server addresses it: under the base
+// URL's path.
+func (c *Client) hrefFor(p string) string {
 	if !strings.HasPrefix(p, "/") {
 		p = "/" + p
 	}
-	u := *c.base
-	u.Path = c.base.Path + p
-	return u.String()
+	return c.base.Path + p
 }
 
 // do issues a request, enforcing the expected status codes. With a
@@ -556,10 +562,13 @@ func (c *Client) PropFindSelected(p string, depth davproto.Depth, names ...xml.N
 
 // Search issues a DASL SEARCH request (basicsearch subset) and parses
 // the 207 result — the server-side query capability the paper
-// anticipated. The request is addressed to the scope resource.
+// anticipated. The request is addressed to the scope resource, and the
+// scope href in its body lies under the base URL's path as that does.
 func (c *Client) Search(bs davproto.BasicSearch) (davproto.Multistatus, error) {
 	headers := map[string]string{"Content-Type": `text/xml; charset="utf-8"`}
-	resp, err := c.do("SEARCH", bs.Scope, headers, bytes.NewReader(davproto.MarshalSearch(bs)),
+	scope := bs.Scope
+	bs.Scope = c.hrefFor(scope)
+	resp, err := c.do("SEARCH", scope, headers, bytes.NewReader(davproto.MarshalSearch(bs)),
 		http.StatusMultiStatus)
 	if err != nil {
 		return davproto.Multistatus{}, err

@@ -1,6 +1,7 @@
 package davserver
 
 import (
+	"bytes"
 	"context"
 	"encoding/xml"
 	"errors"
@@ -10,7 +11,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -684,7 +685,7 @@ func (h *Handler) handleProppatch(w http.ResponseWriter, r *http.Request, p stri
 				statuses[i] = http.StatusFailedDependency
 			}
 		}
-		h.writeProppatchResult(w, p, ops, statuses)
+		h.writeProppatchResult(w, r, p, ops, statuses)
 		return
 	}
 
@@ -742,29 +743,30 @@ func (h *Handler) handleProppatch(w http.ResponseWriter, r *http.Request, p stri
 			}
 		}
 	}
-	h.writeProppatchResult(w, p, ops, statuses)
+	h.writeProppatchResult(w, r, p, ops, statuses)
 }
 
-// writeProppatchResult renders the per-property multistatus.
-func (h *Handler) writeProppatchResult(w http.ResponseWriter, p string, ops []davproto.PatchOp, statuses []int) {
-	byStatus := map[int][]davproto.Property{}
-	var order []int
-	for i, op := range ops {
-		st := statuses[i]
-		if _, seen := byStatus[st]; !seen {
-			order = append(order, st)
+// writeProppatchResult answers with one propstat per status, in
+// ascending order, each naming its properties in request order.
+func (h *Handler) writeProppatchResult(w http.ResponseWriter, r *http.Request, p string, ops []davproto.PatchOp, statuses []int) {
+	order := slices.Clone(statuses)
+	slices.Sort(order)
+	order = slices.Compact(order)
+	h.multistatus(w, r, func(buf *bytes.Buffer) error {
+		buf.WriteString(`<D:response>`)
+		h.writeHref(buf, p)
+		for _, st := range order {
+			buf.WriteString(propstatOpen)
+			for i, op := range ops {
+				if statuses[i] == st {
+					writeEmptyProp(buf, op.Prop.Name())
+				}
+			}
+			propstatEnd(buf, st)
 		}
-		name := op.Prop.Name()
-		byStatus[st] = append(byStatus[st], davproto.Property{
-			XML: xmldom.NewElement(name.Space, name.Local),
-		})
-	}
-	sort.Ints(order)
-	resp := davproto.Response{Href: h.opts.Prefix + p}
-	for _, st := range order {
-		resp.Propstats = append(resp.Propstats, davproto.Propstat{Props: byStatus[st], Status: st})
-	}
-	h.writeMultistatus(w, davproto.Multistatus{Responses: []davproto.Response{resp}})
+		buf.WriteString(`</D:response>`)
+		return nil
+	})
 }
 
 func (h *Handler) handleLock(w http.ResponseWriter, r *http.Request, p string) {
@@ -873,16 +875,5 @@ func (h *Handler) writeFiniteDepthRequired(w http.ResponseWriter) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Header().Set("Retry-After", brownoutRetryAfter)
 	w.WriteHeader(http.StatusForbidden)
-	w.Write(body)
-}
-
-// writeMultistatus renders one of the small 207 responses (PROPPATCH
-// results, COPY/MOVE errors, SEARCH, version trees) from a DOM. PROPFIND,
-// whose body is the large one, writes its own (propfind.go).
-func (h *Handler) writeMultistatus(w http.ResponseWriter, ms davproto.Multistatus) {
-	body := ms.Marshal()
-	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusMultiStatus)
 	w.Write(body)
 }

@@ -102,12 +102,32 @@ var ledger = []struct {
 		op:       authorOp,
 		// One authoring cycle, one request per step; the store calls are
 		// the benchmark's at one client.
-		requests:      10,
-		storeCalls:    27,
-		responseBytes: 8_423,
+		requests:   10,
+		storeCalls: 27,
+		// 8,423 when the two PROPPATCH 207s were built from a DOM, which
+		// declared each namespace once per response; the shared writer
+		// declares it on each property, as PROPFIND's does.
+		responseBytes: 8_499,
 		// 4,782 measured on linux/amd64 with go1.24 (5,003 under -race).
 		// The ceiling leaves 13 %.
 		maxAllocs: 5_400,
+	},
+	{
+		name:     "search_tagged",
+		populate: populateTagged,
+		op:       taggedOp,
+		requests: 1,
+		// SEARCH reads its scope as PROPFIND does: StatWithProps of the
+		// collection, ListWithProps of its members (109 when it made one
+		// Stat per resource and one PropGet per resource and name).
+		storeCalls: 2,
+		// Five responses, each the one selected property (919 when the
+		// DOM-built 207 declared its namespace once per response).
+		responseBytes: 995,
+		// 1,122 measured on linux/amd64 with go1.24 (1,136 under -race;
+		// 8,496 when each resource was resolved and each property read
+		// and decoded on its own). The ceiling leaves 15 %.
+		maxAllocs: 1_290,
 	},
 }
 
@@ -346,6 +366,38 @@ func sweepOp(c *davclient.Client) error {
 		if got := davproto.PropsByName(r.Propstats); len(got) != len(sweepPicked) {
 			return fmt.Errorf("%s: %d properties found, want %d", r.Href, len(got), len(sweepPicked))
 		}
+	}
+	return nil
+}
+
+// The tagged-document SEARCH (BenchmarkAblation_SearchVsWalk): the
+// propfind_sweep collection with 5 of its 50 documents tagged, searched
+// at Depth infinity for the tag.
+var taggedName = xml.Name{Space: sweepNS, Local: "tagged"}
+
+func populateTagged(c *davclient.Client) error {
+	if err := populateSweep(c); err != nil {
+		return err
+	}
+	for d := 0; d < sweepDocs; d += 10 {
+		if err := c.SetProps(fmt.Sprintf("/data/doc%02d.dat", d),
+			davproto.NewTextProperty(taggedName.Space, taggedName.Local, "yes")); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func taggedOp(c *davclient.Client) error {
+	ms, err := c.Search(davproto.BasicSearch{
+		Select: []xml.Name{taggedName}, Scope: "/data", Depth: davproto.DepthInfinity,
+		Where: davproto.IsDefinedExpr{Prop: taggedName},
+	})
+	if err != nil {
+		return err
+	}
+	if len(ms.Responses) != sweepDocs/10 {
+		return fmt.Errorf("%d hits, want %d", len(ms.Responses), sweepDocs/10)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package davserver
 
 import (
 	"bytes"
+	"context"
 	"encoding/xml"
 	"net/http"
 	"slices"
@@ -14,8 +15,9 @@ import (
 	"repro/internal/xmldom"
 )
 
-// PROPFIND is the one response this server builds without a DOM. Every
-// dead property is stored as the self-contained fragment
+// Every 207 this server sends — PROPFIND, SEARCH, the version-tree
+// REPORT and the PROPPATCH result — is written here, without a DOM.
+// Every dead property is stored as the self-contained fragment
 // davproto.Property.Encode wrote at PROPPATCH time, so answering a read
 // needs no parse: each stored value is known to be well-formed
 // (xmldom.WellFormedFragment) and copied into the body as it is. A
@@ -24,8 +26,11 @@ import (
 // built the view they come from. The values of any other resource — a
 // Depth-0 target, a member whose view holds a value that is not a
 // fragment, a version-controlled resource — are checked here, one pass
-// each, no allocation. The envelope is fixed strings; live properties, a handful
-// per resource, still go through liveProp and xmldom.MarshalTo.
+// each, no allocation. The envelope is fixed strings; live properties,
+// a handful per resource, still go through liveProp and
+// xmldom.MarshalTo. PROPFIND and SEARCH read their targets the same
+// way (eachTarget), so a SEARCH costs the store what a PROPFIND of its
+// scope does.
 //
 // The body is assembled in one pooled buffer and sent with
 // Content-Length in a single Write. Chunked streaming would bound the
@@ -45,18 +50,38 @@ var (
 	propstatNotFound = `</D:prop><D:status>` + davproto.StatusLine(http.StatusNotFound) + `</D:status></D:propstat>`
 )
 
-// propfindBufs recycles response bodies between requests.
-var propfindBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// multistatusBufs recycles response bodies between requests.
+var multistatusBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledPropfindBuf keeps one huge Depth: infinity listing from
-// pinning its buffer in the pool forever.
-const maxPooledPropfindBuf = 4 << 20
+// maxPooledBuf keeps one huge Depth: infinity listing from pinning its
+// buffer in the pool forever.
+const maxPooledBuf = 4 << 20
 
-// handlePropfind resolves the target set through the store's batched
-// read path: each resource arrives with its dead properties already
-// loaded, so a Depth:1 listing costs one locked pass through cached
-// property databases, and each resource is written into the response
-// as it arrives.
+// multistatus answers 207 with the responses fill writes between the
+// fixed envelope strings. If fill fails, the request fails instead
+// (h.fail) and nothing of the 207 is sent.
+func (h *Handler) multistatus(w http.ResponseWriter, r *http.Request, fill func(buf *bytes.Buffer) error) {
+	buf := multistatusBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBuf {
+			buf.Reset()
+			multistatusBufs.Put(buf)
+		}
+	}()
+	buf.WriteString(multistatusOpen)
+	if err := fill(buf); err != nil {
+		h.fail(w, r, err)
+		return
+	}
+	buf.WriteString(multistatusClose)
+
+	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(http.StatusMultiStatus)
+	w.Write(buf.Bytes())
+}
+
+// handlePropfind writes each target into the response as it arrives.
 func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p string) {
 	depth, err := davproto.ParseDepth(r.Header.Get("Depth"), davproto.DepthInfinity)
 	if err != nil {
@@ -76,56 +101,46 @@ func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p strin
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ri, props, err := h.store.StatWithProps(r.Context(), p)
-	if err != nil {
-		h.fail(w, r, err)
-		return
-	}
+	h.multistatus(w, r, func(buf *bytes.Buffer) error {
+		pw := propfindWriter{h: h, pf: pf, buf: buf}
+		return h.eachTarget(r.Context(), p, depth, pw.response)
+	})
+}
 
-	buf := propfindBufs.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledPropfindBuf {
-			buf.Reset()
-			propfindBufs.Put(buf)
-		}
-	}()
-	pw := propfindWriter{h: h, pf: pf, buf: buf}
-	buf.WriteString(multistatusOpen)
-	switch depth {
-	case davproto.Depth0:
-		pw.response(store.MemberProps{Info: ri, Props: props})
-	case davproto.Depth1:
-		pw.response(store.MemberProps{Info: ri, Props: props})
-		if ri.IsCollection {
-			members, err := h.store.ListWithProps(r.Context(), p)
-			if err != nil {
-				h.fail(w, r, err)
-				return
-			}
-			for _, m := range members {
-				if visible(m.Info.Path) {
-					pw.response(m)
-				}
-			}
-		}
-	default:
-		err = store.WalkWithProps(r.Context(), h.store, p, func(m store.MemberProps) error {
+// eachTarget hands fn, pre-order, every resource a read of p at depth
+// covers, each with its dead properties: p, then its members (Depth 1)
+// or all its descendants (infinity). It reads through the store's
+// batched path, so a Depth-1 listing costs one locked pass through
+// cached property databases. The version store is left out of a listing
+// of the live tree; a walk that starts inside it lists it.
+func (h *Handler) eachTarget(ctx context.Context, p string, depth davproto.Depth, fn func(store.MemberProps)) error {
+	ri, props, err := h.store.StatWithProps(ctx, p)
+	if err != nil {
+		return err
+	}
+	root := store.MemberProps{Info: ri, Props: props}
+	if depth == davproto.DepthInfinity {
+		return store.WalkWithProps(ctx, h.store, root, func(m store.MemberProps) error {
 			if visible(m.Info.Path) || !visible(p) {
-				pw.response(m)
+				fn(m)
 			}
 			return nil
 		})
-		if err != nil {
-			h.fail(w, r, err)
-			return
+	}
+	fn(root)
+	if depth == davproto.Depth0 || !ri.IsCollection {
+		return nil
+	}
+	members, err := h.store.ListWithProps(ctx, p)
+	if err != nil {
+		return err
+	}
+	for _, m := range members {
+		if visible(m.Info.Path) {
+			fn(m)
 		}
 	}
-	buf.WriteString(multistatusClose)
-
-	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(http.StatusMultiStatus)
-	w.Write(buf.Bytes())
+	return nil
 }
 
 // propfindWriter writes DAV:response elements for one request. names
@@ -142,9 +157,8 @@ type propfindWriter struct {
 // stored properties.
 func (pw *propfindWriter) response(mp store.MemberProps) {
 	buf := pw.buf
-	buf.WriteString(`<D:response><D:href>`)
-	xml.EscapeText(buf, []byte(pw.h.opts.Prefix+mp.Info.Path))
-	buf.WriteString(`</D:href>`)
+	buf.WriteString(`<D:response>`)
+	pw.h.writeHref(buf, mp.Info.Path)
 	if pw.pf.Kind == davproto.PropfindProps {
 		pw.named(mp)
 	} else {
@@ -249,4 +263,20 @@ func (pw *propfindWriter) named(mp store.MemberProps) {
 // as propname listings and 404 propstats do.
 func writeEmptyProp(buf *bytes.Buffer, name xml.Name) {
 	xmldom.MarshalTo(buf, xmldom.NewElement(name.Space, name.Local))
+}
+
+// writeHref writes the DAV:href of resource p, as the client addresses
+// it.
+func (h *Handler) writeHref(buf *bytes.Buffer, p string) {
+	buf.WriteString(`<D:href>`)
+	xml.EscapeText(buf, []byte(h.opts.Prefix+p))
+	buf.WriteString(`</D:href>`)
+}
+
+// propstatEnd closes a propstat with a status that has no fixed string
+// (propstatOK, propstatNotFound).
+func propstatEnd(buf *bytes.Buffer, status int) {
+	buf.WriteString(`</D:prop><D:status>`)
+	buf.WriteString(davproto.StatusLine(status))
+	buf.WriteString(`</D:status></D:propstat>`)
 }

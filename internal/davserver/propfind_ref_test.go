@@ -57,7 +57,7 @@ func (h *Handler) refHandlePropfind(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	default:
-		err = store.WalkWithProps(r.Context(), h.store, p, func(m store.MemberProps) error {
+		err = store.WalkWithProps(r.Context(), h.store, self, func(m store.MemberProps) error {
 			if visible(m.Info.Path) || !visible(p) {
 				targets = append(targets, m)
 			}
@@ -73,7 +73,7 @@ func (h *Handler) refHandlePropfind(w http.ResponseWriter, r *http.Request) {
 	for _, t := range targets {
 		ms.Responses = append(ms.Responses, h.refPropfindResponse(t, pf))
 	}
-	h.writeMultistatus(w, ms)
+	refMultistatus(w, ms)
 }
 
 func (h *Handler) refDecodeDeadProps(p string, raw map[xml.Name][]byte) []davproto.Property {

@@ -177,29 +177,35 @@ func TestSearchSelectMissingPropReports404(t *testing.T) {
 	}
 }
 
-// TestSearchFailsOnStoreError: a SEARCH whose property reads fail
-// answers 500, not a 207 with the affected rows silently missing.
+// TestSearchFailsOnStoreError: a SEARCH whose reads fail answers 500,
+// not a 207 with the affected rows silently missing. SEARCH reads its
+// scope as PROPFIND does: the root through StatWithProps, every
+// collection's members through ListWithProps.
 func TestSearchFailsOnStoreError(t *testing.T) {
-	srv, fs := newFaultyServer(t)
-	seedSearchData(t, srv.URL)
-	fs.FailAll(chaos.OpPropGet)
-	bs := davproto.BasicSearch{
-		Select: []xml.Name{{Space: "ecce:", Local: "formula"}},
-		Scope:  "/chem",
-		Depth:  davproto.DepthInfinity,
-		Where:  davproto.CompareExpr{Op: davproto.OpEq, Prop: xml.Name{Space: "ecce:", Local: "formula"}, Literal: "H2O"},
-	}
-	resp := do(t, "SEARCH", srv.URL+"/chem", nil, searchBody(bs))
-	if resp.StatusCode != 500 {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("SEARCH over a failing store = %d %q after %d faults, want 500", resp.StatusCode, body, fs.Faults())
-	}
+	for _, op := range []string{chaos.OpStatWithProps, chaos.OpListWithProps} {
+		t.Run(op, func(t *testing.T) {
+			srv, fs := newFaultyServer(t)
+			seedSearchData(t, srv.URL)
+			fs.FailAll(op)
+			bs := davproto.BasicSearch{
+				Select: []xml.Name{{Space: "ecce:", Local: "formula"}},
+				Scope:  "/chem",
+				Depth:  davproto.DepthInfinity,
+				Where:  davproto.CompareExpr{Op: davproto.OpEq, Prop: xml.Name{Space: "ecce:", Local: "formula"}, Literal: "H2O"},
+			}
+			resp := do(t, "SEARCH", srv.URL+"/chem", nil, searchBody(bs))
+			if resp.StatusCode != 500 {
+				body, _ := io.ReadAll(resp.Body)
+				t.Fatalf("SEARCH over a failing store = %d %q after %d faults, want 500", resp.StatusCode, body, fs.Faults())
+			}
 
-	fs.Clear(chaos.OpPropGet)
-	resp = do(t, "SEARCH", srv.URL+"/chem", nil, searchBody(bs))
-	wantStatus(t, resp, 207)
-	if ms := parseMS(t, resp); len(ms.Responses) != 1 {
-		t.Fatalf("hits after the store recovered = %+v, want mol0", ms.Responses)
+			fs.Clear(op)
+			resp = do(t, "SEARCH", srv.URL+"/chem", nil, searchBody(bs))
+			wantStatus(t, resp, 207)
+			if ms := parseMS(t, resp); len(ms.Responses) != 1 {
+				t.Fatalf("hits after the store recovered = %+v, want mol0", ms.Responses)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package davserver
 
 import (
+	"bytes"
 	"context"
 	"encoding/xml"
 	"errors"
@@ -194,28 +195,26 @@ func (h *Handler) handleReport(w http.ResponseWriter, r *http.Request, p string)
 		http.Error(w, "resource is not version-controlled", http.StatusConflict)
 		return
 	}
-	var ms davproto.Multistatus
-	for n := 1; n <= count; n++ {
-		vp := versionPath(p, n)
-		ri, err := h.store.Stat(r.Context(), vp)
-		if err != nil {
-			continue // pruned version
-		}
-		props := []davproto.Property{
-			davproto.NewTextProperty(davproto.NS, "version-name", strconv.Itoa(n)),
-		}
-		for _, name := range []xml.Name{davproto.PropGetContentLength,
-			davproto.PropGetLastModified, davproto.PropGetETag} {
-			if prop, ok := h.liveProp(ri, name); ok {
-				props = append(props, prop)
+	h.multistatus(w, r, func(buf *bytes.Buffer) error {
+		for n := 1; n <= count; n++ {
+			vp := versionPath(p, n)
+			ri, err := h.store.Stat(r.Context(), vp)
+			if err != nil {
+				continue // pruned version
 			}
+			buf.WriteString(`<D:response>`)
+			h.writeHref(buf, vp)
+			buf.WriteString(propstatOpen + `<D:version-name>` + strconv.Itoa(n) + `</D:version-name>`)
+			for _, name := range []xml.Name{davproto.PropGetContentLength,
+				davproto.PropGetLastModified, davproto.PropGetETag} {
+				if prop, ok := h.liveProp(ri, name); ok {
+					xmldom.MarshalTo(buf, prop.XML)
+				}
+			}
+			buf.WriteString(propstatOK + `</D:response>`)
 		}
-		ms.Responses = append(ms.Responses, davproto.Response{
-			Href:      h.opts.Prefix + vp,
-			Propstats: []davproto.Propstat{{Props: props, Status: http.StatusOK}},
-		})
-	}
-	h.writeMultistatus(w, ms)
+		return nil
+	})
 }
 
 // guardVersionStore rejects client mutations inside the version tree.

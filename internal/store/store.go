@@ -202,37 +202,6 @@ func parsePropKey(key []byte) (xml.Name, bool) {
 	return xml.Name{Space: s[:i], Local: s[i+1:]}, true
 }
 
-// Walk visits p and, if it is a collection, every descendant.
-// Collections are visited before their members (pre-order). If fn
-// returns a non-nil error the walk stops and returns it. The walk
-// checkpoints ctx between resources, so a deep traversal aborts
-// promptly when the request is abandoned.
-func Walk(ctx context.Context, s Store, p string, fn func(ResourceInfo) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ri, err := s.Stat(ctx, p)
-	if err != nil {
-		return err
-	}
-	if err := fn(ri); err != nil {
-		return err
-	}
-	if !ri.IsCollection {
-		return nil
-	}
-	members, err := s.List(ctx, p)
-	if err != nil {
-		return err
-	}
-	for _, m := range members {
-		if err := Walk(ctx, s, m.Path, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CopyOptions controls CopyTreeAtomic.
 type CopyOptions struct {
 	// Recurse copies collection members (Depth: infinity). When false
@@ -315,7 +284,7 @@ type MemberProps struct {
 	// xmldom.WellFormedFragment, so a caller may splice them into a
 	// larger document without checking again. False says only that the
 	// store gives no verdict: some value is not a fragment, or nothing
-	// checked them (StatWithProps's and WalkWithProps's root carry none).
+	// checked them (StatWithProps's values carry none).
 	Checked bool
 }
 
@@ -337,35 +306,31 @@ type BatchReader interface {
 	ListWithProps(ctx context.Context, p string) ([]MemberProps, error)
 }
 
-// WalkWithProps visits p and, if it is a collection, every descendant,
-// pre-order, handing each visit the resource's dead properties as well.
-// Collections are resolved through the batched list path, so a deep
-// walk costs one pass per collection rather than one per resource. The
-// walk checkpoints ctx between collections.
-func WalkWithProps(ctx context.Context, s Store, p string, fn func(MemberProps) error) error {
-	ri, props, err := s.StatWithProps(ctx, p)
-	if err != nil {
-		return err
-	}
-	return walkWithProps(ctx, s, MemberProps{Info: ri, Props: props}, fn)
-}
-
-func walkWithProps(ctx context.Context, s Store, mp MemberProps, fn func(MemberProps) error) error {
+// WalkWithProps visits root and, if it is a collection, every
+// descendant, pre-order, handing each visit the resource's dead
+// properties as well. The caller resolves root (StatWithProps), so a
+// handler that has already read it does not read it again. Collections
+// are resolved through the batched list path, so a deep walk costs one
+// pass per collection rather than one per resource. If fn returns a
+// non-nil error the walk stops and returns it; the walk checkpoints ctx
+// between collections, so it aborts promptly when the request is
+// abandoned.
+func WalkWithProps(ctx context.Context, s Store, root MemberProps, fn func(MemberProps) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := fn(mp); err != nil {
+	if err := fn(root); err != nil {
 		return err
 	}
-	if !mp.Info.IsCollection {
+	if !root.Info.IsCollection {
 		return nil
 	}
-	members, err := s.ListWithProps(ctx, mp.Info.Path)
+	members, err := s.ListWithProps(ctx, root.Info.Path)
 	if err != nil {
 		return err
 	}
 	for _, m := range members {
-		if err := walkWithProps(ctx, s, m, fn); err != nil {
+		if err := WalkWithProps(ctx, s, m, fn); err != nil {
 			return err
 		}
 	}

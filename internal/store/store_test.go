@@ -454,6 +454,19 @@ func TestMoveDocumentRenameKeepsProps(t *testing.T) {
 	})
 }
 
+// walkFrom resolves p and walks it with WalkWithProps, handing fn each
+// resource's info.
+func walkFrom(s Store, p string, fn func(ResourceInfo) error) error {
+	ctx := context.Background()
+	ri, props, err := s.StatWithProps(ctx, p)
+	if err != nil {
+		return err
+	}
+	return WalkWithProps(ctx, s, MemberProps{Info: ri, Props: props}, func(m MemberProps) error {
+		return fn(m.Info)
+	})
+}
+
 func TestWalkPreOrder(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
 		mustMkcol(t, s, "/w")
@@ -461,11 +474,10 @@ func TestWalkPreOrder(t *testing.T) {
 		mustMkcol(t, s, "/w/d")
 		mustPut(t, s, "/w/d/b", "2")
 		var visited []string
-		err := Walk(context.Background(), s, "/w", func(ri ResourceInfo) error {
+		if err := walkFrom(s, "/w", func(ri ResourceInfo) error {
 			visited = append(visited, ri.Path)
 			return nil
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		want := []string{"/w", "/w/a", "/w/d", "/w/d/b"}
@@ -678,7 +690,7 @@ func TestQuickCopyPreservesTree(t *testing.T) {
 			return false
 		}
 		ok := true
-		Walk(context.Background(), s, "/src", func(ri ResourceInfo) error {
+		walkFrom(s, "/src", func(ri ResourceInfo) error {
 			dstPath := "/dst" + strings.TrimPrefix(ri.Path, "/src")
 			dri, err := s.Stat(context.Background(), dstPath)
 			if err != nil || dri.IsCollection != ri.IsCollection {
