@@ -39,7 +39,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: dav -url URL [-user U -pass P] [-sax] <ls|get|put|mkcol|rm|cp|mv|props|propset|proprm|find|search|vc|versions|lock|unlock> args...")
+	fmt.Fprintln(os.Stderr, "usage: dav -url URL [-user U -pass P] <ls|get|put|mkcol|rm|cp|mv|props|propset|proprm|find|search|vc|versions|lock|unlock> args...")
 	os.Exit(2)
 }
 
@@ -48,20 +48,15 @@ func main() {
 		url  = flag.String("url", "", "server base URL (required)")
 		user = flag.String("user", "", "basic-auth user")
 		pass = flag.String("pass", "", "basic-auth password")
-		sax  = flag.Bool("sax", false, "use the SAX multistatus parser")
 	)
 	flag.Usage = usage
 	flag.Parse()
 	if *url == "" || flag.NArg() == 0 {
 		usage()
 	}
-	parser := davclient.ParserDOM
-	if *sax {
-		parser = davclient.ParserSAX
-	}
 	c, err := davclient.New(davclient.Config{
 		BaseURL: *url, Username: *user, Password: *pass,
-		Persistent: true, Parser: parser, Timeout: 5 * time.Minute,
+		Persistent: true, Timeout: 5 * time.Minute,
 	})
 	if err != nil {
 		fatal(err)
@@ -189,7 +184,7 @@ func ls(c *davclient.Client, p string) error {
 	for _, r := range ms.Responses {
 		props := davproto.PropsByName(r.Propstats)
 		kind := "file"
-		if rt, ok := props[davproto.PropResourceType]; ok && rt.XML.Find(davproto.NS, "collection") != nil {
+		if rt, ok := props[davproto.PropResourceType]; ok && rt.Node().Find(davproto.NS, "collection") != nil {
 			kind = "dir "
 		}
 		size := "-"

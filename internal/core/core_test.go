@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/xml"
 	"errors"
 	"fmt"
 	"math"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/chem"
 	"repro/internal/davclient"
+	"repro/internal/davproto"
 	"repro/internal/davserver"
 	"repro/internal/model"
 	"repro/internal/oodb"
@@ -202,6 +204,34 @@ func TestTasksOrderedBySequence(t *testing.T) {
 			t.Fatalf("empty tasks = (%v, %v)", tasks, err)
 		}
 	})
+}
+
+// A task document that carries its object type but has lost name, kind
+// or sequence loads with those fields empty; looking up the missing
+// properties must not panic.
+func TestLoadTasksMissingProperty(t *testing.T) {
+	s := newDAVStorage(t)
+	s.CreateProject("/p", model.Project{Name: "p"})
+	s.CreateCalculation("/p/c", model.Calculation{Name: "c"})
+	task := model.Task{Name: "opt", Kind: model.TaskEnergy, Sequence: 1, InputDeck: "deck"}
+	if err := s.SaveTask("/p/c", task); err != nil {
+		t.Fatal(err)
+	}
+	doc := "/p/c/" + memberTasks + "/" + taskDocName(task)
+	var ops []davproto.PatchOp
+	for _, name := range []xml.Name{EcceName("name"), PropTaskKind, PropSequence} {
+		ops = append(ops, davproto.PatchOp{Remove: true, Prop: davproto.NewTextProperty(name.Space, name.Local, "")})
+	}
+	if _, err := s.c.PropPatch(doc, ops); err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := s.LoadTasks("/p/c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []model.Task{{InputDeck: "deck"}}; !reflect.DeepEqual(tasks, want) {
+		t.Fatalf("tasks = %+v, want %+v", tasks, want)
+	}
 }
 
 func TestJobRoundTrip(t *testing.T) {

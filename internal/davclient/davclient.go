@@ -34,11 +34,12 @@ type ParserKind int
 
 // Parser kinds.
 const (
-	// ParserDOM builds a full document tree first (the paper's
-	// measured configuration).
-	ParserDOM ParserKind = iota
-	// ParserSAX streams the response without building a tree.
-	ParserSAX
+	// ParserSAX reads the response in one streaming pass and builds a
+	// tree only for a property value that is not plain text.
+	ParserSAX ParserKind = iota
+	// ParserDOM builds a full document tree first: the paper's measured
+	// configuration, kept as Table 1's paper-fidelity arm.
+	ParserDOM
 )
 
 // Config configures a Client.
@@ -52,7 +53,7 @@ type Config struct {
 	// every request opens a fresh connection, mirroring the paper's
 	// reconnect-per-request configuration.
 	Persistent bool
-	// Parser selects the multistatus parser (default ParserDOM).
+	// Parser selects the multistatus parser (default ParserSAX).
 	Parser ParserKind
 	// Timeout bounds each request; zero means no timeout.
 	Timeout time.Duration
@@ -526,10 +527,10 @@ func (c *Client) parseMultistatus(resp *http.Response) (davproto.Multistatus, er
 	if n := resp.ContentLength; n > 0 && n <= maxPresizedBody {
 		body = sizedBody{resp.Body, int(n)}
 	}
-	if c.cfg.Parser == ParserSAX {
-		return parseMultistatusSAX(body)
+	if c.cfg.Parser == ParserDOM {
+		return davproto.ParseMultistatus(body)
 	}
-	return davproto.ParseMultistatus(body)
+	return parseMultistatusSAX(body)
 }
 
 // maxPresizedBody is the largest buffer a Content-Length header alone
@@ -604,8 +605,7 @@ func (c *Client) VersionTree(p string) ([]VersionInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	ms, err := davproto.ParseMultistatus(resp.Body)
+	ms, err := c.parseMultistatus(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -781,8 +781,7 @@ func (lc *LockedClient) SetProps(p string, props ...davproto.Property) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	ms, err := davproto.ParseMultistatus(resp.Body)
+	ms, err := lc.c.parseMultistatus(resp)
 	if err != nil {
 		return err
 	}

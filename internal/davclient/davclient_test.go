@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/davproto"
 	"repro/internal/davserver"
 	"repro/internal/store"
+	"repro/internal/xmldom"
 )
 
 // newPair spins up an in-memory DAV server and a client against it.
@@ -190,28 +190,25 @@ func TestComplexPropertyValueRoundTrip(t *testing.T) {
 	eachParser(t, func(t *testing.T, c *Client) {
 		c.PutBytes("/mol", []byte("x"), "")
 		// Build <ecce:geometry>center<ecce:atom sym="U"/><ecce:atom sym="O"/></ecce:geometry>
-		prop := davproto.NewTextProperty("ecce:", "geometry", "")
-		a1 := prop.XML.Add("ecce:", "atom")
-		a1.SetAttr("", "sym", "U")
-		prop.XML.Text = "center"
-		a2 := prop.XML.Add("ecce:", "atom")
-		a2.SetAttr("", "sym", "O")
-		if err := c.SetProps("/mol", prop); err != nil {
+		geom := xmldom.NewTextElement("ecce:", "geometry", "center")
+		geom.Add("ecce:", "atom").SetAttr("", "sym", "U")
+		geom.Add("ecce:", "atom").SetAttr("", "sym", "O")
+		if err := c.SetProps("/mol", davproto.NewNodeProperty(geom)); err != nil {
 			t.Fatal(err)
 		}
 		got, ok, err := c.GetProp("/mol", eccName("geometry"))
 		if err != nil || !ok {
 			t.Fatalf("GetProp: ok=%v err=%v", ok, err)
 		}
-		atoms := got.XML.FindAll("ecce:", "atom")
+		atoms := got.Node().FindAll("ecce:", "atom")
 		if len(atoms) != 2 {
 			t.Fatalf("atoms = %d", len(atoms))
 		}
 		if sym, _ := atoms[0].Attr("", "sym"); sym != "U" {
 			t.Fatalf("atom[0] sym = %q", sym)
 		}
-		if !strings.Contains(got.XML.TextContent(), "center") {
-			t.Fatalf("mixed text lost: %q", got.XML.TextContent())
+		if !strings.Contains(got.Text(), "center") {
+			t.Fatalf("mixed text lost: %q", got.Text())
 		}
 	})
 }
@@ -446,11 +443,11 @@ func TestQuickSAXParserMatchesDOM(t *testing.T) {
 			for j := rng.Intn(3); j > 0; j-- {
 				ps := davproto.Propstat{Status: statuses[rng.Intn(len(statuses))]}
 				for k := rng.Intn(3) + 1; k > 0; k-- {
-					p := davproto.NewTextProperty("ecce:", fmt.Sprintf("p%d", k), fmt.Sprintf("v%d", rng.Intn(50)))
+					n := xmldom.NewTextElement("ecce:", fmt.Sprintf("p%d", k), fmt.Sprintf("v%d", rng.Intn(50)))
 					if rng.Intn(3) == 0 {
-						p.XML.Add("ecce:", "child").Text = "nested"
+						n.AddText("ecce:", "child", "nested")
 					}
-					ps.Props = append(ps.Props, p)
+					ps.Props = append(ps.Props, davproto.NewNodeProperty(n))
 				}
 				r.Propstats = append(r.Propstats, ps)
 			}
@@ -466,48 +463,13 @@ func TestQuickSAXParserMatchesDOM(t *testing.T) {
 			t.Logf("parse errors: %v / %v", err1, err2)
 			return false
 		}
-		return multistatusEqual(gotDOM, gotSAX)
+		if diff := multistatusDiff(gotDOM, gotSAX); diff != "" {
+			t.Log(diff)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func multistatusEqual(a, b davproto.Multistatus) bool {
-	if len(a.Responses) != len(b.Responses) {
-		return false
-	}
-	for i := range a.Responses {
-		ra, rb := a.Responses[i], b.Responses[i]
-		if ra.Href != rb.Href || ra.Status != rb.Status || len(ra.Propstats) != len(rb.Propstats) {
-			return false
-		}
-		for j := range ra.Propstats {
-			pa, pb := ra.Propstats[j], rb.Propstats[j]
-			if pa.Status != pb.Status || len(pa.Props) != len(pb.Props) {
-				return false
-			}
-			for k := range pa.Props {
-				if pa.Props[k].Name() != pb.Props[k].Name() {
-					return false
-				}
-				if strings.TrimSpace(pa.Props[k].Text()) != strings.TrimSpace(pb.Props[k].Text()) {
-					return false
-				}
-				if !reflect.DeepEqual(
-					childNames(pa.Props[k]), childNames(pb.Props[k])) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-func childNames(p davproto.Property) []xml.Name {
-	var names []xml.Name
-	for _, c := range p.XML.Children {
-		names = append(names, c.Name)
-	}
-	return names
 }

@@ -3,12 +3,12 @@
 // and PROPPATCH request bodies, 207 Multistatus responses, the Depth /
 // Timeout / Overwrite headers, and lock metadata.
 //
-// Properties are represented as xmldom subtrees whose root element is
-// the property itself — exactly the "XML encoded key-value pair in
-// which the value may be simple text or contain complex data" model
-// the paper describes. Building and parsing are both provided so the
-// same vocabulary serves the server, the client's DOM parser, and the
-// client's SAX fast path.
+// A property is the paper's "XML encoded key-value pair in which the
+// value may be simple text or contain complex data": a name and a
+// string when the value is only text, an xmldom subtree whose root
+// element is the property itself when it is complex. Building and
+// parsing are both provided so the same vocabulary serves the server,
+// the client's streaming reader, and the DOM it is measured against.
 package davproto
 
 import (
@@ -69,25 +69,54 @@ func ParseDepth(h string, def Depth) (Depth, error) {
 
 // Property is a dead or live property: an XML element named by the
 // property, whose content (text and/or child elements) is the value.
+// One made by NewTextProperty holds only its name and text; one made by
+// NewNodeProperty keeps the tree. The zero Property has no name, no
+// text and no node.
 type Property struct {
-	// XML is the property element. XML.Name is the property's name.
-	XML *xmldom.Node
+	name xml.Name
+	text string
+	tree *xmldom.Node
 }
 
 // NewTextProperty returns a property with simple text content.
 func NewTextProperty(space, local, text string) Property {
-	return Property{XML: xmldom.NewTextElement(space, local, text)}
+	return Property{name: xml.Name{Space: space, Local: local}, text: text}
+}
+
+// NewNodeProperty returns the property whose element is n.
+func NewNodeProperty(n *xmldom.Node) Property {
+	return Property{name: n.Name, tree: n}
 }
 
 // Name returns the property's qualified name.
-func (p Property) Name() xml.Name { return p.XML.Name }
+func (p Property) Name() xml.Name { return p.name }
 
 // Text returns the property's flattened text content.
-func (p Property) Text() string { return strings.TrimSpace(p.XML.TextContent()) }
+func (p Property) Text() string {
+	if p.tree != nil {
+		return strings.TrimSpace(p.tree.TextContent())
+	}
+	return strings.TrimSpace(p.text)
+}
+
+// Node returns the property element: for a text-only property a new
+// one on each call, so changing it changes nothing; nil for the zero
+// Property.
+func (p Property) Node() *xmldom.Node {
+	if p.tree == nil && p.name != (xml.Name{}) {
+		return xmldom.NewTextElement(p.name.Space, p.name.Local, p.text)
+	}
+	return p.tree
+}
 
 // Encode serializes the property as a self-contained XML fragment
-// suitable for storage.
-func (p Property) Encode() []byte { return xmldom.Marshal(p.XML) }
+// suitable for storage; nil for the zero Property.
+func (p Property) Encode() []byte {
+	if n := p.Node(); n != nil {
+		return xmldom.Marshal(n)
+	}
+	return nil
+}
 
 // DecodeProperty parses a stored property fragment.
 func DecodeProperty(b []byte) (Property, error) {
@@ -95,7 +124,7 @@ func DecodeProperty(b []byte) (Property, error) {
 	if err != nil {
 		return Property{}, fmt.Errorf("davproto: bad stored property: %w", err)
 	}
-	return Property{XML: n}, nil
+	return NewNodeProperty(n), nil
 }
 
 // PropfindKind distinguishes the three PROPFIND request forms.
@@ -230,7 +259,7 @@ func ParseProppatch(r io.Reader) ([]PatchOp, error) {
 				return nil, fmt.Errorf("davproto: name %q in property %s cannot be written as namespaced XML", bad.Local, p.Name.Local)
 			}
 			p.Parent = nil // detached, not copied: nobody keeps the request document
-			ops = append(ops, PatchOp{Remove: remove, Prop: Property{XML: p}})
+			ops = append(ops, PatchOp{Remove: remove, Prop: NewNodeProperty(p)})
 		}
 	}
 	if len(ops) == 0 {
@@ -253,7 +282,7 @@ func MarshalProppatch(ops []PatchOp) []byte {
 		if op.Remove {
 			prop.Add(op.Prop.Name().Space, op.Prop.Name().Local)
 		} else {
-			prop.AppendChild(op.Prop.XML.Clone())
+			prop.AppendChild(op.Prop.Node().Clone())
 		}
 	}
 	return xmldom.MarshalDocument(root)
@@ -306,7 +335,7 @@ func (ms Multistatus) Marshal() []byte {
 			pse := resp.Add(NS, "propstat")
 			prop := pse.Add(NS, "prop")
 			for _, p := range ps.Props {
-				prop.AppendChild(p.XML.Clone())
+				prop.AppendChild(p.Node().Clone())
 			}
 			pse.AddText(NS, "status", StatusLine(ps.Status))
 		}
@@ -353,7 +382,7 @@ func multistatusFromDOM(root *xmldom.Node) (Multistatus, error) {
 			if prop := pse.Find(NS, "prop"); prop != nil {
 				for _, p := range prop.Children {
 					p.Parent = nil // detached, not copied: root is dropped on return
-					ps.Props = append(ps.Props, Property{XML: p})
+					ps.Props = append(ps.Props, NewNodeProperty(p))
 				}
 			}
 			resp.Propstats = append(resp.Propstats, ps)

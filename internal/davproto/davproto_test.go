@@ -45,6 +45,48 @@ func TestDepthString(t *testing.T) {
 	}
 }
 
+// The zero Property, which a map lookup of an absent name returns, has
+// no name, no text, no node and no encoding; it does not panic.
+func TestZeroProperty(t *testing.T) {
+	var p Property
+	if p.Name() != (xml.Name{}) || p.Text() != "" || p.Node() != nil || p.Encode() != nil {
+		t.Fatalf("zero Property = (%v, %q, %v, %q)", p.Name(), p.Text(), p.Node(), p.Encode())
+	}
+	if got := (map[xml.Name]Property{})[PropDisplayName].Text(); got != "" {
+		t.Fatalf("absent property's text = %q", got)
+	}
+}
+
+// A text-only property stores exactly the bytes its element marshals
+// to, so PROPPATCH writes what it wrote when every property was a
+// tree; and it reads back as the same property.
+func TestTextPropertyEncodesAsItsElement(t *testing.T) {
+	for _, c := range []struct{ space, local, text string }{
+		{"ecce:", "formula", "UO2H30O15"},
+		{NS, "displayname", "  padded  "},
+		{"", "bare", "no namespace"},
+		{"urn:x", "empty", ""},
+		{"urn:x", "escaped", "a<b && \"q\" 'r'\r\n]]>"},
+		{"urn:日本", "名前", "水"},
+	} {
+		p := NewTextProperty(c.space, c.local, c.text)
+		want := xmldom.Marshal(xmldom.NewTextElement(c.space, c.local, c.text))
+		if got := p.Encode(); !bytes.Equal(got, want) {
+			t.Errorf("Encode() = %s, want %s", got, want)
+		}
+		if n := p.Node(); n.Name != p.Name() || n.Text != c.text || len(n.Children) != 0 || len(n.Attrs) != 0 {
+			t.Errorf("Node() = %+v for %+v", n, c)
+		}
+		if p.Text() != strings.TrimSpace(c.text) {
+			t.Errorf("Text() = %q for %q", p.Text(), c.text)
+		}
+		back, err := DecodeProperty(p.Encode())
+		if err != nil || back.Name() != p.Name() || back.Text() != p.Text() || !bytes.Equal(back.Encode(), want) {
+			t.Errorf("%s decodes to (%v, %q, %s), %v", want, back.Name(), back.Text(), back.Encode(), err)
+		}
+	}
+}
+
 func TestPropfindRoundTrip(t *testing.T) {
 	cases := []Propfind{
 		{Kind: PropfindAllProp},
@@ -89,7 +131,7 @@ func TestParsePropfindRejectsWrongRoot(t *testing.T) {
 func TestProppatchRoundTrip(t *testing.T) {
 	val := xmldom.NewTextElement("ecce:", "formula", "UO2H30O15")
 	ops := []PatchOp{
-		{Prop: Property{XML: val}},
+		{Prop: NewNodeProperty(val)},
 		{Remove: true, Prop: NewTextProperty("ecce:", "obsolete", "")},
 		{Prop: NewTextProperty("ecce:", "charge", "2")},
 	}
@@ -142,7 +184,7 @@ func TestProppatchComplexValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atoms := ops[0].Prop.XML.FindAll("ecce:", "atom")
+	atoms := ops[0].Prop.Node().FindAll("ecce:", "atom")
 	if len(atoms) != 2 {
 		t.Fatalf("atoms = %d, want 2", len(atoms))
 	}
@@ -172,7 +214,7 @@ func TestMultistatusRoundTrip(t *testing.T) {
 					NewTextProperty(NS, "getcontentlength", "1234"),
 				}},
 				{Status: http.StatusNotFound, Props: []Property{
-					{XML: xmldom.NewElement("ecce:", "missing")},
+					NewTextProperty("ecce:", "missing", ""),
 				}},
 			},
 		},
@@ -400,7 +442,7 @@ func TestParseMultistatusAllocations(t *testing.T) {
 	if err != nil || len(ms.Responses) != 51 || len(ms.Responses[50].Propstats[0].Props) != 5 {
 		t.Fatalf("parse: %v, %d responses", err, len(ms.Responses))
 	}
-	if p := ms.Responses[0].Propstats[0].Props[0].XML; p.Parent != nil || len(p.Text) != 1024 {
+	if p := ms.Responses[0].Propstats[0].Props[0].Node(); p.Parent != nil || len(p.Text) != 1024 {
 		t.Fatalf("property not detached or not whole: parent %v, %d bytes", p.Parent, len(p.Text))
 	}
 	const ceiling = 2200

@@ -61,11 +61,11 @@ func FuzzParseProppatch(f *testing.F) {
 			t.Fatalf("%q parses to %d operations, which marshal to %s and reparse to %d, %v", b, len(ops), body, len(again), err)
 		}
 		for i, op := range ops {
-			want := xmldom.Marshal(op.Prop.XML)
+			want := op.Prop.Encode()
 			if op.Remove { // only the name travels
 				want = xmldom.Marshal(xmldom.NewElement(op.Prop.Name().Space, op.Prop.Name().Local))
 			}
-			if got := xmldom.Marshal(again[i].Prop.XML); again[i].Remove != op.Remove || !bytes.Equal(got, want) {
+			if got := again[i].Prop.Encode(); again[i].Remove != op.Remove || !bytes.Equal(got, want) {
 				t.Fatalf("%q: operation %d is %s (remove=%v), after a round trip %s (remove=%v)", b, i, want, op.Remove, got, again[i].Remove)
 			}
 		}

@@ -605,7 +605,7 @@ func (h *Handler) liveProp(ri store.ResourceInfo, name xml.Name) (davproto.Prope
 		if ri.IsCollection {
 			n.Add(davproto.NS, "collection")
 		}
-		return davproto.Property{XML: n}, true
+		return davproto.NewNodeProperty(n), true
 	case davproto.PropGetContentLength:
 		if ri.IsCollection {
 			return davproto.Property{}, false
@@ -629,13 +629,13 @@ func (h *Handler) liveProp(ri store.ResourceInfo, name xml.Name) (davproto.Prope
 			le.Add(davproto.NS, "lockscope").Add(davproto.NS, scope)
 			le.Add(davproto.NS, "locktype").Add(davproto.NS, "write")
 		}
-		return davproto.Property{XML: n}, true
+		return davproto.NewNodeProperty(n), true
 	case davproto.PropLockDiscovery:
 		n := xmldom.NewElement(davproto.NS, "lockdiscovery")
 		for _, al := range h.locks.LocksOn(ri.Path) {
 			n.AppendChild(al.ToXML())
 		}
-		return davproto.Property{XML: n}, true
+		return davproto.NewNodeProperty(n), true
 	default:
 		return davproto.Property{}, false
 	}

@@ -378,7 +378,7 @@ func TestPropfindResourceTypeCollection(t *testing.T) {
 	ms := parseMS(t, resp)
 	props := davproto.PropsByName(ms.Responses[0].Propstats)
 	rt, ok := props[davproto.PropResourceType]
-	if !ok || rt.XML.Find(davproto.NS, "collection") == nil {
+	if !ok || rt.Node().Find(davproto.NS, "collection") == nil {
 		t.Fatalf("resourcetype = %+v", rt)
 	}
 	// Collections carry no getcontentlength.
@@ -614,7 +614,7 @@ func TestLockDiscoveryProp(t *testing.T) {
 	if !ok {
 		t.Fatal("no lockdiscovery prop")
 	}
-	al, err := davproto.ActiveLockFromXML(ld.XML.Find(davproto.NS, "activelock"))
+	al, err := davproto.ActiveLockFromXML(ld.Node().Find(davproto.NS, "activelock"))
 	if err != nil || al.Token != tok {
 		t.Fatalf("activelock = %+v, %v; want token %s", al, err, tok)
 	}

@@ -59,12 +59,13 @@ var ledger = []struct {
 		// The 207 is byte-identical to the one built before the store kept
 		// decoded property views.
 		responseBytes: 277_770,
-		// 2,910 measured on linux/amd64 with go1.24 (2,934 under -race;
+		// 1,424 measured on linux/amd64 with go1.24 (1,444 under -race;
+		// 2,910 when the client read every property value into a tree;
 		// 3,370 when each member's disk and database paths were derived
 		// again from its resource path and its ETag formatted by fmt;
 		// 6,640 when each request decoded all 51 databases again).
 		// The ceiling leaves 12 % for net/http and runtime variation.
-		maxAllocs:   3_260,
+		maxAllocs:   1_600,
 		viewsReused: true,
 	},
 	{
@@ -92,9 +93,10 @@ var ledger = []struct {
 		// Three calculations stored with one fixed timestamp, so the
 		// bytes are the same on every run.
 		responseBytes: 41_870,
-		// 3,717 measured on linux/amd64 with go1.24 (3,881 under -race).
+		// 3,393 measured on linux/amd64 with go1.24 (3,549 under -race;
+		// 3,608 when the client read every property value into a tree).
 		// The ceiling leaves 13 %.
-		maxAllocs: 4_200,
+		maxAllocs: 3_830,
 	},
 	{
 		name:     "author_mix",
@@ -108,9 +110,10 @@ var ledger = []struct {
 		// declared each namespace once per response; the shared writer
 		// declares it on each property, as PROPFIND's does.
 		responseBytes: 8_499,
-		// 4,782 measured on linux/amd64 with go1.24 (5,003 under -race).
+		// 4,543 measured on linux/amd64 with go1.24 (4,767 under -race;
+		// 4,701 when the client read every property value into a tree).
 		// The ceiling leaves 13 %.
-		maxAllocs: 5_400,
+		maxAllocs: 5_130,
 	},
 	{
 		name:     "search_tagged",
@@ -124,10 +127,11 @@ var ledger = []struct {
 		// Five responses, each the one selected property (919 when the
 		// DOM-built 207 declared its namespace once per response).
 		responseBytes: 995,
-		// 1,122 measured on linux/amd64 with go1.24 (1,136 under -race;
+		// 1,053 measured on linux/amd64 with go1.24 (1,067 under -race;
+		// 1,122 when the client read every property value into a tree;
 		// 8,496 when each resource was resolved and each property read
 		// and decoded on its own). The ceiling leaves 15 %.
-		maxAllocs: 1_290,
+		maxAllocs: 1_210,
 	},
 }
 

@@ -121,8 +121,7 @@ func (h *Handler) refHandleSearch(w http.ResponseWriter, r *http.Request) {
 			if ok {
 				found = append(found, prop)
 			} else {
-				missing = append(missing, davproto.Property{
-					XML: xmldom.NewElement(name.Space, name.Local)})
+				missing = append(missing, davproto.NewTextProperty(name.Space, name.Local, ""))
 			}
 		}
 		if len(found) > 0 || len(bs.Select) == 0 {
@@ -260,9 +259,7 @@ func (h *Handler) refProppatchResult(w http.ResponseWriter, p string, ops []davp
 			order = append(order, st)
 		}
 		name := op.Prop.Name()
-		byStatus[st] = append(byStatus[st], davproto.Property{
-			XML: xmldom.NewElement(name.Space, name.Local),
-		})
+		byStatus[st] = append(byStatus[st], davproto.NewTextProperty(name.Space, name.Local, ""))
 	}
 	sort.Ints(order)
 	resp := davproto.Response{Href: h.opts.Prefix + p}

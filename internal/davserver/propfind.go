@@ -179,7 +179,7 @@ func (pw *propfindWriter) all(mp store.MemberProps, namesOnly bool) {
 			if namesOnly {
 				writeEmptyProp(buf, name)
 			} else {
-				xmldom.MarshalTo(buf, prop.XML)
+				xmldom.MarshalTo(buf, prop.Node())
 			}
 		}
 	}
@@ -237,8 +237,8 @@ func (pw *propfindWriter) named(mp store.MemberProps) {
 			buf.WriteString(propstatOpen)
 		}
 		found++
-		if live.XML != nil {
-			xmldom.MarshalTo(buf, live.XML)
+		if n := live.Node(); n != nil {
+			xmldom.MarshalTo(buf, n)
 		} else {
 			buf.Write(raw)
 		}

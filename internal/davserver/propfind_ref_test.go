@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/davproto"
 	"repro/internal/store"
-	"repro/internal/xmldom"
 )
 
 // The PROPFIND this server shipped before it stopped building a DOM:
@@ -113,9 +112,7 @@ func (h *Handler) refPropfindResponse(mp store.MemberProps, pf davproto.Propfind
 		found = append(found, h.refDecodeDeadProps(ri.Path, mp.Props)...)
 		if pf.Kind == davproto.PropfindPropName {
 			for i, prop := range found {
-				found[i] = davproto.Property{
-					XML: xmldom.NewElement(prop.Name().Space, prop.Name().Local),
-				}
+				found[i] = davproto.NewTextProperty(prop.Name().Space, prop.Name().Local, "")
 			}
 		}
 		resp.Propstats = []davproto.Propstat{{Props: found, Status: http.StatusOK}}
@@ -127,18 +124,18 @@ func (h *Handler) refPropfindResponse(mp store.MemberProps, pf davproto.Propfind
 					found = append(found, prop)
 					continue
 				}
-				missing = append(missing, davproto.Property{XML: xmldom.NewElement(name.Space, name.Local)})
+				missing = append(missing, davproto.NewTextProperty(name.Space, name.Local, ""))
 				continue
 			}
 			raw, ok := mp.Props[name]
 			if !ok {
-				missing = append(missing, davproto.Property{XML: xmldom.NewElement(name.Space, name.Local)})
+				missing = append(missing, davproto.NewTextProperty(name.Space, name.Local, ""))
 				continue
 			}
 			prop, err := davproto.DecodeProperty(raw)
 			if err != nil {
 				h.logf("dav: undecodable stored property %v on %s: %v", name, ri.Path, err)
-				missing = append(missing, davproto.Property{XML: xmldom.NewElement(name.Space, name.Local)})
+				missing = append(missing, davproto.NewTextProperty(name.Space, name.Local, ""))
 				continue
 			}
 			found = append(found, prop)

@@ -62,7 +62,7 @@ func richProps() []davproto.Property {
 		davproto.NewTextProperty("urn:日本", "名前", "水"),
 		davproto.NewTextProperty("", "bare", "in no namespace"),
 		davproto.NewTextProperty("urn:ecce", "empty", ""),
-		{XML: nested},
+		davproto.NewNodeProperty(nested),
 	}
 }
 
@@ -73,7 +73,7 @@ func canonical(ms davproto.Multistatus) string {
 		for _, ps := range r.Propstats {
 			fmt.Fprintf(&sb, "  propstat %d\n", ps.Status)
 			for _, p := range ps.Props {
-				fmt.Fprintf(&sb, "    %s\n", xmldom.Marshal(p.XML))
+				fmt.Fprintf(&sb, "    %s\n", p.Encode())
 			}
 		}
 	}
@@ -591,7 +591,7 @@ func TestPropfindHidesVersioningBookkeeping(t *testing.T) {
 		if body != named && bytes.Contains(raw, []byte(vcNS)) {
 			t.Errorf("request %q: body mentions %s:\n%s", body, vcNS, raw)
 		}
-		if props := davproto.PropsByName(ms.Responses[0].Propstats); props[xml.Name{Space: "ecce:", Local: "k"}].XML == nil {
+		if props := davproto.PropsByName(ms.Responses[0].Propstats); props[xml.Name{Space: "ecce:", Local: "k"}].Node() == nil {
 			t.Errorf("request %q: the ordinary dead property is missing", body)
 		}
 	}

@@ -208,7 +208,7 @@ func (h *Handler) handleReport(w http.ResponseWriter, r *http.Request, p string)
 			for _, name := range []xml.Name{davproto.PropGetContentLength,
 				davproto.PropGetLastModified, davproto.PropGetETag} {
 				if prop, ok := h.liveProp(ri, name); ok {
-					xmldom.MarshalTo(buf, prop.XML)
+					xmldom.MarshalTo(buf, prop.Node())
 				}
 			}
 			buf.WriteString(propstatOK + `</D:response>`)

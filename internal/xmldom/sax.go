@@ -31,48 +31,3 @@ func ScanSAX(r io.Reader, h SAXHandler) error {
 	}
 	return scan(b, h)
 }
-
-// PathCollector is a SAXHandler helper that tracks the current element
-// path and invokes On when entering elements, exposing the path depth
-// and accumulated text of leaf elements via OnLeave.
-type PathCollector struct {
-	stack []xml.Name
-	text  []byte
-
-	// Enter, if non-nil, is called after an element is pushed; the
-	// slice is the current path, root first. It must not be retained.
-	Enter func(path []xml.Name, attrs []xml.Attr) error
-	// Leave, if non-nil, is called before an element is popped, with
-	// the character data that appeared directly inside it.
-	Leave func(path []xml.Name, text []byte) error
-}
-
-// Handler adapts the collector to a SAXHandler.
-func (p *PathCollector) Handler() SAXHandler {
-	return SAXHandler{
-		StartElement: func(name xml.Name, attrs []xml.Attr) error {
-			p.stack = append(p.stack, name)
-			p.text = p.text[:0]
-			if p.Enter != nil {
-				return p.Enter(p.stack, attrs)
-			}
-			return nil
-		},
-		EndElement: func(name xml.Name) error {
-			var err error
-			if p.Leave != nil {
-				err = p.Leave(p.stack, p.text)
-			}
-			p.stack = p.stack[:len(p.stack)-1]
-			p.text = p.text[:0]
-			return err
-		},
-		CharData: func(data []byte) error {
-			p.text = append(p.text, data...)
-			return nil
-		},
-	}
-}
-
-// Depth returns the current element nesting depth.
-func (p *PathCollector) Depth() int { return len(p.stack) }

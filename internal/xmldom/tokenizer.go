@@ -26,6 +26,7 @@ type tokenizer struct {
 	i     int
 	h     SAXHandler
 	names map[string]splitName // every qualified name seen, judged and split once
+	uris  map[string]string    // every namespace URI declared, made on the first
 	open  []element
 	ns    []binding  // prefix declarations in force, innermost last
 	attrs []xml.Attr // scratch for the start tag being read
@@ -164,6 +165,21 @@ func (t *tokenizer) name() (splitName, []byte) {
 	return q, raw
 }
 
+// uri returns the declared namespace URI b as a string, one per URI
+// per scan: a body that declares the same URI on every property
+// element pays for it once, and one that declares none pays nothing.
+func (t *tokenizer) uri(b []byte) string {
+	s, ok := t.uris[string(b)]
+	if !ok {
+		if t.uris == nil {
+			t.uris = map[string]string{}
+		}
+		s = string(b)
+		t.uris[s] = s
+	}
+	return s
+}
+
 // translate resolves a prefix as Decoder.translate does: an undeclared
 // prefix stands for itself, xmlns is never looked up, xml is fixed, and
 // the default namespace applies to element names only.
@@ -200,17 +216,17 @@ func (t *tokenizer) startTag() {
 			return
 		}
 		t.i++
-		value := string(t.text(textKind(quote), len(t.b)))
+		value := t.text(textKind(quote), len(t.b))
 		t.expect(quote)
 		// Declarations bind before any name of this tag is translated,
 		// and never show as attributes.
 		switch {
 		case a.prefix == "xmlns":
-			t.ns = append(t.ns, binding{a.local, value})
+			t.ns = append(t.ns, binding{a.local, t.uri(value)})
 		case a.prefix == "" && a.local == "xmlns":
-			t.ns = append(t.ns, binding{"", value})
+			t.ns = append(t.ns, binding{"", t.uri(value)})
 		default:
-			t.attrs = append(t.attrs, xml.Attr{Name: xml.Name{Space: a.prefix, Local: a.local}, Value: value})
+			t.attrs = append(t.attrs, xml.Attr{Name: xml.Name{Space: a.prefix, Local: a.local}, Value: string(value)})
 		}
 	}
 	empty := t.peek() == '/'

@@ -238,33 +238,6 @@ func TestSAXUnbalanced(t *testing.T) {
 	}
 }
 
-func TestPathCollector(t *testing.T) {
-	var leaves []string
-	pc := &PathCollector{
-		Leave: func(path []xml.Name, text []byte) error {
-			if s := strings.TrimSpace(string(text)); s != "" {
-				parts := make([]string, len(path))
-				for i, p := range path {
-					parts[i] = p.Local
-				}
-				leaves = append(leaves, strings.Join(parts, "/")+"="+s)
-			}
-			return nil
-		},
-	}
-	err := ScanSAX(strings.NewReader(`<a><b><c>1</c></b><d>2</d></a>`), pc.Handler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a/b/c=1", "a/d=2"}
-	if !reflect.DeepEqual(leaves, want) {
-		t.Fatalf("leaves %v, want %v", leaves, want)
-	}
-	if pc.Depth() != 0 {
-		t.Fatalf("final depth = %d", pc.Depth())
-	}
-}
-
 // randomTree builds an arbitrary small tree for property testing.
 func randomTree(rng *rand.Rand, depth int) *Node {
 	names := []string{"alpha", "beta", "gamma", "delta"}
