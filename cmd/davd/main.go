@@ -82,7 +82,7 @@ func bindFlags(fs *flag.FlagSet, cfg *davserver.Config) {
 	fs.IntVar(&cfg.AdmitQueue, "admit-queue", cfg.AdmitQueue,
 		"requests that may wait for an admission slot, first come first served; past it they are shed with 429 + Retry-After; 0 sheds immediately at the limit")
 	fs.BoolVar(&cfg.Brownout, "brownout", cfg.Brownout,
-		"while -slo reports degraded (dav_slo_degraded 1), refuse Depth: infinity PROPFIND with 403 propfind-finite-depth; nothing else is shed; needs -slo")
+		"while -slo reports degraded (dav_slo_degraded 1), refuse Depth: infinity PROPFIND and SEARCH with 403 propfind-finite-depth; nothing else is shed; needs -slo")
 }
 
 // run is main without the exit: every failure after Build returns

@@ -42,8 +42,8 @@ type Options struct {
 	Logger *slog.Logger
 	// Degraded, when set, reports whether the server is browned out
 	// (in davd, the SLO's burn-rate bit): while it returns true, Depth:
-	// infinity PROPFIND is refused with the RFC 4918 finite-depth
-	// precondition. Nil means never degraded.
+	// infinity PROPFIND and SEARCH are refused with the RFC 4918
+	// finite-depth precondition. Nil means never degraded.
 	Degraded func() bool
 }
 
@@ -65,7 +65,8 @@ type Handler struct {
 	// for the PUTs inside it.
 	gate *pathlock.Manager
 	opts Options
-	// deepCapped counts Depth: infinity PROPFINDs refused while degraded.
+	// deepCapped counts Depth: infinity PROPFINDs and SEARCHes refused
+	// while degraded.
 	deepCapped atomic.Uint64
 }
 
@@ -864,9 +865,23 @@ func (h *Handler) handleUnlock(w http.ResponseWriter, r *http.Request, _ string)
 // honest.
 const brownoutRetryAfter = "10"
 
+// refusedDeep refuses a Depth: infinity PROPFIND or SEARCH while the
+// server is browned out, and reports whether it did. An unbounded walk
+// is the most expensive read the protocol offers; it is refused the
+// RFC 4918 §9.1 way, so compliant clients fall back to iterative
+// Depth: 1 listings.
+func (h *Handler) refusedDeep(w http.ResponseWriter, depth davproto.Depth) bool {
+	if depth != davproto.DepthInfinity || h.opts.Degraded == nil || !h.opts.Degraded() {
+		return false
+	}
+	h.deepCapped.Add(1)
+	h.writeFiniteDepthRequired(w)
+	return true
+}
+
 // writeFiniteDepthRequired renders the RFC 4918 §9.1
 // <DAV:propfind-finite-depth/> precondition: this server (while browned
-// out) does not serve Depth: infinity PROPFIND.
+// out) does not serve Depth: infinity PROPFIND or SEARCH.
 func (h *Handler) writeFiniteDepthRequired(w http.ResponseWriter) {
 	n := xmldom.NewElement(davproto.NS, "error")
 	n.Add(davproto.NS, "propfind-finite-depth")

@@ -137,7 +137,7 @@ func (m *Metrics) TrackGate(h *Handler) {
 		func() float64 { return float64(h.gate.Stats().Cancelled) })
 	if h.opts.Degraded != nil {
 		m.Registry.GaugeFunc("dav_brownout_deep_propfind_capped_total",
-			"Depth: infinity PROPFIND refused with the finite-depth precondition under brownout (cumulative).", nil,
+			"Depth: infinity PROPFIND or SEARCH refused with the finite-depth precondition under brownout (cumulative).", nil,
 			func() float64 { return float64(h.deepCapped.Load()) })
 	}
 }

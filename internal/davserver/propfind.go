@@ -88,12 +88,7 @@ func (h *Handler) handlePropfind(w http.ResponseWriter, r *http.Request, p strin
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Under brownout an unbounded walk is the most expensive read the
-	// protocol offers; refuse it the RFC 4918 §9.1 way so compliant
-	// clients fall back to iterative Depth: 1 listings.
-	if depth == davproto.DepthInfinity && h.opts.Degraded != nil && h.opts.Degraded() {
-		h.deepCapped.Add(1)
-		h.writeFiniteDepthRequired(w)
+	if h.refusedDeep(w, depth) {
 		return
 	}
 	pf, err := davproto.ParsePropfind(r.Body)

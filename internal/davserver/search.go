@@ -25,6 +25,9 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request, _ string)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if h.refusedDeep(w, bs.Depth) {
+		return
+	}
 	h.multistatus(w, r, func(buf *bytes.Buffer) error {
 		pw := propfindWriter{h: h, buf: buf,
 			pf: davproto.Propfind{Kind: davproto.PropfindProps, Props: bs.Select}}

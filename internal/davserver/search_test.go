@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chaos"
@@ -224,5 +225,46 @@ func TestOptionsAdvertisesDASL(t *testing.T) {
 	}
 	if !strings.Contains(resp.Header.Get("Allow"), "SEARCH") {
 		t.Fatalf("Allow header = %q", resp.Header.Get("Allow"))
+	}
+}
+
+// TestSearchInfinityRefusedUnderBrownout: while degraded, a Depth:
+// infinity SEARCH is refused exactly as a Depth: infinity PROPFIND is —
+// same status, body and Retry-After, counted in the same total — and a
+// bounded SEARCH still serves.
+func TestSearchInfinityRefusedUnderBrownout(t *testing.T) {
+	var degraded atomic.Bool
+	srv, h := newTestServer(t, &Options{Degraded: degraded.Load})
+	seedSearchData(t, srv.URL)
+	degraded.Store(true)
+
+	propfind := do(t, "PROPFIND", srv.URL+"/chem", map[string]string{"Depth": "infinity"}, "")
+	wantStatus(t, propfind, 403)
+	want, _ := io.ReadAll(propfind.Body)
+	bs := davproto.BasicSearch{
+		Select: []xml.Name{{Space: "ecce:", Local: "formula"}},
+		Scope:  "/chem",
+		Depth:  davproto.DepthInfinity,
+	}
+	resp := do(t, "SEARCH", srv.URL+"/chem", nil, searchBody(bs))
+	wantStatus(t, resp, 403)
+	body, _ := io.ReadAll(resp.Body)
+	if string(body) != string(want) || !strings.Contains(string(body), "propfind-finite-depth") {
+		t.Fatalf("SEARCH refusal body = %q, want the PROPFIND's %q", body, want)
+	}
+	if got, want := resp.Header.Get("Retry-After"), propfind.Header.Get("Retry-After"); got == "" || got != want {
+		t.Fatalf("SEARCH Retry-After = %q, want %q", got, want)
+	}
+	if got := h.deepCapped.Load(); got != 2 {
+		t.Fatalf("deep reads capped = %d, want 2", got)
+	}
+
+	bs.Depth = davproto.Depth1
+	wantStatus(t, do(t, "SEARCH", srv.URL+"/chem", nil, searchBody(bs)), 207)
+	degraded.Store(false)
+	bs.Depth = davproto.DepthInfinity
+	wantStatus(t, do(t, "SEARCH", srv.URL+"/chem", nil, searchBody(bs)), 207)
+	if got := h.deepCapped.Load(); got != 2 {
+		t.Fatalf("deep reads capped after the bit fell = %d, want 2", got)
 	}
 }

@@ -21,8 +21,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Node is an XML element: a resolved name, attributes, character data
@@ -212,12 +214,6 @@ func ParseBytes(b []byte) (*Node, error) {
 	return root, nil
 }
 
-// wellKnownPrefixes maps namespaces to conventional prefixes used when
-// serializing.
-var wellKnownPrefixes = map[string]string{
-	"DAV:": "D",
-}
-
 // Marshal serializes the subtree rooted at n as a self-contained XML
 // fragment: every namespace used anywhere in the subtree is declared
 // on the root element.
@@ -240,103 +236,167 @@ func MarshalDocument(n *Node) []byte {
 
 // MarshalTo writes the serialized subtree to w.
 func MarshalTo(w io.Writer, n *Node) {
-	prefixes := assignPrefixes(n)
 	// A caller already assembling into a buffer gets the bytes there
 	// directly, not through a private one that is then copied.
 	if buf, ok := w.(*bytes.Buffer); ok {
-		writeNode(buf, n, prefixes, true)
+		marshal(buf, n)
 		return
 	}
 	var buf bytes.Buffer
-	writeNode(&buf, n, prefixes, true)
+	marshal(&buf, n)
 	w.Write(buf.Bytes())
 }
 
-// assignPrefixes collects every namespace in the subtree and assigns a
-// prefix to each. The empty namespace maps to the empty prefix.
-func assignPrefixes(n *Node) map[string]string {
-	spaces := map[string]bool{}
-	n.Walk(func(c *Node) bool {
-		if c.Name.Space != "" {
-			spaces[c.Name.Space] = true
-		}
-		for _, a := range c.Attrs {
-			if a.Name.Space != "" {
-				spaces[a.Name.Space] = true
-			}
-		}
-		return true
-	})
-	ordered := make([]string, 0, len(spaces))
-	for s := range spaces {
-		ordered = append(ordered, s)
-	}
-	sort.Strings(ordered)
-	prefixes := map[string]string{}
-	used := map[string]bool{}
-	i := 0
-	for _, s := range ordered {
-		if p, ok := wellKnownPrefixes[s]; ok && !used[p] {
-			prefixes[s] = p
-			used[p] = true
+// nsPrefix is one namespace a subtree uses and the prefix it is written
+// with: D for DAV:, ns<n> for the others.
+type nsPrefix struct {
+	space string
+	n     int // -1 for D
+}
+
+// davPrefixed is the one namespace with a conventional prefix.
+const davPrefixed = "DAV:"
+
+// marshal writes n with every namespace its subtree uses declared on
+// it. A leaf, or a tree of up to four namespaces, costs no allocation.
+func marshal(buf *bytes.Buffer, n *Node) {
+	var small [4]nsPrefix
+	spaces := collectSpaces(small[:0], n)
+	k := 0
+	for i := range spaces {
+		if spaces[i].space == davPrefixed {
+			spaces[i].n = -1
 			continue
 		}
-		for {
-			p := fmt.Sprintf("ns%d", i)
-			i++
-			if !used[p] {
-				prefixes[s] = p
-				used[p] = true
-				break
-			}
-		}
+		spaces[i].n = k
+		k++
 	}
-	return prefixes
+	writeNode(buf, n, spaces, true)
 }
 
-func qname(name xml.Name, prefixes map[string]string) string {
-	if name.Space == "" {
-		return name.Local
+// collectSpaces adds every namespace of the subtree rooted at n to
+// spaces, which it keeps sorted and free of duplicates. The empty
+// namespace is left out: it is written without a prefix.
+func collectSpaces(spaces []nsPrefix, n *Node) []nsPrefix {
+	spaces = addSpace(spaces, n.Name.Space)
+	for _, a := range n.Attrs {
+		spaces = addSpace(spaces, a.Name.Space)
 	}
-	return prefixes[name.Space] + ":" + name.Local
+	for _, c := range n.Children {
+		spaces = collectSpaces(spaces, c)
+	}
+	return spaces
 }
 
-func writeNode(buf *bytes.Buffer, n *Node, prefixes map[string]string, root bool) {
+func addSpace(spaces []nsPrefix, s string) []nsPrefix {
+	if s == "" {
+		return spaces
+	}
+	i, found := slices.BinarySearchFunc(spaces, s, compareSpace)
+	if found {
+		return spaces
+	}
+	return slices.Insert(spaces, i, nsPrefix{space: s})
+}
+
+func compareSpace(p nsPrefix, s string) int { return strings.Compare(p.space, s) }
+
+// writeName writes name as prefix:local, or local alone in the empty
+// namespace.
+func writeName(buf *bytes.Buffer, name xml.Name, spaces []nsPrefix) {
+	if name.Space != "" {
+		i, _ := slices.BinarySearchFunc(spaces, name.Space, compareSpace)
+		writePrefix(buf, spaces[i].n)
+		buf.WriteByte(':')
+	}
+	buf.WriteString(name.Local)
+}
+
+func writePrefix(buf *bytes.Buffer, n int) {
+	if n < 0 {
+		buf.WriteByte('D')
+		return
+	}
+	buf.WriteString("ns")
+	buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(n), 10))
+}
+
+func writeNode(buf *bytes.Buffer, n *Node, spaces []nsPrefix, root bool) {
 	buf.WriteByte('<')
-	buf.WriteString(qname(n.Name, prefixes))
+	writeName(buf, n.Name, spaces)
 	if root {
 		// Declare every namespace on the root so the fragment is
 		// self-contained.
-		ordered := make([]string, 0, len(prefixes))
-		for s := range prefixes {
-			ordered = append(ordered, s)
-		}
-		sort.Strings(ordered)
-		for _, s := range ordered {
-			fmt.Fprintf(buf, ` xmlns:%s="%s"`, prefixes[s], escapeAttr(s))
+		for _, s := range spaces {
+			buf.WriteString(" xmlns:")
+			writePrefix(buf, s.n)
+			buf.WriteString(`="`)
+			escapeString(buf, s.space)
+			buf.WriteByte('"')
 		}
 	}
 	for _, a := range n.Attrs {
-		fmt.Fprintf(buf, ` %s="%s"`, qname(a.Name, prefixes), escapeAttr(a.Value))
+		buf.WriteByte(' ')
+		writeName(buf, a.Name, spaces)
+		buf.WriteString(`="`)
+		escapeString(buf, a.Value)
+		buf.WriteByte('"')
 	}
 	if n.Text == "" && len(n.Children) == 0 {
 		buf.WriteString("/>")
 		return
 	}
 	buf.WriteByte('>')
-	if n.Text != "" {
-		xml.EscapeText(buf, []byte(n.Text))
-	}
+	escapeString(buf, n.Text)
 	for _, c := range n.Children {
-		writeNode(buf, c, prefixes, false)
+		writeNode(buf, c, spaces, false)
 	}
 	buf.WriteString("</")
-	buf.WriteString(qname(n.Name, prefixes))
+	writeName(buf, n.Name, spaces)
 	buf.WriteByte('>')
 }
 
-func escapeAttr(s string) string {
-	var buf bytes.Buffer
-	xml.EscapeText(&buf, []byte(s))
-	return strings.ReplaceAll(buf.String(), `"`, "&quot;")
+// escapeString writes s into buf escaped exactly as xml.EscapeText
+// escapes it, quotes included, so it serves attribute values too: an
+// invalid UTF-8 byte or a character outside XML's range becomes
+// U+FFFD. An ASCII byte is taken as it is, without decoding.
+func escapeString(buf *bytes.Buffer, s string) {
+	last := 0
+	for i := 0; i < len(s); {
+		c, width := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, width = utf8.DecodeRuneInString(s[i:])
+		}
+		var esc string
+		switch c {
+		case '"':
+			esc = "&#34;"
+		case '\'':
+			esc = "&#39;"
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '\t':
+			esc = "&#x9;"
+		case '\n':
+			esc = "&#xA;"
+		case '\r':
+			esc = "&#xD;"
+		default:
+			if !inCharacterRange(c) || (c == utf8.RuneError && width == 1) {
+				esc = "\uFFFD"
+				break
+			}
+			i += width
+			continue
+		}
+		buf.WriteString(s[last:i])
+		buf.WriteString(esc)
+		i += width
+		last = i
+	}
+	buf.WriteString(s[last:])
 }
