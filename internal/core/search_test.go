@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +132,65 @@ func TestFindByMetadataUnderPrefix(t *testing.T) {
 	}
 	if len(hits) != 2 {
 		t.Fatalf("FindWhere hits = %v", hits)
+	}
+}
+
+// TestFindUnderBrownout: while the server refuses Depth: infinity
+// SEARCH and PROPFIND, the finders walk the tree one collection at a
+// time and find what they find while it is healthy, with and without a
+// path prefix.
+func TestFindUnderBrownout(t *testing.T) {
+	for _, prefix := range []string{"", "/dav"} {
+		var degraded atomic.Bool
+		srv := httptest.NewServer(davserver.NewHandler(store.NewMemStore(),
+			&davserver.Options{Prefix: prefix, Degraded: degraded.Load}))
+		t.Cleanup(srv.Close)
+		c, err := davclient.New(davclient.Config{BaseURL: srv.URL + prefix, Persistent: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewDAVStorage(c)
+		t.Cleanup(func() { s.Close() })
+		s.CreateProject("/p", model.Project{Name: "p"})
+		for i, charge := range []string{"0", "2", "3"} {
+			calcPath := fmt.Sprintf("/p/c %d", i)
+			s.CreateCalculation(calcPath, model.Calculation{Name: "c"})
+			s.SaveRawFile(calcPath, "out", []byte("x"), "text/plain")
+			s.Annotate(calcPath+"/out", PropCharge, charge)
+		}
+		s.Annotate("/p", PropCharge, "5")
+		s.Annotate("/p/c 1", PropCharge, "2")
+		s.Annotate("/p/c 2", EcceName("tag"), "keep")
+		s.Annotate("/p/c 2/out", EcceName("tag"), "keep")
+
+		find := func() (tagged, charged []string) {
+			t.Helper()
+			if tagged, err = s.FindByMetadata("/p", EcceName("tag"), nil); err != nil {
+				t.Fatal(err)
+			}
+			charged, err = s.FindWhere("/p", davproto.CompareExpr{
+				Op: davproto.OpGte, Prop: PropCharge, Literal: "2"}, PropCharge)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tagged, charged
+		}
+		tagged, charged := find()
+		if len(tagged) != 2 || len(charged) != 4 {
+			t.Fatalf("prefix %q: healthy finds %v and %v", prefix, tagged, charged)
+		}
+		degraded.Store(true)
+		before := c.RequestCount()
+		gotTagged, gotCharged := find()
+		if !reflect.DeepEqual(gotTagged, tagged) || !reflect.DeepEqual(gotCharged, charged) {
+			t.Errorf("prefix %q: browned out finds %v and %v, want %v and %v",
+				prefix, gotTagged, gotCharged, tagged, charged)
+		}
+		// Each finder: the refused SEARCH, then a Depth: 1 PROPFIND of
+		// /p and of each calculation; FindWhere then SEARCHes each.
+		if n := c.RequestCount() - before; n != (1+4)+(1+4+4) {
+			t.Errorf("prefix %q: browned out finders sent %d requests", prefix, n)
+		}
 	}
 }
 
