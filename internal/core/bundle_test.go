@@ -238,9 +238,60 @@ func TestLoadBundleThroughWrapper(t *testing.T) {
 	}
 }
 
+// TestWriteClosesStaleViews: a write through the storage closes every
+// open Prefetch view whose root is the written path, lies above it or
+// lies under it, so the reads after it see the write; a view elsewhere
+// stays open.
+func TestWriteClosesStaleViews(t *testing.T) {
+	s, c := buildStorage(t, "")
+	s.CreateProject("/p", model.Project{Name: "p", Created: bundleCreated})
+	saveTable3(t, s, "/p/c")
+	saveTable3(t, s, "/p/d")
+	prefetch := func(p string) func() {
+		t.Helper()
+		done, err := s.Prefetch(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return done
+	}
+
+	// Above the written path: a view of the calculation, a write of its
+	// job.
+	defer prefetch("/p/c")()
+	if err := s.SaveJob("/p/c", model.Job{Host: "newhost", Status: model.JobDone}); err != nil {
+		t.Fatal(err)
+	}
+	if job, err := s.LoadJob("/p/c"); err != nil || job.Host != "newhost" {
+		t.Errorf("LoadJob after SaveJob = %+v, %v; want host newhost", job, err)
+	}
+
+	// Under the written path: a view of tasks/, a Delete of the
+	// calculation.
+	defer prefetch("/p/c/tasks")()
+	defer prefetch("/p/d")()
+	if err := s.Delete("/p/c"); err != nil {
+		t.Fatal(err)
+	}
+	if tasks, err := s.LoadTasks("/p/c"); err != nil || len(tasks) != 0 {
+		t.Errorf("LoadTasks after Delete = %v, %v; want none", tasks, err)
+	}
+
+	// The view of another calculation still answers: LoadJob sends
+	// nothing.
+	before := c.RequestCount()
+	if _, err := s.LoadJob("/p/d"); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.RequestCount() - before; n != 0 {
+		t.Errorf("LoadJob under an untouched view sent %d requests, want 0", n)
+	}
+}
+
 // TestLoadBundleConcurrent: goroutines sharing one DAVStorage each
 // read the bundle their own per-object reads assemble, while their
-// views of the same and of different calculations open and close.
+// views of the same and of different calculations open and close, and
+// while writes above them all close every open view mid-load.
 func TestLoadBundleConcurrent(t *testing.T) {
 	s, _ := buildStorage(t, "")
 	s.CreateProject("/p", model.Project{Name: "p", Created: bundleCreated})
@@ -254,6 +305,15 @@ func TestLoadBundleConcurrent(t *testing.T) {
 		want[p] = b
 	}
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			if err := s.Annotate("/p", EcceName("touched"), "yes"); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {

@@ -142,9 +142,10 @@ type DataStorage interface {
 	// one request where the store can, for the per-object readers that
 	// follow: until done is called, they take the metadata of paths
 	// under p from that read and send only what it does not hold. A
-	// store that reads object by object anyway does nothing. Those
-	// reads do not see writes made while the view is open, so it
-	// brackets reads only, as in LoadBundle.
+	// store that reads object by object anyway does nothing. A write
+	// through the same storage, from any goroutine, to p, to a path
+	// under p or to one above it closes the view, so the reads after
+	// the write ask the store again.
 	Prefetch(p string) (done func(), err error)
 
 	// Copy duplicates an entire object subtree (the Table 1 "copy

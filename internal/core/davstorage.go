@@ -94,6 +94,7 @@ func textProp(name xml.Name, value string) davproto.Property {
 
 // CreateProject implements DataStorage.
 func (s *DAVStorage) CreateProject(p string, proj model.Project) error {
+	defer s.wrote(p)
 	if err := mapErr(s.c.Mkcol(p)); err != nil {
 		return err
 	}
@@ -160,9 +161,15 @@ func (s *DAVStorage) fetch(p string, depth davproto.Depth, names ...xml.Name) ([
 				props[prop.Name()] = prop.Text()
 			}
 		}
-		out[i] = resource{path: s.c.PathOf(strings.TrimSuffix(r.Href, "/")), props: props}
+		out[i] = resource{path: s.pathOf(r), props: props}
 	}
 	return out, nil
+}
+
+// pathOf is the storage path a 207 response names: its href without
+// the base URL's path, decoded.
+func (s *DAVStorage) pathOf(r davproto.Response) string {
+	return s.c.PathOf(strings.TrimSuffix(r.Href, "/"))
 }
 
 // propsOf fetches selected properties of one resource as text.
@@ -186,7 +193,7 @@ func (s *DAVStorage) List(p string) ([]Entry, error) {
 	base := strings.TrimSuffix(p, "/")
 	var entries []Entry
 	for _, r := range ms.Responses {
-		href := s.c.PathOf(strings.TrimSuffix(r.Href, "/"))
+		href := s.pathOf(r)
 		if href == base || href == "/" {
 			continue // the container itself
 		}
@@ -203,6 +210,7 @@ func (s *DAVStorage) List(p string) ([]Entry, error) {
 
 // CreateCalculation implements DataStorage.
 func (s *DAVStorage) CreateCalculation(p string, c model.Calculation) error {
+	defer s.wrote(p)
 	if err := mapErr(s.c.Mkcol(p)); err != nil {
 		return err
 	}
@@ -211,6 +219,7 @@ func (s *DAVStorage) CreateCalculation(p string, c model.Calculation) error {
 
 // SaveCalculation implements DataStorage.
 func (s *DAVStorage) SaveCalculation(p string, c model.Calculation) error {
+	defer s.wrote(p)
 	created := c.Created
 	if created.IsZero() {
 		created = time.Now()
@@ -284,6 +293,7 @@ func (s *DAVStorage) SaveMolecule(calcPath string, mol *chem.Molecule, format st
 		return err
 	}
 	docPath := path.Join(calcPath, memberMolecule)
+	defer s.wrote(docPath)
 	ctype := "chemical/x-xyz"
 	if format == chem.FormatPDB {
 		ctype = "chemical/x-pdb"
@@ -334,6 +344,7 @@ func (s *DAVStorage) LoadMolecule(calcPath string) (*chem.Molecule, error) {
 // SaveBasis implements DataStorage.
 func (s *DAVStorage) SaveBasis(calcPath string, bs *chem.BasisSet) error {
 	docPath := path.Join(calcPath, memberBasis)
+	defer s.wrote(docPath)
 	if _, err := s.c.PutBytes(docPath, bs.Encode(), "text/plain"); err != nil {
 		return mapErr(err)
 	}
@@ -371,6 +382,7 @@ func taskDocName(t model.Task) string {
 // the paper locates the task list "through the collection mechanism".
 func (s *DAVStorage) SaveTask(calcPath string, t model.Task) error {
 	tasksPath := path.Join(calcPath, memberTasks)
+	defer s.wrote(tasksPath)
 	if err := s.c.Mkcol(tasksPath); err != nil && !davclient.IsStatus(err, http.StatusMethodNotAllowed) {
 		return mapErr(err)
 	}
@@ -422,6 +434,7 @@ func (s *DAVStorage) LoadTasks(calcPath string) ([]model.Task, error) {
 // SaveJob implements DataStorage: the job is a pure-metadata document.
 func (s *DAVStorage) SaveJob(calcPath string, j model.Job) error {
 	docPath := path.Join(calcPath, memberJob)
+	defer s.wrote(docPath)
 	if _, err := s.c.PutBytes(docPath, nil, "text/plain"); err != nil {
 		return mapErr(err)
 	}
@@ -508,6 +521,7 @@ func propDocName(name string) string {
 // discoverable metadata.
 func (s *DAVStorage) SaveProperty(calcPath string, p model.Property) error {
 	propsPath := path.Join(calcPath, memberProperties)
+	defer s.wrote(propsPath)
 	if err := s.c.Mkcol(propsPath); err != nil && !davclient.IsStatus(err, http.StatusMethodNotAllowed) {
 		return mapErr(err)
 	}
@@ -576,7 +590,8 @@ func (s *DAVStorage) LoadProperties(calcPath string) ([]model.Property, error) {
 // is absent. A server that refuses the unbounded PROPFIND (RFC 4918
 // §9.1: davd while browned out, Apache mod_dav by default) is read
 // object by object, and is not asked again until its Retry-After has
-// passed.
+// passed. The view is shared by every goroutine using s, and each write
+// method closes the views its path touches (wrote).
 func (s *DAVStorage) Prefetch(p string) (func(), error) {
 	s.mu.Lock()
 	refused := time.Now().Before(s.finiteUntil)
@@ -629,11 +644,26 @@ func (s *DAVStorage) viewOver(p string, names ...xml.Name) *view {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := len(s.views) - 1; i >= 0; i-- {
-		if v := s.views[i]; p == v.root || strings.HasPrefix(p, strings.TrimSuffix(v.root, "/")+"/") {
+		if v := s.views[i]; within(p, v.root) {
 			return v
 		}
 	}
 	return nil
+}
+
+// wrote closes the open views a write to p may have made stale: those
+// whose root is p, lies under p, or lies above it. Every write method
+// defers it, so the view is gone once the write has returned.
+func (s *DAVStorage) wrote(p string) {
+	p = cleanPath(p)
+	s.mu.Lock()
+	s.views = slices.DeleteFunc(s.views, func(v *view) bool { return within(p, v.root) || within(v.root, p) })
+	s.mu.Unlock()
+}
+
+// within reports whether the clean path p is root or lies under it.
+func within(p, root string) bool {
+	return p == root || strings.HasPrefix(p, strings.TrimSuffix(root, "/")+"/")
 }
 
 // read answers as DAVStorage.read would from the server: p, then at
@@ -679,7 +709,7 @@ func (s *DAVStorage) walk(root string, names ...xml.Name) ([]davproto.Response, 
 			return nil, nil, err
 		}
 		for _, r := range ms.Responses {
-			p := s.c.PathOf(strings.TrimSuffix(r.Href, "/"))
+			p := s.pathOf(r)
 			if p == dirs[i] {
 				if i == 0 {
 					out = append(out, r)
@@ -699,6 +729,7 @@ func (s *DAVStorage) walk(root string, names ...xml.Name) ([]davproto.Response, 
 // SaveRawFile implements DataStorage.
 func (s *DAVStorage) SaveRawFile(calcPath, name string, data []byte, contentType string) error {
 	docPath := path.Join(calcPath, name)
+	defer s.wrote(docPath)
 	if _, err := s.c.PutBytes(docPath, data, contentType); err != nil {
 		return mapErr(err)
 	}
@@ -714,17 +745,20 @@ func (s *DAVStorage) LoadRawFile(calcPath, name string) ([]byte, error) {
 // Copy implements DataStorage via server-side COPY (Table 1's "copy
 // hierarchy" runs entirely on the server).
 func (s *DAVStorage) Copy(src, dst string) error {
+	defer s.wrote(dst)
 	return mapErr(s.c.Copy(src, dst, davproto.DepthInfinity, false))
 }
 
 // Delete implements DataStorage.
 func (s *DAVStorage) Delete(p string) error {
+	defer s.wrote(p)
 	return mapErr(s.c.Delete(p))
 }
 
 // Annotate implements Annotator: any application can attach new
 // metadata without Ecce's involvement.
 func (s *DAVStorage) Annotate(p string, name xml.Name, value string) error {
+	defer s.wrote(p)
 	return mapErr(s.c.SetProps(p, davproto.NewTextProperty(name.Space, name.Local, value)))
 }
 
@@ -765,7 +799,7 @@ func (s *DAVStorage) FindByMetadata(root string, name xml.Name, pred func(string
 	if err != nil {
 		return nil, mapErr(err)
 	}
-	return filterHits(ms, name, pred), nil
+	return s.filterHits(ms, name, pred), nil
 }
 
 // FindWhere runs an arbitrary DASL expression server-side, returning
@@ -789,7 +823,7 @@ func (s *DAVStorage) FindWhere(root string, where davproto.SearchExpr, selectNam
 	}
 	var hits []string
 	for _, r := range ms.Responses {
-		hits = append(hits, strings.TrimSuffix(r.Href, "/"))
+		hits = append(hits, s.pathOf(r))
 	}
 	sort.Strings(hits)
 	return slices.Compact(hits), nil
@@ -814,8 +848,9 @@ func (s *DAVStorage) searchEach(root string, bs davproto.BasicSearch) ([]davprot
 	return out, nil
 }
 
-// filterHits keeps responses whose property satisfies pred.
-func filterHits(ms davproto.Multistatus, name xml.Name, pred func(string) bool) []string {
+// filterHits is the paths of the responses whose property satisfies
+// pred.
+func (s *DAVStorage) filterHits(ms davproto.Multistatus, name xml.Name, pred func(string) bool) []string {
 	var hits []string
 	for _, r := range ms.Responses {
 		props := davproto.PropsByName(r.Propstats)
@@ -824,7 +859,7 @@ func filterHits(ms davproto.Multistatus, name xml.Name, pred func(string) bool) 
 			continue
 		}
 		if pred == nil || pred(prop.Text()) {
-			hits = append(hits, strings.TrimSuffix(r.Href, "/"))
+			hits = append(hits, s.pathOf(r))
 		}
 	}
 	sort.Strings(hits)

@@ -97,7 +97,8 @@ func TestFindWhere(t *testing.T) {
 // prefix, the finders still search server-side. The SEARCH body names
 // its scope under the prefix, as the request URL does; a scope the
 // server cannot resolve would be a 400, which FindByMetadata takes for
-// "no SEARCH support" and silently walks instead.
+// "no SEARCH support" and silently walks instead. The hits are storage
+// paths, without the prefix, that the readers load.
 func TestFindByMetadataUnderPrefix(t *testing.T) {
 	srv := httptest.NewServer(davserver.NewHandler(store.NewMemStore(), &davserver.Options{Prefix: "/dav"}))
 	t.Cleanup(srv.Close)
@@ -119,19 +120,22 @@ func TestFindByMetadataUnderPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) != 1 || !strings.HasSuffix(hits[0], "/data/c1") {
-		t.Fatalf("hits = %v", hits)
+	if !reflect.DeepEqual(hits, []string{"/data/c1"}) {
+		t.Fatalf("hits = %v, want [/data/c1]", hits)
 	}
 	if got := c.RequestCount() - reqBefore; got != 1 {
 		t.Fatalf("requests = %d, want 1 (server-side search)", got)
+	}
+	if _, err := s.LoadCalculation(hits[0]); err != nil {
+		t.Fatalf("loading the hit: %v", err)
 	}
 	hits, err = s.FindWhere("/data", davproto.CompareExpr{
 		Op: davproto.OpGte, Prop: PropCharge, Literal: "1"}, PropCharge)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) != 2 {
-		t.Fatalf("FindWhere hits = %v", hits)
+	if !reflect.DeepEqual(hits, []string{"/data/c1", "/data/c2"}) {
+		t.Fatalf("FindWhere hits = %v, want [/data/c1 /data/c2]", hits)
 	}
 }
 
@@ -231,7 +235,7 @@ func TestQuickSearchMatchesWalk(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		walk := filterHits(ms, tag, nil)
+		walk := s.filterHits(ms, tag, nil)
 		if len(hits) != len(walk) || len(hits) != len(want) {
 			t.Logf("search=%v walk=%v want=%v", hits, walk, want)
 			return false

@@ -66,14 +66,9 @@ type Config struct {
 	// transport faults between client and server.
 	Transport http.RoundTripper
 	// Metrics, when set, records client-side telemetry into the given
-	// registry: requests issued, retries, backoff sleeps, and retry
-	// budget exhaustion.
+	// registry: requests issued, retries, backoff sleeps, and load
+	// sheds.
 	Metrics *obs.Registry
-	// Tracer, when set, opens one root span per logical operation
-	// ("dav.client <METHOD>", spanning every retry attempt, each of
-	// which gets a child span) and propagates the trace to the server
-	// via the traceparent header.
-	Tracer *trace.Tracer
 }
 
 // Client is a WebDAV client. It is safe for concurrent use.
@@ -171,8 +166,9 @@ func (c *Client) RetryCount() int64 {
 
 // WithContext returns a shallow copy of the client whose requests run
 // under ctx: cancellation aborts in-flight requests and pending retry
-// backoffs. The copy shares the transport, counters, and retry budget
-// with its parent.
+// backoffs. A span in ctx reaches the server as a traceparent header,
+// so the caller's trace continues there. The copy shares the transport,
+// counters, and retry state with its parent.
 func (c *Client) WithContext(ctx context.Context) *Client {
 	c2 := *c
 	c2.ctx = ctx
@@ -232,76 +228,47 @@ func (c *Client) PathOf(href string) string {
 
 // do issues a request, enforcing the expected status codes. With a
 // RetryPolicy configured, idempotent requests whose bodies can be
-// rewound are retried on transient failures; the final error is
-// annotated with the attempt count but still matches IsStatus /
-// errors.As classification.
+// rewound are retried on transient failures; the last attempt's error
+// is returned.
 //
 // Every attempt of one logical operation shares a single X-Request-ID
 // — taken from the context when the caller stamped one with
 // obs.WithRequestID, freshly generated otherwise — so the operation is
-// traceable end-to-end through the server's access log.
-//
-// With a Tracer configured, the whole logical operation is one root
-// span covering every retry attempt and backoff sleep; each attempt is
-// a child span, and the traceparent header carries the trace to the
-// server. When the caller supplied no request ID, it is minted from the
-// trace ID, so access-log lines and traces join on one identifier.
+// traceable end-to-end through the server's access log. A span the
+// caller put in the context (WithContext) is carried to the server by
+// each attempt's traceparent header; the client opens no span itself.
 func (c *Client) do(method, p string, headers map[string]string, body io.Reader, want ...int) (*http.Response, error) {
 	ctx := c.context()
-	var root *trace.Span
-	if c.cfg.Tracer != nil {
-		ctx, root = c.cfg.Tracer.Start(ctx, "dav.client "+method,
-			trace.Str("method", method), trace.Str("path", p))
-	}
 	reqID := obs.RequestIDFrom(ctx)
-	if reqID == "" && root != nil {
-		reqID = root.TraceID().String()
-	}
 	if reqID == "" {
 		reqID = obs.NewRequestID()
 	}
 	rw, rewindable := newRewinder(body)
 	attempts := c.retry.attemptsFor(method, rewindable)
 	var lastErr error
-	finalAttempt := 1
 	for attempt := 1; ; attempt++ {
-		finalAttempt = attempt
 		if attempt > 1 {
 			if err := rw.rewind(); err != nil {
 				lastErr = fmt.Errorf("davclient: %s %s: rewind for retry: %w", method, p, err)
 				break
 			}
 		}
-		attemptCtx := ctx
-		var att *trace.Span
-		if root != nil {
-			attemptCtx, att = trace.Child(ctx, "dav.client.attempt",
-				trace.Int("attempt", int64(attempt)))
-		}
-		resp, err := c.once(attemptCtx, method, p, reqID, headers, body, want)
-		att.EndErr(err)
+		resp, err := c.once(ctx, method, p, reqID, headers, body, want)
 		if err == nil {
-			root.SetAttr(trace.Int("attempts", int64(attempt)))
-			root.End()
 			return resp, nil
 		}
 		lastErr = err
 		if attempt >= attempts || !c.retry.retryableErr(err) {
 			break
 		}
-		if !c.retry.takeBudget() {
-			c.met.countBudgetExhausted()
-			break
-		}
+		c.retry.retries.Add(1)
 		c.met.countRetry()
 		delay := c.retry.delay(attempt, lastErr)
 		c.met.observeBackoff(delay)
-		if err := c.retry.policy.Sleep(ctx, delay); err != nil {
+		if err := c.retry.sleep(ctx, delay); err != nil {
 			break // context cancelled while backing off
 		}
 	}
-	root.SetAttr(trace.Int("attempts", int64(finalAttempt)))
-	root.EndErr(lastErr)
 	return nil, lastErr
 }
 

@@ -41,6 +41,44 @@ func FuzzParseMultistatus(f *testing.F) {
 	})
 }
 
+// PathOf reads hrefs straight off the network. It never panics, and
+// for every resource path without a '%' it inverts hrefFor in both the
+// path and the absolute-URI form, under a base URL with and without a
+// path. (A '%' is escaped by a server that encodes its hrefs and left
+// as it is by davd, which does not; TestPathOf covers both.)
+func FuzzPathOf(f *testing.F) {
+	for _, tc := range []string{
+		"/", "/p/c/molecule", "/p/my calc & co/molecule", "/p/calc #3?/basis",
+		"/dav", "/dav/p", "/davx/p", "/a:/b", "p/../q", "http://h/dav/p",
+		"/p/my%20calc", "/p/100%/job", "%zz", "://", "",
+	} {
+		f.Add(tc)
+	}
+	clients := map[string]*Client{}
+	for _, base := range []string{"", "/dav"} {
+		c, err := New(Config{BaseURL: "http://h" + base})
+		if err != nil {
+			f.Fatal(err)
+		}
+		clients[base] = c
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for base, c := range clients {
+			c.PathOf(s) // any href
+			p, err := store.CleanPath(s)
+			if err != nil || strings.Contains(p, "%") {
+				continue
+			}
+			href := c.hrefFor(p)
+			for _, h := range []string{href, "http://h" + href} {
+				if got := c.PathOf(h); got != p {
+					t.Fatalf("base %q: PathOf(%q) = %q, want %q", base, h, got, p)
+				}
+			}
+		}
+	})
+}
+
 // foreignMultistatuses are 207 shapes a third-party server may send.
 var foreignMultistatuses = []string{
 	// Every prefix declared once, on the root.

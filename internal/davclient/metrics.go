@@ -10,11 +10,10 @@ import (
 // set. A nil *clientMetrics is valid and discards everything, so the
 // hot path needs no conditionals at call sites.
 type clientMetrics struct {
-	requests        *obs.Counter
-	retries         *obs.Counter
-	budgetExhausted *obs.Counter
-	shed            *obs.Counter
-	backoff         *obs.Histogram
+	requests *obs.Counter
+	retries  *obs.Counter
+	shed     *obs.Counter
+	backoff  *obs.Histogram
 }
 
 // newClientMetrics registers the client metric families in reg (nil
@@ -28,8 +27,6 @@ func newClientMetrics(reg *obs.Registry) *clientMetrics {
 			"HTTP requests issued, including retry attempts.", nil),
 		retries: reg.Counter("davclient_retries_total",
 			"Automatic retries performed on transient failures.", nil),
-		budgetExhausted: reg.Counter("davclient_retry_budget_exhausted_total",
-			"Retries abandoned because the client-wide retry budget ran out.", nil),
 		shed: reg.Counter("dav_client_shed_total",
 			"Responses identifying server load shedding: 429, or 503 carrying Retry-After.", nil),
 		backoff: reg.Histogram("davclient_backoff_seconds",
@@ -46,12 +43,6 @@ func (m *clientMetrics) countRequest() {
 func (m *clientMetrics) countRetry() {
 	if m != nil {
 		m.retries.Inc()
-	}
-}
-
-func (m *clientMetrics) countBudgetExhausted() {
-	if m != nil {
-		m.budgetExhausted.Inc()
 	}
 }
 

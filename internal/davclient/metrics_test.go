@@ -13,10 +13,7 @@ import (
 
 // instantPolicy retries immediately so tests don't sleep.
 func instantPolicy() *RetryPolicy {
-	return &RetryPolicy{
-		MaxAttempts: 4,
-		Sleep:       func(context.Context, time.Duration) error { return nil },
-	}
+	return &RetryPolicy{Sleep: func(context.Context, time.Duration) error { return nil }}
 }
 
 func TestClientMetricsCountRetries(t *testing.T) {
@@ -49,35 +46,6 @@ func TestClientMetricsCountRetries(t *testing.T) {
 	}
 	if got := reg.Histogram("davclient_backoff_seconds", "", nil, obs.DefBuckets).Count(); got != 2 {
 		t.Errorf("davclient_backoff_seconds count = %d, want 2 sleeps", got)
-	}
-	if got := reg.Counter("davclient_retry_budget_exhausted_total", "", nil).Value(); got != 0 {
-		t.Errorf("budget exhausted = %d, want 0", got)
-	}
-}
-
-func TestClientMetricsBudgetExhausted(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-
-	pol := instantPolicy()
-	pol.Budget = 1
-	reg := obs.NewRegistry()
-	c, err := New(Config{BaseURL: srv.URL, Retry: pol, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if _, err := c.Get("/x"); err == nil {
-		t.Fatal("expected failure against an always-503 server")
-	}
-	if got := reg.Counter("davclient_retry_budget_exhausted_total", "", nil).Value(); got != 1 {
-		t.Errorf("davclient_retry_budget_exhausted_total = %d, want 1", got)
-	}
-	if got := reg.Counter("davclient_retries_total", "", nil).Value(); got != 1 {
-		t.Errorf("davclient_retries_total = %d, want 1 (the budgeted retry)", got)
 	}
 }
 

@@ -12,11 +12,10 @@ import (
 )
 
 // RetryPolicy makes a Client retry idempotent requests on transient
-// failures: network errors and 429/502/503/504 responses. Backoff is
-// exponential with full jitter; a Retry-After header on a rejected
-// response overrides the computed delay (capped at MaxDelay). A
-// client-wide retry budget bounds the extra load a misbehaving server
-// can induce.
+// failures: network errors and 429/502/503/504 responses. A request
+// gets at most 4 tries. Backoff is exponential from 50 ms with full
+// jitter; a Retry-After header on a rejected response overrides the
+// computed delay, and both are capped at 2 s.
 //
 // Only idempotent DAV methods are retried (OPTIONS, GET, HEAD, PUT,
 // DELETE, PROPFIND, PROPPATCH, MKCOL, SEARCH, REPORT). LOCK — in
@@ -25,35 +24,28 @@ import (
 // no longer holds. Requests whose body cannot be rewound (a non-seeking
 // io.Reader) get a single attempt regardless of policy.
 type RetryPolicy struct {
-	// MaxAttempts is the total number of tries including the first
-	// (default 4; values below 2 disable retrying).
-	MaxAttempts int
-	// BaseDelay seeds the exponential backoff (default 50 ms).
-	BaseDelay time.Duration
-	// MaxDelay caps both backoff and honored Retry-After waits
-	// (default 2 s).
-	MaxDelay time.Duration
-	// Budget caps the total number of retries (not first attempts)
-	// this client may spend over its lifetime; 0 means unlimited.
-	Budget int64
-	// RetryOn lists the HTTP statuses treated as transient (default
-	// 429, 502, 503, 504).
-	RetryOn []int
-	// Seed feeds the jitter RNG so tests can pin delays.
+	// Seed feeds the jitter RNG so tests and the seeded chaos
+	// experiment can pin delays; 0 seeds each client from fresh
+	// entropy, so two clients do not back off in step.
 	Seed int64
 	// Sleep waits between attempts; nil uses a context-aware timer
-	// sleep. Tests substitute an instant recorder.
+	// sleep. It exists so tests can substitute an instant recorder.
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-// DefaultRetryPolicy returns the production defaults described above.
-func DefaultRetryPolicy() *RetryPolicy {
-	return &RetryPolicy{
-		MaxAttempts: 4,
-		BaseDelay:   50 * time.Millisecond,
-		MaxDelay:    2 * time.Second,
-	}
-}
+// The retry policy's fixed settings.
+const (
+	// maxAttempts is the total number of tries including the first.
+	maxAttempts = 4
+	// baseDelay is the backoff ceiling of the first retry; it doubles
+	// with each further one.
+	baseDelay = 50 * time.Millisecond
+	// maxDelay caps both backoff and honoured Retry-After waits.
+	maxDelay = 2 * time.Second
+)
+
+// DefaultRetryPolicy returns the production policy described above.
+func DefaultRetryPolicy() *RetryPolicy { return &RetryPolicy{} }
 
 // retryableMethods are the idempotent methods the policy may replay.
 var retryableMethods = map[string]bool{
@@ -71,10 +63,9 @@ var retryableMethods = map[string]bool{
 
 // retrier is the per-client runtime state behind a RetryPolicy.
 type retrier struct {
-	policy  RetryPolicy
+	sleep   func(ctx context.Context, d time.Duration) error
 	mu      sync.Mutex
 	rng     *rand.Rand
-	spent   atomic.Int64 // retries consumed against the budget
 	retries atomic.Int64 // total retries performed (metrics)
 }
 
@@ -82,28 +73,16 @@ func newRetrier(p *RetryPolicy) *retrier {
 	if p == nil {
 		return nil
 	}
-	pol := *p
-	if pol.MaxAttempts == 0 {
-		pol.MaxAttempts = 4
+	rt := &retrier{sleep: p.Sleep}
+	if rt.sleep == nil {
+		rt.sleep = ctxSleep
 	}
-	if pol.BaseDelay <= 0 {
-		pol.BaseDelay = 50 * time.Millisecond
+	seed := p.Seed
+	if seed == 0 {
+		seed = rand.Int63() // the global source is seeded at random
 	}
-	if pol.MaxDelay <= 0 {
-		pol.MaxDelay = 2 * time.Second
-	}
-	if len(pol.RetryOn) == 0 {
-		pol.RetryOn = []int{
-			http.StatusTooManyRequests,
-			http.StatusBadGateway,
-			http.StatusServiceUnavailable,
-			http.StatusGatewayTimeout,
-		}
-	}
-	if pol.Sleep == nil {
-		pol.Sleep = ctxSleep
-	}
-	return &retrier{policy: pol, rng: rand.New(rand.NewSource(pol.Seed))}
+	rt.rng = rand.New(rand.NewSource(seed))
+	return rt
 }
 
 // ctxSleep waits for d or until ctx is done.
@@ -123,10 +102,10 @@ func ctxSleep(ctx context.Context, d time.Duration) error {
 
 // attemptsFor reports how many attempts a request may make.
 func (rt *retrier) attemptsFor(method string, rewindable bool) int {
-	if rt == nil || !retryableMethods[method] || !rewindable || rt.policy.MaxAttempts < 2 {
+	if rt == nil || !retryableMethods[method] || !rewindable {
 		return 1
 	}
-	return rt.policy.MaxAttempts
+	return maxAttempts
 }
 
 // retryableErr reports whether err is transient: a retryable status or
@@ -137,10 +116,10 @@ func (rt *retrier) retryableErr(err error) bool {
 	}
 	var se *StatusError
 	if errors.As(err, &se) {
-		for _, code := range rt.policy.RetryOn {
-			if se.Code == code {
-				return true
-			}
+		switch se.Code {
+		case http.StatusTooManyRequests, http.StatusBadGateway,
+			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+			return true
 		}
 		return false
 	}
@@ -149,31 +128,15 @@ func (rt *retrier) retryableErr(err error) bool {
 	return true
 }
 
-// takeBudget consumes one retry from the budget, reporting false when
-// the budget is exhausted.
-func (rt *retrier) takeBudget() bool {
-	if rt.policy.Budget > 0 && rt.spent.Add(1) > rt.policy.Budget {
-		return false
-	}
-	rt.retries.Add(1)
-	return true
-}
-
 // delay computes the wait before the given retry (1-based). A server
 // Retry-After hint wins over computed backoff; both are capped at
-// MaxDelay.
+// maxDelay.
 func (rt *retrier) delay(retry int, err error) time.Duration {
 	var se *StatusError
 	if errors.As(err, &se) && se.RetryAfter > 0 {
-		if se.RetryAfter > rt.policy.MaxDelay {
-			return rt.policy.MaxDelay
-		}
-		return se.RetryAfter
+		return min(se.RetryAfter, maxDelay)
 	}
-	ceil := rt.policy.BaseDelay << (retry - 1)
-	if ceil > rt.policy.MaxDelay || ceil <= 0 {
-		ceil = rt.policy.MaxDelay
-	}
+	ceil := min(baseDelay<<(retry-1), maxDelay) // retry < maxAttempts: no overflow
 	// Full jitter: uniform in [0, ceil).
 	rt.mu.Lock()
 	d := time.Duration(rt.rng.Int63n(int64(ceil)))

@@ -185,11 +185,10 @@ func TestRetryAfterHonored(t *testing.T) {
 		Nth:           map[chaos.Kind]int{chaos.Err5xx: 1},
 		MaxFaults:     1,
 		StatusCodes:   []int{503},
-		RetryAfterSec: 7,
+		RetryAfterSec: 1, // under the 2 s cap
 	})
 	sleeper := &instantSleep{}
 	pol := DefaultRetryPolicy()
-	pol.MaxDelay = 10 * time.Second
 	pol.Sleep = sleeper.sleep
 	c := newChaosPair(t, in, pol)
 
@@ -198,8 +197,8 @@ func TestRetryAfterHonored(t *testing.T) {
 	}
 	sleeper.mu.Lock()
 	defer sleeper.mu.Unlock()
-	if len(sleeper.delays) != 1 || sleeper.delays[0] != 7*time.Second {
-		t.Fatalf("delays = %v, want exactly the server's 7s Retry-After", sleeper.delays)
+	if len(sleeper.delays) != 1 || sleeper.delays[0] != time.Second {
+		t.Fatalf("delays = %v, want exactly the server's 1s Retry-After", sleeper.delays)
 	}
 }
 
@@ -211,7 +210,7 @@ func TestRetryAfterCappedAtMaxDelay(t *testing.T) {
 		RetryAfterSec: 3600,
 	})
 	sleeper := &instantSleep{}
-	pol := DefaultRetryPolicy() // MaxDelay 2s
+	pol := DefaultRetryPolicy() // maxDelay 2s
 	pol.Sleep = sleeper.sleep
 	c := newChaosPair(t, in, pol)
 	if _, err := c.PutBytes("/doc", []byte("x"), ""); err != nil {
@@ -220,30 +219,51 @@ func TestRetryAfterCappedAtMaxDelay(t *testing.T) {
 	sleeper.mu.Lock()
 	defer sleeper.mu.Unlock()
 	if len(sleeper.delays) != 1 || sleeper.delays[0] != 2*time.Second {
-		t.Fatalf("delays = %v, want the 2s MaxDelay cap", sleeper.delays)
+		t.Fatalf("delays = %v, want the 2s maxDelay cap", sleeper.delays)
 	}
 }
 
-func TestRetryBudgetExhaustion(t *testing.T) {
-	in := chaos.NewInjector(chaos.Plan{Rates: map[chaos.Kind]float64{chaos.Reset: 1}})
-	pol := DefaultRetryPolicy()
-	pol.Budget = 2
-	pol.Sleep = (&instantSleep{}).sleep
-	c := newChaosPair(t, in, pol)
+// TestDefaultClientsJitterApart: two clients on the default policy
+// seed their jitter apart, so after one outage they do not retry in
+// step.
+func TestDefaultClientsJitterApart(t *testing.T) {
+	first := func() time.Duration {
+		c, err := New(Config{BaseURL: "http://127.0.0.1:1", Retry: DefaultRetryPolicy()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		return c.retry.delay(1, errors.New("connection reset"))
+	}
+	if a, b := first(), first(); a == b {
+		t.Fatalf("two default clients both drew %v for their first backoff", a)
+	}
+}
 
-	// Every call resets: the first request burns the whole budget
-	// (1 try + 2 retries), the second gets a single attempt.
+// TestEveryRequestGetsFourAttempts: a request that always fails
+// transiently is tried four times, with backoff ceilings of 50, 100 and
+// 200 ms between the tries.
+func TestEveryRequestGetsFourAttempts(t *testing.T) {
+	in := chaos.NewInjector(chaos.Plan{Rates: map[chaos.Kind]float64{chaos.Reset: 1}})
+	sleeper := &instantSleep{}
+	pol := DefaultRetryPolicy()
+	pol.Sleep = sleeper.sleep
+	c := newChaosPair(t, in, pol)
 	if _, err := c.Get("/a"); err == nil {
 		t.Fatal("expected failure")
 	}
-	if got := c.RequestCount(); got != 3 {
-		t.Fatalf("RequestCount after first = %d, want 3", got)
-	}
-	if _, err := c.Get("/b"); err == nil {
-		t.Fatal("expected failure")
-	}
 	if got := c.RequestCount(); got != 4 {
-		t.Fatalf("RequestCount after second = %d, want 4 (budget spent)", got)
+		t.Fatalf("RequestCount = %d, want 4", got)
+	}
+	sleeper.mu.Lock()
+	defer sleeper.mu.Unlock()
+	if len(sleeper.delays) != 3 {
+		t.Fatalf("delays = %v, want 3", sleeper.delays)
+	}
+	for i, d := range sleeper.delays {
+		if ceil := 50 * time.Millisecond << i; d < 0 || d >= ceil {
+			t.Errorf("delay %d = %v, want in [0, %v)", i+1, d, ceil)
+		}
 	}
 }
 

@@ -46,7 +46,6 @@ func (s *shedServer) handler() http.Handler {
 func newShedClient(t *testing.T, srv *httptest.Server, sleeper *instantSleep, reg *obs.Registry) *Client {
 	t.Helper()
 	pol := DefaultRetryPolicy()
-	pol.MaxDelay = 10 * time.Second
 	pol.Sleep = sleeper.sleep
 	c, err := New(Config{BaseURL: srv.URL, Retry: pol, Metrics: reg})
 	if err != nil {
@@ -57,7 +56,7 @@ func newShedClient(t *testing.T, srv *httptest.Server, sleeper *instantSleep, re
 }
 
 func TestShed429HonorsRetryAfterAndCounts(t *testing.T) {
-	ss := &shedServer{sheds: 1, status: http.StatusTooManyRequests, retrySec: "3"}
+	ss := &shedServer{sheds: 1, status: http.StatusTooManyRequests, retrySec: "1"}
 	srv := httptest.NewServer(ss.handler())
 	defer srv.Close()
 	sleeper := &instantSleep{}
@@ -69,8 +68,8 @@ func TestShed429HonorsRetryAfterAndCounts(t *testing.T) {
 	}
 	// The 429's Retry-After is the backoff, exactly as for 503.
 	sleeper.mu.Lock()
-	if len(sleeper.delays) != 1 || sleeper.delays[0] != 3*time.Second {
-		t.Fatalf("delays = %v, want the server's 3s Retry-After", sleeper.delays)
+	if len(sleeper.delays) != 1 || sleeper.delays[0] != time.Second {
+		t.Fatalf("delays = %v, want the server's 1s Retry-After", sleeper.delays)
 	}
 	sleeper.mu.Unlock()
 	// The shed is counted apart from failures.

@@ -208,7 +208,7 @@ func Build(cfg Config) (*Server, error) {
 	reg.GaugeFunc("process_uptime_seconds", "Seconds since the process registered its metrics.", nil,
 		func() float64 { return time.Since(start).Seconds() })
 	ops.RegisterRuntime(reg)
-	tracker := ops.NewTracker(ops.TrackerConfig{SLO: slo})
+	tracker := ops.NewTracker(slo)
 	tracker.Register(reg)
 	slow := cfg.SlowThreshold
 	if slow == 0 {

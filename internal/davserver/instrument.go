@@ -177,7 +177,7 @@ type recoveryStatser interface {
 }
 
 // journalStatser is implemented by stores with a write-ahead intent
-// journal (FSStore; Journal may return nil when journaling is off).
+// journal (FSStore).
 type journalStatser interface {
 	Journal() *journal.Journal
 }
@@ -253,12 +253,7 @@ func (m *Metrics) TrackStore(s store.Store) {
 	if js, ok := s.(journalStatser); ok {
 		m.Registry.GaugeFunc("dav_journal_pending_intents",
 			"Intent-journal records awaiting their commit mark. Nonzero at rest means an operation died mid-flight.", nil,
-			func() float64 {
-				if j := js.Journal(); j != nil {
-					return float64(j.Len())
-				}
-				return 0
-			})
+			func() float64 { return float64(js.Journal().Len()) })
 	}
 	m.Registry.GaugeFunc("dav_fsync_errors_total",
 		"Fsync failures demoted to best-effort after a successful rename (cumulative).",

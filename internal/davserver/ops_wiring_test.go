@@ -27,7 +27,7 @@ func TestInstrumentFeedsOpsTracker(t *testing.T) {
 			Target:    0.99,
 		}},
 	})
-	tr := ops.NewTracker(ops.TrackerConfig{K: 8, SLO: slo})
+	tr := ops.NewTracker(slo)
 
 	s := store.NewMemStore()
 	h := InstrumentWith(NewHandler(s, nil), InstrumentOptions{Ops: tr})

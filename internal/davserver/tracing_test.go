@@ -1,6 +1,7 @@
 package davserver
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -16,7 +17,7 @@ import (
 
 // newTracedServer boots the full traced stack — recorder, tracer,
 // instrumented store, DAV handler, tracing middleware — with client and
-// server sharing one tracer, exactly like the in-process benchmarks.
+// server sharing one recorder, as the in-process benchmarks do.
 func newTracedServer(t *testing.T, slow time.Duration) (*httptest.Server, *trace.Recorder, *syncWriter) {
 	t.Helper()
 	rec := trace.NewRecorder(trace.RecorderConfig{SampleRate: 1, SlowThreshold: -1})
@@ -33,18 +34,25 @@ func newTracedServer(t *testing.T, slow time.Duration) (*httptest.Server, *trace
 	return srv, rec, logw
 }
 
-// tracedClient returns a davclient sharing the server's tracer so the
-// client root span and the server's remote-continued span land in one
-// trace.
-func tracedClient(t *testing.T, srv *httptest.Server, rec *trace.Recorder) *davclient.Client {
+// tracedPut PUTs p the way a traced caller does: it opens a root span
+// on a tracer sharing the server's recorder and hands it to the client
+// through WithContext, whose traceparent header carries the trace to
+// the server, so the caller's root, the server span and the store spans
+// land in one trace.
+func tracedPut(t *testing.T, srv *httptest.Server, rec *trace.Recorder, p string) {
 	t.Helper()
-	tr := trace.New(trace.Config{Recorder: rec})
-	c, err := davclient.New(davclient.Config{BaseURL: srv.URL, Persistent: true, Tracer: tr})
+	c, err := davclient.New(davclient.Config{BaseURL: srv.URL, Persistent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	return c
+	defer c.Close()
+	tr := trace.New(trace.Config{Recorder: rec})
+	ctx, root := tr.Start(context.Background(), "caller")
+	_, err = c.WithContext(ctx).PutBytes(p, []byte("payload"), "text/plain")
+	root.EndErr(err)
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // spanDepth walks the parent chain of sp inside spans.
@@ -65,27 +73,23 @@ func spanDepth(spans []trace.SpanData, sp trace.SpanData) int {
 }
 
 // TestTracedRequestSpansThreeLevels drives one PUT through the shared
-// tracer and asserts the retained trace nests client → server → store
+// tracer and asserts the retained trace nests caller → server → store
 // (the acceptance bar: at least three span levels in a single trace).
 func TestTracedRequestSpansThreeLevels(t *testing.T) {
 	srv, rec, logw := newTracedServer(t, 0)
-	c := tracedClient(t, srv, rec)
-
-	if _, err := c.PutBytes("/traced-doc", []byte("payload"), "text/plain"); err != nil {
-		t.Fatal(err)
-	}
+	tracedPut(t, srv, rec, "/traced-doc")
 	if rec.Len() != 1 {
 		t.Fatalf("retained %d traces, want 1", rec.Len())
 	}
 	tc := rec.Traces()[0]
-	if tc.Root.Name != "dav.client PUT" {
-		t.Fatalf("trace root = %q, want the client root", tc.Root.Name)
+	if tc.Root.Name != "caller" {
+		t.Fatalf("trace root = %q, want the caller's root", tc.Root.Name)
 	}
 	names := map[string]trace.SpanData{}
 	for _, s := range tc.Spans {
 		names[s.Name] = s
 	}
-	for _, want := range []string{"dav.client PUT", "dav.client.attempt", "dav.server PUT", "store.put"} {
+	for _, want := range []string{"caller", "dav.server PUT", "store.put"} {
 		if _, ok := names[want]; !ok {
 			t.Fatalf("trace missing span %q (have %d spans)", want, len(tc.Spans))
 		}
@@ -112,10 +116,7 @@ func TestTracedRequestSpansThreeLevels(t *testing.T) {
 // and asserts the WARN line carries the trace ID and threshold.
 func TestSlowRequestWarnsWithTraceID(t *testing.T) {
 	srv, rec, logw := newTracedServer(t, time.Nanosecond)
-	c := tracedClient(t, srv, rec)
-	if _, err := c.PutBytes("/slow-doc", []byte("x"), "text/plain"); err != nil {
-		t.Fatal(err)
-	}
+	tracedPut(t, srv, rec, "/slow-doc")
 	log := logw.String()
 	var warn string
 	for _, line := range strings.Split(log, "\n") {

@@ -2,7 +2,6 @@ package ops
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -136,13 +135,13 @@ func (st *objectiveState) observe(now time.Time, good bool) {
 type SLOConfig struct {
 	// Objectives to track (required).
 	Objectives []Objective
-	// Windows are the trailing burn-rate windows, shortest first
-	// (default 5m and 1h). The shortest window also sets the bucket
-	// granularity (window/30).
-	Windows []time.Duration
-	// Now overrides the clock (tests).
+	// Now overrides the clock so tests can age events out.
 	Now func() time.Time
 }
+
+// sloWindows are the trailing burn-rate windows, shortest first. The
+// shortest also sets the bucket granularity (window/30).
+var sloWindows = [...]time.Duration{5 * time.Minute, time.Hour}
 
 // degradedBurn is the burn rate every window must reach before the
 // engine reports degraded: the error budget is burning at twice the
@@ -159,27 +158,19 @@ const degradedBurn = 2
 // window proving it is still happening — which is the standard
 // multi-window burn-rate alert shape.
 type SLO struct {
-	states  []*objectiveState
-	windows []time.Duration
-	now     func() time.Time
+	states []*objectiveState
+	now    func() time.Time
 }
 
 // NewSLO builds the engine.
 func NewSLO(cfg SLOConfig) *SLO {
-	if len(cfg.Windows) == 0 {
-		cfg.Windows = []time.Duration{5 * time.Minute, time.Hour}
-	}
-	sort.Slice(cfg.Windows, func(i, j int) bool { return cfg.Windows[i] < cfg.Windows[j] })
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	width := cfg.Windows[0] / 30
-	if width <= 0 {
-		width = time.Second
-	}
-	longest := cfg.Windows[len(cfg.Windows)-1]
+	width := sloWindows[0] / 30
+	longest := sloWindows[len(sloWindows)-1]
 	n := int(longest/width) + 2 // +1 partial head bucket, +1 ring slack
-	e := &SLO{windows: cfg.Windows, now: cfg.Now}
+	e := &SLO{now: cfg.Now}
 	for _, o := range cfg.Objectives {
 		e.states = append(e.states, &objectiveState{
 			Objective: o,
@@ -243,7 +234,7 @@ func (e *SLO) Snapshot() []ObjectiveStatus {
 		st.mu.Lock()
 		os.Good, os.Bad = st.good, st.bad
 		st.mu.Unlock()
-		for _, w := range e.windows {
+		for _, w := range sloWindows {
 			good, bad := st.window(now, w)
 			ws := WindowStatus{Window: fmtWindow(w), Good: good, Bad: bad}
 			if total := good + bad; total > 0 {
@@ -296,7 +287,7 @@ func (e *SLO) Register(r *obs.Registry) {
 		r.GaugeFunc("dav_slo_bad_total",
 			"Requests that missed the objective (cumulative).", l,
 			func() float64 { st.mu.Lock(); defer st.mu.Unlock(); return float64(st.bad) })
-		for _, w := range e.windows {
+		for _, w := range sloWindows {
 			w := w
 			wl := obs.Labels{"slo": st.Name, "window": fmtWindow(w)}
 			r.GaugeFunc("dav_slo_burn_rate",

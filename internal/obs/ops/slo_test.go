@@ -88,14 +88,14 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTestSLO(t *testing.T, windows ...time.Duration) (*SLO, *fakeClock) {
+func newTestSLO(t *testing.T) (*SLO, *fakeClock) {
 	t.Helper()
 	objs, err := ParseObjectives("GET:50ms:0.9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-	return NewSLO(SLOConfig{Objectives: objs, Windows: windows, Now: clk.now}), clk
+	return NewSLO(SLOConfig{Objectives: objs, Now: clk.now}), clk
 }
 
 // TestSLOGoodBadScoring: under-threshold non-5xx requests are good;
@@ -117,9 +117,9 @@ func TestSLOGoodBadScoring(t *testing.T) {
 }
 
 // TestSLOBurnRateWindows: burn = badFraction/(1-target); events age out
-// of the short window but stay in the long one.
+// of the short window (5m) but stay in the long one (1h).
 func TestSLOBurnRateWindows(t *testing.T) {
-	e, clk := newTestSLO(t, 5*time.Minute, time.Hour)
+	e, clk := newTestSLO(t)
 	// 10 requests, 5 bad: bad fraction 0.5, budget 0.1 → burn 5.
 	for i := 0; i < 5; i++ {
 		e.Observe("GET", 200, time.Millisecond)

@@ -26,7 +26,7 @@ func populatedStatus(t *testing.T) *Status {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(TrackerConfig{K: 8, SLO: NewSLO(SLOConfig{Objectives: objs})})
+	tr := NewTracker(NewSLO(SLOConfig{Objectives: objs}))
 	for i := 0; i < 5; i++ {
 		tr.ObserveRequest("GET", "/calc/h2o.out", "", 200, time.Millisecond)
 	}

@@ -8,14 +8,8 @@ import (
 	"repro/internal/obs"
 )
 
-// TrackerConfig sizes a Tracker.
-type TrackerConfig struct {
-	// K is the heavy-hitter table capacity (default 20).
-	K int
-	// SLO, when set, scores every observed request against its
-	// objectives.
-	SLO *SLO
-}
+// trackerK is the capacity of each heavy-hitter table.
+const trackerK = 20
 
 // Tracker is the per-request analytics sink the Instrument middleware
 // feeds: two Space-Saving tables — hottest resource paths and hottest
@@ -28,15 +22,13 @@ type Tracker struct {
 	seen  atomic.Int64
 }
 
-// NewTracker builds a tracker.
-func NewTracker(cfg TrackerConfig) *Tracker {
-	if cfg.K <= 0 {
-		cfg.K = 20
-	}
+// NewTracker builds a tracker. A non-nil slo scores every observed
+// request against its objectives.
+func NewTracker(slo *SLO) *Tracker {
 	return &Tracker{
-		paths: NewTopK(cfg.K),
-		ops:   NewTopK(cfg.K),
-		slo:   cfg.SLO,
+		paths: NewTopK(trackerK),
+		ops:   NewTopK(trackerK),
+		slo:   slo,
 	}
 }
 

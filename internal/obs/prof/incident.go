@@ -54,12 +54,22 @@ func triggerLabel(reason string) string {
 // bundle.
 const BundleSchema = "dav_incident/v1"
 
-// CaptureConfig wires a Capturer to its evidence sources and bounds its
-// output. Every source is optional; missing ones drop their bundle
-// entry.
+// The Capturer's bounds.
+const (
+	// maxBundles bounds the retained-bundle ring.
+	maxBundles = 8
+	// dedupWindow suppresses repeat bundles for the same trigger reason
+	// inside the window.
+	dedupWindow = 5 * time.Minute
+	// minInterval rate-limits bundle assembly across all reasons.
+	minInterval = 30 * time.Second
+)
+
+// CaptureConfig wires a Capturer to its evidence sources. Every source
+// is optional; missing ones drop their bundle entry.
 type CaptureConfig struct {
 	// CPUSlice is the CPU profile length recorded at bundle time
-	// (default 1s).
+	// (default 1s). Tests shorten it.
 	CPUSlice time.Duration
 	// WriteTraces streams the trace flight-recorder tail as JSONL
 	// (typically (*trace.Recorder).WriteJSONL).
@@ -73,15 +83,8 @@ type CaptureConfig struct {
 	// LogTail returns the in-memory log tail (typically
 	// (*obs.LogRing).Bytes()).
 	LogTail func() []byte
-	// MaxBundles bounds the retained-bundle ring (default 8).
-	MaxBundles int
-	// DedupWindow suppresses repeat bundles for the same trigger reason
-	// inside the window (default 5m; negative disables).
-	DedupWindow time.Duration
-	// MinInterval rate-limits bundle assembly across all reasons
-	// (default 30s; negative disables).
-	MinInterval time.Duration
-	// Clock overrides the clock (tests).
+	// Clock overrides the clock so tests can step past minInterval and
+	// dedupWindow.
 	Clock func() time.Time
 }
 
@@ -132,15 +135,6 @@ func NewCapturer(cfg CaptureConfig) *Capturer {
 	if cfg.CPUSlice == 0 {
 		cfg.CPUSlice = time.Second
 	}
-	if cfg.MaxBundles <= 0 {
-		cfg.MaxBundles = 8
-	}
-	if cfg.DedupWindow == 0 {
-		cfg.DedupWindow = 5 * time.Minute
-	}
-	if cfg.MinInterval == 0 {
-		cfg.MinInterval = 30 * time.Second
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -167,12 +161,11 @@ func (c *Capturer) Trigger(reason, detail string) (*Bundle, bool) {
 		c.suppressed[label]++
 		c.mu.Unlock()
 		return nil, false
-	case c.cfg.MinInterval > 0 && !c.lastAny.IsZero() && now.Sub(c.lastAny) < c.cfg.MinInterval:
+	case !c.lastAny.IsZero() && now.Sub(c.lastAny) < minInterval:
 		c.suppressed[label]++
 		c.mu.Unlock()
 		return nil, false
-	case c.cfg.DedupWindow > 0 && !c.lastByReason[label].IsZero() &&
-		now.Sub(c.lastByReason[label]) < c.cfg.DedupWindow:
+	case !c.lastByReason[label].IsZero() && now.Sub(c.lastByReason[label]) < dedupWindow:
 		c.suppressed[label]++
 		c.mu.Unlock()
 		return nil, false
@@ -192,7 +185,7 @@ func (c *Capturer) Trigger(reason, detail string) (*Bundle, bool) {
 	c.capturing = false
 	c.built[label]++
 	c.bundles = append(c.bundles, b)
-	if over := len(c.bundles) - c.cfg.MaxBundles; over > 0 {
+	if over := len(c.bundles) - maxBundles; over > 0 {
 		c.bundles = append([]*Bundle(nil), c.bundles[over:]...)
 	}
 	c.mu.Unlock()

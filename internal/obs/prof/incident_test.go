@@ -87,19 +87,16 @@ func gunzipAll(t *testing.T, data []byte) []byte {
 	return out
 }
 
-// TestTriggerMatrix drives each trigger source once (dedup windows
-// live, rate limit off) and asserts exactly one bundle per reason, then
-// a repeat of each reason suppressed by its dedup window.
+// TestTriggerMatrix drives each trigger source once, each past the 30 s
+// rate limit, and asserts exactly one bundle per reason, then a repeat
+// of each reason, again past the rate limit, suppressed by its 5 min
+// dedup window.
 func TestTriggerMatrix(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	c := testCapturer(t, CaptureConfig{
-		MinInterval: -1,
-		DedupWindow: 5 * time.Minute,
-		Clock:       func() time.Time { return now },
-	})
+	c := testCapturer(t, CaptureConfig{Clock: func() time.Time { return now }})
 	reasons := []string{TriggerDegraded, TriggerSlow, TriggerPanic, TriggerManual}
 	for _, reason := range reasons {
-		now = now.Add(time.Second)
+		now = now.Add(31 * time.Second)
 		b, ok := c.Trigger(reason, "matrix "+reason)
 		if !ok || b == nil {
 			t.Fatalf("trigger %s: suppressed, want a bundle", reason)
@@ -116,7 +113,7 @@ func TestTriggerMatrix(t *testing.T) {
 	}
 	// Second trip of each reason inside the window: suppressed.
 	for _, reason := range reasons {
-		now = now.Add(time.Second)
+		now = now.Add(31 * time.Second)
 		if _, ok := c.Trigger(reason, "repeat"); ok {
 			t.Errorf("trigger %s: repeat inside dedup window built a bundle", reason)
 		}
@@ -132,24 +129,21 @@ func TestTriggerMatrix(t *testing.T) {
 	}
 }
 
-// TestRateLimit verifies MinInterval suppresses across reasons.
+// TestRateLimit verifies the 30 s minimum interval suppresses across
+// reasons.
 func TestRateLimit(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	c := testCapturer(t, CaptureConfig{
-		MinInterval: 30 * time.Second,
-		DedupWindow: -1,
-		Clock:       func() time.Time { return now },
-	})
+	c := testCapturer(t, CaptureConfig{Clock: func() time.Time { return now }})
 	if _, ok := c.Trigger(TriggerSlow, ""); !ok {
 		t.Fatal("first trigger suppressed")
 	}
 	now = now.Add(10 * time.Second)
 	if _, ok := c.Trigger(TriggerPanic, ""); ok {
-		t.Fatal("trigger inside MinInterval built a bundle")
+		t.Fatal("trigger inside the minimum interval built a bundle")
 	}
-	now = now.Add(30 * time.Second)
+	now = now.Add(20 * time.Second)
 	if _, ok := c.Trigger(TriggerPanic, ""); !ok {
-		t.Fatal("trigger past MinInterval suppressed")
+		t.Fatal("trigger 30 s after the last bundle suppressed")
 	}
 }
 
@@ -157,7 +151,7 @@ func TestRateLimit(t *testing.T) {
 // present and parseable: manifest, gzipped profiles, JSONL traces,
 // CheckExposition-clean metrics, JSON status, non-empty log tail.
 func TestBundleContents(t *testing.T) {
-	c := testCapturer(t, CaptureConfig{MinInterval: -1, DedupWindow: -1})
+	c := testCapturer(t, CaptureConfig{})
 	b, ok := c.Trigger(TriggerDegraded, "burn past threshold")
 	if !ok {
 		t.Fatal("trigger suppressed")
@@ -215,7 +209,7 @@ func TestBundleContents(t *testing.T) {
 // capturer: with every other evidence source unset, a bundle still
 // holds every profile kind, and nothing else.
 func TestBundleWithoutSampler(t *testing.T) {
-	c := NewCapturer(CaptureConfig{CPUSlice: 10 * time.Millisecond, MinInterval: -1, DedupWindow: -1})
+	c := NewCapturer(CaptureConfig{CPUSlice: 10 * time.Millisecond})
 	b, ok := c.Trigger(TriggerManual, "")
 	if !ok {
 		t.Fatal("trigger suppressed")
@@ -231,39 +225,35 @@ func TestBundleWithoutSampler(t *testing.T) {
 	}
 }
 
-// TestBundleRingEviction verifies MaxBundles bounds retention while the
-// built counters keep counting.
+// TestBundleRingEviction verifies the ring retains the newest 8 bundles
+// while the built counters keep counting. Each trigger steps the clock
+// past the 5 min dedup window.
 func TestBundleRingEviction(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	c := testCapturer(t, CaptureConfig{
-		MaxBundles:  2,
-		MinInterval: -1,
-		DedupWindow: -1,
-		Clock:       func() time.Time { return now },
-	})
+	c := testCapturer(t, CaptureConfig{Clock: func() time.Time { return now }})
 	var ids []string
-	for i := 0; i < 4; i++ {
-		now = now.Add(time.Second)
+	for i := 0; i < 10; i++ {
+		now = now.Add(5*time.Minute + time.Second)
 		b, ok := c.Trigger(TriggerManual, fmt.Sprint(i))
 		if !ok {
 			t.Fatalf("trigger %d suppressed", i)
 		}
 		ids = append(ids, b.ID)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("retained = %d, want 2", c.Len())
+	if c.Len() != 8 {
+		t.Fatalf("retained = %d, want 8", c.Len())
 	}
 	if c.Find(ids[0]) != nil || c.Find(ids[1]) != nil {
 		t.Error("evicted bundle still findable")
 	}
-	if c.Find(ids[3]) == nil {
-		t.Error("newest bundle missing")
+	if c.Find(ids[2]) == nil || c.Find(ids[9]) == nil {
+		t.Error("retained bundle missing")
 	}
-	if c.Built(TriggerManual) != 4 {
-		t.Errorf("built = %d, want 4", c.Built(TriggerManual))
+	if c.Built(TriggerManual) != 10 {
+		t.Errorf("built = %d, want 10", c.Built(TriggerManual))
 	}
 	bundles := c.Bundles()
-	if len(bundles) != 2 || bundles[0].ID != ids[3] {
+	if len(bundles) != 8 || bundles[0].ID != ids[9] {
 		t.Errorf("Bundles() not newest-first: %v", bundles)
 	}
 }
@@ -272,12 +262,9 @@ func TestBundleRingEviction(t *testing.T) {
 // retained bundle as a valid tar.gz.
 func TestWriteBundles(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	c := testCapturer(t, CaptureConfig{
-		MinInterval: -1, DedupWindow: -1,
-		Clock: func() time.Time { return now },
-	})
+	c := testCapturer(t, CaptureConfig{Clock: func() time.Time { return now }})
 	for i := 0; i < 2; i++ {
-		now = now.Add(time.Second)
+		now = now.Add(5*time.Minute + time.Second)
 		if _, ok := c.Trigger(TriggerManual, fmt.Sprint(i)); !ok {
 			t.Fatalf("trigger %d suppressed", i)
 		}
@@ -311,11 +298,7 @@ func TestWriteBundles(t *testing.T) {
 // trigger endpoint.
 func TestIncidentHandlers(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	c := testCapturer(t, CaptureConfig{
-		MinInterval: 30 * time.Second,
-		DedupWindow: -1,
-		Clock:       func() time.Time { return now },
-	})
+	c := testCapturer(t, CaptureConfig{Clock: func() time.Time { return now }})
 
 	trig := c.TriggerHandler()
 	rec := httptest.NewRecorder()
@@ -337,7 +320,7 @@ func TestIncidentHandlers(t *testing.T) {
 		t.Errorf("detail = %q", b.Detail)
 	}
 
-	// Inside MinInterval: 429.
+	// Inside the minimum interval: 429.
 	rec = httptest.NewRecorder()
 	trig.ServeHTTP(rec, httptest.NewRequest("POST", "/debug/incident", nil))
 	if rec.Code != 429 {
@@ -376,7 +359,7 @@ func TestIncidentHandlers(t *testing.T) {
 
 // TestIncidentRegister checks the dav_incident_* exposition.
 func TestIncidentRegister(t *testing.T) {
-	c := testCapturer(t, CaptureConfig{MinInterval: -1, DedupWindow: 5 * time.Minute})
+	c := testCapturer(t, CaptureConfig{})
 	if _, ok := c.Trigger(TriggerDegraded, ""); !ok {
 		t.Fatal("trigger suppressed")
 	}

@@ -34,24 +34,29 @@ type Recorder struct {
 	lateSpans int64 // spans arriving after their trace was decided
 }
 
-// RecorderConfig bounds and tunes a Recorder. Zero values select the
-// documented defaults.
+// The Recorder's bounds.
+const (
+	// recorderCapacity is the maximum number of retained traces.
+	recorderCapacity = 256
+	// maxSpansPerTrace caps spans buffered per trace; further spans in
+	// the same trace are counted but not stored.
+	maxSpansPerTrace = 512
+	// maxActive caps concurrently buffering (undecided) traces; the
+	// oldest is evicted undecided when exceeded.
+	maxActive = 1024
+)
+
+// RecorderConfig tunes a Recorder. Zero values select the documented
+// defaults.
 type RecorderConfig struct {
-	// Capacity is the maximum number of retained traces (default 256).
-	Capacity int
-	// MaxSpansPerTrace caps spans buffered per trace; further spans in
-	// the same trace are counted but not stored (default 512).
-	MaxSpansPerTrace int
-	// MaxActive caps concurrently buffering (undecided) traces; the
-	// oldest is evicted undecided when exceeded (default 1024).
-	MaxActive int
 	// SlowThreshold is the root-span latency at or above which a trace
 	// is always kept (default 500ms; negative disables the slow rule).
 	SlowThreshold time.Duration
 	// SampleRate is the probability of keeping a trace that is neither
 	// slow nor errored, in [0,1] (default 0: tail rules only).
 	SampleRate float64
-	// Seed seeds the sampling RNG; 0 derives a seed from the clock.
+	// Seed seeds the sampling RNG so tests can pin the sample; 0
+	// derives a seed from the clock.
 	Seed int64
 }
 
@@ -67,7 +72,7 @@ type activeTrace struct {
 	spans     []SpanData
 	openRoots int
 	sawRoot   bool
-	truncated int // spans dropped by MaxSpansPerTrace
+	truncated int // spans dropped by maxSpansPerTrace
 }
 
 // Trace is one retained span tree.
@@ -81,15 +86,6 @@ type Trace struct {
 
 // NewRecorder builds a Recorder from cfg.
 func NewRecorder(cfg RecorderConfig) *Recorder {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 256
-	}
-	if cfg.MaxSpansPerTrace <= 0 {
-		cfg.MaxSpansPerTrace = 512
-	}
-	if cfg.MaxActive <= 0 {
-		cfg.MaxActive = 1024
-	}
 	if cfg.SlowThreshold == 0 {
 		cfg.SlowThreshold = 500 * time.Millisecond
 	}
@@ -128,7 +124,7 @@ func (r *Recorder) spanEnded(d SpanData) {
 		r.lateSpans++
 		return
 	}
-	if len(at.spans) < r.cfg.MaxSpansPerTrace {
+	if len(at.spans) < maxSpansPerTrace {
 		at.spans = append(at.spans, d)
 	} else {
 		at.truncated++
@@ -149,7 +145,7 @@ func (r *Recorder) activeLocked(id TraceID) *activeTrace {
 	if at, ok := r.active[id]; ok {
 		return at
 	}
-	for len(r.active) >= r.cfg.MaxActive && len(r.order) > 0 {
+	for len(r.active) >= maxActive && len(r.order) > 0 {
 		victim := r.order[0]
 		r.order = r.order[1:]
 		if _, ok := r.active[victim]; ok {
@@ -197,7 +193,7 @@ func (r *Recorder) decideLocked(id TraceID, at *activeTrace) {
 	r.retained = append(r.retained, &Trace{
 		ID: id, Root: root, Spans: spans, Reason: reason, Truncated: at.truncated,
 	})
-	if over := len(r.retained) - r.cfg.Capacity; over > 0 {
+	if over := len(r.retained) - recorderCapacity; over > 0 {
 		r.retained = append([]*Trace(nil), r.retained[over:]...)
 	}
 }

@@ -56,72 +56,79 @@ func TestNegativeSlowThresholdDisablesSlowRule(t *testing.T) {
 	}
 }
 
+// TestRecorderEvictionAtCapacity: the ring keeps the newest 256 kept
+// traces; the 257th evicts the oldest. Trace IDs are random:
+// seqReader's repeat every 32 traces.
 func TestRecorderEvictionAtCapacity(t *testing.T) {
-	rec := NewRecorder(RecorderConfig{Capacity: 2, SampleRate: 1, Seed: 7})
-	tr := New(Config{Clock: stepClock(epoch, time.Millisecond), IDSource: &seqReader{}, Recorder: rec})
+	rec := NewRecorder(RecorderConfig{SampleRate: 1, Seed: 7})
+	tr := New(Config{Clock: stepClock(epoch, time.Millisecond), Recorder: rec})
 	var ids []string
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 257; i++ {
 		_, sp := tr.Start(context.Background(), fmt.Sprintf("op%d", i))
 		ids = append(ids, sp.TraceID().String())
 		sp.End()
 	}
-	if rec.Len() != 2 {
-		t.Fatalf("retained %d, want capacity 2", rec.Len())
+	if rec.Len() != 256 {
+		t.Fatalf("retained %d, want capacity 256", rec.Len())
 	}
-	// Only the two newest survive the ring.
-	for _, old := range ids[:3] {
-		if rec.Find(old) != nil {
-			t.Fatalf("evicted trace %s still retained", old)
-		}
+	if rec.Find(ids[0]) != nil {
+		t.Fatalf("evicted trace %s still retained", ids[0])
 	}
-	for _, fresh := range ids[3:] {
+	for _, fresh := range ids[1:] {
 		if rec.Find(fresh) == nil {
 			t.Fatalf("fresh trace %s missing", fresh)
 		}
 	}
-	if got := rec.Traces()[0].Root.Name; got != "op4" {
-		t.Fatalf("newest retained trace is %q, want op4", got)
+	if got := rec.Traces()[0].Root.Name; got != "op256" {
+		t.Fatalf("newest retained trace is %q, want op256", got)
 	}
 }
 
+// TestActiveTraceCapEvictsUndecided: at most 1,024 traces buffer
+// undecided; the 1,025th open root evicts the oldest. Trace IDs are
+// random, as in TestRecorderEvictionAtCapacity.
 func TestActiveTraceCapEvictsUndecided(t *testing.T) {
-	rec := NewRecorder(RecorderConfig{MaxActive: 2, SampleRate: 1, Seed: 1})
-	tr := New(Config{Clock: stepClock(epoch, time.Millisecond), IDSource: &seqReader{}, Recorder: rec})
-	// Three roots open concurrently: the first must be evicted undecided.
-	_, a := tr.Start(context.Background(), "a")
-	_, b := tr.Start(context.Background(), "b")
-	_, c := tr.Start(context.Background(), "c")
-	a.End() // its buffer is gone; this span arrives late
-	b.End()
-	c.End()
+	rec := NewRecorder(RecorderConfig{SampleRate: 1, Seed: 1})
+	tr := New(Config{Clock: stepClock(epoch, time.Millisecond), Recorder: rec})
+	// 1,025 roots open concurrently: the first must be evicted undecided.
+	roots := make([]*Span, 1025)
+	for i := range roots {
+		_, roots[i] = tr.Start(context.Background(), fmt.Sprintf("r%d", i))
+	}
+	for _, sp := range roots {
+		sp.End() // roots[0]'s buffer is gone; its span arrives late
+	}
 	st := rec.Stats()
 	if st.Evicted != 1 {
 		t.Fatalf("evicted = %d, want 1", st.Evicted)
 	}
 	if st.LateSpans != 1 {
-		t.Fatalf("late spans = %d, want 1 (root a ended after eviction)", st.LateSpans)
+		t.Fatalf("late spans = %d, want 1 (root r0 ended after eviction)", st.LateSpans)
 	}
-	if rec.Len() != 2 {
-		t.Fatalf("retained %d, want 2 (b and c)", rec.Len())
+	if st.Kept != 1024 {
+		t.Fatalf("kept %d, want 1,024 (every root but r0)", st.Kept)
 	}
 }
 
+// TestMaxSpansPerTraceTruncates: a trace stores at most 512 spans; the
+// 513th is counted, not stored.
 func TestMaxSpansPerTraceTruncates(t *testing.T) {
-	rec := NewRecorder(RecorderConfig{MaxSpansPerTrace: 3, SampleRate: 1, Seed: 1})
+	rec := NewRecorder(RecorderConfig{SampleRate: 1, Seed: 1})
 	tr := New(Config{Clock: stepClock(epoch, time.Millisecond), IDSource: &seqReader{}, Recorder: rec})
 	ctx, root := tr.Start(context.Background(), "root")
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 512; i++ {
 		_, sp := Child(ctx, fmt.Sprintf("child%d", i))
 		sp.End()
 	}
 	root.End()
 	got := rec.Traces()[0]
-	if len(got.Spans) != 3 {
-		t.Fatalf("stored %d spans, want 3", len(got.Spans))
+	if len(got.Spans) != 512 {
+		t.Fatalf("stored %d spans, want 512", len(got.Spans))
 	}
-	if got.Truncated != 3 {
-		// 5 children + 1 root = 6 finished spans; 3 stored, 3 dropped.
-		t.Fatalf("truncated = %d, want 3", got.Truncated)
+	if got.Truncated != 1 {
+		// 512 children + 1 root = 513 finished spans; 512 stored, the
+		// root dropped.
+		t.Fatalf("truncated = %d, want 1", got.Truncated)
 	}
 }
 

@@ -130,7 +130,7 @@ func TestRegionSharesMeasurement(t *testing.T) {
 func TestConcurrentSpans(t *testing.T) {
 	// Exercised under -race in CI: many goroutines starting, annotating
 	// and finishing spans against one tracer and recorder.
-	rec := NewRecorder(RecorderConfig{SampleRate: 1, Seed: 42, Capacity: 4096})
+	rec := NewRecorder(RecorderConfig{SampleRate: 1, Seed: 42})
 	tr := New(Config{Recorder: rec})
 	const workers = 16
 	const perWorker = 25

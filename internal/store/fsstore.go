@@ -86,28 +86,17 @@ type FSOptions struct {
 	// HandleCacheSize bounds the shared cache of open property-database
 	// handles. Zero or negative means DefaultHandleCacheSize.
 	HandleCacheSize int
-	// DisableJournal turns off the write-ahead intent journal. Without
-	// it, a crash mid-operation can leave a torn content/props/
-	// generation combination that only fsck -repair notices. Stale
-	// staging temporaries are still swept at open.
-	DisableJournal bool
 	// DeferRecovery opens the store without running startup recovery.
 	// The store reports Recovering() == true and fails every mutation
 	// with ErrRecovering until Recover is called — daemons use this to
 	// start serving reads immediately and run recovery in the
 	// background while /readyz reports "recovering".
 	DeferRecovery bool
-	// SkipRecovery opens the store without recovery AND without the
-	// write gate — the store is served exactly as found on disk.
-	// Intended for read-only inspection (davfsck): mutations while
-	// intents are pending would compound the damage, so tools using it
-	// must not write before calling Recover.
-	SkipRecovery bool
 	// StepHook, when set, is invoked at every named step boundary
 	// inside multi-step mutations ("put.renamed", "delete.content",
-	// ...). The crash-point fault injector (internal/chaos.CrashPoint)
-	// panics from it to simulate a crash between two steps. Production
-	// stores leave it nil.
+	// ...). It exists only for tests: the crash-point fault injector
+	// (internal/chaos.CrashPoint) panics from it to simulate a crash
+	// between two steps. Production stores leave it nil.
 	StepHook func(point string)
 }
 
@@ -144,7 +133,7 @@ type FSStore struct {
 // copy-friendly: the intent journal, the recovering write gate, the
 // crash-point step hook, and the recovery counters.
 type fsShared struct {
-	journal    *journal.Journal // nil when journaling is disabled
+	journal    *journal.Journal
 	recovering atomic.Bool
 	stepHook   func(string)
 	// recoverMu serializes Recover passes (a background startup
@@ -183,10 +172,10 @@ func NewFSStore(dir string, flavour dbm.Flavour) (*FSStore, error) {
 
 // NewFSStoreWith is NewFSStore with explicit tuning.
 //
-// Unless opted out, opening also establishes crash consistency: the
-// intent journal is opened (created on first use), and startup
-// recovery resolves any intents a crash left unfinished and sweeps
-// stale staging temporaries — so a store that crashed mid-PUT or
+// Opening also establishes crash consistency: the intent journal is
+// opened (created on first use), and startup recovery — unless
+// deferred — resolves any intents a crash left unfinished and sweeps
+// stale staging temporaries, so a store that crashed mid-PUT or
 // mid-MOVE is consistent again before the first operation runs.
 func NewFSStoreWith(dir string, flavour dbm.Flavour, o FSOptions) (*FSStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -207,32 +196,24 @@ func NewFSStoreWith(dir string, flavour dbm.Flavour, o FSOptions) (*FSStore, err
 		cache:   dbm.NewCache(size, flavour),
 		shared:  &fsShared{stepHook: o.StepHook},
 	}
-	if !o.DisableJournal {
-		metaDir := filepath.Join(abs, propDirName)
-		if err := os.MkdirAll(metaDir, 0o755); err != nil {
-			s.cache.Close()
-			return nil, err
-		}
-		j, err := journal.Open(filepath.Join(metaDir, journalFileName))
-		if err != nil {
-			s.cache.Close()
-			return nil, err
-		}
-		s.shared.journal = j
+	metaDir := filepath.Join(abs, propDirName)
+	if err := os.MkdirAll(metaDir, 0o755); err != nil {
+		s.cache.Close()
+		return nil, err
 	}
-	switch {
-	case o.SkipRecovery:
-		// Inspection mode: serve the store as found. Writes stay gated
-		// while intents are pending — mutating a store that still needs
-		// recovery would compound the damage.
-		s.shared.recovering.Store(s.shared.journal != nil && s.shared.journal.Len() > 0)
-	case o.DeferRecovery:
+	j, err := journal.Open(filepath.Join(metaDir, journalFileName))
+	if err != nil {
+		s.cache.Close()
+		return nil, err
+	}
+	s.shared.journal = j
+	if o.DeferRecovery {
 		s.shared.recovering.Store(true)
-	default:
-		if _, err := s.Recover(); err != nil {
-			s.Close()
-			return nil, fmt.Errorf("store: startup recovery: %w", err)
-		}
+		return s, nil
+	}
+	if _, err := s.Recover(); err != nil {
+		s.Close()
+		return nil, fmt.Errorf("store: startup recovery: %w", err)
 	}
 	return s, nil
 }
@@ -254,10 +235,8 @@ func (s *FSStore) HandleCache() *dbm.Cache { return s.cache }
 // synced and closed.
 func (s *FSStore) Close() error {
 	err := s.cache.Close()
-	if j := s.shared.journal; j != nil {
-		if jerr := j.Close(); err == nil {
-			err = jerr
-		}
+	if jerr := s.shared.journal.Close(); err == nil {
+		err = jerr
 	}
 	return err
 }
@@ -266,8 +245,7 @@ func (s *FSStore) Close() error {
 // (writes fail with ErrRecovering until Recover completes).
 func (s *FSStore) Recovering() bool { return s.shared.recovering.Load() }
 
-// Journal exposes the intent journal (nil when disabled) for fsck and
-// tests.
+// Journal exposes the intent journal for fsck, metrics and tests.
 func (s *FSStore) Journal() *journal.Journal { return s.shared.journal }
 
 // step fires the crash-point hook at a named step boundary. A nil hook
@@ -286,12 +264,8 @@ func (s *FSStore) writeGate() error {
 	return nil
 }
 
-// beginIntent appends a fsync'd intent record, or does nothing when
-// journaling is disabled (id 0 commits as a no-op).
+// beginIntent appends a fsync'd intent record.
 func (s *FSStore) beginIntent(rec journal.Record) (uint64, error) {
-	if s.shared.journal == nil {
-		return 0, nil
-	}
 	return s.shared.journal.Begin(rec)
 }
 
@@ -300,8 +274,8 @@ func (s *FSStore) beginIntent(rec journal.Record) (uint64, error) {
 // uncommitted intent only costs an idempotent roll-forward at the next
 // recovery.
 func (s *FSStore) commitIntent(id uint64) {
-	if s.shared.journal == nil || id == 0 {
-		return
+	if id == 0 {
+		return // an unjournaled step (putLocked with journaled=false)
 	}
 	if err := s.shared.journal.Commit(id); err != nil {
 		slog.Warn("store: journal commit failed; next recovery will re-resolve",

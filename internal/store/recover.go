@@ -60,12 +60,7 @@ func (s *FSStore) RecoveryBacklog() RecoveryBacklog {
 		ResolvedIntents: int(sh.passResolved.Load()),
 		SweptTmp:        int(sh.passSwept.Load()),
 	}
-	if j := sh.journal; j != nil {
-		b.PendingIntents = j.Len() - b.ResolvedIntents
-		if b.PendingIntents < 0 {
-			b.PendingIntents = 0
-		}
-	}
+	b.PendingIntents = max(sh.journal.Len()-b.ResolvedIntents, 0)
 	return b
 }
 
@@ -108,32 +103,30 @@ func (s *FSStore) Recover() (RecoverReport, error) {
 	s.shared.passResolved.Store(0)
 	s.shared.passSwept.Store(0)
 
-	if j := s.shared.journal; j != nil {
-		pending := j.Pending()
-		rep.Resolved = len(pending)
-		for _, rec := range pending {
-			fwd, err := s.resolveIntent(ctx, rec)
-			if err != nil {
-				slog.Warn("store: recovery could not resolve intent",
-					"intent", rec.String(), "err", err)
-				if firstErr == nil {
-					firstErr = fmt.Errorf("resolving %s: %w", rec.String(), err)
-				}
-				continue
+	pending := s.shared.journal.Pending()
+	rep.Resolved = len(pending)
+	for _, rec := range pending {
+		fwd, err := s.resolveIntent(ctx, rec)
+		if err != nil {
+			slog.Warn("store: recovery could not resolve intent",
+				"intent", rec.String(), "err", err)
+			if firstErr == nil {
+				firstErr = fmt.Errorf("resolving %s: %w", rec.String(), err)
 			}
-			if fwd {
-				rep.RolledForward++
-			} else {
-				rep.RolledBack++
-			}
-			s.shared.passResolved.Add(1)
-			slog.Info("store: recovered unfinished operation",
-				"intent", rec.String(), "rolled", direction(fwd))
+			continue
 		}
-		if firstErr == nil {
-			if err := j.Reset(); err != nil {
-				firstErr = fmt.Errorf("resetting journal: %w", err)
-			}
+		if fwd {
+			rep.RolledForward++
+		} else {
+			rep.RolledBack++
+		}
+		s.shared.passResolved.Add(1)
+		slog.Info("store: recovered unfinished operation",
+			"intent", rec.String(), "rolled", direction(fwd))
+	}
+	if firstErr == nil {
+		if err := s.shared.journal.Reset(); err != nil {
+			firstErr = fmt.Errorf("resetting journal: %w", err)
 		}
 	}
 
