@@ -195,7 +195,7 @@ func ls(c *davclient.Client, p string) error {
 		if lm, ok := props[davproto.PropGetLastModified]; ok {
 			modified = lm.Text()
 		}
-		fmt.Printf("%s  %10s  %-29s  %s\n", kind, size, modified, r.Href)
+		fmt.Printf("%s  %10s  %-29s  %s\n", kind, size, modified, c.PathOf(r.Href))
 	}
 	return nil
 }
@@ -230,9 +230,9 @@ func search(c *davclient.Client, root string, name xml.Name, op, value string) e
 	}
 	for _, r := range ms.Responses {
 		if prop, ok := davproto.PropsByName(r.Propstats)[name]; ok {
-			fmt.Printf("%s\t%s\n", r.Href, prop.Text())
+			fmt.Printf("%s\t%s\n", c.PathOf(r.Href), prop.Text())
 		} else {
-			fmt.Println(r.Href)
+			fmt.Println(c.PathOf(r.Href))
 		}
 	}
 	return nil
@@ -245,7 +245,7 @@ func find(c *davclient.Client, root string, name xml.Name) error {
 	}
 	for _, r := range ms.Responses {
 		if prop, ok := davproto.PropsByName(r.Propstats)[name]; ok {
-			fmt.Printf("%s\t%s\n", r.Href, prop.Text())
+			fmt.Printf("%s\t%s\n", c.PathOf(r.Href), prop.Text())
 		}
 	}
 	return nil

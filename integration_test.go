@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/chem"
 	"repro/internal/core"
-	"repro/internal/davclient"
 	"repro/internal/davproto"
 	"repro/internal/experiments"
 	"repro/internal/migrate"
@@ -29,7 +27,7 @@ import (
 //     in its own namespace (DASL search under the hood).
 //  5. An old-schema OODB client is refused (the coupling DAV removes).
 //  6. Versioning tracks an input-deck edit.
-//  7. The caching client revalidates instead of refetching.
+//  7. A warm Calc Viewer load sends one request.
 func TestGrandTour(t *testing.T) {
 	// --- 1. Legacy repository in the OODB.
 	oenv, err := experiments.StartOODBEnv("")
@@ -167,20 +165,21 @@ func TestGrandTour(t *testing.T) {
 		t.Fatalf("original deck lost: (%q..., %v)", firstN(v1, 20), err)
 	}
 
-	// --- 7. The caching client revalidates instead of refetching.
-	cc := davclient.NewCaching(denv.Client, 0)
-	molPath := "/thesis/run03/molecule"
-	first, err := cc.Get(molPath)
+	// --- 7. A second Calc Viewer load is the listing alone: the
+	// storage keeps the bodies under the ETags the listing names.
+	viewer := tools.NewCalcViewer(dav)
+	calcPath := "/thesis/run03"
+	first, err := viewer.Load(calcPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := cc.Get(molPath)
-	if err != nil || !bytes.Equal(first, second) {
-		t.Fatalf("cached read differs: %v", err)
+	before := denv.Client.RequestCount()
+	second, err := viewer.Load(calcPath)
+	if err != nil || first != second {
+		t.Fatalf("warm load = (%q, %v), cold %q", second, err, first)
 	}
-	hitsN, missesN, _ := cc.CacheStats()
-	if hitsN != 1 || missesN != 1 {
-		t.Fatalf("cache stats = %d/%d", hitsN, missesN)
+	if n := denv.Client.RequestCount() - before; n != 1 {
+		t.Fatalf("warm load sent %d requests, want 1", n)
 	}
 }
 

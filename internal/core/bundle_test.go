@@ -21,6 +21,14 @@ import (
 // when it is not empty, and returns storage and its client over it.
 func buildStorage(t *testing.T, prefix string) (*DAVStorage, *davclient.Client) {
 	t.Helper()
+	s := storageAt(t, buildServer(t, prefix))
+	return s, s.Client()
+}
+
+// buildServer serves a davd assembled by davserver.Build, under prefix
+// when it is not empty, and returns its base URL.
+func buildServer(t *testing.T, prefix string) string {
+	t.Helper()
 	fs, err := store.NewFSStore(t.TempDir(), dbm.GDBM)
 	if err != nil {
 		t.Fatal(err)
@@ -38,13 +46,19 @@ func buildStorage(t *testing.T, prefix string) (*DAVStorage, *davclient.Client) 
 		dav.Close()
 		srv.Close()
 	})
-	c, err := davclient.New(davclient.Config{BaseURL: dav.URL + prefix, Persistent: true})
+	return dav.URL + prefix
+}
+
+// storageAt is a DAVStorage over a new client of base.
+func storageAt(t *testing.T, base string) *DAVStorage {
+	t.Helper()
+	c, err := davclient.New(davclient.Config{BaseURL: base, Persistent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewDAVStorage(c)
 	t.Cleanup(func() { s.Close() })
-	return s, c
+	return s
 }
 
 var bundleCreated = time.Date(2001, 8, 7, 12, 0, 0, 0, time.UTC)
@@ -337,6 +351,8 @@ func TestLoadBundleConcurrent(t *testing.T) {
 // the same. The refusal's Retry-After is honoured: the first load costs
 // the refused listing plus the per-object sequence's 11 requests for
 // the calc_browse calculation, the loads within Retry-After the 11.
+// Without a listing no kept body is used; with one again, every body
+// is, and the load is the listing alone.
 func TestLoadBundleUnderBrownout(t *testing.T) {
 	var degraded atomic.Bool
 	srv := httptest.NewServer(davserver.NewHandler(store.NewMemStore(),
@@ -375,5 +391,5 @@ func TestLoadBundleUnderBrownout(t *testing.T) {
 	s.mu.Lock()
 	s.finiteUntil = time.Now()
 	s.mu.Unlock()
-	load(7)
+	load(1)
 }

@@ -201,9 +201,9 @@ func (c *Client) hrefFor(p string) string {
 
 // PathOf is the resource path an href of a 207 names, hrefFor's
 // inverse: what a caller passes back to request that resource. The
-// href may be an absolute URI and percent-encoded (RFC 4918 §8.3, as
-// Apache writes it); its decoded path is used. A '?' or '#' in it is
-// taken literally, as a server that does not encode its hrefs (davd)
+// href may be an absolute URI and is percent-encoded (RFC 4918 §8.3,
+// as davd and Apache write it); its decoded path is used. A '?' or '#'
+// in it is taken literally, as a server that does not encode its hrefs
 // means it, and so is a '%' that starts no escape. A path outside the
 // base URL's is returned whole.
 func (c *Client) PathOf(href string) string {
@@ -371,11 +371,23 @@ func (c *Client) PutBytes(p string, body []byte, contentType string) (bool, erro
 
 // Get retrieves a document body.
 func (c *Client) Get(p string) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := c.GetTo(p, &buf); err != nil {
-		return nil, err
+	body, _, err := c.GetETag(p)
+	return body, err
+}
+
+// GetETag retrieves a document body and the ETag it was served under,
+// "" when the response carried none.
+func (c *Client) GetETag(p string) ([]byte, string, error) {
+	resp, err := c.do(http.MethodGet, p, nil, nil, http.StatusOK)
+	if err != nil {
+		return nil, "", err
 	}
-	return buf.Bytes(), nil
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return nil, "", err
+	}
+	return buf.Bytes(), resp.Header.Get("ETag"), nil
 }
 
 // getBufSize is the step GetTo reads a body in for a writer without
@@ -558,11 +570,12 @@ func (c *Client) PropFindSelected(p string, depth davproto.Depth, names ...xml.N
 // Search issues a DASL SEARCH request (basicsearch subset) and parses
 // the 207 result — the server-side query capability the paper
 // anticipated. The request is addressed to the scope resource, and the
-// scope href in its body lies under the base URL's path as that does.
+// scope href in its body lies under the base URL's path as that does,
+// percent-encoded.
 func (c *Client) Search(bs davproto.BasicSearch) (davproto.Multistatus, error) {
 	headers := map[string]string{"Content-Type": `text/xml; charset="utf-8"`}
 	scope := bs.Scope
-	bs.Scope = c.hrefFor(scope)
+	bs.Scope = (&url.URL{Path: c.hrefFor(scope)}).EscapedPath()
 	resp, err := c.do("SEARCH", scope, headers, bytes.NewReader(davproto.MarshalSearch(bs)),
 		http.StatusMultiStatus)
 	if err != nil {
@@ -585,7 +598,7 @@ func (c *Client) VersionControl(p string) error {
 
 // VersionInfo describes one entry of a version history.
 type VersionInfo struct {
-	Href string // GET this path to retrieve the old state
+	Href string // the version's resource path: GET it to retrieve the old state
 	Name string // version number as assigned by the server
 	Size int64
 }
@@ -605,7 +618,7 @@ func (c *Client) VersionTree(p string) ([]VersionInfo, error) {
 	}
 	out := make([]VersionInfo, 0, len(ms.Responses))
 	for _, r := range ms.Responses {
-		vi := VersionInfo{Href: r.Href}
+		vi := VersionInfo{Href: c.PathOf(r.Href)}
 		props := davproto.PropsByName(r.Propstats)
 		if vn, ok := props[xml.Name{Space: davproto.NS, Local: "version-name"}]; ok {
 			vi.Name = vn.Text()

@@ -143,6 +143,33 @@ func TestGetToReadsInLargeSteps(t *testing.T) {
 	}
 }
 
+// TestGetETag: GetETag returns the body and the ETag it was served
+// under, which an overwrite of the same size changes, and Get the same
+// body; a failed GET is its StatusError.
+func TestGetETag(t *testing.T) {
+	c := newPair(t, Config{Persistent: true})
+	var etags []string
+	for _, body := range []string{"version one", "version two"} {
+		if _, err := c.PutBytes("/doc", []byte(body), ""); err != nil {
+			t.Fatal(err)
+		}
+		got, etag, err := c.GetETag("/doc")
+		if err != nil || string(got) != body || etag == "" {
+			t.Fatalf("GetETag = %q, %q, %v; want %q under an ETag", got, etag, err, body)
+		}
+		if plain, err := c.Get("/doc"); err != nil || string(plain) != body {
+			t.Fatalf("Get = %q, %v", plain, err)
+		}
+		etags = append(etags, etag)
+	}
+	if etags[0] == etags[1] {
+		t.Errorf("both bodies were served under %s", etags[0])
+	}
+	if _, _, err := c.GetETag("/missing"); !IsStatus(err, http.StatusNotFound) {
+		t.Errorf("GetETag of a missing document: %v, want 404", err)
+	}
+}
+
 func TestMkcolAll(t *testing.T) {
 	c := newPair(t, Config{})
 	if err := c.MkcolAll("/a/b/c"); err != nil {

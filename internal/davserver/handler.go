@@ -91,7 +91,9 @@ func (h *Handler) logf(format string, args ...any) {
 	}
 }
 
-// resourcePath maps a request URL path to a canonical store path.
+// resourcePath maps a decoded URL path (a url.URL's Path) to a
+// canonical store path. It decodes nothing: a '%' in it is a byte of
+// the resource's name.
 func (h *Handler) resourcePath(urlPath string) (string, error) {
 	p := urlPath
 	if h.opts.Prefix != "" {
@@ -100,9 +102,6 @@ func (h *Handler) resourcePath(urlPath string) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("%w: outside prefix %q", store.ErrBadPath, h.opts.Prefix)
 		}
-	}
-	if unescaped, err := url.PathUnescape(p); err == nil {
-		p = unescaped
 	}
 	return store.CleanPath(p)
 }

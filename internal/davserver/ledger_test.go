@@ -87,24 +87,28 @@ var ledger = []struct {
 		populate: populateBrowse,
 		op:       browseOp,
 		// CalcViewer.Load is core.LoadBundle: DAVStorage.Prefetch sends
-		// one Depth: infinity PROPFIND of the calculation, then the six
-		// readers GET the molecule, the basis, the task and the three
-		// properties and take their metadata from the listing (11
-		// requests and 13 store calls when each reader sent its own). The
+		// one Depth: infinity PROPFIND of the calculation, and the six
+		// readers take their metadata from the listing and the bodies of
+		// the molecule, the basis, the task and the three properties from
+		// what DAVStorage kept of populate's Load, each under the ETag the
+		// listing names (7 requests and 10 store calls when each body was
+		// fetched again; 11 and 13 when each reader sent its own). The
 		// store calls are the listing's StatWithProps and three
-		// ListWithProps, and six Gets; the counts are the benchmark's at
-		// 96 calculations.
-		requests:   7,
-		storeCalls: 10,
+		// ListWithProps; the counts are the benchmark's at 96
+		// calculations once each has been loaded.
+		requests:   1,
+		storeCalls: 4,
 		// Three calculations stored with one fixed timestamp, so the
-		// bytes are the same on every run. 41,870 before the one listing,
-		// whose 404 propstats name what each resource lacks of the 19
-		// properties it selects.
-		responseBytes: 47_565,
-		// 2,379 measured on linux/amd64 with go1.24 (2,463 under -race;
-		// 3,393 for the eleven requests, 3,608 when the client also read
-		// every property value into a tree). The ceiling leaves 10 %.
-		maxAllocs: 2_630,
+		// bytes are the same on every run. The listing alone: its 404
+		// propstats name what each resource lacks of the 20 properties
+		// it selects (47,565 with the six bodies, 41,870 before the one
+		// listing).
+		responseBytes: 9_627,
+		// 1,111 measured on linux/amd64 with go1.24 (1,134 under -race;
+		// 2,379 with the six GETs, 3,393 for the eleven requests, 3,608
+		// when the client also read every property value into a tree).
+		// The ceiling leaves 15 %.
+		maxAllocs: 1_280,
 	},
 	{
 		name:     "author_mix",

@@ -261,12 +261,43 @@ func writeEmptyProp(buf *bytes.Buffer, name xml.Name) {
 }
 
 // writeHref writes the DAV:href of resource p, as the client addresses
-// it.
+// it: a URI reference (RFC 4918 §8.3), every byte of the path but '/'
+// and RFC 3986's unreserved characters percent-encoded. What it writes
+// needs no XML escaping.
 func (h *Handler) writeHref(buf *bytes.Buffer, p string) {
 	buf.WriteString(`<D:href>`)
-	xml.EscapeText(buf, []byte(h.opts.Prefix+p))
+	writeEscapedPath(buf, h.opts.Prefix)
+	writeEscapedPath(buf, p)
 	buf.WriteString(`</D:href>`)
 }
+
+// writeEscapedPath writes p percent-encoded as writeHref does. The
+// run of bytes before the first that needs an escape, the whole of
+// most paths, is copied in one step.
+func writeEscapedPath(buf *bytes.Buffer, p string) {
+	i := 0
+	for i < len(p) && hrefSafe[p[i]] {
+		i++
+	}
+	buf.WriteString(p[:i])
+	const hex = "0123456789ABCDEF"
+	for ; i < len(p); i++ {
+		if c := p[i]; hrefSafe[c] {
+			buf.WriteByte(c)
+		} else {
+			buf.Write([]byte{'%', hex[c>>4], hex[c&15]})
+		}
+	}
+}
+
+// hrefSafe marks the bytes an href carries as they are: '/' and RFC
+// 3986's unreserved characters.
+var hrefSafe = func() (safe [256]bool) {
+	for _, c := range []byte("/-._~0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz") {
+		safe[c] = true
+	}
+	return safe
+}()
 
 // propstatEnd closes a propstat with a status that has no fixed string
 // (propstatOK, propstatNotFound).

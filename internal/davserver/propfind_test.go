@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -66,10 +67,16 @@ func richProps() []davproto.Property {
 	}
 }
 
+// canonical renders a 207 for comparison, each href decoded: the
+// references write the path as it is, davd a URI reference.
 func canonical(ms davproto.Multistatus) string {
 	var sb strings.Builder
 	for _, r := range ms.Responses {
-		fmt.Fprintf(&sb, "response %s status=%d\n", r.Href, r.Status)
+		href, err := url.PathUnescape(r.Href)
+		if err != nil {
+			href = r.Href
+		}
+		fmt.Fprintf(&sb, "response %s status=%d\n", href, r.Status)
 		for _, ps := range r.Propstats {
 			fmt.Fprintf(&sb, "  propstat %d\n", ps.Status)
 			for _, p := range ps.Props {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/xml"
 	"net/http"
+	"net/url"
 
 	"repro/internal/davproto"
 	"repro/internal/store"
@@ -20,7 +21,11 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request, _ string)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	scope, err := h.resourcePath(bs.Scope)
+	// The scope is an href, percent-encoded as a request line is.
+	scope, err := url.PathUnescape(bs.Scope)
+	if err == nil {
+		scope, err = h.resourcePath(scope)
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

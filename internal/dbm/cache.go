@@ -38,7 +38,8 @@ import (
 //     *DB, so cached handles stay valid.
 
 // cacheBudgetBytes bounds the memory the cached databases' resident
-// images may hold; the same figure as davclient.DefaultCacheBytes.
+// images may hold; the same figure as the bound on the document bodies
+// core.DAVStorage keeps.
 const cacheBudgetBytes = 64 << 20
 
 // CacheStats is a point-in-time snapshot of a cache's counters.

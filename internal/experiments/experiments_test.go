@@ -244,7 +244,7 @@ func TestSearchAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := renderToString(t, func(sb *strings.Builder) { tbl.Fprint(sb) })
-	for _, want := range []string{"DASL SEARCH", "PROPFIND walk", "cached GETs"} {
+	for _, want := range []string{"DASL SEARCH", "PROPFIND walk", "kept body"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ablation table missing %q:\n%s", want, out)
 		}
