@@ -52,7 +52,7 @@ func bindFlags(fs *flag.FlagSet, cfg *davserver.Config) {
 	fs.StringVar(&cfg.Root, "root", cfg.Root, "store root directory")
 	fs.StringVar(&cfg.Flavour, "flavour", cfg.Flavour, "property database flavour: gdbm or sdbm")
 	fs.IntVar(&cfg.DBMCache, "dbm-cache", cfg.DBMCache,
-		"open property databases kept cached (one per directory or document with dead properties); raise for wide trees under concurrent PROPFIND; at least 1")
+		"property-database files kept open (one database per directory or document with dead properties); past it the least recently used idle one closes its file and keeps serving reads from memory until its next write; at least 1")
 	fs.StringVar(&cfg.Users, "users", cfg.Users, "basic-auth credentials file (see davd -help-users); empty disables auth")
 	fs.StringVar(&cfg.Prefix, "prefix", cfg.Prefix, "URL path prefix to serve under (e.g. /dav)")
 	fs.IntVar(&cfg.MaxPropBytes, "max-prop-bytes", cfg.MaxPropBytes,

@@ -50,6 +50,12 @@ func Seconds(d time.Duration) string {
 	return fmt.Sprintf("%.3f s", d.Seconds())
 }
 
+// Millis formats a duration in milliseconds to the microsecond
+// ("0.400 ms"), for cells a millisecond's resolution would round to 0.
+func Millis(d time.Duration) string {
+	return fmt.Sprintf("%.3f ms", float64(d)/float64(time.Millisecond))
+}
+
 // Table renders experiment results aligned with paper-reference rows.
 type Table struct {
 	Title   string

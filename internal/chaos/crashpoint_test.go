@@ -128,7 +128,7 @@ func matrixCases() []matrixCase {
 				}
 				// The overwrite generation must be present, or If-Match
 				// could validate a stale ETag after recovery.
-				if strings.Count(ri.ETag, "-") != 2 {
+				if strings.Count(ri.ETag, "-") != 3 { // inode-size-mtime-generation
 					return fmt.Errorf("ETag %s lacks the generation field", ri.ETag)
 				}
 				return nil

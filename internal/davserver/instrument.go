@@ -213,13 +213,13 @@ func (m *Metrics) TrackStore(s store.Store) {
 			"DBM handle-cache misses, i.e. database opens (cumulative).", nil,
 			func() float64 { return float64(cs.CacheStats().Misses) })
 		m.Registry.GaugeFunc("dav_dbm_cache_evictions_total",
-			"DBM handles closed by LRU or byte-budget pressure (cumulative).", nil,
+			"Cached DBM images dropped by the 64 MiB byte budget (cumulative); closing a file at the -dbm-cache bound is not one.", nil,
 			func() float64 { return float64(cs.CacheStats().Evictions) })
 		m.Registry.GaugeFunc("dav_dbm_cache_invalidations_total",
 			"DBM handles closed by delete/rename invalidation (cumulative).", nil,
 			func() float64 { return float64(cs.CacheStats().Invalidations) })
 		m.Registry.GaugeFunc("dav_dbm_cache_open",
-			"DBM handles currently cached.", nil,
+			"Cached DBM databases holding an open file (bound: -dbm-cache).", nil,
 			func() float64 { return float64(cs.CacheStats().Open) })
 		m.Registry.GaugeFunc("dav_dbm_cache_bytes",
 			"Bytes the cached DBM handles' resident record images hold (budget: 64 MiB).", nil,

@@ -101,9 +101,10 @@ var ledger = []struct {
 		// Three calculations stored with one fixed timestamp, so the
 		// bytes are the same on every run. The listing alone: its 404
 		// propstats name what each resource lacks of the 20 properties
-		// it selects (47,565 with the six bodies, 41,870 before the one
-		// listing).
-		responseBytes: 9_627,
+		// it selects, and each of its seven documents' ETags carries a
+		// 16-digit inode number (9,627 before the inode; 47,565 with the
+		// six bodies, 41,870 before the one listing).
+		responseBytes: 9_746,
 		// 1,111 measured on linux/amd64 with go1.24 (1,134 under -race;
 		// 2,379 with the six GETs, 3,393 for the eleven requests, 3,608
 		// when the client also read every property value into a tree).
@@ -118,10 +119,12 @@ var ledger = []struct {
 		// the benchmark's at one client.
 		requests:   10,
 		storeCalls: 27,
-		// 8,423 when the two PROPPATCH 207s were built from a DOM, which
-		// declared each namespace once per response; the shared writer
-		// declares it on each property, as PROPFIND's does.
-		responseBytes: 8_499,
+		// Two of the cycle's responses carry a document ETag, each with a
+		// 16-digit inode number (8,499 before the inode; 8,423 when the
+		// two PROPPATCH 207s were built from a DOM, which declared each
+		// namespace once per response; the shared writer declares it on
+		// each property, as PROPFIND's does).
+		responseBytes: 8_533,
 		// 4,007 measured on linux/amd64 with go1.24 (4,171 under -race;
 		// 4,543 when xmldom's writer assigned prefixes with maps and
 		// formatted with fmt; 4,701 when the client also read every

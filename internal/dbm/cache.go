@@ -25,13 +25,18 @@ import (
 //
 //   - Acquire returns a Handle pinning the entry; the DB is never
 //     closed while pinned. Handles are cheap and per-request.
+//   - Two bounds, each with its own LRU list of idle entries. The
+//     capacity bounds the databases holding a file: past it, the least
+//     recently used idle one that holds a file is parked (DB.park: its
+//     file closed, its image and memo kept, a hit for the next
+//     Acquire). The byte budget (cacheBudgetBytes) bounds what the
+//     cached images and memos hold, parked or not: past it, the least
+//     recently used idle entry is evicted, and only that counts as an
+//     eviction. A database bigger than the whole byte budget lives only
+//     while pinned — as does every other entry, the cache being over
+//     budget for that long — and is dropped on its last release.
 //   - Eviction and Invalidate close the DB once the last pin is
-//     released. Eviction is LRU over the idle entries, against two
-//     bounds at once: the handle count (the capacity) and the bytes the
-//     open databases' resident images hold (cacheBudgetBytes). A
-//     database bigger than the whole byte budget lives only while
-//     pinned — as does every other entry, the cache being over budget
-//     for that long — and is dropped on its last release.
+//     released.
 //   - Invalidate must be called when the backing file is deleted or
 //     renamed (the store's Delete and Rename paths do this). Compact
 //     needs no invalidation: DB.Compact swaps the file under the same
@@ -44,11 +49,11 @@ const cacheBudgetBytes = 64 << 20
 
 // CacheStats is a point-in-time snapshot of a cache's counters.
 type CacheStats struct {
-	Hits          int64 // Acquire calls served by an open handle
+	Hits          int64 // Acquire calls served by a cached database, parked or not
 	Misses        int64 // Acquire calls that had to open the database
-	Evictions     int64 // entries closed by LRU or byte-budget pressure
+	Evictions     int64 // entries closed by byte-budget pressure
 	Invalidations int64 // entries closed by Invalidate/InvalidatePrefix
-	Open          int   // entries currently in the cache
+	Open          int   // cached databases holding a file, as of each one's last release
 	Pinned        int   // entries with at least one outstanding Handle
 	Bytes         int64 // resident image bytes, as of each entry's last release
 }
@@ -56,14 +61,16 @@ type CacheStats struct {
 // Cache is a bounded, refcounted LRU of open databases. Safe for
 // concurrent use.
 type Cache struct {
-	capacity int
+	capacity int   // bound on files: entries with hasFile
 	budget   int64 // cacheBudgetBytes; a field so tests can shrink it
 	flavour  Flavour
 
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	idle    *list.List // refs==0 entries, most recently used at front
-	bytes   int64      // sum of entries' size
+	mu        sync.Mutex
+	entries   map[string]*cacheEntry
+	idle      *list.List // refs==0 entries, most recently used at front
+	idleFiles *list.List // the idle entries with hasFile, in the same order
+	files     int        // entries with hasFile
+	bytes     int64      // sum of entries' size
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -78,21 +85,26 @@ type cacheEntry struct {
 	ready chan struct{} // closed once the single-flight open finishes
 	refs  int
 	size  int64 // db's resident bytes when last measured (open, release)
+	// hasFile: db held its file when last looked at (open, release),
+	// and the cache has not parked it since.
+	hasFile bool
 	// doomed entries have been evicted or invalidated while pinned;
 	// the last release closes them.
-	doomed bool
-	elem   *list.Element // position in idle, nil while pinned
+	doomed   bool
+	elem     *list.Element // position in idle, nil while pinned
+	fileElem *list.Element // position in idleFiles, nil unless idle with hasFile
 }
 
-// NewCache returns a cache of open databases of one flavour, holding at
-// most capacity (at least 1) handles open.
+// NewCache returns a cache of databases of one flavour, holding at most
+// capacity (at least 1) of their files open.
 func NewCache(capacity int, flavour Flavour) *Cache {
 	return &Cache{
-		capacity: capacity,
-		budget:   cacheBudgetBytes,
-		flavour:  flavour,
-		entries:  map[string]*cacheEntry{},
-		idle:     list.New(),
+		capacity:  capacity,
+		budget:    cacheBudgetBytes,
+		flavour:   flavour,
+		entries:   map[string]*cacheEntry{},
+		idle:      list.New(),
+		idleFiles: list.New(),
 	}
 }
 
@@ -107,9 +119,10 @@ type Handle struct {
 }
 
 // Acquire returns a pinned handle on the database at path, opening it
-// if no cached handle exists. Concurrent Acquires of one path share a
-// single open (single-flight); all callers see the same result. The
-// open, when it happens, is recorded as a "dbm.open" span on ctx.
+// if it is not cached (a parked database is cached: a hit). Concurrent
+// Acquires of one path share a single open (single-flight); all callers
+// see the same result. The open, when it happens, is recorded as a
+// "dbm.open" span on ctx.
 //
 // With create false a database that does not exist is not created. The
 // error then satisfies errors.Is(err, fs.ErrNotExist), and the call is
@@ -172,33 +185,58 @@ func (c *Cache) Acquire(ctx context.Context, path string, create bool) (*Handle,
 	if !e.doomed { // not invalidated while it was being opened
 		e.size = size
 		c.bytes += size
+		c.setFileLocked(e, true)
 	}
-	toClose := c.trimLocked()
+	toClose, toPark := c.trimLocked()
 	c.mu.Unlock()
 	closeAll(toClose)
+	parkAll(toPark)
 	return &Handle{db: db, ctx: ctx, cache: c, entry: e}, nil
 }
 
-// pinLocked takes a reference, removing the entry from the idle list if
-// this is the first pin. Caller holds c.mu.
+// pinLocked takes a reference, removing the entry from the idle lists
+// if this is the first pin. Caller holds c.mu.
 func (e *cacheEntry) pinLocked(c *Cache) {
 	e.refs++
+	c.unidleLocked(e)
+}
+
+// unidleLocked takes e off the idle lists it is on. Caller holds c.mu.
+func (c *Cache) unidleLocked(e *cacheEntry) {
 	if e.elem != nil {
 		c.idle.Remove(e.elem)
 		e.elem = nil
 	}
+	if e.fileElem != nil {
+		c.idleFiles.Remove(e.fileElem)
+		e.fileElem = nil
+	}
 }
 
-// release drops one reference. A live entry's size is brought up to
-// date (its holder may have written to it) and the cache trimmed; an
-// entry doomed while pinned is closed by its last release.
+// setFileLocked records whether e's database holds its file. Caller
+// holds c.mu.
+func (c *Cache) setFileLocked(e *cacheEntry, has bool) {
+	if has != e.hasFile {
+		e.hasFile = has
+		if has {
+			c.files++
+		} else {
+			c.files--
+		}
+	}
+}
+
+// release drops one reference. A live entry's size and file are brought
+// up to date (its holder may have written to it, which reopens a parked
+// database) and the cache trimmed; an entry doomed while pinned is
+// closed by its last release.
 func (c *Cache) release(e *cacheEntry) {
 	var size int64
 	if e.db != nil {
 		size = e.db.residentBytes()
 	}
 	c.mu.Lock()
-	var toClose []*DB
+	var toClose, toPark []*DB
 	e.refs--
 	if e.doomed {
 		if e.refs == 0 {
@@ -207,6 +245,9 @@ func (c *Cache) release(e *cacheEntry) {
 	} else {
 		c.bytes += size - e.size
 		e.size = size
+		// Read under c.mu: a park in flight only ever turns it false, so
+		// the count never misses a file an idle entry holds.
+		c.setFileLocked(e, e.db.hasFile.Load())
 		switch {
 		case e.refs > 0:
 		case size > c.budget:
@@ -216,11 +257,17 @@ func (c *Cache) release(e *cacheEntry) {
 			toClose = append(toClose, c.unlinkLocked(e))
 		default:
 			e.elem = c.idle.PushFront(e)
+			if e.hasFile {
+				e.fileElem = c.idleFiles.PushFront(e)
+			}
 		}
-		toClose = append(toClose, c.trimLocked()...)
+		var closing []*DB
+		closing, toPark = c.trimLocked()
+		toClose = append(toClose, closing...)
 	}
 	c.mu.Unlock()
 	closeAll(toClose)
+	parkAll(toPark)
 }
 
 // unlinkLocked takes e out of the cache. It returns e's database if
@@ -230,11 +277,9 @@ func (c *Cache) release(e *cacheEntry) {
 func (c *Cache) unlinkLocked(e *cacheEntry) *DB {
 	delete(c.entries, e.path)
 	c.bytes -= e.size
+	c.setFileLocked(e, false)
 	e.doomed = true
-	if e.elem != nil {
-		c.idle.Remove(e.elem)
-		e.elem = nil
-	}
+	c.unidleLocked(e)
 	if e.refs > 0 {
 		return nil
 	}
@@ -257,21 +302,43 @@ func closeAll(dbs []*DB) error {
 	return first
 }
 
+// parkAll parks what trimLocked chose, after c.mu is dropped: a park
+// may fsync. A failure costs nothing but the file staying open, which
+// the entry's next release counts again.
+func parkAll(dbs []*DB) {
+	for _, db := range dbs {
+		db.park()
+	}
+}
+
 // trimLocked evicts idle entries, oldest first, while the cache is over
-// its handle capacity or its byte budget, and returns their databases
-// for closeAll. Pinned entries are not evictable, so the cache may
-// transiently exceed either bound under heavy pinning. Caller holds c.mu.
-func (c *Cache) trimLocked() []*DB {
-	var toClose []*DB
-	for len(c.entries) > c.capacity || c.bytes > c.budget {
+// its byte budget, returning their databases for closeAll; then, while
+// more entries hold a file than the capacity allows, it takes the
+// oldest idle ones holding a file off that count and returns their
+// databases for parkAll. Pinned entries are neither evicted nor parked,
+// so the cache may transiently exceed either bound under heavy pinning.
+// Caller holds c.mu.
+func (c *Cache) trimLocked() (toClose, toPark []*DB) {
+	for c.bytes > c.budget {
 		back := c.idle.Back()
 		if back == nil {
-			break // everything over the bounds is pinned
+			break // everything over the budget is pinned
 		}
 		c.evictions.Add(1)
 		toClose = append(toClose, c.unlinkLocked(back.Value.(*cacheEntry)))
 	}
-	return toClose
+	for c.files > c.capacity {
+		back := c.idleFiles.Back()
+		if back == nil {
+			break // every file over the capacity is pinned
+		}
+		e := back.Value.(*cacheEntry)
+		c.idleFiles.Remove(back)
+		e.fileElem = nil
+		c.setFileLocked(e, false)
+		toPark = append(toPark, e.db)
+	}
+	return toClose, toPark
 }
 
 // Invalidate removes the entry for path, closing the database once (and
@@ -325,7 +392,7 @@ func (c *Cache) Close() error {
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	open, bytes := len(c.entries), c.bytes
+	open, bytes := c.files, c.bytes
 	pinned := 0
 	for _, e := range c.entries {
 		if e.refs > 0 {

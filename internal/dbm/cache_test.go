@@ -67,34 +67,48 @@ func TestCacheSharedHandleSameDB(t *testing.T) {
 	}
 }
 
+// The capacity bounds open files, not cached databases: past it the
+// least recently used idle database is parked, not evicted, and the
+// next Acquire of it is a hit that opens nothing.
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2, GDBM)
+	defer c.Close()
 	ctx := context.Background()
 	paths := make([]string, 3)
+	dbs := make([]*DB, 3)
 	for i := range paths {
 		paths[i] = cachePath(t, fmt.Sprintf("db%d.props", i))
 		h, err := c.Acquire(ctx, paths[i], true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := h.Put([]byte("k"), []byte(paths[i])); err != nil {
+			t.Fatal(err)
+		}
+		dbs[i] = h.DB()
 		h.Close()
 	}
-	s := c.Stats()
-	if s.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", s.Evictions)
+	if s := c.Stats(); s.Open != 2 || s.Evictions != 0 || s.Misses != 3 {
+		t.Fatalf("three databases at capacity 2: %+v; want 2 open files, 0 evictions, 3 misses", s)
 	}
-	if s.Open != 2 {
-		t.Fatalf("open = %d, want 2 (capacity)", s.Open)
+	for i, want := range []bool{false, true, true} { // the oldest was parked
+		if got := dbs[i].hasFile.Load(); got != want {
+			t.Errorf("db%d holds its file: %v, want %v", i, got, want)
+		}
 	}
-	// The oldest (paths[0]) was evicted; re-acquiring it is a miss.
-	before := c.Stats().Misses
-	h, err := c.Acquire(ctx, paths[0], true)
+	h, err := c.Acquire(ctx, paths[0], false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if v, ok, err := h.Get([]byte("k")); err != nil || !ok || string(v) != paths[0] {
+		t.Errorf("Get on the parked database = %q, %v, %v", v, ok, err)
+	}
+	if h.DB() != dbs[0] || dbs[0].hasFile.Load() {
+		t.Error("a read of the parked database reopened it or replaced it")
+	}
 	h.Close()
-	if c.Stats().Misses != before+1 {
-		t.Fatal("evicted entry served as a hit")
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 3 || s.Open != 2 {
+		t.Fatalf("after re-acquiring the parked database: %+v; want 1 hit, still 3 misses and 2 open files", s)
 	}
 }
 
@@ -321,11 +335,12 @@ func grow(t *testing.T, c *Cache, path string, n int) {
 	}
 }
 
-// The byte budget evicts like the handle capacity does: idle entries,
-// oldest first, until the resident images fit.
+// The byte budget evicts idle entries, oldest first, until what the
+// cached databases hold fits. Each 3000-byte GDBM database holds 7 KiB
+// with its bucket table: two fit in 20 KiB, three do not.
 func TestCacheByteBudgetEvictsOldestIdle(t *testing.T) {
 	c := NewCache(16, GDBM)
-	c.budget = 8 << 10
+	c.budget = 20 << 10
 	defer c.Close()
 	paths := make([]string, 3)
 	for i := range paths {
@@ -334,7 +349,7 @@ func TestCacheByteBudgetEvictsOldestIdle(t *testing.T) {
 	}
 	s := c.Stats()
 	if s.Open != 2 || s.Evictions != 1 || s.Bytes < 6000 || s.Bytes > c.budget {
-		t.Fatalf("three 3000-byte databases under an 8 KiB budget: %+v; want 2 open, 1 eviction, 6000 <= bytes <= budget", s)
+		t.Fatalf("three 3000-byte databases under a 20 KiB budget: %+v; want 2 open, 1 eviction, 6000 <= bytes <= budget", s)
 	}
 	for i, wantMiss := range []bool{false, false, true} { // newest first; db0 went
 		before := c.Stats().Misses
@@ -351,10 +366,12 @@ func TestCacheByteBudgetEvictsOldestIdle(t *testing.T) {
 
 // Pinned entries are not evictable whatever the budget says, and a
 // database that outgrows the whole budget is dropped by its last
-// release — itself, not the entries that still fit.
+// release — itself, not the entries that still fit. With their bucket
+// tables the small and the pinned database hold 12 KiB, the big one
+// 25 KiB.
 func TestCacheByteBudgetPinnedAndOversized(t *testing.T) {
 	c := NewCache(16, GDBM)
-	c.budget = 8 << 10
+	c.budget = 20 << 10
 	defer c.Close()
 	ctx := context.Background()
 	small, pinned, big := cachePath(t, "small.props"), cachePath(t, "pinned.props"), cachePath(t, "big.props")

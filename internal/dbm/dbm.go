@@ -64,6 +64,20 @@
 // by the next read through the open handle, which serves the image that
 // passed validation at Open plus the handle's own writes.
 //
+// Parking: a DB can give up its file and keep everything else (park).
+// The handle cache parks its least recently used idle databases when
+// more of them hold a file than its capacity allows, so the capacity
+// bounds open files and the cache's byte budget alone bounds resident
+// images. A dirty DB is synced before it parks, as Close does. A parked
+// DB's Get, Has, ForEach, Len and Memo serve the image and touch no
+// file; Put, Delete, Sync, Compact and Stats reopen the file first
+// (fileLocked) and check, by os.SameFile and the file's size and mtime,
+// that it is the file park closed. A file replaced or rewritten behind
+// a parked DB is loaded again — image, accounting and all — before the
+// operation, so no record is ever appended from an image the file no
+// longer matches; a file that is gone or fails to load fails the
+// operation.
+//
 // Open reads the file into a pooled buffer and keeps a right-sized copy
 // of the records in it, so opening a database that is mostly
 // preallocation costs its records, not its file size.
@@ -76,8 +90,10 @@
 // and a memo is kept only if the counter did not move while it was
 // built: one built while a write landed is handed to its caller but
 // never kept, so the slot never holds a value from before the last
-// write. The memo dies with the DB (Close, eviction, Invalidate), and
-// the bytes its builder reports count with the image's in residentBytes,
+// write. Parking keeps the memo; it dies with the DB (Close, eviction,
+// Invalidate) and with a reload of a file changed behind a parked DB, and
+// the bytes its builder reports count with the image's (and the bucket
+// table's) in residentBytes,
 // so the handle cache's byte budget and its Bytes statistic cover both.
 package dbm
 
@@ -182,9 +198,15 @@ type Stats struct {
 // DB is an open database. It is safe for concurrent use.
 type DB struct {
 	mu      sync.Mutex
-	f       *os.File
+	f       *os.File // nil while parked
 	path    string
 	flavour Flavour
+	// hasFile mirrors f != nil for the handle cache, which counts open
+	// files without taking the database mutex.
+	hasFile atomic.Bool
+	// parkedAs is the file as park closed it, for fileLocked's check
+	// that nothing changed it since.
+	parkedAs os.FileInfo
 
 	buckets []int64 // in-memory copy of the bucket table
 	image   []byte  // the record area [areaStart, end), see the package doc
@@ -235,6 +257,7 @@ func open(path string, flavour Flavour, create bool) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{f: f, path: path, flavour: flavour}
+	db.hasFile.Store(true)
 	db.maxValue, db.initialSize, _ = flavour.params()
 
 	fi, err := f.Stat()
@@ -285,7 +308,8 @@ const maxPooledRead = 256 << 10
 
 // load checks the header against the flavour the database was opened
 // as, recovers the append offset and key count by walking every chain
-// in the file's bytes, and keeps those bytes as the resident image.
+// in the file's bytes, and keeps those bytes as the resident image. It
+// changes nothing of db unless the whole file passes.
 func (db *DB) load(size int64) error {
 	var buf *[]byte
 	if size-headerSize <= maxPooledRead {
@@ -299,24 +323,24 @@ func (db *DB) load(size int64) error {
 	if hdr.flavour != db.flavour {
 		return fmt.Errorf("dbm: %s opened as %s but created as %s", db.path, db.flavour, hdr.flavour)
 	}
-	db.buckets, db.live, db.dead = hdr.buckets, hdr.live, hdr.dead
-	base := areaStart(db.buckets)
+	base := areaStart(hdr.buckets)
 	end := base
-	db.nkeys = 0
-	err = walkChains(context.Background(), db.buckets, area, base, func(_ int, at int64, rec record, newest bool) error {
+	nkeys := 0
+	err = walkChains(context.Background(), hdr.buckets, area, base, func(_ int, at int64, rec record, newest bool) error {
 		if rend := at + rec.size(); rend > end {
 			end = rend
 		}
 		// Only the newest record per key determines liveness; older
 		// shadowed versions are dead space.
 		if newest && rec.flags&flagDeleted == 0 {
-			db.nkeys++
+			nkeys++
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	db.buckets, db.live, db.dead, db.nkeys = hdr.buckets, hdr.live, hdr.dead, nkeys
 	// The image is the bytes just validated, up to the append offset: a
 	// right-sized copy, so the pooled buffer goes back and a file still at
 	// its preallocated size pins none of its zeros. A file too big for the
@@ -326,6 +350,76 @@ func (db *DB) load(size int64) error {
 	if buf != nil || len(db.image) < len(area) {
 		db.image = bytes.Clone(db.image)
 	}
+	return nil
+}
+
+// park closes the database's file and keeps its image and memo, so
+// reads go on without a file descriptor until an operation that needs
+// the file reopens it (fileLocked). A dirty database is synced first, as
+// Close does; if that fails the file is closed anyway and the database
+// stays dirty, so the next sync writes the header again. A closed or
+// parked database is left as it is.
+func (db *DB) park() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed || db.f == nil {
+		return nil
+	}
+	var err error
+	if db.dirty {
+		err = db.syncLocked()
+	}
+	fi, serr := db.f.Stat()
+	if serr != nil {
+		// Without the file's identity a reopen could not be checked:
+		// keep the file.
+		return serr
+	}
+	if cerr := db.f.Close(); err == nil {
+		err = cerr
+	}
+	db.f, db.parkedAs = nil, fi
+	db.hasFile.Store(false)
+	return err
+}
+
+// fileLocked is where every operation that touches the file starts: it
+// refuses a closed database and gives a parked one its file back. A
+// file that is no longer the one park closed, or not at the size and
+// mtime park left it with, was written behind this DB: its bytes are
+// loaded as the image (emptying the memo) rather than extended from the
+// stale one. (A rewrite in place at the same size within one timestamp
+// tick goes unnoticed, as it does under a DB that never parked.) A file
+// that is gone or fails to load fails the operation and leaves the
+// database parked. Caller holds db.mu.
+func (db *DB) fileLocked() error {
+	if db.closed {
+		return ErrClosed
+	}
+	if db.f != nil {
+		return nil
+	}
+	f, err := os.OpenFile(db.path, os.O_RDWR, 0o644)
+	if err != nil {
+		return err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return err
+	}
+	db.f = f
+	if !os.SameFile(fi, db.parkedAs) || fi.Size() != db.parkedAs.Size() || !fi.ModTime().Equal(db.parkedAs.ModTime()) {
+		if err := db.load(fi.Size()); err != nil {
+			db.f = nil
+			f.Close()
+			return fmt.Errorf("dbm: %s changed behind a parked handle: %w", db.path, err)
+		}
+		db.writes++
+		db.memo = memo{}
+	}
+	db.parkedAs = nil
+	db.hasFile.Store(true)
 	return nil
 }
 
@@ -568,8 +662,8 @@ func (db *DB) Has(key []byte) (bool, error) {
 func (db *DB) Put(key, value []byte) (err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
+	if err := db.fileLocked(); err != nil {
+		return err
 	}
 	if len(key) == 0 {
 		return errors.New("dbm: empty key")
@@ -636,8 +730,8 @@ func (db *DB) setBucketHead(b int, at int64) error {
 func (db *DB) Delete(key []byte) (found bool, err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return false, ErrClosed
+	if err := db.fileLocked(); err != nil {
+		return false, err
 	}
 	at, rec, err := db.findLocked(key)
 	if err != nil || at == 0 {
@@ -711,8 +805,8 @@ func (db *DB) Len() int {
 func (db *DB) Stats() (Stats, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return Stats{}, ErrClosed
+	if err := db.fileLocked(); err != nil {
+		return Stats{}, err
 	}
 	fi, err := db.f.Stat()
 	if err != nil {
@@ -728,8 +822,8 @@ func (db *DB) Stats() (Stats, error) {
 func (db *DB) Compact() (err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
+	if err := db.fileLocked(); err != nil {
+		return err
 	}
 	tmpPath := db.path + ".compact"
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -795,8 +889,8 @@ func (db *DB) Compact() (err error) {
 func (db *DB) Sync() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
+	if err := db.fileLocked(); err != nil {
+		return err
 	}
 	return db.syncLocked()
 }
@@ -816,21 +910,27 @@ func (db *DB) syncLocked() error {
 
 // Close closes the database, first syncing it if it has been written to
 // since the last sync: a handle that only read leaves the file's bytes
-// and mtime alone. Further operations return ErrClosed.
+// and mtime alone. A parked database has nothing left to close, unless
+// the sync as it parked failed. Further operations return ErrClosed.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return nil
 	}
-	db.closed = true
-	db.memo = memo{}
 	var err error
 	if db.dirty {
-		err = db.syncLocked()
+		if err = db.fileLocked(); err == nil {
+			err = db.syncLocked()
+		}
 	}
-	if cerr := db.f.Close(); err == nil {
-		err = cerr
+	db.closed = true
+	db.memo = memo{}
+	if db.f != nil {
+		if cerr := db.f.Close(); err == nil {
+			err = cerr
+		}
+		db.hasFile.Store(false)
 	}
 	return err
 }
@@ -869,11 +969,14 @@ func (db *DB) Memo(build func() (val any, bytes int64, err error)) (any, error) 
 	return val, nil
 }
 
-// residentBytes is what the image and the memo hold in memory.
+// residentBytes is what the image, the bucket table and the memo hold
+// in memory. The table (4 KiB for GDBM, 1 KiB for SDBM) is most of what
+// a parked database of a few properties keeps, so the byte budget must
+// see it for it to bound how many of them stay cached.
 func (db *DB) residentBytes() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return int64(cap(db.image)) + db.memo.bytes
+	return int64(cap(db.image)) + 8*int64(len(db.buckets)) + db.memo.bytes
 }
 
 // Path returns the backing file path.

@@ -29,10 +29,11 @@ var opKeys = func() [][]byte {
 	}
 }()
 
-// runOps interprets ops as a sequence of Put, Delete, Compact and
-// close-and-reopen calls on a fresh database — the first byte picks the
-// flavour — beside a map that models it, and after every call requires
-// checkImage. At most maxOps calls run, which bounds what one fuzz input
+// runOps interprets ops as a sequence of Put, Delete, Compact,
+// close-and-reopen and park calls on a fresh database — the first byte
+// picks the flavour — beside a map that models it, and after every call
+// requires checkImage. A park keeps the memo; the op after it that
+// needs the file reopens it. At most maxOps calls run, which bounds what one fuzz input
 // can cost in fsyncs.
 func runOps(t *testing.T, path string, ops []byte) {
 	t.Helper()
@@ -89,7 +90,7 @@ func runOps(t *testing.T, path string, ops []byte) {
 			if st, err := db.Stats(); err != nil || st.DeadBytes != 0 {
 				t.Fatalf("op %d: after Compact: %+v, %v", n, st, err)
 			}
-		default:
+		case 8:
 			what = "reopen"
 			if err := db.Close(); err != nil {
 				t.Fatalf("op %d: Close: %v", n, err)
@@ -97,11 +98,24 @@ func runOps(t *testing.T, path string, ops []byte) {
 			if db, err = Open(path, flavour); err != nil {
 				t.Fatalf("op %d: reopen: %v", n, err)
 			}
+		default:
+			what = "park"
+			if err := db.park(); err != nil {
+				t.Fatalf("op %d: park: %v", n, err)
+			}
+			if db.f != nil || db.hasFile.Load() {
+				t.Fatalf("op %d: the parked database still holds its file", n)
+			}
+			wrote = false
 		}
 		when := fmt.Sprintf("op %d, %s", n, what)
 		checkImage(t, db, model, when)
-		if after := memoSnapshot(t, db); wrote && after == before {
+		after := memoSnapshot(t, db)
+		if wrote && after == before {
 			t.Fatalf("%s: Memo returns the value it built before the write", when)
+		}
+		if what == "park" && after != before {
+			t.Fatalf("%s: parking dropped the memo", when)
 		}
 	}
 }
@@ -127,18 +141,23 @@ func memoSnapshot(t *testing.T, db *DB) *snapshot {
 	return v.(*snapshot)
 }
 
-// checkImage requires the open database, its file and the model to
-// agree: the resident image is the file's record area byte for byte with
-// nothing but preallocated zeros after it, the bucket tables are equal,
-// the file passes Verify, and Len, ForEach, Get, Has and the memo answer
-// as the model does.
+// checkImage requires the open (or parked) database, its file and the
+// model to agree: the resident image is the file's record area byte for
+// byte with nothing but preallocated zeros after it, the bucket tables
+// are equal, the file passes Verify, and Len, ForEach, Get, Has and the
+// memo answer as the model does.
 func checkImage(t *testing.T, db *DB, model map[string][]byte, when string) {
 	t.Helper()
-	fi, err := db.f.Stat()
+	f, err := os.Open(db.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, area, err := readImage(db.f, fi.Size(), nil)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, area, err := readImage(f, fi.Size(), nil)
 	if err != nil {
 		t.Fatalf("%s: reading the file back: %v", when, err)
 	}
@@ -151,7 +170,7 @@ func checkImage(t *testing.T, db *DB, model map[string][]byte, when string) {
 	if !slices.Equal(hdr.buckets, db.buckets) {
 		t.Fatalf("%s: bucket table in memory differs from the file's", when)
 	}
-	if err := verifyImage(db.f, fi.Size()); err != nil {
+	if err := verifyImage(f, fi.Size()); err != nil {
 		t.Fatalf("%s: Verify: %v", when, err)
 	}
 	if db.Len() != len(model) {
@@ -202,6 +221,7 @@ func FuzzDBMOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 10, 0, 0, 20, 5, 0, 7, 8, 0, 1, 30})    // GDBM: shadow, delete, compact, reopen, put
 	f.Add([]byte{1, 0, 0, 210, 0, 1, 200, 0, 2, 3, 5, 1, 8, 7})   // SDBM: a value over the limit, a chain of three keys
 	f.Add([]byte{0, 0, 4, 255, 0, 4, 255, 0, 4, 255, 7, 5, 4, 7}) // growth past the preallocation, then down to nothing
+	f.Add([]byte{0, 0, 0, 10, 9, 0, 0, 20, 9, 5, 0, 9, 7, 9, 8})  // GDBM: park, then a put, a delete and a compact that each reopen
 	path := filepath.Join(f.TempDir(), "ops.props")
 	f.Fuzz(func(t *testing.T, ops []byte) { runOps(t, path, ops) })
 }

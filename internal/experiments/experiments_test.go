@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/bench"
 	"repro/internal/davclient"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -228,6 +230,28 @@ func TestDAVEnvServesTheShippedChain(t *testing.T) {
 	}
 	if resp := get("/readyz", "abc"); resp.StatusCode != 200 {
 		t.Fatalf("GET /readyz = %d, want 200 from the probe mux", resp.StatusCode)
+	}
+}
+
+// Table 3's measured cells resolve a load well under a millisecond: a
+// 400 µs load must not render as zero, as it did in seconds to three
+// decimals.
+func TestTable3CellsResolveSubMillisecondLoads(t *testing.T) {
+	res := Table3Result{Rows: map[string][]Table3Row{BackendDAV: {{
+		Tool:    "Builder",
+		Startup: bench.Timing{Elapsed: 2 * time.Millisecond},
+		Load:    bench.Timing{Elapsed: 400 * time.Microsecond},
+		Warm:    bench.Timing{Elapsed: 90 * time.Microsecond},
+	}}}}
+	out := renderToString(t, func(sb *strings.Builder) {
+		for _, tbl := range res.Tables() {
+			tbl.Fprint(sb)
+		}
+	})
+	for _, want := range []string{"2.000 ms", "0.400 ms", "0.090 ms", "1.10 s", "0.10 s"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("rendered table lacks %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -256,7 +256,9 @@ func heapMB() float64 {
 	return float64(ms.HeapAlloc) / (1 << 20)
 }
 
-// Tables renders one table per backend.
+// Tables renders one table per backend. The measured start, load and
+// warm load are in milliseconds, since most of them are well under one;
+// the paper's columns stay in its seconds.
 func (r Table3Result) Tables() []*bench.Table {
 	var out []*bench.Table
 	for _, backend := range []string{BackendOODB, BackendDAV} {
@@ -275,9 +277,9 @@ func (r Table3Result) Tables() []*bench.Table {
 				paperLoad = fmt.Sprintf("%.2f s", refs[1])
 			}
 			t.AddRow(row.Tool,
-				bench.Seconds(row.Startup.Elapsed),
-				bench.Seconds(row.Load.Elapsed),
-				bench.Seconds(row.Warm.Elapsed),
+				bench.Millis(row.Startup.Elapsed),
+				bench.Millis(row.Load.Elapsed),
+				bench.Millis(row.Warm.Elapsed),
 				fmt.Sprintf("%.1f", row.HeapMB),
 				fmt.Sprintf("%.2f s", refs[0]),
 				paperLoad)

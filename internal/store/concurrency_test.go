@@ -154,7 +154,7 @@ func TestGenerationLazyMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Count(ri.ETag, "-") != 2 {
+	if strings.Count(ri.ETag, "-") != 3 { // inode-size-mtime-generation
 		t.Fatalf("overwritten document ETag %s lacks the generation field", ri.ETag)
 	}
 }

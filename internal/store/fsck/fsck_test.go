@@ -3,6 +3,7 @@ package fsck
 import (
 	"context"
 	"encoding/xml"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,6 +52,65 @@ func TestCheckCleanStore(t *testing.T) {
 	}
 	if rep.Databases == 0 || rep.Resources == 0 {
 		t.Fatalf("report did not walk the store: %+v", rep)
+	}
+}
+
+// Writes through property databases the handle cache has parked —
+// a dead property and the generation an overwrite bumps — reopen their
+// files, survive the store being closed and opened again, and leave a
+// store fsck finds clean.
+func TestParkedWritesSurviveReopenAndCheckClean(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s, err := store.NewFSStoreWith(dir, dbm.GDBM, store.FSOptions{HandleCacheSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := xml.Name{Space: "urn:ecce", Local: "state"}
+	for i := 0; i < 8; i++ {
+		p := fmt.Sprintf("/d%d.out", i)
+		if _, err := s.Put(ctx, p, strings.NewReader("first"), ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PropPut(ctx, p, name, []byte("<state>created</state>")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.CacheStats(); st.Open > 2 || st.Evictions != 0 {
+		t.Fatalf("eight databases at capacity 2: %+v; want at most 2 open files and no eviction", st)
+	}
+	// d0's database is the oldest: parked since the third document.
+	if err := s.PropPut(ctx, "/d0.out", name, []byte("<state>written while parked</state>")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(ctx, "/d1.out", strings.NewReader("second"), ""); err != nil {
+		t.Fatal(err)
+	}
+	d1, err := s.Stat(ctx, "/d1.out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := Check(dir, dbm.GDBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("findings after writes through parked databases:\n%v", rep.Findings)
+	}
+	s, err = store.NewFSStore(dir, dbm.GDBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if v, ok, err := s.PropGet(ctx, "/d0.out", name); err != nil || !ok || string(v) != "<state>written while parked</state>" {
+		t.Fatalf("after reopening the store: PropGet = %q, %v, %v", v, ok, err)
+	}
+	if ri, err := s.Stat(ctx, "/d1.out"); err != nil || ri.ETag != d1.ETag {
+		t.Fatalf("after reopening the store: ETag %q, %v; want %q (the overwrite's generation kept)", ri.ETag, err, d1.ETag)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"repro/internal/dbm"
 	"repro/internal/store/journal"
@@ -77,14 +78,16 @@ const (
 	ikeyGeneration = "gen"
 )
 
-// DefaultHandleCacheSize is the default bound on open property-database
-// handles kept by the store's DBM cache.
+// DefaultHandleCacheSize is the default bound on the property-database
+// files the store's DBM cache keeps open. Past it the cache parks a
+// database (dbm.Cache): its file closes, its image stays in memory.
 const DefaultHandleCacheSize = 256
 
 // FSOptions tunes NewFSStoreWith.
 type FSOptions struct {
-	// HandleCacheSize bounds the shared cache of open property-database
-	// handles. Zero or negative means DefaultHandleCacheSize.
+	// HandleCacheSize bounds the property-database files the shared
+	// handle cache keeps open. Zero or negative means
+	// DefaultHandleCacheSize.
 	HandleCacheSize int
 	// DeferRecovery opens the store without running startup recovery.
 	// The store reports Recovering() == true and fails every mutation
@@ -453,14 +456,28 @@ func (s *FSStore) fillDocInfo(ri *ResourceInfo, fi fs.FileInfo, ctype string, ge
 	}
 }
 
-// etagFor derives a document ETag from size, mtime and the overwrite
-// generation. Resources never overwritten keep the historical
-// size-mtime shape; the generation suffix appears from the first
-// overwrite on and makes same-size same-nanosecond rewrites
-// distinguishable.
+// etagFor derives a document ETag from the file's inode number, size,
+// mtime and the overwrite generation, as Apache's FileETag INode MTime
+// Size does. The inode tells apart two bodies of one size written
+// within one timestamp tick, which a MOVE otherwise lets one path serve
+// under one ETag (Rename carries the source's mtime and generation):
+// two live files never share an inode. It is written at a fixed 16 hex
+// digits so a response's length does not depend on where the file
+// landed. Resources never overwritten carry no generation; the suffix
+// appears from the first overwrite on and makes same-size
+// same-nanosecond rewrites of one file distinguishable.
 func etagFor(fi fs.FileInfo, gen int64) string {
-	b := make([]byte, 0, 52)
+	var ino uint64
+	if st, ok := fi.Sys().(*syscall.Stat_t); ok {
+		ino = uint64(st.Ino)
+	}
+	const hexDigits = "0123456789abcdef"
+	b := make([]byte, 0, 70)
 	b = append(b, '"')
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hexDigits[ino>>uint(shift)&0xf])
+	}
+	b = append(b, '-')
 	b = strconv.AppendInt(b, fi.Size(), 16)
 	b = append(b, '-')
 	b = strconv.AppendInt(b, fi.ModTime().UnixNano(), 16)

@@ -170,7 +170,7 @@ func TestRecoverRollsForwardPutCrashedAfterRename(t *testing.T) {
 	if ri.ETag == before.ETag {
 		t.Fatal("overwrite reused the replaced document's ETag")
 	}
-	if strings.Count(ri.ETag, "-") != 2 {
+	if strings.Count(ri.ETag, "-") != 3 { // inode-size-mtime-generation
 		t.Fatalf("ETag %s lacks the generation field", ri.ETag)
 	}
 	if st := s2.RecoveryStats(); st.RolledForward != 1 {

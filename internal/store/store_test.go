@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/dbm"
 )
@@ -157,6 +158,67 @@ func TestETagChangesOnWrite(t *testing.T) {
 			t.Fatalf("ETag unchanged across write: %s", ri1.ETag)
 		}
 	})
+}
+
+// A MOVE must not hand its destination an ETag that path already served
+// for other bytes. Two documents of one size written within one
+// timestamp tick (a bulk upload of same-size input decks) differ only in
+// their bytes; with the destination deleted and the source moved onto
+// its path, size, mtime and generation all match what the destination
+// served, so only the file's identity tells the two bodies apart.
+func TestMoveNeverReusesADestinationETag(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct{ name, src, dst, srcDoc, dstDoc string }{
+		{"document", "/a", "/b", "/a", "/b"},
+		{"member of a moved collection", "/c1", "/c2", "/c1/x", "/c2/x"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewFSStore(t.TempDir(), dbm.GDBM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if tc.src != tc.srcDoc {
+				mustMkcol(t, s, tc.src)
+				mustMkcol(t, s, tc.dst)
+			}
+			mustPut(t, s, tc.srcDoc, "aaaa")
+			mustPut(t, s, tc.dstDoc, "bbbb")
+			tick := time.Unix(1_000_000_000, 0)
+			for _, p := range []string{tc.srcDoc, tc.dstDoc} {
+				if err := os.Chtimes(filepath.Join(s.Root(), filepath.FromSlash(p)), tick, tick); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := s.Stat(ctx, tc.dstDoc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Delete(ctx, tc.dst); err != nil {
+				t.Fatal(err)
+			}
+			if err := MoveTree(ctx, s, tc.src, tc.dst); err != nil {
+				t.Fatal(err)
+			}
+			after, err := s.Stat(ctx, tc.dstDoc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc, _, err := s.Get(ctx, tc.dstDoc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(rc)
+			rc.Close()
+			if err != nil || string(got) != "aaaa" {
+				t.Fatalf("%s after the move holds %q, %v", tc.dstDoc, got, err)
+			}
+			if after.ETag == before.ETag {
+				t.Fatalf("%s serves the moved bytes under the ETag it served for the old ones: %s", tc.dstDoc, after.ETag)
+			}
+		})
+	}
 }
 
 func TestMkcolSemantics(t *testing.T) {
