@@ -298,10 +298,10 @@ func TestFaultyStoreTriggers(t *testing.T) {
 	}
 
 	// Rate: seeded coin flips, deterministic count.
-	fs.FailRate(OpList, 0.5, 7)
+	fs.FailRate(OpListWithProps, 0.5, 7)
 	fails := 0
 	for i := 0; i < 100; i++ {
-		if _, err := fs.List(context.Background(), "/"); err != nil {
+		if _, err := fs.ListWithProps(context.Background(), "/"); err != nil {
 			fails++
 		}
 	}

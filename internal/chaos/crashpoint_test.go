@@ -62,7 +62,8 @@ func wantGone(s *store.FSStore, p string) error {
 }
 
 func wantProp(s *store.FSStore, p, want string) error {
-	v, ok, err := s.PropGet(context.Background(), p, propK)
+	_, props, err := s.StatWithProps(context.Background(), p)
+	v, ok := props[propK]
 	if err != nil {
 		return fmt.Errorf("%s prop: %w", p, err)
 	}
@@ -214,23 +215,6 @@ func matrixCases() []matrixCase {
 			post: func(s *store.FSStore) error {
 				return both(wantBody(s, "/dst/a.txt", "a"), wantBody(s, "/dst/b.txt", "b"),
 					wantProp(s, "/dst/a.txt", "me"))
-			},
-		},
-		{
-			name: "mkcol",
-			op:   "mkcol",
-			seed: func(t *testing.T, s *store.FSStore) {},
-			run:  func(s *store.FSStore) { s.Mkcol(context.Background(), "/newdir") },
-			pre:  func(s *store.FSStore) error { return wantGone(s, "/newdir") },
-			post: func(s *store.FSStore) error {
-				ri, err := s.Stat(context.Background(), "/newdir")
-				if err != nil {
-					return err
-				}
-				if !ri.IsCollection {
-					return fmt.Errorf("/newdir is not a collection")
-				}
-				return nil
 			},
 		},
 	}

@@ -16,16 +16,12 @@ var ErrInjected = errors.New("chaos: injected storage failure")
 // store package's own, one per Store method.
 const (
 	OpStat          = store.OpStat
-	OpList          = store.OpList
 	OpMkcol         = store.OpMkcol
 	OpPut           = store.OpPut
 	OpGet           = store.OpGet
 	OpDelete        = store.OpDelete
 	OpPropPut       = store.OpPropPut
-	OpPropGet       = store.OpPropGet
 	OpPropDelete    = store.OpPropDelete
-	OpPropNames     = store.OpPropNames
-	OpPropAll       = store.OpPropAll
 	OpStatWithProps = store.OpStatWithProps
 	OpListWithProps = store.OpListWithProps
 	OpCopyTree      = store.OpCopyTree

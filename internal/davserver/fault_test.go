@@ -73,21 +73,17 @@ func TestProppatchRollbackOnStorageFailure(t *testing.T) {
 }
 
 func TestProppatchSnapshotFailure(t *testing.T) {
-	// When even the undo snapshot (PropGet) fails, nothing is applied
-	// and the response reports the failure.
+	// The PROPPATCH's one read of the resource is its undo snapshot;
+	// when that read fails, the request fails and nothing is applied.
 	srv, fs := newFaultyServer(t)
 	do(t, "PUT", srv.URL+"/doc", nil, "x")
-	fs.FailAll(chaos.OpPropGet)
+	fs.FailAll(chaos.OpStatWithProps)
 	resp := do(t, "PROPPATCH", srv.URL+"/doc", nil,
 		proppatchBody(map[string]string{"p": "v"}))
-	wantStatus(t, resp, 207)
-	ms := parseMS(t, resp)
-	if ms.Responses[0].Propstats[0].Status != 500 {
-		t.Fatalf("status = %d, want 500", ms.Responses[0].Propstats[0].Status)
-	}
-	fs.Clear(chaos.OpPropGet)
+	wantStatus(t, resp, 500)
+	fs.Clear(chaos.OpStatWithProps)
 	resp = do(t, "PROPFIND", srv.URL+"/doc", map[string]string{"Depth": "0"}, propfindBody("p"))
-	ms = parseMS(t, resp)
+	ms := parseMS(t, resp)
 	if ms.Responses[0].Propstats[0].Status != 404 {
 		t.Fatal("property applied despite snapshot failure")
 	}
@@ -206,7 +202,7 @@ func TestChaosWrappedStoreTakesProductionPaths(t *testing.T) {
 		status                 int
 		never                  []string // the per-resource ops a hidden capability would degrade to
 	}{
-		{chaos.OpListWithProps, "PROPFIND", "/proj", "", 207, []string{store.OpList, store.OpPropAll}},
+		{chaos.OpListWithProps, "PROPFIND", "/proj", "", 207, []string{store.OpStat}},
 		{chaos.OpCopyTree, "COPY", "/proj", "/copy", 201, []string{store.OpMkcol, store.OpPut, store.OpGet}},
 		{chaos.OpRename, "MOVE", "/copy", "/moved", 201, []string{store.OpCopyTree, store.OpDelete}},
 	} {
@@ -231,13 +227,13 @@ func TestChaosWrappedStoreTakesProductionPaths(t *testing.T) {
 	if _, body := request("COPY", "/proj", "/copy2", 500); !strings.Contains(body, chaos.ErrInjected.Error()) {
 		t.Errorf("COPY over a failing copy_tree answered %q", body)
 	}
-	// ...and a rename that fails for no reason of the request's own
-	// degrades to copy+delete, as a cross-device rename would.
+	// ...and so is a rename's: MOVE falls back on nothing.
 	faulty.FailNth(chaos.OpRename, 1)
-	cost, _ := request("MOVE", "/moved", "/moved2", 201)
-	if faulty.Faults() != 3 || cost[store.OpRename] != 0 || cost[store.OpCopyTree] != 1 || cost[store.OpDelete] != 1 {
-		t.Errorf("MOVE over a failing rename: %d faults, cost %v; want 3 faults, one copy_tree and one delete",
-			faulty.Faults(), cost)
+	cost, body := request("MOVE", "/moved", "/moved2", 500)
+	if !strings.Contains(body, chaos.ErrInjected.Error()) || cost[store.OpCopyTree] != 0 || cost[store.OpDelete] != 0 {
+		t.Errorf("MOVE over a failing rename answered %q at cost %v; want the injected error, no copy_tree and no delete",
+			body, cost)
 	}
-	wantStatus(t, do(t, "GET", srv.URL+"/moved2/a", nil, ""), 200)
+	wantStatus(t, do(t, "GET", srv.URL+"/moved/a", nil, ""), 200)
+	wantStatus(t, do(t, "GET", srv.URL+"/moved2/a", nil, ""), 404)
 }

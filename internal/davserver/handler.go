@@ -52,17 +52,20 @@ type Handler struct {
 	store store.Store
 	locks *LockManager
 	// gate serializes the check-then-act sequences of PUT and DELETE:
-	// they evaluate If-Match / If-None-Match against a Stat taken before
+	// they evaluate If-Match / If-None-Match against a read taken before
 	// the store mutation, and the store's own path locks make each call
 	// atomic but not the sequence, so without the gate two conditional
 	// writers could both validate the same ETag and both write — the lost
 	// update RFC 7232 preconditions exist to prevent. Every PUT and DELETE
 	// takes it (not just conditional ones) so an unconditional write cannot
-	// slip between another request's check and its write; COPY and MOVE
-	// accept no entity preconditions and rely on the store's locks. It is
-	// the first queue a write joins, so waiting on it is cancellable. It
-	// is hierarchical like the store's locks: a collection DELETE waits
-	// for the PUTs inside it.
+	// slip between another request's check and its write. COPY and MOVE
+	// take it too, exclusively on the destination and, for MOVE, on the
+	// source, for their whole Stat/Delete/copy-or-rename sequence: a
+	// COPY onto a path, or a MOVE away from it, cannot land between a
+	// conditional PUT's check and its write. It is the first queue a
+	// write joins, so waiting on it is cancellable. It is hierarchical
+	// like the store's locks: a collection DELETE waits for the PUTs
+	// inside it.
 	gate *pathlock.Manager
 	opts Options
 	// deepCapped counts Depth: infinity PROPFINDs and SEARCHes refused
@@ -320,13 +323,10 @@ func (h *Handler) handleGet(w http.ResponseWriter, r *http.Request, p string) {
 // paper's "users can run standard Web browsers to surf the Ecce
 // database" scenario.
 func (h *Handler) serveCollectionIndex(w http.ResponseWriter, r *http.Request, p string) {
-	members, err := h.store.List(r.Context(), p)
+	members, err := h.store.ListWithProps(r.Context(), p)
 	if err != nil {
 		h.fail(w, r, err)
 		return
-	}
-	if visible(p) {
-		members = filterVersionStore(members)
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if r.Method == http.MethodHead {
@@ -341,12 +341,15 @@ func (h *Handler) serveCollectionIndex(w http.ResponseWriter, r *http.Request, p
 			html.EscapeString(h.opts.Prefix+store.ParentPath(p)))
 	}
 	for _, m := range members {
-		name := m.Name()
-		if m.IsCollection {
+		if !visible(m.Info.Path) && visible(p) {
+			continue // the version store stays out of the live tree's listings
+		}
+		name := m.Info.Name()
+		if m.Info.IsCollection {
 			name += "/"
 		}
 		fmt.Fprintf(&sb, `<li><a href="%s">%s</a> (%d bytes)</li>`+"\n",
-			html.EscapeString(h.opts.Prefix+m.Path), html.EscapeString(name), m.Size)
+			html.EscapeString(h.opts.Prefix+m.Info.Path), html.EscapeString(name), m.Info.Size)
 	}
 	sb.WriteString("</ul></body></html>\n")
 	io.WriteString(w, sb.String())
@@ -402,8 +405,15 @@ func (h *Handler) handlePut(w http.ResponseWriter, r *http.Request, p string) {
 		return
 	}
 	defer g.Release()
-	ri, statErr := h.store.Stat(r.Context(), p)
-	exists := statErr == nil
+	// One read gives the preconditions their state and auto-versioning
+	// its bookkeeping. A resource that cannot be read is not absent: the
+	// PUT fails before it writes anything.
+	ri, props, err := h.store.StatWithProps(r.Context(), p)
+	if err != nil && !errors.Is(err, store.ErrNotFound) {
+		h.fail(w, r, err)
+		return
+	}
+	exists := err == nil
 	if exists && ri.IsCollection {
 		http.Error(w, "cannot PUT to a collection", http.StatusMethodNotAllowed)
 		return
@@ -420,7 +430,7 @@ func (h *Handler) handlePut(w http.ResponseWriter, r *http.Request, p string) {
 	// Auto-versioning: a write to a version-controlled document
 	// appends a new version snapshot, under load as at rest.
 	if !created {
-		if err := h.autoVersionAfterPut(context.WithoutCancel(r.Context()), p); err != nil {
+		if err := h.autoVersionAfterPut(context.WithoutCancel(r.Context()), p, props); err != nil {
 			h.logf("dav: auto-version %s: %v", p, err)
 		}
 	}
@@ -540,11 +550,6 @@ func (h *Handler) handleCopyMove(w http.ResponseWriter, r *http.Request, src str
 		h.fail(w, r, err)
 		return
 	}
-	if _, err := h.store.Stat(r.Context(), src); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-
 	overwrite := true
 	switch strings.ToUpper(strings.TrimSpace(r.Header.Get("Overwrite"))) {
 	case "", "T":
@@ -552,6 +557,21 @@ func (h *Handler) handleCopyMove(w http.ResponseWriter, r *http.Request, src str
 		overwrite = false
 	default:
 		http.Error(w, "bad Overwrite header", http.StatusBadRequest)
+		return
+	}
+	// See Handler.gate: a PUT's check and write cannot straddle this.
+	gated := []pathlock.Req{{Path: dst, Mode: pathlock.Exclusive}}
+	if r.Method == "MOVE" {
+		gated = append(gated, pathlock.Req{Path: src, Mode: pathlock.Exclusive})
+	}
+	g, err := h.gate.Acquire(r.Context(), gated...)
+	if err != nil {
+		h.fail(w, r, err)
+		return
+	}
+	defer g.Release()
+	if _, err := h.store.Stat(r.Context(), src); err != nil {
+		h.fail(w, r, err)
 		return
 	}
 	replaced := false
@@ -571,7 +591,7 @@ func (h *Handler) handleCopyMove(w http.ResponseWriter, r *http.Request, src str
 	if r.Method == "COPY" {
 		err = h.store.CopyTreeAtomic(r.Context(), src, dst, store.CopyOptions{Recurse: depth == davproto.DepthInfinity})
 	} else {
-		err = store.MoveTree(r.Context(), h.store, src, dst)
+		err = h.store.Rename(r.Context(), src, dst)
 	}
 	if err != nil {
 		h.fail(w, r, err)
@@ -646,7 +666,10 @@ func (h *Handler) handleProppatch(w http.ResponseWriter, r *http.Request, p stri
 		h.fail(w, r, err)
 		return
 	}
-	if _, err := h.store.Stat(r.Context(), p); err != nil {
+	// The one read of the resource: it must exist, and its properties
+	// are the undo snapshot phase 2 rolls back to.
+	_, before, err := h.store.StatWithProps(r.Context(), p)
+	if err != nil {
 		h.fail(w, r, err)
 		return
 	}
@@ -689,34 +712,22 @@ func (h *Handler) handleProppatch(w http.ResponseWriter, r *http.Request, p stri
 		return
 	}
 
-	// Phase 2: apply, with rollback on unexpected storage errors.
-	type undo struct {
-		name    xml.Name
-		had     bool
-		prev    []byte
-		applied bool
-	}
-	undos := make([]undo, len(ops))
+	// Phase 2: apply, with rollback on unexpected storage errors. The
+	// snapshot's values are read-only aliases; the rollback only writes
+	// them back.
 	applyErr := error(nil)
 	failedAt := -1
 	for i, op := range ops {
-		name := op.Prop.Name()
-		prev, had, err := h.store.PropGet(r.Context(), p, name)
-		if err != nil {
-			applyErr, failedAt = err, i
-			break
-		}
-		undos[i] = undo{name: name, had: had, prev: prev}
+		var err error
 		if op.Remove {
-			err = h.store.PropDelete(r.Context(), p, name)
+			err = h.store.PropDelete(r.Context(), p, op.Prop.Name())
 		} else {
-			err = h.store.PropPut(r.Context(), p, name, op.Prop.Encode())
+			err = h.store.PropPut(r.Context(), p, op.Prop.Name(), op.Prop.Encode())
 		}
 		if err != nil {
 			applyErr, failedAt = err, i
 			break
 		}
-		undos[i].applied = true
 	}
 	if applyErr != nil {
 		// The rollback restores atomicity, so it must not itself be
@@ -724,14 +735,11 @@ func (h *Handler) handleProppatch(w http.ResponseWriter, r *http.Request, p stri
 		// run it under a context detached from the request's.
 		rbctx := context.WithoutCancel(r.Context())
 		for i := failedAt - 1; i >= 0; i-- {
-			u := undos[i]
-			if !u.applied {
-				continue
-			}
-			if u.had {
-				h.store.PropPut(rbctx, p, u.name, u.prev)
+			name := ops[i].Prop.Name()
+			if prev, had := before[name]; had {
+				h.store.PropPut(rbctx, p, name, prev)
 			} else {
-				h.store.PropDelete(rbctx, p, u.name)
+				h.store.PropDelete(rbctx, p, name)
 			}
 		}
 		h.logf("dav: PROPPATCH %s: %v", p, applyErr)

@@ -16,9 +16,11 @@ import (
 // wrote before every 207 went through propfind.go's writer: each built
 // a davproto.Multistatus and Marshalled it. SEARCH read its scope with
 // one Stat per resource and one PropGet per resource and referenced
-// name. Kept, unchanged but for their names, as the references
-// TestSearchMatchesReference, TestReportMatchesReference and
-// TestProppatchMatchesReference hold the spliced responses to.
+// name. Kept as the references TestSearchMatchesReference,
+// TestReportMatchesReference and TestProppatchMatchesReference hold the
+// spliced responses to, unchanged but for their names and for the
+// per-name reads, which go through refList and refPropGet now that
+// Store reads a resource's properties only together with it.
 
 // refMultistatus renders ms from a DOM.
 func refMultistatus(w http.ResponseWriter, ms davproto.Multistatus) {
@@ -27,6 +29,23 @@ func refMultistatus(w http.ResponseWriter, ms davproto.Multistatus) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusMultiStatus)
 	w.Write(body)
+}
+
+// refList lists the members of the collection at p.
+func refList(ctx context.Context, s store.Store, p string) ([]store.ResourceInfo, error) {
+	members, err := s.ListWithProps(ctx, p)
+	infos := make([]store.ResourceInfo, len(members))
+	for i, m := range members {
+		infos[i] = m.Info
+	}
+	return infos, err
+}
+
+// refPropGet reads the dead property name of the resource at p.
+func refPropGet(ctx context.Context, s store.Store, p string, name xml.Name) ([]byte, bool, error) {
+	_, props, err := s.StatWithProps(ctx, p)
+	v, ok := props[name]
+	return v, ok, err
 }
 
 // refWalk visits p and, if it is a collection, every descendant,
@@ -45,7 +64,7 @@ func refWalk(ctx context.Context, s store.Store, p string, fn func(store.Resourc
 	if !ri.IsCollection {
 		return nil
 	}
-	members, err := s.List(ctx, p)
+	members, err := refList(ctx, s, p)
 	if err != nil {
 		return err
 	}
@@ -81,12 +100,16 @@ func (h *Handler) refHandleSearch(w http.ResponseWriter, r *http.Request) {
 	case davproto.Depth1:
 		targets = []store.ResourceInfo{ri}
 		if ri.IsCollection {
-			members, err := h.store.List(r.Context(), scope)
+			members, err := refList(r.Context(), h.store, scope)
 			if err != nil {
 				h.fail(w, r, err)
 				return
 			}
-			targets = append(targets, filterVersionStore(members)...)
+			for _, m := range members {
+				if visible(m.Path) {
+					targets = append(targets, m)
+				}
+			}
 		}
 	default:
 		if err := refWalk(r.Context(), h.store, scope, func(m store.ResourceInfo) error {
@@ -154,7 +177,7 @@ func (h *Handler) refSearchMatch(ctx context.Context, ri store.ResourceInfo, whe
 			return m.value, m.ok
 		}
 		var m memo
-		raw, ok, err := h.store.PropGet(ctx, ri.Path, name)
+		raw, ok, err := refPropGet(ctx, h.store, ri.Path, name)
 		switch {
 		case err != nil:
 			if firstErr == nil {
@@ -186,7 +209,7 @@ func (h *Handler) refSearchProp(ctx context.Context, ri store.ResourceInfo, name
 		prop, ok := h.liveProp(ri, name)
 		return prop, ok, nil
 	}
-	raw, ok, err := h.store.PropGet(ctx, ri.Path, name)
+	raw, ok, err := refPropGet(ctx, h.store, ri.Path, name)
 	if err != nil || !ok {
 		return davproto.Property{}, false, err
 	}
@@ -212,15 +235,12 @@ func (h *Handler) refHandleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "only DAV:version-tree reports are supported", http.StatusForbidden)
 		return
 	}
-	if _, err := h.store.Stat(r.Context(), p); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	controlled, count, err := h.isVersionControlled(r.Context(), p)
+	_, props, err := h.store.StatWithProps(r.Context(), p)
 	if err != nil {
 		h.fail(w, r, err)
 		return
 	}
+	controlled, count := isVersionControlled(props)
 	if !controlled {
 		http.Error(w, "resource is not version-controlled", http.StatusConflict)
 		return

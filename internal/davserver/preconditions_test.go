@@ -1,16 +1,22 @@
 package davserver
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dbm"
 	"repro/internal/store"
+	"repro/internal/store/journal"
 )
 
 // FuzzETagListMatches: "*" matches whatever the ETag; a header naming
@@ -299,4 +305,173 @@ func scrapeMetrics(t *testing.T, m *Metrics) string {
 	rr := httptest.NewRecorder()
 	m.Registry.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	return rr.Body.String()
+}
+
+// doneWatcher reports, by closing waiting, the first time anything
+// waits on the request's context: the write gate selects on Done while
+// it queues a request, and nothing before the gate does.
+type doneWatcher struct {
+	context.Context
+	once    *sync.Once
+	waiting chan struct{}
+}
+
+func (c doneWatcher) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// A COPY onto a path, or a MOVE away from it, cannot land between a
+// conditional PUT's check and its write. An interceptor holds the PUT's
+// store Put, which it reaches only once its If-Match has passed, until
+// the COPY or MOVE has either been answered or queued for the write
+// gate; the PUT must then land first, and the COPY or MOVE after it.
+func TestCopyMoveWaitForAConditionalPut(t *testing.T) {
+	for _, tc := range []struct {
+		method, src, dst string
+		want             map[string]string // body per path at the end; "" is 404
+		status           int               // the COPY's or MOVE's
+	}{
+		{"COPY", "/src", "/doc", map[string]string{"/doc": "copied", "/src": "copied"}, 204},
+		{"MOVE", "/doc", "/moved", map[string]string{"/doc": "", "/moved": "put"}, 201},
+	} {
+		t.Run(tc.method, func(t *testing.T) {
+			var armed atomic.Bool
+			held, release := make(chan struct{}), make(chan struct{})
+			s := store.Intercept(store.NewMemStore(), func(ctx context.Context, op store.Op, next func(context.Context) error) error {
+				if op.Name == store.OpPut && armed.CompareAndSwap(true, false) {
+					close(held)
+					<-release
+				}
+				return next(ctx)
+			})
+			waiting := make(chan struct{})
+			h := NewHandler(s, nil)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == tc.method {
+					r = r.WithContext(doneWatcher{r.Context(), new(sync.Once), waiting})
+				}
+				h.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			send := func(method, path string, headers map[string]string, body string) chan int {
+				out := make(chan int, 1)
+				go func() {
+					req, _ := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+					for k, v := range headers {
+						req.Header.Set(k, v)
+					}
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Error(err)
+						out <- 0
+						return
+					}
+					resp.Body.Close()
+					out <- resp.StatusCode
+				}()
+				return out
+			}
+
+			wantStatus(t, do(t, "PUT", srv.URL+"/src", nil, "copied"), 201)
+			wantStatus(t, do(t, "PUT", srv.URL+"/doc", nil, "old"), 201)
+			armed.Store(true)
+			put := send("PUT", "/doc", map[string]string{"If-Match": etagOf(t, srv.URL+"/doc")}, "put")
+			<-held
+			moved := send(tc.method, tc.src, map[string]string{"Destination": srv.URL + tc.dst}, "")
+			status := 0
+			select {
+			case <-waiting:
+			case status = <-moved:
+			}
+			close(release)
+			if got := <-put; got != 204 {
+				t.Errorf("conditional PUT = %d, want 204", got)
+			}
+			if status == 0 {
+				status = <-moved
+			}
+			if status != tc.status {
+				t.Errorf("%s = %d, want %d", tc.method, status, tc.status)
+			}
+			for p, want := range tc.want {
+				resp := do(t, "GET", srv.URL+p, nil, "")
+				body, _ := io.ReadAll(resp.Body)
+				if want == "" && resp.StatusCode != 404 || want != "" && string(body) != want {
+					t.Errorf("GET %s = %d %q, want %q", p, resp.StatusCode, body, want)
+				}
+			}
+		})
+	}
+}
+
+// A document whose property database cannot be read is not absent: a
+// PUT or a PROPPATCH of it answers 500 before it writes anything, so a
+// later GET serves the old body and the journal holds nothing.
+func TestWritesOverAnUnreadablePropertyDatabaseChangeNothing(t *testing.T) {
+	root := t.TempDir()
+	s, err := store.NewFSStore(root, dbm.GDBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(s, nil))
+	wantStatus(t, do(t, "PUT", srv.URL+"/doc", nil, "old"), 201)
+	wantStatus(t, do(t, "PROPPATCH", srv.URL+"/doc", nil, proppatchBody(map[string]string{"k": "v"})), 207)
+	srv.Close()
+	s.Close()
+	if err := os.WriteFile(propsFileOf(t, root, "doc"), bytes.Repeat([]byte("garbage!"), 1024), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = store.NewFSStore(root, dbm.GDBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv = httptest.NewServer(NewHandler(s, nil))
+	defer srv.Close()
+	jpath := filepath.Join(root, store.MetaDirName, store.JournalFileName)
+	before, err := os.Stat(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStatus(t, do(t, "PUT", srv.URL+"/doc", nil, "new"), 500)
+	wantStatus(t, do(t, "PROPPATCH", srv.URL+"/doc", nil, proppatchBody(map[string]string{"k": "w"})), 500)
+	if got := bodyOf(t, srv.URL+"/doc"); got != "old" {
+		t.Errorf("GET after the failed writes = %q, want the old body", got)
+	}
+	if after, err := os.Stat(jpath); err != nil || after.Size() != before.Size() {
+		t.Errorf("the failed writes grew the journal from %d bytes: %v, %v", before.Size(), after, err)
+	}
+	if pending, err := journal.ReadPending(jpath); err != nil || len(pending) != 0 {
+		t.Errorf("journal holds %v, %v; want nothing", pending, err)
+	}
+}
+
+// A path below a document names nothing: reading, deleting or patching
+// it is 404, and a PUT or MKCOL there is 409, never a 500 for the
+// filesystem's ENOTDIR. The PUT reads the target first, and only a
+// missing one may go on to the store's Put.
+func TestPathUnderADocument(t *testing.T) {
+	srv, _, _, log := newLoggedFSServer(t, dbm.GDBM, "")
+	wantStatus(t, do(t, "PUT", srv.URL+"/a", nil, "x"), 201)
+	for _, tc := range []struct {
+		method, body string
+		want         int
+	}{
+		{"PUT", "y", 409},
+		{"MKCOL", "", 409},
+		{"GET", "", 404},
+		{"PROPFIND", "", 404},
+		{"PROPPATCH", proppatchBody(map[string]string{"k": "v"}), 404},
+		{"DELETE", "", 404},
+	} {
+		resp := do(t, tc.method, srv.URL+"/a/b", map[string]string{"Depth": "0"}, tc.body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s /a/b = %d, want %d", tc.method, resp.StatusCode, tc.want)
+		}
+	}
+	if log.Len() != 0 {
+		t.Errorf("error log not empty:\n%s", log)
+	}
 }

@@ -194,13 +194,20 @@ func propsFileOf(t *testing.T, root, name string) string {
 	return found[0]
 }
 
-// dropCachedHandle makes the store open file again on its next use. A
-// cached handle serves the image it validated when it was opened, so
-// damage planted in the file behind it shows at the next open — which
-// is an eviction, an invalidation or a restart away.
-func dropCachedHandle(t *testing.T, h *Handler, file string) {
+// dropCachedHandle makes the store open the property database of the
+// document at p again on its next use. A cached handle serves the image
+// it validated when it was opened, so damage planted in the file behind
+// it shows at the next open — which is an eviction, an invalidation or
+// a restart away. Renaming the document away and back is the
+// invalidation: it moves the file, reads none of it, and drops the
+// handle.
+func dropCachedHandle(t *testing.T, h *Handler, p string) {
 	t.Helper()
-	h.store.(*store.FSStore).HandleCache().Invalidate(file)
+	for _, mv := range [][2]string{{p, p + ".away"}, {p + ".away", p}} {
+		if err := h.store.Rename(context.Background(), mv[0], mv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func logLines(log *bytes.Buffer) int { return bytes.Count(log.Bytes(), []byte("\n")) }
@@ -216,9 +223,10 @@ func TestPropfindSurvivesDamagedStoredValue(t *testing.T) {
 		[2]string{"alpha", "first value"}, [2]string{"bravo", "second-value-to-damage"}, [2]string{"charlie", "third & last"})), 207)
 	stored := map[string][]byte{}
 	for _, n := range []string{"alpha", "charlie"} {
-		v, ok, err := h.store.PropGet(context.Background(), "/doc", xml.Name{Space: "ecce:", Local: n})
+		_, props, err := h.store.StatWithProps(context.Background(), "/doc")
+		v, ok := props[xml.Name{Space: "ecce:", Local: n}]
 		if err != nil || !ok {
-			t.Fatalf("PropGet %s: %v %v", n, ok, err)
+			t.Fatalf("stored %s: %v %v", n, ok, err)
 		}
 		stored[n] = v
 	}
@@ -242,7 +250,7 @@ func TestPropfindSurvivesDamagedStoredValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	dropCachedHandle(t, h, file)
+	dropCachedHandle(t, h, "/doc")
 
 	for _, tc := range []struct {
 		name, body string
@@ -300,9 +308,10 @@ func TestPropfindSurvivesDamagedMemberValue(t *testing.T) {
 		[2]string{"alpha", "first value"}, [2]string{"bravo", "second-value-to-damage"}, [2]string{"charlie", "third & last"})), 207)
 	stored := map[string][]byte{}
 	for _, n := range []string{"alpha", "charlie"} {
-		v, ok, err := h.store.PropGet(context.Background(), "/col/doc", xml.Name{Space: "ecce:", Local: n})
+		_, props, err := h.store.StatWithProps(context.Background(), "/col/doc")
+		v, ok := props[xml.Name{Space: "ecce:", Local: n}]
 		if err != nil || !ok {
-			t.Fatalf("PropGet %s: %v %v", n, ok, err)
+			t.Fatalf("stored %s: %v %v", n, ok, err)
 		}
 		stored[n] = v
 	}
@@ -324,7 +333,7 @@ func TestPropfindSurvivesDamagedMemberValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	dropCachedHandle(t, h, file)
+	dropCachedHandle(t, h, "/col/doc")
 
 	for _, tc := range []struct {
 		name, body string
@@ -396,10 +405,10 @@ func TestPropfindFailsOnUnreadablePropertyDatabase(t *testing.T) {
 			if err := dbm.Verify(file); !errors.Is(err, dbm.ErrCorrupt) {
 				t.Errorf("Verify of the truncated file = %v, want ErrCorrupt with the handle still cached", err)
 			}
-			dropCachedHandle(t, h, file)
+			dropCachedHandle(t, h, "/col/doc")
 
-			if _, err := h.store.PropAll(context.Background(), "/col/doc"); err == nil {
-				t.Fatal("PropAll reads the truncated database without error; the test damages nothing")
+			if _, _, err := h.store.StatWithProps(context.Background(), "/col/doc"); err == nil {
+				t.Fatal("StatWithProps reads the truncated database without error; the test damages nothing")
 			}
 			for _, rq := range []struct{ path, depth string }{
 				{"/col/doc", "0"}, {"/col", "1"}, {"/col", "infinity"},
@@ -605,7 +614,7 @@ func TestPropfindHidesVersioningBookkeeping(t *testing.T) {
 	if log.Len() != 0 {
 		t.Errorf("error log not empty:\n%s", log)
 	}
-	if v, ok, err := h.store.PropGet(context.Background(), "/doc", propVCCount); err != nil || !ok || string(v) != "1" {
-		t.Errorf("stored version-count = %q, %v, %v; want the bare bytes 1", v, ok, err)
+	if _, props, err := h.store.StatWithProps(context.Background(), "/doc"); err != nil || string(props[propVCCount]) != "1" {
+		t.Errorf("stored version-count = %q, %v; want the bare bytes 1", props[propVCCount], err)
 	}
 }

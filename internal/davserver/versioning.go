@@ -52,21 +52,15 @@ func visible(p string) bool {
 	return p != versionRoot && !store.IsAncestor(versionRoot, p)
 }
 
-// isVersionControlled checks the bookkeeping property.
-func (h *Handler) isVersionControlled(ctx context.Context, p string) (bool, int, error) {
-	v, ok, err := h.store.PropGet(ctx, p, propVCControlled)
-	if err != nil || !ok || string(v) != "1" {
-		return false, 0, err
+// isVersionControlled reads the bookkeeping properties of a resource
+// out of its dead-property map: whether it is under version control,
+// and how many versions it has.
+func isVersionControlled(props map[xml.Name][]byte) (bool, int) {
+	if string(props[propVCControlled]) != "1" {
+		return false, 0
 	}
-	cv, ok, err := h.store.PropGet(ctx, p, propVCCount)
-	if err != nil {
-		return false, 0, err
-	}
-	count := 0
-	if ok {
-		count, _ = strconv.Atoi(string(cv))
-	}
-	return true, count, nil
+	count, _ := strconv.Atoi(string(props[propVCCount]))
+	return true, count
 }
 
 // versionPath is where version n of resource p is snapshotted.
@@ -115,7 +109,7 @@ func (h *Handler) handleVersionControl(w http.ResponseWriter, r *http.Request, p
 		http.Error(w, "the version store is read-only", http.StatusForbidden)
 		return
 	}
-	ri, err := h.store.Stat(r.Context(), p)
+	ri, props, err := h.store.StatWithProps(r.Context(), p)
 	if err != nil {
 		h.fail(w, r, err)
 		return
@@ -128,12 +122,7 @@ func (h *Handler) handleVersionControl(w http.ResponseWriter, r *http.Request, p
 		h.fail(w, r, err)
 		return
 	}
-	controlled, _, err := h.isVersionControlled(r.Context(), p)
-	if err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	if controlled {
+	if controlled, _ := isVersionControlled(props); controlled {
 		w.WriteHeader(http.StatusOK)
 		return
 	}
@@ -153,14 +142,15 @@ func (h *Handler) handleVersionControl(w http.ResponseWriter, r *http.Request, p
 }
 
 // autoVersionAfterPut appends a new version after a successful write
-// to a version-controlled document. The caller passes a context
-// detached from the request's cancellation: the PUT has already
+// to a version-controlled document; props are the document's dead
+// properties as the PUT read them before writing. The caller passes a
+// context detached from the request's cancellation: the PUT has already
 // landed, and a client abort must not leave the history missing the
 // version it just created.
-func (h *Handler) autoVersionAfterPut(ctx context.Context, p string) error {
-	controlled, count, err := h.isVersionControlled(ctx, p)
-	if err != nil || !controlled {
-		return err
+func (h *Handler) autoVersionAfterPut(ctx context.Context, p string, props map[xml.Name][]byte) error {
+	controlled, count := isVersionControlled(props)
+	if !controlled {
+		return nil
 	}
 	next := count + 1
 	if err := h.snapshotVersion(ctx, p, next); err != nil {
@@ -182,15 +172,12 @@ func (h *Handler) handleReport(w http.ResponseWriter, r *http.Request, p string)
 		http.Error(w, "only DAV:version-tree reports are supported", http.StatusForbidden)
 		return
 	}
-	if _, err := h.store.Stat(r.Context(), p); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	controlled, count, err := h.isVersionControlled(r.Context(), p)
+	_, props, err := h.store.StatWithProps(r.Context(), p)
 	if err != nil {
 		h.fail(w, r, err)
 		return
 	}
+	controlled, count := isVersionControlled(props)
 	if !controlled {
 		http.Error(w, "resource is not version-controlled", http.StatusConflict)
 		return
@@ -230,16 +217,4 @@ func guardVersionStore(method, p string) error {
 	default:
 		return fmt.Errorf("the version store is read-only")
 	}
-}
-
-// filterVersionStore removes version-store entries from listings of
-// the live tree.
-func filterVersionStore(infos []store.ResourceInfo) []store.ResourceInfo {
-	out := infos[:0]
-	for _, ri := range infos {
-		if visible(ri.Path) {
-			out = append(out, ri)
-		}
-	}
-	return out
 }

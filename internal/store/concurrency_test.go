@@ -32,25 +32,38 @@ func seedTree(t *testing.T, s Store) {
 	}
 }
 
+// narrowReader is the one-name-at-a-time read set FSStore still has
+// outside Store.
+type narrowReader interface {
+	List(ctx context.Context, p string) ([]ResourceInfo, error)
+	PropAll(ctx context.Context, p string) (map[xml.Name][]byte, error)
+}
+
 // TestBatchReadsMatchNarrowReads checks that the batched BatchReader
 // path returns exactly what the narrow Stat/List/PropAll composition
-// would.
+// would. A store without List and PropAll (MemStore) is checked against
+// Stat alone.
 func TestBatchReadsMatchNarrowReads(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
+		ctx := context.Background()
+		nr, narrow := s.(narrowReader)
 		seedTree(t, s)
 		for _, p := range []string{"/", "/proj", "/proj/calc", "/proj/calc/input.dat"} {
-			ri, props, err := s.StatWithProps(context.Background(), p)
+			ri, props, err := s.StatWithProps(ctx, p)
 			if err != nil {
 				t.Fatalf("StatWithProps %s: %v", p, err)
 			}
-			wantRI, err := s.Stat(context.Background(), p)
+			wantRI, err := s.Stat(ctx, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(ri, wantRI) {
 				t.Fatalf("StatWithProps info mismatch at %s:\n got %+v\nwant %+v", p, ri, wantRI)
 			}
-			wantProps, err := s.PropAll(context.Background(), p)
+			if !narrow {
+				continue
+			}
+			wantProps, err := nr.PropAll(ctx, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,13 +77,23 @@ func TestBatchReadsMatchNarrowReads(t *testing.T) {
 			}
 		}
 		for _, p := range []string{"/", "/proj", "/proj/calc"} {
-			members, err := s.ListWithProps(context.Background(), p)
+			members, err := s.ListWithProps(ctx, p)
 			if err != nil {
 				t.Fatalf("ListWithProps %s: %v", p, err)
 			}
-			want, err := s.List(context.Background(), p)
-			if err != nil {
-				t.Fatal(err)
+			var want []ResourceInfo
+			if narrow {
+				if want, err = nr.List(ctx, p); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for _, m := range members {
+					ri, err := s.Stat(ctx, m.Info.Path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, ri)
+				}
 			}
 			if len(members) != len(want) {
 				t.Fatalf("ListWithProps %s: %d members, List says %d", p, len(members), len(want))
@@ -79,7 +102,10 @@ func TestBatchReadsMatchNarrowReads(t *testing.T) {
 				if !reflect.DeepEqual(m.Info, want[i]) {
 					t.Fatalf("member %d info mismatch at %s:\n got %+v\nwant %+v", i, p, m.Info, want[i])
 				}
-				wantProps, err := s.PropAll(context.Background(), m.Info.Path)
+				if !narrow {
+					continue
+				}
+				wantProps, err := nr.PropAll(ctx, m.Info.Path)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,10 +114,10 @@ func TestBatchReadsMatchNarrowReads(t *testing.T) {
 				}
 			}
 		}
-		if _, err := s.ListWithProps(context.Background(), "/proj/readme.txt"); !errors.Is(err, ErrNotCollection) {
+		if _, err := s.ListWithProps(ctx, "/proj/readme.txt"); !errors.Is(err, ErrNotCollection) {
 			t.Fatalf("ListWithProps on a document: err = %v, want ErrNotCollection", err)
 		}
-		if _, _, err := s.StatWithProps(context.Background(), "/nope"); !errors.Is(err, ErrNotFound) {
+		if _, _, err := s.StatWithProps(ctx, "/nope"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("StatWithProps on missing: err = %v, want ErrNotFound", err)
 		}
 	})
@@ -243,7 +269,7 @@ func TestFSStoreListWithPropsOpensEachDBOnce(t *testing.T) {
 		}
 	}
 	// Drop everything cached by the setup writes to isolate the reads.
-	s.HandleCache().Close()
+	s.cache.Close()
 	base := s.CacheStats()
 
 	if _, err := s.ListWithProps(context.Background(), "/d"); err != nil {
@@ -296,50 +322,6 @@ func TestFSStoreRenameInvalidatesCachedHandles(t *testing.T) {
 	}
 	if _, err := s.Stat(context.Background(), "/old/f.dat"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("old path still visible: %v", err)
-	}
-}
-
-// failingRenamer wraps MemStore with a Rename that always fails with a
-// configurable error.
-type failingRenamer struct {
-	Store
-	err   error
-	calls int
-}
-
-func (f *failingRenamer) Rename(ctx context.Context, src, dst string) error {
-	f.calls++
-	return f.err
-}
-
-// TestMoveTreePropagatesPreconditionErrors locks in MoveTree's
-// contract: precondition errors surface immediately, other rename
-// failures degrade to copy+delete.
-func TestMoveTreePropagatesPreconditionErrors(t *testing.T) {
-	for _, sentinel := range []error{ErrNotFound, ErrBadPath} {
-		s := &failingRenamer{Store: NewMemStore(), err: fmt.Errorf("wrap: %w", sentinel)}
-		mustPut(t, s, "/a.txt", "x")
-		if err := MoveTree(context.Background(), s, "/a.txt", "/b.txt"); !errors.Is(err, sentinel) {
-			t.Fatalf("MoveTree with rename failing %v returned %v, want the sentinel", sentinel, err)
-		}
-		if _, err := s.Stat(context.Background(), "/a.txt"); err != nil {
-			t.Fatalf("failed precondition move must not have fallen back: %v", err)
-		}
-	}
-	// A non-precondition failure (e.g. EXDEV) falls back and succeeds.
-	s := &failingRenamer{Store: NewMemStore(), err: errors.New("rename: cross-device link")}
-	mustPut(t, s, "/a.txt", "x")
-	if err := MoveTree(context.Background(), s, "/a.txt", "/b.txt"); err != nil {
-		t.Fatalf("MoveTree fallback failed: %v", err)
-	}
-	if s.calls != 1 {
-		t.Fatalf("rename attempted %d times, want 1", s.calls)
-	}
-	if got := readBody(t, s, "/b.txt"); got != "x" {
-		t.Fatalf("fallback move lost the body: %q", got)
-	}
-	if _, err := s.Stat(context.Background(), "/a.txt"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("fallback move left the source: %v", err)
 	}
 }
 
@@ -443,8 +425,8 @@ func TestMixedOperationStress(t *testing.T) {
 						t.Errorf("ListWithProps %s: %v", other, err)
 						return
 					}
-					if _, err := s.List(context.Background(), "/"); err != nil {
-						t.Errorf("List /: %v", err)
+					if _, err := s.ListWithProps(context.Background(), "/"); err != nil {
+						t.Errorf("ListWithProps /: %v", err)
 						return
 					}
 					// Shared collection churn: put, stat, delete.
@@ -463,12 +445,12 @@ func TestMixedOperationStress(t *testing.T) {
 					// (always disjoint from other workers' moves).
 					if i%10 == 9 {
 						src, dst := home+"/deep", home+"/moved"
-						if err := MoveTree(context.Background(), s, src, dst); err != nil {
-							t.Errorf("MoveTree %s -> %s: %v", src, dst, err)
+						if err := s.Rename(context.Background(), src, dst); err != nil {
+							t.Errorf("Rename %s -> %s: %v", src, dst, err)
 							return
 						}
-						if err := MoveTree(context.Background(), s, dst, src); err != nil {
-							t.Errorf("MoveTree %s -> %s: %v", dst, src, err)
+						if err := s.Rename(context.Background(), dst, src); err != nil {
+							t.Errorf("Rename %s -> %s: %v", dst, src, err)
 							return
 						}
 					}

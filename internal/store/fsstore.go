@@ -2,8 +2,6 @@ package store
 
 import (
 	"context"
-	"crypto/sha1"
-	"encoding/hex"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -230,9 +228,6 @@ func (s *FSStore) LockStats() pathlock.Stats { return s.locks.Stats() }
 // CacheStats snapshots the property-database handle-cache counters.
 func (s *FSStore) CacheStats() dbm.CacheStats { return s.cache.Stats() }
 
-// HandleCache exposes the DBM handle cache (tests, metrics wiring).
-func (s *FSStore) HandleCache() *dbm.Cache { return s.cache }
-
 // Close releases the store: every cached property database is closed
 // (pinned handles close on their release) and the intent journal is
 // synced and closed.
@@ -319,11 +314,13 @@ func (s *FSStore) memberPropsPath(dp, cp string) string {
 	return filepath.Join(filepath.Dir(dp), propDirName, path.Base(cp)+propsExt)
 }
 
+// mapFSErr turns a filesystem error about p into the store's. A path
+// below a document (ENOTDIR) names nothing, as a missing one does.
 func mapFSErr(err error, p string) error {
 	switch {
 	case err == nil:
 		return nil
-	case os.IsNotExist(err):
+	case os.IsNotExist(err), errors.Is(err, syscall.ENOTDIR):
 		return fmt.Errorf("%w: %s", ErrNotFound, p)
 	case os.IsExist(err):
 		return fmt.Errorf("%w: %s", ErrExists, p)
@@ -489,7 +486,10 @@ func etagFor(fi fs.FileInfo, gen int64) string {
 	return string(b)
 }
 
-// List implements Store.
+// List returns the members of the collection at p, sorted by path.
+//
+// It is not part of Store: outside the tests, the benchmark's spanStore
+// is its only caller, and ROADMAP item 1(a) removes it.
 func (s *FSStore) List(ctx context.Context, p string) ([]ResourceInfo, error) {
 	cp, err := CleanPath(p)
 	if err != nil {
@@ -690,9 +690,9 @@ func (s *FSStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, e
 	return s.list(ctx, cp, true)
 }
 
-// Mkcol implements Store. The mkdir itself is atomic; it is journaled
-// anyway so the crash-point matrix exercises a single-step operation
-// and fsck can attribute a half-created collection to its request.
+// Mkcol implements Store. The mkdir is atomic, so it writes no journal
+// intent: a crash leaves the collection made or not, and either state
+// is consistent.
 func (s *FSStore) Mkcol(ctx context.Context, p string) error {
 	cp, err := CleanPath(p)
 	if err != nil {
@@ -709,24 +709,10 @@ func (s *FSStore) Mkcol(ctx context.Context, p string) error {
 		return err
 	}
 	defer g.Release()
-	s.step("mkcol.start")
-	id, err := s.beginIntent(journal.Record{Op: journal.OpMkcol, Path: cp})
-	if err != nil {
-		return err
-	}
-	s.step("mkcol.intent")
 	if err := ctx.Err(); err != nil {
-		// Nothing was mutated: resolve the intent as a no-op.
-		s.commitIntent(id)
 		return err
 	}
-	if err := s.mkcolLocked(cp); err != nil {
-		s.commitIntent(id)
-		return err
-	}
-	s.step("mkcol.made")
-	s.commitIntent(id)
-	return nil
+	return s.mkcolLocked(cp)
 }
 
 // mkcolLocked is Mkcol's body under an already-held exclusive lock
@@ -1370,7 +1356,10 @@ func (s *FSStore) PropPut(ctx context.Context, p string, name xml.Name, value []
 	})
 }
 
-// PropGet implements Store.
+// PropGet retrieves one dead property value.
+//
+// It is not part of Store: outside the tests, the benchmark's spanStore
+// is its only caller, and ROADMAP item 1(a) removes it.
 func (s *FSStore) PropGet(ctx context.Context, p string, name xml.Name) ([]byte, bool, error) {
 	cp, err := CleanPath(p)
 	if err != nil {
@@ -1419,7 +1408,10 @@ func (s *FSStore) PropDelete(ctx context.Context, p string, name xml.Name) error
 	})
 }
 
-// PropNames implements Store.
+// PropNames lists the dead property names on the resource.
+//
+// It is not part of Store: outside the tests, the benchmark's spanStore
+// is its only caller, and ROADMAP item 1(a) removes it.
 func (s *FSStore) PropNames(ctx context.Context, p string) ([]xml.Name, error) {
 	all, err := s.PropAll(ctx, p)
 	if err != nil {
@@ -1428,7 +1420,11 @@ func (s *FSStore) PropNames(ctx context.Context, p string) ([]xml.Name, error) {
 	return sortedPropNames(all), nil
 }
 
-// PropAll implements Store.
+// PropAll returns every dead property on the resource, in a map of
+// the caller's own.
+//
+// It is not part of Store: outside the tests, the benchmark's spanStore
+// is its only caller, and ROADMAP item 1(a) removes it.
 func (s *FSStore) PropAll(ctx context.Context, p string) (map[xml.Name][]byte, error) {
 	cp, err := CleanPath(p)
 	if err != nil {
@@ -1482,19 +1478,4 @@ func DiskUsage(dir string) (int64, error) {
 		return nil
 	})
 	return total, err
-}
-
-// ContentHash returns the SHA-1 of a document's body, used by tests
-// and the migration verifier.
-func ContentHash(ctx context.Context, s Store, p string) (string, error) {
-	rc, _, err := s.Get(ctx, p)
-	if err != nil {
-		return "", err
-	}
-	defer rc.Close()
-	h := sha1.New()
-	if _, err := io.Copy(h, rc); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }

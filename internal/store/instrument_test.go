@@ -59,14 +59,14 @@ func TestInstrumentObservesOpsAndErrors(t *testing.T) {
 	if err := s.Mkcol(context.Background(), "/col"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.List(context.Background(), "/"); err != nil {
+	if _, err := s.ListWithProps(context.Background(), "/"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Stat(context.Background(), "/missing"); err == nil {
 		t.Fatal("expected ErrNotFound")
 	}
 
-	for op, want := range map[string]int{"put": 1, "stat": 2, "get": 1, "mkcol": 1, "list": 1} {
+	for op, want := range map[string]int{"put": 1, "stat": 2, "get": 1, "mkcol": 1, "list_with_props": 1} {
 		if got := rec.count(op); got != want {
 			t.Errorf("op %q observed %d times, want %d", op, got, want)
 		}
@@ -90,10 +90,10 @@ func TestInstrumentRenameDelegates(t *testing.T) {
 	if _, err := s.Put(context.Background(), "/src", strings.NewReader("body"), ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := MoveTree(context.Background(), s, "/src", "/dst"); err != nil {
+	if err := s.Rename(context.Background(), "/src", "/dst"); err != nil {
 		t.Fatal(err)
 	}
-	if rec.count("rename") == 0 {
-		t.Error("rename fast path not observed")
+	if got := rec.count("rename"); got != 1 {
+		t.Errorf("rename observed %d times, want 1", got)
 	}
 }

@@ -11,16 +11,12 @@ import (
 // metric families, and the keys chaos.FaultyStore arms faults on.
 const (
 	OpStat          = "stat"
-	OpList          = "list"
 	OpMkcol         = "mkcol"
 	OpPut           = "put"
 	OpGet           = "get"
 	OpDelete        = "delete"
 	OpPropPut       = "prop_put"
-	OpPropGet       = "prop_get"
 	OpPropDelete    = "prop_delete"
-	OpPropNames     = "prop_names"
-	OpPropAll       = "prop_all"
 	OpStatWithProps = "stat_with_props"
 	OpListWithProps = "list_with_props"
 	OpCopyTree      = "copy_tree"
@@ -65,14 +61,6 @@ func (w *intercepted) Stat(ctx context.Context, p string) (ri ResourceInfo, err 
 	return
 }
 
-func (w *intercepted) List(ctx context.Context, p string) (members []ResourceInfo, err error) {
-	err = w.ic(ctx, Op{Name: OpList, Path: p}, func(ctx context.Context) (e error) {
-		members, e = w.s.List(ctx, p)
-		return
-	})
-	return
-}
-
 func (w *intercepted) Mkcol(ctx context.Context, p string) error {
 	return w.ic(ctx, Op{Name: OpMkcol, Path: p}, func(ctx context.Context) error {
 		return w.s.Mkcol(ctx, p)
@@ -110,34 +98,10 @@ func (w *intercepted) PropPut(ctx context.Context, p string, name xml.Name, valu
 	})
 }
 
-func (w *intercepted) PropGet(ctx context.Context, p string, name xml.Name) (v []byte, ok bool, err error) {
-	err = w.ic(ctx, Op{Name: OpPropGet, Path: p}, func(ctx context.Context) (e error) {
-		v, ok, e = w.s.PropGet(ctx, p, name)
-		return
-	})
-	return
-}
-
 func (w *intercepted) PropDelete(ctx context.Context, p string, name xml.Name) error {
 	return w.ic(ctx, Op{Name: OpPropDelete, Path: p}, func(ctx context.Context) error {
 		return w.s.PropDelete(ctx, p, name)
 	})
-}
-
-func (w *intercepted) PropNames(ctx context.Context, p string) (names []xml.Name, err error) {
-	err = w.ic(ctx, Op{Name: OpPropNames, Path: p}, func(ctx context.Context) (e error) {
-		names, e = w.s.PropNames(ctx, p)
-		return
-	})
-	return
-}
-
-func (w *intercepted) PropAll(ctx context.Context, p string) (props map[xml.Name][]byte, err error) {
-	err = w.ic(ctx, Op{Name: OpPropAll, Path: p}, func(ctx context.Context) (e error) {
-		props, e = w.s.PropAll(ctx, p)
-		return
-	})
-	return
 }
 
 func (w *intercepted) StatWithProps(ctx context.Context, p string) (ri ResourceInfo, props map[xml.Name][]byte, err error) {

@@ -70,13 +70,6 @@ func TestInterceptEveryMethod(t *testing.T) {
 			}
 			return want(ri.Path == "/col/a" && ri.Size == 5, "stat = %+v", ri)
 		}},
-		{Op{Name: OpList, Path: "/col"}, func() error {
-			members, err := s.List(ctx, "/col")
-			if err != nil {
-				return err
-			}
-			return want(len(members) == 1, "list = %+v", members)
-		}},
 		{Op{Name: OpGet, Path: "/col/a"}, func() error {
 			rc, ri, err := s.Get(ctx, "/col/a")
 			if err != nil {
@@ -87,27 +80,6 @@ func TestInterceptEveryMethod(t *testing.T) {
 			return want(string(body) == "hello" && ri.Size == 5, "get = %q, %+v", body, ri)
 		}},
 		{Op{Name: OpPropPut, Path: "/col/a", Bytes: 3}, func() error { return s.PropPut(ctx, "/col/a", name, []byte("val")) }},
-		{Op{Name: OpPropGet, Path: "/col/a"}, func() error {
-			v, ok, err := s.PropGet(ctx, "/col/a", name)
-			if err != nil {
-				return err
-			}
-			return want(ok && string(v) == "val", "prop_get = %q, %v", v, ok)
-		}},
-		{Op{Name: OpPropNames, Path: "/col/a"}, func() error {
-			names, err := s.PropNames(ctx, "/col/a")
-			if err != nil {
-				return err
-			}
-			return want(len(names) == 1 && names[0] == name, "prop_names = %v", names)
-		}},
-		{Op{Name: OpPropAll, Path: "/col/a"}, func() error {
-			props, err := s.PropAll(ctx, "/col/a")
-			if err != nil {
-				return err
-			}
-			return want(string(props[name]) == "val", "prop_all = %v", props)
-		}},
 		{Op{Name: OpStatWithProps, Path: "/col/a"}, func() error {
 			ri, props, err := s.StatWithProps(ctx, "/col/a")
 			if err != nil {

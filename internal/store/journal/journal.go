@@ -1,7 +1,7 @@
 // Package journal implements the write-ahead intent journal behind
 // FSStore's crash consistency. Before a multi-step mutation (PUT's
 // stage-rename-props sequence, a tree DELETE, a MOVE's content+props
-// rename pair, a COPY, a MKCOL) the store appends an intent record and
+// rename pair, a COPY) the store appends an intent record and
 // fsyncs it; after the last step it appends a commit record. A crash
 // therefore leaves at most one generation of unfinished work, and each
 // unfinished intent carries enough context (operation, paths, staged
@@ -48,7 +48,7 @@ const (
 	OpDelete Op = "delete"
 	OpRename Op = "rename"
 	OpCopy   Op = "copy"
-	OpMkcol  Op = "mkcol"
+	OpMkcol  Op = "mkcol" // written by earlier versions only; still resolved
 )
 
 // Record kinds.

@@ -36,6 +36,10 @@ type memState struct {
 	mu    sync.Mutex // guards res and resource contents
 	res   map[string]*memResource
 	now   func() time.Time
+	// version is the last value handed to a body write; every write and
+	// every copy takes the next one, so no two bodies a MemStore has
+	// held share an ETag, whatever their paths and sizes.
+	version int64
 }
 
 type memResource struct {
@@ -45,7 +49,7 @@ type memResource struct {
 	props        map[xml.Name][]byte
 	modTime      time.Time
 	createTime   time.Time
-	version      int64 // bumped on body change, feeds the ETag
+	version      int64 // memState.version at the body's write, feeds the ETag
 }
 
 var _ Store = (*MemStore)(nil)
@@ -61,6 +65,13 @@ func NewMemStore() *MemStore {
 	st.res["/"] = &memResource{isCollection: true, props: map[xml.Name][]byte{},
 		modTime: st.now(), createTime: st.now()}
 	return &MemStore{state: st}
+}
+
+// nextVersion hands out the version of a body being written. Caller
+// holds mu.
+func (st *memState) nextVersion() int64 {
+	st.version++
+	return st.version
 }
 
 // LockStats snapshots the hierarchical path-lock counters.
@@ -108,10 +119,10 @@ func (s *MemStore) Stat(ctx context.Context, p string) (ResourceInfo, error) {
 	return s.infoFor(cp, r), nil
 }
 
-// list returns the sorted member snapshot of cp. Caller holds the path
-// lock; list takes state.mu itself. With withProps set each member's
-// property map is copied in the same pass.
-func (s *MemStore) list(cp string, withProps bool) ([]MemberProps, error) {
+// list returns the sorted member snapshot of cp, each member's property
+// map copied in the same pass. Caller holds the path lock; list takes
+// state.mu itself.
+func (s *MemStore) list(cp string) ([]MemberProps, error) {
 	s.state.mu.Lock()
 	defer s.state.mu.Unlock()
 	r, ok := s.state.res[cp]
@@ -133,12 +144,8 @@ func (s *MemStore) list(cp string, withProps bool) ([]MemberProps, error) {
 		if strings.Contains(q[len(prefix):], "/") {
 			continue // grandchild
 		}
-		mp := MemberProps{Info: s.infoFor(q, qr)}
-		if withProps {
-			mp.Props = copyProps(qr.props)
-			mp.Checked = wellFormed(mp.Props)
-		}
-		out = append(out, mp)
+		props := copyProps(qr.props)
+		out = append(out, MemberProps{Info: s.infoFor(q, qr), Props: props, Checked: wellFormed(props)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Info.Path < out[j].Info.Path })
 	return out, nil
@@ -161,28 +168,6 @@ func copyProps(props map[xml.Name][]byte) map[xml.Name][]byte {
 		out[n] = append([]byte(nil), v...)
 	}
 	return out
-}
-
-// List implements Store.
-func (s *MemStore) List(ctx context.Context, p string) ([]ResourceInfo, error) {
-	cp, err := CleanPath(p)
-	if err != nil {
-		return nil, err
-	}
-	g, err := s.state.locks.RLock(ctx, cp)
-	if err != nil {
-		return nil, err
-	}
-	defer g.Release()
-	members, err := s.list(cp, false)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ResourceInfo, len(members))
-	for i, m := range members {
-		out[i] = m.Info
-	}
-	return out, nil
 }
 
 // StatWithProps implements BatchReader.
@@ -216,7 +201,7 @@ func (s *MemStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, 
 		return nil, err
 	}
 	defer g.Release()
-	return s.list(cp, true)
+	return s.list(cp)
 }
 
 // parentOK reports whether p's parent exists and is a collection.
@@ -285,14 +270,15 @@ func (s *MemStore) Put(ctx context.Context, p string, r io.Reader, contentType s
 	if ok {
 		existing.data = data
 		existing.modTime = now
-		existing.version++
+		existing.version = s.state.nextVersion()
 		if contentType != "" {
 			existing.contentType = contentType
 		}
 		return false, nil
 	}
 	s.state.res[cp] = &memResource{data: data, contentType: contentType,
-		props: map[xml.Name][]byte{}, modTime: now, createTime: now}
+		props: map[xml.Name][]byte{}, modTime: now, createTime: now,
+		version: s.state.nextVersion()}
 	return true, nil
 }
 
@@ -475,11 +461,11 @@ func (s *MemStore) copyResLocked(r *memResource, cdst string, now time.Time) err
 		if existing.isCollection {
 			return fmt.Errorf("%w: %s", ErrIsCollection, cdst)
 		}
-		// Overwrite like Put would: new body, bumped version, merged
+		// Overwrite like Put would: new body, new version, merged
 		// properties.
 		existing.data = append([]byte(nil), r.data...)
 		existing.modTime = now
-		existing.version++
+		existing.version = s.state.nextVersion()
 		if r.contentType != "" {
 			existing.contentType = r.contentType
 		}
@@ -490,7 +476,7 @@ func (s *MemStore) copyResLocked(r *memResource, cdst string, now time.Time) err
 	}
 	s.state.res[cdst] = &memResource{data: append([]byte(nil), r.data...),
 		contentType: r.contentType, props: copyProps(r.props),
-		modTime: now, createTime: now}
+		modTime: now, createTime: now, version: s.state.nextVersion()}
 	return nil
 }
 
@@ -528,53 +514,12 @@ func (s *MemStore) PropPut(ctx context.Context, p string, name xml.Name, value [
 	})
 }
 
-// PropGet implements Store.
-func (s *MemStore) PropGet(ctx context.Context, p string, name xml.Name) ([]byte, bool, error) {
-	var val []byte
-	var ok bool
-	err := s.withResource(ctx, p, false, func(r *memResource) error {
-		v, present := r.props[name]
-		if present {
-			val = append([]byte(nil), v...)
-			ok = true
-		}
-		return nil
-	})
-	return val, ok, err
-}
-
 // PropDelete implements Store.
 func (s *MemStore) PropDelete(ctx context.Context, p string, name xml.Name) error {
 	return s.withResource(ctx, p, true, func(r *memResource) error {
 		delete(r.props, name)
 		return nil
 	})
-}
-
-// PropNames implements Store.
-func (s *MemStore) PropNames(ctx context.Context, p string) ([]xml.Name, error) {
-	var names []xml.Name
-	err := s.withResource(ctx, p, false, func(r *memResource) error {
-		names = sortedPropNames(r.props)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return names, nil
-}
-
-// PropAll implements Store.
-func (s *MemStore) PropAll(ctx context.Context, p string) (map[xml.Name][]byte, error) {
-	var out map[xml.Name][]byte
-	err := s.withResource(ctx, p, false, func(r *memResource) error {
-		out = copyProps(r.props)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Len returns the number of resources (root included), for tests.

@@ -194,9 +194,10 @@ func (s *FSStore) resolveIntent(ctx context.Context, rec journal.Record) (forwar
 		s.removeCopyDebris(rec.Dst)
 		return false, nil
 	case journal.OpMkcol:
-		// Both states are valid: a collection either exists (the mkdir
-		// ran) or it does not (it never did). The intent only exists so
-		// a half-created tree is attributable; nothing to repair.
+		// Mkcol journals nothing now; an earlier version of the store
+		// wrote these. Both states are valid: a collection either
+		// exists (the mkdir ran) or it does not (it never did), so
+		// there is nothing to repair.
 		dp, err := s.diskPath(rec.Path)
 		if err != nil {
 			return false, err

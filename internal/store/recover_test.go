@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/dbm"
+	"repro/internal/store/journal"
 )
 
 // stepCrash is the panic payload the test step hooks raise to simulate
@@ -430,5 +431,47 @@ func TestWriteGateDuringDeferredRecovery(t *testing.T) {
 	}
 	if _, err := s.Put(context.Background(), "/x.txt", strings.NewReader("x"), ""); err != nil {
 		t.Fatalf("Put after recovery: %v", err)
+	}
+}
+
+// TestMkcolJournalsNothingAndOlderIntentsStillResolve: a mkdir is
+// atomic, so Mkcol appends nothing to the journal. A journal an earlier
+// version of the store wrote may still hold mkcol intents; recovery
+// resolves them as it always has, repairing nothing: a collection that
+// was made counts as rolled forward, one that was not as rolled back.
+func TestMkcolJournalsNothingAndOlderIntentsStillResolve(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewFSStore(dir, dbm.GDBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jpath := filepath.Join(dir, propDirName, journalFileName)
+	before, err := os.Stat(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustMkcol(t, s, "/made")
+	if after, err := os.Stat(jpath); err != nil || after.Size() != before.Size() {
+		t.Fatalf("Mkcol grew the journal from %d bytes: %v, %v", before.Size(), after, err)
+	}
+	for _, p := range []string{"/made", "/never"} {
+		if _, err := s.Journal().Begin(journal.Record{Op: journal.OpMkcol, Path: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	s2 := reopen(t, dir)
+	if n := s2.Journal().Len(); n != 0 {
+		t.Fatalf("journal still has %d pending intents", n)
+	}
+	if st := s2.RecoveryStats(); st.RolledForward != 1 || st.RolledBack != 1 {
+		t.Fatalf("recovery rolled %d forward and %d back, want 1 and 1", st.RolledForward, st.RolledBack)
+	}
+	if ri, err := s2.Stat(context.Background(), "/made"); err != nil || !ri.IsCollection {
+		t.Fatalf("/made after recovery = %+v, %v", ri, err)
+	}
+	if _, err := s2.Stat(context.Background(), "/never"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("/never after recovery: %v, want ErrNotFound", err)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"path"
 	"sort"
 	"strings"
@@ -65,25 +64,24 @@ func (ri ResourceInfo) Name() string {
 
 // Store is the persistence contract the DAV server runs against. All
 // paths are canonical per CleanPath. Implementations must be safe for
-// concurrent use.
+// concurrent use. It holds what the handlers call and nothing more: a
+// resource's dead properties are read with its metadata, in one
+// StatWithProps or ListWithProps, never one name at a time.
 //
 // ctx carries the request scope: trace attribution, cancellation, and
 // deadlines. Implementations abort early — without leaving partial
 // state visible — when ctx is done; the error then wraps ctx.Err().
 //
-// Property values returned by PropAll, StatWithProps and ListWithProps
-// are read-only. An FSStore's alias the resident image of the property
+// Property values returned by StatWithProps and ListWithProps are
+// read-only. An FSStore's alias the resident image of the property
 // database (see dbm.ForEach): a caller may keep them, which keeps that
-// image alive, but must copy before it modifies one. The maps
-// StatWithProps and ListWithProps return are read-only too: an
-// FSStore's is the database's shared property view, handed to every
-// caller until the resource's properties next change, and a caller must
-// not modify it. PropAll returns a map of the caller's own.
+// image alive, but must copy before it modifies one. The maps are
+// read-only too: an FSStore's is the database's shared property view,
+// handed to every caller until the resource's properties next change,
+// and a caller must not modify it.
 type Store interface {
 	// Stat describes the resource at p.
 	Stat(ctx context.Context, p string) (ResourceInfo, error)
-	// List returns the members of the collection at p, sorted by path.
-	List(ctx context.Context, p string) ([]ResourceInfo, error)
 	// Mkcol creates a collection. The parent must exist (ErrConflict
 	// otherwise); the path must be free (ErrExists otherwise).
 	Mkcol(ctx context.Context, p string) error
@@ -99,16 +97,10 @@ type Store interface {
 
 	// PropPut stores the encoded dead property value under name.
 	PropPut(ctx context.Context, p string, name xml.Name, value []byte) error
-	// PropGet retrieves a dead property value.
-	PropGet(ctx context.Context, p string, name xml.Name) ([]byte, bool, error)
 	// PropDelete removes a dead property; absent properties are not an
 	// error (RFC 2518 treats removing a non-existent property as
 	// success).
 	PropDelete(ctx context.Context, p string, name xml.Name) error
-	// PropNames lists the dead property names on the resource.
-	PropNames(ctx context.Context, p string) ([]xml.Name, error)
-	// PropAll returns every dead property on the resource.
-	PropAll(ctx context.Context, p string) (map[xml.Name][]byte, error)
 
 	// The batched reads, the atomic subtree copy and the rename are part
 	// of the contract, not optional extras: both stores implement them
@@ -234,28 +226,6 @@ type Renamer interface {
 	Rename(ctx context.Context, src, dst string) error
 }
 
-// MoveTree moves src to dst by Rename. A rename that fails with a store
-// precondition error (ErrNotFound, ErrBadPath) or because ctx is done
-// propagates: copy+delete would fail the same way, or would be exactly
-// the wasted work cancellation exists to avoid. Any other failure
-// (cross-device rename, permissions, ...) is logged via slog and
-// retried as the RFC 2518 recursive copy followed by a recursive
-// delete, so a degraded MOVE is visible in the logs instead of silently
-// slow.
-func MoveTree(ctx context.Context, s Store, src, dst string) error {
-	err := s.Rename(ctx, src, dst)
-	if err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrBadPath) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	slog.Warn("store: rename failed; falling back to copy+delete",
-		"src", src, "dst", dst, "err", err)
-	if err := s.CopyTreeAtomic(ctx, src, dst, CopyOptions{Recurse: true}); err != nil {
-		return err
-	}
-	return s.Delete(ctx, src)
-}
-
 // sortedPropNames returns props' keys ordered by namespace then local
 // name, so property iteration is deterministic.
 func sortedPropNames(props map[xml.Name][]byte) []xml.Name {
@@ -298,11 +268,12 @@ type MemberProps struct {
 // builds the decoded view it keeps in the handle's memo slot; MemStore
 // checks them on every call.
 type BatchReader interface {
-	// StatWithProps is Stat plus PropAll under one resource lock; a
-	// property database that cannot be read is an error here as there.
+	// StatWithProps is Stat plus every dead property of the resource,
+	// under one resource lock; a property database that cannot be read
+	// is an error.
 	StatWithProps(ctx context.Context, p string) (ResourceInfo, map[xml.Name][]byte, error)
-	// ListWithProps is List plus each member's PropAll under one
-	// collection lock, sorted by path.
+	// ListWithProps returns the members of the collection at p, sorted
+	// by path, each with its dead properties, under one collection lock.
 	ListWithProps(ctx context.Context, p string) ([]MemberProps, error)
 }
 

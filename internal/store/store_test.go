@@ -55,6 +55,24 @@ func mustMkcol(t *testing.T, s Store, p string) {
 	}
 }
 
+// propGet reads one dead property through the batched read, the only
+// property read Store has.
+func propGet(ctx context.Context, s Store, p string, name xml.Name) ([]byte, bool, error) {
+	_, props, err := s.StatWithProps(ctx, p)
+	v, ok := props[name]
+	return v, ok, err
+}
+
+// listInfos is ListWithProps without the properties.
+func listInfos(ctx context.Context, s Store, p string) ([]ResourceInfo, error) {
+	members, err := s.ListWithProps(ctx, p)
+	infos := make([]ResourceInfo, len(members))
+	for i, m := range members {
+		infos[i] = m.Info
+	}
+	return infos, err
+}
+
 func readBody(t *testing.T, s Store, p string) string {
 	t.Helper()
 	rc, _, err := s.Get(context.Background(), p)
@@ -198,7 +216,7 @@ func TestMoveNeverReusesADestinationETag(t *testing.T) {
 			if err := s.Delete(ctx, tc.dst); err != nil {
 				t.Fatal(err)
 			}
-			if err := MoveTree(ctx, s, tc.src, tc.dst); err != nil {
+			if err := s.Rename(ctx, tc.src, tc.dst); err != nil {
 				t.Fatal(err)
 			}
 			after, err := s.Stat(ctx, tc.dstDoc)
@@ -277,7 +295,7 @@ func TestListSortedAndScoped(t *testing.T) {
 		mustPut(t, s, "/c/mid/nested", "n") // must not appear at depth 1
 		mustPut(t, s, "/other", "o")
 
-		members, err := s.List(context.Background(), "/c")
+		members, err := listInfos(context.Background(), s, "/c")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,10 +307,10 @@ func TestListSortedAndScoped(t *testing.T) {
 		if !reflect.DeepEqual(names, want) {
 			t.Fatalf("List = %v, want %v", names, want)
 		}
-		if _, err := s.List(context.Background(), "/c/apple"); !errors.Is(err, ErrNotCollection) {
+		if _, err := listInfos(context.Background(), s, "/c/apple"); !errors.Is(err, ErrNotCollection) {
 			t.Fatalf("List document = %v, want ErrNotCollection", err)
 		}
-		if _, err := s.List(context.Background(), "/nope"); !errors.Is(err, ErrNotFound) {
+		if _, err := listInfos(context.Background(), s, "/nope"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("List missing = %v, want ErrNotFound", err)
 		}
 	})
@@ -336,8 +354,8 @@ func TestPropLifecycle(t *testing.T) {
 		val := []byte(`<formula xmlns="ecce:">UO2H30O15</formula>`)
 
 		// Absent property.
-		if _, ok, err := s.PropGet(context.Background(), "/m.xyz", name); ok || err != nil {
-			t.Fatalf("PropGet absent = ok=%v err=%v", ok, err)
+		if _, ok, err := propGet(context.Background(), s, "/m.xyz", name); ok || err != nil {
+			t.Fatalf("absent property: ok=%v err=%v", ok, err)
 		}
 		// Removing an absent property succeeds (RFC 2518).
 		if err := s.PropDelete(context.Background(), "/m.xyz", name); err != nil {
@@ -346,33 +364,29 @@ func TestPropLifecycle(t *testing.T) {
 		if err := s.PropPut(context.Background(), "/m.xyz", name, val); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, err := s.PropGet(context.Background(), "/m.xyz", name)
+		got, ok, err := propGet(context.Background(), s, "/m.xyz", name)
 		if err != nil || !ok || !bytes.Equal(got, val) {
-			t.Fatalf("PropGet = (%q, %v, %v)", got, ok, err)
+			t.Fatalf("property = (%q, %v, %v)", got, ok, err)
 		}
 		// Overwrite.
 		val2 := []byte(`<formula xmlns="ecce:">H2O</formula>`)
 		s.PropPut(context.Background(), "/m.xyz", name, val2)
-		got, _, _ = s.PropGet(context.Background(), "/m.xyz", name)
+		got, _, _ = propGet(context.Background(), s, "/m.xyz", name)
 		if !bytes.Equal(got, val2) {
-			t.Fatalf("overwritten PropGet = %q", got)
+			t.Fatalf("overwritten property = %q", got)
 		}
 		// Names and All.
 		name2 := xml.Name{Space: "ecce:", Local: "charge"}
 		s.PropPut(context.Background(), "/m.xyz", name2, []byte("<c>2</c>"))
-		names, err := s.PropNames(context.Background(), "/m.xyz")
-		if err != nil || len(names) != 2 {
-			t.Fatalf("PropNames = %v, %v", names, err)
-		}
-		all, err := s.PropAll(context.Background(), "/m.xyz")
+		_, all, err := s.StatWithProps(context.Background(), "/m.xyz")
 		if err != nil || len(all) != 2 || !bytes.Equal(all[name], val2) {
-			t.Fatalf("PropAll = %v, %v", all, err)
+			t.Fatalf("StatWithProps props = %v, %v", all, err)
 		}
 		// Delete.
 		if err := s.PropDelete(context.Background(), "/m.xyz", name); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, _ := s.PropGet(context.Background(), "/m.xyz", name); ok {
+		if _, ok, _ := propGet(context.Background(), s, "/m.xyz", name); ok {
 			t.Fatal("property survived delete")
 		}
 	})
@@ -384,11 +398,11 @@ func TestPropsOnMissingResource(t *testing.T) {
 		if err := s.PropPut(context.Background(), "/gone", name, []byte("v")); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("PropPut missing = %v", err)
 		}
-		if _, _, err := s.PropGet(context.Background(), "/gone", name); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("PropGet missing = %v", err)
+		if _, _, err := propGet(context.Background(), s, "/gone", name); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("property of a missing resource = %v", err)
 		}
-		if _, err := s.PropAll(context.Background(), "/gone"); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("PropAll missing = %v", err)
+		if _, _, err := s.StatWithProps(context.Background(), "/gone"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("StatWithProps missing = %v", err)
 		}
 	})
 }
@@ -400,7 +414,7 @@ func TestPropsOnCollections(t *testing.T) {
 		if err := s.PropPut(context.Background(), "/proj", name, []byte("<d>study</d>")); err != nil {
 			t.Fatal(err)
 		}
-		v, ok, err := s.PropGet(context.Background(), "/proj", name)
+		v, ok, err := propGet(context.Background(), s, "/proj", name)
 		if err != nil || !ok || string(v) != "<d>study</d>" {
 			t.Fatalf("collection prop = (%q, %v, %v)", v, ok, err)
 		}
@@ -418,7 +432,7 @@ func TestCopyTreeDocumentWithProps(t *testing.T) {
 		if got := readBody(t, s, "/dst.txt"); got != "body" {
 			t.Fatalf("copied body = %q", got)
 		}
-		v, ok, _ := s.PropGet(context.Background(), "/dst.txt", name)
+		v, ok, _ := propGet(context.Background(), s, "/dst.txt", name)
 		if !ok || string(v) != "v" {
 			t.Fatalf("copied prop = (%q, %v)", v, ok)
 		}
@@ -445,7 +459,7 @@ func TestCopyTreeRecursive(t *testing.T) {
 				t.Fatalf("Stat %s after copy: %v", p, err)
 			}
 		}
-		v, ok, _ := s.PropGet(context.Background(), "/b", xml.Name{Space: "e:", Local: "p"})
+		v, ok, _ := propGet(context.Background(), s, "/b", xml.Name{Space: "e:", Local: "p"})
 		if !ok || string(v) != "cv" {
 			t.Fatal("collection property not copied")
 		}
@@ -476,7 +490,7 @@ func TestMoveTree(t *testing.T) {
 		mustMkcol(t, s, "/m")
 		mustPut(t, s, "/m/doc", "payload")
 		s.PropPut(context.Background(), "/m/doc", xml.Name{Space: "e:", Local: "k"}, []byte("v"))
-		if err := MoveTree(context.Background(), s, "/m", "/moved"); err != nil {
+		if err := s.Rename(context.Background(), "/m", "/moved"); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Stat(context.Background(), "/m"); !errors.Is(err, ErrNotFound) {
@@ -485,7 +499,7 @@ func TestMoveTree(t *testing.T) {
 		if got := readBody(t, s, "/moved/doc"); got != "payload" {
 			t.Fatalf("moved body = %q", got)
 		}
-		v, ok, _ := s.PropGet(context.Background(), "/moved/doc", xml.Name{Space: "e:", Local: "k"})
+		v, ok, _ := propGet(context.Background(), s, "/moved/doc", xml.Name{Space: "e:", Local: "k"})
 		if !ok || string(v) != "v" {
 			t.Fatal("moved property lost")
 		}
@@ -502,10 +516,10 @@ func TestMoveDocumentRenameKeepsProps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := MoveTree(context.Background(), s, "/one.txt", "/two.txt"); err != nil {
+		if err := s.Rename(context.Background(), "/one.txt", "/two.txt"); err != nil {
 			t.Fatal(err)
 		}
-		v, ok, err := s.PropGet(context.Background(), "/two.txt", xml.Name{Space: "e:", Local: "k"})
+		v, ok, err := propGet(context.Background(), s, "/two.txt", xml.Name{Space: "e:", Local: "k"})
 		if err != nil || !ok || string(v) != "v" {
 			t.Fatalf("prop after rename = (%q, %v, %v)", v, ok, err)
 		}
@@ -557,7 +571,7 @@ func TestFSStoreHidesPropDir(t *testing.T) {
 	defer s.Close()
 	mustPut(t, s, "/d.txt", "x")
 	s.PropPut(context.Background(), "/d.txt", xml.Name{Space: "e:", Local: "k"}, []byte("v"))
-	members, err := s.List(context.Background(), "/")
+	members, err := listInfos(context.Background(), s, "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +608,7 @@ func TestFSStorePropsPersistAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	v, ok, err := s2.PropGet(context.Background(), "/p.txt", name)
+	v, ok, err := propGet(context.Background(), s2, "/p.txt", name)
 	if err != nil || !ok || string(v) != "<f>H2O</f>" {
 		t.Fatalf("prop after reopen = (%q, %v, %v)", v, ok, err)
 	}
@@ -657,7 +671,7 @@ func TestFSStorePerResourcePropertyDatabases(t *testing.T) {
 	}
 }
 
-func TestContentHashAndDiskUsage(t *testing.T) {
+func TestDiskUsage(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewFSStore(dir, dbm.GDBM)
 	if err != nil {
@@ -665,15 +679,7 @@ func TestContentHashAndDiskUsage(t *testing.T) {
 	}
 	defer s.Close()
 	mustPut(t, s, "/h", "hello world")
-	h1, err := ContentHash(context.Background(), s, "/h")
-	if err != nil || len(h1) != 40 {
-		t.Fatalf("ContentHash = (%q, %v)", h1, err)
-	}
 	mustPut(t, s, "/h", "changed")
-	h2, _ := ContentHash(context.Background(), s, "/h")
-	if h1 == h2 {
-		t.Fatal("hash unchanged after write")
-	}
 	du, err := DiskUsage(dir)
 	if err != nil || du < int64(len("changed")) {
 		t.Fatalf("DiskUsage = (%d, %v)", du, err)
@@ -681,7 +687,7 @@ func TestContentHashAndDiskUsage(t *testing.T) {
 }
 
 // TestQuickPropRoundTrip: for arbitrary names and values, PropPut
-// followed by PropGet returns the value, on both stores.
+// followed by a read returns the value, on both stores.
 func TestQuickPropRoundTrip(t *testing.T) {
 	fsDir := t.TempDir()
 	fsStore, err := NewFSStore(fsDir, dbm.GDBM)
@@ -705,9 +711,9 @@ func TestQuickPropRoundTrip(t *testing.T) {
 				t.Logf("PropPut: %v", err)
 				return false
 			}
-			got, ok, err := s.PropGet(context.Background(), "/target", name)
+			got, ok, err := propGet(context.Background(), s, "/target", name)
 			if err != nil || !ok || !bytes.Equal(got, val) {
-				t.Logf("PropGet = (%q, %v, %v), want %q", got, ok, err, val)
+				t.Logf("read = (%q, %v, %v), want %q", got, ok, err, val)
 				return false
 			}
 		}
@@ -760,8 +766,8 @@ func TestQuickCopyPreservesTree(t *testing.T) {
 				ok = false
 				return nil
 			}
-			sp, _ := s.PropAll(context.Background(), ri.Path)
-			dp, _ := s.PropAll(context.Background(), dstPath)
+			_, sp, _ := s.StatWithProps(context.Background(), ri.Path)
+			_, dp, _ := s.StatWithProps(context.Background(), dstPath)
 			if len(sp) != len(dp) {
 				ok = false
 			}
@@ -893,5 +899,110 @@ func TestPropViewVerdict(t *testing.T) {
 			t.Fatal(err)
 		}
 		want("repaired", map[string]bool{"/c/bare": true, "/c/doc": true, "/c/sub": true})
+	})
+}
+
+// TestETagLaws checks RFC 7232's strong-validator rules on every store:
+// a path never serves one ETag for two different bodies (a document
+// deleted and written again, overwritten, moved over or copied over
+// included), Rename keeps the ETag, and an overwrite changes it.
+func TestETagLaws(t *testing.T) {
+	ctx := context.Background()
+	eachStore(t, func(t *testing.T, s Store) {
+		served := map[string]map[string]string{} // path -> ETag -> body
+		observe := func(p string) string {
+			t.Helper()
+			rc, ri, err := s.Get(ctx, p)
+			if err != nil {
+				t.Fatalf("Get %s: %v", p, err)
+			}
+			body, err := io.ReadAll(rc)
+			rc.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if served[p] == nil {
+				served[p] = map[string]string{}
+			}
+			if prev, ok := served[p][ri.ETag]; ok && prev != string(body) {
+				t.Fatalf("%s serves %q and %q under one ETag %s", p, prev, body, ri.ETag)
+			}
+			served[p][ri.ETag] = string(body)
+			return ri.ETag
+		}
+		mustDelete := func(p string) {
+			t.Helper()
+			if err := s.Delete(ctx, p); err != nil {
+				t.Fatalf("Delete %s: %v", p, err)
+			}
+		}
+
+		mustPut(t, s, "/x", "aaaa")
+		observe("/x")
+		mustDelete("/x")
+		mustPut(t, s, "/x", "bbbb") // same path, same size
+		observe("/x")
+
+		mustPut(t, s, "/y", "cccc")
+		before := observe("/y")
+		mustPut(t, s, "/y", "dddd")
+		if observe("/y") == before {
+			t.Fatalf("an overwrite of /y kept ETag %s", before)
+		}
+
+		before = observe("/y")
+		if err := s.Rename(ctx, "/y", "/w"); err != nil {
+			t.Fatal(err)
+		}
+		if got := observe("/w"); got != before {
+			t.Fatalf("Rename changed the ETag: %s, then %s", before, got)
+		}
+		mustDelete("/x")
+		if err := s.Rename(ctx, "/w", "/x"); err != nil {
+			t.Fatal(err)
+		}
+		observe("/x")
+
+		if err := s.CopyTreeAtomic(ctx, "/x", "/c", CopyOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		observe("/c")
+		mustDelete("/c")
+		mustPut(t, s, "/c", "eeee")
+		observe("/c")
+		mustPut(t, s, "/c", "ffff")
+		observe("/c")
+	})
+}
+
+// TestPathUnderADocumentIsNotFound: a path below a document names
+// nothing. Reads and deletes of it are ErrNotFound, and creating it is
+// ErrConflict (its parent is not a collection), on both stores: the
+// filesystem's ENOTDIR is not a store error of its own.
+func TestPathUnderADocumentIsNotFound(t *testing.T) {
+	ctx := context.Background()
+	eachStore(t, func(t *testing.T, s Store) {
+		mustPut(t, s, "/a", "x")
+		const p = "/a/b"
+		name := xml.Name{Space: "e:", Local: "k"}
+		for op, err := range map[string]error{
+			"Stat":          func() error { _, err := s.Stat(ctx, p); return err }(),
+			"StatWithProps": func() error { _, _, err := s.StatWithProps(ctx, p); return err }(),
+			"ListWithProps": func() error { _, err := s.ListWithProps(ctx, p); return err }(),
+			"Get":           func() error { _, _, err := s.Get(ctx, p); return err }(),
+			"Delete":        s.Delete(ctx, p),
+			"PropPut":       s.PropPut(ctx, p, name, []byte("v")),
+			"Rename":        s.Rename(ctx, p, "/c"),
+		} {
+			if !errors.Is(err, ErrNotFound) {
+				t.Errorf("%s %s = %v, want ErrNotFound", op, p, err)
+			}
+		}
+		if _, err := s.Put(ctx, p, strings.NewReader("y"), ""); !errors.Is(err, ErrConflict) {
+			t.Errorf("Put %s = %v, want ErrConflict", p, err)
+		}
+		if err := s.Mkcol(ctx, p); !errors.Is(err, ErrConflict) {
+			t.Errorf("Mkcol %s = %v, want ErrConflict", p, err)
+		}
 	})
 }
