@@ -4,10 +4,9 @@
 // documents — but never under *failure*. This package supplies the
 // missing half: deterministic, seeded injection of connection resets,
 // latency, truncated bodies, 5xx bursts, and stalled reads, usable at
-// three layers:
+// two layers:
 //
 //   - Transport wraps an http.RoundTripper (client-side faults),
-//   - Listener/Conn wrap a net.Listener (wire-level faults),
 //   - FaultyStore wraps a store.Store (storage-layer faults).
 //
 // All decisions flow from one seeded Injector, so a failing run can be
@@ -30,7 +29,7 @@ const (
 	// None means the call proceeds unmolested.
 	None Kind = iota
 	// Reset simulates a TCP connection reset: the transport returns a
-	// connection error, the listener closes the socket.
+	// connection error.
 	Reset
 	// Err5xx synthesizes an HTTP 5xx (or 429) response without
 	// reaching the server.

@@ -196,58 +196,6 @@ func TestTransportLatencyUsesSleeper(t *testing.T) {
 	}
 }
 
-func TestListenerReset(t *testing.T) {
-	inner := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok")
-	}))
-	in := NewInjector(Plan{Nth: map[Kind]int{Reset: 2}})
-	inner.Listener = Wrap(inner.Listener, in)
-	inner.Start()
-	defer inner.Close()
-
-	// Per-request connections so each request draws one accept fault.
-	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-	var failures int
-	for i := 0; i < 6; i++ {
-		resp, err := client.Get(inner.URL)
-		if err != nil {
-			failures++
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	if failures == 0 {
-		t.Fatal("no failures over 6 requests with every 2nd accept reset")
-	}
-	if in.Injected(Reset) == 0 {
-		t.Fatal("listener injected no resets")
-	}
-}
-
-func TestListenerTruncateMidResponse(t *testing.T) {
-	inner := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Length", "1000")
-		w.Write([]byte(strings.Repeat("x", 1000)))
-	}))
-	in := NewInjector(Plan{Nth: map[Kind]int{Truncate: 1}, TruncateAfter: 64})
-	inner.Listener = Wrap(inner.Listener, in)
-	inner.Start()
-	defer inner.Close()
-
-	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-	resp, err := client.Get(inner.URL)
-	if err == nil {
-		// The 64 allowed bytes may cover the status line but not the
-		// full 1000-byte body; reading must fail.
-		_, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
-	}
-	if err == nil {
-		t.Fatal("truncated connection delivered a complete response")
-	}
-}
-
 func TestFaultyStoreTriggers(t *testing.T) {
 	fs := NewFaultyStore(store.NewMemStore())
 	if _, err := fs.Put(context.Background(), "/a", strings.NewReader("x"), ""); err != nil {

@@ -73,6 +73,17 @@ func wantProp(s *store.FSStore, p, want string) error {
 	return nil
 }
 
+func wantType(s *store.FSStore, p, want string) error {
+	ri, err := s.Stat(context.Background(), p)
+	if err != nil {
+		return err
+	}
+	if ri.ContentType != want {
+		return fmt.Errorf("%s content type = %q, want %q", p, ri.ContentType, want)
+	}
+	return nil
+}
+
 func both(errs ...error) error {
 	for _, err := range errs {
 		if err != nil {
@@ -133,6 +144,25 @@ func matrixCases() []matrixCase {
 					return fmt.Errorf("ETag %s lacks the generation field", ri.ETag)
 				}
 				return nil
+			},
+		},
+		{
+			// An overwrite with the type the extension implies removes the
+			// one kept before: recovery rolling it forward must too.
+			name: "put-overwrite-inferred-type",
+			op:   "put",
+			seed: func(t *testing.T, s *store.FSStore) {
+				_, err := s.Put(context.Background(), "/doc", strings.NewReader("v1"), "chemical/x-nwchem")
+				mustOK(t, err)
+			},
+			run: func(s *store.FSStore) {
+				s.Put(context.Background(), "/doc", strings.NewReader("v2"), "application/octet-stream")
+			},
+			pre: func(s *store.FSStore) error {
+				return both(wantBody(s, "/doc", "v1"), wantType(s, "/doc", "chemical/x-nwchem"))
+			},
+			post: func(s *store.FSStore) error {
+				return both(wantBody(s, "/doc", "v2"), wantType(s, "/doc", "application/octet-stream"))
 			},
 		},
 		{

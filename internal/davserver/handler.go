@@ -62,8 +62,13 @@ type Handler struct {
 	// take it too, exclusively on the destination and, for MOVE, on the
 	// source, for their whole Stat/Delete/copy-or-rename sequence: a
 	// COPY onto a path, or a MOVE away from it, cannot land between a
-	// conditional PUT's check and its write. It is the first queue a
-	// write joins, so waiting on it is cancellable. It is hierarchical
+	// conditional PUT's check and its write. LOCK holds it across its
+	// Stat, its create of an unmapped URL and its grant, and PUT, DELETE,
+	// COPY and MOVE check locks (checkWrite) only once they hold it, so a
+	// write queued behind a LOCK sees the lock it granted. VERSION-CONTROL holds
+	// it across its read and its snapshot, so no PUT lands between them.
+	// It is the first queue a write joins, so waiting on it is
+	// cancellable. It is hierarchical
 	// like the store's locks: a collection DELETE waits for the PUTs
 	// inside it.
 	gate *pathlock.Manager
@@ -393,18 +398,19 @@ func checkPreconditions(r *http.Request, ri store.ResourceInfo, exists bool) boo
 }
 
 func (h *Handler) handlePut(w http.ResponseWriter, r *http.Request, p string) {
-	if err := h.checkWrite(r, p); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	// The gate keeps the precondition check and the write atomic with
-	// respect to every other PUT/DELETE on this path (see Handler.gate).
+	// The gate keeps the lock and precondition checks and the write
+	// atomic with respect to every other write on this path (see
+	// Handler.gate).
 	g, err := h.gate.Lock(r.Context(), p)
 	if err != nil {
 		h.fail(w, r, err)
 		return
 	}
 	defer g.Release()
+	if err := h.checkWrite(r, p); err != nil {
+		h.fail(w, r, err)
+		return
+	}
 	// One read gives the preconditions their state and auto-versioning
 	// its bookkeeping. A resource that cannot be read is not absent: the
 	// PUT fails before it writes anything.
@@ -446,18 +452,18 @@ func (h *Handler) handleDelete(w http.ResponseWriter, r *http.Request, p string)
 		http.Error(w, "cannot delete the root collection", http.StatusForbidden)
 		return
 	}
-	if err := h.checkWrite(r, p); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	// Atomic with concurrent PUT/DELETE precondition checks on this
-	// path (see Handler.gate).
+	// Atomic with concurrent lock and precondition checks on this path
+	// (see Handler.gate).
 	g, err := h.gate.Lock(r.Context(), p)
 	if err != nil {
 		h.fail(w, r, err)
 		return
 	}
 	defer g.Release()
+	if err := h.checkWrite(r, p); err != nil {
+		h.fail(w, r, err)
+		return
+	}
 	if r.Header.Get("If-Match") != "" || r.Header.Get("If-None-Match") != "" {
 		ri, statErr := h.store.Stat(r.Context(), p)
 		if !checkPreconditions(r, ri, statErr == nil) {
@@ -536,18 +542,8 @@ func (h *Handler) handleCopyMove(w http.ResponseWriter, r *http.Request, src str
 		http.Error(w, "Depth must be 0 or infinity", http.StatusBadRequest)
 		return
 	}
-	if r.Method == "MOVE" {
-		if depth != davproto.DepthInfinity {
-			http.Error(w, "MOVE requires Depth: infinity", http.StatusBadRequest)
-			return
-		}
-		if err := h.checkWrite(r, src); err != nil {
-			h.fail(w, r, err)
-			return
-		}
-	}
-	if err := h.checkWrite(r, dst); err != nil {
-		h.fail(w, r, err)
+	if r.Method == "MOVE" && depth != davproto.DepthInfinity {
+		http.Error(w, "MOVE requires Depth: infinity", http.StatusBadRequest)
 		return
 	}
 	overwrite := true
@@ -570,6 +566,12 @@ func (h *Handler) handleCopyMove(w http.ResponseWriter, r *http.Request, src str
 		return
 	}
 	defer g.Release()
+	for _, q := range gated {
+		if err := h.checkWrite(r, q.Path); err != nil {
+			h.fail(w, r, err)
+			return
+		}
+	}
 	if _, err := h.store.Stat(r.Context(), src); err != nil {
 		h.fail(w, r, err)
 		return
@@ -810,6 +812,15 @@ func (h *Handler) handleLock(w http.ResponseWriter, r *http.Request, p string) {
 		http.Error(w, "LOCK Depth must be 0 or infinity", http.StatusBadRequest)
 		return
 	}
+	// The gate keeps the grant atomic with the Stat and the create: a
+	// PUT cannot land between them, and one queued behind the LOCK
+	// checks the lock it granted.
+	g, err := h.gate.Lock(r.Context(), p)
+	if err != nil {
+		h.fail(w, r, err)
+		return
+	}
+	defer g.Release()
 	created := false
 	if _, err := h.store.Stat(r.Context(), p); errors.Is(err, store.ErrNotFound) {
 		// RFC 2518: locking an unmapped URL creates a (lock-null)

@@ -405,6 +405,99 @@ func TestCopyMoveWaitForAConditionalPut(t *testing.T) {
 	}
 }
 
+// A LOCK of an unmapped URL and a VERSION-CONTROL each hold the write
+// gate for their whole sequence. An interceptor holds each inside its
+// store write (the LOCK's create of the empty document, the
+// VERSION-CONTROL's snapshot) until a PUT of the same path has been
+// answered or queued for the gate. The PUT must then run after it: the
+// lock the LOCK granted refuses it, or it adds version 2 to the history
+// the VERSION-CONTROL began with the old body.
+func TestLockAndVersionControlHoldTheGate(t *testing.T) {
+	for _, tc := range []struct {
+		method, body string
+		heldIn       string // the store call the method is held in
+		status, put  int    // the method's answer and the PUT's
+		versions     []string
+	}{
+		{"LOCK", lockBody("exclusive"), store.OpPut, 201, 423, nil},
+		{"VERSION-CONTROL", "", store.OpCopyTree, 200, 204, []string{"old", "put"}},
+	} {
+		t.Run(tc.method, func(t *testing.T) {
+			var armed atomic.Bool
+			held, release := make(chan struct{}), make(chan struct{})
+			s := store.Intercept(store.NewMemStore(), func(ctx context.Context, op store.Op, next func(context.Context) error) error {
+				if op.Name == tc.heldIn && armed.CompareAndSwap(true, false) {
+					close(held)
+					<-release
+				}
+				return next(ctx)
+			})
+			waiting := make(chan struct{})
+			h := NewHandler(s, nil)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == "PUT" {
+					r = r.WithContext(doneWatcher{r.Context(), new(sync.Once), waiting})
+				}
+				h.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			send := func(method, body string) chan int {
+				out := make(chan int, 1)
+				go func() {
+					req, _ := http.NewRequest(method, srv.URL+"/doc", strings.NewReader(body))
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Error(err)
+						out <- 0
+						return
+					}
+					resp.Body.Close()
+					out <- resp.StatusCode
+				}()
+				return out
+			}
+
+			if tc.versions != nil {
+				wantStatus(t, do(t, "PUT", srv.URL+"/doc", nil, "old"), 201)
+			}
+			armed.Store(true)
+			method := send(tc.method, tc.body)
+			<-held
+			put := send("PUT", "put")
+			status := 0
+			select {
+			case <-waiting:
+			case status = <-put:
+			}
+			close(release)
+			if got := <-method; got != tc.status {
+				t.Errorf("%s = %d, want %d", tc.method, got, tc.status)
+			}
+			if status == 0 {
+				status = <-put
+			}
+			if status != tc.put {
+				t.Errorf("PUT = %d, want %d", status, tc.put)
+			}
+			if tc.versions == nil {
+				if got := bodyOf(t, srv.URL+"/doc"); got != "" {
+					t.Errorf("GET of the locked document = %q, want the empty body LOCK created", got)
+				}
+				return
+			}
+			hrefs := versionHrefs(t, srv.URL, "/doc")
+			if len(hrefs) != len(tc.versions) {
+				t.Fatalf("versions = %v, want %d", hrefs, len(tc.versions))
+			}
+			for i, href := range hrefs {
+				if got := bodyOf(t, srv.URL+href); got != tc.versions[i] {
+					t.Errorf("version %d = %q, want %q", i+1, got, tc.versions[i])
+				}
+			}
+		})
+	}
+}
+
 // A document whose property database cannot be read is not absent: a
 // PUT or a PROPPATCH of it answers 500 before it writes anything, so a
 // later GET serves the old body and the journal holds nothing.

@@ -435,7 +435,10 @@ func TestPropfindFailsOnUnreadablePropertyDatabase(t *testing.T) {
 //     last wrote (each writer owns one property on every document);
 //   - a PUT overwrite changes that document's getetag in the next
 //     PROPFIND even when size and mtime stay the same: the generation
-//     lives in the view.
+//     lives in the view;
+//   - GET and HEAD, which read the same view, answer that getetag, and
+//     a reader's GET and HEAD of a document under writes always carry
+//     an ETag.
 func TestPropfindViewsFollowEveryWrite(t *testing.T) {
 	const writers, readers, docs, rounds = 3, 3, 4, 24
 	fs, err := store.NewFSStore(t.TempDir(), dbm.GDBM)
@@ -472,6 +475,17 @@ func TestPropfindViewsFollowEveryWrite(t *testing.T) {
 		names = append(names, owned(w))
 	}
 	var written sync.Map // every value any writer has sent, stored before it is sent
+	headETag := func(p string) (string, error) {
+		resp, err := http.Head(dav.URL + p)
+		if err != nil {
+			return "", err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return "", fmt.Errorf("HEAD %s = %d", p, resp.StatusCode)
+		}
+		return resp.Header.Get("ETag"), nil
+	}
 
 	// valuesOf lists /c at Depth 1 for the properties asked: href → name → text.
 	valuesOf := func(c *davclient.Client, ask ...xml.Name) (map[string]map[xml.Name]string, error) {
@@ -522,11 +536,29 @@ func TestPropfindViewsFollowEveryWrite(t *testing.T) {
 		reading.Add(1)
 		go func(c *davclient.Client) {
 			defer reading.Done()
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-done:
 					return
 				default:
+				}
+				p := doc(i % docs)
+				if i%2 == 1 {
+					p = "/c/overwritten"
+				}
+				_, getTag, err := c.GetETag(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				headTag, err := headETag(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if getTag == "" || headTag == "" {
+					t.Errorf("reader: %s GET ETag %q, HEAD ETag %q; want both", p, getTag, headTag)
+					return
 				}
 				got, err := valuesOf(c, names...)
 				if err != nil {
@@ -570,6 +602,20 @@ func TestPropfindViewsFollowEveryWrite(t *testing.T) {
 				return
 			}
 			prev = etag
+			_, getTag, err := c.GetETag("/c/overwritten")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			headTag, err := headETag("/c/overwritten")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if getTag != etag || headTag != etag {
+				t.Errorf("PUT overwrite %d: GET ETag %q, HEAD ETag %q; want the getetag %q", i, getTag, headTag, etag)
+				return
+			}
 		}
 	}(client())
 	writing.Wait()

@@ -109,6 +109,14 @@ func (h *Handler) handleVersionControl(w http.ResponseWriter, r *http.Request, p
 		http.Error(w, "the version store is read-only", http.StatusForbidden)
 		return
 	}
+	// Under the gate, no PUT lands between the read and the snapshot:
+	// version 1 is the state VERSION-CONTROL saw.
+	g, err := h.gate.Lock(r.Context(), p)
+	if err != nil {
+		h.fail(w, r, err)
+		return
+	}
+	defer g.Release()
 	ri, props, err := h.store.StatWithProps(r.Context(), p)
 	if err != nil {
 		h.fail(w, r, err)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"log/slog"
+	"maps"
 	"mime"
 	"os"
 	"path"
@@ -379,24 +380,9 @@ func (s *FSStore) statKind(cp string) (isDir bool, err error) {
 	return fi.IsDir(), nil
 }
 
-// internalMeta reads a document's internal bookkeeping keys (content
-// type, generation) from its database at pp in one handle acquisition.
-// Missing database or keys yield zero values. Caller holds the
-// resource's path lock.
-func (s *FSStore) internalMeta(ctx context.Context, pp string) (ctype string, gen int64) {
-	s.withPropsAt(ctx, pp, false, func(h *dbm.Handle) error {
-		if v, ok, _ := h.Get(internalKey(ikeyContentType)); ok {
-			ctype = string(v)
-		}
-		if v, ok, _ := h.Get(internalKey(ikeyGeneration)); ok {
-			gen, _ = strconv.ParseInt(string(v), 10, 64)
-		}
-		return nil
-	})
-	return ctype, gen
-}
-
-// Stat implements Store.
+// Stat implements Store. A document whose property database cannot be
+// read is described from its file alone: its inferred content type and
+// an ETag without the generation.
 func (s *FSStore) Stat(ctx context.Context, p string) (ResourceInfo, error) {
 	cp, err := CleanPath(p)
 	if err != nil {
@@ -407,36 +393,24 @@ func (s *FSStore) Stat(ctx context.Context, p string) (ResourceInfo, error) {
 		return ResourceInfo{}, err
 	}
 	defer g.Release()
-	return s.stat(ctx, cp)
+	mp, _, err := s.resolve(ctx, cp)
+	return mp.Info, err
 }
 
-// stat resolves cp under an already-held lock.
-func (s *FSStore) stat(ctx context.Context, cp string) (ResourceInfo, error) {
+// resolve stats cp and reads its property view (resolveWithProps) under
+// an already-held lock. err is the file's; when it is nil, mp.Info is
+// filled even if perr reports a property database that cannot be read.
+func (s *FSStore) resolve(ctx context.Context, cp string) (mp MemberProps, perr, err error) {
 	dp, err := s.diskPath(cp)
 	if err != nil {
-		return ResourceInfo{}, err
+		return mp, nil, err
 	}
 	fi, err := os.Stat(dp)
 	if err != nil {
-		return ResourceInfo{}, mapFSErr(err, cp)
+		return mp, nil, mapFSErr(err, cp)
 	}
-	return s.infoFor(ctx, cp, s.propsPath(dp, cp, fi.IsDir()), fi), nil
-}
-
-// infoFor builds a ResourceInfo, reading the internal metadata keys of
-// a document from its database at pp. Caller holds a lock covering cp.
-func (s *FSStore) infoFor(ctx context.Context, cp, pp string, fi fs.FileInfo) ResourceInfo {
-	ri := ResourceInfo{
-		Path:         cp,
-		IsCollection: fi.IsDir(),
-		ModTime:      fi.ModTime(),
-		CreateTime:   fi.ModTime(),
-	}
-	if !fi.IsDir() {
-		ctype, gen := s.internalMeta(ctx, pp)
-		s.fillDocInfo(&ri, fi, ctype, gen)
-	}
-	return ri
+	mp, perr = s.resolveWithProps(ctx, cp, s.propsPath(dp, cp, fi.IsDir()), fi)
+	return mp, perr, nil
 }
 
 // fillDocInfo completes a document's ResourceInfo from its file info
@@ -491,16 +465,7 @@ func etagFor(fi fs.FileInfo, gen int64) string {
 // It is not part of Store: outside the tests, the benchmark's spanStore
 // is its only caller, and ROADMAP item 1(a) removes it.
 func (s *FSStore) List(ctx context.Context, p string) ([]ResourceInfo, error) {
-	cp, err := CleanPath(p)
-	if err != nil {
-		return nil, err
-	}
-	g, err := s.locks.RLock(ctx, cp)
-	if err != nil {
-		return nil, err
-	}
-	defer g.Release()
-	members, err := s.list(ctx, cp, false)
+	members, err := s.ListWithProps(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -511,13 +476,12 @@ func (s *FSStore) List(ctx context.Context, p string) ([]ResourceInfo, error) {
 	return infos, nil
 }
 
-// list reads the members of cp, sorted by path, under an already-held
-// shared lock. When withProps is true each member's full property map is
-// loaded in the same pass through its (cached) database handle. Every
-// member's paths are built from the collection's own: its database is
+// list reads the members of cp, sorted by path, each with its property
+// view, under an already-held shared lock. Every member's paths are
+// built from the collection's own: its database is
 // dp/.DAV/<name>.props for a document, dp/<name>/.DAV/.dirprops.props
 // for a collection, as propsPath would derive them.
-func (s *FSStore) list(ctx context.Context, cp string, withProps bool) ([]MemberProps, error) {
+func (s *FSStore) list(ctx context.Context, cp string) ([]MemberProps, error) {
 	dp, err := s.diskPath(cp)
 	if err != nil {
 		return nil, err
@@ -555,16 +519,11 @@ func (s *FSStore) list(ctx context.Context, cp string, withProps bool) ([]Member
 		if err != nil {
 			continue // raced with deletion
 		}
-		child := prefix + name
 		pp := dir + propDirName + sep + name + propsExt
 		if efi.IsDir() {
 			pp = dir + name + sep + propDirName + sep + collectionPropsFile + propsExt
 		}
-		if !withProps {
-			members = append(members, MemberProps{Info: s.infoFor(ctx, child, pp, efi)})
-			continue
-		}
-		mp, err := s.resolveWithProps(ctx, child, pp, efi)
+		mp, err := s.resolveWithProps(ctx, prefix+name, pp, efi)
 		if err != nil {
 			return nil, err
 		}
@@ -574,10 +533,12 @@ func (s *FSStore) list(ctx context.Context, cp string, withProps bool) ([]Member
 }
 
 // resolveWithProps builds one resource's info and property map from the
-// property view (propView) of its database at pp. A database that cannot
-// be opened or scanned to the end is an error, as it is for PropAll: a
-// listing with the properties silently missing would read as "this
-// resource has none".
+// property view of its database at pp: every read of a resource goes
+// through here. The info is always filled, from the file alone when the
+// database cannot be opened or scanned to the end; that is then the
+// error, which the batched reads return (a listing with the properties
+// silently missing would read as "this resource has none") and Stat and
+// Get ignore.
 func (s *FSStore) resolveWithProps(ctx context.Context, cp, pp string, fi fs.FileInfo) (MemberProps, error) {
 	ri := ResourceInfo{
 		Path:         cp,
@@ -585,25 +546,34 @@ func (s *FSStore) resolveWithProps(ctx context.Context, cp, pp string, fi fs.Fil
 		ModTime:      fi.ModTime(),
 		CreateTime:   fi.ModTime(),
 	}
-	view := propView{checked: true} // no database: nothing to check
+	v, err := s.view(ctx, pp)
+	if !fi.IsDir() {
+		s.fillDocInfo(&ri, fi, v.ctype, v.gen)
+	}
+	props := v.props
+	if props == nil {
+		props = map[xml.Name][]byte{} // no database, or an unreadable one
+	}
+	mp := MemberProps{Info: ri, Props: props, Checked: v.checked}
+	if err != nil {
+		return mp, fmt.Errorf("properties of %s: %w", cp, err)
+	}
+	return mp, nil
+}
+
+// view returns the property view of the database at pp, building it if
+// no reader has since the database's last write. No database is an
+// empty view; one that cannot be read is an error and an empty view.
+func (s *FSStore) view(ctx context.Context, pp string) (propView, error) {
+	v := propView{checked: true} // no database: nothing to check
 	err := s.withPropsAt(ctx, pp, false, func(h *dbm.Handle) error {
-		v, err := h.DB().Memo(func() (any, int64, error) { return buildPropView(h) })
+		m, err := h.DB().Memo(func() (any, int64, error) { return buildPropView(h) })
 		if err == nil {
-			view = *v.(*propView)
+			v = *m.(*propView)
 		}
 		return err
 	})
-	if err != nil {
-		return MemberProps{}, fmt.Errorf("properties of %s: %w", cp, err)
-	}
-	props := view.props
-	if props == nil {
-		props = map[xml.Name][]byte{} // no database
-	}
-	if !fi.IsDir() {
-		s.fillDocInfo(&ri, fi, view.ctype, view.gen)
-	}
-	return MemberProps{Info: ri, Props: props, Checked: view.checked}, nil
+	return v, err
 }
 
 // propView is one property database decoded for the batched reads: the
@@ -663,16 +633,14 @@ func (s *FSStore) StatWithProps(ctx context.Context, p string) (ResourceInfo, ma
 		return ResourceInfo{}, nil, err
 	}
 	defer g.Release()
-	dp, err := s.diskPath(cp)
+	mp, perr, err := s.resolve(ctx, cp)
+	if err == nil {
+		err = perr
+	}
 	if err != nil {
 		return ResourceInfo{}, nil, err
 	}
-	fi, err := os.Stat(dp)
-	if err != nil {
-		return ResourceInfo{}, nil, mapFSErr(err, cp)
-	}
-	mp, err := s.resolveWithProps(ctx, cp, s.propsPath(dp, cp, fi.IsDir()), fi)
-	return mp.Info, mp.Props, err
+	return mp.Info, mp.Props, nil
 }
 
 // ListWithProps implements BatchReader: one shared lock on the
@@ -687,7 +655,7 @@ func (s *FSStore) ListWithProps(ctx context.Context, p string) ([]MemberProps, e
 		return nil, err
 	}
 	defer g.Release()
-	return s.list(ctx, cp, true)
+	return s.list(ctx, cp)
 }
 
 // Mkcol implements Store. The mkdir is atomic, so it writes no journal
@@ -803,7 +771,7 @@ func (s *FSStore) Put(ctx context.Context, p string, r io.Reader, contentType st
 // Crash-consistency shape: the body is staged and fsync'd first (a
 // crash there leaves only a swept-at-recovery temp file), then the
 // intent — carrying the temp name, the pre-op generation, and the
-// content type to persist — is made durable, and only then do the
+// content type to keep or clear — is made durable, and only then do the
 // visible steps run: rename into place, property write, generation
 // bump. Recovery can therefore always classify the store as pre-op
 // (temp still present → remove it) or post-op (renamed → finish the
@@ -834,16 +802,22 @@ func (s *FSStore) putLocked(ctx context.Context, cp, dp string, r io.Reader, con
 		// replaced document's ETag.
 		return false, ferr
 	}
-	var prevGen int64
+	pp := s.memberPropsPath(dp, cp)
+	var prev propView
 	if !created {
-		_, prevGen = s.internalMeta(ctx, s.memberPropsPath(dp, cp))
+		// The generation the overwrite bumps, and whether a content type
+		// is persisted that this write may have to remove.
+		v, err := s.view(ctx, pp)
+		if err != nil {
+			return false, fmt.Errorf("properties of %s: %w", cp, err)
+		}
+		prev = v
 	}
-	// Only a content type that cannot be re-derived from the extension
-	// is persisted (mod_dav materializes property databases lazily; the
-	// disk-overhead experiment depends on it).
-	persistCType := ""
-	if contentType != "" && contentType != inferContentType(cp) {
-		persistCType = contentType
+	// An explicit type the extension implies only clears a kept one:
+	// where none is kept, the write has nothing to do for it.
+	ctype := contentType
+	if ctype == inferContentType(cp) && prev.ctype == "" {
+		ctype = ""
 	}
 	if err := ctx.Err(); err != nil {
 		return false, err
@@ -884,7 +858,7 @@ func (s *FSStore) putLocked(ctx context.Context, cp, dp string, r io.Reader, con
 	if journaled {
 		id, err = s.beginIntent(journal.Record{
 			Op: journal.OpPut, Path: cp, Tmp: filepath.Base(tmpName),
-			Created: created, Gen: prevGen, CType: persistCType,
+			Created: created, Gen: prev.gen, CType: ctype,
 		})
 		if err != nil {
 			os.Remove(tmpName)
@@ -917,16 +891,16 @@ func (s *FSStore) putLocked(ctx context.Context, cp, dp string, r io.Reader, con
 	// From here on the new body is visible: finish the metadata steps
 	// regardless of cancellation (context.Background keeps a done ctx
 	// from failing the handle acquisition mid-metadata).
-	if persistCType != "" {
-		if err := s.withProps(context.Background(), cp, false, true, func(h *dbm.Handle) error {
-			return h.Put(internalKey(ikeyContentType), []byte(persistCType))
-		}); err != nil {
-			return created, err
-		}
+	bg := context.Background()
+	if err := s.persistContentType(bg, cp, pp, ctype); err != nil {
+		return created, err
 	}
 	s.step("put.props")
 	if !created {
-		if err := s.bumpGeneration(context.Background(), cp); err != nil {
+		// The exclusive path lock keeps the view's generation current.
+		if err := s.withPropsAt(bg, pp, true, func(h *dbm.Handle) error {
+			return h.Put(internalKey(ikeyGeneration), []byte(strconv.FormatInt(prev.gen+1, 10)))
+		}); err != nil {
 			return created, err
 		}
 	}
@@ -935,18 +909,22 @@ func (s *FSStore) putLocked(ctx context.Context, cp, dp string, r io.Reader, con
 	return created, nil
 }
 
-// bumpGeneration increments the document's overwrite counter. Caller
-// holds the exclusive path lock, which makes read-increment-write safe.
-func (s *FSStore) bumpGeneration(ctx context.Context, cp string) error {
-	return s.withProps(ctx, cp, false, true, func(h *dbm.Handle) error {
-		var gen int64
-		if v, ok, err := h.Get(internalKey(ikeyGeneration)); err != nil {
-			return err
-		} else if ok {
-			gen, _ = strconv.ParseInt(string(v), 10, 64)
-		}
-		return h.Put(internalKey(ikeyGeneration),
-			[]byte(strconv.FormatInt(gen+1, 10)))
+// persistContentType records ctype, a Put's explicit content type, in
+// the database pp of document cp. Only a type the extension does not
+// imply is kept (mod_dav materializes property databases lazily; the
+// disk-overhead experiment depends on it), and one it does imply removes
+// any kept earlier. An empty ctype keeps what is there.
+func (s *FSStore) persistContentType(ctx context.Context, cp, pp, ctype string) error {
+	key := internalKey(ikeyContentType)
+	switch {
+	case ctype == "":
+		return nil
+	case ctype != inferContentType(cp):
+		return s.withPropsAt(ctx, pp, true, func(h *dbm.Handle) error { return h.Put(key, []byte(ctype)) })
+	}
+	return s.withPropsAt(ctx, pp, false, func(h *dbm.Handle) error {
+		_, err := h.Delete(key)
+		return err
 	})
 }
 
@@ -989,10 +967,11 @@ func (s *FSStore) Get(ctx context.Context, p string) (io.ReadCloser, ResourceInf
 		return nil, ResourceInfo{}, err
 	}
 	defer g.Release()
-	ri, err := s.stat(ctx, cp)
+	mp, _, err := s.resolve(ctx, cp) // an unreadable database is ignored, as in Stat
 	if err != nil {
 		return nil, ResourceInfo{}, err
 	}
+	ri := mp.Info
 	if ri.IsCollection {
 		return nil, ResourceInfo{}, fmt.Errorf("%w: %s", ErrIsCollection, ri.Path)
 	}
@@ -1229,7 +1208,14 @@ func (s *FSStore) CopyTreeAtomic(ctx context.Context, src, dst string, opts Copy
 		return err
 	}
 	s.step("copy.intent")
-	if err := s.copyTreeLocked(ctx, csrc, cdst, opts.Recurse); err != nil {
+	root, perr, err := s.resolve(ctx, csrc)
+	if err == nil {
+		err = perr
+	}
+	if err == nil {
+		err = s.copyTreeLocked(ctx, root, cdst, opts.Recurse)
+	}
+	if err != nil {
 		// Roll back inline so a failed COPY is a no-op immediately
 		// rather than at the next recovery.
 		s.removeCopyDebris(cdst)
@@ -1258,29 +1244,26 @@ func (s *FSStore) removeCopyDebris(cdst string) {
 	s.cache.InvalidatePrefix(dp)
 }
 
-// copyTreeLocked recursively copies csrc to cdst under the already-held
-// subtree locks, checkpointing ctx before each resource.
-func (s *FSStore) copyTreeLocked(ctx context.Context, csrc, cdst string, recurse bool) error {
+// copyTreeLocked recursively copies src to cdst under the already-held
+// subtree locks, checkpointing ctx before each resource. Each member
+// comes with its info and properties from its collection's listing.
+func (s *FSStore) copyTreeLocked(ctx context.Context, src MemberProps, cdst string, recurse bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	ri, err := s.stat(ctx, csrc)
-	if err != nil {
+	if err := s.copyResourceLocked(ctx, src, cdst); err != nil {
 		return err
 	}
-	if err := s.copyResourceLocked(ctx, ri, cdst); err != nil {
-		return err
-	}
-	if !ri.IsCollection || !recurse {
+	if !src.Info.IsCollection || !recurse {
 		return nil
 	}
-	members, err := s.list(ctx, csrc, false)
+	members, err := s.list(ctx, src.Info.Path)
 	if err != nil {
 		return err
 	}
 	for _, m := range members {
-		rel := strings.TrimPrefix(m.Info.Path, csrc)
-		if err := s.copyTreeLocked(ctx, m.Info.Path, cdst+rel, recurse); err != nil {
+		rel := strings.TrimPrefix(m.Info.Path, src.Info.Path)
+		if err := s.copyTreeLocked(ctx, m, cdst+rel, recurse); err != nil {
 			return err
 		}
 	}
@@ -1289,43 +1272,40 @@ func (s *FSStore) copyTreeLocked(ctx context.Context, csrc, cdst string, recurse
 
 // copyResourceLocked copies one resource (body + properties) under the
 // already-held subtree locks.
-func (s *FSStore) copyResourceLocked(ctx context.Context, src ResourceInfo, cdst string) error {
+func (s *FSStore) copyResourceLocked(ctx context.Context, src MemberProps, cdst string) error {
 	s.step("copy.resource")
-	if src.IsCollection {
+	ri := src.Info
+	if ri.IsCollection {
 		if err := s.mkcolLocked(cdst); err != nil {
 			return err
 		}
 	} else {
-		sp, err := s.diskPath(src.Path)
+		sp, err := s.diskPath(ri.Path)
 		if err != nil {
 			return err
 		}
 		f, err := os.Open(sp)
 		if err != nil {
-			return mapFSErr(err, src.Path)
+			return mapFSErr(err, ri.Path)
 		}
 		dp, err := s.diskPath(cdst)
 		if err != nil {
 			f.Close()
 			return err
 		}
-		_, err = s.putLocked(ctx, cdst, dp, f, src.ContentType, false)
+		_, err = s.putLocked(ctx, cdst, dp, f, ri.ContentType, false)
 		f.Close()
 		if err != nil {
 			return err
 		}
 	}
-	props, err := s.propAllLocked(ctx, src.Path, src.IsCollection)
-	if err != nil {
-		return err
-	}
-	if len(props) == 0 {
+	if len(src.Props) == 0 {
 		return nil
 	}
-	names := sortedPropNames(props)
-	return s.withProps(ctx, cdst, src.IsCollection, true, func(h *dbm.Handle) error {
+	names := sortedPropNames(src.Props)
+	return s.withProps(ctx, cdst, ri.IsCollection, true, func(h *dbm.Handle) error {
 		for _, n := range names {
-			if err := h.Put(propKey(n), props[n]); err != nil {
+			if err := h.Put(propKey(n), src.Props[n]); err != nil {
 				return err
 			}
 		}
@@ -1361,27 +1341,9 @@ func (s *FSStore) PropPut(ctx context.Context, p string, name xml.Name, value []
 // It is not part of Store: outside the tests, the benchmark's spanStore
 // is its only caller, and ROADMAP item 1(a) removes it.
 func (s *FSStore) PropGet(ctx context.Context, p string, name xml.Name) ([]byte, bool, error) {
-	cp, err := CleanPath(p)
-	if err != nil {
-		return nil, false, err
-	}
-	g, err := s.locks.RLock(ctx, cp)
-	if err != nil {
-		return nil, false, err
-	}
-	defer g.Release()
-	isDir, err := s.statKind(cp)
-	if err != nil {
-		return nil, false, err
-	}
-	var val []byte
-	var ok bool
-	err = s.withProps(ctx, cp, isDir, false, func(h *dbm.Handle) error {
-		var e error
-		val, ok, e = h.Get(propKey(name))
-		return e
-	})
-	return val, ok, err
+	_, props, err := s.StatWithProps(ctx, p)
+	v, ok := props[name]
+	return v, ok, err
 }
 
 // PropDelete implements Store.
@@ -1413,11 +1375,11 @@ func (s *FSStore) PropDelete(ctx context.Context, p string, name xml.Name) error
 // It is not part of Store: outside the tests, the benchmark's spanStore
 // is its only caller, and ROADMAP item 1(a) removes it.
 func (s *FSStore) PropNames(ctx context.Context, p string) ([]xml.Name, error) {
-	all, err := s.PropAll(ctx, p)
+	_, props, err := s.StatWithProps(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	return sortedPropNames(all), nil
+	return sortedPropNames(props), nil
 }
 
 // PropAll returns every dead property on the resource, in a map of
@@ -1426,38 +1388,11 @@ func (s *FSStore) PropNames(ctx context.Context, p string) ([]xml.Name, error) {
 // It is not part of Store: outside the tests, the benchmark's spanStore
 // is its only caller, and ROADMAP item 1(a) removes it.
 func (s *FSStore) PropAll(ctx context.Context, p string) (map[xml.Name][]byte, error) {
-	cp, err := CleanPath(p)
+	_, props, err := s.StatWithProps(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	g, err := s.locks.RLock(ctx, cp)
-	if err != nil {
-		return nil, err
-	}
-	defer g.Release()
-	isDir, err := s.statKind(cp)
-	if err != nil {
-		return nil, err
-	}
-	return s.propAllLocked(ctx, cp, isDir)
-}
-
-// propAllLocked reads every dead property under an already-held lock
-// covering cp.
-func (s *FSStore) propAllLocked(ctx context.Context, cp string, isDir bool) (map[xml.Name][]byte, error) {
-	out := map[xml.Name][]byte{}
-	err := s.withProps(ctx, cp, isDir, false, func(h *dbm.Handle) error {
-		return h.ForEach(func(k, v []byte) error {
-			if name, ok := parsePropKey(k); ok {
-				out[name] = v
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return maps.Clone(props), nil
 }
 
 // DiskUsage sums the sizes of all regular files under dir — used by

@@ -79,7 +79,8 @@ type Record struct {
 	// Gen is the pre-operation overwrite generation (put): after a
 	// roll-forward the resource's generation must exceed it.
 	Gen int64 `json:"gen,omitempty"`
-	// CType is the explicit content type a put persists, if any.
+	// CType is the explicit content type a put keeps, or, when it is
+	// the type the path's extension implies, the kept one it clears.
 	CType string `json:"ctype,omitempty"`
 	// Recurse records a copy's depth (copy).
 	Recurse bool `json:"recurse,omitempty"`

@@ -232,15 +232,12 @@ func (s *FSStore) resolvePut(ctx context.Context, rec journal.Record) (bool, err
 		// was already discarded (only the commit record was lost).
 		return false, nil
 	}
-	if rec.CType != "" {
-		if err := s.withProps(ctx, rec.Path, false, true, func(h *dbm.Handle) error {
-			return h.Put(internalKey(ikeyContentType), []byte(rec.CType))
-		}); err != nil {
-			return true, err
-		}
+	pp := s.memberPropsPath(dp, rec.Path)
+	if err := s.persistContentType(ctx, rec.Path, pp, rec.CType); err != nil {
+		return true, err
 	}
 	if !rec.Created {
-		if err := s.withProps(ctx, rec.Path, false, true, func(h *dbm.Handle) error {
+		if err := s.withPropsAt(ctx, pp, true, func(h *dbm.Handle) error {
 			var gen int64
 			if v, ok, err := h.Get(internalKey(ikeyGeneration)); err != nil {
 				return err

@@ -79,6 +79,12 @@ func (ri ResourceInfo) Name() string {
 // read-only too: an FSStore's is the database's shared property view,
 // handed to every caller until the resource's properties next change,
 // and a caller must not modify it.
+//
+// Stat and Get describe a document whose property database cannot be
+// read from the document alone (an FSStore infers its content type and
+// leaves the generation out of its ETag); StatWithProps and
+// ListWithProps fail on it, since properties silently missing would
+// read as "this resource has none".
 type Store interface {
 	// Stat describes the resource at p.
 	Stat(ctx context.Context, p string) (ResourceInfo, error)

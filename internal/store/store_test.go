@@ -800,6 +800,65 @@ func TestContentTypeSurvivesCopy(t *testing.T) {
 	})
 }
 
+// An overwrite's explicit content type replaces the one before it, also
+// when it is the type the extension implies (FSStore keeps no such
+// type, and once left the earlier one standing); an overwrite without
+// one keeps it. Stat and Get agree after every write.
+func TestOverwriteReplacesTheContentType(t *testing.T) {
+	ctx := context.Background()
+	eachStore(t, func(t *testing.T, s Store) {
+		for _, step := range []struct{ ctype, want string }{
+			{"text/plain", "text/plain"},
+			{"application/octet-stream", "application/octet-stream"}, // inferred for /a
+			{"chemical/x-xyz", "chemical/x-xyz"},
+			{"", "chemical/x-xyz"},
+			{"application/octet-stream", "application/octet-stream"},
+		} {
+			if _, err := s.Put(ctx, "/a", strings.NewReader("x"), step.ctype); err != nil {
+				t.Fatal(err)
+			}
+			ri, err := s.Stat(ctx, "/a")
+			rc, gi, gerr := s.Get(ctx, "/a")
+			if gerr == nil {
+				rc.Close()
+			}
+			if err != nil || gerr != nil || ri.ContentType != step.want || gi.ContentType != step.want {
+				t.Fatalf("after a PUT with %q: Stat %q (%v), Get %q (%v); want %q",
+					step.ctype, ri.ContentType, err, gi.ContentType, gerr, step.want)
+			}
+		}
+	})
+	// What FSStore keeps is in the database: a reopened store reads the
+	// inferred type, and no type is kept for it.
+	dir := t.TempDir()
+	s, err := NewFSStore(dir, dbm.GDBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ctype := range []string{"text/plain", "application/octet-stream"} {
+		if _, err := s.Put(ctx, "/a", strings.NewReader("x"), ctype); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	db, err := dbm.Open(filepath.Join(dir, propDirName, "a"+propsExt), dbm.GDBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, kept, err := db.Get(internalKey(ikeyContentType))
+	db.Close()
+	if err != nil || kept {
+		t.Fatalf("database keeps a content type: %v, %v", kept, err)
+	}
+	if s, err = NewFSStore(dir, dbm.GDBM); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if ri, err := s.Stat(ctx, "/a"); err != nil || ri.ContentType != "application/octet-stream" {
+		t.Fatalf("reopened Stat = %q, %v", ri.ContentType, err)
+	}
+}
+
 func TestRenameFastPathErrors(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
 		mustPut(t, s, "/a", "1")
