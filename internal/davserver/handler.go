@@ -51,26 +51,14 @@ type Options struct {
 type Handler struct {
 	store store.Store
 	locks *LockManager
-	// gate serializes the check-then-act sequences of PUT and DELETE:
-	// they evaluate If-Match / If-None-Match against a read taken before
-	// the store mutation, and the store's own path locks make each call
-	// atomic but not the sequence, so without the gate two conditional
-	// writers could both validate the same ETag and both write — the lost
-	// update RFC 7232 preconditions exist to prevent. Every PUT and DELETE
-	// takes it (not just conditional ones) so an unconditional write cannot
-	// slip between another request's check and its write. COPY and MOVE
-	// take it too, exclusively on the destination and, for MOVE, on the
-	// source, for their whole Stat/Delete/copy-or-rename sequence: a
-	// COPY onto a path, or a MOVE away from it, cannot land between a
-	// conditional PUT's check and its write. LOCK holds it across its
-	// Stat, its create of an unmapped URL and its grant, and PUT, DELETE,
-	// COPY and MOVE check locks (checkWrite) only once they hold it, so a
-	// write queued behind a LOCK sees the lock it granted. VERSION-CONTROL holds
-	// it across its read and its snapshot, so no PUT lands between them.
-	// It is the first queue a write joins, so waiting on it is
-	// cancellable. It is hierarchical
-	// like the store's locks: a collection DELETE waits for the PUTs
-	// inside it.
+	// gate is the write gate. Only write takes it, for the whole of a
+	// state-changing method: its lock check, its read, its If-Match /
+	// If-None-Match evaluation and its store writes are then one atomic
+	// sequence against every other write on the path, so no lock is
+	// granted and no write lands between another request's checks and
+	// its write. It is hierarchical like the store's locks (a collection
+	// DELETE waits for the PUTs inside it), and waiting on it is
+	// cancellable.
 	gate *pathlock.Manager
 	opts Options
 	// deepCapped counts Depth: infinity PROPFINDs and SEARCHes refused
@@ -268,14 +256,6 @@ func submittedTokens(r *http.Request) []string {
 	return davproto.ParseIfTokens(r.Header.Get("If"))
 }
 
-// checkWrite enforces locks on a state-changing request.
-func (h *Handler) checkWrite(r *http.Request, p string) error {
-	if h.locks.CanWrite(p, submittedTokens(r)) {
-		return nil
-	}
-	return fmt.Errorf("%w: %s", ErrLocked, p)
-}
-
 // handleGet serves GET from one store.Get call: the headers, the
 // If-None-Match answer and the body all come from the generation that
 // call opened, so a PUT racing the read cannot make them disagree.
@@ -397,54 +377,92 @@ func checkPreconditions(r *http.Request, ri store.ResourceInfo, exists bool) boo
 	return true
 }
 
-func (h *Handler) handlePut(w http.ResponseWriter, r *http.Request, p string) {
-	// The gate keeps the lock and precondition checks and the write
-	// atomic with respect to every other write on this path (see
-	// Handler.gate).
-	g, err := h.gate.Lock(r.Context(), p)
+// readMode says what write reads of the request-URI before a method's
+// body runs.
+type readMode uint8
+
+const (
+	readIfAsked readMode = iota // Stat, only when If-Match or If-None-Match asks
+	readInfo                    // Stat
+	readProps                   // StatWithProps: the body needs the dead properties
+)
+
+// current is what write read of the request-URI: err is nil or wraps
+// store.ErrNotFound, and all of it is zero when nothing was read.
+type current struct {
+	ri    store.ResourceInfo
+	props map[xml.Name][]byte
+	err   error
+}
+
+// write is the one path of every state-changing method: PUT, DELETE,
+// MKCOL, COPY, MOVE, PROPPATCH, LOCK's create and grant, and
+// VERSION-CONTROL. It holds the write gate on gated (nil: p,
+// exclusive), refuses with 423 unless the If header submits the token
+// of every lock on the locked paths, reads p as read says (any error
+// but ErrNotFound fails the request), answers 412 when If-Match or
+// If-None-Match fails against that read (RFC 7232 §3), and only then
+// runs body, still under the gate.
+func (h *Handler) write(w http.ResponseWriter, r *http.Request, p string, gated []pathlock.Req,
+	locked []string, read readMode, body func(current)) {
+	if gated == nil {
+		gated = []pathlock.Req{{Path: p, Mode: pathlock.Exclusive}}
+	}
+	g, err := h.gate.Acquire(r.Context(), gated...)
 	if err != nil {
 		h.fail(w, r, err)
 		return
 	}
 	defer g.Release()
-	if err := h.checkWrite(r, p); err != nil {
-		h.fail(w, r, err)
+	tokens := submittedTokens(r)
+	for _, q := range locked {
+		if !h.locks.CanWrite(q, tokens) {
+			h.fail(w, r, fmt.Errorf("%w: %s", ErrLocked, q))
+			return
+		}
+	}
+	var cur current
+	switch {
+	case read == readProps:
+		cur.ri, cur.props, cur.err = h.store.StatWithProps(r.Context(), p)
+	case read == readInfo || r.Header.Get("If-Match") != "" || r.Header.Get("If-None-Match") != "":
+		cur.ri, cur.err = h.store.Stat(r.Context(), p)
+	}
+	if cur.err != nil && !errors.Is(cur.err, store.ErrNotFound) {
+		h.fail(w, r, cur.err)
 		return
 	}
-	// One read gives the preconditions their state and auto-versioning
-	// its bookkeeping. A resource that cannot be read is not absent: the
-	// PUT fails before it writes anything.
-	ri, props, err := h.store.StatWithProps(r.Context(), p)
-	if err != nil && !errors.Is(err, store.ErrNotFound) {
-		h.fail(w, r, err)
-		return
-	}
-	exists := err == nil
-	if exists && ri.IsCollection {
-		http.Error(w, "cannot PUT to a collection", http.StatusMethodNotAllowed)
-		return
-	}
-	if !checkPreconditions(r, ri, exists) {
+	if !checkPreconditions(r, cur.ri, cur.err == nil) {
 		http.Error(w, "precondition failed", http.StatusPreconditionFailed)
 		return
 	}
-	created, err := h.store.Put(r.Context(), p, r.Body, r.Header.Get("Content-Type"))
-	if err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	// Auto-versioning: a write to a version-controlled document
-	// appends a new version snapshot, under load as at rest.
-	if !created {
-		if err := h.autoVersionAfterPut(context.WithoutCancel(r.Context()), p, props); err != nil {
+	body(cur)
+}
+
+func (h *Handler) handlePut(w http.ResponseWriter, r *http.Request, p string) {
+	// The one read gives the preconditions their state and
+	// auto-versioning its bookkeeping.
+	h.write(w, r, p, nil, []string{p}, readProps, func(cur current) {
+		if cur.err == nil && cur.ri.IsCollection {
+			http.Error(w, "cannot PUT to a collection", http.StatusMethodNotAllowed)
+			return
+		}
+		created, err := h.store.Put(r.Context(), p, r.Body, r.Header.Get("Content-Type"))
+		if err != nil {
+			h.fail(w, r, err)
+			return
+		}
+		if created {
+			w.WriteHeader(http.StatusCreated)
+			return
+		}
+		// Auto-versioning: a write to a version-controlled document
+		// appends a new version snapshot, under load as at rest.
+		if err := h.autoVersionAfterPut(context.WithoutCancel(r.Context()), p, cur.props); err != nil {
 			h.logf("dav: auto-version %s: %v", p, err)
 		}
-	}
-	if created {
-		w.WriteHeader(http.StatusCreated)
-	} else {
 		w.WriteHeader(http.StatusNoContent)
-	}
+	})
 }
 
 func (h *Handler) handleDelete(w http.ResponseWriter, r *http.Request, p string) {
@@ -452,31 +470,14 @@ func (h *Handler) handleDelete(w http.ResponseWriter, r *http.Request, p string)
 		http.Error(w, "cannot delete the root collection", http.StatusForbidden)
 		return
 	}
-	// Atomic with concurrent lock and precondition checks on this path
-	// (see Handler.gate).
-	g, err := h.gate.Lock(r.Context(), p)
-	if err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	defer g.Release()
-	if err := h.checkWrite(r, p); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	if r.Header.Get("If-Match") != "" || r.Header.Get("If-None-Match") != "" {
-		ri, statErr := h.store.Stat(r.Context(), p)
-		if !checkPreconditions(r, ri, statErr == nil) {
-			http.Error(w, "precondition failed", http.StatusPreconditionFailed)
+	h.write(w, r, p, nil, []string{p}, readIfAsked, func(current) {
+		if err := h.store.Delete(r.Context(), p); err != nil {
+			h.fail(w, r, err)
 			return
 		}
-	}
-	if err := h.store.Delete(r.Context(), p); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	h.locks.ReleaseTree(p)
-	w.WriteHeader(http.StatusNoContent)
+		h.locks.ReleaseTree(p)
+		w.WriteHeader(http.StatusNoContent)
+	})
 }
 
 func (h *Handler) handleMkcol(w http.ResponseWriter, r *http.Request, p string) {
@@ -486,19 +487,13 @@ func (h *Handler) handleMkcol(w http.ResponseWriter, r *http.Request, p string) 
 		http.Error(w, "MKCOL request bodies are not supported", http.StatusUnsupportedMediaType)
 		return
 	}
-	if err := h.checkWrite(r, p); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	if err := h.checkWrite(r, store.ParentPath(p)); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	if err := h.store.Mkcol(r.Context(), p); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	w.WriteHeader(http.StatusCreated)
+	h.write(w, r, p, nil, []string{p, store.ParentPath(p)}, readIfAsked, func(current) {
+		if err := h.store.Mkcol(r.Context(), p); err != nil {
+			h.fail(w, r, err)
+			return
+		}
+		w.WriteHeader(http.StatusCreated)
+	})
 }
 
 // parseDestination resolves the Destination header to a store path.
@@ -555,58 +550,52 @@ func (h *Handler) handleCopyMove(w http.ResponseWriter, r *http.Request, src str
 		http.Error(w, "bad Overwrite header", http.StatusBadRequest)
 		return
 	}
-	// See Handler.gate: a PUT's check and write cannot straddle this.
-	gated := []pathlock.Req{{Path: dst, Mode: pathlock.Exclusive}}
+	// COPY reads its source, so the source is held shared until the copy
+	// ends: no write lands on it between its read and the copy.
+	srcMode := pathlock.Shared
+	locked := []string{dst}
 	if r.Method == "MOVE" {
-		gated = append(gated, pathlock.Req{Path: src, Mode: pathlock.Exclusive})
+		srcMode = pathlock.Exclusive
+		locked = append(locked, src)
 	}
-	g, err := h.gate.Acquire(r.Context(), gated...)
-	if err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	defer g.Release()
-	for _, q := range gated {
-		if err := h.checkWrite(r, q.Path); err != nil {
+	gated := []pathlock.Req{{Path: dst, Mode: pathlock.Exclusive}, {Path: src, Mode: srcMode}}
+	h.write(w, r, src, gated, locked, readInfo, func(cur current) {
+		if cur.err != nil {
+			h.fail(w, r, cur.err)
+			return
+		}
+		replaced := false
+		if _, err := h.store.Stat(r.Context(), dst); err == nil {
+			if !overwrite {
+				http.Error(w, "destination exists", http.StatusPreconditionFailed)
+				return
+			}
+			if err := h.store.Delete(r.Context(), dst); err != nil {
+				h.fail(w, r, err)
+				return
+			}
+			h.locks.ReleaseTree(dst)
+			replaced = true
+		}
+		var err error
+		if r.Method == "COPY" {
+			err = h.store.CopyTreeAtomic(r.Context(), src, dst, store.CopyOptions{Recurse: depth == davproto.DepthInfinity})
+		} else {
+			err = h.store.Rename(r.Context(), src, dst)
+		}
+		if err != nil {
 			h.fail(w, r, err)
 			return
 		}
-	}
-	if _, err := h.store.Stat(r.Context(), src); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	replaced := false
-	if _, err := h.store.Stat(r.Context(), dst); err == nil {
-		if !overwrite {
-			http.Error(w, "destination exists", http.StatusPreconditionFailed)
-			return
+		if r.Method == "MOVE" {
+			h.locks.ReleaseTree(src)
 		}
-		if err := h.store.Delete(r.Context(), dst); err != nil {
-			h.fail(w, r, err)
-			return
+		if replaced {
+			w.WriteHeader(http.StatusNoContent)
+		} else {
+			w.WriteHeader(http.StatusCreated)
 		}
-		h.locks.ReleaseTree(dst)
-		replaced = true
-	}
-
-	if r.Method == "COPY" {
-		err = h.store.CopyTreeAtomic(r.Context(), src, dst, store.CopyOptions{Recurse: depth == davproto.DepthInfinity})
-	} else {
-		err = h.store.Rename(r.Context(), src, dst)
-	}
-	if err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	if r.Method == "MOVE" {
-		h.locks.ReleaseTree(src)
-	}
-	if replaced {
-		w.WriteHeader(http.StatusNoContent)
-	} else {
-		w.WriteHeader(http.StatusCreated)
-	}
+	})
 }
 
 // liveProp computes a live property for a resource, reporting ok=false
@@ -664,23 +653,11 @@ func (h *Handler) liveProp(ri store.ResourceInfo, name xml.Name) (davproto.Prope
 }
 
 func (h *Handler) handleProppatch(w http.ResponseWriter, r *http.Request, p string) {
-	if err := h.checkWrite(r, p); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	// The one read of the resource: it must exist, and its properties
-	// are the undo snapshot phase 2 rolls back to.
-	_, before, err := h.store.StatWithProps(r.Context(), p)
-	if err != nil {
-		h.fail(w, r, err)
-		return
-	}
 	ops, err := davproto.ParseProppatch(r.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-
 	// Phase 1: validate. RFC 2518 makes PROPPATCH atomic: if any
 	// instruction fails, none are applied and the others report 424
 	// (Failed Dependency).
@@ -704,56 +681,63 @@ func (h *Handler) handleProppatch(w http.ResponseWriter, r *http.Request, p stri
 			statuses[i] = http.StatusOK
 		}
 	}
-	if anyFailed {
-		for i, st := range statuses {
-			if st == http.StatusOK {
-				statuses[i] = http.StatusFailedDependency
+	// The one read of the resource: it must exist, and its properties
+	// are the undo snapshot phase 2 rolls back to.
+	h.write(w, r, p, nil, []string{p}, readProps, func(cur current) {
+		if cur.err != nil {
+			h.fail(w, r, cur.err)
+			return
+		}
+		if anyFailed {
+			for i, st := range statuses {
+				if st == http.StatusOK {
+					statuses[i] = http.StatusFailedDependency
+				}
+			}
+			h.writeProppatchResult(w, r, p, ops, statuses)
+			return
+		}
+		// Phase 2: apply, with rollback on unexpected storage errors. The
+		// snapshot's values are read-only aliases; the rollback only
+		// writes them back.
+		applyErr := error(nil)
+		failedAt := -1
+		for i, op := range ops {
+			if op.Remove {
+				applyErr = h.store.PropDelete(r.Context(), p, op.Prop.Name())
+			} else {
+				applyErr = h.store.PropPut(r.Context(), p, op.Prop.Name(), op.Prop.Encode())
+			}
+			if applyErr != nil {
+				failedAt = i
+				break
+			}
+		}
+		if applyErr != nil {
+			// The rollback restores atomicity, so it must not itself be
+			// cut short by the cancellation that may have caused
+			// applyErr: run it under a context detached from the
+			// request's.
+			rbctx := context.WithoutCancel(r.Context())
+			for i := failedAt - 1; i >= 0; i-- {
+				name := ops[i].Prop.Name()
+				if prev, had := cur.props[name]; had {
+					h.store.PropPut(rbctx, p, name, prev)
+				} else {
+					h.store.PropDelete(rbctx, p, name)
+				}
+			}
+			h.logf("dav: PROPPATCH %s: %v", p, applyErr)
+			for i := range statuses {
+				if i == failedAt {
+					statuses[i] = http.StatusInternalServerError
+				} else {
+					statuses[i] = http.StatusFailedDependency
+				}
 			}
 		}
 		h.writeProppatchResult(w, r, p, ops, statuses)
-		return
-	}
-
-	// Phase 2: apply, with rollback on unexpected storage errors. The
-	// snapshot's values are read-only aliases; the rollback only writes
-	// them back.
-	applyErr := error(nil)
-	failedAt := -1
-	for i, op := range ops {
-		var err error
-		if op.Remove {
-			err = h.store.PropDelete(r.Context(), p, op.Prop.Name())
-		} else {
-			err = h.store.PropPut(r.Context(), p, op.Prop.Name(), op.Prop.Encode())
-		}
-		if err != nil {
-			applyErr, failedAt = err, i
-			break
-		}
-	}
-	if applyErr != nil {
-		// The rollback restores atomicity, so it must not itself be
-		// cut short by the cancellation that may have caused applyErr:
-		// run it under a context detached from the request's.
-		rbctx := context.WithoutCancel(r.Context())
-		for i := failedAt - 1; i >= 0; i-- {
-			name := ops[i].Prop.Name()
-			if prev, had := before[name]; had {
-				h.store.PropPut(rbctx, p, name, prev)
-			} else {
-				h.store.PropDelete(rbctx, p, name)
-			}
-		}
-		h.logf("dav: PROPPATCH %s: %v", p, applyErr)
-		for i := range statuses {
-			if i == failedAt {
-				statuses[i] = http.StatusInternalServerError
-			} else {
-				statuses[i] = http.StatusFailedDependency
-			}
-		}
-	}
-	h.writeProppatchResult(w, r, p, ops, statuses)
+	})
 }
 
 // writeProppatchResult answers with one propstat per status, in
@@ -812,43 +796,36 @@ func (h *Handler) handleLock(w http.ResponseWriter, r *http.Request, p string) {
 		http.Error(w, "LOCK Depth must be 0 or infinity", http.StatusBadRequest)
 		return
 	}
-	// The gate keeps the grant atomic with the Stat and the create: a
-	// PUT cannot land between them, and one queued behind the LOCK
-	// checks the lock it granted.
-	g, err := h.gate.Lock(r.Context(), p)
-	if err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	defer g.Release()
-	created := false
-	if _, err := h.store.Stat(r.Context(), p); errors.Is(err, store.ErrNotFound) {
-		// RFC 2518: locking an unmapped URL creates a (lock-null)
-		// resource; we model it as an empty document.
-		if _, err := h.store.Put(r.Context(), p, strings.NewReader(""), ""); err != nil {
-			h.fail(w, r, err)
+	// Under the gate, a PUT cannot land between the read and the create,
+	// and one queued behind the LOCK checks the lock it granted. LOCK
+	// checks no lock itself: the grant refuses a conflicting one.
+	h.write(w, r, p, nil, nil, readInfo, func(cur current) {
+		created := false
+		if cur.err != nil {
+			// RFC 2518: locking an unmapped URL creates a (lock-null)
+			// resource; we model it as an empty document.
+			if _, err := h.store.Put(r.Context(), p, strings.NewReader(""), ""); err != nil {
+				h.fail(w, r, err)
+				return
+			}
+			created = true
+		}
+		al, err := h.locks.Lock(p, li.Scope, depth, li.Owner, timeout)
+		if err != nil {
+			if errors.Is(err, ErrLocked) {
+				http.Error(w, err.Error(), http.StatusLocked)
+			} else {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+			}
 			return
 		}
-		created = true
-	} else if err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	al, err := h.locks.Lock(p, li.Scope, depth, li.Owner, timeout)
-	if err != nil {
-		if errors.Is(err, ErrLocked) {
-			http.Error(w, err.Error(), http.StatusLocked)
-		} else {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		code := http.StatusOK
+		if created {
+			code = http.StatusCreated
 		}
-		return
-	}
-	code := http.StatusOK
-	if created {
-		code = http.StatusCreated
-	}
-	w.Header().Set("Lock-Token", "<"+al.Token+">")
-	h.writeLockResponse(w, al, code)
+		w.Header().Set("Lock-Token", "<"+al.Token+">")
+		h.writeLockResponse(w, al, code)
+	})
 }
 
 // writeLockResponse renders <D:prop><D:lockdiscovery> with the active

@@ -405,93 +405,215 @@ func TestCopyMoveWaitForAConditionalPut(t *testing.T) {
 	}
 }
 
-// A LOCK of an unmapped URL and a VERSION-CONTROL each hold the write
-// gate for their whole sequence. An interceptor holds each inside its
-// store write (the LOCK's create of the empty document, the
-// VERSION-CONTROL's snapshot) until a PUT of the same path has been
-// answered or queued for the gate. The PUT must then run after it: the
-// lock the LOCK granted refuses it, or it adds version 2 to the history
-// the VERSION-CONTROL began with the old body.
+// gateRace serves a Handler over a MemStore whose next store call named
+// heldIn, once armed, waits in an interceptor until release is closed.
+// A request of the watched method closes waiting once it queues for the
+// write gate (doneWatcher).
+type gateRace struct {
+	url                    string
+	armed                  atomic.Bool
+	held, release, waiting chan struct{}
+}
+
+func newGateRace(t *testing.T, heldIn, watched string) *gateRace {
+	g := &gateRace{held: make(chan struct{}), release: make(chan struct{}), waiting: make(chan struct{})}
+	s := store.Intercept(store.NewMemStore(), func(ctx context.Context, op store.Op, next func(context.Context) error) error {
+		if op.Name == heldIn && g.armed.CompareAndSwap(true, false) {
+			close(g.held)
+			<-g.release
+		}
+		return next(ctx)
+	})
+	h := NewHandler(s, nil)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == watched {
+			r = r.WithContext(doneWatcher{r.Context(), new(sync.Once), g.waiting})
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	g.url = srv.URL
+	return g
+}
+
+// raced is one request of a gateRace.
+type raced struct {
+	method, path, body string
+	headers            map[string]string
+}
+
+// run sends first and, once it is held in its store call, second; it
+// lets first go on once second has been answered or has queued for the
+// gate. It reports both statuses, and whether second was answered while
+// first was held instead of queueing behind it.
+func (g *gateRace) run(t *testing.T, first, second raced) (firstStatus, secondStatus int, early bool) {
+	send := func(q raced) chan int {
+		out := make(chan int, 1)
+		go func() {
+			req, _ := http.NewRequest(q.method, g.url+q.path, strings.NewReader(q.body))
+			for k, v := range q.headers {
+				req.Header.Set(k, v)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				out <- 0
+				return
+			}
+			resp.Body.Close()
+			out <- resp.StatusCode
+		}()
+		return out
+	}
+	g.armed.Store(true)
+	a := send(first)
+	<-g.held
+	b := send(second)
+	select {
+	case <-g.waiting:
+	case secondStatus = <-b:
+		early = true
+	}
+	close(g.release)
+	firstStatus = <-a
+	if !early {
+		secondStatus = <-b
+	}
+	return firstStatus, secondStatus, early
+}
+
+// A LOCK of an unmapped URL, a VERSION-CONTROL and a COPY each hold the
+// write gate for their whole sequence. An interceptor holds each inside
+// its store write (the LOCK's create of the empty document, the
+// VERSION-CONTROL's snapshot, the COPY's copy) until a PUT of the same
+// path has been answered or queued for the gate. The PUT must then run
+// after it: the lock the LOCK granted refuses it, it adds version 2 to
+// the history the VERSION-CONTROL began with the old body, or it lands
+// after the COPY, which holds its source shared and copies the old body.
 func TestLockAndVersionControlHoldTheGate(t *testing.T) {
 	for _, tc := range []struct {
 		method, body string
-		heldIn       string // the store call the method is held in
-		status, put  int    // the method's answer and the PUT's
+		headers      map[string]string
+		heldIn       string            // the store call the method is held in
+		status, put  int               // the method's answer and the PUT's
+		bodies       map[string]string // GET body per path at the end
 		versions     []string
 	}{
-		{"LOCK", lockBody("exclusive"), store.OpPut, 201, 423, nil},
-		{"VERSION-CONTROL", "", store.OpCopyTree, 200, 204, []string{"old", "put"}},
+		{"LOCK", lockBody("exclusive"), nil, store.OpPut, 201, 423, map[string]string{"/doc": ""}, nil},
+		{"VERSION-CONTROL", "", nil, store.OpCopyTree, 200, 204, map[string]string{"/doc": "put"}, []string{"old", "put"}},
+		{"COPY", "", map[string]string{"Destination": "/copy"}, store.OpCopyTree, 201, 204,
+			map[string]string{"/doc": "put", "/copy": "old"}, nil},
 	} {
 		t.Run(tc.method, func(t *testing.T) {
-			var armed atomic.Bool
-			held, release := make(chan struct{}), make(chan struct{})
-			s := store.Intercept(store.NewMemStore(), func(ctx context.Context, op store.Op, next func(context.Context) error) error {
-				if op.Name == tc.heldIn && armed.CompareAndSwap(true, false) {
-					close(held)
-					<-release
+			g := newGateRace(t, tc.heldIn, "PUT")
+			if tc.method != "LOCK" { // LOCK's URL is unmapped
+				wantStatus(t, do(t, "PUT", g.url+"/doc", nil, "old"), 201)
+			}
+			status, put, early := g.run(t, raced{method: tc.method, path: "/doc", body: tc.body, headers: tc.headers},
+				raced{method: "PUT", path: "/doc", body: "put"})
+			if status != tc.status {
+				t.Errorf("%s = %d, want %d", tc.method, status, tc.status)
+			}
+			if early || put != tc.put {
+				t.Errorf("PUT = %d (answered while the %s was held: %v), want %d after it", put, tc.method, early, tc.put)
+			}
+			for p, want := range tc.bodies {
+				if got := bodyOf(t, g.url+p); got != want {
+					t.Errorf("GET %s = %q, want %q", p, got, want)
 				}
-				return next(ctx)
-			})
-			waiting := make(chan struct{})
-			h := NewHandler(s, nil)
-			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.Method == "PUT" {
-					r = r.WithContext(doneWatcher{r.Context(), new(sync.Once), waiting})
-				}
-				h.ServeHTTP(w, r)
-			}))
-			defer srv.Close()
-			send := func(method, body string) chan int {
-				out := make(chan int, 1)
-				go func() {
-					req, _ := http.NewRequest(method, srv.URL+"/doc", strings.NewReader(body))
-					resp, err := http.DefaultClient.Do(req)
-					if err != nil {
-						t.Error(err)
-						out <- 0
-						return
-					}
-					resp.Body.Close()
-					out <- resp.StatusCode
-				}()
-				return out
-			}
-
-			if tc.versions != nil {
-				wantStatus(t, do(t, "PUT", srv.URL+"/doc", nil, "old"), 201)
-			}
-			armed.Store(true)
-			method := send(tc.method, tc.body)
-			<-held
-			put := send("PUT", "put")
-			status := 0
-			select {
-			case <-waiting:
-			case status = <-put:
-			}
-			close(release)
-			if got := <-method; got != tc.status {
-				t.Errorf("%s = %d, want %d", tc.method, got, tc.status)
-			}
-			if status == 0 {
-				status = <-put
-			}
-			if status != tc.put {
-				t.Errorf("PUT = %d, want %d", status, tc.put)
 			}
 			if tc.versions == nil {
-				if got := bodyOf(t, srv.URL+"/doc"); got != "" {
-					t.Errorf("GET of the locked document = %q, want the empty body LOCK created", got)
-				}
 				return
 			}
-			hrefs := versionHrefs(t, srv.URL, "/doc")
+			hrefs := versionHrefs(t, g.url, "/doc")
 			if len(hrefs) != len(tc.versions) {
 				t.Fatalf("versions = %v, want %d", hrefs, len(tc.versions))
 			}
 			for i, href := range hrefs {
-				if got := bodyOf(t, srv.URL+href); got != tc.versions[i] {
+				if got := bodyOf(t, g.url+href); got != tc.versions[i] {
 					t.Errorf("version %d = %q, want %q", i+1, got, tc.versions[i])
+				}
+			}
+		})
+	}
+}
+
+// A PROPPATCH and a MKCOL hold the write gate from their lock check to
+// their last write, so no lock is granted in between. An interceptor
+// holds each inside its store write (a PropPut, the Mkcol) until an
+// exclusive LOCK of the document (of the new collection's parent, at
+// Depth 0) has been answered or queued for the gate. The LOCK must
+// queue, and be granted once the write has landed: a write never lands
+// under another client's lock without its token.
+func TestProppatchAndMkcolHoldTheGate(t *testing.T) {
+	for _, tc := range []struct {
+		write  raced
+		heldIn string // the store call the write is held in
+		locked string // the path the LOCK asks for
+		status int    // the write's answer
+	}{
+		{raced{method: "PROPPATCH", path: "/c/doc", body: proppatchBody(map[string]string{"k": "v"})}, store.OpPropPut, "/c/doc", 207},
+		{raced{method: "MKCOL", path: "/c/new"}, store.OpMkcol, "/c", 201},
+	} {
+		t.Run(tc.write.method, func(t *testing.T) {
+			g := newGateRace(t, tc.heldIn, "LOCK")
+			wantStatus(t, do(t, "MKCOL", g.url+"/c", nil, ""), 201)
+			wantStatus(t, do(t, "PUT", g.url+"/c/doc", nil, "x"), 201)
+			status, lock, early := g.run(t, tc.write,
+				raced{method: "LOCK", path: tc.locked, body: lockBody("exclusive"), headers: map[string]string{"Depth": "0"}})
+			if status != tc.status {
+				t.Errorf("%s = %d, want %d", tc.write.method, status, tc.status)
+			}
+			if early || lock != 200 {
+				t.Errorf("LOCK %s = %d (answered while the %s was held: %v), want 200 after it", tc.locked, lock, tc.write.method, early)
+			}
+		})
+	}
+}
+
+// Every state-changing method evaluates If-Match and If-None-Match
+// against its request-URI before it writes anything (RFC 7232 §3): a
+// stale If-Match, an If-Match: * of a missing resource and an
+// If-None-Match: * of an existing one each answer 412 and leave the
+// store as it was.
+func TestConditionalHeadersOnEveryWrite(t *testing.T) {
+	for _, m := range []raced{
+		{method: "PUT", body: "v3"},
+		{method: "DELETE"},
+		{method: "MKCOL"},
+		{method: "COPY", headers: map[string]string{"Destination": "/copy"}},
+		{method: "MOVE", headers: map[string]string{"Destination": "/moved"}},
+		{method: "PROPPATCH", body: proppatchBody(map[string]string{"k": "v"})},
+	} {
+		t.Run(m.method, func(t *testing.T) {
+			srv, _ := newTestServer(t, nil)
+			wantStatus(t, do(t, "PUT", srv.URL+"/doc", nil, "v1"), 201)
+			stale := etagOf(t, srv.URL+"/doc")
+			wantStatus(t, do(t, "PUT", srv.URL+"/doc", nil, "v2"), 204)
+			tree := func() string {
+				resp := do(t, "PROPFIND", srv.URL+"/", map[string]string{"Depth": "infinity"}, "")
+				wantStatus(t, resp, 207)
+				b, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(b)
+			}
+			for _, c := range []struct{ path, header, value string }{
+				{"/doc", "If-Match", stale},
+				{"/absent", "If-Match", "*"},
+				{"/doc", "If-None-Match", "*"},
+			} {
+				before := tree()
+				headers := map[string]string{c.header: c.value}
+				for k, v := range m.headers {
+					headers[k] = v
+				}
+				if resp := do(t, m.method, srv.URL+c.path, headers, m.body); resp.StatusCode != 412 {
+					t.Errorf("%s %s with %s: %s = %d, want 412", m.method, c.path, c.header, c.value, resp.StatusCode)
+				}
+				if after := tree(); after != before {
+					t.Errorf("%s %s with %s: %s changed the store:\n%s\nafter:\n%s", m.method, c.path, c.header, c.value, before, after)
 				}
 			}
 		})

@@ -111,42 +111,33 @@ func (h *Handler) handleVersionControl(w http.ResponseWriter, r *http.Request, p
 	}
 	// Under the gate, no PUT lands between the read and the snapshot:
 	// version 1 is the state VERSION-CONTROL saw.
-	g, err := h.gate.Lock(r.Context(), p)
-	if err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	defer g.Release()
-	ri, props, err := h.store.StatWithProps(r.Context(), p)
-	if err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	if ri.IsCollection {
-		http.Error(w, "collections cannot be version-controlled", http.StatusMethodNotAllowed)
-		return
-	}
-	if err := h.checkWrite(r, p); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	if controlled, _ := isVersionControlled(props); controlled {
+	h.write(w, r, p, nil, []string{p}, readProps, func(cur current) {
+		if cur.err != nil {
+			h.fail(w, r, cur.err)
+			return
+		}
+		if cur.ri.IsCollection {
+			http.Error(w, "collections cannot be version-controlled", http.StatusMethodNotAllowed)
+			return
+		}
+		if controlled, _ := isVersionControlled(cur.props); controlled {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		if err := h.snapshotVersion(r.Context(), p, 1); err != nil {
+			h.fail(w, r, err)
+			return
+		}
+		if err := h.store.PropPut(r.Context(), p, propVCControlled, []byte("1")); err != nil {
+			h.fail(w, r, err)
+			return
+		}
+		if err := h.store.PropPut(r.Context(), p, propVCCount, []byte("1")); err != nil {
+			h.fail(w, r, err)
+			return
+		}
 		w.WriteHeader(http.StatusOK)
-		return
-	}
-	if err := h.snapshotVersion(r.Context(), p, 1); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	if err := h.store.PropPut(r.Context(), p, propVCControlled, []byte("1")); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	if err := h.store.PropPut(r.Context(), p, propVCCount, []byte("1")); err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
+	})
 }
 
 // autoVersionAfterPut appends a new version after a successful write

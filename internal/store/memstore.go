@@ -92,7 +92,7 @@ func (s *MemStore) infoFor(p string, r *memResource) ResourceInfo {
 		ri.Size = int64(len(r.data))
 		ri.ContentType = r.contentType
 		if ri.ContentType == "" {
-			ri.ContentType = "application/octet-stream"
+			ri.ContentType = inferContentType(p)
 		}
 		ri.ETag = fmt.Sprintf(`"%x-%x"`, len(r.data), r.version)
 	}

@@ -126,6 +126,7 @@ func TestReadPathsAgree(t *testing.T) {
 		{"move /c/a to /d/a", func(s Store) error { return s.Rename(ctx, "/c/a", "/d/a") }},
 		{"delete /d/a", func(s Store) error { return s.Delete(ctx, "/d/a") }},
 		{"delete /e", func(s Store) error { return s.Delete(ctx, "/e") }},
+		{"put /a.txt without a type", put("/a.txt", "text", "")},
 	}
 	stores := map[string]Store{"Mem": NewMemStore()}
 	for name, fl := range map[string]dbm.Flavour{"FS-GDBM": dbm.GDBM, "FS-SDBM": dbm.SDBM} {
