@@ -43,9 +43,13 @@ func main() {
 	}
 	defer src.Close()
 
+	// A davd that has just started answers writes 503 + Retry-After
+	// until its crash-recovery pass ends; a migration waits that out
+	// rather than failing on its first MKCOL.
 	dc, err := davclient.New(davclient.Config{
 		BaseURL: *davURL, Username: *user, Password: *pass,
 		Persistent: true, Timeout: 10 * time.Minute,
+		Retry: davclient.DefaultRetryPolicy(),
 	})
 	if err != nil {
 		log.Fatalf("eccemigrate: connect DAV: %v", err)

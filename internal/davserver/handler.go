@@ -551,7 +551,7 @@ func (h *Handler) handleCopyMove(w http.ResponseWriter, r *http.Request, src str
 		return
 	}
 	// COPY reads its source, so the source is held shared until the copy
-	// ends: no write lands on it between its read and the copy.
+	// ends: no write lands on it between an If-Match read and the copy.
 	srcMode := pathlock.Shared
 	locked := []string{dst}
 	if r.Method == "MOVE" {
@@ -559,29 +559,27 @@ func (h *Handler) handleCopyMove(w http.ResponseWriter, r *http.Request, src str
 		locked = append(locked, src)
 	}
 	gated := []pathlock.Req{{Path: dst, Mode: pathlock.Exclusive}, {Path: src, Mode: srcMode}}
-	h.write(w, r, src, gated, locked, readInfo, func(cur current) {
-		if cur.err != nil {
-			h.fail(w, r, cur.err)
-			return
+	transfer := func() error {
+		if r.Method == "COPY" {
+			return h.store.CopyTreeAtomic(r.Context(), src, dst, store.CopyOptions{Recurse: depth == davproto.DepthInfinity})
 		}
-		replaced := false
-		if _, err := h.store.Stat(r.Context(), dst); err == nil {
+		return h.store.Rename(r.Context(), src, dst)
+	}
+	// The store answers for both ends: a missing source is ErrNotFound
+	// before an existing destination is ErrExists, which Overwrite
+	// resolves.
+	h.write(w, r, src, gated, locked, readIfAsked, func(current) {
+		err := transfer()
+		replaced := errors.Is(err, store.ErrExists)
+		if replaced {
 			if !overwrite {
 				http.Error(w, "destination exists", http.StatusPreconditionFailed)
 				return
 			}
-			if err := h.store.Delete(r.Context(), dst); err != nil {
-				h.fail(w, r, err)
-				return
+			if err = h.store.Delete(r.Context(), dst); err == nil {
+				h.locks.ReleaseTree(dst)
+				err = transfer()
 			}
-			h.locks.ReleaseTree(dst)
-			replaced = true
-		}
-		var err error
-		if r.Method == "COPY" {
-			err = h.store.CopyTreeAtomic(r.Context(), src, dst, store.CopyOptions{Recurse: depth == davproto.DepthInfinity})
-		} else {
-			err = h.store.Rename(r.Context(), src, dst)
 		}
 		if err != nil {
 			h.fail(w, r, err)

@@ -122,9 +122,11 @@ var ledger = []struct {
 		// the benchmark's at one client. Each PROPPATCH reads the
 		// collection once, and that read is its undo snapshot (27 when
 		// the two PROPPATCHes also read each of their six properties
-		// with a PropGet before writing it).
+		// with a PropGet before writing it). COPY is its one copy_tree:
+		// the store refuses an existing destination itself (21 when COPY
+		// first Stat'ed its source and its destination).
 		requests:   10,
-		storeCalls: 21,
+		storeCalls: 19,
 		// Two of the cycle's responses carry a document ETag, each with a
 		// 16-digit inode number (8,499 before the inode; 8,423 when the
 		// two PROPPATCH 207s were built from a DOM, which declared each
@@ -488,8 +490,15 @@ func TestCountLedger(t *testing.T) {
 			var storeCalls, bodyBytes atomic.Int64
 			cfg := DefaultConfig()
 			cfg.NoAccessLog = true
+			// Only the requests' own calls count. A request slower than
+			// SlowThreshold (a loaded disk) triggers an incident bundle,
+			// whose status document probes the store with Health.Ready's
+			// Stat("/") from a context of its own; that probe can land
+			// inside the counted operation, but it is not one of its calls.
 			cfg.Store = store.Intercept(views, func(ctx context.Context, _ store.Op, next func(context.Context) error) error {
-				storeCalls.Add(1)
+				if ctx.Value(http.ServerContextKey) != nil {
+					storeCalls.Add(1)
+				}
 				return next(ctx)
 			})
 			srv, err := Build(cfg)

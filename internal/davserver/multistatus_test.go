@@ -54,7 +54,7 @@ func TestSearchMatchesReference(t *testing.T) {
 			davproto.CompareExpr{Op: davproto.OpLike, Prop: ecce("notes"), Literal: "a<b%"},
 			davproto.CompareExpr{Op: davproto.OpLte, Prop: davproto.PropGetContentLength, Literal: "12"},
 		}}},
-		{"is-defined bookkeeping", davproto.IsDefinedExpr{Prop: propVCControlled}},
+		{"is-defined bookkeeping", davproto.IsDefinedExpr{Prop: propVCCount}},
 	}
 	selects := []struct {
 		name  string

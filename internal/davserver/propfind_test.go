@@ -633,7 +633,7 @@ func TestPropfindHidesVersioningBookkeeping(t *testing.T) {
 	wantStatus(t, do(t, "VERSION-CONTROL", srv.URL+"/doc", nil, ""), 200)
 
 	named := string(davproto.MarshalPropfind(davproto.Propfind{Kind: davproto.PropfindProps,
-		Props: []xml.Name{propVCControlled, propVCCount, {Space: "ecce:", Local: "k"}}}))
+		Props: []xml.Name{{Space: vcNS, Local: "version-controlled"}, propVCCount, {Space: "ecce:", Local: "k"}}}))
 	propname := string(davproto.MarshalPropfind(davproto.Propfind{Kind: davproto.PropfindPropName}))
 	for _, body := range []string{"", propname, named} {
 		resp := do(t, "PROPFIND", srv.URL+"/doc", map[string]string{"Depth": "0"}, body)

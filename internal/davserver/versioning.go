@@ -32,8 +32,11 @@ import (
 //   - The version tree is invisible to PROPFIND/GET listings of the
 //     live tree and rejects client writes.
 //
-// Versioning state is kept in dead properties under a private
-// namespace so any Store implementation supports it unchanged.
+// Versioning state is one dead property under a private namespace, so
+// any Store implementation supports it unchanged: a document is under
+// version control when its version count is at least 1. Snapshots carry
+// it too, where no client reads it: PROPFIND and SEARCH hide the
+// namespace and the version tree refuses every other method.
 
 // versionRoot is the hidden subtree holding version snapshots.
 const versionRoot = "/.davversions"
@@ -41,10 +44,7 @@ const versionRoot = "/.davversions"
 // vcNS is the private namespace for version bookkeeping properties.
 const vcNS = "urn:repro-dav:versioning"
 
-var (
-	propVCControlled = xml.Name{Space: vcNS, Local: "version-controlled"}
-	propVCCount      = xml.Name{Space: vcNS, Local: "version-count"}
-)
+var propVCCount = xml.Name{Space: vcNS, Local: "version-count"}
 
 // visible reports whether a path belongs to the live tree (true) or
 // the hidden version store (false).
@@ -52,15 +52,12 @@ func visible(p string) bool {
 	return p != versionRoot && !store.IsAncestor(versionRoot, p)
 }
 
-// isVersionControlled reads the bookkeeping properties of a resource
-// out of its dead-property map: whether it is under version control,
-// and how many versions it has.
+// isVersionControlled reads the bookkeeping of a resource out of its
+// dead-property map: whether it is under version control, and how many
+// versions it has.
 func isVersionControlled(props map[xml.Name][]byte) (bool, int) {
-	if string(props[propVCControlled]) != "1" {
-		return false, 0
-	}
 	count, _ := strconv.Atoi(string(props[propVCCount]))
-	return true, count
+	return count >= 1, count
 }
 
 // versionPath is where version n of resource p is snapshotted.
@@ -69,36 +66,39 @@ func versionPath(p string, n int) string {
 }
 
 // snapshotVersion copies the current state of p into the version tree
-// as version n.
+// as version n. The copy itself says what is in the way: ErrConflict
+// when the version collections are missing, ErrExists when a snapshot
+// whose count never landed holds the path.
 func (h *Handler) snapshotVersion(ctx context.Context, p string, n int) error {
 	dst := versionPath(p, n)
-	// Ensure the version container chain exists.
-	parent := store.ParentPath(dst)
-	var missing []string
-	for at := parent; at != "/"; at = store.ParentPath(at) {
-		if _, err := h.store.Stat(ctx, at); err == nil {
-			break
-		}
-		missing = append([]string{at}, missing...)
-	}
-	for _, dir := range missing {
-		if err := h.store.Mkcol(ctx, dir); err != nil && !errors.Is(err, store.ErrExists) {
-			return err
-		}
-	}
-	if _, err := h.store.Stat(ctx, dst); err == nil {
-		if err := h.store.Delete(ctx, dst); err != nil {
-			return err
-		}
-	}
-	if err := h.store.CopyTreeAtomic(ctx, p, dst, store.CopyOptions{}); err != nil {
+	err := h.store.CopyTreeAtomic(ctx, p, dst, store.CopyOptions{})
+	switch {
+	case errors.Is(err, store.ErrConflict):
+		err = h.mkcolAll(ctx, store.ParentPath(dst))
+	case errors.Is(err, store.ErrExists):
+		err = h.store.Delete(ctx, dst)
+	default:
 		return err
 	}
-	// The snapshot's own bookkeeping props would be misleading; drop
-	// them from the copy.
-	h.store.PropDelete(ctx, dst, propVCControlled)
-	h.store.PropDelete(ctx, dst, propVCCount)
-	return nil
+	if err != nil {
+		return err
+	}
+	return h.store.CopyTreeAtomic(ctx, p, dst, store.CopyOptions{})
+}
+
+// mkcolAll makes the collection p and whichever of its ancestors are
+// missing; an existing one is not an error.
+func (h *Handler) mkcolAll(ctx context.Context, p string) error {
+	err := h.store.Mkcol(ctx, p)
+	if errors.Is(err, store.ErrConflict) {
+		if err = h.mkcolAll(ctx, store.ParentPath(p)); err == nil {
+			err = h.store.Mkcol(ctx, p)
+		}
+	}
+	if errors.Is(err, store.ErrExists) {
+		return nil
+	}
+	return err
 }
 
 // handleVersionControl implements the VERSION-CONTROL method: the
@@ -125,10 +125,6 @@ func (h *Handler) handleVersionControl(w http.ResponseWriter, r *http.Request, p
 			return
 		}
 		if err := h.snapshotVersion(r.Context(), p, 1); err != nil {
-			h.fail(w, r, err)
-			return
-		}
-		if err := h.store.PropPut(r.Context(), p, propVCControlled, []byte("1")); err != nil {
 			h.fail(w, r, err)
 			return
 		}

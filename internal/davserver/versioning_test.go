@@ -1,12 +1,19 @@
 package davserver
 
 import (
+	"context"
 	"encoding/xml"
 	"io"
+	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/davproto"
+	"repro/internal/dbm"
+	"repro/internal/store"
 )
 
 const versionTreeBody = `<D:version-tree xmlns:D="DAV:"/>`
@@ -169,7 +176,7 @@ func TestVersionSnapshotsCaptureProperties(t *testing.T) {
 	if p, ok := props[eccFormula()]; !ok || p.Text() != "H2O" {
 		t.Fatalf("v1 formula = %+v ok=%v", p, ok)
 	}
-	// Bookkeeping props are not copied into snapshots.
+	// Bookkeeping props are not visible in snapshots.
 	resp = do(t, "PROPFIND", srv.URL+hrefs[0], map[string]string{"Depth": "0"}, "")
 	ms = parseMS(t, resp)
 	for name := range davproto.PropsByName(ms.Responses[0].Propstats) {
@@ -219,4 +226,117 @@ func TestReportVersionNamesAndSizes(t *testing.T) {
 			t.Fatalf("version %d name = %+v", i+1, name)
 		}
 	}
+}
+
+// TestVersioningStoreCalls pins the store calls of versioning and of
+// COPY and MOVE over an FSStore. Each learns whether its target exists
+// from its write's own error, never from a Stat before it. A snapshot
+// whose count never landed is replaced by the next one, and a document
+// an older build put under version control with two bookkeeping
+// properties keeps its history.
+func TestVersioningStoreCalls(t *testing.T) {
+	fs, err := store.NewFSStore(t.TempDir(), dbm.GDBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	faulty := chaos.NewFaultyStore(fs)
+	var (
+		mu    sync.Mutex
+		calls []string
+	)
+	srv := httptest.NewServer(NewHandler(store.Intercept(faulty,
+		func(ctx context.Context, op store.Op, next func(context.Context) error) error {
+			mu.Lock()
+			calls = append(calls, op.Name)
+			mu.Unlock()
+			return next(ctx)
+		}), nil))
+	defer srv.Close()
+	// request runs one request, wants its status, and wants the store
+	// calls it made, in order.
+	request := func(method, p string, headers map[string]string, body string, status int, want ...string) {
+		t.Helper()
+		mu.Lock()
+		calls = nil
+		mu.Unlock()
+		wantStatus(t, do(t, method, srv.URL+p, headers, body), status)
+		mu.Lock()
+		defer mu.Unlock()
+		if !slices.Equal(calls, want) {
+			t.Errorf("%s %s made store calls %v, want %v", method, p, calls, want)
+		}
+	}
+	dest := func(p string) map[string]string { return map[string]string{"Destination": srv.URL + p} }
+	wantVersions := func(p string, bodies ...string) {
+		t.Helper()
+		hrefs := versionHrefs(t, srv.URL, p)
+		if len(hrefs) != len(bodies) {
+			t.Fatalf("versions of %s = %v, want %d", p, hrefs, len(bodies))
+		}
+		for i, href := range hrefs {
+			if want := versionPath(p, i+1); href != want {
+				t.Errorf("version %d of %s at %s, want %s", i+1, p, href, want)
+			}
+			b, _ := io.ReadAll(do(t, "GET", srv.URL+href, nil, "").Body)
+			if string(b) != bodies[i] {
+				t.Errorf("version %d of %s = %q, want %q", i+1, p, b, bodies[i])
+			}
+		}
+	}
+
+	wantStatus(t, do(t, "MKCOL", srv.URL+"/a", nil, ""), 201)
+	wantStatus(t, do(t, "PUT", srv.URL+"/a/doc", nil, "v1"), 201)
+	wantStatus(t, do(t, "PUT", srv.URL+"/a/sib", nil, "s1"), 201)
+
+	// In a fresh tree, the snapshot's copy finds no version collections,
+	// and the Mkcol climbs to the version root and back down.
+	request("VERSION-CONTROL", "/a/doc", nil, "", 200, store.OpStatWithProps, store.OpCopyTree,
+		store.OpMkcol, store.OpMkcol, store.OpMkcol, store.OpMkcol, store.OpMkcol,
+		store.OpCopyTree, store.OpPropPut)
+	// Beside a versioned sibling, only the document's own collection is
+	// missing.
+	request("VERSION-CONTROL", "/a/sib", nil, "", 200, store.OpStatWithProps, store.OpCopyTree,
+		store.OpMkcol, store.OpCopyTree, store.OpPropPut)
+	request("PUT", "/a/doc", nil, "v2", 204, store.OpStatWithProps, store.OpPut, store.OpCopyTree, store.OpPropPut)
+	wantVersions("/a/doc", "v1", "v2")
+
+	// COPY and MOVE to an absent destination are one call each; onto an
+	// existing one, the refusal is what Overwrite resolves.
+	request("COPY", "/a/sib", dest("/a/copy"), "", 201, store.OpCopyTree)
+	request("MOVE", "/a/copy", dest("/a/moved"), "", 201, store.OpRename)
+	request("COPY", "/a/sib", dest("/a/moved"), "", 204, store.OpCopyTree, store.OpDelete, store.OpCopyTree)
+	overwriteF := dest("/a/moved")
+	overwriteF["Overwrite"] = "F"
+	request("MOVE", "/a/doc", overwriteF, "", 412, store.OpRename)
+	// A missing source answers 404 before the destination answers 412.
+	request("COPY", "/a/absent", overwriteF, "", 404, store.OpCopyTree)
+
+	// Debris: the count's PropPut fails after version 3's snapshot. The
+	// PUT still lands; the next one takes version 3 over with its own
+	// body, and the history has no gap.
+	faulty.FailNth(chaos.OpPropPut, 1)
+	request("PUT", "/a/doc", nil, "v3, lost", 204, store.OpStatWithProps, store.OpPut, store.OpCopyTree, store.OpPropPut)
+	faulty.Clear(chaos.OpPropPut)
+	request("PUT", "/a/doc", nil, "v3", 204, store.OpStatWithProps, store.OpPut,
+		store.OpCopyTree, store.OpDelete, store.OpCopyTree, store.OpPropPut)
+	wantVersions("/a/doc", "v1", "v2", "v3")
+
+	// An older build marked a document with both properties, written
+	// here directly, and made its version 1; the next PUT makes version 2.
+	ctx := context.Background()
+	wantStatus(t, do(t, "PUT", srv.URL+"/a/old", nil, "o1"), 201)
+	if err := fs.Mkcol(ctx, versionRoot+"/a/old"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.CopyTreeAtomic(ctx, "/a/old", versionPath("/a/old", 1), store.CopyOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, prop := range []xml.Name{{Space: vcNS, Local: "version-controlled"}, propVCCount} {
+		if err := fs.PropPut(ctx, "/a/old", prop, []byte("1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	request("PUT", "/a/old", nil, "o2", 204, store.OpStatWithProps, store.OpPut, store.OpCopyTree, store.OpPropPut)
+	wantVersions("/a/old", "o1", "o2")
 }

@@ -690,19 +690,19 @@ func (s *FSStore) mkcolLocked(cp string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := os.Stat(dp); err == nil {
+	switch err := os.Mkdir(dp, 0o755); {
+	case os.IsExist(err):
 		return fmt.Errorf("%w: %s", ErrExists, cp)
-	}
-	parent := filepath.Dir(dp)
-	pfi, err := os.Stat(parent)
-	if err != nil {
+	case os.IsNotExist(err), errors.Is(err, syscall.ENOTDIR):
 		return fmt.Errorf("%w: %s", ErrConflict, ParentPath(cp))
+	case err != nil:
+		return err
 	}
-	if !pfi.IsDir() {
-		return fmt.Errorf("%w: %s", ErrConflict, ParentPath(cp))
-	}
-	if err := os.Mkdir(dp, 0o755); err != nil {
-		return mapFSErr(err, cp)
+	// The new entry is only durable once its parent directory is on disk.
+	if err := syncDir(filepath.Dir(dp)); err != nil {
+		fsyncErrors.Add(1)
+		slog.Warn("store: directory fsync failed after mkdir; collection may not survive power loss",
+			"dir", filepath.Dir(dp), "err", err)
 	}
 	return nil
 }
@@ -1192,14 +1192,28 @@ func (s *FSStore) CopyTreeAtomic(ctx context.Context, src, dst string, opts Copy
 		return err
 	}
 	defer g.Release()
+	root, perr, err := s.resolve(ctx, csrc)
+	if err == nil {
+		err = perr
+	}
+	if err != nil {
+		return err
+	}
+	dp, err := s.diskPath(cdst)
+	if err != nil {
+		return err
+	}
+	if _, err := os.Lstat(dp); err == nil {
+		return fmt.Errorf("%w: %s", ErrExists, cdst)
+	}
 	// Crash-consistency shape: one intent covers the whole destination
-	// subtree (the DAV handler clears an overwritten destination before
-	// calling, so the destination never holds pre-existing data). A
-	// crash or error mid-copy rolls back by removing whatever was built
-	// — the nested puts are deliberately unjournaled for that reason.
-	// Cancellation takes the same rollback: the per-resource walk
-	// checkpoints ctx, and a mid-copy abort removes the partial
-	// destination inline, leaving a no-op behind a resolved intent.
+	// subtree, which did not exist (checked above), so it holds nothing
+	// but what the copy builds. A crash or error mid-copy rolls back by
+	// removing whatever was built — the nested puts are deliberately
+	// unjournaled for that reason. Cancellation takes the same rollback:
+	// the per-resource walk checkpoints ctx, and a mid-copy abort removes
+	// the partial destination inline, leaving a no-op behind a resolved
+	// intent.
 	s.step("copy.start")
 	id, err := s.beginIntent(journal.Record{
 		Op: journal.OpCopy, Path: csrc, Dst: cdst, Recurse: opts.Recurse,
@@ -1208,14 +1222,7 @@ func (s *FSStore) CopyTreeAtomic(ctx context.Context, src, dst string, opts Copy
 		return err
 	}
 	s.step("copy.intent")
-	root, perr, err := s.resolve(ctx, csrc)
-	if err == nil {
-		err = perr
-	}
-	if err == nil {
-		err = s.copyTreeLocked(ctx, root, cdst, opts.Recurse)
-	}
-	if err != nil {
+	if err := s.copyTreeLocked(ctx, root, cdst, opts.Recurse); err != nil {
 		// Roll back inline so a failed COPY is a no-op immediately
 		// rather than at the next recovery.
 		s.removeCopyDebris(cdst)

@@ -368,6 +368,9 @@ func (s *MemStore) CopyTreeAtomic(ctx context.Context, src, dst string, opts Cop
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, csrc)
 	}
+	if _, ok := s.state.res[cdst]; ok {
+		return fmt.Errorf("%w: %s", ErrExists, cdst)
+	}
 	now := s.state.now()
 	if err := s.copyResLocked(r, cdst, now); err != nil {
 		return err
@@ -442,36 +445,15 @@ func (s *MemStore) Rename(ctx context.Context, src, dst string) error {
 	return nil
 }
 
-// copyResLocked clones one resource to cdst (Mkcol/Put plus property
-// sets). Caller holds the path locks and state.mu.
+// copyResLocked clones one resource to cdst, which does not exist.
+// Caller holds the path locks and state.mu.
 func (s *MemStore) copyResLocked(r *memResource, cdst string, now time.Time) error {
 	if !s.parentOK(cdst) {
 		return fmt.Errorf("%w: %s", ErrConflict, ParentPath(cdst))
 	}
-	existing, ok := s.state.res[cdst]
 	if r.isCollection {
-		if ok {
-			return fmt.Errorf("%w: %s", ErrExists, cdst)
-		}
 		s.state.res[cdst] = &memResource{isCollection: true, props: copyProps(r.props),
 			modTime: now, createTime: now}
-		return nil
-	}
-	if ok {
-		if existing.isCollection {
-			return fmt.Errorf("%w: %s", ErrIsCollection, cdst)
-		}
-		// Overwrite like Put would: new body, new version, merged
-		// properties.
-		existing.data = append([]byte(nil), r.data...)
-		existing.modTime = now
-		existing.version = s.state.nextVersion()
-		if r.contentType != "" {
-			existing.contentType = r.contentType
-		}
-		for n, v := range r.props {
-			existing.props[n] = append([]byte(nil), v...)
-		}
 		return nil
 	}
 	s.state.res[cdst] = &memResource{data: append([]byte(nil), r.data...),

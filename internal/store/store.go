@@ -211,9 +211,11 @@ type CopyOptions struct {
 // TreeCopier is the COPY part of Store.
 type TreeCopier interface {
 	// CopyTreeAtomic copies the resource at src to dst, including dead
-	// properties, creating dst's resource type to match src. The
-	// destination must not already exist (the server resolves Overwrite
-	// by deleting first) and must not be src or inside it (ErrBadPath).
+	// properties, creating dst's resource type to match src. src must
+	// exist (ErrNotFound), and dst must not be src or inside it
+	// (ErrBadPath) and must not exist (ErrExists, checked before anything
+	// is written: the server resolves Overwrite by deleting and calling
+	// again).
 	// The whole copy is one operation: a single multi-path lock
 	// acquisition (shared on the source subtree, exclusive on the
 	// destination) held throughout, so concurrent writers cannot mutate

@@ -485,6 +485,92 @@ func TestCopyIntoSelfRejected(t *testing.T) {
 	})
 }
 
+// TestCopyOntoAnExistingDestination: CopyTreeAtomic refuses a
+// destination that exists, a document or a collection with a member,
+// with ErrExists and before it writes anything. The destination keeps
+// its bodies, ETags and dead properties, and an FSStore journals no
+// intent for the refused copy.
+func TestCopyOntoAnExistingDestination(t *testing.T) {
+	eachStore(t, func(t *testing.T, s Store) {
+		ctx := context.Background()
+		k := xml.Name{Space: "urn:ecce", Local: "k"}
+		stale := xml.Name{Space: "urn:ecce", Local: "stale"}
+		mustPut(t, s, "/src.txt", "new body")
+		mustMkcol(t, s, "/srcdir")
+		mustPut(t, s, "/srcdir/m", "new member")
+		mustPut(t, s, "/dst.txt", "old body")
+		mustMkcol(t, s, "/dstdir")
+		mustPut(t, s, "/dstdir/m", "old member")
+		for _, p := range []string{"/src.txt", "/srcdir", "/srcdir/m"} {
+			if err := s.PropPut(ctx, p, k, []byte("<v>src</v>")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dsts := []string{"/dst.txt", "/dstdir", "/dstdir/m"}
+		for _, p := range dsts {
+			if err := s.PropPut(ctx, p, stale, []byte("<v>old</v>")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		type state struct {
+			etag, body string
+			props      map[xml.Name][]byte
+		}
+		snapshot := func() map[string]state {
+			out := map[string]state{}
+			for _, p := range dsts {
+				ri, props, err := s.StatWithProps(ctx, p)
+				if err != nil {
+					t.Fatalf("StatWithProps %s: %v", p, err)
+				}
+				st := state{etag: ri.ETag, props: copyProps(props)}
+				if !ri.IsCollection {
+					st.body = readBody(t, s, p)
+				}
+				out[p] = st
+			}
+			return out
+		}
+		journalBytes := func() []byte {
+			fs, ok := s.(*FSStore)
+			if !ok {
+				return nil
+			}
+			b, err := os.ReadFile(filepath.Join(fs.Root(), propDirName, journalFileName))
+			if err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			return b
+		}
+		before, journalBefore := snapshot(), journalBytes()
+		for _, c := range []struct {
+			src, dst string
+			recurse  bool
+		}{
+			{"/src.txt", "/dst.txt", false},
+			{"/srcdir", "/dstdir", true},
+			{"/srcdir", "/dstdir", false},
+			{"/src.txt", "/dstdir", false},
+			{"/srcdir", "/dst.txt", true},
+		} {
+			if err := s.CopyTreeAtomic(ctx, c.src, c.dst, CopyOptions{Recurse: c.recurse}); !errors.Is(err, ErrExists) {
+				t.Errorf("copy %s onto existing %s (recurse %v) = %v, want ErrExists", c.src, c.dst, c.recurse, err)
+			}
+		}
+		if after := snapshot(); !reflect.DeepEqual(after, before) {
+			t.Errorf("refused copies changed the destinations:\nbefore %v\nafter  %v", before, after)
+		}
+		if after := journalBytes(); !bytes.Equal(after, journalBefore) {
+			t.Errorf("refused copies wrote to the journal: %d bytes before, %d after", len(journalBefore), len(after))
+		}
+		// A missing source is ErrNotFound before an existing destination
+		// is ErrExists, as Rename orders them.
+		if err := s.CopyTreeAtomic(ctx, "/absent", "/dst.txt", CopyOptions{}); !errors.Is(err, ErrNotFound) {
+			t.Errorf("copy of a missing source onto an existing destination = %v, want ErrNotFound", err)
+		}
+	})
+}
+
 func TestMoveTree(t *testing.T) {
 	eachStore(t, func(t *testing.T, s Store) {
 		mustMkcol(t, s, "/m")
