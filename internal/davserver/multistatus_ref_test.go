@@ -240,14 +240,14 @@ func (h *Handler) refHandleReport(w http.ResponseWriter, r *http.Request) {
 		h.fail(w, r, err)
 		return
 	}
-	controlled, count := isVersionControlled(props)
-	if !controlled {
+	count, vroot := history(p, props)
+	if count < 1 {
 		http.Error(w, "resource is not version-controlled", http.StatusConflict)
 		return
 	}
 	var ms davproto.Multistatus
 	for n := 1; n <= count; n++ {
-		vp := versionPath(p, n)
+		vp := vroot + "/" + strconv.Itoa(n)
 		ri, err := h.store.Stat(r.Context(), vp)
 		if err != nil {
 			continue // pruned version

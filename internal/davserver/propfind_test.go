@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -624,7 +625,7 @@ func TestPropfindViewsFollowEveryWrite(t *testing.T) {
 }
 
 // The versioning bookkeeping lives in dead properties whose stored
-// bytes are not XML ("1"). It is private: never listed, 404 when asked
+// bytes are not XML ("1 <id>"). It is private: never listed, 404 when asked
 // for by name, and never a reason to write to the error log.
 func TestPropfindHidesVersioningBookkeeping(t *testing.T) {
 	srv, h, _, log := newLoggedFSServer(t, dbm.GDBM, "")
@@ -660,7 +661,8 @@ func TestPropfindHidesVersioningBookkeeping(t *testing.T) {
 	if log.Len() != 0 {
 		t.Errorf("error log not empty:\n%s", log)
 	}
-	if _, props, err := h.store.StatWithProps(context.Background(), "/doc"); err != nil || string(props[propVCCount]) != "1" {
-		t.Errorf("stored version-count = %q, %v; want the bare bytes 1", props[propVCCount], err)
+	if _, props, err := h.store.StatWithProps(context.Background(), "/doc"); err != nil ||
+		!regexp.MustCompile(`^1 [0-9a-f]{16}$`).Match(props[propVCCount]) {
+		t.Errorf("stored version-count = %q, %v; want the bare bytes 1 and a history id", props[propVCCount], err)
 	}
 }

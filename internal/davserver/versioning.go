@@ -3,11 +3,14 @@ package davserver
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"repro/internal/davproto"
 	"repro/internal/store"
@@ -33,16 +36,20 @@ import (
 //     live tree and rejects client writes.
 //
 // Versioning state is one dead property under a private namespace, so
-// any Store implementation supports it unchanged: a document is under
-// version control when its version count is at least 1. Snapshots carry
-// it too, where no client reads it: PROPFIND and SEARCH hide the
-// namespace and the version tree refuses every other method.
+// any Store implementation supports it unchanged. Its value is the
+// version count and the id of the history: "<n> <id>", and the history
+// is the collection /.davversions/<id>. The id, not the document's path,
+// names the history, so MOVE carries it (the property moves with the
+// document), COPY makes an unversioned resource (the store leaves
+// store.VersioningNS behind), and a new document at a deleted one's
+// path starts a new history. A bare "<n>", which older builds wrote,
+// names the path layout /.davversions + the document's path.
 
-// versionRoot is the hidden subtree holding version snapshots.
+// versionRoot is the hidden subtree holding version histories.
 const versionRoot = "/.davversions"
 
 // vcNS is the private namespace for version bookkeeping properties.
-const vcNS = "urn:repro-dav:versioning"
+const vcNS = store.VersioningNS
 
 var propVCCount = xml.Name{Space: vcNS, Local: "version-count"}
 
@@ -52,53 +59,54 @@ func visible(p string) bool {
 	return p != versionRoot && !store.IsAncestor(versionRoot, p)
 }
 
-// isVersionControlled reads the bookkeeping of a resource out of its
-// dead-property map: whether it is under version control, and how many
-// versions it has.
-func isVersionControlled(props map[xml.Name][]byte) (bool, int) {
-	count, _ := strconv.Atoi(string(props[propVCCount]))
-	return count >= 1, count
+// history reads a document's versioning bookkeeping out of its dead
+// properties: how many versions it has (0 when it is not under version
+// control) and the collection that holds them, version n at root/n.
+// It is the one place a history's location is worked out.
+func history(p string, props map[xml.Name][]byte) (count int, root string) {
+	n, id, ok := strings.Cut(string(props[propVCCount]), " ")
+	count, _ = strconv.Atoi(n)
+	if !ok {
+		return count, versionRoot + p
+	}
+	return count, versionRoot + "/" + id
 }
 
-// versionPath is where version n of resource p is snapshotted.
-func versionPath(p string, n int) string {
-	return versionRoot + p + "/" + strconv.Itoa(n)
+// newHistory makes the collection of a new history and returns its id.
+// The Mkcol is also the uniqueness check: ErrExists means the id is
+// taken, and ErrConflict means the store holds no history yet.
+func (h *Handler) newHistory(ctx context.Context) (id string, err error) {
+	for range 4 { // a 64-bit id is taken again only by a broken store
+		var b [8]byte
+		if _, err = rand.Read(b[:]); err != nil {
+			return "", err
+		}
+		id = hex.EncodeToString(b[:])
+		err = h.store.Mkcol(ctx, versionRoot+"/"+id)
+		if errors.Is(err, store.ErrConflict) {
+			if err = h.store.Mkcol(ctx, versionRoot); err == nil || errors.Is(err, store.ErrExists) {
+				err = h.store.Mkcol(ctx, versionRoot+"/"+id)
+			}
+		}
+		if !errors.Is(err, store.ErrExists) {
+			return id, err
+		}
+	}
+	return "", err
 }
 
-// snapshotVersion copies the current state of p into the version tree
-// as version n. The copy itself says what is in the way: ErrConflict
-// when the version collections are missing, ErrExists when a snapshot
-// whose count never landed holds the path.
-func (h *Handler) snapshotVersion(ctx context.Context, p string, n int) error {
-	dst := versionPath(p, n)
+// snapshotVersion copies the current state of p to dst, a version's
+// place in its history. ErrExists is the debris of a snapshot whose
+// count never landed, and the new one replaces it.
+func (h *Handler) snapshotVersion(ctx context.Context, p, dst string) error {
 	err := h.store.CopyTreeAtomic(ctx, p, dst, store.CopyOptions{})
-	switch {
-	case errors.Is(err, store.ErrConflict):
-		err = h.mkcolAll(ctx, store.ParentPath(dst))
-	case errors.Is(err, store.ErrExists):
-		err = h.store.Delete(ctx, dst)
-	default:
+	if !errors.Is(err, store.ErrExists) {
 		return err
 	}
-	if err != nil {
+	if err := h.store.Delete(ctx, dst); err != nil {
 		return err
 	}
 	return h.store.CopyTreeAtomic(ctx, p, dst, store.CopyOptions{})
-}
-
-// mkcolAll makes the collection p and whichever of its ancestors are
-// missing; an existing one is not an error.
-func (h *Handler) mkcolAll(ctx context.Context, p string) error {
-	err := h.store.Mkcol(ctx, p)
-	if errors.Is(err, store.ErrConflict) {
-		if err = h.mkcolAll(ctx, store.ParentPath(p)); err == nil {
-			err = h.store.Mkcol(ctx, p)
-		}
-	}
-	if errors.Is(err, store.ErrExists) {
-		return nil
-	}
-	return err
 }
 
 // handleVersionControl implements the VERSION-CONTROL method: the
@@ -120,15 +128,19 @@ func (h *Handler) handleVersionControl(w http.ResponseWriter, r *http.Request, p
 			http.Error(w, "collections cannot be version-controlled", http.StatusMethodNotAllowed)
 			return
 		}
-		if controlled, _ := isVersionControlled(cur.props); controlled {
+		if count, _ := history(p, cur.props); count >= 1 {
 			w.WriteHeader(http.StatusOK)
 			return
 		}
-		if err := h.snapshotVersion(r.Context(), p, 1); err != nil {
+		id, err := h.newHistory(r.Context())
+		if err == nil {
+			err = h.snapshotVersion(r.Context(), p, versionRoot+"/"+id+"/1")
+		}
+		if err != nil {
 			h.fail(w, r, err)
 			return
 		}
-		if err := h.store.PropPut(r.Context(), p, propVCCount, []byte("1")); err != nil {
+		if err := h.store.PropPut(r.Context(), p, propVCCount, []byte("1 "+id)); err != nil {
 			h.fail(w, r, err)
 			return
 		}
@@ -143,15 +155,19 @@ func (h *Handler) handleVersionControl(w http.ResponseWriter, r *http.Request, p
 // landed, and a client abort must not leave the history missing the
 // version it just created.
 func (h *Handler) autoVersionAfterPut(ctx context.Context, p string, props map[xml.Name][]byte) error {
-	controlled, count := isVersionControlled(props)
-	if !controlled {
+	count, root := history(p, props)
+	if count < 1 {
 		return nil
 	}
-	next := count + 1
-	if err := h.snapshotVersion(ctx, p, next); err != nil {
+	next := strconv.Itoa(count + 1)
+	if err := h.snapshotVersion(ctx, p, root+"/"+next); err != nil {
 		return err
 	}
-	return h.store.PropPut(ctx, p, propVCCount, []byte(strconv.Itoa(next)))
+	// Only the count changes; the history's id, if any, stays.
+	if _, id, ok := strings.Cut(string(props[propVCCount]), " "); ok {
+		next += " " + id
+	}
+	return h.store.PropPut(ctx, p, propVCCount, []byte(next))
 }
 
 // handleReport implements the REPORT method for DAV:version-tree: a
@@ -172,21 +188,33 @@ func (h *Handler) handleReport(w http.ResponseWriter, r *http.Request, p string)
 		h.fail(w, r, err)
 		return
 	}
-	controlled, count := isVersionControlled(props)
-	if !controlled {
+	count, vroot := history(p, props)
+	if count < 1 {
 		http.Error(w, "resource is not version-controlled", http.StatusConflict)
 		return
 	}
+	// One listing reads the whole history: version n is the member named
+	// n, in slot n-1. An empty slot is a pruned version, and a missing
+	// history has none.
+	members, err := h.store.ListWithProps(r.Context(), vroot)
+	if err != nil && !errors.Is(err, store.ErrNotFound) {
+		h.fail(w, r, err)
+		return
+	}
+	versions := make([]store.ResourceInfo, count)
+	for _, m := range members {
+		if n, err := strconv.Atoi(m.Info.Name()); err == nil && n >= 1 && n <= count {
+			versions[n-1] = m.Info
+		}
+	}
 	h.multistatus(w, r, func(buf *bytes.Buffer) error {
-		for n := 1; n <= count; n++ {
-			vp := versionPath(p, n)
-			ri, err := h.store.Stat(r.Context(), vp)
-			if err != nil {
-				continue // pruned version
+		for i, ri := range versions {
+			if ri.Path == "" {
+				continue
 			}
 			buf.WriteString(`<D:response>`)
-			h.writeHref(buf, vp)
-			buf.WriteString(propstatOpen + `<D:version-name>` + strconv.Itoa(n) + `</D:version-name>`)
+			h.writeHref(buf, ri.Path)
+			buf.WriteString(propstatOpen + `<D:version-name>` + strconv.Itoa(i+1) + `</D:version-name>`)
 			for _, name := range []xml.Name{davproto.PropGetContentLength,
 				davproto.PropGetLastModified, davproto.PropGetETag} {
 				if prop, ok := h.liveProp(ri, name); ok {

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -1306,10 +1307,10 @@ func (s *FSStore) copyResourceLocked(ctx context.Context, src MemberProps, cdst 
 			return err
 		}
 	}
-	if len(src.Props) == 0 {
+	names := slices.DeleteFunc(sortedPropNames(src.Props), func(n xml.Name) bool { return n.Space == VersioningNS })
+	if len(names) == 0 {
 		return nil
 	}
-	names := sortedPropNames(src.Props)
 	return s.withProps(ctx, cdst, ri.IsCollection, true, func(h *dbm.Handle) error {
 		for _, n := range names {
 			if err := h.Put(propKey(n), src.Props[n]); err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -451,13 +452,15 @@ func (s *MemStore) copyResLocked(r *memResource, cdst string, now time.Time) err
 	if !s.parentOK(cdst) {
 		return fmt.Errorf("%w: %s", ErrConflict, ParentPath(cdst))
 	}
+	props := copyProps(r.props)
+	maps.DeleteFunc(props, func(n xml.Name, _ []byte) bool { return n.Space == VersioningNS })
 	if r.isCollection {
-		s.state.res[cdst] = &memResource{isCollection: true, props: copyProps(r.props),
+		s.state.res[cdst] = &memResource{isCollection: true, props: props,
 			modTime: now, createTime: now}
 		return nil
 	}
 	s.state.res[cdst] = &memResource{data: append([]byte(nil), r.data...),
-		contentType: r.contentType, props: copyProps(r.props),
+		contentType: r.contentType, props: props,
 		modTime: now, createTime: now, version: s.state.nextVersion()}
 	return nil
 }

@@ -208,10 +208,18 @@ type CopyOptions struct {
 	Recurse bool
 }
 
-// TreeCopier is the COPY part of Store.
+// VersioningNS is the namespace of the DAV layer's versioning
+// bookkeeping, which a copy leaves behind (TreeCopier).
+const VersioningNS = "urn:repro-dav:versioning"
+
+// TreeCopier is the COPY part of Store. A copy is a new resource: it
+// takes the source's body and dead properties but not the versioning
+// bookkeeping in VersioningNS, which stays with the source (and which
+// Rename, a move of the same resource, carries).
 type TreeCopier interface {
 	// CopyTreeAtomic copies the resource at src to dst, including dead
-	// properties, creating dst's resource type to match src. src must
+	// properties other than those in VersioningNS, creating dst's
+	// resource type to match src. src must
 	// exist (ErrNotFound), and dst must not be src or inside it
 	// (ErrBadPath) and must not exist (ErrExists, checked before anything
 	// is written: the server resolves Overwrite by deleting and calling

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -568,6 +569,64 @@ func TestCopyOntoAnExistingDestination(t *testing.T) {
 		if err := s.CopyTreeAtomic(ctx, "/absent", "/dst.txt", CopyOptions{}); !errors.Is(err, ErrNotFound) {
 			t.Errorf("copy of a missing source onto an existing destination = %v, want ErrNotFound", err)
 		}
+	})
+}
+
+// A copy is a new resource: CopyTreeAtomic copies every dead property
+// byte for byte, an empty namespace's included, except the versioning
+// bookkeeping, at Depth 0 and at Depth infinity. Rename moves the
+// resource, bookkeeping and all.
+func TestCopyLeavesVersioningBehind(t *testing.T) {
+	eachStore(t, func(t *testing.T, s Store) {
+		ctx := context.Background()
+		props := map[xml.Name][]byte{
+			{Space: VersioningNS, Local: "version-count"}: []byte("2 0123456789abcdef"),
+			{Local: "x"}:                    []byte("<x>no namespace</x>"),
+			{Space: "urn:ecce", Local: "k"}: []byte(`<k xmlns="urn:ecce">ecce</k>`),
+		}
+		kept := maps.Clone(props)
+		delete(kept, xml.Name{Space: VersioningNS, Local: "version-count"})
+		mustMkcol(t, s, "/col")
+		mustPut(t, s, "/col/doc", "body")
+		mustPut(t, s, "/doc", "body")
+		for _, p := range []string{"/col", "/col/doc", "/doc"} {
+			for name, v := range props {
+				if err := s.PropPut(ctx, p, name, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		wantProps := func(p string, want map[xml.Name][]byte) {
+			t.Helper()
+			_, got, err := s.StatWithProps(ctx, p)
+			if err != nil {
+				t.Fatalf("StatWithProps %s: %v", p, err)
+			}
+			if !reflect.DeepEqual(maps.Clone(got), want) {
+				t.Errorf("%s properties = %q, want %q", p, got, want)
+			}
+		}
+		for _, c := range []struct {
+			src, dst string
+			recurse  bool
+			copied   []string
+		}{
+			{"/doc", "/doc0", false, []string{"/doc0"}},
+			{"/col", "/col0", false, []string{"/col0"}},
+			{"/col", "/colinf", true, []string{"/colinf", "/colinf/doc"}},
+		} {
+			if err := s.CopyTreeAtomic(ctx, c.src, c.dst, CopyOptions{Recurse: c.recurse}); err != nil {
+				t.Fatalf("copy %s to %s: %v", c.src, c.dst, err)
+			}
+			for _, p := range c.copied {
+				wantProps(p, kept)
+			}
+		}
+		wantProps("/doc", props)
+		if err := s.Rename(ctx, "/doc", "/moved"); err != nil {
+			t.Fatal(err)
+		}
+		wantProps("/moved", props)
 	})
 }
 
