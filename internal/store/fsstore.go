@@ -274,9 +274,6 @@ func (s *FSStore) beginIntent(rec journal.Record) (uint64, error) {
 // uncommitted intent only costs an idempotent roll-forward at the next
 // recovery.
 func (s *FSStore) commitIntent(id uint64) {
-	if id == 0 {
-		return // an unjournaled step (putLocked with journaled=false)
-	}
 	if err := s.shared.journal.Commit(id); err != nil {
 		slog.Warn("store: journal commit failed; next recovery will re-resolve",
 			"seq", id, "err", err)
@@ -700,11 +697,7 @@ func (s *FSStore) mkcolLocked(cp string) error {
 		return err
 	}
 	// The new entry is only durable once its parent directory is on disk.
-	if err := syncDir(filepath.Dir(dp)); err != nil {
-		fsyncErrors.Add(1)
-		slog.Warn("store: directory fsync failed after mkdir; collection may not survive power loss",
-			"dir", filepath.Dir(dp), "err", err)
-	}
+	syncDir("mkcol", filepath.Dir(dp))
 	return nil
 }
 
@@ -717,17 +710,11 @@ const stageBufSize = 1 << 20
 
 var stageBufs = sync.Pool{New: func() any { b := make([]byte, stageBufSize); return &b }}
 
-// stage copies a Put body into its temp file. A body from the network
-// goes through one pooled stageBufSize buffer: *os.File's ReadFrom would
-// take it, find nothing to splice from, and fall back to a 32 KiB copy,
-// so the wrapper hides ReadFrom. A body that is itself a file (COPY's
-// source) keeps ReadFrom, which moves it with copy_file_range and no
-// buffer at all.
+// stage copies a Put body into its temp file through one pooled
+// stageBufSize buffer: *os.File's ReadFrom would take a body from the
+// network, find nothing to splice from, and fall back to a 32 KiB copy,
+// so the wrapper hides ReadFrom.
 func stage(tmp *os.File, r io.Reader) error {
-	if _, ok := r.(*os.File); ok {
-		_, err := io.Copy(tmp, r)
-		return err
-	}
 	buf := stageBufs.Get().(*[]byte)
 	defer stageBufs.Put(buf)
 	_, err := io.CopyBuffer(struct{ io.Writer }{tmp}, r, *buf)
@@ -735,10 +722,24 @@ func stage(tmp *os.File, r io.Reader) error {
 }
 
 // Put implements Store. The body is staged to a temporary file and
-// renamed into place so concurrent readers never observe a torn
-// document. The exclusive path lock serializes writers of one document;
-// writers of different documents — even in the same collection —
-// proceed in parallel.
+// renamed into place, so readers never observe a torn document and the
+// file is never written again (a copy links it). The exclusive path
+// lock serializes writers of one document; writers of different
+// documents — even in the same collection — proceed in parallel.
+//
+// Crash-consistency shape: the body is staged and fsync'd first (a
+// crash there leaves only a swept-at-recovery temp file), then the
+// intent — carrying the temp name, the pre-op generation, and the
+// content type to keep or clear — is made durable, and only then do the
+// visible steps run: rename into place, property write, generation
+// bump. Recovery can therefore always classify the store as pre-op
+// (temp still present → remove it) or post-op (renamed → finish the
+// metadata steps), never in between.
+//
+// Cancellation checkpoints sit before the rename: a cancelled PUT
+// removes its temp and resolves its intent as a no-op, leaving the
+// pre-op document intact. After the rename the operation completes —
+// the new body is already visible.
 func (s *FSStore) Put(ctx context.Context, p string, r io.Reader, contentType string) (bool, error) {
 	cp, err := CleanPath(p)
 	if err != nil {
@@ -754,35 +755,12 @@ func (s *FSStore) Put(ctx context.Context, p string, r io.Reader, contentType st
 	if err := s.writeGate(); err != nil {
 		return false, err
 	}
-
 	g, err := s.locks.Lock(ctx, cp)
 	if err != nil {
 		return false, err
 	}
 	defer g.Release()
-	return s.putLocked(ctx, cp, dp, r, contentType, true)
-}
 
-// putLocked is Put's body under an already-held exclusive lock covering
-// cp (dp is cp's disk path). journaled=false skips the intent record —
-// used by the copy path, whose own intent already covers the whole
-// destination subtree (rolling back a copy removes every nested write,
-// so per-resource intents would only double the fsync cost).
-//
-// Crash-consistency shape: the body is staged and fsync'd first (a
-// crash there leaves only a swept-at-recovery temp file), then the
-// intent — carrying the temp name, the pre-op generation, and the
-// content type to keep or clear — is made durable, and only then do the
-// visible steps run: rename into place, property write, generation
-// bump. Recovery can therefore always classify the store as pre-op
-// (temp still present → remove it) or post-op (renamed → finish the
-// metadata steps), never in between.
-//
-// Cancellation checkpoints sit before the rename: a cancelled PUT
-// removes its temp and resolves its intent as a no-op, leaving the
-// pre-op document intact. After the rename the operation completes —
-// the new body is already visible.
-func (s *FSStore) putLocked(ctx context.Context, cp, dp string, r io.Reader, contentType string, journaled bool) (bool, error) {
 	parentFI, perr := os.Stat(filepath.Dir(dp))
 	if perr != nil || !parentFI.IsDir() {
 		return false, fmt.Errorf("%w: %s", ErrConflict, ParentPath(cp))
@@ -855,16 +833,13 @@ func (s *FSStore) putLocked(ctx context.Context, cp, dp string, r io.Reader, con
 		return false, err
 	}
 
-	var id uint64
-	if journaled {
-		id, err = s.beginIntent(journal.Record{
-			Op: journal.OpPut, Path: cp, Tmp: filepath.Base(tmpName),
-			Created: created, Gen: prev.gen, CType: ctype,
-		})
-		if err != nil {
-			os.Remove(tmpName)
-			return false, err
-		}
+	id, err := s.beginIntent(journal.Record{
+		Op: journal.OpPut, Path: cp, Tmp: filepath.Base(tmpName),
+		Created: created, Gen: prev.gen, CType: ctype,
+	})
+	if err != nil {
+		os.Remove(tmpName)
+		return false, err
 	}
 	s.step("put.intent")
 	if err := ctx.Err(); err != nil {
@@ -884,11 +859,7 @@ func (s *FSStore) putLocked(ctx context.Context, cp, dp string, r io.Reader, con
 	s.step("put.renamed")
 	// The rename itself is only durable once the parent directory's
 	// entry is on disk.
-	if err := syncDir(filepath.Dir(dp)); err != nil {
-		fsyncErrors.Add(1)
-		slog.Warn("store: directory fsync failed after rename; entry may not survive power loss",
-			"dir", filepath.Dir(dp), "err", err)
-	}
+	syncDir("put", filepath.Dir(dp))
 	// From here on the new body is visible: finish the metadata steps
 	// regardless of cancellation (context.Background keeps a done ctx
 	// from failing the handle acquisition mid-metadata).
@@ -929,23 +900,29 @@ func (s *FSStore) persistContentType(ctx context.Context, cp, pp, ctype string) 
 	})
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives a
-// crash. The error is returned so callers can decide: the write
-// itself already succeeded, so callers demote the failure to a WARN
-// log plus the dav_fsync_errors_total counter rather than failing the
-// operation — but they no longer silently drop it. (Some filesystems
-// and non-POSIX platforms refuse to open or sync directories.)
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
+// syncDir fsyncs the directories whose entries an operation has just
+// changed, so the change survives a crash; a directory named twice in a
+// row is synced once. The write already succeeded, so a failure is a
+// WARN log plus the dav_fsync_errors_total counter, not a failed
+// operation. (Some filesystems refuse to open or sync directories.)
+func syncDir(op string, dirs ...string) {
+	for i, dir := range dirs {
+		if i > 0 && dir == dirs[i-1] {
+			continue
+		}
+		d, err := os.Open(dir)
+		if err == nil {
+			err = d.Sync()
+			if cerr := d.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fsyncErrors.Add(1)
+			slog.Warn("store: directory fsync failed; entry may not survive power loss",
+				"op", op, "dir", dir, "err", err)
+		}
 	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
 }
 
 // inferContentType derives a document's content type from its
@@ -1141,6 +1118,9 @@ func (s *FSStore) Rename(ctx context.Context, src, dst string) error {
 		return err
 	}
 	s.step("rename.renamed")
+	// Durable before the commit: recovery rolls back a rename whose
+	// source it finds, so an unsynced one could be undone after a 201.
+	syncDir("rename", filepath.Dir(sp), filepath.Dir(tp))
 	if sfi.IsDir() {
 		// Every cached database under the old directory now points at
 		// a renamed-away file; drop them so the new paths reopen.
@@ -1210,8 +1190,8 @@ func (s *FSStore) CopyTreeAtomic(ctx context.Context, src, dst string, opts Copy
 	// Crash-consistency shape: one intent covers the whole destination
 	// subtree, which did not exist (checked above), so it holds nothing
 	// but what the copy builds. A crash or error mid-copy rolls back by
-	// removing whatever was built — the nested puts are deliberately
-	// unjournaled for that reason. Cancellation takes the same rollback:
+	// removing whatever was built — a removed link leaves its source's
+	// body where it was. Cancellation takes the same rollback:
 	// the per-resource walk checkpoints ctx, and a mid-copy abort removes
 	// the partial destination inline, leaving a no-op behind a resolved
 	// intent.
@@ -1278,8 +1258,11 @@ func (s *FSStore) copyTreeLocked(ctx context.Context, src MemberProps, cdst stri
 	return nil
 }
 
-// copyResourceLocked copies one resource (body + properties) under the
-// already-held subtree locks.
+// copyResourceLocked copies one resource under the already-held subtree
+// locks: a collection is a new directory, a document a hard link to its
+// source's file (Put never writes a file after its rename), so the copy
+// writes no body. The dead properties, and a content type the new name
+// does not imply, go to the copy's own database.
 func (s *FSStore) copyResourceLocked(ctx context.Context, src MemberProps, cdst string) error {
 	s.step("copy.resource")
 	ri := src.Info
@@ -1292,18 +1275,22 @@ func (s *FSStore) copyResourceLocked(ctx context.Context, src MemberProps, cdst 
 		if err != nil {
 			return err
 		}
-		f, err := os.Open(sp)
-		if err != nil {
-			return mapFSErr(err, ri.Path)
-		}
 		dp, err := s.diskPath(cdst)
 		if err != nil {
-			f.Close()
 			return err
 		}
-		_, err = s.putLocked(ctx, cdst, dp, f, ri.ContentType, false)
-		f.Close()
-		if err != nil {
+		if pfi, err := os.Stat(filepath.Dir(dp)); err != nil || !pfi.IsDir() {
+			return fmt.Errorf("%w: %s", ErrConflict, ParentPath(cdst))
+		}
+		if err := os.Link(sp, dp); err != nil {
+			return mapFSErr(err, cdst)
+		}
+		syncDir("copy", filepath.Dir(dp))
+		ctype := ri.ContentType
+		if ctype == inferContentType(cdst) {
+			ctype = "" // the new name implies it
+		}
+		if err := s.persistContentType(ctx, cdst, s.memberPropsPath(dp, cdst), ctype); err != nil {
 			return err
 		}
 	}
@@ -1404,20 +1391,27 @@ func (s *FSStore) PropAll(ctx context.Context, p string) (map[xml.Name][]byte, e
 }
 
 // DiskUsage sums the sizes of all regular files under dir — used by
-// the migration experiment to compare storage footprints.
+// the migration experiment to compare storage footprints. A file with
+// several links (a copied document) counts once, as du counts it.
 func DiskUsage(dir string) (int64, error) {
 	var total int64
+	seen := map[[2]uint64]bool{}
 	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err != nil || !d.Type().IsRegular() {
+			return err
+		}
+		fi, err := d.Info()
 		if err != nil {
 			return err
 		}
-		if d.Type().IsRegular() {
-			fi, err := d.Info()
-			if err != nil {
-				return err
+		if st, ok := fi.Sys().(*syscall.Stat_t); ok && st.Nlink > 1 {
+			id := [2]uint64{uint64(st.Dev), uint64(st.Ino)}
+			if seen[id] {
+				return nil
 			}
-			total += fi.Size()
+			seen[id] = true
 		}
+		total += fi.Size()
 		return nil
 	})
 	return total, err

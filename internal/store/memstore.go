@@ -446,8 +446,9 @@ func (s *MemStore) Rename(ctx context.Context, src, dst string) error {
 	return nil
 }
 
-// copyResLocked clones one resource to cdst, which does not exist.
-// Caller holds the path locks and state.mu.
+// copyResLocked clones one resource to cdst, which does not exist. A
+// document shares its body (Put never writes into one) and modTime, as
+// FSStore's link does. Caller holds the path locks and state.mu.
 func (s *MemStore) copyResLocked(r *memResource, cdst string, now time.Time) error {
 	if !s.parentOK(cdst) {
 		return fmt.Errorf("%w: %s", ErrConflict, ParentPath(cdst))
@@ -459,9 +460,9 @@ func (s *MemStore) copyResLocked(r *memResource, cdst string, now time.Time) err
 			modTime: now, createTime: now}
 		return nil
 	}
-	s.state.res[cdst] = &memResource{data: append([]byte(nil), r.data...),
+	s.state.res[cdst] = &memResource{data: r.data,
 		contentType: r.contentType, props: props,
-		modTime: now, createTime: now, version: s.state.nextVersion()}
+		modTime: r.modTime, createTime: now, version: s.state.nextVersion()}
 	return nil
 }
 

@@ -1176,6 +1176,31 @@ func TestETagLaws(t *testing.T) {
 		observe("/c")
 		mustPut(t, s, "/c", "ffff")
 		observe("/c")
+
+		// A copy may share its source's body; each name keeps its own
+		// bytes under its own ETags when the other is overwritten or
+		// deleted.
+		mustPut(t, s, "/s", "gggg")
+		observe("/s")
+		if err := s.CopyTreeAtomic(ctx, "/s", "/t", CopyOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		observe("/t")
+		mustPut(t, s, "/s", "hhhh")
+		observe("/s")
+		observe("/t")
+
+		mustPut(t, s, "/u", "iiii")
+		observe("/u")
+		if err := s.CopyTreeAtomic(ctx, "/u", "/v", CopyOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		observe("/v")
+		mustDelete("/u")
+		observe("/v")
+		mustPut(t, s, "/u", "jjjj")
+		observe("/u")
+		observe("/v")
 	})
 }
 
